@@ -125,6 +125,8 @@ def _resolve(args: argparse.Namespace, sub_name: str) -> dict:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             cfg[key] = val
+    if cfg["workers"] < 1:
+        raise ConfigError(f"config key 'workers': must be at least 1, got {cfg['workers']}")
     env_out = os.environ.get("STABLE_SMALLBALL_OUT")
     if env_out:
         cfg["out"] = env_out

@@ -346,6 +346,15 @@ def gaussian_validation_eigenvalue(n_grid: int = 512) -> float:
     return value
 
 
+def _mc_hits_worker(args) -> int:
+    """Paths of one batch whose grid sup stays below r."""
+    from .simulate import sample_stable_batch
+
+    params, r, n_steps, stream, b_idx, b_size = args
+    batch = sample_stable_batch(params, b_size, n_steps, stream.child(b_idx))
+    return int(np.sum(np.max(np.abs(batch.values), axis=1) < r))
+
+
 def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: int = 100_000,
                           n_steps: int = 2048, rng=None, pmap=map) -> SmallBallConstant:
     """Small-ball rate constant from crude Monte Carlo over several radii.
@@ -359,10 +368,10 @@ def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: in
     Diagnostics include a free-exponent fit: the slope of log(-log p_hat)
     against log r, which should sit near -alpha.
     """
-    from .simulate import RngStream, sample_stable_batch, batch_plan
+    from .simulate import RngStream, batch_plan
     from .processes import AlphaStableParams
 
-    if rng is None:
+    if not isinstance(rng, RngStream):
         raise ValueError("an RngStream is required for reproducibility")
     params = AlphaStableParams(alpha)
     r_arr = np.asarray(sorted(r_list), dtype=float)
@@ -371,19 +380,9 @@ def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: in
 
     hits = np.zeros(r_arr.size, dtype=np.int64)
     plan = batch_plan(n_paths, n_steps)
-    for i in range(r_arr.size):
-        stream = rng.child(i) if isinstance(rng, RngStream) else rng
-        def _work(item, _stream=stream):
-            b_idx, b_size = item
-            batch = sample_stable_batch(params, b_size, n_steps, _stream.child(b_idx))
-            sups = np.max(np.abs(batch.values), axis=1)
-            return (sups < r_arr[:, None]).sum(axis=1)
-        if isinstance(stream, RngStream):
-            per_r = sum(pmap(_work, plan))
-            hits_i = per_r[i]
-        else:
-            raise ValueError("an RngStream is required for reproducibility")
-        hits[i] = hits_i
+    for i, r in enumerate(r_arr):
+        jobs = [(params, float(r), n_steps, rng.child(i), b, s) for b, s in plan]
+        hits[i] = sum(pmap(_mc_hits_worker, jobs))
 
     p_hat = hits / n_paths
     keep = p_hat > 0.0

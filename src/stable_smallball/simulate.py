@@ -19,6 +19,8 @@ briefly exits the ball between grid points is not missed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +70,13 @@ class BatchPaths:
     owning path index.  ``small_noise`` is the per-step Gaussian proxy of the
     sub-cutoff jumps (None when the proxy is off), ``drift_steps`` the
     deterministic per-step drift shared by all paths.
+
+    ``jump_geometry`` caches the target-independent part of the sup
+    refinement: the path value just before and just after every jump, and
+    the per-path segments of the records.  It is computed on first use, so
+    every target that :func:`sup_distance_batch` evaluates on the same batch
+    shares one geometry.  Batches are treated as immutable: no code writes
+    into their arrays after sampling, so the cache stays exact.
     """
 
     times: np.ndarray
@@ -92,6 +101,42 @@ class BatchPaths:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    @cached_property
+    def jump_geometry(self) -> "_JumpGeometry":
+        """Left and right limits of the path at each jump record.
+
+        Within a step the continuous part (drift plus Gaussian proxy) is
+        accrued linearly up to the jump, and earlier jumps within the same
+        step are added via a grouped prefix sum.  Needs at least one record.
+        """
+        p, t, x = self.jump_path, self.jump_times, self.jump_sizes
+        n_steps = self.n_steps
+        dt = self.dt
+        step = np.minimum((t / dt).astype(np.int64), n_steps - 1)
+        frac = t / dt - step
+
+        smooth = np.zeros(t.size)
+        if self.drift_steps is not None:
+            smooth += self.drift_steps[step]
+        if self.small_noise is not None:
+            smooth += self.small_noise[p, step]
+
+        # exclusive prefix of same-step earlier jumps; records are (path, time)-sorted
+        key = p * n_steps + step
+        new_group = np.empty(t.size, dtype=bool)
+        new_group[0] = True
+        np.not_equal(key[1:], key[:-1], out=new_group[1:])
+        excl = np.cumsum(x) - x
+        group_id = np.cumsum(new_group) - 1
+        excl = excl - excl[new_group][group_id]
+
+        pre = self.values[p, step] + smooth * frac + excl
+        new_path = np.empty(t.size, dtype=bool)
+        new_path[0] = True
+        np.not_equal(p[1:], p[:-1], out=new_path[1:])
+        starts = np.flatnonzero(new_path)
+        return _JumpGeometry(pre=pre, post=pre + x, starts=starts, paths=p[starts])
+
     def extract(self, i: int) -> "SimPath":
         if not 0 <= i < self.n_paths:
             raise IndexError(f"path index {i} out of range")
@@ -110,6 +155,15 @@ class BatchPaths:
             small_noise=None if self.small_noise is None else self.small_noise[i],
             drift_steps=self.drift_steps,
         )
+
+
+class _JumpGeometry(NamedTuple):
+    """Target-independent part of the jump refinement of one batch."""
+
+    pre: np.ndarray     # path value just before each jump record
+    post: np.ndarray    # path value just after it
+    starts: np.ndarray  # first record of each path that has records
+    paths: np.ndarray   # the path owning each of those segments
 
 
 @dataclass(frozen=True)
@@ -203,9 +257,39 @@ def _signs(gen, n: int) -> np.ndarray:
     return 2.0 * gen.integers(0, 2, n) - 1.0
 
 
+def _jump_order(path_idx, t):
+    """The permutation ``np.lexsort((t, path_idx))``, from one float sort.
+
+    With t in (0, 1] and path indices below 2^53 (exact as floats), the
+    real key path + t is strictly increasing in (path, time) order, and
+    rounding to nearest is monotone, so the float key can merge neighbours
+    into ties but never swaps them.  Records whose keys tie therefore
+    already sit in their right slots as a block; a lexsort over just those
+    records, taken in index order, restores lexsort's exact order (ties in
+    (path, time) keep their input order).  The key sort itself need not be
+    stable, which lets NumPy use its fastest argsort.
+    """
+    key = path_idx + t
+    order = np.argsort(key)
+    key = key[order]
+    tied = np.zeros(key.size, dtype=bool)
+    np.equal(key[1:], key[:-1], out=tied[1:])
+    tied[:-1] |= tied[1:]
+    if tied.any():
+        pos = np.flatnonzero(tied)
+        sub = np.sort(order[pos])
+        order[pos] = sub[np.lexsort((t[sub], path_idx[sub]))]
+    return order
+
+
 def _bin_jumps(path_idx, t, sizes, n_paths, n_steps):
-    """Sort jumps by (path, time) and sum them into per-step buckets."""
-    order = np.lexsort((t, path_idx))
+    """Sort jumps by (path, time) and sum them into per-step buckets.
+
+    The order equals ``np.lexsort((t, path_idx))`` element for element (see
+    :func:`_jump_order`) at a fraction of its cost, so records, values and
+    log-weights are bit-identical to a lexsort.
+    """
+    order = _jump_order(path_idx, t)
     path_idx, t, sizes = path_idx[order], t[order], sizes[order]
     step = np.minimum((t * n_steps).astype(np.int64), n_steps - 1)
     flat = path_idx * n_steps + step
@@ -411,43 +495,26 @@ def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
     """sup_t |path_scale * X(t) - shift_scale * f(t)| for every path.
 
     The sup runs over the grid and, when jump records exist, over the left
-    and right limits at each jump instant: the continuous part of the step is
-    accrued linearly up to the jump, and earlier jumps within the same step
-    are added via a grouped prefix sum.
+    and right limits at each jump instant (``BatchPaths.jump_geometry``,
+    computed once per batch); only the target and the per-path maximum are
+    evaluated per call.
     """
     times, values = batch.times, batch.values
     target = np.zeros_like(times) if f is None else shift_scale * np.asarray(f(times), dtype=float)
-    out = np.max(np.abs(path_scale * values - target[None, :]), axis=1)
+    dev = path_scale * values
+    dev -= target  # in place: one grid-sized temporary per call
+    out = np.max(np.abs(dev, out=dev), axis=1)
 
     if batch.jump_times is None or batch.jump_times.size == 0:
         return out
 
-    p, t, x = batch.jump_path, batch.jump_times, batch.jump_sizes
-    n_steps = batch.n_steps
-    dt = batch.dt
-    step = np.minimum((t / dt).astype(np.int64), n_steps - 1)
-    frac = t / dt - step
-
-    smooth = np.zeros(t.size)
-    if batch.drift_steps is not None:
-        smooth += batch.drift_steps[step]
-    if batch.small_noise is not None:
-        smooth += batch.small_noise[p, step]
-
-    # exclusive prefix of same-step earlier jumps; records are (path, time)-sorted
-    key = p * n_steps + step
-    new_group = np.empty(t.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(key[1:], key[:-1], out=new_group[1:])
-    excl = np.cumsum(x) - x
-    group_id = np.cumsum(new_group) - 1
-    excl = excl - excl[new_group][group_id]
-
-    pre = values[p, step] + smooth * frac + excl
+    geo = batch.jump_geometry
+    t = batch.jump_times
     t_target = np.zeros_like(t) if f is None else shift_scale * np.asarray(f(t), dtype=float)
-    cand = np.maximum(np.abs(path_scale * pre - t_target),
-                      np.abs(path_scale * (pre + x) - t_target))
-    np.maximum.at(out, p, cand)
+    cand = np.maximum(np.abs(path_scale * geo.pre - t_target),
+                      np.abs(path_scale * geo.post - t_target))
+    seg_max = np.maximum.reduceat(cand, geo.starts)
+    out[geo.paths] = np.maximum(out[geo.paths], seg_max)
     return out
 
 

@@ -207,6 +207,20 @@ class TestConstants:
         rec = _read_json(tmp_path / "constants.json")
         assert rec["K_mc"] is not None and rec["K_mc"] > 0.0
 
+    def test_mc_fit_under_a_pool_matches_serial(self, tmp_path):
+        recs = {}
+        for w in ("1", "2"):
+            out = tmp_path / f"w{w}"
+            rc = main(["constants", "--alpha", "1.5", "--grid", "64", "--mc-n", "512",
+                       "--mc-r", "1.2,1.6,2.0", "--steps", "64", "--workers", w,
+                       "--out", str(out)])
+            assert rc == 0
+            rec = _read_json(out / "constants.json")
+            rec.pop("config")
+            recs[w] = json.dumps(rec, sort_keys=True)
+        assert json.loads(recs["1"])["K_mc"] is not None
+        assert recs["1"] == recs["2"]
+
     def test_bad_alpha_list(self, tmp_path, capsys):
         rc = main(["constants", "--alpha", "1.5,abc", "--out", str(tmp_path)])
         assert rc == 2
@@ -340,6 +354,21 @@ steps = 128
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "sampler" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        rc = main(["simulate", "--n", "1", "--steps", "16", "--workers", workers,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config key 'workers': must be at least 1, got {workers}\n"
+        assert not (tmp_path / "run_config.json").exists()
+
+    def test_workers_below_one_rejected_from_config(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "[common]\nworkers = 0\n")
+        rc = main(["constants", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config key 'workers'" in capsys.readouterr().err
 
     def test_env_overrides_out_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_dest"

@@ -1,9 +1,11 @@
 """Path samplers, RNG streams, sup-distance evaluation, CSV dumps."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from stable_smallball import (
@@ -26,6 +28,7 @@ from stable_smallball import (
     write_path_csv,
     zero_shift,
 )
+from stable_smallball.simulate import _jump_order
 
 PARAMS = AlphaStableParams(1.5)
 
@@ -262,6 +265,117 @@ class TestSupDistance:
         refined = sup_distance_batch(batch)
         grid = np.max(np.abs(batch.values), axis=1)
         assert np.all(refined >= grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 6),
+           n_steps=st.integers(2, 48), eps=st.floats(0.05, 2.0),
+           shift=st.sampled_from([None, identity_shift(), tent_shift()]),
+           shift_scale=st.floats(-2.0, 2.0), path_scale=st.floats(0.25, 2.0))
+    def test_refined_sup_property(self, seed, n_paths, n_steps, eps, shift, shift_scale,
+                                  path_scale):
+        batch = sample_jump_batch(PARAMS, eps, n_paths, n_steps, RngStream(seed))
+        refined = sup_distance_batch(batch, shift, shift_scale, path_scale)
+        target = 0.0 if shift is None else shift_scale * shift(batch.times)
+        grid = np.max(np.abs(path_scale * batch.values - target), axis=1)
+        assert np.all(refined >= grid)
+        expected = _replayed_sup(batch, shift, shift_scale, path_scale)
+        assert np.allclose(refined, expected, rtol=1e-12, atol=1e-9)
+
+    def test_targets_share_one_geometry_in_any_order(self):
+        tilt = TiltSpec.middle_shift(PARAMS, identity_shift(), c=0.2, r=0.8)
+        for batch in (sample_jump_batch(PARAMS, 0.1, 30, 64, RngStream(31)),
+                      sample_tilted_batch(tilt, 30, 64, RngStream(32))[0]):
+            targets = [(None, 0.0, 1.0), (identity_shift(), 0.5, 1.0),
+                       (tent_shift(), -1.0, 1.0), (identity_shift(), 2.0, 0.7)]
+            fresh = [sup_distance_batch(dataclasses.replace(batch), *args) for args in targets]
+            for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 2, 0, 3, 1, 0]):
+                for i in order:
+                    assert np.array_equal(sup_distance_batch(batch, *targets[i]), fresh[i])
+
+    def test_path_without_jumps_keeps_grid_sup(self):
+        batch = sample_jump_batch(PARAMS, 2.0, 40, 64, RngStream(33))
+        bare = np.setdiff1d(np.arange(batch.n_paths), batch.jump_path)
+        assert 0 < bare.size < batch.n_paths
+        for f, lam in ((None, 0.0), (identity_shift(), 1.5), (tent_shift(), -0.5)):
+            target = 0.0 if f is None else lam * f(batch.times)
+            grid = np.max(np.abs(batch.values - target), axis=1)
+            refined = sup_distance_batch(batch, f, lam)
+            assert np.array_equal(refined[bare], grid[bare])
+            assert np.all(refined >= grid)
+
+
+def _replayed_sup(batch, f, shift_scale, path_scale):
+    """Refined sup of a ``sample_jump_batch`` (Gaussian proxy, no drift),
+    replaying each path's jumps one step at a time."""
+    def dist(s, x):
+        target = 0.0 if f is None else shift_scale * float(f(s))
+        return abs(path_scale * x - target)
+
+    dt, n_steps = batch.dt, batch.n_steps
+    out = []
+    for i in range(batch.n_paths):
+        best = max(dist(s, x) for s, x in zip(batch.times, batch.values[i]))
+        sel = batch.jump_path == i
+        for k in range(n_steps):
+            smooth = batch.small_noise[i, k]
+            x = batch.values[i, k]
+            t0 = k * dt
+            for s, jump in zip(batch.jump_times[sel], batch.jump_sizes[sel]):
+                if min(int(s / dt), n_steps - 1) != k:
+                    continue
+                left = x + smooth * (s - t0) / dt
+                best = max(best, dist(s, left), dist(s, left + jump))
+                x += jump
+        out.append(best)
+    return np.array(out)
+
+
+def _records(draw, paths):
+    """(path, time) records: times on the 2^-53 lattice of ``1 - random()``,
+    clustered round a few centres so keys tie or nearly tie after rounding."""
+    centres = draw(st.lists(st.integers(1, 2**53), min_size=1, max_size=4))
+    offsets = st.integers(-(2**22), 2**22)
+    ticks = [min(max(draw(st.sampled_from(centres)) + draw(offsets), 1), 2**53)
+             for _ in paths]
+    return np.asarray(paths, dtype=np.int64), np.asarray(ticks, dtype=float) * 2.0**-53
+
+
+@st.composite
+def clustered_records(draw):
+    pool = draw(st.lists(st.integers(0, 2**20), min_size=1, max_size=4))
+    paths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80))
+    return _records(draw, paths)
+
+
+@st.composite
+def interior_plus_exterior(draw):
+    """Grouped interior records followed by grouped exterior ones, as the
+    small-regime tilted sampler concatenates them before sorting."""
+    n_paths = draw(st.integers(1, 6))
+    first = draw(st.integers(0, 2**20 - n_paths))
+    counts = [draw(st.lists(st.integers(0, 8), min_size=n_paths, max_size=n_paths))
+              for _ in range(2)]
+    paths = np.concatenate([np.repeat(np.arange(first, first + n_paths), c) for c in counts])
+    return _records(draw, paths.tolist())
+
+
+class TestJumpOrder:
+    """The binning sort must equal ``np.lexsort((t, path))`` element for element."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clustered_records())
+    @example((np.array([1, 0]), np.array([2.0**-53, 1.0])))  # keys 1.0 == 1.0
+    @example((np.array([2**20] * 3), np.array([0.5 + 2.0**-40, 0.5, 0.5 + 2.0**-40])))
+    @example((np.array([3, 3, 3]), np.array([1.0, 1.0, 1.0])))
+    def test_equals_lexsort(self, records):
+        p, t = records
+        assert np.array_equal(_jump_order(p, t), np.lexsort((t, p)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(interior_plus_exterior())
+    def test_equals_lexsort_on_concatenated_records(self, records):
+        p, t = records
+        assert np.array_equal(_jump_order(p, t), np.lexsort((t, p)))
 
 
 class TestBatchPlan:
