@@ -1,10 +1,13 @@
-"""Golden digests: sampler records, refined sups and the Anderson battery, bit for bit.
+"""Golden digests: sampler records, refined sups, estimators and artifacts, bit for bit.
 
 The SHA-256 digests below pin the exact output of the jump-resolved samplers,
-of ``sup_distance_batch`` and of ``anderson_report`` at fixed seeds and small
-sizes.  Speed-ups of the jump ordering or of the sup refinement must leave
-every one of them unchanged; a change to the RNG draw order, the binning or
-the refined sup fails here loudly.  The digests also depend on NumPy's bit
+of ``sup_distance_batch``, of every batch-driven estimator, of the path
+splitting and scaled-distance sweep in ``lil`` and of the CSV files that
+``stable-smallball simulate`` writes, at fixed seeds and small sizes.  Speed-ups
+and refactors of the samplers, the sup refinement or the batch loops must leave
+every one of them unchanged; a change to the RNG draw order, the batch plan,
+the order of the per-batch reductions, the binning or the refined sup fails
+here loudly.  Floats enter through ``float.hex``.  The digests also depend on NumPy's bit
 generators and float kernels (pow, log, exp), so a different NumPy build or
 CPU may need them recomputed at a known-good commit.
 """
@@ -17,15 +20,27 @@ import pytest
 
 from stable_smallball import (
     AlphaStableParams,
+    GridSpec,
     RngStream,
+    SmallBallQuery,
     TiltSpec,
     anderson_report,
     default_battery,
+    empirical_no_big_jump_fraction,
+    estimate_crude,
+    estimate_given_no_big_jumps,
+    estimate_is,
     identity_shift,
     sample_jump_batch,
+    sample_scaled_distances,
     sample_tilted_batch,
+    smallball_constant_mc,
+    split_at,
     sup_distance_batch,
+    tail_prob_check,
+    tent_shift,
 )
+from stable_smallball.cli import main
 
 PARAMS = AlphaStableParams(1.5)
 RECORDS = ("values", "jump_path", "jump_times", "jump_sizes", "small_noise")
@@ -60,11 +75,75 @@ def _tilted_digests() -> dict:
     return out
 
 
+def _json_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
 def _anderson_digest() -> str:
     rep = anderson_report(PARAMS, 2.0, 300, RngStream(4103), n_steps=256)
     rows = [[row.label, row.shift_scale.hex(), row.p_hat.hex(), row.stderr.hex(), row.flagged]
             for row in (rep.baseline, *rep.rows)]
-    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    return _json_digest(rows)
+
+
+def _estimate_digest(est) -> str:
+    return _json_digest([est.value.hex(), est.stderr.hex(), est.n,
+                         [c.hex() for c in est.ci95],
+                         None if est.ess is None else est.ess.hex(), list(est.flags)])
+
+
+QUERY = SmallBallQuery.middle(PARAMS, identity_shift(), c=0.2, r=1.2)
+
+
+def _estimator_digests() -> dict:
+    # 3069 paths of 4096 steps are three batches, so the IS float sums depend
+    # on the order in which the per-batch parts are added
+    is_query = SmallBallQuery.middle(PARAMS, identity_shift(), c=0.2, r=1.0)
+    tail = tail_prob_check(1.5, [2.0, 4.0, 8.0], 2100, rng=RngStream(4206), n_steps=2048)
+    mc = smallball_constant_mc(1.5, r_list=(1.0, 1.5, 2.0), n_paths=400, n_steps=128,
+                               rng=RngStream(4207))
+    return {
+        "crude_jumps": _estimate_digest(
+            estimate_crude(QUERY, 600, 256, rng=RngStream(4202))),
+        "crude_increments": _estimate_digest(
+            estimate_crude(QUERY, 600, 256, rng=RngStream(4203), sampler="increments")),
+        "given_no_big_jumps": _estimate_digest(
+            estimate_given_no_big_jumps(QUERY, 600, 256, rng=RngStream(4204))),
+        "is": _estimate_digest(estimate_is(is_query, 3069, 4096, rng=RngStream(4201))),
+        "no_big_jump_fraction": _estimate_digest(
+            empirical_no_big_jump_fraction(PARAMS, 1.0, 500, rng=RngStream(4205))),
+        "tail_p_hat": _digest(tail.p_hat),
+        "mc_p_hat": _json_digest([p.hex() for p in mc.diagnostics["p_hat"]] + [mc.value.hex()]),
+    }
+
+
+def _split_digests() -> dict:
+    # a tilted path carries every per-step record: jumps, proxy noise and drift;
+    # grid arrays are flattened, so one path hashes alike in any 1-d or (1, n) layout
+    tilt = TiltSpec.middle_shift(PARAMS, tent_shift(), 0.5, 1.0)
+    batch, _ = sample_tilted_batch(tilt, 4, 128, RngStream(4208), eps_cutoff=0.05)
+    out = {}
+    for side, part in zip(("frozen", "rest"), split_at(batch.extract(1), 0.37)):
+        for name in ("values", "jump_times", "jump_sizes", "small_noise", "drift_steps"):
+            out[f"{side}.{name}"] = _digest(np.ravel(getattr(part, name)))
+    return out
+
+
+def _scaled_distances_digest() -> str:
+    spec = GridSpec(kind="lower", k_min=1000, k_max=1007)
+    recs = sample_scaled_distances(spec, 0.5, 1.5, tent_shift(), n_steps=256,
+                                   rng=RngStream(4209))
+    return _json_digest([[rec.k, rec.log_t.hex(), rec.delta.hex(), rec.distance.hex()]
+                         for rec in recs])
+
+
+def _simulate_csv_digest(out) -> str:
+    assert main(["simulate", "--n", "3", "--steps", "64", "--seed", "5",
+                 "--out", str(out)]) == 0
+    files = sorted(p for p in out.iterdir() if p.suffix == ".csv")
+    assert len(files) == 6
+    return _json_digest([[p.name, hashlib.sha256(p.read_bytes()).hexdigest()]
+                         for p in files])
 
 
 # digests of the records at the seeds above
@@ -87,6 +166,29 @@ TILTED = {
     "sups": "386dee032c674c4034d2a4253d89629e04e917ea3fea73aa21a5985e6ce055f2"
 }
 ANDERSON = "5673b95949c2eb9002eb3aa52c7bc1dd3b60bca2d8f3745d227d47772ca56f0a"
+ESTIMATORS = {
+    "crude_jumps": "3388479e7d5c43e17f8e266db873ef06c2e924fea8a130b84e02c4e7df22fa9a",
+    "crude_increments": "6afcb5832de1a508d65aae2700f48e79ed1a84c9af2c57cb19de98b88167757d",
+    "given_no_big_jumps": "5c9a9139112660eb83e3cc5d96e02c7617c5fd5df3cc9b2c09e19fd26489313a",
+    "is": "53cef5ff3246bf2bc9b851dbf7c34d0247c4bc3a98b3d2af2c9838c4559567eb",
+    "no_big_jump_fraction": "4fc5b39239ccf7b8535d9bba09568c2920bb6b3c4fc00da09fdb49a87955c6ed",
+    "tail_p_hat": "1588d36ef7306ce36bb90c31be7440d051ec3687029769f3ef951a73b80acc05",
+    "mc_p_hat": "557cefd6e871643e997c3e2de509d546ba01eb42ad8f9dc9d5a8d443a49850c0"
+}
+SPLIT = {
+    "frozen.values": "25a895a4dd4db986bdd31df13e1f61a76b576c17de692feb1716ce8ae2383f25",
+    "frozen.jump_times": "9db4fabe89a2c1625de63554fd002fd5007c951410e2ae3a5cd62dcdc4288613",
+    "frozen.jump_sizes": "576577e65e648caeb885fe69dee5c9e67fbf2649e38f753bbfb89248cb2b9060",
+    "frozen.small_noise": "a94c754b106ad28e94e68bd359eaea2905174cb8c5903e6d1007db3d8aca087b",
+    "frozen.drift_steps": "cbb6a69b6c9652dde364bc5189f64d6ba942aa39aa3ed6038d3810b074355921",
+    "rest.values": "f7cd03c5919c330bbdddf45dc11cab27eeb869e6a21d0a9f4272668755480e66",
+    "rest.jump_times": "83b6f38e0bfa4ccf9b40d26a88f869a830ddb3cf8e9227c424f2a3128d123a0e",
+    "rest.jump_sizes": "ca0108025e9c12bb6cbc1112f2700f6ee9214da32bc4bd2bc58d9d38c2c50053",
+    "rest.small_noise": "7ec88a6d1cbd91b04e1496febcd31888608560e712d81a2802a1ff5c6a3f8e9a",
+    "rest.drift_steps": "d906f50848ae096042af260ae1e9f7f82eaccd135b3a0ba1c8dcf8d50683573d"
+}
+SCALED_DISTANCES = "7be8f7a35a9dd24cfa51ef515156e2a87b07f39653603630faded38fb393d38c"
+SIMULATE_CSV = "6d19a8a9dcd982a4c1b5c9ba814522300f3c99b0e19ddfeeac6f807c16187aad"
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +213,32 @@ def test_small_regime_tilted_batch_bits(tilted, name):
 
 def test_anderson_report_bits():
     assert _anderson_digest() == ANDERSON
+
+
+@pytest.fixture(scope="module")
+def estimators():
+    return _estimator_digests()
+
+
+@pytest.fixture(scope="module")
+def split():
+    return _split_digests()
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_estimator_bits(estimators, name):
+    assert estimators[name] == ESTIMATORS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT))
+def test_split_at_bits(split, name):
+    assert split[name] == SPLIT[name]
+
+
+def test_scaled_distances_bits():
+    assert _scaled_distances_digest() == SCALED_DISTANCES
+
+
+def test_simulate_csv_bits(tmp_path, monkeypatch):
+    monkeypatch.delenv("STABLE_SMALLBALL_OUT", raising=False)
+    assert _simulate_csv_digest(tmp_path) == SIMULATE_CSV
