@@ -8,11 +8,7 @@ proxy.  Both target the same law, so quantiles of sup |X| should agree.
 import numpy as np
 
 from stable_smallball import AlphaStableParams, RngStream
-from stable_smallball.simulate import (
-    sample_jump_batch,
-    sample_jump_path,
-    sample_stable_batch,
-)
+from stable_smallball.simulate import sample_jump_batch, sample_stable_batch
 
 
 def main(alpha=1.5, n_paths=4000, n_steps=512, eps=0.05, seed=11):
@@ -31,11 +27,11 @@ def main(alpha=1.5, n_paths=4000, n_steps=512, eps=0.05, seed=11):
         b = np.quantile(sup_jmp, q)
         print(f"{q:>10.2f} {a:>12.4f} {b:>12.4f}")
 
-    path = sample_jump_path(params, eps, n_steps, rng.child(2))
+    path = sample_jump_batch(params, eps, 1, n_steps, rng.child(2))
     big = np.abs(path.jump_sizes) > 0.5
     print(f"\none jump-resolved path: {path.jump_times.size} jumps above {eps},"
           f" {int(big.sum())} above 0.5, largest {np.max(np.abs(path.jump_sizes)):.3f}")
-    print(f"endpoint {path.values[-1]:+.4f}, sup {np.max(np.abs(path.values)):.4f}")
+    print(f"endpoint {path.values[0, -1]:+.4f}, sup {np.max(np.abs(path.values)):.4f}")
 
 
 if __name__ == "__main__":

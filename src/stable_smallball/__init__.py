@@ -23,7 +23,6 @@ from .girsanov import (
     ValidityResult,
     compensator_cancellation,
     deterministic_exponent,
-    log_weight,
     log_weight_batch,
     step_mean_amplitude,
     theta,
@@ -34,7 +33,6 @@ from .lil import (
     IntegralTestResult,
     ScaledDistanceRecord,
     grid_gap_ratios,
-    grid_times,
     integral_test,
     running_min_trace,
     sample_scaled_distances,
@@ -43,11 +41,9 @@ from .lil import (
 )
 from .processes import (
     AlphaStableParams,
-    CenteredTriplet,
     Estimate,
     ScalingFunction,
     ShiftFunction,
-    eval_shift,
     identity_shift,
     make_shift,
     power_loglog_scaling,
@@ -58,20 +54,14 @@ from .processes import (
 from .simulate import (
     BatchPaths,
     RngStream,
-    SimPath,
     batch_plan,
+    map_batches,
     sample_jump_batch,
-    sample_jump_path,
     sample_stable_batch,
-    sample_stable_path,
     sample_tilted_batch,
-    sample_tilted_path,
     sample_time_changed_batch,
-    sample_time_changed_path,
     sample_truncated_batch,
-    sample_truncated_path,
     standard_symmetric_stable,
-    sup_distance,
     sup_distance_batch,
     write_path_csv,
 )

@@ -477,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; exit 0 ok, 1 check flagged, 2 usage or config, 3 unresolved."""
     args = build_parser().parse_args(argv)
     sub_name = args.cmd if getattr(args, "sub", None) is None else f"{args.cmd}.{args.sub}"
     try:
@@ -498,6 +499,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except RuntimeError as exc:  # numerically unresolved at these settings
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

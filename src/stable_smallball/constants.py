@@ -19,6 +19,7 @@ sup-norm ball of radius r decays like exp(-K r^-alpha).  This module computes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import integrate, linalg
@@ -289,7 +290,11 @@ def dirichlet_eigenvalue(alpha: float | None, n_grid: int, half_width: float = 1
 
 
 def _richardson(values: dict[int, float]) -> tuple[float, float | None]:
-    """Extrapolate eigenvalues solved on grids m/4, m/2, m with measured order."""
+    """Extrapolate eigenvalues solved on grids m/4, m/2, m with measured order.
+
+    For l(m) = L + C m^-p the differences d1 = l1 - l2, d2 = l2 - l3 give
+    2^p = d1/d2 and L = l3 - d2/(2^p - 1).
+    """
     ms = sorted(values)
     l1, l2, l3 = (values[m] for m in ms)
     d1, d2 = l1 - l2, l2 - l3
@@ -297,7 +302,7 @@ def _richardson(values: dict[int, float]) -> tuple[float, float | None]:
         return l3, None
     p = float(np.log2(d1 / d2))
     p = min(max(p, 0.3), 4.0)
-    return l3 + d2 / (2.0**p - 1.0), p
+    return l3 - d2 / (2.0**p - 1.0), p
 
 
 def smallball_constant_spectral(alpha: float, n_grid: int = 1024,
@@ -346,12 +351,11 @@ def gaussian_validation_eigenvalue(n_grid: int = 512) -> float:
     return value
 
 
-def _mc_hits_worker(args) -> int:
+def _mc_hits_kernel(params, r, n_steps, stream, size) -> int:
     """Paths of one batch whose grid sup stays below r."""
     from .simulate import sample_stable_batch
 
-    params, r, n_steps, stream, b_idx, b_size = args
-    batch = sample_stable_batch(params, b_size, n_steps, stream.child(b_idx))
+    batch = sample_stable_batch(params, size, n_steps, stream)
     return int(np.sum(np.max(np.abs(batch.values), axis=1) < r))
 
 
@@ -368,7 +372,7 @@ def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: in
     Diagnostics include a free-exponent fit: the slope of log(-log p_hat)
     against log r, which should sit near -alpha.
     """
-    from .simulate import RngStream, batch_plan
+    from .simulate import RngStream, map_batches
     from .processes import AlphaStableParams
 
     if not isinstance(rng, RngStream):
@@ -379,10 +383,9 @@ def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: in
         raise ValueError("need at least two radii")
 
     hits = np.zeros(r_arr.size, dtype=np.int64)
-    plan = batch_plan(n_paths, n_steps)
     for i, r in enumerate(r_arr):
-        jobs = [(params, float(r), n_steps, rng.child(i), b, s) for b, s in plan]
-        hits[i] = sum(pmap(_mc_hits_worker, jobs))
+        kernel = partial(_mc_hits_kernel, params, float(r), n_steps)
+        hits[i] = sum(map_batches(kernel, n_paths, n_steps, rng.child(i), pmap))
 
     p_hat = hits / n_paths
     keep = p_hat > 0.0

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import integrate, stats
@@ -54,7 +55,7 @@ def check_gaussian_eigenvalue():
     got = constants.gaussian_validation_eigenvalue(512)
     ref = math.pi**2 / 8.0
     rel = abs(got - ref) / ref
-    return rel < 5e-3, f"eigenvalue {got:.8f}, target pi^2/8, rel dev {rel:.2e}"
+    return rel < 1e-8, f"eigenvalue {got:.8f}, target pi^2/8, rel dev {rel:.2e} (gate 1e-8)"
 
 
 def check_spectral_scaling():
@@ -223,6 +224,15 @@ def check_zero_tilt_reduction():
     return same, "zero-tilt sampler bitwise equals truncated sampler, log weights all 0"
 
 
+def _grid_sups(params, speed, n_steps, stream, size) -> np.ndarray:
+    """Grid sup |X| per path, on the clock ``speed`` (None: the homogeneous process)."""
+    if speed is None:
+        batch = simulate.sample_stable_batch(params, size, n_steps, stream)
+    else:
+        batch = simulate.sample_time_changed_batch(params, speed, size, n_steps, stream)
+    return np.max(np.abs(batch.values), axis=1)
+
+
 def check_time_change(n_paths: int, p_gate: float):
     params = processes.AlphaStableParams(1.5)
     rng = simulate.RngStream(107)
@@ -231,16 +241,13 @@ def check_time_change(n_paths: int, p_gate: float):
     if not np.array_equal(b1.values, b2.values):
         return False, "mu == 1 does not reduce to the homogeneous sampler"
     n_steps = 2048
-    s_eta = np.empty(n_paths)
-    s_zeta = np.empty(n_paths)
-    done = 0
-    for b, size in simulate.batch_plan(n_paths, n_steps):
-        bt = simulate.sample_time_changed_batch(params, lambda t: 1.0 + t, size, n_steps,
-                                                rng.child(1, b))
-        bz = simulate.sample_stable_batch(params, size, n_steps, rng.child(2, b))
-        s_eta[done:done + size] = np.max(np.abs(bt.values), axis=1)
-        s_zeta[done:done + size] = 1.5 ** (1 / 1.5) * np.max(np.abs(bz.values), axis=1)
-        done += size
+
+    def sups(speed, stream):
+        kernel = partial(_grid_sups, params, speed, n_steps)
+        return np.concatenate(simulate.map_batches(kernel, n_paths, n_steps, stream))
+
+    s_eta = sups(lambda t: 1.0 + t, rng.child(1))
+    s_zeta = 1.5 ** (1 / 1.5) * sups(None, rng.child(2))
     p = stats.ks_2samp(s_eta, s_zeta).pvalue
     return p > p_gate, f"KS p-value {p:.4f} (gate {p_gate})"
 
@@ -365,14 +372,16 @@ def check_split_and_distance(n_paths: int):
     # sliced to [0, t_star], bit for bit
     idx = int(np.searchsorted(path.times, 0.37, side="right") - 1)
     keep = path.jump_times <= path.times[idx]
-    sliced = simulate.SimPath(
-        times=path.times[: idx + 1], values=path.values[: idx + 1], mode=path.mode,
-        eps_cutoff=path.eps_cutoff, jump_times=path.jump_times[keep],
-        jump_sizes=path.jump_sizes[keep],
-        small_noise=None if path.small_noise is None else path.small_noise[:idx],
-        drift_steps=None if path.drift_steps is None else path.drift_steps[:idx])
-    sup_y, sup_x = simulate.sup_distance(y), simulate.sup_distance(path)
-    ok = ok and sup_y == simulate.sup_distance(sliced) and sup_y <= sup_x
+    sliced = replace(
+        path, times=path.times[: idx + 1], values=path.values[:, : idx + 1],
+        jump_path=path.jump_path[keep], jump_times=path.jump_times[keep],
+        jump_sizes=path.jump_sizes[keep], small_noise=path.small_noise[:, :idx])
+
+    def sup(p):
+        return float(simulate.sup_distance_batch(p)[0])
+
+    sup_y, sup_x = sup(y), sup(path)
+    ok = ok and sup_y == sup(sliced) and sup_y <= sup_x
     parts.append(f"sup(Y) {sup_y:.3f} == sup(X restricted) <= sup(X) {sup_x:.3f}")
     # independence of past sup and future increment: correlation within noise
     half = np.argmin(np.abs(batch.times - 0.5))
@@ -390,7 +399,7 @@ def check_split_and_distance(n_paths: int):
     return ok, "; ".join(parts)
 
 
-def run_selftest(full: bool = False, pmap=map) -> list[CheckResult]:
+def run_selftest(full: bool = False) -> list[CheckResult]:
     scale = 5 if full else 1
     checks = [
         _check("char_exponent_scale", check_char_exponent_scale),

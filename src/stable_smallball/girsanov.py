@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate
 
 from .constants import truncated_second_moment
-from .processes import AlphaStableParams, CenteredTriplet, ShiftFunction
+from .processes import AlphaStableParams, ShiftFunction
 
 _SERIES_RTOL = 1e-12
 
@@ -123,30 +123,6 @@ class TiltSpec:
         lam_eff = self.intensity_scale * self.kappa * self.jump_cut ** (1.0 - self.params.alpha)
         return lam_eff * np.asarray(self.f(t), dtype=float)
 
-    def base_triplet(self) -> CenteredTriplet:
-        a, cut, s = self.params.alpha, self.jump_cut, self.intensity_scale
-        if self.keeps_exterior_jumps:
-            density = lambda x, t: s * np.abs(x) ** (-1.0 - a)
-        else:
-            density = lambda x, t: np.where(np.abs(x) < cut, s * np.abs(x) ** (-1.0 - a), 0.0)
-        return CenteredTriplet(sigma2=0.0, levy_density=density, gamma=lambda t: 0.0)
-
-    def tilted_triplet(self) -> CenteredTriplet:
-        """Triplet of the tilted law, drift written against the centered base."""
-        a, cut, s = self.params.alpha, self.jump_cut, self.intensity_scale
-        lam_eff = s * self.kappa * cut ** (1.0 - a)
-
-        def density(x, t):
-            base = s * np.abs(np.asarray(x, float)) ** (-1.0 - a)
-            inside = np.abs(x) < cut
-            factor = np.where(inside, 1.0 + self.beta(t) * np.asarray(x, float), 1.0)
-            if not self.keeps_exterior_jumps:
-                base = np.where(inside, base, 0.0)
-            return factor * base
-
-        return CenteredTriplet(sigma2=0.0, levy_density=density,
-                               gamma=lambda t: lam_eff * self.f.derivative(t))
-
 
 def theta(tilt: TiltSpec, x, t):
     """Log tilt factor log(1 + beta(t) x) inside the cut, zero outside."""
@@ -195,10 +171,6 @@ def log_weight_batch(tilt: TiltSpec, batch) -> np.ndarray:
             tilt.params.alpha, batch.eps_cutoff) * batch.dt
         lw -= batch.small_noise @ bbar + 0.5 * sig2 * float(np.sum(bbar**2))
     return lw
-
-
-def log_weight(tilt: TiltSpec, path) -> float:
-    return float(log_weight_batch(tilt, path.as_batch())[0])
 
 
 def deterministic_exponent(tilt: TiltSpec, rtol: float = _SERIES_RTOL) -> float:

@@ -15,13 +15,13 @@ Everything here works at desk scale under two explicit conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
 
 from .processes import ScalingFunction, ShiftFunction
-from .simulate import SimPath, sup_distance
+from .simulate import BatchPaths, sup_distance_batch
 
 MAX_LOG_T = 700.0  # beyond this exp(log T) overflows float64
 DIAGNOSTIC_NOTE = "diagnostic only: an a.s. liminf is not verifiable from finite samples"
@@ -81,10 +81,6 @@ class GridSpec:
             raise OverflowError(
                 f"T_k overflows float64 from k={k_bad}; use log_times() instead")
         return np.exp(logs)
-
-
-def grid_times(spec: GridSpec) -> np.ndarray:
-    return spec.times()
 
 
 def grid_gap_ratios(k: int, delta: float, alpha: float, kind: str = "lower",
@@ -191,10 +187,10 @@ class ScaledDistanceRecord:
             raise ValueError("need log T > e so that log log T > 1")
 
 
-def scaled_distance(path: SimPath, log_t: float, delta: float, alpha: float,
+def scaled_distance(path: BatchPaths, log_t: float, delta: float, alpha: float,
                     f: ShiftFunction | None = None, k: int | None = None
                     ) -> ScaledDistanceRecord:
-    """Scaled distance of a unit-horizon path at horizon exp(log_t).
+    """Scaled distance of a unit-horizon one-path batch at horizon exp(log_t).
 
     The path is treated as X(T.)/T^(1/alpha) via self-similarity, so the
     horizon enters only through log log T; nothing overflows for huge T.
@@ -203,10 +199,12 @@ def scaled_distance(path: SimPath, log_t: float, delta: float, alpha: float,
         raise ValueError("delta must lie in [0, 1]")
     if log_t <= np.e:
         raise ValueError("need log T > e")
+    if path.n_paths != 1:
+        raise ValueError("scaled_distance takes a one-path batch (BatchPaths.extract)")
     loglog = float(np.log(log_t))
-    dist = loglog**delta * sup_distance(
+    dist = loglog**delta * float(sup_distance_batch(
         path, f, shift_scale=0.0 if f is None else 1.0,
-        path_scale=loglog ** (1.0 / alpha - delta))
+        path_scale=loglog ** (1.0 / alpha - delta))[0])
     return ScaledDistanceRecord(log_t=float(log_t), delta=float(delta),
                                 distance=float(dist), k=k)
 
@@ -220,20 +218,20 @@ def sample_scaled_distances(spec: GridSpec, delta: float, alpha: float,
     note); each record carries the diagnostic annotation.
     """
     from .processes import AlphaStableParams
-    from .simulate import RngStream, sample_stable_path
+    from .simulate import RngStream, sample_stable_batch
 
     if not isinstance(rng, RngStream):
         raise ValueError("an RngStream is required for reproducible sweeps")
     params = AlphaStableParams(alpha)
     records = []
     for k in spec.k_values():
-        path = sample_stable_path(params, n_steps, rng.child(int(k)))
+        path = sample_stable_batch(params, 1, n_steps, rng.child(int(k)))
         records.append(scaled_distance(path, spec.log_time(int(k)), delta, alpha, f, k=int(k)))
     return records
 
 
-def split_at(path: SimPath, ratio: float) -> tuple[SimPath, SimPath]:
-    """Split a path into (frozen-after, zero-before) parts at a time ratio.
+def split_at(path: BatchPaths, ratio: float) -> tuple[BatchPaths, BatchPaths]:
+    """Split each path into (frozen-after, zero-before) parts at a time ratio.
 
     The split point snaps to the last grid time <= ratio, so on the grid the
     first part equals the path up to ratio and is constant after, the second
@@ -248,14 +246,7 @@ def split_at(path: SimPath, ratio: float) -> tuple[SimPath, SimPath]:
     times, values = path.times, path.values
     idx = int(np.searchsorted(times, ratio, side="right") - 1)
     t_star = times[idx]
-    frozen_vals = np.where(times <= t_star, values, values[idx])
-    rest_vals = values - frozen_vals
-
-    def _take(mask_fn):
-        if path.jump_times is None:
-            return None, None
-        m = mask_fn(path.jump_times)
-        return path.jump_times[m], path.jump_sizes[m]
+    frozen_vals = np.where(times <= t_star, values, values[:, idx:idx + 1])
 
     def _steps(arr, before: bool):
         # step i covers (times[i], times[i+1]]; steps < idx feed the frozen part
@@ -263,22 +254,21 @@ def split_at(path: SimPath, ratio: float) -> tuple[SimPath, SimPath]:
             return None
         out = arr.copy()
         if before:
-            out[idx:] = 0.0
+            out[..., idx:] = 0.0
         else:
-            out[:idx] = 0.0
+            out[..., :idx] = 0.0
         return out
 
-    jt_y, js_y = _take(lambda t: t <= t_star)
-    jt_z, js_z = _take(lambda t: t > t_star)
-    frozen = SimPath(times=times, values=frozen_vals, mode=path.mode,
-                     eps_cutoff=path.eps_cutoff, jump_times=jt_y, jump_sizes=js_y,
-                     small_noise=_steps(path.small_noise, True),
-                     drift_steps=_steps(path.drift_steps, True))
-    rest = SimPath(times=times, values=rest_vals, mode=path.mode,
-                   eps_cutoff=path.eps_cutoff, jump_times=jt_z, jump_sizes=js_z,
-                   small_noise=_steps(path.small_noise, False),
-                   drift_steps=_steps(path.drift_steps, False))
-    return frozen, rest
+    def _part(vals, before: bool) -> BatchPaths:
+        jp = jt = js = None
+        if path.jump_times is not None:
+            m = (path.jump_times <= t_star) == before
+            jp, jt, js = path.jump_path[m], path.jump_times[m], path.jump_sizes[m]
+        return replace(path, values=vals, jump_path=jp, jump_times=jt, jump_sizes=js,
+                       small_noise=_steps(path.small_noise, before),
+                       drift_steps=_steps(path.drift_steps, before))
+
+    return _part(frozen_vals, True), _part(values - frozen_vals, False)
 
 
 def running_min_trace(records: list[ScaledDistanceRecord]) -> list[tuple[ScaledDistanceRecord, float]]:

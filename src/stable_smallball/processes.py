@@ -10,12 +10,12 @@ computed in :mod:`stable_smallball.constants`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -42,45 +42,6 @@ class AlphaStableParams:
         if not value > 0.0:
             raise ValueError(f"characteristic scale must be positive, got {value}")
         return value
-
-
-@dataclass(frozen=True)
-class CenteredTriplet:
-    """Descriptor (sigma2, levy_density, gamma) of an additive process.
-
-    Only the pure-jump centered case is supported, so ``sigma2`` must be 0.
-    ``levy_density`` maps (x, t) to the jump intensity density and ``gamma``
-    maps t to the drift density.  The type is descriptive plumbing: samplers
-    take structured parameters, but tilted measures are reported through it.
-    """
-
-    sigma2: float
-    levy_density: Callable[[float, float], float]
-    gamma: Callable[[float], float]
-
-    def __post_init__(self) -> None:
-        if self.sigma2 != 0.0:
-            raise ValueError("only pure-jump triplets are supported (sigma2 = 0)")
-
-    def check_integrability(self, t: float = 0.5, big_cut: float = 50.0) -> float:
-        """Numerically check int min(1, x^2) levy_density(x, t) dx < inf.
-
-        Returns the quadrature value; raises if it fails to converge.  The
-        tail beyond ``big_cut`` is not probed, heavy tails are fine as long
-        as the density is locally integrable against min(1, x^2).
-        """
-        inner = integrate.quad(
-            lambda x: x * x * (self.levy_density(x, t) + self.levy_density(-x, t)),
-            0.0, 1.0,
-        )[0]
-        outer = integrate.quad(
-            lambda x: self.levy_density(x, t) + self.levy_density(-x, t),
-            1.0, big_cut,
-        )[0]
-        total = inner + outer
-        if not np.isfinite(total):
-            raise ValueError("levy density is not integrable against min(1, x^2)")
-        return total
 
 
 def _as_float_array(values: Sequence[float]) -> np.ndarray:
@@ -195,11 +156,6 @@ def make_shift(knots: Sequence[Sequence[float]]) -> ShiftFunction:
     return ShiftFunction(np.asarray(times, float), np.asarray(values, float))
 
 
-def eval_shift(f: ShiftFunction, t):
-    """Evaluate f at t (scalar or array), exact for the piecewise-linear family."""
-    return f(t)
-
-
 def zero_shift() -> ShiftFunction:
     return make_shift([(0.0, 0.0), (1.0, 0.0)])
 
@@ -296,9 +252,6 @@ class Estimate:
     def overlaps(self, other: "Estimate") -> bool:
         return self.ci95[0] <= other.ci95[1] and other.ci95[0] <= self.ci95[1]
 
-    def with_flags(self, *flags: str) -> "Estimate":
-        return replace(self, flags=self.flags + flags)
-
     @classmethod
     def from_bernoulli(cls, successes: int, n: int, probability: bool = True) -> "Estimate":
         if n <= 0:
@@ -317,22 +270,6 @@ class Estimate:
         if successes == 0:
             flags = flags + ("unresolved_at_this_n",)
         return cls(value=p_hat, stderr=stderr, n=n, ci95=(lo, hi), flags=flags)
-
-    @classmethod
-    def from_samples(cls, values: np.ndarray, probability: bool = False,
-                     ess: float | None = None, flags: tuple[str, ...] = ()) -> "Estimate":
-        values = np.asarray(values, dtype=float)
-        n = values.size
-        if n == 0:
-            raise ValueError("need at least one sample")
-        mean = float(np.mean(values))
-        stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-        lo, hi = mean - 1.96 * stderr, mean + 1.96 * stderr
-        if probability:
-            lo, hi = max(lo, 0.0), min(hi, 1.0)
-            mean_clipped = min(max(mean, lo), hi)
-            return cls(value=mean_clipped, stderr=stderr, n=n, ci95=(lo, hi), ess=ess, flags=flags)
-        return cls(value=mean, stderr=stderr, n=n, ci95=(lo, hi), ess=ess, flags=flags)
 
 
 def _clopper_pearson(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:

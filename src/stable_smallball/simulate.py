@@ -11,14 +11,18 @@ reproducible and independent of batch splitting or worker count:
   of the truncated process, optionally under an exponential tilt of the jump
   measure; the tilted sampler records everything needed to reweight back.
 
-``sup_distance`` evaluates sup-norm distances to a scaled drift, refining
-within each step by replaying the recorded jump instants, so a jump that
-briefly exits the ball between grid points is not missed.
+A path is a :class:`BatchPaths`; one path is a batch of one
+(``BatchPaths.extract``).  ``sup_distance_batch`` evaluates sup-norm distances
+to a scaled drift, refining within each step by replaying the recorded jump
+instants, so a jump that briefly exits the ball between grid points is not
+missed.  ``map_batches`` is the one batch loop of every estimator: it runs a
+kernel over the deterministic ``batch_plan``, each batch on its own child
+stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -137,24 +141,18 @@ class BatchPaths:
         starts = np.flatnonzero(new_path)
         return _JumpGeometry(pre=pre, post=pre + x, starts=starts, paths=p[starts])
 
-    def extract(self, i: int) -> "SimPath":
+    def extract(self, i: int) -> "BatchPaths":
+        """Path ``i`` as a one-path batch."""
         if not 0 <= i < self.n_paths:
             raise IndexError(f"path index {i} out of range")
+        jp = jt = js = None
         if self.jump_path is not None:
             sel = self.jump_path == i
             jt, js = self.jump_times[sel], self.jump_sizes[sel]
-        else:
-            jt = js = None
-        return SimPath(
-            times=self.times,
-            values=self.values[i],
-            mode=self.mode,
-            eps_cutoff=self.eps_cutoff,
-            jump_times=jt,
-            jump_sizes=js,
-            small_noise=None if self.small_noise is None else self.small_noise[i],
-            drift_steps=self.drift_steps,
-        )
+            jp = np.zeros(jt.size, dtype=np.int64)
+        return replace(self, values=self.values[i:i + 1], jump_path=jp, jump_times=jt,
+                       jump_sizes=js,
+                       small_noise=None if self.small_noise is None else self.small_noise[i:i + 1])
 
 
 class _JumpGeometry(NamedTuple):
@@ -164,43 +162,6 @@ class _JumpGeometry(NamedTuple):
     post: np.ndarray    # path value just after it
     starts: np.ndarray  # first record of each path that has records
     paths: np.ndarray   # the path owning each of those segments
-
-
-@dataclass(frozen=True)
-class SimPath:
-    """One simulated path; same field conventions as :class:`BatchPaths`."""
-
-    times: np.ndarray
-    values: np.ndarray
-    mode: str
-    eps_cutoff: float | None = None
-    jump_times: np.ndarray | None = None
-    jump_sizes: np.ndarray | None = None
-    small_noise: np.ndarray | None = None
-    drift_steps: np.ndarray | None = None
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0] - 1
-
-    def jumps(self) -> list[tuple[float, float]]:
-        if self.jump_times is None:
-            return []
-        return [(float(t), float(x)) for t, x in zip(self.jump_times, self.jump_sizes)]
-
-    def as_batch(self) -> BatchPaths:
-        jp = None if self.jump_times is None else np.zeros(self.jump_times.size, dtype=np.int64)
-        return BatchPaths(
-            times=self.times,
-            values=self.values[None, :],
-            mode=self.mode,
-            eps_cutoff=self.eps_cutoff,
-            jump_path=jp,
-            jump_times=self.jump_times,
-            jump_sizes=self.jump_sizes,
-            small_noise=None if self.small_noise is None else self.small_noise[None, :],
-            drift_steps=self.drift_steps,
-        )
 
 
 def standard_symmetric_stable(alpha: float, size, rng) -> np.ndarray:
@@ -229,10 +190,6 @@ def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int,
     np.cumsum(incr, axis=1, out=values[:, 1:])
     times = np.linspace(0.0, t_max, n_steps + 1)
     return BatchPaths(times=times, values=values, mode="increment")
-
-
-def sample_stable_path(params: AlphaStableParams, n_steps: int, rng, t_max: float = 1.0) -> SimPath:
-    return sample_stable_batch(params, 1, n_steps, rng, t_max).extract(0)
 
 
 def _draw_jump_times(gen, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,10 +295,6 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
                       jump_path=path_idx, jump_times=t, jump_sizes=sizes, small_noise=noise)
 
 
-def sample_jump_path(params, eps_cutoff, n_steps, rng, gaussian_refinement=True) -> SimPath:
-    return sample_jump_batch(params, eps_cutoff, 1, n_steps, rng, gaussian_refinement).extract(0)
-
-
 def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_steps: int,
                            rng, eps_cutoff: float | None = None,
                            gaussian_refinement: bool = True) -> BatchPaths:
@@ -357,12 +310,6 @@ def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_
     return sample_tilted_batch(tilt, n_paths, n_steps, rng, eps_cutoff=eps_cutoff,
                                gaussian_refinement=gaussian_refinement,
                                drift_mode="martingale", compute_weights=False)
-
-
-def sample_truncated_path(params, r, n_steps, rng, eps_cutoff=None,
-                          gaussian_refinement=True) -> SimPath:
-    return sample_truncated_batch(params, r, 1, n_steps, rng, eps_cutoff,
-                                  gaussian_refinement).extract(0)
 
 
 def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
@@ -454,13 +401,6 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
     return batch, log_weight_batch(tilt, batch)
 
 
-def sample_tilted_path(tilt, n_steps: int, rng, eps_cutoff=None, gaussian_refinement=True,
-                       drift_mode="shifted") -> tuple[SimPath, float]:
-    batch, lw = sample_tilted_batch(tilt, 1, n_steps, rng, eps_cutoff,
-                                    gaussian_refinement, drift_mode)
-    return batch.extract(0), float(lw[0])
-
-
 def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_steps: int,
                               rng) -> BatchPaths:
     """Stable paths run through the clock Phi(t) = int_0^t speed(s) ds.
@@ -484,10 +424,6 @@ def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_
     values = np.zeros((n_paths, n_steps + 1))
     np.cumsum(incr, axis=1, out=values[:, 1:])
     return BatchPaths(times=times, values=values, mode="time_changed")
-
-
-def sample_time_changed_path(params: AlphaStableParams, speed, n_steps: int, rng) -> SimPath:
-    return sample_time_changed_batch(params, speed, 1, n_steps, rng).extract(0)
 
 
 def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
@@ -518,11 +454,6 @@ def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
     return out
 
 
-def sup_distance(path: SimPath, f: ShiftFunction | None = None,
-                 shift_scale: float = 0.0, path_scale: float = 1.0) -> float:
-    return float(sup_distance_batch(path.as_batch(), f, shift_scale, path_scale)[0])
-
-
 def batch_plan(n_total: int, n_steps: int, target_elems: int = 1 << 22) -> list[tuple[int, int]]:
     """Deterministic split of n_total paths into (batch_index, size) pieces.
 
@@ -538,9 +469,29 @@ def batch_plan(n_total: int, n_steps: int, target_elems: int = 1 << 22) -> list[
     return list(enumerate(sizes))
 
 
-def write_path_csv(path: SimPath, out, jumps_out=None) -> None:
-    """Write a path as CSV with header t,x; optionally its jumps as t,size."""
-    grid = np.column_stack([path.times, path.values])
+def _run_batch(job):
+    kernel, stream, size = job
+    return kernel(stream, size)
+
+
+def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map) -> list:
+    """``kernel(stream.child(b), size)`` for each ``(b, size)`` of :func:`batch_plan`.
+
+    Results come back as a list in plan order; callers reduce it in that
+    order, so sums are bit-identical under any ``pmap``.  ``pmap(fn, jobs)``
+    may be ``map`` or an executor's ``map``; for a process pool, ``kernel``
+    must pickle, i.e. be a module-level function or a ``functools.partial``
+    of one.
+    """
+    jobs = [(kernel, stream.child(b), size) for b, size in batch_plan(n_paths, n_steps)]
+    return list(pmap(_run_batch, jobs))
+
+
+def write_path_csv(path: BatchPaths, out, jumps_out=None) -> None:
+    """Write a one-path batch as CSV with header t,x; optionally its jumps as t,size."""
+    if path.n_paths != 1:
+        raise ValueError("write_path_csv takes a one-path batch (BatchPaths.extract)")
+    grid = np.column_stack([path.times, path.values[0]])
     np.savetxt(out, grid, delimiter=",", header="t,x", comments="", fmt="%.17g")
     if jumps_out is not None:
         jt = path.jump_times if path.jump_times is not None else np.empty(0)

@@ -21,6 +21,7 @@ near -alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .constants import middle_shift_constant, _wls_line
 from .girsanov import TiltSpec, compensator_cancellation
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
-from .simulate import RngStream, batch_plan, sample_jump_batch, sample_stable_batch, \
-    sample_tilted_batch, sup_distance_batch
+from .simulate import RngStream, map_batches, sample_jump_batch, sample_stable_batch, \
+    sample_tilted_batch, sample_truncated_batch, sup_distance_batch
 
 _CANCEL_TOL = 1e-8
 
@@ -83,12 +84,11 @@ def prob_no_big_jumps(alpha: float, r: float) -> float:
     return float(np.exp(-(2.0 / alpha) * r**-alpha))
 
 
-def _crude_batch_worker(args):
-    query, n_steps, sampler, eps_cutoff, stream, b_idx, b_size = args
+def _crude_kernel(query, n_steps, sampler, eps_cutoff, stream, size) -> int:
     if sampler == "jumps":
-        batch = sample_jump_batch(query.params, eps_cutoff, b_size, n_steps, stream.child(b_idx))
+        batch = sample_jump_batch(query.params, eps_cutoff, size, n_steps, stream)
     elif sampler == "increments":
-        batch = sample_stable_batch(query.params, b_size, n_steps, stream.child(b_idx))
+        batch = sample_stable_batch(query.params, size, n_steps, stream)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
     sups = sup_distance_batch(batch, query.f, query.shift_scale)
@@ -108,18 +108,14 @@ def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
     _require_stream(rng)
     if eps_cutoff is None:
         eps_cutoff = query.r / 50.0
-    plan = batch_plan(n_paths, n_steps)
-    jobs = [(query, n_steps, sampler, eps_cutoff, rng, b, s) for b, s in plan]
-    hits = sum(pmap(_crude_batch_worker, jobs))
+    kernel = partial(_crude_kernel, query, n_steps, sampler, eps_cutoff)
+    hits = sum(map_batches(kernel, n_paths, n_steps, rng, pmap))
     return Estimate.from_bernoulli(hits, n_paths)
 
 
-def _truncated_batch_worker(args):
-    query, n_steps, eps_cutoff, stream, b_idx, b_size = args
-    from .simulate import sample_truncated_batch
-
-    batch = sample_truncated_batch(query.params, query.r, b_size, n_steps,
-                                   stream.child(b_idx), eps_cutoff=eps_cutoff)
+def _truncated_kernel(query, n_steps, eps_cutoff, stream, size) -> int:
+    batch = sample_truncated_batch(query.params, query.r, size, n_steps, stream,
+                                   eps_cutoff=eps_cutoff)
     sups = sup_distance_batch(batch, query.f, query.shift_scale)
     return int(np.sum(sups < query.r))
 
@@ -129,15 +125,13 @@ def estimate_given_no_big_jumps(query: SmallBallQuery, n_paths: int, n_steps: in
                                 eps_cutoff: float | None = None) -> Estimate:
     """P(sup |X - shift| < r | no jump exceeds r), by simulating the truncated law."""
     _require_stream(rng)
-    plan = batch_plan(n_paths, n_steps)
-    jobs = [(query, n_steps, eps_cutoff, rng, b, s) for b, s in plan]
-    hits = sum(pmap(_truncated_batch_worker, jobs))
+    kernel = partial(_truncated_kernel, query, n_steps, eps_cutoff)
+    hits = sum(map_batches(kernel, n_paths, n_steps, rng, pmap))
     return Estimate.from_bernoulli(hits, n_paths)
 
 
-def _is_batch_worker(args):
-    tilt, r, n_steps, eps_cutoff, stream, b_idx, b_size = args
-    batch, lw = sample_tilted_batch(tilt, b_size, n_steps, stream.child(b_idx),
+def _is_kernel(tilt, r, n_steps, eps_cutoff, stream, size):
+    batch, lw = sample_tilted_batch(tilt, size, n_steps, stream,
                                     eps_cutoff=eps_cutoff, drift_mode="martingale")
     sups = sup_distance_batch(batch)
     w = np.exp(lw)
@@ -171,11 +165,11 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
             raise RuntimeError(f"compensator cancellation residual {resid:.2e} too large")
 
     p_a = prob_no_big_jumps(query.params.alpha, query.r)
-    plan = batch_plan(n_paths, n_steps)
-    jobs = [(tilt, query.r, n_steps, eps_cutoff, rng, b, s) for b, s in plan]
+    kernel = partial(_is_kernel, tilt, query.r, n_steps, eps_cutoff)
     s1 = s2 = wh1 = wh2 = 0.0
     n_hit = 0
-    for part in pmap(_is_batch_worker, jobs):
+    # plain float adds in plan order: np.sum's pairwise order would move the last bits
+    for part in map_batches(kernel, n_paths, n_steps, rng, pmap):
         s1 += part[0]
         s2 += part[1]
         n_hit += part[2]
@@ -213,12 +207,11 @@ def theory_lower_bound_middle(query: SmallBallQuery) -> float:
     return float(np.exp(-middle_shift_constant(a) / query.r**a))
 
 
-def _no_big_jump_worker(args):
-    params, r, eps_cutoff, n_steps, stream, b_idx, b_size = args
-    batch = sample_jump_batch(params, eps_cutoff, b_size, n_steps, stream.child(b_idx),
+def _no_big_jump_kernel(params, r, eps_cutoff, n_steps, stream, size) -> int:
+    batch = sample_jump_batch(params, eps_cutoff, size, n_steps, stream,
                               gaussian_refinement=False)
     big = np.abs(batch.jump_sizes) >= r
-    flagged = np.bincount(batch.jump_path[big], minlength=b_size) > 0
+    flagged = np.bincount(batch.jump_path[big], minlength=size) > 0
     return int(np.sum(~flagged))
 
 
@@ -228,10 +221,8 @@ def empirical_no_big_jump_fraction(params: AlphaStableParams, r: float, n_paths:
     """Fraction of jump-resolved paths with every |jump| < r; oracle for
     :func:`prob_no_big_jumps`."""
     _require_stream(rng)
-    eps = min(r / 4.0, 0.25)
-    plan = batch_plan(n_paths, n_steps)
-    jobs = [(params, r, eps, n_steps, rng, b, s) for b, s in plan]
-    hits = sum(pmap(_no_big_jump_worker, jobs))
+    kernel = partial(_no_big_jump_kernel, params, r, min(r / 4.0, 0.25), n_steps)
+    hits = sum(map_batches(kernel, n_paths, n_steps, rng, pmap))
     return Estimate.from_bernoulli(hits, n_paths)
 
 
@@ -256,9 +247,8 @@ class TailReport:
         return float(np.max(self.k_hat[good]) / np.min(self.k_hat[good]))
 
 
-def _tail_batch_worker(args):
-    params, x_arr, n_steps, stream, b_idx, b_size = args
-    batch = sample_stable_batch(params, b_size, n_steps, stream.child(b_idx))
+def _tail_kernel(params, x_arr, n_steps, stream, size) -> np.ndarray:
+    batch = sample_stable_batch(params, size, n_steps, stream)
     sups = np.max(np.abs(batch.values), axis=1)
     return (sups[None, :] > x_arr[:, None]).sum(axis=1)
 
@@ -275,9 +265,8 @@ def tail_prob_check(alpha: float, x_list, n_paths: int, rng: RngStream | None = 
     x_arr = np.asarray(sorted(x_list), dtype=float)
     if x_arr.size < 2 or np.any(x_arr <= 0.0):
         raise ValueError("need at least two positive levels")
-    plan = batch_plan(n_paths, n_steps)
-    jobs = [(params, x_arr, n_steps, rng, b, s) for b, s in plan]
-    counts = sum(pmap(_tail_batch_worker, jobs))
+    counts = sum(map_batches(partial(_tail_kernel, params, x_arr, n_steps), n_paths, n_steps,
+                             rng, pmap))
     p = counts / n_paths
     se = np.sqrt(p * (1.0 - p) / n_paths)
 
@@ -337,9 +326,8 @@ def default_battery(params: AlphaStableParams) -> list[tuple[str, ShiftFunction,
     ]
 
 
-def _anderson_batch_worker(args):
-    params, r, battery, eps_cutoff, n_steps, stream, b_idx, b_size = args
-    batch = sample_jump_batch(params, eps_cutoff, b_size, n_steps, stream.child(b_idx))
+def _anderson_kernel(params, r, battery, eps_cutoff, n_steps, stream, size) -> np.ndarray:
+    batch = sample_jump_batch(params, eps_cutoff, size, n_steps, stream)
     hits = np.empty(len(battery) + 1, dtype=np.int64)
     hits[0] = int(np.sum(sup_distance_batch(batch) < r))
     for i, (_, f, lam) in enumerate(battery):
@@ -361,9 +349,8 @@ def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
         battery = default_battery(params)
     if eps_cutoff is None:
         eps_cutoff = r / 50.0
-    plan = batch_plan(n_paths, n_steps)
-    jobs = [(params, r, battery, eps_cutoff, n_steps, rng, b, s) for b, s in plan]
-    hits = sum(pmap(_anderson_batch_worker, jobs))
+    kernel = partial(_anderson_kernel, params, r, battery, eps_cutoff, n_steps)
+    hits = sum(map_batches(kernel, n_paths, n_steps, rng, pmap))
 
     p = hits / n_paths
     se = np.sqrt(p * (1.0 - p) / n_paths)

@@ -70,9 +70,9 @@ def test_01_gaussian_eigenvalue_reference():
     elapsed = time.time() - t0
     exact = math.pi**2 / 8.0
     rel = abs(lam - exact) / exact
-    ok = rel < 5e-3 and elapsed < 60.0
-    _verdict(1, ok, f"Gaussian eigenvalue {lam:.8f} vs pi^2/8, "
-                    f"rel dev {rel:.2e} (tol 5e-3), {elapsed:.1f}s (limit 60s)")
+    ok = rel < 1e-8 and elapsed < 60.0
+    _verdict(1, ok, f"Gaussian eigenvalue {lam:.10f} vs pi^2/8, "
+                    f"rel dev {rel:.2e} (tol 1e-8), {elapsed:.1f}s (limit 60s)")
 
 
 def test_02_smallball_exponent_slope(mc_fit):

@@ -31,6 +31,22 @@ def _read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def _records_without_run_specifics(path):
+    """Result records of an artifact, with the workers and out settings dropped."""
+    recs = _read_jsonl(path) if path.suffix == ".jsonl" else [_read_json(path)]
+    for rec in recs:
+        cfg = rec["config"]
+        cfg.pop("workers"), cfg.pop("out")
+    return recs
+
+
+def _assert_one_line_error(rc, code, capsys, text):
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith("error: ") and text in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestSimulate:
     def test_single_path_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -112,6 +128,24 @@ class TestSmallball:
             outs[w] = (rec, cfg)
         assert outs["1"] == outs["2"]
 
+    # 2100 paths of 2048 steps make two batches, so a pool of two splits the work
+    @pytest.mark.parametrize("argv, artifact", [
+        (["crude", "--sampler", "jumps", "--r", "0.9,1.2", "--c", "0.2"], "crude.jsonl"),
+        (["crude", "--sampler", "increments", "--r", "0.9,1.2", "--c", "0.2"], "crude.jsonl"),
+        (["is", "--r", "0.9", "--c", "0.2"], "is.json"),
+        (["anderson", "--r", "1.0"], "anderson.json"),
+        (["tail", "--x", "2,4,8"], "tail.json"),
+    ], ids=["crude-jumps", "crude-increments", "is", "anderson", "tail"])
+    def test_pooled_record_matches_serial(self, tmp_path, argv, artifact):
+        recs = {}
+        for w in ("1", "2"):
+            out = tmp_path / f"w{w}"
+            rc = main(["smallball", *argv, "--n", "2100", "--steps", "2048", "--seed", "7",
+                       "--workers", w, "--out", str(out)])
+            assert rc == 0
+            recs[w] = _records_without_run_specifics(out / artifact)
+        assert recs["1"] == recs["2"]
+
     def test_is_estimator_record(self, tmp_path):
         rc = main(["smallball", "is", "--n", "400", "--steps", "128",
                    "--r", "0.8", "--c", "0.2", "--out", str(tmp_path)])
@@ -154,6 +188,11 @@ class TestSmallball:
         assert rec["slope"] < 0.0
         lines = (tmp_path / "tail.csv").read_text().splitlines()
         assert lines[0] == "x,p_hat,stderr"
+
+    def test_unresolved_tail_exits_3(self, tmp_path, capsys):
+        rc = main(["smallball", "tail", "--x", "1000,2000", "--n", "64", "--steps", "16",
+                   "--out", str(tmp_path)])
+        _assert_one_line_error(rc, 3, capsys, "tail unresolved")
 
     def test_shift_knot_file(self, tmp_path):
         knots = [[0.0, 0.0], [0.5, 0.2], [1.0, 0.0]]
@@ -220,6 +259,11 @@ class TestConstants:
             recs[w] = json.dumps(rec, sort_keys=True)
         assert json.loads(recs["1"])["K_mc"] is not None
         assert recs["1"] == recs["2"]
+
+    def test_unresolved_fit_exits_3(self, tmp_path, capsys):
+        rc = main(["constants", "--alpha", "1.5", "--grid", "64", "--mc-n", "64",
+                   "--mc-r", "0.2,0.25", "--steps", "16", "--out", str(tmp_path)])
+        _assert_one_line_error(rc, 3, capsys, "too few resolvable radii")
 
     def test_bad_alpha_list(self, tmp_path, capsys):
         rc = main(["constants", "--alpha", "1.5,abc", "--out", str(tmp_path)])

@@ -26,6 +26,7 @@ from stable_smallball import (
     truncated_second_moment,
     zero_shift,
 )
+from stable_smallball.constants import _richardson
 
 C_ALPHA_ORACLE = {
     1.2: 2.9980563908116560207,
@@ -136,7 +137,15 @@ class TestMartingaleLowerBound:
 class TestSpectral:
     def test_gaussian_mode_hits_pi2_over_8(self):
         val = gaussian_validation_eigenvalue(512)
-        assert val == pytest.approx(math.pi**2 / 8.0, rel=5e-3)
+        assert val == pytest.approx(math.pi**2 / 8.0, rel=1e-8)
+
+    @pytest.mark.parametrize("order", [0.5, 1.0, 2.0, 3.5])
+    def test_richardson_recovers_the_limit(self, order):
+        limit, coeff, m = 5.3, 0.7, 64
+        values = {k: limit + coeff * k**-order for k in (m // 4, m // 2, m)}
+        value, p = _richardson(values)
+        assert value == pytest.approx(limit, abs=1e-12)
+        assert p == pytest.approx(order, rel=1e-6)
 
     def test_eigenvalue_positive_with_positive_ground_state(self):
         lam, vec = dirichlet_eigenvalue(1.5, 256, 1.0, mode="stable")

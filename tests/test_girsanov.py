@@ -58,14 +58,6 @@ class TestTiltSpec:
         assert good.validity_check().passed
         assert not bad.validity_check().passed
 
-    def test_tilted_triplet_reports_positive_density(self):
-        tilt = TiltSpec.middle_shift(PARAMS, identity_shift(), 0.5, 1.0)
-        trip = tilt.tilted_triplet()
-        base = tilt.base_triplet()
-        x, t = 0.4, 0.3
-        ratio = trip.levy_density(x, t) / base.levy_density(x, t)
-        assert ratio == pytest.approx(1.0 + tilt.beta(t) * x, rel=1e-12)
-
 
 class TestTheta:
     def test_middle_formula(self):

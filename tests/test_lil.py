@@ -1,5 +1,6 @@
 """Horizon grids, gap ratios, integral test, scaled distances, path splits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,28 +8,39 @@ import pytest
 
 from stable_smallball import (
     AlphaStableParams,
+    BatchPaths,
     DIAGNOSTIC_NOTE,
     GridSpec,
     RngStream,
     ScalingFunction,
     grid_gap_ratios,
-    grid_times,
     identity_shift,
     integral_test,
     power_loglog_scaling,
     running_min_trace,
     sample_jump_batch,
-    sample_jump_path,
     sample_scaled_distances,
-    sample_stable_path,
+    sample_stable_batch,
     scaled_distance,
     split_at,
-    sup_distance,
+    sup_distance_batch,
     tent_shift,
 )
-from stable_smallball.simulate import SimPath
 
 PARAMS = AlphaStableParams(1.5)
+
+
+def _jump_path(eps, n_steps, seed):
+    return sample_jump_batch(PARAMS, eps, 1, n_steps, RngStream(seed))
+
+
+def _flat_path(values):
+    times = np.linspace(0.0, 1.0, values.size)
+    return BatchPaths(times=times, values=values[None, :], mode="increment")
+
+
+def _sup(path):
+    return sup_distance_batch(path)[0]
 
 
 class TestGridSpec:
@@ -51,7 +63,7 @@ class TestGridSpec:
 
     def test_times_materialize_when_safe(self):
         spec = GridSpec(kind="lower", k_min=21, k_max=40)
-        t = grid_times(spec)
+        t = spec.times()
         assert np.allclose(np.log(t), spec.log_times())
 
     def test_overflow_guard(self):
@@ -120,28 +132,27 @@ class TestIntegralTest:
 
 
 class TestScaledDistance:
-    def _flat_path(self, values):
-        times = np.linspace(0.0, 1.0, values.size)
-        return SimPath(times=times, values=values, mode="increment")
-
     def test_doubling_loglog_at_delta_zero(self):
-        path = sample_jump_path(PARAMS, 0.1, 64, RngStream(60))
+        path = _jump_path(0.1, 64, 60)
         r1 = scaled_distance(path, math.exp(2.0), 0.0, 1.5)
         r2 = scaled_distance(path, math.exp(4.0), 0.0, 1.5)
         assert r2.distance / r1.distance == pytest.approx(2.0 ** (1.0 / 1.5),
                                                           rel=1e-12)
 
     def test_zero_path_with_shift(self):
-        path = self._flat_path(np.zeros(33))
+        path = _flat_path(np.zeros(33))
         loglog = 3.0
         rec = scaled_distance(path, math.exp(loglog), 0.5, 1.5, f=tent_shift())
         # the path term vanishes, leaving (log log T)^delta * ||f||
         assert rec.distance == pytest.approx(loglog**0.5 * 1.0, rel=1e-12)
 
     def test_domain_guard(self):
-        path = self._flat_path(np.zeros(9))
+        path = _flat_path(np.zeros(9))
         with pytest.raises(ValueError):
             scaled_distance(path, math.e, 0.5, 1.5)
+        two = sample_stable_batch(PARAMS, 2, 8, RngStream(59))
+        with pytest.raises(ValueError):
+            scaled_distance(two, math.exp(3.0), 0.5, 1.5)
 
     def test_median_against_same_sampler(self):
         # (log log T)^(1/alpha) * median ||X|| from the same sampler should
@@ -155,19 +166,19 @@ class TestScaledDistance:
         sups = []
         rng = RngStream(62)
         for i in range(100):
-            sups.append(sup_distance(sample_stable_path(PARAMS, 256, rng.child(i))))
+            sups.append(_sup(sample_stable_batch(PARAMS, 1, 256, rng.child(i))))
         ref = ll ** (1.0 / 1.5) * np.median(sups)
         assert med == pytest.approx(ref, rel=0.2)
 
     def test_records_carry_diagnostic_note(self):
-        path = self._flat_path(np.zeros(9))
+        path = _flat_path(np.zeros(9))
         rec = scaled_distance(path, math.exp(3.0), 0.5, 1.5)
         assert rec.note == DIAGNOSTIC_NOTE
 
 
 class TestSplitAt:
     def test_reconstruction_machine_precision(self):
-        path = sample_jump_path(PARAMS, 0.05, 128, RngStream(63))
+        path = _jump_path(0.05, 128, 63)
         y, z = split_at(path, 0.4)
         tol = 8 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(path.values))))
         assert np.max(np.abs(y.values + z.values - path.values)) <= tol
@@ -175,26 +186,24 @@ class TestSplitAt:
     def test_four_step_example(self):
         times = np.linspace(0.0, 1.0, 5)
         values = np.array([0.0, 1.0, -1.0, 2.0, 3.0])
-        path = SimPath(times=times, values=values, mode="increment")
+        path = _flat_path(values)
         y, z = split_at(path, 0.5)
-        assert np.array_equal(y.values, [0.0, 1.0, -1.0, -1.0, -1.0])
-        assert np.array_equal(z.values, [0.0, 0.0, 0.0, 3.0, 4.0])
+        assert np.array_equal(y.values, [[0.0, 1.0, -1.0, -1.0, -1.0]])
+        assert np.array_equal(z.values, [[0.0, 0.0, 0.0, 3.0, 4.0]])
 
     def test_frozen_sup_matches_restricted_sup(self):
-        path = sample_jump_path(PARAMS, 0.05, 128, RngStream(64))
+        path = _jump_path(0.05, 128, 64)
         y, _ = split_at(path, 0.37)
         idx = int(np.searchsorted(path.times, 0.37, side="right") - 1)
         keep = path.jump_times <= path.times[idx]
-        sliced = SimPath(
-            times=path.times[: idx + 1], values=path.values[: idx + 1],
-            mode=path.mode, eps_cutoff=path.eps_cutoff,
-            jump_times=path.jump_times[keep], jump_sizes=path.jump_sizes[keep],
-            small_noise=None if path.small_noise is None else path.small_noise[:idx],
-            drift_steps=None if path.drift_steps is None else path.drift_steps[:idx])
-        assert sup_distance(y) == sup_distance(sliced)
+        sliced = dataclasses.replace(
+            path, times=path.times[: idx + 1], values=path.values[:, : idx + 1],
+            jump_path=path.jump_path[keep], jump_times=path.jump_times[keep],
+            jump_sizes=path.jump_sizes[keep], small_noise=path.small_noise[:, :idx])
+        assert _sup(y) == _sup(sliced)
 
     def test_jump_records_partitioned(self):
-        path = sample_jump_path(PARAMS, 0.05, 128, RngStream(65))
+        path = _jump_path(0.05, 128, 65)
         y, z = split_at(path, 0.6)
         t_star = path.times[int(np.searchsorted(path.times, 0.6, side="right") - 1)]
         assert np.all(y.jump_times <= t_star)
@@ -211,12 +220,12 @@ class TestSplitAt:
             path = batch.extract(i)
             y, z = split_at(path, 0.5)
             norms_z[i] = np.max(np.abs(z.values))
-            ends_y[i] = y.values[-1]
+            ends_y[i] = y.values[0, -1]
         corr = np.corrcoef(np.minimum(norms_z, 10.0), np.sign(ends_y))[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(n)
 
     def test_ratio_domain(self):
-        path = sample_jump_path(PARAMS, 0.2, 16, RngStream(67))
+        path = _jump_path(0.2, 16, 67)
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 split_at(path, bad)
@@ -224,9 +233,7 @@ class TestSplitAt:
 
 class TestRunningMinTrace:
     def _rec(self, log_t, d):
-        path = SimPath(times=np.linspace(0, 1, 9), values=np.zeros(9),
-                       mode="increment")
-        rec = scaled_distance(path, log_t, 0.0, 1.5)
+        rec = scaled_distance(_flat_path(np.zeros(9)), log_t, 0.0, 1.5)
         return type(rec)(log_t=rec.log_t, delta=rec.delta, distance=d, k=None)
 
     def test_single_record(self):

@@ -8,11 +8,9 @@ import pytest
 
 from stable_smallball import (
     AlphaStableParams,
-    CenteredTriplet,
     Estimate,
     ScalingFunction,
     ShiftFunction,
-    eval_shift,
     identity_shift,
     make_shift,
     power_loglog_scaling,
@@ -36,24 +34,6 @@ class TestAlphaStableParams:
         params = AlphaStableParams(1.5)
         with pytest.raises(Exception):
             params.alpha = 1.7
-
-
-class TestCenteredTriplet:
-    def test_integrability_residual_small(self):
-        params = AlphaStableParams(1.5)
-        trip = CenteredTriplet(
-            sigma2=0.0,
-            levy_density=lambda x, t: np.abs(x) ** (-1.0 - params.alpha),
-            gamma=lambda t: 0.0,
-        )
-        # int min(1, x^2) |x|^-2.5 dx = 2/(2-a) inside plus (2/a)(1 - 50^-a) outside
-        expected = 2.0 / 0.5 + (4.0 / 3.0) * (1.0 - 50.0**-1.5)
-        assert trip.check_integrability() == pytest.approx(expected, rel=1e-8)
-
-    def test_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            CenteredTriplet(sigma2=-1.0, levy_density=lambda x, t: 0.0 * x,
-                            gamma=lambda t: 0.0)
 
 
 class TestShiftFunction:
@@ -104,7 +84,7 @@ class TestShiftFunction:
     def test_eval_shift_vectorized(self):
         f = identity_shift()
         t = np.array([0.0, 0.25, 1.0])
-        assert np.allclose(eval_shift(f, t), t)
+        assert np.allclose(f(t), t)
 
     def test_random_shift_slope_cap(self):
         rng = np.random.default_rng(1)
@@ -162,12 +142,6 @@ class TestEstimate:
         est = Estimate.from_bernoulli(0, 1000)
         assert est.value == 0.0
         assert "unresolved_at_this_n" in est.flags
-
-    def test_from_samples(self):
-        vals = np.array([1.0, 3.0, 5.0, 7.0])
-        est = Estimate.from_samples(vals)
-        assert est.value == pytest.approx(4.0)
-        assert est.stderr == pytest.approx(np.std(vals, ddof=1) / 2.0)
 
     def test_overlaps(self):
         def mk(v):

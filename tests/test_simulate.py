@@ -10,19 +10,18 @@ from scipy import stats
 
 from stable_smallball import (
     AlphaStableParams,
+    BatchPaths,
     RngStream,
     TiltSpec,
     batch_plan,
     identity_shift,
+    map_batches,
     sample_jump_batch,
-    sample_jump_path,
     sample_stable_batch,
-    sample_stable_path,
     sample_tilted_batch,
     sample_time_changed_batch,
     sample_truncated_batch,
     standard_symmetric_stable,
-    sup_distance,
     sup_distance_batch,
     tent_shift,
     write_path_csv,
@@ -236,28 +235,26 @@ class TestSupDistance:
         assert np.array_equal(got, np.max(np.abs(batch.values), axis=1))
 
     def test_constant_path_vs_scaled_identity(self):
-        path = sample_stable_path(PARAMS, 8, RngStream(26))
-        flat = type(path)(times=path.times, values=np.zeros_like(path.values),
-                          mode=path.mode)
-        assert sup_distance(flat, identity_shift(), shift_scale=2.0) == 2.0
+        path = sample_stable_batch(PARAMS, 1, 8, RngStream(26))
+        flat = dataclasses.replace(path, values=np.zeros_like(path.values))
+        assert sup_distance_batch(flat, identity_shift(), shift_scale=2.0)[0] == 2.0
 
     def test_tent_peak(self):
-        path = sample_stable_path(PARAMS, 8, RngStream(27))
-        flat = type(path)(times=path.times, values=np.zeros_like(path.values),
-                          mode=path.mode)
-        assert sup_distance(flat, tent_shift(), shift_scale=1.0) == 1.0
+        path = sample_stable_batch(PARAMS, 1, 8, RngStream(27))
+        flat = dataclasses.replace(path, values=np.zeros_like(path.values))
+        assert sup_distance_batch(flat, tent_shift(), shift_scale=1.0)[0] == 1.0
 
     def test_jump_refinement_sees_pre_jump_value(self):
         # one jump of +2 arriving mid-step on an otherwise flat path: the
         # pre-jump value is 0, after it the path sits at 2; with a shift of
         # -1 the refined sup must see |0 - (-1)| = 1 before the jump
-        from stable_smallball import SimPath
         times = np.linspace(0.0, 1.0, 5)
-        values = np.array([0.0, 0.0, 2.0, 2.0, 2.0])
-        path = SimPath(times=times, values=values, mode="jump_resolved",
-                       jump_times=np.array([0.3]), jump_sizes=np.array([2.0]))
-        assert sup_distance(path) == 2.0
-        got = sup_distance(path, identity_shift(), shift_scale=-1.0)
+        values = np.array([[0.0, 0.0, 2.0, 2.0, 2.0]])
+        path = BatchPaths(times=times, values=values, mode="jump_resolved",
+                          jump_path=np.array([0]), jump_times=np.array([0.3]),
+                          jump_sizes=np.array([2.0]))
+        assert sup_distance_batch(path)[0] == 2.0
+        got = sup_distance_batch(path, identity_shift(), shift_scale=-1.0)[0]
         assert got >= 2.0 + 0.25  # |2 - (-t)| at t >= 0.25 beats the grid-only 2
 
     def test_refined_at_least_grid(self):
@@ -389,9 +386,37 @@ class TestBatchPlan:
         assert batch_plan(50, 64) == [(0, 50)]
 
 
+def _echo(stream, size):
+    return stream, size
+
+
+class TestMapBatches:
+    def test_one_child_stream_per_batch_in_plan_order(self):
+        stream = RngStream(31, 2)
+        got = map_batches(_echo, 5000, 2048, stream)
+        assert len(got) == 3
+        assert got == [(stream.child(b), size) for b, size in batch_plan(5000, 2048)]
+
+
+class TestExtract:
+    def test_one_path_batch_keeps_its_refined_sup(self):
+        batch = sample_jump_batch(PARAMS, 0.05, 20, 64, RngStream(32))
+        sups = sup_distance_batch(batch, tent_shift(), 0.5)
+        for i in (0, 7, 19):
+            path = batch.extract(i)
+            assert path.n_paths == 1 and not np.any(path.jump_path)
+            assert np.array_equal(path.values[0], batch.values[i])
+            # not bit-equal: the within-step prefix sums of jump_geometry run
+            # over the whole batch's records, so rounding depends on the batch
+            assert sup_distance_batch(path, tent_shift(), 0.5)[0] == pytest.approx(
+                sups[i], rel=1e-12)
+        with pytest.raises(IndexError):
+            batch.extract(20)
+
+
 class TestCsvDump:
     def test_round_trip(self, tmp_path):
-        path = sample_jump_path(PARAMS, 0.2, 16, RngStream(29))
+        path = sample_jump_batch(PARAMS, 0.2, 1, 16, RngStream(29))
         out = tmp_path / "p.csv"
         jout = tmp_path / "j.csv"
         write_path_csv(path, out, jout)
@@ -399,10 +424,12 @@ class TestCsvDump:
         assert out.read_text().splitlines()[0] == "t,x"
         assert jout.read_text().splitlines()[0] == "t,size"
         assert np.allclose(body[:, 0], path.times)
-        assert np.allclose(body[:, 1], path.values)
+        assert np.allclose(body[:, 1], path.values[0])
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_path_csv(sample_stable_path(PARAMS, 8, RngStream(30)), a)
-        write_path_csv(sample_stable_path(PARAMS, 8, RngStream(30)), b)
+        write_path_csv(sample_stable_batch(PARAMS, 1, 8, RngStream(30)), a)
+        write_path_csv(sample_stable_batch(PARAMS, 1, 8, RngStream(30)), b)
         assert a.read_bytes() == b.read_bytes()
+        with pytest.raises(ValueError):
+            write_path_csv(sample_stable_batch(PARAMS, 2, 8, RngStream(30)), a)
