@@ -72,7 +72,6 @@ from .smallball import (
     TailReport,
     anderson_report,
     default_battery,
-    discretization_sensitivity,
     empirical_no_big_jump_fraction,
     estimate_crude,
     estimate_given_no_big_jumps,

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -159,16 +160,17 @@ def _load_shift(path: str | None) -> processes.ShiftFunction:
         raise ConfigError(f"config key 'shift': bad knot file: {exc}") from None
 
 
-def _out_dir(cfg: dict) -> Path:
+def _write_run_config(cfg: dict) -> Path:
+    """Write the resolved settings to ``run_config.json``; return the output directory."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
+    (out / "run_config.json").write_text(_dumps(cfg, indent=2, sort_keys=True) + "\n")
     return out
 
 
 def _emit(cfg: dict, records: list[dict], name: str) -> None:
     """Write records as JSON (one) or line-delimited JSON (sweep), echo to stdout."""
-    out = _out_dir(cfg)
-    (out / "run_config.json").write_text(_dumps(cfg, indent=2, sort_keys=True) + "\n")
+    out = _write_run_config(cfg)
     for rec in records:
         rec["config"] = cfg
     if len(records) == 1:
@@ -181,18 +183,20 @@ def _emit(cfg: dict, records: list[dict], name: str) -> None:
 
 
 def _write_csv(cfg: dict, name: str, header: str, rows: np.ndarray) -> Path:
-    out = _out_dir(cfg)
-    (out / "run_config.json").write_text(_dumps(cfg, indent=2, sort_keys=True) + "\n")
-    target = out / name
+    target = _write_run_config(cfg) / name
     np.savetxt(target, np.atleast_2d(rows), fmt="%.17g", delimiter=",",
                header=header, comments="")
     return target
 
 
-def _pool(cfg: dict):
+@contextmanager
+def _pmap(cfg: dict):
+    """Yield the batch map: a process pool's for ``workers > 1``, else the builtin."""
     if cfg["workers"] > 1:
-        return ProcessPoolExecutor(max_workers=cfg["workers"])
-    return None
+        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
+            yield pool.map
+    else:
+        yield map
 
 
 def _estimate_record(query: smallball.SmallBallQuery, est: processes.Estimate) -> dict:
@@ -225,7 +229,6 @@ def _make_query(cfg: dict, r: float) -> smallball.SmallBallQuery:
 def cmd_simulate(cfg: dict) -> int:
     params = processes.AlphaStableParams(cfg["alpha"])
     rng = simulate.RngStream(cfg["seed"])
-    out = _out_dir(cfg)
     if cfg["sampler"] == "increments":
         batch = simulate.sample_stable_batch(params, cfg["n"], cfg["steps"], rng)
     elif cfg["sampler"] == "jumps":
@@ -233,7 +236,7 @@ def cmd_simulate(cfg: dict) -> int:
         batch = simulate.sample_jump_batch(params, eps, cfg["n"], cfg["steps"], rng)
     else:
         raise ConfigError(f"config key 'sampler': unknown sampler {cfg['sampler']!r}")
-    (out / "run_config.json").write_text(_dumps(cfg, indent=2, sort_keys=True) + "\n")
+    out = _write_run_config(cfg)
     for i in range(cfg["n"]):
         tag = "" if cfg["n"] == 1 else f"_{i:04d}"
         path = batch.extract(i)
@@ -245,9 +248,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_smallball(cfg: dict, mode: str) -> int:
     rng = simulate.RngStream(cfg["seed"])
-    pool = _pool(cfg)
-    pmap = pool.map if pool is not None else map
-    try:
+    with _pmap(cfg) as pmap:
         if mode == "anderson":
             params = processes.AlphaStableParams(cfg["alpha"])
             r = _float_list(cfg["r"], "r")[0]
@@ -294,16 +295,11 @@ def cmd_smallball(cfg: dict, mode: str) -> int:
                              for rec in records])
             _write_csv(cfg, f"{mode}_sweep.csv", "r,estimate,stderr", rows)
         return 0
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def cmd_constants(cfg: dict) -> int:
     rng = simulate.RngStream(cfg["seed"])
-    pool = _pool(cfg)
-    pmap = pool.map if pool is not None else map
-    try:
+    with _pmap(cfg) as pmap:
         records = []
         for i, alpha in enumerate(_float_list(cfg["alpha"], "alpha")):
             spectral = constants.smallball_constant_spectral(alpha, n_grid=cfg["grid"])
@@ -324,9 +320,6 @@ def cmd_constants(cfg: dict) -> int:
             })
         _emit(cfg, records, "constants")
         return 0
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def cmd_lil(cfg: dict, mode: str) -> int:
@@ -376,8 +369,7 @@ def cmd_selftest(cfg: dict) -> int:
     results = diagnostics.run_selftest(full=cfg["full"])
     report = diagnostics.format_results(results)
     sys.stdout.write(report + "\n")
-    out = _out_dir(cfg)
-    (out / "run_config.json").write_text(_dumps(cfg, indent=2, sort_keys=True) + "\n")
+    out = _write_run_config(cfg)
     payload = [{"name": r.name, "passed": r.passed, "detail": r.detail,
                 "seconds": r.seconds} for r in results]
     (out / "selftest.json").write_text(

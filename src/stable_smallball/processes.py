@@ -102,10 +102,6 @@ class ShiftFunction:
         return float(np.sqrt(np.sum(self.slopes**2 * np.diff(self.knot_times))))
 
     @property
-    def end_value(self) -> float:
-        return float(self.knot_values[-1])
-
-    @property
     def is_zero(self) -> bool:
         return bool(np.all(self.knot_values == 0.0))
 
@@ -127,15 +123,6 @@ class ShiftFunction:
         )
         out = self.slopes[idx]
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-    def slope_moment(self, power: int, normalized: bool = False) -> float:
-        """Exact int_0^1 f'(t)^power dt (optionally of f'/||f'||_sup)."""
-        slopes = self.slopes
-        if normalized:
-            if self.sup_deriv == 0.0:
-                return 0.0
-            slopes = slopes / self.sup_deriv
-        return float(np.sum(slopes**power * np.diff(self.knot_times)))
 
     def to_json(self) -> str:
         return json.dumps([[float(t), float(v)] for t, v in zip(self.knot_times, self.knot_values)])

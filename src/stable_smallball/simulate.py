@@ -147,8 +147,9 @@ class BatchPaths:
             raise IndexError(f"path index {i} out of range")
         jp = jt = js = None
         if self.jump_path is not None:
-            sel = self.jump_path == i
-            jt, js = self.jump_times[sel], self.jump_sizes[sel]
+            # records are (path, time)-sorted, so path i owns one block
+            lo, hi = np.searchsorted(self.jump_path, [i, i + 1])
+            jt, js = self.jump_times[lo:hi], self.jump_sizes[lo:hi]
             jp = np.zeros(jt.size, dtype=np.int64)
         return replace(self, values=self.values[i:i + 1], jump_path=jp, jump_times=jt,
                        jump_sizes=js,

@@ -366,22 +366,6 @@ def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
                           rows=tuple(rows), n_paths=n_paths)
 
 
-def discretization_sensitivity(query: SmallBallQuery, n_paths: int,
-                               rng: RngStream | None = None, grids=(1024, 2048),
-                               pmap=map) -> dict:
-    """Crude estimates across grid resolutions; reports, does not assert."""
-    _require_stream(rng)
-    out = {}
-    for g in grids:
-        est = estimate_crude(query, n_paths, n_steps=g, rng=rng.child(g), pmap=pmap)
-        out[g] = est
-    keys = sorted(out)
-    a, b = out[keys[0]], out[keys[-1]]
-    comb = float(np.sqrt(a.stderr**2 + b.stderr**2))
-    return {"estimates": out, "coarse_minus_fine": a.value - b.value,
-            "combined_stderr": comb}
-
-
 def _require_stream(rng) -> None:
     if not isinstance(rng, RngStream):
         raise ValueError("an RngStream is required for reproducible estimates")

@@ -424,6 +424,14 @@ steps = 128
         assert not (tmp_path / "flag_dest").exists()
 
 
+def test_selftest_passes_every_check(tmp_path):
+    rc = main(["selftest", "--out", str(tmp_path)])
+    results = _read_json(tmp_path / "selftest.json")["results"]
+    failed = [f"{r['name']}: {r['detail']}" for r in results if not r["passed"]]
+    assert not failed, "; ".join(failed)
+    assert rc == 0 and len(results) == 22
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "stable_smallball", "lil", "ratios",

@@ -54,12 +54,6 @@ class TestShiftFunction:
     def test_l2_deriv_tent(self):
         assert tent_shift().l2_deriv == pytest.approx(2.0)
 
-    def test_slope_moment_exact(self):
-        f = make_shift([(0.0, 0.0), (0.5, 1.0), (1.0, 0.5)])
-        # slopes 2 on [0,.5], -1 on [.5,1]
-        assert f.slope_moment(2) == pytest.approx(0.5 * 4 + 0.5 * 1)
-        assert f.slope_moment(3) == pytest.approx(0.5 * 8 - 0.5 * 1)
-
     def test_domain_enforced(self):
         with pytest.raises(ValueError):
             identity_shift()(1.2)
