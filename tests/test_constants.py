@@ -15,6 +15,7 @@ from stable_smallball import (
     bounded_jump_martingale_lower_bound,
     char_exponent_scale,
     dirichlet_eigenvalue,
+    gaussian_validation_eigenvalue,
     identity_shift,
     large_shift_constant,
     make_shift,
@@ -134,6 +135,10 @@ class TestMartingaleLowerBound:
 
 
 class TestSpectral:
+    def test_gaussian_mode_hits_pi2_over_8(self):
+        val = gaussian_validation_eigenvalue(512)
+        assert val == pytest.approx(math.pi**2 / 8.0, rel=1e-8)
+
     @pytest.mark.parametrize("order", [0.5, 1.0, 2.0, 3.5])
     def test_richardson_recovers_the_limit(self, order):
         limit, coeff, m = 5.3, 0.7, 64

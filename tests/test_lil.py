@@ -1,5 +1,6 @@
 """Horizon grids, gap ratios, integral test, scaled distances, path splits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from stable_smallball import (
     RngStream,
     ScalingFunction,
     grid_gap_ratios,
+    identity_shift,
     integral_test,
     power_loglog_scaling,
     running_min_trace,
@@ -73,6 +75,12 @@ class TestGridSpec:
 
 
 class TestGapRatios:
+    def test_acceptance_point(self):
+        r1, r2, r3 = grid_gap_ratios(10**6, 0.5, 1.5)
+        assert abs(r3 - 1.0) < 1e-3
+        assert 0.0 <= r1 < 0.05
+        assert 0.0 <= r2 < 0.05
+
     def test_r3_in_unit_interval_and_r_nonnegative(self):
         for k in (2000, 10**4, 10**5):
             for delta in (0.0, 0.5, 1.0):
@@ -90,6 +98,19 @@ class TestGapRatios:
 
 
 class TestIntegralTest:
+    def test_four_analytic_cases(self):
+        alpha = 1.5
+        cases = [
+            (power_loglog_scaling(2.0 / alpha, 0.0), "converges"),
+            (power_loglog_scaling(1.0 / alpha, 0.0), "diverges"),
+            (power_loglog_scaling(0.0, -1.0 / alpha), "diverges"),
+            (power_loglog_scaling(1.0 / alpha, 2.0 / alpha), "converges"),
+        ]
+        for h, want in cases:
+            res = integral_test(h, alpha)
+            assert res.classification == want
+            assert res.method == "analytic"
+
     def test_borderline_loglog_power(self):
         # p alpha == 1: converges iff q alpha > 1
         alpha = 1.5
@@ -111,6 +132,13 @@ class TestIntegralTest:
 
 
 class TestScaledDistance:
+    def test_doubling_loglog_at_delta_zero(self):
+        path = _jump_path(0.1, 64, 60)
+        r1 = scaled_distance(path, math.exp(2.0), 0.0, 1.5)
+        r2 = scaled_distance(path, math.exp(4.0), 0.0, 1.5)
+        assert r2.distance / r1.distance == pytest.approx(2.0 ** (1.0 / 1.5),
+                                                          rel=1e-12)
+
     def test_zero_path_with_shift(self):
         path = _flat_path(np.zeros(33))
         loglog = 3.0
@@ -149,6 +177,12 @@ class TestScaledDistance:
 
 
 class TestSplitAt:
+    def test_reconstruction_machine_precision(self):
+        path = _jump_path(0.05, 128, 63)
+        y, z = split_at(path, 0.4)
+        tol = 8 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(path.values))))
+        assert np.max(np.abs(y.values + z.values - path.values)) <= tol
+
     def test_four_step_example(self):
         times = np.linspace(0.0, 1.0, 5)
         values = np.array([0.0, 1.0, -1.0, 2.0, 3.0])
@@ -156,6 +190,17 @@ class TestSplitAt:
         y, z = split_at(path, 0.5)
         assert np.array_equal(y.values, [[0.0, 1.0, -1.0, -1.0, -1.0]])
         assert np.array_equal(z.values, [[0.0, 0.0, 0.0, 3.0, 4.0]])
+
+    def test_frozen_sup_matches_restricted_sup(self):
+        path = _jump_path(0.05, 128, 64)
+        y, _ = split_at(path, 0.37)
+        idx = int(np.searchsorted(path.times, 0.37, side="right") - 1)
+        keep = path.jump_times <= path.times[idx]
+        sliced = dataclasses.replace(
+            path, times=path.times[: idx + 1], values=path.values[:, : idx + 1],
+            jump_path=path.jump_path[keep], jump_times=path.jump_times[keep],
+            jump_sizes=path.jump_sizes[keep], small_noise=path.small_noise[:, :idx])
+        assert _sup(y) == _sup(sliced)
 
     def test_jump_records_partitioned(self):
         path = _jump_path(0.05, 128, 65)

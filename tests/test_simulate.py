@@ -200,6 +200,12 @@ class TestTiltedSampler:
 
 
 class TestTimeChange:
+    def test_constant_speed_reduces_exactly(self):
+        ones = lambda t: np.ones_like(t)
+        a = sample_time_changed_batch(PARAMS, ones, 20, 64, RngStream(19))
+        b = sample_stable_batch(PARAMS, 20, 64, RngStream(19))
+        assert np.array_equal(a.values, b.values)
+
     def test_quadratic_clock(self):
         # speed 2t integrates to t^2; the path at grid time t must be the
         # homogeneous path at clock time t^2, here checked in law at t=1
@@ -207,6 +213,15 @@ class TestTimeChange:
         a = sample_time_changed_batch(PARAMS, lambda t: 2.0 * t, n, 512, RngStream(20))
         b = sample_stable_batch(PARAMS, n, 512, RngStream(21))
         assert stats.ks_2samp(a.values[:, -1], b.values[:, -1]).pvalue > 0.01
+
+    def test_sup_norm_identity_in_law(self):
+        n = 10_000
+        mass = 1.5  # total integral of 1 + t on [0, 1]
+        eta = sample_time_changed_batch(PARAMS, lambda t: 1.0 + t, n, 2048, RngStream(22))
+        zeta = sample_stable_batch(PARAMS, n, 2048, RngStream(23))
+        s_eta = np.max(np.abs(eta.values), axis=1)
+        s_zeta = mass ** (1.0 / 1.5) * np.max(np.abs(zeta.values), axis=1)
+        assert stats.ks_2samp(s_eta, s_zeta).pvalue > 0.01
 
     def test_rejects_negative_speed(self):
         with pytest.raises(ValueError):

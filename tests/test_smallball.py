@@ -11,6 +11,7 @@ from stable_smallball import (
     SmallBallQuery,
     anderson_report,
     default_battery,
+    empirical_no_big_jump_fraction,
     estimate_crude,
     estimate_given_no_big_jumps,
     estimate_is,
@@ -46,8 +47,22 @@ class TestProbNoBigJumps:
         assert prob_no_big_jumps(1.5, 2.0) == pytest.approx(
             math.exp(-(4.0 / 3.0) * 2.0**-1.5))
 
+    def test_empirical_match(self):
+        est = empirical_no_big_jump_fraction(PARAMS, 1.0, 4000, rng=RngStream(40))
+        ref = prob_no_big_jumps(1.5, 1.0)
+        assert abs(est.value - ref) < 4.0 * est.stderr
+
 
 class TestCrude:
+    def test_deterministic_and_pool_invariant(self):
+        from concurrent.futures import ThreadPoolExecutor
+        q = SmallBallQuery.centered(PARAMS, 1.0)
+        a = estimate_crude(q, 2000, n_steps=256, rng=RngStream(41))
+        b = estimate_crude(q, 2000, n_steps=256, rng=RngStream(41))
+        with ThreadPoolExecutor(4) as ex:
+            c = estimate_crude(q, 2000, n_steps=256, rng=RngStream(41), pmap=ex.map)
+        assert a.value == b.value == c.value
+
     def test_stderr_shrinks_with_n(self):
         q = SmallBallQuery.centered(PARAMS, 1.5)
         small = estimate_crude(q, 2000, n_steps=256, rng=RngStream(42))
