@@ -58,6 +58,7 @@ from .simulate import (
     map_batches,
     sample_jump_batch,
     sample_stable_batch,
+    sample_sups,
     sample_tilted_batch,
     sample_time_changed_batch,
     sample_truncated_batch,

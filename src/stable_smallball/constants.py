@@ -351,14 +351,6 @@ def gaussian_validation_eigenvalue(n_grid: int = 512) -> float:
     return value
 
 
-def _mc_hits_kernel(params, r, n_steps, stream, size) -> int:
-    """Paths of one batch whose grid sup stays below r."""
-    from .simulate import sample_stable_batch
-
-    batch = sample_stable_batch(params, size, n_steps, stream)
-    return int(np.sum(np.max(np.abs(batch.values), axis=1) < r))
-
-
 def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: int = 100_000,
                           n_steps: int = 2048, rng=None, pmap=map) -> SmallBallConstant:
     """Small-ball rate constant from crude Monte Carlo over several radii.
@@ -372,20 +364,19 @@ def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: in
     Diagnostics include a free-exponent fit: the slope of log(-log p_hat)
     against log r, which should sit near -alpha.
     """
-    from .simulate import RngStream, map_batches
+    from .simulate import _require_stream, sample_stable_batch, sample_sups
     from .processes import AlphaStableParams
 
-    if not isinstance(rng, RngStream):
-        raise ValueError("an RngStream is required for reproducibility")
-    params = AlphaStableParams(alpha)
+    _require_stream(rng)  # before rng.child: the driver sees only the children
+    sample = partial(sample_stable_batch, AlphaStableParams(alpha))
     r_arr = np.asarray(sorted(r_list), dtype=float)
     if r_arr.size < 2:
         raise ValueError("need at least two radii")
 
     hits = np.zeros(r_arr.size, dtype=np.int64)
     for i, r in enumerate(r_arr):
-        kernel = partial(_mc_hits_kernel, params, float(r), n_steps)
-        hits[i] = sum(map_batches(kernel, n_paths, n_steps, rng.child(i), pmap))
+        sups = sample_sups(sample, [(None, 0.0)], n_paths, n_steps, rng.child(i), pmap)
+        hits[i] = int(np.sum(sups < r))
 
     p_hat = hits / n_paths
     keep = p_hat > 0.0

@@ -225,29 +225,19 @@ def check_zero_tilt_reduction():
     return same, "zero-tilt sampler bitwise equals truncated sampler, log weights all 0"
 
 
-def _grid_sups(params, speed, n_steps, stream, size) -> np.ndarray:
-    """Grid sup |X| per path, on the clock ``speed`` (None: the homogeneous process)."""
-    if speed is None:
-        batch = simulate.sample_stable_batch(params, size, n_steps, stream)
-    else:
-        batch = simulate.sample_time_changed_batch(params, speed, size, n_steps, stream)
-    return np.max(np.abs(batch.values), axis=1)
-
-
 def check_time_change(n_paths: int, p_gate: float, rng: simulate.RngStream):
     params = processes.AlphaStableParams(1.5)
     b1 = simulate.sample_time_changed_batch(params, lambda t: np.ones_like(t), 30, 64, rng.child(0))
     b2 = simulate.sample_stable_batch(params, 30, 64, rng.child(0))
     if not np.array_equal(b1.values, b2.values):
         return False, "mu == 1 does not reduce to the homogeneous sampler"
-    n_steps = 2048
 
-    def sups(speed, stream):
-        kernel = partial(_grid_sups, params, speed, n_steps)
-        return np.concatenate(simulate.map_batches(kernel, n_paths, n_steps, stream))
+    def sups(sample, stream):
+        return simulate.sample_sups(sample, [(None, 0.0)], n_paths, 2048, stream)[0]
 
-    s_eta = sups(lambda t: 1.0 + t, rng.child(1))
-    s_zeta = 1.5 ** (1 / 1.5) * sups(None, rng.child(2))
+    s_eta = sups(partial(simulate.sample_time_changed_batch, params, lambda t: 1.0 + t),
+                 rng.child(1))
+    s_zeta = 1.5 ** (1 / 1.5) * sups(partial(simulate.sample_stable_batch, params), rng.child(2))
     p = stats.ks_2samp(s_eta, s_zeta).pvalue
     return p > p_gate, f"KS p-value {p:.4f} (gate {p_gate})"
 
@@ -297,12 +287,12 @@ def check_anderson(n_paths: int, rng: simulate.RngStream, n_steps: int):
         f"baseline p={rep.baseline.p_hat:.4f}; flags {rep.n_flagged}/{len(rep.rows)}")
 
 
-def check_crude_vs_is(n_paths: int):
+def check_crude_vs_is(n_paths: int, r: float, n_steps: int, rng_crude: simulate.RngStream,
+                      rng_is: simulate.RngStream):
     params = processes.AlphaStableParams(1.5)
-    q = smallball.SmallBallQuery.middle(params, processes.identity_shift(), c=0.2, r=1.0)
-    rng = simulate.RngStream(109)
-    crude = smallball.estimate_crude(q, n_paths, n_steps=512, rng=rng.child(0))
-    is_est = smallball.estimate_is(q, n_paths, n_steps=512, rng=rng.child(1))
+    q = smallball.SmallBallQuery.middle(params, processes.identity_shift(), c=0.2, r=r)
+    crude = smallball.estimate_crude(q, n_paths, n_steps=n_steps, rng=rng_crude)
+    is_est = smallball.estimate_is(q, n_paths, n_steps=n_steps, rng=rng_is)
     return crude.overlaps(is_est), (
         f"crude {crude.value:.4e}+-{crude.stderr:.1e} vs IS {is_est.value:.4e}+-{is_est.stderr:.1e}")
 
@@ -419,7 +409,8 @@ def run_selftest(full: bool = False) -> list[CheckResult]:
         _check("integral_test", check_integral_test),
         _check("grid_monotonicity", check_grid_monotonicity),
         _check("anderson_battery", check_anderson, 4000 * scale, simulate.RngStream(108), 512),
-        _check("crude_vs_is", check_crude_vs_is, 3000 * scale),
+        _check("crude_vs_is", check_crude_vs_is, 3000 * scale, 1.0, 512,
+               simulate.RngStream(109).child(0), simulate.RngStream(109).child(1)),
         _check("conditioning_identity", check_conditioning_identity, 3000 * scale),
         _check("shift_symmetry", check_shift_symmetry, 3000 * scale),
         _check("determinism", check_determinism),

@@ -17,13 +17,15 @@ to a scaled drift, refining within each step by replaying the recorded jump
 instants, so a jump that briefly exits the ball between grid points is not
 missed.  ``map_batches`` is the one batch loop of every estimator: it runs a
 kernel over the deterministic ``batch_plan``, each batch on its own child
-stream.
+stream.  Every estimator that counts sups draws through ``sample_sups``,
+which returns the sups of every path against every target as one matrix;
+the estimator keeps only its own reduction (``< r`` or ``> x``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -470,6 +472,11 @@ def batch_plan(n_total: int, n_steps: int, target_elems: int = 1 << 22) -> list[
     return list(enumerate(sizes))
 
 
+def _require_stream(stream) -> None:
+    if not isinstance(stream, RngStream):
+        raise ValueError("an RngStream is required for reproducible estimates")
+
+
 def _run_batch(job):
     kernel, stream, size = job
     return kernel(stream, size)
@@ -484,8 +491,29 @@ def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map)
     must pickle, i.e. be a module-level function or a ``functools.partial``
     of one.
     """
+    _require_stream(stream)
     jobs = [(kernel, stream.child(b), size) for b, size in batch_plan(n_paths, n_steps)]
     return list(pmap(_run_batch, jobs))
+
+
+def _sups_kernel(sample, targets, n_steps, stream, size) -> np.ndarray:
+    batch = sample(size, n_steps, stream)
+    return np.stack([sup_distance_batch(batch, f, scale) for f, scale in targets])
+
+
+def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,
+                pmap=map) -> np.ndarray:
+    """Sup-norm distances of ``n_paths`` sampled paths to each target.
+
+    ``sample(size, n_steps, rng)`` draws one batch, e.g. a sampler with its
+    leading arguments bound: ``partial(sample_jump_batch, params, eps)``.
+    ``targets`` holds ``(f, shift_scale)`` pairs, f None for the centred sup.
+    Row i of the ``(len(targets), n_paths)`` result is
+    ``sup_distance_batch(batch, *targets[i])`` over the batches in plan
+    order, so every target sees the same paths.
+    """
+    kernel = partial(_sups_kernel, sample, tuple(targets), n_steps)
+    return np.concatenate(map_batches(kernel, n_paths, n_steps, stream, pmap), axis=1)
 
 
 def write_path_csv(path: BatchPaths, out, jumps_out=None) -> None:

@@ -16,6 +16,9 @@ Three routes:
 p(0, 0) over a battery of shifts with common random numbers, and
 ``tail_prob_check`` fits the sup-norm tail exponent, which must come out
 near -alpha.
+
+Every sup-counting estimator (crude, conditional, Anderson, tail) draws
+through ``simulate.sample_sups`` and keeps only its own reduction of the sups.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .girsanov import TiltSpec, compensator_cancellation
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
 from .simulate import RngStream, map_batches, sample_jump_batch, sample_stable_batch, \
-    sample_tilted_batch, sample_truncated_batch, sup_distance_batch
+    sample_sups, sample_tilted_batch, sample_truncated_batch, sup_distance_batch
 
 _CANCEL_TOL = 1e-8
 
@@ -84,15 +87,9 @@ def prob_no_big_jumps(alpha: float, r: float) -> float:
     return float(np.exp(-(2.0 / alpha) * r**-alpha))
 
 
-def _crude_kernel(query, n_steps, sampler, eps_cutoff, stream, size) -> int:
-    if sampler == "jumps":
-        batch = sample_jump_batch(query.params, eps_cutoff, size, n_steps, stream)
-    elif sampler == "increments":
-        batch = sample_stable_batch(query.params, size, n_steps, stream)
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    sups = sup_distance_batch(batch, query.f, query.shift_scale)
-    return int(np.sum(sups < query.r))
+def _bernoulli_estimate(sample, query, n_paths, n_steps, rng, pmap) -> Estimate:
+    sups = sample_sups(sample, [(query.f, query.shift_scale)], n_paths, n_steps, rng, pmap)
+    return Estimate.from_bernoulli(int(np.sum(sups < query.r)), n_paths)
 
 
 def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
@@ -105,29 +102,23 @@ def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
     grid points; ``sampler="increments"`` uses the plain stable-increment
     grid instead.
     """
-    _require_stream(rng)
     if eps_cutoff is None:
         eps_cutoff = query.r / 50.0
-    kernel = partial(_crude_kernel, query, n_steps, sampler, eps_cutoff)
-    hits = sum(map_batches(kernel, n_paths, n_steps, rng, pmap))
-    return Estimate.from_bernoulli(hits, n_paths)
-
-
-def _truncated_kernel(query, n_steps, eps_cutoff, stream, size) -> int:
-    batch = sample_truncated_batch(query.params, query.r, size, n_steps, stream,
-                                   eps_cutoff=eps_cutoff)
-    sups = sup_distance_batch(batch, query.f, query.shift_scale)
-    return int(np.sum(sups < query.r))
+    if sampler == "jumps":
+        sample = partial(sample_jump_batch, query.params, eps_cutoff)
+    elif sampler == "increments":
+        sample = partial(sample_stable_batch, query.params)
+    else:
+        raise ValueError(f"unknown sampler {sampler!r}")
+    return _bernoulli_estimate(sample, query, n_paths, n_steps, rng, pmap)
 
 
 def estimate_given_no_big_jumps(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
                                 rng: RngStream | None = None, pmap=map,
                                 eps_cutoff: float | None = None) -> Estimate:
     """P(sup |X - shift| < r | no jump exceeds r), by simulating the truncated law."""
-    _require_stream(rng)
-    kernel = partial(_truncated_kernel, query, n_steps, eps_cutoff)
-    hits = sum(map_batches(kernel, n_paths, n_steps, rng, pmap))
-    return Estimate.from_bernoulli(hits, n_paths)
+    sample = partial(sample_truncated_batch, query.params, query.r, eps_cutoff=eps_cutoff)
+    return _bernoulli_estimate(sample, query, n_paths, n_steps, rng, pmap)
 
 
 def _is_kernel(tilt, r, n_steps, eps_cutoff, stream, size):
@@ -152,7 +143,6 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
     path.  Requires a valid tilt; flags the estimate when the effective
     sample size of the weighted hits drops below 30.
     """
-    _require_stream(rng)
     if query.regime_tag != "middle":
         raise ValueError("importance sampling is implemented for the middle regime only")
     tilt = TiltSpec.middle_shift(query.params, query.f, c=query.c, r=query.r)
@@ -220,7 +210,6 @@ def empirical_no_big_jump_fraction(params: AlphaStableParams, r: float, n_paths:
                                    pmap=map) -> Estimate:
     """Fraction of jump-resolved paths with every |jump| < r; oracle for
     :func:`prob_no_big_jumps`."""
-    _require_stream(rng)
     kernel = partial(_no_big_jump_kernel, params, r, min(r / 4.0, 0.25), n_steps)
     hits = sum(map_batches(kernel, n_paths, n_steps, rng, pmap))
     return Estimate.from_bernoulli(hits, n_paths)
@@ -247,12 +236,6 @@ class TailReport:
         return float(np.max(self.k_hat[good]) / np.min(self.k_hat[good]))
 
 
-def _tail_kernel(params, x_arr, n_steps, stream, size) -> np.ndarray:
-    batch = sample_stable_batch(params, size, n_steps, stream)
-    sups = np.max(np.abs(batch.values), axis=1)
-    return (sups[None, :] > x_arr[:, None]).sum(axis=1)
-
-
 def tail_prob_check(alpha: float, x_list, n_paths: int, rng: RngStream | None = None,
                     n_steps: int = 2048, pmap=map) -> TailReport:
     """Estimate P(sup |X| > x) on shared paths and fit the tail exponent.
@@ -260,13 +243,12 @@ def tail_prob_check(alpha: float, x_list, n_paths: int, rng: RngStream | None = 
     The sup-norm tail of the stable path is K x^-alpha (1 + o(1)), so the
     weighted log-log slope should land near -alpha.
     """
-    _require_stream(rng)
-    params = AlphaStableParams(alpha)
     x_arr = np.asarray(sorted(x_list), dtype=float)
     if x_arr.size < 2 or np.any(x_arr <= 0.0):
         raise ValueError("need at least two positive levels")
-    counts = sum(map_batches(partial(_tail_kernel, params, x_arr, n_steps), n_paths, n_steps,
-                             rng, pmap))
+    sups = sample_sups(partial(sample_stable_batch, AlphaStableParams(alpha)), [(None, 0.0)],
+                       n_paths, n_steps, rng, pmap)[0]
+    counts = (sups[None, :] > x_arr[:, None]).sum(axis=1)
     p = counts / n_paths
     se = np.sqrt(p * (1.0 - p) / n_paths)
 
@@ -326,15 +308,6 @@ def default_battery(params: AlphaStableParams) -> list[tuple[str, ShiftFunction,
     ]
 
 
-def _anderson_kernel(params, r, battery, eps_cutoff, n_steps, stream, size) -> np.ndarray:
-    batch = sample_jump_batch(params, eps_cutoff, size, n_steps, stream)
-    hits = np.empty(len(battery) + 1, dtype=np.int64)
-    hits[0] = int(np.sum(sup_distance_batch(batch) < r))
-    for i, (_, f, lam) in enumerate(battery):
-        hits[i + 1] = int(np.sum(sup_distance_batch(batch, f, lam) < r))
-    return hits
-
-
 def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
                     rng: RngStream | None = None, battery=None, n_steps: int = 2048,
                     pmap=map, eps_cutoff: float | None = None) -> AndersonReport:
@@ -344,13 +317,14 @@ def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
     tested against every shift, so a true inequality can only be violated by
     an implementation error, not by independent-sample noise.
     """
-    _require_stream(rng)
     if battery is None:
         battery = default_battery(params)
     if eps_cutoff is None:
         eps_cutoff = r / 50.0
-    kernel = partial(_anderson_kernel, params, r, battery, eps_cutoff, n_steps)
-    hits = sum(map_batches(kernel, n_paths, n_steps, rng, pmap))
+    targets = [(None, 0.0)] + [(f, lam) for _, f, lam in battery]
+    sups = sample_sups(partial(sample_jump_batch, params, eps_cutoff), targets, n_paths,
+                       n_steps, rng, pmap)
+    hits = (sups < r).sum(axis=1)
 
     p = hits / n_paths
     se = np.sqrt(p * (1.0 - p) / n_paths)
@@ -365,7 +339,3 @@ def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
     return AndersonReport(r=r, alpha=params.alpha, baseline=baseline,
                           rows=tuple(rows), n_paths=n_paths)
 
-
-def _require_stream(rng) -> None:
-    if not isinstance(rng, RngStream):
-        raise ValueError("an RngStream is required for reproducible estimates")

@@ -2,7 +2,7 @@
 printed PASS/FAIL line each.
 
 Every criterion pins its tolerance, sample size, and seed.  Criteria 01 and
-06-12 call the ``diagnostics`` checks that the selftest runs, with their own
+05-12 call the ``diagnostics`` checks that the selftest runs, with their own
 pinned arguments; the others keep their bodies here.  Every criterion reports
 through a ``CheckResult``, so each line carries its seconds.  Expensive Monte
 Carlo runs are shared through module-scoped fixtures; the whole battery is
@@ -16,15 +16,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stable_smallball import AlphaStableParams, RngStream, diagnostics, identity_shift, simulate
+from stable_smallball import AlphaStableParams, RngStream, diagnostics, simulate
 from stable_smallball.constants import smallball_constant_mc, smallball_constant_spectral
 from stable_smallball.diagnostics import CheckResult, _check, weight_battery
-from stable_smallball.smallball import (
-    SmallBallQuery,
-    estimate_crude,
-    estimate_is,
-    tail_prob_check,
-)
+from stable_smallball.smallball import tail_prob_check
 
 ALPHA = 1.5
 PARAMS = AlphaStableParams(ALPHA)
@@ -101,16 +96,9 @@ def test_04_tilted_weights_have_unit_mean():
     _verdict(4, _check("tilted_unit_mean", _tilted_unit_mean))
 
 
-def _crude_vs_is():
-    q = SmallBallQuery.middle(PARAMS, identity_shift(), 0.2, 0.8)
-    crude = estimate_crude(q, 10_000, n_steps=2048, rng=RngStream(42))
-    imps = estimate_is(q, 10_000, n_steps=2048, rng=RngStream(43))
-    return crude.overlaps(imps), (f"crude {crude.value:.3e}+-{crude.stderr:.1e} vs "
-                                  f"IS {imps.value:.3e}+-{imps.stderr:.1e}, 95% CIs overlap")
-
-
 def test_05_importance_sampling_agrees_with_crude():
-    _verdict(5, _check("crude_vs_is", _crude_vs_is))
+    _verdict(5, _check("crude_vs_is", diagnostics.check_crude_vs_is,
+                       10_000, 0.8, 2048, RngStream(42), RngStream(43)))
 
 
 def test_06_truncation_probability():

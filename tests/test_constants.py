@@ -190,5 +190,5 @@ class TestSmallballConstantMC:
 
     def test_requires_stream(self):
         with pytest.raises(ValueError):
-            smallball_constant_mc(1.5, r_list=(1.0,), n_paths=100,
+            smallball_constant_mc(1.5, r_list=(1.0, 1.2), n_paths=100,
                                   rng=np.random.default_rng(0))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from stable_smallball import (
     AlphaStableParams,
@@ -74,6 +75,22 @@ class TestShiftFunction:
         assert np.array_equal(f.knot_times, g.knot_times)
         assert np.array_equal(f.knot_values, g.knot_values)
         assert json.loads(f.to_json()) == [[0.0, 0.0], [0.3, -0.4], [1.0, 2.0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                              st.floats(-1e6, 1e6)), max_size=8),
+           st.floats(-1e6, 1e6))
+    def test_json_round_trip_and_segment_slopes(self, interior, end_value):
+        knots = [(0.0, 0.0), *sorted(interior), (1.0, end_value)]
+        times = np.array([t for t, _ in knots])
+        assume(np.all(np.diff(times) > 1e-9))
+        f = make_shift(knots)
+        g = ShiftFunction.from_json(f.to_json())
+        assert np.array_equal(f.knot_times, g.knot_times)
+        assert np.array_equal(f.knot_values, g.knot_values)
+        for (t0, v0), (t1, v1) in zip(knots[:-1], knots[1:]):
+            inner = t0 + (t1 - t0) * np.array([0.25, 0.5, 0.75])
+            assert np.all(f.derivative(inner) == (v1 - v0) / (t1 - t0))
 
     def test_eval_shift_vectorized(self):
         f = identity_shift()

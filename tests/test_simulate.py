@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from stable_smallball import (
     map_batches,
     sample_jump_batch,
     sample_stable_batch,
+    sample_sups,
     sample_tilted_batch,
     sample_time_changed_batch,
     sample_truncated_batch,
@@ -401,6 +404,21 @@ class TestMapBatches:
         got = map_batches(_echo, 5000, 2048, stream)
         assert len(got) == 3
         assert got == [(stream.child(b), size) for b, size in batch_plan(5000, 2048)]
+
+    def test_sample_sups_rows_follow_the_plan(self):
+        stream = RngStream(33)
+        sample = partial(sample_stable_batch, PARAMS)
+        targets = [(None, 0.0), (identity_shift(), 0.5), (tent_shift(), 1.5)]
+        plan = batch_plan(2100, 2048)
+        assert len(plan) >= 2
+        batches = [sample(size, 2048, stream.child(b)) for b, size in plan]
+        want = np.stack([np.concatenate([sup_distance_batch(batch, f, lam) for batch in batches])
+                         for f, lam in targets])
+        got = sample_sups(sample, targets, 2100, 2048, stream)
+        assert got.shape == (3, 2100) and np.array_equal(got, want)
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            pooled = sample_sups(sample, targets, 2100, 2048, stream, pmap=ex.map)
+        assert pooled.tobytes() == got.tobytes()
 
 
 class TestExtract:
