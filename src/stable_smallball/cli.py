@@ -1,11 +1,15 @@
 """Command-line interface: reproducible, config-driven experiment runs.
 
-Layered settings resolution, lowest priority first: built-in defaults, the
-``[common]`` section of the config file, the subcommand's own section, then
-explicit command-line flags.  The ``STABLE_SMALLBALL_OUT`` environment
-variable overrides the output directory and nothing else.  Every run writes
-``run_config.json`` (the fully resolved settings) next to its artifacts, and
-JSON artifacts embed the same record under a ``config`` key.
+Every setting is declared once, in ``OPTIONS`` (type, default, help), and each
+subcommand in ``_COMMANDS`` lists the settings it takes plus any default it
+overrides; the parser's flags, the config-file keys and the resolved defaults
+are all built from these two tables.  Layered settings resolution, lowest
+priority first: built-in defaults, the ``[common]`` section of the config
+file, the subcommand's own section, then explicit command-line flags.  The
+``STABLE_SMALLBALL_OUT`` environment variable overrides the output directory
+and nothing else.  Every run writes ``run_config.json`` (the fully resolved
+settings) next to its artifacts, and JSON artifacts embed the same record
+under a ``config`` key.
 """
 
 from __future__ import annotations
@@ -18,39 +22,49 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import constants, diagnostics, lil, processes, simulate, smallball
 
-_COMMON_KEYS = {
-    "alpha": float, "seed": int, "workers": int, "n": int, "steps": int, "out": str,
+
+class Option(NamedTuple):
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
+
+
+OPTIONS = {
+    "alpha": Option(float, 1.5, "stability index in (1, 2)"),
+    "seed": Option(int, 0, "master RNG seed"),
+    "workers": Option(int, 1, "process-pool size; 1 = run in-process"),
+    "n": Option(int, 1000, "number of sample paths"),
+    "steps": Option(int, 2048, "time-grid steps on [0,1]"),
+    "out": Option(str, ".", "output directory"),
+    "sampler": Option(str, "jumps", "path sampler", ("jumps", "increments")),
+    "eps": Option(float, None, "jump-resolution cutoff for the jumps sampler"),
+    "r": Option(str, "1.0", "ball radius; comma list sweeps"),
+    "c": Option(float, None, "middle-regime coupling c = shift_scale r^(alpha-1)"),
+    "lam": Option(float, None, "direct shift scale (small regime)"),
+    "shift": Option(str, None, "JSON knot file [[t, value], ...]"),
+    "csv": Option(bool, False, "also write a CSV table"),
+    "x": Option(str, "5,10,20,40", "comma list of levels"),
+    "grid": Option(int, 1024, "spectral grid size"),
+    "mc_n": Option(int, 0, "Monte Carlo paths for the fitted constant; 0 skips it"),
+    "mc_r": Option(str, "0.6,0.8,1.0,1.2", "comma list of radii for the Monte Carlo fit"),
+    "kind": Option(str, "lower", "horizon grid", ("lower", "upper")),
+    "k_min": Option(int, 21, "first grid index"),
+    "k_max": Option(int, 60, "last grid index"),
+    "gamma": Option(float, None, "upper-grid exponent, log T_k = k^gamma"),
+    "k": Option(str, "1000000", "comma list of indices"),
+    "delta": Option(float, 0.5, "loglog exponent delta in [0, 1]"),
+    "log_power": Option(float, None, "exponent of log t in the scaling function"),
+    "loglog_power": Option(float, 0.0, "exponent of log log t in the scaling function"),
+    "full": Option(bool, False, "acceptance-scale sample sizes"),
 }
-_SUB_KEYS = {
-    "simulate": {"sampler": str, "eps": float},
-    "smallball.crude": {"r": str, "c": float, "lam": float, "shift": str,
-                        "sampler": str, "eps": float, "csv": bool},
-    "smallball.is": {"r": str, "c": float, "shift": str, "eps": float, "csv": bool},
-    "smallball.anderson": {"r": str, "eps": float},
-    "smallball.tail": {"x": str, "csv": bool},
-    "constants": {"alpha": str, "grid": int, "mc_n": int, "mc_r": str},
-    "lil.grid": {"kind": str, "k_min": int, "k_max": int, "gamma": float},
-    "lil.ratios": {"k": str, "delta": float, "kind": str, "gamma": float},
-    "lil.distance-sweep": {"kind": str, "k_min": int, "k_max": int, "gamma": float,
-                           "delta": float, "shift": str},
-    "lil.integral-test": {"log_power": float, "loglog_power": float},
-    "selftest": {"full": bool},
-}
-_DEFAULTS = {
-    "alpha": 1.5, "seed": 0, "workers": 1, "n": 1000, "steps": 2048, "out": ".",
-    "sampler": "jumps", "eps": None, "r": "1.0", "c": None, "lam": None,
-    "shift": None, "csv": False, "x": "5,10,20,40", "grid": 1024, "mc_n": 0,
-    "mc_r": "0.6,0.8,1.0,1.2", "kind": "lower", "k_min": 21, "k_max": 60,
-    "gamma": None, "k": "1000000", "delta": 0.5, "log_power": None,
-    "loglog_power": 0.0, "full": False,
-}
-# the scaled distance needs log log T > 1, i.e. k(log k)^-3 > e on the lower grid
-_SUB_DEFAULTS = {"lil.distance-sweep": {"k_min": 1000, "k_max": 1050}}
+COMMON = ("alpha", "seed", "workers", "n", "steps", "out")
 
 
 class ConfigError(Exception):
@@ -71,82 +85,66 @@ def _dumps(obj, **kwargs) -> str:
     return json.dumps(obj, default=_json_default, **kwargs)
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _coerce(key: str, raw: str, typ):
     try:
-        if typ is bool:
-            return _parse_bool(raw)
-        return typ(raw)
+        if typ is not bool:
+            return typ(raw)
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+        if value is None:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"config key '{key}': {exc}") from None
+
+
+def _options(sub_name: str) -> dict:
+    """The subcommand's settings: the common ones, then its own, overrides applied."""
+    command = _COMMANDS[sub_name]
+    return {key: OPTIONS[key]._replace(**command.overrides.get(key, {}))
+            for key in COMMON + command.keys}
 
 
 def _load_config(path: str, sub_name: str) -> dict:
     """Merge [common] and the subcommand section of an INI-style file."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
-    allowed = dict(_COMMON_KEYS)
-    allowed.update(_SUB_KEYS.get(sub_name, {}))
     merged: dict = {}
-    for section in ("common", sub_name):
+    common = {key: OPTIONS[key] for key in COMMON}  # [common] keeps the shared types
+    for section, allowed in (("common", common), (sub_name, _options(sub_name))):
         if not parser.has_section(section):
             continue
-        keys = _COMMON_KEYS if section == "common" else allowed
         for key, raw in parser.items(section):
-            if key not in keys:
+            if key not in allowed:
                 raise ConfigError(f"unknown config key '{key}' in section [{section}]")
-            merged[key] = _coerce(key, raw, keys[key])
+            merged[key] = _coerce(key, raw, allowed[key].type)
     for section in parser.sections():
-        if section not in ("common", sub_name) and section not in _SUB_KEYS:
+        if section not in ("common", sub_name) and section not in _COMMANDS:
             raise ConfigError(f"unknown config section [{section}]")
     return merged
 
 
 def _resolve(args: argparse.Namespace, sub_name: str) -> dict:
     """defaults < config [common] < config [subcommand] < explicit flags."""
-    keys = set(_COMMON_KEYS) | set(_SUB_KEYS.get(sub_name, {}))
-    cfg = dict.fromkeys(keys)
-    for key in keys:
-        if key in _DEFAULTS:
-            cfg[key] = _DEFAULTS[key]
-    cfg.update(_SUB_DEFAULTS.get(sub_name, {}))
-    if getattr(args, "config", None):
+    options = _options(sub_name)
+    cfg = {key: opt.default for key, opt in options.items()}
+    if args.config:
         cfg.update(_load_config(args.config, sub_name))
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
+    flags = {key: getattr(args, key) for key in options}
+    cfg.update({key: val for key, val in flags.items() if val is not None})
     if cfg["workers"] < 1:
         raise ConfigError(f"config key 'workers': must be at least 1, got {cfg['workers']}")
-    env_out = os.environ.get("STABLE_SMALLBALL_OUT")
-    if env_out:
-        cfg["out"] = env_out
+    cfg["out"] = os.environ.get("STABLE_SMALLBALL_OUT") or cfg["out"]
     cfg["subcommand"] = sub_name
     return cfg
 
 
-def _float_list(text: str, key: str) -> list[float]:
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"config key '{key}': {exc}") from None
-
-
-def _int_list(text: str, key: str) -> list[int]:
-    try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"config key '{key}': {exc}") from None
+def _split(text: str, key: str, typ=float) -> list:
+    """A comma list of ``typ`` values; a bad token or no value is a config error."""
+    values = [_coerce(key, tok, typ) for tok in str(text).split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"config key '{key}': empty list")
+    return values
 
 
 def _load_shift(path: str | None) -> processes.ShiftFunction:
@@ -232,8 +230,7 @@ def cmd_simulate(cfg: dict) -> int:
     if cfg["sampler"] == "increments":
         batch = simulate.sample_stable_batch(params, cfg["n"], cfg["steps"], rng)
     elif cfg["sampler"] == "jumps":
-        eps = cfg["eps"] if cfg["eps"] is not None else 0.02
-        batch = simulate.sample_jump_batch(params, eps, cfg["n"], cfg["steps"], rng)
+        batch = simulate.sample_jump_batch(params, cfg["eps"], cfg["n"], cfg["steps"], rng)
     else:
         raise ConfigError(f"config key 'sampler': unknown sampler {cfg['sampler']!r}")
     out = _write_run_config(cfg)
@@ -251,7 +248,10 @@ def cmd_smallball(cfg: dict, mode: str) -> int:
     with _pmap(cfg) as pmap:
         if mode == "anderson":
             params = processes.AlphaStableParams(cfg["alpha"])
-            r = _float_list(cfg["r"], "r")[0]
+            r_list = _split(cfg["r"], "r")
+            if len(r_list) != 1:
+                raise ConfigError(f"config key 'r': anderson takes one radius, got {cfg['r']!r}")
+            r = r_list[0]
             rep = smallball.anderson_report(params, r, cfg["n"], rng=rng,
                                             n_steps=cfg["steps"], pmap=pmap,
                                             eps_cutoff=cfg["eps"])
@@ -263,7 +263,7 @@ def cmd_smallball(cfg: dict, mode: str) -> int:
             _emit(cfg, [rec], "anderson")
             return 0 if rep.n_flagged == 0 else 1
         if mode == "tail":
-            x_list = _float_list(cfg["x"], "x")
+            x_list = _split(cfg["x"], "x")
             rep = smallball.tail_prob_check(cfg["alpha"], x_list, cfg["n"], rng=rng,
                                             n_steps=cfg["steps"], pmap=pmap)
             rec = {"alpha": cfg["alpha"], "x": list(rep.x_list),
@@ -277,7 +277,7 @@ def cmd_smallball(cfg: dict, mode: str) -> int:
                 _write_csv(cfg, "tail.csv", "x,p_hat,stderr", rows)
             return 0
         records = []
-        for i, r in enumerate(_float_list(cfg["r"], "r")):
+        for i, r in enumerate(_split(cfg["r"], "r")):
             query = _make_query(cfg, r)
             child = rng.child(i)
             if mode == "crude":
@@ -301,11 +301,11 @@ def cmd_constants(cfg: dict) -> int:
     rng = simulate.RngStream(cfg["seed"])
     with _pmap(cfg) as pmap:
         records = []
-        for i, alpha in enumerate(_float_list(cfg["alpha"], "alpha")):
+        for i, alpha in enumerate(_split(cfg["alpha"], "alpha")):
             spectral = constants.smallball_constant_spectral(alpha, n_grid=cfg["grid"])
             if cfg["mc_n"] > 0:
                 mc = constants.smallball_constant_mc(
-                    alpha, r_list=_float_list(cfg["mc_r"], "mc_r"),
+                    alpha, r_list=_split(cfg["mc_r"], "mc_r"),
                     n_paths=cfg["mc_n"], n_steps=cfg["steps"], rng=rng.child(i),
                     pmap=pmap)
                 k_mc = mc.value
@@ -336,7 +336,7 @@ def cmd_lil(cfg: dict, mode: str) -> int:
         return 0
     if mode == "ratios":
         records = []
-        for k in _int_list(cfg["k"], "k"):
+        for k in _split(cfg["k"], "k", int):
             r1, r2, r3 = lil.grid_gap_ratios(k, cfg["delta"], cfg["alpha"],
                                              kind=cfg["kind"], gamma=cfg["gamma"])
             records.append({"k": k, "delta": cfg["delta"], "alpha": cfg["alpha"],
@@ -377,18 +377,37 @@ def cmd_selftest(cfg: dict) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, alpha_as_list: bool = False) -> None:
-    parser.add_argument("--alpha", type=str if alpha_as_list else float, default=None,
-                        help="stability index in (1, 2)" +
-                             ("; comma list allowed" if alpha_as_list else ""))
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool size; 1 = run in-process")
-    parser.add_argument("--n", type=int, default=None, help="number of sample paths")
-    parser.add_argument("--steps", type=int, default=None, help="time-grid steps on [0,1]")
-    parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--config", type=str, default=None,
-                        help="INI config file ([common] plus per-subcommand sections)")
+class Command(NamedTuple):
+    run: Callable[..., int]
+    keys: tuple
+    overrides: dict = {}
+
+
+_COMMANDS = {
+    "simulate": Command(cmd_simulate, ("sampler", "eps"), {"eps": {"default": 0.02}}),
+    "smallball.crude": Command(cmd_smallball, ("r", "c", "lam", "shift", "sampler", "eps",
+                                               "csv")),
+    "smallball.is": Command(cmd_smallball, ("r", "c", "shift", "eps", "csv")),
+    "smallball.anderson": Command(cmd_smallball, ("r", "eps")),
+    "smallball.tail": Command(cmd_smallball, ("x", "csv")),
+    "constants": Command(cmd_constants, ("grid", "mc_n", "mc_r"), {"alpha": {
+        "type": str, "help": "stability index in (1, 2); comma list allowed"}}),
+    "lil.grid": Command(cmd_lil, ("kind", "k_min", "k_max", "gamma")),
+    "lil.ratios": Command(cmd_lil, ("k", "delta", "kind", "gamma")),
+    # the scaled distance needs log log T > 1, i.e. k(log k)^-3 > e on the lower grid
+    "lil.distance-sweep": Command(cmd_lil, ("kind", "k_min", "k_max", "gamma", "delta",
+                                            "shift"),
+                                  {"k_min": {"default": 1000}, "k_max": {"default": 1050}}),
+    "lil.integral-test": Command(cmd_lil, ("log_power", "loglog_power")),
+    "selftest": Command(cmd_selftest, ("full",)),
+}
+_HELP = {
+    "simulate": "sample paths and dump CSV",
+    "smallball": "shifted small-ball estimators",
+    "constants": "numeric constants per alpha",
+    "lil": "iterated-logarithm harness",
+    "selftest": "run the invariant battery",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,75 +415,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stable-smallball",
         description="Small-deviation toolkit for symmetric alpha-stable paths")
     top = parser.add_subparsers(dest="cmd", required=True)
-
-    p_sim = top.add_parser("simulate", help="sample paths and dump CSV")
-    _add_common(p_sim)
-    p_sim.add_argument("--sampler", choices=("increments", "jumps"), default=None)
-    p_sim.add_argument("--eps", type=float, default=None,
-                       help="jump-resolution cutoff for the jumps sampler")
-
-    p_sb = top.add_parser("smallball", help="shifted small-ball estimators")
-    sb = p_sb.add_subparsers(dest="sub", required=True)
-    for name in ("crude", "is", "anderson", "tail"):
-        sp = sb.add_parser(name)
-        _add_common(sp)
-        if name in ("crude", "is"):
-            sp.add_argument("--r", type=str, default=None, help="ball radius; comma list sweeps")
-            sp.add_argument("--c", type=float, default=None,
-                            help="middle-regime coupling c = shift_scale r^(alpha-1)")
-            sp.add_argument("--shift", type=str, default=None,
-                            help="JSON knot file [[t, value], ...]")
-            sp.add_argument("--eps", type=float, default=None)
-            sp.add_argument("--csv", action="store_true", default=None,
-                            help="also write a CSV sweep table")
-        if name == "crude":
-            sp.add_argument("--lam", type=float, default=None,
-                            help="direct shift scale (small regime)")
-            sp.add_argument("--sampler", choices=("jumps", "increments"), default=None)
-        if name == "anderson":
-            sp.add_argument("--r", type=str, default=None)
-            sp.add_argument("--eps", type=float, default=None)
-        if name == "tail":
-            sp.add_argument("--x", type=str, default=None, help="comma list of levels")
-            sp.add_argument("--csv", action="store_true", default=None)
-
-    p_const = top.add_parser("constants", help="numeric constants per alpha")
-    _add_common(p_const, alpha_as_list=True)
-    p_const.add_argument("--grid", type=int, default=None, help="spectral grid size")
-    p_const.add_argument("--mc-n", dest="mc_n", type=int, default=None,
-                         help="Monte Carlo paths for the fitted constant; 0 skips it")
-    p_const.add_argument("--mc-r", dest="mc_r", type=str, default=None,
-                         help="comma list of radii for the Monte Carlo fit")
-
-    p_lil = top.add_parser("lil", help="iterated-logarithm harness")
-    ll = p_lil.add_subparsers(dest="sub", required=True)
-    for name in ("grid", "ratios", "distance-sweep", "integral-test"):
-        sp = ll.add_parser(name)
-        _add_common(sp)
-        if name in ("grid", "distance-sweep"):
-            sp.add_argument("--kind", choices=("lower", "upper"), default=None)
-            sp.add_argument("--k-min", dest="k_min", type=int, default=None)
-            sp.add_argument("--k-max", dest="k_max", type=int, default=None)
-            sp.add_argument("--gamma", type=float, default=None,
-                            help="upper-grid exponent, log T_k = k^gamma")
-        if name == "ratios":
-            sp.add_argument("--k", type=str, default=None, help="comma list of indices")
-            sp.add_argument("--kind", choices=("lower", "upper"), default=None)
-            sp.add_argument("--gamma", type=float, default=None)
-        if name in ("ratios", "distance-sweep"):
-            sp.add_argument("--delta", type=float, default=None,
-                            help="loglog exponent delta in [0, 1]")
-        if name == "distance-sweep":
-            sp.add_argument("--shift", type=str, default=None,
-                            help="JSON knot file [[t, value], ...]")
-        if name == "integral-test":
-            sp.add_argument("--log-power", dest="log_power", type=float, default=None)
-            sp.add_argument("--loglog-power", dest="loglog_power", type=float, default=None)
-
-    p_self = top.add_parser("selftest", help="run the invariant battery")
-    _add_common(p_self)
-    p_self.add_argument("--full", action="store_true", default=None,
-                        help="acceptance-scale sample sizes")
+    groups = {}
+    for sub_name in _COMMANDS:
+        cmd, _, leaf = sub_name.partition(".")
+        if cmd not in groups:
+            sp = top.add_parser(cmd, help=_HELP[cmd])
+            groups[cmd] = sp.add_subparsers(dest="sub", required=True) if leaf else None
+        if leaf:
+            sp = groups[cmd].add_parser(leaf)
+        for key, opt in _options(sub_name).items():
+            spec = ({"action": "store_true"} if opt.type is bool
+                    else {"type": opt.type, "choices": opt.choices})
+            sp.add_argument("--" + key.replace("_", "-"), default=None, help=opt.help, **spec)
+        sp.add_argument("--config", type=str, default=None,
+                        help="INI config file ([common] plus per-subcommand sections)")
     return parser
 
 
@@ -472,19 +436,9 @@ def main(argv=None) -> int:
     """Run one subcommand; exit 0 ok, 1 check flagged, 2 usage or config, 3 unresolved."""
     args = build_parser().parse_args(argv)
     sub_name = args.cmd if getattr(args, "sub", None) is None else f"{args.cmd}.{args.sub}"
+    _, *mode = sub_name.split(".")
     try:
-        cfg = _resolve(args, sub_name)
-        if cfg.get("alpha") is not None and sub_name != "constants":
-            cfg["alpha"] = float(cfg["alpha"])
-        if args.cmd == "simulate":
-            return cmd_simulate(cfg)
-        if args.cmd == "smallball":
-            return cmd_smallball(cfg, args.sub)
-        if args.cmd == "constants":
-            return cmd_constants(cfg)
-        if args.cmd == "lil":
-            return cmd_lil(cfg, args.sub)
-        return cmd_selftest(cfg)
+        return _COMMANDS[sub_name].run(_resolve(args, sub_name), *mode)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

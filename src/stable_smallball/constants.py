@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 from scipy import integrate, linalg
 
-from .processes import ShiftFunction
+from .processes import AlphaStableParams, ShiftFunction
 
 _SERIES_RTOL = 1e-12
 _QUAD_RTOL = 1e-8
@@ -365,7 +365,6 @@ def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: in
     against log r, which should sit near -alpha.
     """
     from .simulate import _require_stream, sample_stable_batch, sample_sups
-    from .processes import AlphaStableParams
 
     _require_stream(rng)  # before rng.child: the driver sees only the children
     sample = partial(sample_stable_batch, AlphaStableParams(alpha))

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate
 
-from .processes import ScalingFunction, ShiftFunction
-from .simulate import BatchPaths, sup_distance_batch
+from .processes import AlphaStableParams, ScalingFunction, ShiftFunction
+from .simulate import BatchPaths, _require_stream, sample_stable_batch, sup_distance_batch
 
 MAX_LOG_T = 700.0  # beyond this exp(log T) overflows float64
 DIAGNOSTIC_NOTE = "diagnostic only: an a.s. liminf is not verifiable from finite samples"
@@ -217,11 +217,7 @@ def sample_scaled_distances(spec: GridSpec, delta: float, alpha: float,
     Independent draws across k: marginally faithful, jointly not (see module
     note); each record carries the diagnostic annotation.
     """
-    from .processes import AlphaStableParams
-    from .simulate import RngStream, sample_stable_batch
-
-    if not isinstance(rng, RngStream):
-        raise ValueError("an RngStream is required for reproducible sweeps")
+    _require_stream(rng)
     params = AlphaStableParams(alpha)
     records = []
     for k in spec.k_values():

@@ -240,7 +240,7 @@ class Estimate:
         return self.ci95[0] <= other.ci95[1] and other.ci95[0] <= self.ci95[1]
 
     @classmethod
-    def from_bernoulli(cls, successes: int, n: int, probability: bool = True) -> "Estimate":
+    def from_bernoulli(cls, successes: int, n: int) -> "Estimate":
         if n <= 0:
             raise ValueError("need at least one trial")
         p_hat = successes / n
@@ -252,8 +252,7 @@ class Estimate:
         else:
             lo, hi = p_hat - 1.96 * stderr, p_hat + 1.96 * stderr
             flags = ()
-        if probability:
-            lo, hi = max(lo, 0.0), min(hi, 1.0)
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
         if successes == 0:
             flags = flags + ("unresolved_at_this_n",)
         return cls(value=p_hat, stderr=stderr, n=n, ci95=(lo, hi), flags=flags)

@@ -31,9 +31,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import truncated_second_moment
-from .processes import AlphaStableParams, ShiftFunction
+from .girsanov import TiltSpec, log_weight_batch, step_mean_amplitude
+from .processes import AlphaStableParams, ShiftFunction, zero_shift
 
-DEFAULT_N_STEPS = 2048
 DEFAULT_EPS_RATIO = 50.0  # eps_cutoff = jump_cut / 50 unless overridden
 
 
@@ -306,9 +306,6 @@ def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_
     Identical draw sequence to :func:`sample_tilted_batch` with a zero tilt,
     so the two agree path for path under a common stream.
     """
-    from .girsanov import TiltSpec
-    from .processes import zero_shift
-
     tilt = TiltSpec.middle_shift(params, zero_shift(), c=0.0, r=r)
     return sample_tilted_batch(tilt, n_paths, n_steps, rng, eps_cutoff=eps_cutoff,
                                gaussian_refinement=gaussian_refinement,
@@ -333,8 +330,6 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
 
     Returns (batch, log_weights) unless ``compute_weights=False``.
     """
-    from .girsanov import log_weight_batch, step_mean_amplitude
-
     _check_shape(n_paths, n_steps)
     if drift_mode not in ("martingale", "shifted"):
         raise ValueError(f"unknown drift_mode {drift_mode!r}")

@@ -32,8 +32,9 @@ from .constants import middle_shift_constant, _wls_line
 from .girsanov import TiltSpec, compensator_cancellation
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
-from .simulate import RngStream, map_batches, sample_jump_batch, sample_stable_batch, \
-    sample_sups, sample_tilted_batch, sample_truncated_batch, sup_distance_batch
+from .simulate import DEFAULT_EPS_RATIO, RngStream, map_batches, sample_jump_batch, \
+    sample_stable_batch, sample_sups, sample_tilted_batch, sample_truncated_batch, \
+    sup_distance_batch
 
 _CANCEL_TOL = 1e-8
 
@@ -103,7 +104,7 @@ def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
     grid instead.
     """
     if eps_cutoff is None:
-        eps_cutoff = query.r / 50.0
+        eps_cutoff = query.r / DEFAULT_EPS_RATIO
     if sampler == "jumps":
         sample = partial(sample_jump_batch, query.params, eps_cutoff)
     elif sampler == "increments":
@@ -320,7 +321,7 @@ def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
     if battery is None:
         battery = default_battery(params)
     if eps_cutoff is None:
-        eps_cutoff = r / 50.0
+        eps_cutoff = r / DEFAULT_EPS_RATIO
     targets = [(None, 0.0)] + [(f, lam) for _, f, lam in battery]
     sups = sample_sups(partial(sample_jump_batch, params, eps_cutoff), targets, n_paths,
                        n_steps, rng, pmap)

@@ -5,17 +5,23 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stable_smallball
 from stable_smallball import DIAGNOSTIC_NOTE, GridSpec, grid_gap_ratios
-from stable_smallball.cli import main
+from stable_smallball.cli import _resolve, build_parser, main
 
 SCRIPT = "stable-smallball"
 SUBCOMMANDS = ("simulate", "smallball", "constants", "lil", "selftest")
+LEAVES = ("simulate", "smallball.crude", "smallball.is", "smallball.anderson",
+          "smallball.tail", "constants", "lil.grid", "lil.ratios", "lil.distance-sweep",
+          "lil.integral-test", "selftest")
+CONFIG_LAYERS = ("common", "section", "flag")  # lowest priority first, above the defaults
 
 
 @pytest.fixture(autouse=True)
@@ -91,6 +97,14 @@ class TestSimulate:
         cfg = _read_json(tmp_path / "run_config.json")
         assert cfg["subcommand"] == "simulate"
         assert cfg["steps"] == 32
+
+    def test_run_config_records_default_eps(self, tmp_path):
+        main(["simulate", "--n", "1", "--steps", "32", "--out", str(tmp_path / "d")])
+        main(["simulate", "--n", "1", "--steps", "32", "--eps", "0.02",
+              "--out", str(tmp_path / "e")])
+        assert _read_json(tmp_path / "d" / "run_config.json")["eps"] == 0.02
+        for name in ("path.csv", "jumps.csv"):
+            assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "e" / name).read_bytes()
 
 
 class TestSmallball:
@@ -177,6 +191,14 @@ class TestSmallball:
         assert rec["rows"][0]["shift_scale"] == 0.0
         assert len(rec["rows"]) == 6
         assert rec["n_flagged"] == 0
+
+    def test_anderson_takes_one_radius(self, tmp_path, capsys):
+        rc = main(["smallball", "anderson", "--r", "2.0,0.5", "--n", "100", "--steps", "64",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: config key 'r': anderson takes one radius, got '2.0,0.5'\n")
+        assert not (tmp_path / "anderson.json").exists()
 
     def test_tail_artifact(self, tmp_path):
         rc = main(["smallball", "tail", "--n", "2000", "--steps", "256",
@@ -408,11 +430,48 @@ steps = 128
         assert err == f"config error: config key 'workers': must be at least 1, got {workers}\n"
         assert not (tmp_path / "run_config.json").exists()
 
+    @pytest.mark.parametrize("argv, key", [
+        (["smallball", "crude", "--r", ","], "r"),
+        (["constants", "--alpha", ","], "alpha"),
+        (["lil", "ratios", "--k", " "], "k"),
+    ])
+    def test_empty_list_rejected(self, tmp_path, capsys, argv, key):
+        rc = main([*argv, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: config key '{key}': empty list\n"
+        assert not (tmp_path / "run_config.json").exists()
+
     def test_workers_below_one_rejected_from_config(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "[common]\nworkers = 0\n")
         rc = main(["constants", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert "config key 'workers'" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(sub=st.sampled_from(LEAVES),
+           layers=st.fixed_dictionaries({
+               key: st.dictionaries(st.sampled_from(CONFIG_LAYERS), st.integers(1, 10**6))
+               for key in ("seed", "n", "steps")}))
+    def test_highest_set_layer_wins(self, sub, layers):
+        lines = {"common": [], "section": []}
+        flags = []
+        for key, values in layers.items():
+            for layer, value in values.items():
+                if layer == "flag":
+                    flags += [f"--{key}", str(value)]
+                else:
+                    lines[layer].append(f"{key} = {value}")
+        with tempfile.TemporaryDirectory() as tmp:
+            if lines["common"] or lines["section"]:
+                ini = Path(tmp) / "run.ini"
+                ini.write_text("\n".join(["[common]", *lines["common"],
+                                          f"[{sub}]", *lines["section"]]) + "\n")
+                flags += ["--config", str(ini)]
+            cfg = _resolve(build_parser().parse_args([*sub.split("."), *flags]), sub)
+        defaults = {"seed": 0, "n": 1000, "steps": 2048}
+        for key, values in layers.items():
+            set_layers = [layer for layer in CONFIG_LAYERS if layer in values]
+            assert cfg[key] == (values[set_layers[-1]] if set_layers else defaults[key])
 
     def test_env_overrides_out_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_dest"

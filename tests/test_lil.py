@@ -170,6 +170,11 @@ class TestScaledDistance:
         ref = ll ** (1.0 / 1.5) * np.median(sups)
         assert med == pytest.approx(ref, rel=0.2)
 
+    def test_sweep_requires_stream(self):
+        spec = GridSpec(kind="lower", k_min=1500, k_max=1501)
+        with pytest.raises(ValueError, match="RngStream"):
+            sample_scaled_distances(spec, 0.5, 1.5, None, n_steps=16, rng=None)
+
     def test_records_carry_diagnostic_note(self):
         path = _flat_path(np.zeros(9))
         rec = scaled_distance(path, math.exp(3.0), 0.5, 1.5)
