@@ -117,7 +117,11 @@ def _load_config(path: str, sub_name: str) -> dict:
         for key, raw in parser.items(section):
             if key not in allowed:
                 raise ConfigError(f"unknown config key '{key}' in section [{section}]")
-            merged[key] = _coerce(key, raw, allowed[key].type)
+            opt = allowed[key]
+            merged[key] = _coerce(key, raw, opt.type)
+            if opt.choices and merged[key] not in opt.choices:
+                raise ConfigError(f"config key '{key}': invalid choice {merged[key]!r} "
+                                  f"(choose from {', '.join(map(repr, opt.choices))})")
     for section in parser.sections():
         if section not in ("common", sub_name) and section not in _COMMANDS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -229,10 +233,8 @@ def cmd_simulate(cfg: dict) -> int:
     rng = simulate.RngStream(cfg["seed"])
     if cfg["sampler"] == "increments":
         batch = simulate.sample_stable_batch(params, cfg["n"], cfg["steps"], rng)
-    elif cfg["sampler"] == "jumps":
-        batch = simulate.sample_jump_batch(params, cfg["eps"], cfg["n"], cfg["steps"], rng)
     else:
-        raise ConfigError(f"config key 'sampler': unknown sampler {cfg['sampler']!r}")
+        batch = simulate.sample_jump_batch(params, cfg["eps"], cfg["n"], cfg["steps"], rng)
     out = _write_run_config(cfg)
     for i in range(cfg["n"]):
         tag = "" if cfg["n"] == 1 else f"_{i:04d}"

@@ -226,16 +226,22 @@ def _gaussian_operator(m: int, half_width: float) -> np.ndarray:
     return linalg.toeplitz(col)
 
 
-def _smallest_eigenpair(a_mat: np.ndarray, tol: float = 1e-12, max_iter: int = 500):
-    """Inverse power iteration for the smallest eigenvalue of an SPD matrix."""
+def _inverse_iteration(a_mat: np.ndarray, v: np.ndarray, tol: float,
+                       deflate: np.ndarray | None = None, max_iter: int = 500):
+    """Inverse power iteration on an SPD matrix from the unit start vector ``v``.
+
+    Returns the smallest eigenpair, or with ``deflate`` (a unit eigenvector)
+    the smallest one orthogonal to it; the vector's sign makes its sum
+    nonnegative.  Raises ``RuntimeError`` if the Rayleigh quotient has not
+    settled to ``tol`` (relative) within ``max_iter`` solves.
+    """
     cho = linalg.cho_factor(a_mat)
-    n = a_mat.shape[0]
-    v = np.ones(n) / np.sqrt(n)
     lam_old = np.inf
     for _ in range(max_iter):
         z = linalg.cho_solve(cho, v)
-        norm = np.linalg.norm(z)
-        v = z / norm
+        if deflate is not None:
+            z -= (z @ deflate) * deflate
+        v = z / np.linalg.norm(z)
         lam = float(v @ (a_mat @ v))
         if abs(lam - lam_old) <= tol * abs(lam):
             break
@@ -245,25 +251,6 @@ def _smallest_eigenpair(a_mat: np.ndarray, tol: float = 1e-12, max_iter: int = 5
     if v.sum() < 0:
         v = -v
     return lam, v
-
-
-def _second_eigenvalue(a_mat: np.ndarray, v1: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> float:
-    cho = linalg.cho_factor(a_mat)
-    n = a_mat.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v -= (v @ v1) * v1
-    v /= np.linalg.norm(v)
-    lam_old = np.inf
-    for _ in range(max_iter):
-        z = linalg.cho_solve(cho, v)
-        z -= (z @ v1) * v1
-        v = z / np.linalg.norm(z)
-        lam = float(v @ (a_mat @ v))
-        if abs(lam - lam_old) <= tol * abs(lam):
-            return lam
-        lam_old = lam
-    return lam
 
 
 def dirichlet_eigenvalue(alpha: float | None, n_grid: int, half_width: float = 1.0,
@@ -283,7 +270,8 @@ def dirichlet_eigenvalue(alpha: float | None, n_grid: int, half_width: float = 1
         a_mat = _gaussian_operator(n_grid, half_width)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    lam, vec = _smallest_eigenpair(a_mat)
+    n = a_mat.shape[0]
+    lam, vec = _inverse_iteration(a_mat, np.ones(n) / np.sqrt(n), 1e-12)
     if np.min(vec) < -1e-8:
         raise RuntimeError("ground state is not positive; discretization is broken")
     return lam, vec
@@ -324,7 +312,10 @@ def smallball_constant_spectral(alpha: float, n_grid: int = 1024,
         raw[m] = lam
     value, order = _richardson(raw)
     a_mat = _stable_operator(alpha, grids[-1], half_width)
-    gap = _second_eigenvalue(a_mat, vec) - raw[grids[-1]]
+    start = np.random.default_rng(0).standard_normal(a_mat.shape[0])
+    start -= (start @ vec) * vec
+    lam2, _ = _inverse_iteration(a_mat, start / np.linalg.norm(start), 1e-10, deflate=vec)
+    gap = lam2 - raw[grids[-1]]
     diagnostics = {
         "grids": grids,
         "raw_eigenvalues": [raw[m] for m in grids],

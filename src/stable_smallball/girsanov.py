@@ -39,7 +39,6 @@ class ValidityResult:
 
     passed: bool
     value: float
-    margin: float
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ class TiltSpec:
 
     def validity_check(self) -> ValidityResult:
         b = self.amplitude_bound
-        return ValidityResult(passed=b < 1.0, value=b, margin=1.0 - b)
+        return ValidityResult(passed=b < 1.0, value=b)
 
     def compensator_shift_curve(self, t):
         """Mean path of the tilted process: intensity_scale * kappa * cut^(1-alpha) f(t)."""

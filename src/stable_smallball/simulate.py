@@ -87,7 +87,6 @@ class BatchPaths:
 
     times: np.ndarray
     values: np.ndarray
-    mode: str
     eps_cutoff: float | None = None
     jump_path: np.ndarray | None = None
     jump_times: np.ndarray | None = None
@@ -192,7 +191,7 @@ def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int,
     values = np.zeros((n_paths, n_steps + 1))
     np.cumsum(incr, axis=1, out=values[:, 1:])
     times = np.linspace(0.0, t_max, n_steps + 1)
-    return BatchPaths(times=times, values=values, mode="increment")
+    return BatchPaths(times=times, values=values)
 
 
 def _draw_jump_times(gen, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,8 +293,8 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     values = np.zeros((n_paths, n_steps + 1))
     np.cumsum(incr, axis=1, out=values[:, 1:])
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    return BatchPaths(times=times, values=values, mode="jump_resolved", eps_cutoff=eps_cutoff,
-                      jump_path=path_idx, jump_times=t, jump_sizes=sizes, small_noise=noise)
+    return BatchPaths(times=times, values=values, eps_cutoff=eps_cutoff, jump_path=path_idx,
+                      jump_times=t, jump_sizes=sizes, small_noise=noise)
 
 
 def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_steps: int,
@@ -391,9 +390,8 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
     values = np.zeros((n_paths, n_steps + 1))
     np.cumsum(incr, axis=1, out=values[:, 1:])
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    batch = BatchPaths(times=times, values=values, mode=f"tilted_{drift_mode}",
-                       eps_cutoff=eps_cutoff, jump_path=path_idx, jump_times=t,
-                       jump_sizes=sizes, small_noise=noise, drift_steps=drift)
+    batch = BatchPaths(times=times, values=values, eps_cutoff=eps_cutoff, jump_path=path_idx,
+                       jump_times=t, jump_sizes=sizes, small_noise=noise, drift_steps=drift)
     if not compute_weights:
         return batch
     return batch, log_weight_batch(tilt, batch)
@@ -421,7 +419,7 @@ def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_
     incr = scale[None, :] * standard_symmetric_stable(params.alpha, (n_paths, n_steps), gen)
     values = np.zeros((n_paths, n_steps + 1))
     np.cumsum(incr, axis=1, out=values[:, 1:])
-    return BatchPaths(times=times, values=values, mode="time_changed")
+    return BatchPaths(times=times, values=values)
 
 
 def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,

@@ -441,6 +441,19 @@ steps = 128
         assert capsys.readouterr().err == f"config error: config key '{key}': empty list\n"
         assert not (tmp_path / "run_config.json").exists()
 
+    @pytest.mark.parametrize("sub, key, value, choices", [
+        ("smallball.crude", "sampler", "euler", "'jumps', 'increments'"),
+        ("lil.grid", "kind", "middle", "'lower', 'upper'"),
+    ], ids=["sampler", "kind"])
+    def test_bad_choice_via_config(self, tmp_path, capsys, sub, key, value, choices):
+        cfg = self._write(tmp_path, f"[{sub}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        rc = main([*sub.split("."), "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"config error: config key '{key}': invalid "
+                                           f"choice '{value}' (choose from {choices})\n")
+        assert not out.exists()
+
     def test_workers_below_one_rejected_from_config(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "[common]\nworkers = 0\n")
         rc = main(["constants", "--config", str(cfg), "--out", str(tmp_path)])

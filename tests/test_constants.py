@@ -26,7 +26,7 @@ from stable_smallball import (
     truncated_second_moment,
     zero_shift,
 )
-from stable_smallball.constants import _richardson
+from stable_smallball.constants import _inverse_iteration, _richardson, _stable_operator
 
 C_ALPHA_ORACLE = {
     1.2: 2.9980563908116560207,
@@ -151,6 +151,17 @@ class TestSpectral:
         lam, vec = dirichlet_eigenvalue(1.5, 256, 1.0, mode="stable")
         assert lam > 0.0
         assert np.min(vec) > -1e-8 and np.max(vec) > 0.0
+
+    def test_inverse_iteration_converges_or_raises(self):
+        a_mat = _stable_operator(1.5, 64, 1.0)
+        lam1, v1 = _inverse_iteration(a_mat, np.ones(63) / np.sqrt(63), 1e-12)
+        odd = np.linspace(-1.0, 1.0, 63)  # the second eigenvector is odd
+        odd /= np.linalg.norm(odd)
+        lam2, _ = _inverse_iteration(a_mat, odd, 1e-10, deflate=v1)
+        assert [lam1, lam2] == pytest.approx(np.linalg.eigvalsh(a_mat)[:2], rel=1e-8)
+        for deflate in (None, v1):
+            with pytest.raises(RuntimeError, match="did not converge"):
+                _inverse_iteration(a_mat, odd, 1e-10, deflate=deflate, max_iter=1)
 
     def test_simplicity_via_spectral_gap(self):
         res = smallball_constant_spectral(1.5, n_grid=256)

@@ -1,11 +1,12 @@
 """Golden digests: sampler records, refined sups, estimators and artifacts, bit for bit.
 
 The SHA-256 digests below pin the exact output of the jump-resolved samplers,
-of ``sup_distance_batch``, of every batch-driven estimator, of the path
-splitting and scaled-distance sweep in ``lil`` and of the CSV files that
-``stable-smallball simulate`` writes, at fixed seeds and small sizes.  Speed-ups
-and refactors of the samplers, the sup refinement or the batch loops must leave
-every one of them unchanged; a change to the RNG draw order, the batch plan,
+of ``sup_distance_batch``, of every batch-driven estimator, of the spectral
+rate constant (value, raw eigenvalues and gap), of the path splitting and
+scaled-distance sweep in ``lil`` and of the CSV files that ``stable-smallball
+simulate`` writes, at fixed seeds and small sizes.  Speed-ups and refactors of
+the samplers, the sup refinement, the batch loops or the eigen solver must
+leave every one of them unchanged; a change to the RNG draw order, the batch plan,
 the order of the per-batch reductions, the binning or the refined sup fails
 here loudly.  Floats enter through ``float.hex``.  The digests also depend on NumPy's bit
 generators and float kernels (pow, log, exp), so a different NumPy build or
@@ -35,6 +36,7 @@ from stable_smallball import (
     sample_scaled_distances,
     sample_tilted_batch,
     smallball_constant_mc,
+    smallball_constant_spectral,
     split_at,
     sup_distance_batch,
     tail_prob_check,
@@ -102,6 +104,8 @@ def _estimator_digests() -> dict:
     tail = tail_prob_check(1.5, [2.0, 4.0, 8.0], 2100, rng=RngStream(4206), n_steps=2048)
     mc = smallball_constant_mc(1.5, r_list=(1.0, 1.5, 2.0), n_paths=400, n_steps=128,
                                rng=RngStream(4207))
+    spectral = smallball_constant_spectral(1.5, n_grid=256)
+    diag = spectral.diagnostics
     return {
         "crude_jumps": _estimate_digest(
             estimate_crude(QUERY, 600, 256, rng=RngStream(4202))),
@@ -114,6 +118,9 @@ def _estimator_digests() -> dict:
             empirical_no_big_jump_fraction(PARAMS, 1.0, 500, rng=RngStream(4205))),
         "tail_p_hat": _digest(tail.p_hat),
         "mc_p_hat": _json_digest([p.hex() for p in mc.diagnostics["p_hat"]] + [mc.value.hex()]),
+        "spectral": _json_digest([spectral.value.hex(),
+                                  [lam.hex() for lam in diag["raw_eigenvalues"]],
+                                  diag["spectral_gap"].hex()]),
     }
 
 
@@ -173,7 +180,8 @@ ESTIMATORS = {
     "is": "53cef5ff3246bf2bc9b851dbf7c34d0247c4bc3a98b3d2af2c9838c4559567eb",
     "no_big_jump_fraction": "4fc5b39239ccf7b8535d9bba09568c2920bb6b3c4fc00da09fdb49a87955c6ed",
     "tail_p_hat": "1588d36ef7306ce36bb90c31be7440d051ec3687029769f3ef951a73b80acc05",
-    "mc_p_hat": "557cefd6e871643e997c3e2de509d546ba01eb42ad8f9dc9d5a8d443a49850c0"
+    "mc_p_hat": "557cefd6e871643e997c3e2de509d546ba01eb42ad8f9dc9d5a8d443a49850c0",
+    "spectral": "759cf99d88befd8e01851335cadc5e5362d6291e2bf114008385dddce17496e8"
 }
 SPLIT = {
     "frozen.values": "25a895a4dd4db986bdd31df13e1f61a76b576c17de692feb1716ce8ae2383f25",

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stable_smallball import (
     AlphaStableParams,
@@ -36,7 +37,7 @@ def _jump_path(eps, n_steps, seed):
 
 def _flat_path(values):
     times = np.linspace(0.0, 1.0, values.size)
-    return BatchPaths(times=times, values=values[None, :], mode="increment")
+    return BatchPaths(times=times, values=values[None, :])
 
 
 def _sup(path):
@@ -214,6 +215,28 @@ class TestSplitAt:
         assert np.all(y.jump_times <= t_star)
         assert np.all(z.jump_times > t_star)
         assert y.jump_times.size + z.jump_times.size == path.jump_times.size
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 4),
+           n_steps=st.integers(32, 128), eps=st.floats(0.02, 0.5),
+           ratio=st.floats(0.05, 0.95))
+    def test_split_properties_on_random_batches(self, seed, n_paths, n_steps, eps, ratio):
+        batch = sample_jump_batch(PARAMS, eps, n_paths, n_steps, RngStream(seed))
+        y, z = split_at(batch, ratio)
+        tol = 8 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(batch.values))))
+        assert np.max(np.abs(y.values + z.values - batch.values)) <= tol
+        idx = int(np.searchsorted(batch.times, ratio, side="right") - 1)
+        keep = batch.jump_times <= batch.times[idx]
+        for part, mask in ((y, keep), (z, ~keep)):
+            for name in ("jump_path", "jump_times", "jump_sizes"):
+                assert np.array_equal(getattr(part, name), getattr(batch, name)[mask])
+        assert not np.any(y.small_noise[:, idx:]) and not np.any(z.small_noise[:, :idx])
+        assert np.array_equal(y.small_noise + z.small_noise, batch.small_noise)
+        sliced = dataclasses.replace(
+            batch, times=batch.times[: idx + 1], values=batch.values[:, : idx + 1],
+            jump_path=batch.jump_path[keep], jump_times=batch.jump_times[keep],
+            jump_sizes=batch.jump_sizes[keep], small_noise=batch.small_noise[:, :idx])
+        assert np.array_equal(sup_distance_batch(y), sup_distance_batch(sliced))
 
     def test_independence_of_parts(self):
         # correlation between ||Z|| and X(ratio) over many paths is within

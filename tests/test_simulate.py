@@ -253,9 +253,8 @@ class TestSupDistance:
         # -1 the refined sup must see |0 - (-1)| = 1 before the jump
         times = np.linspace(0.0, 1.0, 5)
         values = np.array([[0.0, 0.0, 2.0, 2.0, 2.0]])
-        path = BatchPaths(times=times, values=values, mode="jump_resolved",
-                          jump_path=np.array([0]), jump_times=np.array([0.3]),
-                          jump_sizes=np.array([2.0]))
+        path = BatchPaths(times=times, values=values, jump_path=np.array([0]),
+                          jump_times=np.array([0.3]), jump_sizes=np.array([2.0]))
         assert sup_distance_batch(path)[0] == 2.0
         got = sup_distance_batch(path, identity_shift(), shift_scale=-1.0)[0]
         assert got >= 2.0 + 0.25  # |2 - (-t)| at t >= 0.25 beats the grid-only 2
