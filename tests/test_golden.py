@@ -4,7 +4,8 @@ The SHA-256 digests below pin the exact output of the jump-resolved samplers,
 of ``sup_distance_batch``, of every batch-driven estimator, of the spectral
 rate constant (value, raw eigenvalues and gap), of the path splitting and
 scaled-distance sweep in ``lil`` and of the CSV files that ``stable-smallball
-simulate`` writes, at fixed seeds and small sizes.  Speed-ups and refactors of
+simulate`` writes, at fixed seeds and small sizes; one more digest pins the
+battery sups at the shape of the benchmark's ``anderson`` workload.  Speed-ups and refactors of
 the samplers, the sup refinement, the batch loops or the eigen solver must
 leave every one of them unchanged; a change to the RNG draw order, the batch plan,
 the order of the per-batch reductions, the binning or the refined sup fails
@@ -15,6 +16,7 @@ CPU may need them recomputed at a known-good commit.
 
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from stable_smallball import (
     identity_shift,
     sample_jump_batch,
     sample_scaled_distances,
+    sample_sups,
     sample_tilted_batch,
     smallball_constant_mc,
     smallball_constant_spectral,
@@ -75,6 +78,14 @@ def _tilted_digests() -> dict:
     out["log_weights"] = _digest(lw)
     out["sups"] = _digest(_battery_sups(batch))
     return out
+
+
+def _benchmark_battery_digest() -> str:
+    # the shape of the benchmark's anderson workload: three 2047-path batches
+    # with about a thousand jump records per path, six targets each
+    sample = partial(sample_jump_batch, PARAMS, 0.02)
+    targets = [(None, 0.0)] + [(f, lam) for _, f, lam in default_battery(PARAMS)]
+    return _digest(sample_sups(sample, targets, 6141, 2048, RngStream(1).child(0)))
 
 
 def _json_digest(obj) -> str:
@@ -172,6 +183,7 @@ TILTED = {
     "log_weights": "f1dd587bdcbf65aeec90536b6cea8017c214a2ab0860f84fa8668e7eefeef1ae",
     "sups": "386dee032c674c4034d2a4253d89629e04e917ea3fea73aa21a5985e6ce055f2"
 }
+BENCHMARK_BATTERY = "c3020a6a5db4f33ed8ecdd7558b93bbc5d4a46f0775ba1455df85a52da2a4a9e"
 ANDERSON = "5673b95949c2eb9002eb3aa52c7bc1dd3b60bca2d8f3745d227d47772ca56f0a"
 ESTIMATORS = {
     "crude_jumps": "3388479e7d5c43e17f8e266db873ef06c2e924fea8a130b84e02c4e7df22fa9a",
@@ -217,6 +229,10 @@ def test_jump_batch_bits(jump, name):
 @pytest.mark.parametrize("name", [*RECORDS, "drift_steps", "log_weights", "sups"])
 def test_small_regime_tilted_batch_bits(tilted, name):
     assert tilted[name] == TILTED[name]
+
+
+def test_battery_sups_at_benchmark_shape_bits():
+    assert _benchmark_battery_digest() == BENCHMARK_BATTERY
 
 
 def test_anderson_report_bits():
