@@ -226,16 +226,16 @@ def _gaussian_operator(m: int, half_width: float) -> np.ndarray:
     return linalg.toeplitz(col)
 
 
-def _inverse_iteration(a_mat: np.ndarray, v: np.ndarray, tol: float,
+def _inverse_iteration(a_mat: np.ndarray, cho, v: np.ndarray, tol: float,
                        deflate: np.ndarray | None = None, max_iter: int = 500):
     """Inverse power iteration on an SPD matrix from the unit start vector ``v``.
 
-    Returns the smallest eigenpair, or with ``deflate`` (a unit eigenvector)
-    the smallest one orthogonal to it; the vector's sign makes its sum
-    nonnegative.  Raises ``RuntimeError`` if the Rayleigh quotient has not
-    settled to ``tol`` (relative) within ``max_iter`` solves.
+    ``cho`` is ``a_mat``'s ``linalg.cho_factor``.  Returns the smallest
+    eigenpair, or with ``deflate`` (a unit eigenvector) the smallest one
+    orthogonal to it; the vector's sign makes its sum nonnegative.  Raises
+    ``RuntimeError`` if the Rayleigh quotient has not settled to ``tol``
+    (relative) within ``max_iter`` solves.
     """
-    cho = linalg.cho_factor(a_mat)
     lam_old = np.inf
     for _ in range(max_iter):
         z = linalg.cho_solve(cho, v)
@@ -270,11 +270,17 @@ def dirichlet_eigenvalue(alpha: float | None, n_grid: int, half_width: float = 1
         a_mat = _gaussian_operator(n_grid, half_width)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    return _ground_state(a_mat)[:2]
+
+
+def _ground_state(a_mat: np.ndarray):
+    """(eigenvalue, eigenvector, Cholesky factor) of the smallest eigenpair."""
+    cho = linalg.cho_factor(a_mat)
     n = a_mat.shape[0]
-    lam, vec = _inverse_iteration(a_mat, np.ones(n) / np.sqrt(n), 1e-12)
+    lam, vec = _inverse_iteration(a_mat, cho, np.ones(n) / np.sqrt(n), 1e-12)
     if np.min(vec) < -1e-8:
         raise RuntimeError("ground state is not positive; discretization is broken")
-    return lam, vec
+    return lam, vec, cho
 
 
 def _richardson(values: dict[int, float]) -> tuple[float, float | None]:
@@ -306,15 +312,15 @@ def smallball_constant_spectral(alpha: float, n_grid: int = 1024,
         raise ValueError("n_grid must be at least 64")
     grids = [n_grid // 4, n_grid // 2, n_grid]
     raw: dict[int, float] = {}
-    vec = None
-    for m in grids:
-        lam, vec = dirichlet_eigenvalue(alpha, m, half_width, mode="stable")
-        raw[m] = lam
-    value, order = _richardson(raw)
+    for m in grids[:-1]:
+        raw[m], _ = dirichlet_eigenvalue(alpha, m, half_width, mode="stable")
+    # the finest grid's operator and factor serve both eigenvalues
     a_mat = _stable_operator(alpha, grids[-1], half_width)
+    raw[grids[-1]], vec, cho = _ground_state(a_mat)
+    value, order = _richardson(raw)
     start = np.random.default_rng(0).standard_normal(a_mat.shape[0])
     start -= (start @ vec) * vec
-    lam2, _ = _inverse_iteration(a_mat, start / np.linalg.norm(start), 1e-10, deflate=vec)
+    lam2, _ = _inverse_iteration(a_mat, cho, start / np.linalg.norm(start), 1e-10, deflate=vec)
     gap = lam2 - raw[grids[-1]]
     diagnostics = {
         "grids": grids,

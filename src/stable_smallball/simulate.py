@@ -12,14 +12,17 @@ reproducible and independent of batch splitting or worker count:
   measure; the tilted sampler records everything needed to reweight back.
 
 A path is a :class:`BatchPaths`; one path is a batch of one
-(``BatchPaths.extract``).  ``sup_distance_batch`` evaluates sup-norm distances
-to a scaled drift, refining within each step by replaying the recorded jump
-instants, so a jump that briefly exits the ball between grid points is not
-missed.  ``map_batches`` is the one batch loop of every estimator: it runs a
-kernel over the deterministic ``batch_plan``, each batch on its own child
-stream.  Every estimator that counts sups draws through ``sample_sups``,
-which returns the sups of every path against every target as one matrix;
-the estimator keeps only its own reduction (``< r`` or ``> x``).
+(``BatchPaths.extract``).  One kernel evaluates sup-norm distances to scaled
+drifts, refining within each step by replaying the recorded jump instants,
+so a jump that briefly exits the ball between grid points is not missed.
+It takes every target in one cache-blocked pass per batch: each row block
+of the grid, then the block's jump records, against all targets in turn.
+``sup_distance_batch`` is its one-target form.  ``map_batches`` is the one
+batch loop of every estimator: it runs a kernel over the deterministic
+``batch_plan``, each batch on its own child stream.  Every estimator that
+counts sups draws through ``sample_sups``, which returns the sups of every
+path against every target as one matrix; the estimator keeps only its own
+reduction (``< r`` or ``> x``).
 """
 
 from __future__ import annotations
@@ -79,10 +82,11 @@ class BatchPaths:
 
     ``jump_geometry`` caches the target-independent part of the sup
     refinement: the path value just before and just after every jump, and
-    the per-path segments of the records.  It is computed on first use, so
-    every target that :func:`sup_distance_batch` evaluates on the same batch
-    shares one geometry.  Batches are treated as immutable: no code writes
-    into their arrays after sampling, so the cache stays exact.
+    the per-path segments of the records.  It is computed on first use; the
+    sup kernel then reads it block by block for all targets of one pass, and
+    later :func:`sup_distance_batch` calls on the same batch reuse it.
+    Batches are treated as immutable: no code writes into their arrays after
+    sampling, so the cache stays exact.
     """
 
     times: np.ndarray
@@ -116,26 +120,33 @@ class BatchPaths:
         """
         p, t, x = self.jump_path, self.jump_times, self.jump_sizes
         n_steps = self.n_steps
-        dt = self.dt
-        step = np.minimum((t / dt).astype(np.int64), n_steps - 1)
-        frac = t / dt - step
+        frac = t / self.dt
+        step = frac.astype(np.int64)
+        np.minimum(step, n_steps - 1, out=step)
+        frac -= step
+        flat = p * n_steps
+        flat += step  # flat index of (path, step) into the per-step arrays
 
-        smooth = np.zeros(t.size)
-        if self.drift_steps is not None:
-            smooth += self.drift_steps[step]
+        smooth = None if self.drift_steps is None else self.drift_steps[step]
         if self.small_noise is not None:
-            smooth += self.small_noise[p, step]
+            noise = self.small_noise.take(flat)
+            smooth = noise if smooth is None else np.add(smooth, noise, out=smooth)
 
         # exclusive prefix of same-step earlier jumps; records are (path, time)-sorted
-        key = p * n_steps + step
         new_group = np.empty(t.size, dtype=bool)
         new_group[0] = True
-        np.not_equal(key[1:], key[:-1], out=new_group[1:])
-        excl = np.cumsum(x) - x
-        group_id = np.cumsum(new_group) - 1
-        excl = excl - excl[new_group][group_id]
+        np.not_equal(flat[1:], flat[:-1], out=new_group[1:])
+        excl = np.cumsum(x)
+        excl -= x
+        group_starts = np.flatnonzero(new_group)
+        excl -= np.repeat(excl[group_starts], np.diff(group_starts, append=t.size))
 
-        pre = self.values[p, step] + smooth * frac + excl
+        flat += p  # now into values, which has n_steps + 1 columns
+        pre = self.values.take(flat)
+        if smooth is not None:
+            smooth *= frac
+            pre += smooth
+        pre += excl
         new_path = np.empty(t.size, dtype=bool)
         new_path[0] = True
         np.not_equal(p[1:], p[:-1], out=new_path[1:])
@@ -253,6 +264,8 @@ def _bin_jumps(path_idx, t, sizes, n_paths, n_steps):
     step = np.minimum((t * n_steps).astype(np.int64), n_steps - 1)
     flat = path_idx * n_steps + step
     per_step = np.bincount(flat, weights=sizes, minlength=n_paths * n_steps)
+    # with no records bincount returns int64 zeros; callers add into per_step in place
+    per_step = per_step.astype(float, copy=False)
     return path_idx, t, sizes, per_step.reshape(n_paths, n_steps)
 
 
@@ -288,8 +301,9 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     if gaussian_refinement:
         sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * dt)
         noise = gen.normal(0.0, sd, (n_paths, n_steps))
-    path_idx, t, sizes, per_step = _bin_jumps(path_idx, t, sizes, n_paths, n_steps)
-    incr = per_step if noise is None else per_step + noise
+    path_idx, t, sizes, incr = _bin_jumps(path_idx, t, sizes, n_paths, n_steps)
+    if noise is not None:
+        incr += noise
     values = np.zeros((n_paths, n_steps + 1))
     np.cumsum(incr, axis=1, out=values[:, 1:])
     times = np.linspace(0.0, 1.0, n_steps + 1)
@@ -383,10 +397,10 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
         shift_curve = tilt.compensator_shift_curve(times_grid)
         drift = drift + np.diff(shift_curve)
 
-    path_idx, t, sizes, per_step = _bin_jumps(path_idx, t, sizes, n_paths, n_steps)
-    incr = per_step + drift[None, :]
+    path_idx, t, sizes, incr = _bin_jumps(path_idx, t, sizes, n_paths, n_steps)
+    incr += drift
     if noise is not None:
-        incr = incr + noise
+        incr += noise
     values = np.zeros((n_paths, n_steps + 1))
     np.cumsum(incr, axis=1, out=values[:, 1:])
     times = np.linspace(0.0, 1.0, n_steps + 1)
@@ -428,25 +442,82 @@ def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
 
     The sup runs over the grid and, when jump records exist, over the left
     and right limits at each jump instant (``BatchPaths.jump_geometry``,
-    computed once per batch); only the target and the per-path maximum are
-    evaluated per call.
+    computed once per batch), so a jump that briefly exits the ball between
+    grid points is not missed.  This is one row of the sup kernel that
+    :func:`sample_sups` runs for all of its targets at once.
     """
-    times, values = batch.times, batch.values
-    target = np.zeros_like(times) if f is None else shift_scale * np.asarray(f(times), dtype=float)
-    dev = path_scale * values
-    dev -= target  # in place: one grid-sized temporary per call
-    out = np.max(np.abs(dev, out=dev), axis=1)
+    return _sup_matrix(batch, [(f, shift_scale)], path_scale)[0]
 
-    if batch.jump_times is None or batch.jump_times.size == 0:
-        return out
 
-    geo = batch.jump_geometry
-    t = batch.jump_times
-    t_target = np.zeros_like(t) if f is None else shift_scale * np.asarray(f(t), dtype=float)
-    cand = np.maximum(np.abs(path_scale * geo.pre - t_target),
-                      np.abs(path_scale * geo.post - t_target))
-    seg_max = np.maximum.reduceat(cand, geo.starts)
-    out[geo.paths] = np.maximum(out[geo.paths], seg_max)
+_BLOCK_ELEMS = 1 << 16  # doubles per row block of _sup_matrix: a 512 KiB buffer
+
+
+def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0) -> np.ndarray:
+    """Refined sups of every path against every ``(f, shift_scale)`` target.
+
+    Returns the ``(len(targets), n_paths)`` matrix in one pass over the
+    batch, in row blocks of about ``_BLOCK_ELEMS`` grid values.  For each
+    block, the grid max of every target goes through one reused buffer, then
+    the block's contiguous jump records are reduced per path, again for every
+    target.  f is evaluated once per distinct f object and scaled per target;
+    a None target skips the subtraction.  Every element sees the same
+    operations as a one-target pass would, so each row is bit-identical to
+    the sup against its target alone.
+    """
+    values = batch.values
+    n_paths, n_cols = values.shape
+    shifts = {id(f): f for f, _ in targets if f is not None}
+    grid_f = {key: np.asarray(f(batch.times), dtype=float) for key, f in shifts.items()}
+    grid_targets = [None if f is None else scale * grid_f[id(f)] for f, scale in targets]
+    out = np.empty((len(targets), n_paths))
+    rows = max(1, _BLOCK_ELEMS // n_cols)
+    edges = [*range(0, n_paths, rows), n_paths]
+    buf = np.empty((min(rows, n_paths), n_cols))
+    scaled = None if path_scale == 1.0 else np.empty_like(buf)
+    refine = batch.jump_times is not None and batch.jump_times.size > 0
+    if refine:
+        geo = batch.jump_geometry
+        rec_edges = np.searchsorted(batch.jump_path, edges).tolist()
+        seg_edges = np.searchsorted(geo.paths, edges).tolist()
+
+    for b, (r0, r1) in enumerate(zip(edges[:-1], edges[1:])):
+        block = values[r0:r1]
+        if scaled is not None:
+            block = np.multiply(block, path_scale, out=scaled[:r1 - r0])
+        dev = buf[:r1 - r0]
+        for k, target in enumerate(grid_targets):
+            if target is None:
+                np.abs(block, out=dev)
+            else:
+                np.subtract(block, target, out=dev)
+                np.abs(dev, out=dev)
+            dev.max(axis=1, out=out[k, r0:r1])
+        if not refine or rec_edges[b] == rec_edges[b + 1]:
+            continue
+
+        # the block's jump records are contiguous, one segment per path with records
+        lo, hi = rec_edges[b], rec_edges[b + 1]
+        s0, s1 = seg_edges[b], seg_edges[b + 1]
+        pre, post = geo.pre[lo:hi], geo.post[lo:hi]
+        if scaled is not None:
+            pre, post = path_scale * pre, path_scale * post
+        starts = geo.starts[s0:s1] - lo
+        owners = geo.paths[s0:s1] - r0
+        t = batch.jump_times[lo:hi]
+        jump_f = {key: np.asarray(f(t), dtype=float) for key, f in shifts.items()}
+        cand, other = np.empty(hi - lo), np.empty(hi - lo)
+        for k, (f, scale) in enumerate(targets):
+            if f is None:
+                np.abs(pre, out=cand)
+                np.abs(post, out=other)
+            else:
+                t_target = scale * jump_f[id(f)]
+                np.abs(np.subtract(pre, t_target, out=cand), out=cand)
+                np.abs(np.subtract(post, t_target, out=other), out=other)
+            np.maximum(cand, other, out=cand)
+            seg_max = np.maximum.reduceat(cand, starts)
+            row = out[k, r0:r1]
+            row[owners] = np.maximum(row[owners], seg_max)
     return out
 
 
@@ -490,8 +561,7 @@ def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map)
 
 
 def _sups_kernel(sample, targets, n_steps, stream, size) -> np.ndarray:
-    batch = sample(size, n_steps, stream)
-    return np.stack([sup_distance_batch(batch, f, scale) for f, scale in targets])
+    return _sup_matrix(sample(size, n_steps, stream), targets)
 
 
 def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,
@@ -503,7 +573,9 @@ def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,
     ``targets`` holds ``(f, shift_scale)`` pairs, f None for the centred sup.
     Row i of the ``(len(targets), n_paths)`` result is
     ``sup_distance_batch(batch, *targets[i])`` over the batches in plan
-    order, so every target sees the same paths.
+    order, so every target sees the same paths; each batch is read once for
+    all targets.  Pass one f object for targets that share a shift, so it is
+    evaluated once.
     """
     kernel = partial(_sups_kernel, sample, tuple(targets), n_steps)
     return np.concatenate(map_batches(kernel, n_paths, n_steps, stream, pmap), axis=1)

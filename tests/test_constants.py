@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from stable_smallball import (
     RngStream,
@@ -154,14 +155,15 @@ class TestSpectral:
 
     def test_inverse_iteration_converges_or_raises(self):
         a_mat = _stable_operator(1.5, 64, 1.0)
-        lam1, v1 = _inverse_iteration(a_mat, np.ones(63) / np.sqrt(63), 1e-12)
+        cho = linalg.cho_factor(a_mat)
+        lam1, v1 = _inverse_iteration(a_mat, cho, np.ones(63) / np.sqrt(63), 1e-12)
         odd = np.linspace(-1.0, 1.0, 63)  # the second eigenvector is odd
         odd /= np.linalg.norm(odd)
-        lam2, _ = _inverse_iteration(a_mat, odd, 1e-10, deflate=v1)
+        lam2, _ = _inverse_iteration(a_mat, cho, odd, 1e-10, deflate=v1)
         assert [lam1, lam2] == pytest.approx(np.linalg.eigvalsh(a_mat)[:2], rel=1e-8)
         for deflate in (None, v1):
             with pytest.raises(RuntimeError, match="did not converge"):
-                _inverse_iteration(a_mat, odd, 1e-10, deflate=deflate, max_iter=1)
+                _inverse_iteration(a_mat, cho, odd, 1e-10, deflate=deflate, max_iter=1)
 
     def test_simplicity_via_spectral_gap(self):
         res = smallball_constant_spectral(1.5, n_grid=256)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from stable_smallball import (
     write_path_csv,
     zero_shift,
 )
-from stable_smallball.simulate import _jump_order
+from stable_smallball import simulate
+from stable_smallball.simulate import _jump_order, _sup_matrix
 
 PARAMS = AlphaStableParams(1.5)
 
@@ -301,6 +303,79 @@ class TestSupDistance:
             refined = sup_distance_batch(batch, f, lam)
             assert np.array_equal(refined[bare], grid[bare])
             assert np.all(refined >= grid)
+
+
+# targets of the kernel property: a list may repeat one f object, and the
+# last entry is a second identity object that a shared f cache must keep apart
+SHIFTS = [None, identity_shift(), tent_shift(), identity_shift()]
+TILTS = [TiltSpec.middle_shift(PARAMS, identity_shift(), c=0.2, r=0.8),
+         TiltSpec.small_shift(PARAMS, tent_shift(), lam=0.2, r=0.6)]
+
+
+@st.composite
+def _kernel_batches(draw):
+    """Jump (with and without proxy), tilted (with drift), stable and
+    record-free proxy-free batches, 1-9 paths."""
+    kind = draw(st.sampled_from(["jump", "tilted", "stable", "bare"]))
+    n_paths, n_steps = draw(st.integers(1, 9)), draw(st.integers(2, 40))
+    rng = RngStream(draw(st.integers(0, 2**32 - 1)))
+    if kind == "stable":
+        return sample_stable_batch(PARAMS, n_paths, n_steps, rng)
+    if kind == "tilted":
+        return sample_tilted_batch(draw(st.sampled_from(TILTS)), n_paths, n_steps, rng,
+                                   gaussian_refinement=draw(st.booleans()),
+                                   compute_weights=False)
+    if kind == "bare":  # no proxy and, at this cutoff, no records
+        return sample_jump_batch(PARAMS, 1e3, n_paths, n_steps, rng, gaussian_refinement=False)
+    return sample_jump_batch(PARAMS, draw(st.floats(0.05, 1.0)), n_paths, n_steps, rng,
+                             gaussian_refinement=draw(st.booleans()))
+
+
+def _one_target_sup(batch, f, shift_scale, path_scale):
+    """One target's refined sup as the one-target kernel computed it: the
+    jump geometry with its batch-wide prefix sum, then the grid max and the
+    pre/post candidates over the whole batch at once."""
+    times, values = batch.times, batch.values
+    target = np.zeros_like(times) if f is None else shift_scale * np.asarray(f(times), dtype=float)
+    out = np.max(np.abs(path_scale * values - target), axis=1)
+    if batch.jump_times is None or batch.jump_times.size == 0:
+        return out
+    p, t, x = batch.jump_path, batch.jump_times, batch.jump_sizes
+    step = np.minimum((t / batch.dt).astype(np.int64), batch.n_steps - 1)
+    frac = t / batch.dt - step
+    smooth = np.zeros(t.size)
+    if batch.drift_steps is not None:
+        smooth += batch.drift_steps[step]
+    if batch.small_noise is not None:
+        smooth += batch.small_noise[p, step]
+    key = p * batch.n_steps + step
+    new_group = np.r_[True, key[1:] != key[:-1]]
+    excl = np.cumsum(x) - x
+    excl = excl - excl[new_group][np.cumsum(new_group) - 1]
+    pre = values[p, step] + smooth * frac + excl
+    t_target = np.zeros_like(t) if f is None else shift_scale * np.asarray(f(t), dtype=float)
+    cand = np.maximum(np.abs(path_scale * pre - t_target),
+                      np.abs(path_scale * (pre + x) - t_target))
+    starts = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+    out[p[starts]] = np.maximum(out[p[starts]], np.maximum.reduceat(cand, starts))
+    return out
+
+
+class TestSupMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=_kernel_batches(),
+           targets=st.lists(st.tuples(st.sampled_from(SHIFTS), st.floats(-2.0, 2.0)),
+                            min_size=1, max_size=6),
+           path_scale=st.sampled_from([1.0, 0.5, 1.7]),
+           block=st.sampled_from([1, 16, 100, simulate._BLOCK_ELEMS]))
+    def test_rows_equal_one_target_sups(self, batch, targets, path_scale, block):
+        # small blocks put several blocks in one batch, leave a short last
+        # block, or make one grid row longer than a block
+        with mock.patch.object(simulate, "_BLOCK_ELEMS", block):
+            got = _sup_matrix(batch, targets, path_scale)
+        assert got.shape == (len(targets), batch.n_paths)
+        for row, (f, lam) in zip(got, targets):
+            assert np.array_equal(row, _one_target_sup(batch, f, lam, path_scale))
 
 
 def _replayed_sup(batch, f, shift_scale, path_scale):
