@@ -23,10 +23,26 @@ batch loop of every estimator: it runs a kernel over the deterministic
 counts sups draws through ``sample_sups``, which returns the sups of every
 path against every target as one matrix; the estimator keeps only its own
 reduction (``< r`` or ``> x``).
+
+Inside one batch, work that needs no Python runs on a helper thread, made
+for the call (``with ThreadPoolExecutor(1)``) and joined before it returns,
+so no thread outlives a call and none is alive when a process pool forks.
+Two stages use it, and neither can change a bit:
+
+* the jump-resolved samplers draw the Gaussian proxy, their last draw from
+  the generator, on the helper while the calling thread bins the jump
+  records (and, in the tilted sampler, builds the drift).  The calling
+  thread does not touch the generator until the draw is joined, so the
+  generator sees the same calls in the same order as in a serial run;
+* the sup kernel builds the batch's jump geometry first, then runs the
+  second half of its row blocks on the helper and the first half on the
+  calling thread.  Each half has its own buffers and writes only its own
+  columns, and each element sees the same operations as in a serial pass.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -183,8 +199,19 @@ def standard_symmetric_stable(alpha: float, size, rng) -> np.ndarray:
     u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     e = gen.standard_exponential(size)
     inv_a = 1.0 / alpha
-    return (np.sin(alpha * u) / np.cos(u) ** inv_a
-            * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) * inv_a))
+    # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha),
+    # in place, with the same operations in the same order as the plain expression
+    out = np.multiply(alpha, u)
+    np.sin(out, out=out)
+    den = np.cos(u)
+    den **= inv_a
+    out /= den
+    u *= 1.0 - alpha
+    np.cos(u, out=u)
+    u /= e
+    u **= (1.0 - alpha) * inv_a
+    out *= u
+    return out
 
 
 def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int,
@@ -198,7 +225,8 @@ def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int,
     gen = _as_generator(rng)
     dt = t_max / n_steps
     scale = (params.c_alpha * dt) ** (1.0 / params.alpha)
-    incr = scale * standard_symmetric_stable(params.alpha, (n_paths, n_steps), gen)
+    incr = standard_symmetric_stable(params.alpha, (n_paths, n_steps), gen)
+    incr *= scale
     values = np.zeros((n_paths, n_steps + 1))
     np.cumsum(incr, axis=1, out=values[:, 1:])
     times = np.linspace(0.0, t_max, n_steps + 1)
@@ -296,12 +324,14 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     path_idx, t = _draw_jump_times(gen, counts)
     mags = _pareto_magnitudes(gen, t.size, alpha, eps_cutoff, None)
     sizes = mags * _signs(gen, t.size)
-    noise = None
     dt = 1.0 / n_steps
-    if gaussian_refinement:
-        sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * dt)
-        noise = gen.normal(0.0, sd, (n_paths, n_steps))
-    path_idx, t, sizes, incr = _bin_jumps(path_idx, t, sizes, n_paths, n_steps)
+    pending = None
+    with ThreadPoolExecutor(1) as helper:
+        if gaussian_refinement:  # the last draw from gen, made while the records are binned
+            sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * dt)
+            pending = helper.submit(gen.normal, 0.0, sd, (n_paths, n_steps))
+        path_idx, t, sizes, incr = _bin_jumps(path_idx, t, sizes, n_paths, n_steps)
+        noise = None if pending is None else pending.result()
     if noise is not None:
         incr += noise
     values = np.zeros((n_paths, n_steps + 1))
@@ -383,21 +413,23 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
         t = np.concatenate([t, te])
         sizes = np.concatenate([sizes, se])
 
-    noise = None
-    if gaussian_refinement:
-        sd = np.sqrt(scale * truncated_second_moment(alpha, eps_cutoff) * dt)
-        noise = gen.normal(0.0, sd, (n_paths, n_steps))
+    pending = None
+    with ThreadPoolExecutor(1) as helper:
+        if gaussian_refinement:  # the last draw from gen, made while the records are binned
+            sd = np.sqrt(scale * truncated_second_moment(alpha, eps_cutoff) * dt)
+            pending = helper.submit(gen.normal, 0.0, sd, (n_paths, n_steps))
 
-    # compensate the tilt of the interior band so the component is a martingale
-    bbar = step_mean_amplitude(tilt, n_steps)
-    v_band = truncated_second_moment(alpha, cut) - truncated_second_moment(alpha, eps_cutoff)
-    drift = -scale * v_band * bbar * dt
-    if drift_mode == "shifted":
-        times_grid = np.linspace(0.0, 1.0, n_steps + 1)
-        shift_curve = tilt.compensator_shift_curve(times_grid)
-        drift = drift + np.diff(shift_curve)
+        # compensate the tilt of the interior band so the component is a martingale
+        bbar = step_mean_amplitude(tilt, n_steps)
+        v_band = truncated_second_moment(alpha, cut) - truncated_second_moment(alpha, eps_cutoff)
+        drift = -scale * v_band * bbar * dt
+        if drift_mode == "shifted":
+            times_grid = np.linspace(0.0, 1.0, n_steps + 1)
+            shift_curve = tilt.compensator_shift_curve(times_grid)
+            drift = drift + np.diff(shift_curve)
 
-    path_idx, t, sizes, incr = _bin_jumps(path_idx, t, sizes, n_paths, n_steps)
+        path_idx, t, sizes, incr = _bin_jumps(path_idx, t, sizes, n_paths, n_steps)
+        noise = None if pending is None else pending.result()
     incr += drift
     if noise is not None:
         incr += noise
@@ -430,7 +462,8 @@ def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_
     if not np.any(d_phi > 0.0):
         raise ValueError("speed must have positive total mass")
     scale = (params.c_alpha * d_phi) ** (1.0 / params.alpha)
-    incr = scale[None, :] * standard_symmetric_stable(params.alpha, (n_paths, n_steps), gen)
+    incr = standard_symmetric_stable(params.alpha, (n_paths, n_steps), gen)
+    incr *= scale
     values = np.zeros((n_paths, n_steps + 1))
     np.cumsum(incr, axis=1, out=values[:, 1:])
     return BatchPaths(times=times, values=values)
@@ -463,6 +496,12 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0) -> np.ndarr
     a None target skips the subtraction.  Every element sees the same
     operations as a one-target pass would, so each row is bit-identical to
     the sup against its target alone.
+
+    A batch of two or more blocks is split into two contiguous halves of
+    blocks: a helper thread runs the second half while the calling thread
+    runs the first.  Each half has its own buffers and writes only its own
+    columns of the result, and the jump geometry is built before the split,
+    so the bits do not depend on the split.
     """
     values = batch.values
     n_paths, n_cols = values.shape
@@ -472,52 +511,64 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0) -> np.ndarr
     out = np.empty((len(targets), n_paths))
     rows = max(1, _BLOCK_ELEMS // n_cols)
     edges = [*range(0, n_paths, rows), n_paths]
-    buf = np.empty((min(rows, n_paths), n_cols))
-    scaled = None if path_scale == 1.0 else np.empty_like(buf)
     refine = batch.jump_times is not None and batch.jump_times.size > 0
     if refine:
-        geo = batch.jump_geometry
+        geo = batch.jump_geometry  # a cached_property: filled here, before any thread reads it
         rec_edges = np.searchsorted(batch.jump_path, edges).tolist()
         seg_edges = np.searchsorted(geo.paths, edges).tolist()
 
-    for b, (r0, r1) in enumerate(zip(edges[:-1], edges[1:])):
-        block = values[r0:r1]
-        if scaled is not None:
-            block = np.multiply(block, path_scale, out=scaled[:r1 - r0])
-        dev = buf[:r1 - r0]
-        for k, target in enumerate(grid_targets):
-            if target is None:
-                np.abs(block, out=dev)
-            else:
-                np.subtract(block, target, out=dev)
-                np.abs(dev, out=dev)
-            dev.max(axis=1, out=out[k, r0:r1])
-        if not refine or rec_edges[b] == rec_edges[b + 1]:
-            continue
+    def run_blocks(b0: int, b1: int) -> None:
+        buf = np.empty((min(rows, n_paths), n_cols))
+        scaled = None if path_scale == 1.0 else np.empty_like(buf)
+        for b in range(b0, b1):
+            r0, r1 = edges[b], edges[b + 1]
+            block = values[r0:r1]
+            if scaled is not None:
+                block = np.multiply(block, path_scale, out=scaled[:r1 - r0])
+            dev = buf[:r1 - r0]
+            for k, target in enumerate(grid_targets):
+                if target is None:
+                    np.abs(block, out=dev)
+                else:
+                    np.subtract(block, target, out=dev)
+                    np.abs(dev, out=dev)
+                dev.max(axis=1, out=out[k, r0:r1])
+            if not refine or rec_edges[b] == rec_edges[b + 1]:
+                continue
 
-        # the block's jump records are contiguous, one segment per path with records
-        lo, hi = rec_edges[b], rec_edges[b + 1]
-        s0, s1 = seg_edges[b], seg_edges[b + 1]
-        pre, post = geo.pre[lo:hi], geo.post[lo:hi]
-        if scaled is not None:
-            pre, post = path_scale * pre, path_scale * post
-        starts = geo.starts[s0:s1] - lo
-        owners = geo.paths[s0:s1] - r0
-        t = batch.jump_times[lo:hi]
-        jump_f = {key: np.asarray(f(t), dtype=float) for key, f in shifts.items()}
-        cand, other = np.empty(hi - lo), np.empty(hi - lo)
-        for k, (f, scale) in enumerate(targets):
-            if f is None:
-                np.abs(pre, out=cand)
-                np.abs(post, out=other)
-            else:
-                t_target = scale * jump_f[id(f)]
-                np.abs(np.subtract(pre, t_target, out=cand), out=cand)
-                np.abs(np.subtract(post, t_target, out=other), out=other)
-            np.maximum(cand, other, out=cand)
-            seg_max = np.maximum.reduceat(cand, starts)
-            row = out[k, r0:r1]
-            row[owners] = np.maximum(row[owners], seg_max)
+            # the block's jump records are contiguous, one segment per path with records
+            lo, hi = rec_edges[b], rec_edges[b + 1]
+            s0, s1 = seg_edges[b], seg_edges[b + 1]
+            pre, post = geo.pre[lo:hi], geo.post[lo:hi]
+            if scaled is not None:
+                pre, post = path_scale * pre, path_scale * post
+            starts = geo.starts[s0:s1] - lo
+            owners = geo.paths[s0:s1] - r0
+            t = batch.jump_times[lo:hi]
+            jump_f = {key: np.asarray(f(t), dtype=float) for key, f in shifts.items()}
+            cand, other = np.empty(hi - lo), np.empty(hi - lo)
+            for k, (f, scale) in enumerate(targets):
+                if f is None:
+                    np.abs(pre, out=cand)
+                    np.abs(post, out=other)
+                else:
+                    t_target = scale * jump_f[id(f)]
+                    np.abs(np.subtract(pre, t_target, out=cand), out=cand)
+                    np.abs(np.subtract(post, t_target, out=other), out=other)
+                np.maximum(cand, other, out=cand)
+                seg_max = np.maximum.reduceat(cand, starts)
+                row = out[k, r0:r1]
+                row[owners] = np.maximum(row[owners], seg_max)
+
+    n_blocks = len(edges) - 1
+    if n_blocks == 1:
+        run_blocks(0, 1)
+        return out
+    half = n_blocks // 2
+    with ThreadPoolExecutor(1) as helper:
+        second = helper.submit(run_blocks, half, n_blocks)
+        run_blocks(0, half)
+        second.result()
     return out
 
 

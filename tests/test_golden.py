@@ -11,7 +11,11 @@ leave every one of them unchanged; a change to the RNG draw order, the batch pla
 the order of the per-batch reductions, the binning or the refined sup fails
 here loudly.  Floats enter through ``float.hex``.  The digests also depend on NumPy's bit
 generators and float kernels (pow, log, exp), so a different NumPy build or
-CPU may need them recomputed at a known-good commit.
+CPU may need them recomputed at a known-good commit.  The spectral digest
+also depends on the BLAS thread count, since OpenBLAS factors on a different
+path with one thread than with several: it is pinned with one BLAS thread,
+which ``conftest.py`` sets for every test session (and the benchmark for its
+runs).
 """
 
 import hashlib
@@ -193,7 +197,7 @@ ESTIMATORS = {
     "no_big_jump_fraction": "4fc5b39239ccf7b8535d9bba09568c2920bb6b3c4fc00da09fdb49a87955c6ed",
     "tail_p_hat": "1588d36ef7306ce36bb90c31be7440d051ec3687029769f3ef951a73b80acc05",
     "mc_p_hat": "557cefd6e871643e997c3e2de509d546ba01eb42ad8f9dc9d5a8d443a49850c0",
-    "spectral": "759cf99d88befd8e01851335cadc5e5362d6291e2bf114008385dddce17496e8"
+    "spectral": "5916fea6272bdb17af9301aa688b75a01e19bec51978c39c610d3ed1ba39e9a7"
 }
 SPLIT = {
     "frozen.values": "25a895a4dd4db986bdd31df13e1f61a76b576c17de692feb1716ce8ae2383f25",

@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
 from unittest import mock
 
@@ -493,6 +496,95 @@ class TestMapBatches:
         with ThreadPoolExecutor(max_workers=2) as ex:
             pooled = sample_sups(sample, targets, 2100, 2048, stream, pmap=ex.map)
         assert pooled.tobytes() == got.tobytes()
+
+
+# samplers that draw the Gaussian proxy on the helper thread, and one that
+# draws none; every one is a module-level partial, so a process pool takes it
+HELPER_SAMPLERS = {
+    "jump": partial(sample_jump_batch, PARAMS, 0.1),
+    "jump_no_proxy": partial(sample_jump_batch, PARAMS, 0.1, gaussian_refinement=False),
+    "tilted": partial(sample_tilted_batch, TILTS[0], eps_cutoff=0.1, compute_weights=False),
+}
+HELPER_TARGETS = [(None, 0.0), (identity_shift(), 0.5), (tent_shift(), -1.0)]
+
+
+class _Recorded:
+    """A shift that records every time array it is evaluated at."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+
+    def __call__(self, t):
+        self.calls.append(np.array(t, copy=True))
+        return self.f(t)
+
+
+class TestHelperThread:
+    """The helper thread of the samplers and of the sup kernel changes no bits
+    and outlives no call."""
+
+    @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
+    def test_same_bytes_under_map_threads_and_forked_processes(self, name):
+        # 2100 paths of 2048 steps: batches of 2047 and 53 paths, i.e. 67 and
+        # 2 row blocks of the sup kernel, so both batches split
+        sample, stream = HELPER_SAMPLERS[name], RngStream(51)
+        assert [size for _, size in batch_plan(2100, 2048)] == [2047, 53]
+        got = sample_sups(sample, HELPER_TARGETS, 2100, 2048, stream)
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            threaded = sample_sups(sample, HELPER_TARGETS, 2100, 2048, stream, pmap=ex.map)
+        # the helpers above have been joined, so forking now is safe
+        with ProcessPoolExecutor(max_workers=2,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            forked = sample_sups(sample, HELPER_TARGETS, 2100, 2048, stream,
+                                 pmap=partial(pool.map, timeout=120))
+        assert threaded.tobytes() == got.tobytes()
+        assert forked.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
+    def test_no_thread_outlives_a_call(self, name):
+        before = threading.active_count()
+        batch = HELPER_SAMPLERS[name](300, 256, RngStream(52))
+        assert threading.active_count() == before
+        _sup_matrix(batch, HELPER_TARGETS)  # 255 + 45 paths: two blocks
+        assert threading.active_count() == before
+
+    def test_halves_cover_every_block_once(self):
+        # f is evaluated once on the grid, then once per row block on that
+        # block's jump instants: a skipped or repeated block changes the
+        # multiset of instants seen, whatever the threads' timing
+        batch = HELPER_SAMPLERS["jump"](300, 256, RngStream(54))
+        f = _Recorded(identity_shift())
+        with mock.patch.object(simulate, "_BLOCK_ELEMS", 10 * 257):  # 30 blocks of 10 paths
+            got = _sup_matrix(batch, [(f, 0.5), (None, 0.0)])
+        assert np.array_equal(f.calls[0], batch.times)
+        assert len(f.calls) == 1 + 30
+        seen = np.concatenate(f.calls[1:])
+        assert np.array_equal(np.sort(seen), np.sort(batch.jump_times))
+        assert np.array_equal(got[0], _one_target_sup(batch, identity_shift(), 0.5, 1.0))
+        assert np.array_equal(got[1], _one_target_sup(batch, None, 0.0, 1.0))
+
+    def test_one_block_batch_uses_no_helper(self):
+        batch = sample_jump_batch(PARAMS, 0.1, 20, 256, RngStream(55))
+        with mock.patch.object(simulate, "ThreadPoolExecutor",
+                               side_effect=AssertionError("helper started")):
+            got = _sup_matrix(batch, HELPER_TARGETS)
+        for row, (f, lam) in zip(got, HELPER_TARGETS):
+            assert np.array_equal(row, _one_target_sup(batch, f, lam, 1.0))
+
+    def test_many_callers_under_fast_switching(self):
+        # more callers than cores, each splitting its pass with a helper, on
+        # one shared batch whose jump geometry is not yet built
+        batch = HELPER_SAMPLERS["tilted"](300, 256, RngStream(56))
+        want = np.stack([_one_target_sup(batch, f, lam, 1.0) for f, lam in HELPER_TARGETS])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                results = list(ex.map(lambda _: _sup_matrix(batch, HELPER_TARGETS), range(8),
+                                      timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.tobytes() == want.tobytes() for r in results)
 
 
 class TestExtract:
