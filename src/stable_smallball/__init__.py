@@ -7,11 +7,9 @@ finite-grid harness for the iterated-logarithm scaling regimes.
 
 from .constants import (
     SmallBallConstant,
-    bounded_jump_martingale_lower_bound,
     char_exponent_scale,
     dirichlet_eigenvalue,
     gaussian_validation_eigenvalue,
-    large_shift_constant,
     middle_shift_constant,
     psi,
     smallball_constant_mc,
@@ -79,7 +77,6 @@ from .smallball import (
     estimate_is,
     prob_no_big_jumps,
     tail_prob_check,
-    theory_lower_bound_middle,
 )
 
 __version__ = "0.1.0"

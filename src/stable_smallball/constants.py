@@ -8,11 +8,9 @@ sup-norm ball of radius r decays like exp(-K r^-alpha).  This module computes
 * ``smallball_constant_spectral`` / ``smallball_constant_mc``: the rate K as
   the lowest Dirichlet eigenvalue of the generator on (-1, 1), and as the
   slope of -log p_hat against r^-alpha from simulation,
-* ``middle_shift_constant`` and ``large_shift_constant``: series constants
-  bounding shifted small-ball probabilities in the moderate and large shift
-  regimes,
-* ``bounded_jump_martingale_lower_bound``: a crude lower bound needing only
-  the second moment of the jump measure,
+* ``middle_shift_constant``: the series constant C(alpha) of the
+  moderate-shift lower bound exp(-C(alpha) r^-alpha), which bounds K from
+  above,
 * ``psi``: the convex function (1+u)log(1+u) - u driving all tilt exponents.
 """
 
@@ -24,7 +22,7 @@ from functools import partial
 import numpy as np
 from scipy import integrate, linalg
 
-from .processes import AlphaStableParams, ShiftFunction
+from .processes import AlphaStableParams
 
 _SERIES_RTOL = 1e-12
 _QUAD_RTOL = 1e-8
@@ -48,15 +46,16 @@ def psi(u):
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
 
-def char_exponent_scale(alpha: float, split: float = 1.0, tail_start: float = 1000.0) -> float:
+def char_exponent_scale(alpha: float) -> float:
     """c_alpha = 2 * int_0^inf (1 - cos v) v^(-1-alpha) dv, 1 < alpha < 2.
 
-    The singular head [0, split] is summed exactly from the cosine series
+    The singular head [0, 1] is summed exactly from the cosine series
     (term-by-term integration, alternating with factorial decay), avoiding
     the catastrophic cancellation of 1 - cos v near 0.  The oscillatory
-    middle is adaptive quadrature one period at a time, and the far tail is
-    integrated by parts four times so the neglected remainder is bounded by
-    (1+a)(2+a)(3+a) * V^(-4-a), far below the 1e-8 relative target.
+    middle [1, V], V = 1000, is adaptive quadrature one period at a time,
+    and the far tail is integrated by parts four times so the neglected
+    remainder is bounded by (1+a)(2+a)(3+a) * V^(-4-a), far below the 1e-8
+    relative target.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
@@ -67,7 +66,7 @@ def char_exponent_scale(alpha: float, split: float = 1.0, tail_start: float = 10
     fact = 2.0  # (2k)! starting at k=1
     k = 1
     while True:
-        term = term_sign * split ** (2 * k - a) / (fact * (2 * k - a))
+        term = term_sign / (fact * (2 * k - a))  # times 1^(2k - a) at the split v = 1
         head += term
         if abs(term) < 1e-17 * max(head, 1.0):
             break
@@ -76,14 +75,12 @@ def char_exponent_scale(alpha: float, split: float = 1.0, tail_start: float = 10
         term_sign = -term_sign
 
     middle = 0.0
-    lo = split
-    period = 2.0 * np.pi
-    while lo < tail_start:
-        hi = min(lo + period, tail_start)
-        middle += integrate.quad(lambda v: (1.0 - np.cos(v)) * v ** (-1.0 - a), lo, hi)[0]
+    lo, v = 1.0, 1000.0  # the middle runs from the head's end to the tail's start v
+    while lo < v:
+        hi = min(lo + 2.0 * np.pi, v)
+        middle += integrate.quad(lambda x: (1.0 - np.cos(x)) * x ** (-1.0 - a), lo, hi)[0]
         lo = hi
 
-    v = tail_start
     s, c = np.sin(v), np.cos(v)
     tail = (
         v ** (-a) / a
@@ -121,51 +118,6 @@ def middle_shift_constant(alpha: float) -> float:
     k = np.arange(1, k_max + 1, dtype=float)
     series = float(np.sum(1.0 / (2.0 * k * (2.0 * k - 1.0) * (2.0 * k - a))))
     return 2.0 * (1.0 / a + series + big)
-
-
-def large_shift_constant(f: ShiftFunction, alpha: float) -> float:
-    """Series constant C1(f, alpha) for the large-shift decay rate.
-
-    C1 = ||f'||^(alpha/(alpha-1)) ((2-alpha)/2)^(alpha/(alpha-1))
-         * sum_{k>=1} m_k / (k(2k-1)(2k-alpha)),
-    with m_k = int_0^1 (f'(t)/||f'||)^(2k) dt, exact for piecewise-linear f.
-    Since m_k <= 1 the truncation tail is below the same telescoping bound
-    as in :func:`middle_shift_constant`.
-    """
-    if not (1.0 < alpha < 2.0):
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    a = float(alpha)
-    sup = f.sup_deriv
-    if sup == 0.0:
-        return 0.0
-    weights = np.diff(f.knot_times)
-    q = (f.slopes / sup) ** 2  # in [0, 1]
-    k_max = int(np.ceil(np.sqrt(1.0 / (4.0 * _SERIES_RTOL)))) + 8
-    k = np.arange(1, k_max + 1, dtype=float)
-    denom = k * (2.0 * k - 1.0) * (2.0 * k - a)
-    series = 0.0
-    for w, qs in zip(weights, q):
-        if qs == 0.0:
-            continue
-        # m-contribution w * qs^k, evaluated in log space to dodge under/overflow
-        powers = np.exp(k * np.log(qs)) if qs < 1.0 else np.ones_like(k)
-        series += w * float(np.sum(powers / denom))
-    pref = (sup * (2.0 - a) / 2.0) ** (a / (a - 1.0))
-    return pref * series
-
-
-def bounded_jump_martingale_lower_bound(second_moment: float, eps: float) -> float:
-    """exp(-(12 * second_moment / eps^2 + 2)).
-
-    Lower bound on P(sup |X| < 3 eps) for a centered pure-jump martingale
-    whose jump measure nu has int x^2 nu(dx) = second_moment and jumps
-    bounded by eps.  Crude but assumption-light.
-    """
-    if second_moment < 0.0:
-        raise ValueError("second moment must be nonnegative")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return float(np.exp(-(12.0 * second_moment / eps**2 + 2.0)))
 
 
 @dataclass(frozen=True)

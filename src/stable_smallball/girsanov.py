@@ -172,13 +172,13 @@ def log_weight_batch(tilt: TiltSpec, batch) -> np.ndarray:
     return lw
 
 
-def deterministic_exponent(tilt: TiltSpec, rtol: float = _SERIES_RTOL) -> float:
+def deterministic_exponent(tilt: TiltSpec) -> float:
     """int_0^1 int psi(beta(t) x) dLambda dt as an exact moment series.
 
     Equals scale * (2/cut^alpha) * sum_k m_2k / (2k(2k-1)(2k-alpha)) with
     m_2k the 2k-th moment of the amplitude b(t); for piecewise-linear f the
     moments are finite sums.  Terms are added until the geometric tail bound
-    (ratio = amplitude bound squared) falls below rtol of the partial sum.
+    (ratio = amplitude bound squared) falls below 1e-12 of the partial sum.
     """
     a = tilt.params.alpha
     check = tilt.validity_check()
@@ -204,7 +204,7 @@ def deterministic_exponent(tilt: TiltSpec, rtol: float = _SERIES_RTOL) -> float:
         k_next = k0 + chunk
         tail = b_sup ** (2.0 * k_next) / (
             2.0 * k_next * (2.0 * k_next - 1.0) * (2.0 * k_next - a) * max(1.0 - b_sup**2, 1e-12))
-        if tail <= rtol * max(total, 1e-300):
+        if tail <= _SERIES_RTOL * max(total, 1e-300):
             break
         k0 = k_next
         if k0 > 2_000_000:
@@ -212,21 +212,19 @@ def deterministic_exponent(tilt: TiltSpec, rtol: float = _SERIES_RTOL) -> float:
     return pref * total
 
 
-def compensator_cancellation(tilt: TiltSpec, t: float = 0.5,
-                             inner: float | None = None) -> float:
-    """Residual of int (e^theta - 1) dLambda at time t, relative scale.
+def compensator_cancellation(tilt: TiltSpec) -> float:
+    """Residual of int (e^theta - 1) dLambda at time t = 1/2, relative scale.
 
     The integrand is beta(t) x |x|^(-1-alpha), odd over the symmetric cut, so
     the two half-line integrals cancel exactly; this evaluates the folded
     integrand numerically and returns |integral| / int |integrand|, which
-    should sit at rounding-noise level.  The inner limit avoids the
+    should sit at rounding-noise level.  The inner limit 1e-6 cut avoids the
     non-integrable |x|^(-alpha) singularity of the absolute normalizer.
     """
     a = tilt.params.alpha
     cut = tilt.jump_cut
-    if inner is None:
-        inner = 1e-6 * cut
-    beta_t = float(tilt.beta(t))
+    inner = 1e-6 * cut
+    beta_t = float(tilt.beta(0.5))
     if beta_t == 0.0:
         return 0.0
 

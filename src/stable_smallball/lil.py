@@ -120,15 +120,15 @@ class IntegralTestResult:
     evidence: dict
 
 
-def integral_test(h: ScalingFunction, alpha: float,
-                  max_log_t: float = MAX_LOG_T, quad_tol: float = 1e-9) -> IntegralTestResult:
+def integral_test(h: ScalingFunction, alpha: float) -> IntegralTestResult:
     """Classify int^inf dt / (t h(t)^alpha) as finite or infinite.
 
     Power-of-log scalings are classified analytically: with
     h = (log t)^p (log log t)^q the integral is finite iff p alpha > 1, or
     p alpha = 1 with q alpha > 1.  Custom scalings are probed numerically:
     partial integrals over doubling log-ranges either decay geometrically
-    (converges), hold steady (diverges), or neither (inconclusive).
+    (converges), hold steady (diverges), or neither (inconclusive); the
+    log-ranges end below the float overflow cap ``MAX_LOG_T``.
     """
     if h.kind == "power_loglog":
         pa = h.log_power * alpha
@@ -143,14 +143,14 @@ def integral_test(h: ScalingFunction, alpha: float,
     # substitute t = e^u: integral becomes int du / h(e^u)^alpha
     u0 = max(np.log(h.t_min), 2.0) + 1.0
     edges = [u0]
-    while edges[-1] * 2.0 <= max_log_t:
+    while edges[-1] * 2.0 <= MAX_LOG_T:
         edges.append(edges[-1] * 2.0)
     if len(edges) < 5:
         raise ValueError("not enough doubling headroom below the overflow cap")
     parts = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         val = integrate.quad(lambda u: h(np.exp(u)) ** -alpha, lo, hi,
-                             epsabs=quad_tol, epsrel=quad_tol, limit=200)[0]
+                             epsabs=1e-9, epsrel=1e-9, limit=200)[0]
         if not np.isfinite(val) or val < 0.0:
             raise ValueError("nonpositive or non-finite scaling sample")
         parts.append(val)

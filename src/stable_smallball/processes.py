@@ -156,19 +156,15 @@ def tent_shift() -> ShiftFunction:
     return make_shift([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
 
 
-def random_shift(n_knots: int, rng: np.random.Generator, max_abs_slope: float = 1.0) -> ShiftFunction:
-    """Random piecewise-linear shift with ||f'|| <= max_abs_slope.
+def random_shift(n_knots: int, rng: np.random.Generator) -> ShiftFunction:
+    """Random piecewise-linear shift with ||f'|| <= 1.
 
-    Interior knot times are sorted uniforms; slopes are uniform on
-    [-max_abs_slope, max_abs_slope] and rescaled if the sup is exceeded.
+    Interior knot times are sorted uniforms; slopes are uniform on [-1, 1).
     """
     if n_knots < 2:
         raise ValueError("need at least 2 knots")
     times = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, n_knots - 2)), [1.0]))
-    slopes = rng.uniform(-max_abs_slope, max_abs_slope, n_knots - 1)
-    top = np.max(np.abs(slopes))
-    if top > max_abs_slope:
-        slopes *= max_abs_slope / top
+    slopes = rng.uniform(-1.0, 1.0, n_knots - 1)
     values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(times))))
     return ShiftFunction(times, values)
 
@@ -258,8 +254,8 @@ class Estimate:
         return cls(value=p_hat, stderr=stderr, n=n, ci95=(lo, hi), flags=flags)
 
 
-def _clopper_pearson(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    tail = (1.0 - level) / 2.0
+def _clopper_pearson(successes: int, n: int) -> tuple[float, float]:
+    tail = (1.0 - 0.95) / 2.0  # of the 95% interval
     lo = 0.0 if successes == 0 else float(stats.beta.ppf(tail, successes, n - successes + 1))
     hi = 1.0 if successes == n else float(stats.beta.ppf(1.0 - tail, successes + 1, n - successes))
     return lo, hi

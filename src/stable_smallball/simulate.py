@@ -4,12 +4,17 @@ Three exact-in-law samplers, all driven by named substreams so results are
 reproducible and independent of batch splitting or worker count:
 
 * ``sample_stable_batch``: i.i.d. stable increments (Chambers-Mallows-Stuck),
-  the reference marginal-law sampler,
+  the reference marginal-law sampler; ``sample_time_changed_batch`` runs
+  the same increments through a deterministic clock,
 * ``sample_jump_batch``: jumps above a cutoff resolved individually, the
   sub-cutoff remainder replaced by its Gaussian proxy (optional),
 * ``sample_truncated_batch`` / ``sample_tilted_batch``: jump-resolved paths
   of the truncated process, optionally under an exponential tilt of the jump
   measure; the tilted sampler records everything needed to reweight back.
+
+The jump-resolved samplers share ``_draw_jumps`` for each band of jumps
+and ``_bin_with_proxy`` to sort and bin them and draw the Gaussian proxy;
+every sampler ends in ``_cumulate``, which sums increments into paths.
 
 A path is a :class:`BatchPaths`; one path is a batch of one
 (``BatchPaths.extract``).  One kernel evaluates sup-norm distances to scaled
@@ -29,11 +34,11 @@ for the call (``with ThreadPoolExecutor(1)``) and joined before it returns,
 so no thread outlives a call and none is alive when a process pool forks.
 Two stages use it, and neither can change a bit:
 
-* the jump-resolved samplers draw the Gaussian proxy, their last draw from
-  the generator, on the helper while the calling thread bins the jump
-  records (and, in the tilted sampler, builds the drift).  The calling
-  thread does not touch the generator until the draw is joined, so the
-  generator sees the same calls in the same order as in a serial run;
+* in the samplers, only ``_bin_with_proxy``: it draws the Gaussian proxy,
+  the batch's last draw from the generator, on the helper while the calling
+  thread sorts and bins the jump records.  The calling thread does not
+  touch the generator until the draw is joined, so the generator sees the
+  same calls in the same order as in a serial run;
 * the sup kernel builds the batch's jump geometry first, then runs the
   second half of its row blocks on the helper and the first half on the
   calling thread.  Each half has its own buffers and writes only its own
@@ -214,45 +219,54 @@ def standard_symmetric_stable(alpha: float, size, rng) -> np.ndarray:
     return out
 
 
-def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int,
-                        rng, t_max: float = 1.0) -> BatchPaths:
-    """Paths from i.i.d. stable increments on a uniform grid.
+def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int, rng) -> BatchPaths:
+    """Paths from i.i.d. stable increments on a uniform grid of [0, 1].
 
     Each increment over dt has characteristic function exp(-c_alpha dt |u|^alpha),
     so the grid marginals are exact; nothing is known between grid points.
     """
     _check_shape(n_paths, n_steps)
-    gen = _as_generator(rng)
-    dt = t_max / n_steps
-    scale = (params.c_alpha * dt) ** (1.0 / params.alpha)
-    incr = standard_symmetric_stable(params.alpha, (n_paths, n_steps), gen)
+    scale = (params.c_alpha * (1.0 / n_steps)) ** (1.0 / params.alpha)
+    return _stable_paths(params.alpha, scale, n_paths, n_steps, _as_generator(rng))
+
+
+def _stable_paths(alpha: float, scale, n_paths: int, n_steps: int, gen) -> BatchPaths:
+    """Paths whose increments are standard stable variates times ``scale``,
+    a scalar or one factor per step."""
+    incr = standard_symmetric_stable(alpha, (n_paths, n_steps), gen)
     incr *= scale
+    return _cumulate(incr)
+
+
+def _cumulate(incr: np.ndarray, **records) -> BatchPaths:
+    """The batch on the unit grid whose paths are the running sums of ``incr``.
+
+    ``records`` become the batch's fields; its per-step ``drift_steps`` and
+    ``small_noise``, when given, are first added into ``incr`` in that order.
+    """
+    for name in ("drift_steps", "small_noise"):
+        if records.get(name) is not None:
+            incr += records[name]
+    n_paths, n_steps = incr.shape
     values = np.zeros((n_paths, n_steps + 1))
     np.cumsum(incr, axis=1, out=values[:, 1:])
-    times = np.linspace(0.0, t_max, n_steps + 1)
-    return BatchPaths(times=times, values=values)
+    return BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values, **records)
 
 
-def _draw_jump_times(gen, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform jump instants in (0, 1] for per-path Poisson counts."""
-    total = int(counts.sum())
-    path_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    t = 1.0 - gen.random(total)
-    return path_idx, t
+def _draw_jumps(gen, rate: float, n_paths: int, alpha: float, lower: float,
+                upper: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poisson(rate) jumps per path with magnitudes in [lower, upper); upper may be inf.
 
-
-def _pareto_magnitudes(gen, n: int, alpha: float, lower: float, upper: float | None) -> np.ndarray:
-    """Magnitudes from the density alpha x^(-1-alpha) restricted to [lower, upper)."""
-    u = 1.0 - gen.random(n)  # in (0, 1]
-    lo_pow = lower ** -alpha
-    if upper is None:
-        return (u * lo_pow) ** (-1.0 / alpha)
-    hi_pow = upper ** -alpha
-    return (hi_pow + u * (lo_pow - hi_pow)) ** (-1.0 / alpha)
-
-
-def _signs(gen, n: int) -> np.ndarray:
-    return 2.0 * gen.integers(0, 2, n) - 1.0
+    Draws the per-path counts, then the instants (uniform on (0, 1]), then
+    the magnitudes (density alpha x^(-1-alpha) on [lower, upper), by
+    inversion), then symmetric signs.  Returns (path_idx, t, sizes), grouped
+    by path in draw order.
+    """
+    path_idx = np.repeat(np.arange(n_paths, dtype=np.int64), gen.poisson(rate, n_paths))
+    t = 1.0 - gen.random(path_idx.size)
+    hi_pow = upper ** -alpha  # 0.0 for upper = inf, so the sum below is exact
+    sizes = (hi_pow + (1.0 - gen.random(t.size)) * (lower ** -alpha - hi_pow)) ** (-1.0 / alpha)
+    return path_idx, t, sizes * (2.0 * gen.integers(0, 2, t.size) - 1.0)
 
 
 def _jump_order(path_idx, t):
@@ -280,21 +294,32 @@ def _jump_order(path_idx, t):
     return order
 
 
-def _bin_jumps(path_idx, t, sizes, n_paths, n_steps):
-    """Sort jumps by (path, time) and sum them into per-step buckets.
+def _bin_with_proxy(gen, path_idx, t, sizes, n_paths: int, n_steps: int,
+                    noise_var: float | None):
+    """Sort jump records by (path, time), sum them per step, draw the proxy.
 
-    The order equals ``np.lexsort((t, path_idx))`` element for element (see
-    :func:`_jump_order`) at a fraction of its cost, so records, values and
-    log-weights are bit-identical to a lexsort.
+    Returns the sorted records, the (n_paths, n_steps) jump increments and
+    the Gaussian proxy of per-step variance ``noise_var`` (or None);
+    callers rebind their record names to the sorted ones, so the unsorted
+    arrays die with this call.  The proxy, the batch's last draw from
+    ``gen``, runs on a helper thread while this thread sorts and bins.  The
+    order equals ``np.lexsort((t, path_idx))`` element for element (see
+    :func:`_jump_order`), so records, values and log-weights are bit-identical
+    to a lexsort's.
     """
-    order = _jump_order(path_idx, t)
-    path_idx, t, sizes = path_idx[order], t[order], sizes[order]
-    step = np.minimum((t * n_steps).astype(np.int64), n_steps - 1)
-    flat = path_idx * n_steps + step
-    per_step = np.bincount(flat, weights=sizes, minlength=n_paths * n_steps)
-    # with no records bincount returns int64 zeros; callers add into per_step in place
-    per_step = per_step.astype(float, copy=False)
-    return path_idx, t, sizes, per_step.reshape(n_paths, n_steps)
+    with ThreadPoolExecutor(1) as helper:
+        pending = None
+        if noise_var is not None:
+            pending = helper.submit(gen.normal, 0.0, np.sqrt(noise_var), (n_paths, n_steps))
+        order = _jump_order(path_idx, t)
+        path_idx, t, sizes = path_idx[order], t[order], sizes[order]
+        step = np.minimum((t * n_steps).astype(np.int64), n_steps - 1)
+        incr = np.bincount(path_idx * n_steps + step, weights=sizes,
+                           minlength=n_paths * n_steps)
+        # with no records bincount returns int64 zeros; callers add into incr in place
+        incr = incr.astype(float, copy=False).reshape(n_paths, n_steps)
+        noise = None if pending is None else pending.result()
+    return path_idx, t, sizes, incr, noise
 
 
 def _check_shape(n_paths: int, n_steps: int) -> None:
@@ -319,31 +344,18 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
         raise ValueError("eps_cutoff must be positive")
     gen = _as_generator(rng)
     alpha = params.alpha
-    rate = (2.0 / alpha) * eps_cutoff**-alpha
-    counts = gen.poisson(rate, n_paths)
-    path_idx, t = _draw_jump_times(gen, counts)
-    mags = _pareto_magnitudes(gen, t.size, alpha, eps_cutoff, None)
-    sizes = mags * _signs(gen, t.size)
-    dt = 1.0 / n_steps
-    pending = None
-    with ThreadPoolExecutor(1) as helper:
-        if gaussian_refinement:  # the last draw from gen, made while the records are binned
-            sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * dt)
-            pending = helper.submit(gen.normal, 0.0, sd, (n_paths, n_steps))
-        path_idx, t, sizes, incr = _bin_jumps(path_idx, t, sizes, n_paths, n_steps)
-        noise = None if pending is None else pending.result()
-    if noise is not None:
-        incr += noise
-    values = np.zeros((n_paths, n_steps + 1))
-    np.cumsum(incr, axis=1, out=values[:, 1:])
-    times = np.linspace(0.0, 1.0, n_steps + 1)
-    return BatchPaths(times=times, values=values, eps_cutoff=eps_cutoff, jump_path=path_idx,
-                      jump_times=t, jump_sizes=sizes, small_noise=noise)
+    path_idx, t, sizes = _draw_jumps(gen, (2.0 / alpha) * eps_cutoff**-alpha, n_paths, alpha,
+                                     eps_cutoff, np.inf)
+    noise_var = (truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps)
+                 if gaussian_refinement else None)
+    path_idx, t, sizes, incr, noise = _bin_with_proxy(gen, path_idx, t, sizes, n_paths,
+                                                      n_steps, noise_var)
+    return _cumulate(incr, eps_cutoff=eps_cutoff, jump_path=path_idx, jump_times=t,
+                     jump_sizes=sizes, small_noise=noise)
 
 
 def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_steps: int,
-                           rng, eps_cutoff: float | None = None,
-                           gaussian_refinement: bool = True) -> BatchPaths:
+                           rng, eps_cutoff: float | None = None) -> BatchPaths:
     """Paths of the truncated process: every jump with |x| >= r removed.
 
     Identical draw sequence to :func:`sample_tilted_batch` with a zero tilt,
@@ -351,13 +363,12 @@ def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_
     """
     tilt = TiltSpec.middle_shift(params, zero_shift(), c=0.0, r=r)
     return sample_tilted_batch(tilt, n_paths, n_steps, rng, eps_cutoff=eps_cutoff,
-                               gaussian_refinement=gaussian_refinement,
                                drift_mode="martingale", compute_weights=False)
 
 
 def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
-                        eps_cutoff: float | None = None, gaussian_refinement: bool = True,
-                        drift_mode: str = "shifted", compute_weights: bool = True,
+                        eps_cutoff: float | None = None, drift_mode: str = "shifted",
+                        compute_weights: bool = True,
                         ) -> tuple[BatchPaths, np.ndarray] | BatchPaths:
     """Paths under the tilted jump measure, with exact reweighting records.
 
@@ -365,7 +376,8 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
     (1+B) times the untilted intensity, B the tilt amplitude bound, so no
     tilted inverse CDF is needed.  Above the cutoff the tilt is off: in the
     middle regime those jumps are removed entirely, in the small regime they
-    are kept untilted.  The default ``drift_mode="shifted"`` adds the
+    are kept untilted.  Jumps below ``eps_cutoff`` are replaced by their
+    Gaussian proxy.  The default ``drift_mode="shifted"`` adds the
     compensator drift, so the path mean follows the tilt's shift curve;
     ``"martingale"`` keeps the path centered instead, which is how the
     importance-sampling estimator consumes it.  The log weight is the same
@@ -393,51 +405,29 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
 
     # interior jumps eps <= |x| < cut, thinned from the (1 + B)-inflated rate
     rate_int = scale * (1.0 + b_bound) * (2.0 / alpha) * (eps_cutoff**-alpha - cut**-alpha)
-    counts = gen.poisson(rate_int, n_paths)
-    path_idx, t = _draw_jump_times(gen, counts)
-    mags = _pareto_magnitudes(gen, t.size, alpha, eps_cutoff, cut)
-    sizes = mags * _signs(gen, t.size)
+    path_idx, t, sizes = _draw_jumps(gen, rate_int, n_paths, alpha, eps_cutoff, cut)
     if b_bound > 0.0:
-        accept_u = gen.random(t.size)
-        accept = accept_u * (1.0 + b_bound) < 1.0 + tilt.beta(t) * sizes
+        accept = gen.random(t.size) * (1.0 + b_bound) < 1.0 + tilt.beta(t) * sizes
         path_idx, t, sizes = path_idx[accept], t[accept], sizes[accept]
 
     # exterior jumps |x| >= cut, untilted; only the small regime keeps them
     if tilt.keeps_exterior_jumps:
-        rate_ext = scale * (2.0 / alpha) * cut**-alpha
-        counts_ext = gen.poisson(rate_ext, n_paths)
-        pe, te = _draw_jump_times(gen, counts_ext)
-        me = _pareto_magnitudes(gen, te.size, alpha, cut, None)
-        se = me * _signs(gen, te.size)
-        path_idx = np.concatenate([path_idx, pe])
-        t = np.concatenate([t, te])
-        sizes = np.concatenate([sizes, se])
+        exterior = _draw_jumps(gen, scale * (2.0 / alpha) * cut**-alpha, n_paths, alpha, cut,
+                               np.inf)
+        path_idx, t, sizes = map(np.concatenate, zip((path_idx, t, sizes), exterior))
 
-    pending = None
-    with ThreadPoolExecutor(1) as helper:
-        if gaussian_refinement:  # the last draw from gen, made while the records are binned
-            sd = np.sqrt(scale * truncated_second_moment(alpha, eps_cutoff) * dt)
-            pending = helper.submit(gen.normal, 0.0, sd, (n_paths, n_steps))
+    # compensate the tilt of the interior band so the component is a martingale
+    bbar = step_mean_amplitude(tilt, n_steps)
+    v_band = truncated_second_moment(alpha, cut) - truncated_second_moment(alpha, eps_cutoff)
+    drift = -scale * v_band * bbar * dt
+    if drift_mode == "shifted":
+        drift = drift + np.diff(tilt.compensator_shift_curve(np.linspace(0.0, 1.0, n_steps + 1)))
 
-        # compensate the tilt of the interior band so the component is a martingale
-        bbar = step_mean_amplitude(tilt, n_steps)
-        v_band = truncated_second_moment(alpha, cut) - truncated_second_moment(alpha, eps_cutoff)
-        drift = -scale * v_band * bbar * dt
-        if drift_mode == "shifted":
-            times_grid = np.linspace(0.0, 1.0, n_steps + 1)
-            shift_curve = tilt.compensator_shift_curve(times_grid)
-            drift = drift + np.diff(shift_curve)
-
-        path_idx, t, sizes, incr = _bin_jumps(path_idx, t, sizes, n_paths, n_steps)
-        noise = None if pending is None else pending.result()
-    incr += drift
-    if noise is not None:
-        incr += noise
-    values = np.zeros((n_paths, n_steps + 1))
-    np.cumsum(incr, axis=1, out=values[:, 1:])
-    times = np.linspace(0.0, 1.0, n_steps + 1)
-    batch = BatchPaths(times=times, values=values, eps_cutoff=eps_cutoff, jump_path=path_idx,
-                       jump_times=t, jump_sizes=sizes, small_noise=noise, drift_steps=drift)
+    path_idx, t, sizes, incr, noise = _bin_with_proxy(
+        gen, path_idx, t, sizes, n_paths, n_steps,
+        scale * truncated_second_moment(alpha, eps_cutoff) * dt)
+    batch = _cumulate(incr, eps_cutoff=eps_cutoff, jump_path=path_idx, jump_times=t,
+                      jump_sizes=sizes, small_noise=noise, drift_steps=drift)
     if not compute_weights:
         return batch
     return batch, log_weight_batch(tilt, batch)
@@ -462,11 +452,7 @@ def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_
     if not np.any(d_phi > 0.0):
         raise ValueError("speed must have positive total mass")
     scale = (params.c_alpha * d_phi) ** (1.0 / params.alpha)
-    incr = standard_symmetric_stable(params.alpha, (n_paths, n_steps), gen)
-    incr *= scale
-    values = np.zeros((n_paths, n_steps + 1))
-    np.cumsum(incr, axis=1, out=values[:, 1:])
-    return BatchPaths(times=times, values=values)
+    return _stable_paths(params.alpha, scale, n_paths, n_steps, gen)
 
 
 def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
@@ -572,15 +558,18 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0) -> np.ndarr
     return out
 
 
-def batch_plan(n_total: int, n_steps: int, target_elems: int = 1 << 22) -> list[tuple[int, int]]:
+_BATCH_ELEMS = 1 << 22  # grid values per batch that batch_plan aims at: a 32 MiB values array
+
+
+def batch_plan(n_total: int, n_steps: int) -> list[tuple[int, int]]:
     """Deterministic split of n_total paths into (batch_index, size) pieces.
 
-    The plan depends only on (n_total, n_steps, target_elems), never on worker
-    count, so distributing batches over processes cannot change results.
+    The plan depends only on (n_total, n_steps), never on worker count, so
+    distributing batches over processes cannot change results.
     """
     if n_total < 1:
         raise ValueError("n_total must be positive")
-    per = max(64, min(n_total, target_elems // (n_steps + 1)))
+    per = max(64, min(n_total, _BATCH_ELEMS // (n_steps + 1)))
     sizes = [per] * (n_total // per)
     if n_total % per:
         sizes.append(n_total % per)

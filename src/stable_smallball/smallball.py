@@ -4,13 +4,13 @@ The target quantity is P(sup_t |X(t) - shift_scale * f(t)| < r) on [0, 1].
 Three routes:
 
 * ``estimate_crude``: direct fraction over simulated paths,
+* ``estimate_given_no_big_jumps``: the probability conditioned on "no jump
+  larger than r", by simulating the truncated law,
 * ``estimate_is``: condition on "no jump larger than r" (exact closed form),
   then estimate the conditional probability by importance sampling under the
   Girsanov tilt whose compensator reproduces the shift; the indicator is on
   the centered ball of the tilted martingale, the weight restores the
-  truncated law,
-* ``theory_lower_bound_middle``: the proven series lower bound, for sanity
-  ordering against estimates.
+  truncated law.
 
 ``anderson_report`` checks the symmetric-process inequality p(f, lam) <=
 p(0, 0) over a battery of shifts with common random numbers, and
@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .constants import middle_shift_constant, _wls_line
+from .constants import _wls_line
 from .girsanov import TiltSpec, compensator_cancellation
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
@@ -181,21 +181,6 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
     hi = max(value + 1.96 * stderr, value)
     return Estimate(value=value, stderr=stderr, n=n_paths, ci95=(lo, min(hi, 1.0)),
                     ess=ess, flags=tuple(flags))
-
-
-def theory_lower_bound_middle(query: SmallBallQuery) -> float:
-    """Proven lower bound exp(-C(alpha)/r^alpha) for valid middle-regime shifts.
-
-    Validity is the tilt-range condition c (2-alpha)/2 * sup|f'| < 1; outside
-    it the bound is not claimed, so the function refuses rather than returns.
-    """
-    if query.regime_tag != "middle":
-        raise ValueError("bound applies to the middle regime only")
-    a = query.params.alpha
-    b = query.c * (2.0 - a) / 2.0 * query.f.sup_deriv
-    if b >= 1.0:
-        raise ValueError(f"shift too steep for the bound: amplitude bound {b:.4f} >= 1")
-    return float(np.exp(-middle_shift_constant(a) / query.r**a))
 
 
 def _no_big_jump_kernel(params, r, eps_cutoff, n_steps, stream, size) -> int:

@@ -13,19 +13,14 @@ from scipy import linalg
 
 from stable_smallball import (
     RngStream,
-    bounded_jump_martingale_lower_bound,
     char_exponent_scale,
     dirichlet_eigenvalue,
     gaussian_validation_eigenvalue,
-    identity_shift,
-    large_shift_constant,
-    make_shift,
     middle_shift_constant,
     psi,
     smallball_constant_mc,
     smallball_constant_spectral,
     truncated_second_moment,
-    zero_shift,
 )
 from stable_smallball.constants import _inverse_iteration, _richardson, _stable_operator
 
@@ -102,37 +97,6 @@ class TestMiddleShiftConstant:
         grid = np.linspace(1.1, 1.9, 9)
         vals = [middle_shift_constant(float(a)) for a in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-class TestLargeShiftConstant:
-    def test_identity_oracle(self):
-        assert large_shift_constant(identity_shift(), 1.5) == pytest.approx(
-            0.032724923474893679567, rel=1e-10)
-
-    def test_two_segment_oracle(self):
-        f = make_shift([(0.0, 0.0), (0.5, 1.0), (1.0, 0.5)])
-        assert large_shift_constant(f, 1.5) == pytest.approx(
-            0.16242610519529057721, rel=1e-10)
-
-    def test_zero_shift_gives_zero(self):
-        assert large_shift_constant(zero_shift(), 1.5) == 0.0
-
-
-class TestMartingaleLowerBound:
-    def test_closed_form(self):
-        sm, eps = 0.04, 0.5
-        assert bounded_jump_martingale_lower_bound(sm, eps) == pytest.approx(
-            math.exp(-(12.0 * sm / eps**2 + 2.0)), rel=1e-14)
-
-    def test_monotone_in_eps(self):
-        assert (bounded_jump_martingale_lower_bound(0.1, 0.9)
-                > bounded_jump_martingale_lower_bound(0.1, 0.3))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            bounded_jump_martingale_lower_bound(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            bounded_jump_martingale_lower_bound(0.1, 0.0)
 
 
 class TestSpectral:

@@ -101,14 +101,16 @@ class TestIncrementSampler:
             assert abs(ecf - target) < 5.0 * se
 
     def test_self_similarity_of_marginals(self):
-        # X(T s) / T^(1/alpha) should match X(s) in law at fixed s
+        # X(T s) / T^(1/alpha) should match X(s) in law at fixed s; the clock
+        # of constant speed T runs the path at X(T s)
         n = 10_000
         base = sample_stable_batch(PARAMS, n, 64, RngStream(3))
-        for t_max, seed in ((2.0, 4), (8.0, 5)):
-            other = sample_stable_batch(PARAMS, n, 64, RngStream(seed), t_max=t_max)
+        for speed, seed in ((2.0, 4), (8.0, 5)):
+            other = sample_time_changed_batch(PARAMS, lambda t: np.full_like(t, speed), n, 64,
+                                              RngStream(seed))
             for frac in (16, 32, 64):
                 a = base.values[:, frac]
-                b = other.values[:, frac] / t_max ** (1.0 / 1.5)
+                b = other.values[:, frac] / speed ** (1.0 / 1.5)
                 assert stats.ks_2samp(a, b).pvalue > 0.01
 
     def test_marginal_symmetry(self):
@@ -317,8 +319,8 @@ TILTS = [TiltSpec.middle_shift(PARAMS, identity_shift(), c=0.2, r=0.8),
 
 @st.composite
 def _kernel_batches(draw):
-    """Jump (with and without proxy), tilted (with drift), stable and
-    record-free proxy-free batches, 1-9 paths."""
+    """Jump (with and without proxy), tilted (with drift and proxy), stable
+    and record-free proxy-free batches, 1-9 paths."""
     kind = draw(st.sampled_from(["jump", "tilted", "stable", "bare"]))
     n_paths, n_steps = draw(st.integers(1, 9)), draw(st.integers(2, 40))
     rng = RngStream(draw(st.integers(0, 2**32 - 1)))
@@ -326,7 +328,6 @@ def _kernel_batches(draw):
         return sample_stable_batch(PARAMS, n_paths, n_steps, rng)
     if kind == "tilted":
         return sample_tilted_batch(draw(st.sampled_from(TILTS)), n_paths, n_steps, rng,
-                                   gaussian_refinement=draw(st.booleans()),
                                    compute_weights=False)
     if kind == "bare":  # no proxy and, at this cutoff, no records
         return sample_jump_batch(PARAMS, 1e3, n_paths, n_steps, rng, gaussian_refinement=False)

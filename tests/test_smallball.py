@@ -19,7 +19,6 @@ from stable_smallball import (
     prob_no_big_jumps,
     tail_prob_check,
     tent_shift,
-    theory_lower_bound_middle,
     zero_shift,
 )
 
@@ -124,20 +123,6 @@ class TestImportanceSampling:
         crude = estimate_crude(q, 4000, n_steps=512, rng=RngStream(52))
         is_est = estimate_is(q, 4000, n_steps=512, rng=RngStream(53))
         assert is_est.stderr < crude.stderr
-
-
-class TestTheoryBound:
-    def test_lower_bound_holds_empirically(self):
-        q = SmallBallQuery.middle(PARAMS, identity_shift(), c=0.2, r=1.0)
-        bound = theory_lower_bound_middle(q)
-        est = estimate_crude(q, 6000, n_steps=512, rng=RngStream(54))
-        assert bound < est.value + 4.0 * est.stderr
-        assert bound == pytest.approx(math.exp(-1446.8014001941835610), abs=1e-300)
-
-    def test_refuses_out_of_range_shift(self):
-        q = SmallBallQuery.middle(PARAMS, tent_shift(), c=2.1, r=1.0)
-        with pytest.raises(ValueError):
-            theory_lower_bound_middle(q)
 
 
 class TestTail:
