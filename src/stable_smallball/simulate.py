@@ -21,7 +21,10 @@ A path is a :class:`BatchPaths`; one path is a batch of one
 drifts, refining within each step by replaying the recorded jump instants,
 so a jump that briefly exits the ball between grid points is not missed.
 It takes every target in one cache-blocked pass per batch: each row block
-of the grid, then the block's jump records, against all targets in turn.
+of the grid, then the jump records of the block's undecided paths, against
+all targets in turn.  A caller that only tests ``sup < r`` passes
+``cap=r`` and gets the sups capped at r: a path whose grid sup already
+reaches r for every target is then decided without its jump records.
 ``sup_distance_batch`` is its one-target form.  ``map_batches`` is the one
 batch loop of every estimator: it runs a kernel over the deterministic
 ``batch_plan``, each batch on its own child stream.  Every estimator that
@@ -39,18 +42,18 @@ Two stages use it, and neither can change a bit:
   thread sorts and bins the jump records.  The calling thread does not
   touch the generator until the draw is joined, so the generator sees the
   same calls in the same order as in a serial run;
-* the sup kernel builds the batch's jump geometry first, then runs the
-  second half of its row blocks on the helper and the first half on the
-  calling thread.  Each half has its own buffers and writes only its own
-  columns, and each element sees the same operations as in a serial pass.
+* the sup kernel runs the second half of its row blocks on the helper and
+  the first half on the calling thread; each block's grid pass, jump limits
+  and refinement run on the thread that owns the block.  Each half has its
+  own buffers and writes only its own columns, and each element sees the
+  same operations as in a serial pass.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from typing import NamedTuple
+from functools import partial
 
 import numpy as np
 
@@ -99,15 +102,8 @@ class BatchPaths:
     records are flat arrays sorted by (path, time); ``jump_path`` holds the
     owning path index.  ``small_noise`` is the per-step Gaussian proxy of the
     sub-cutoff jumps (None when the proxy is off), ``drift_steps`` the
-    deterministic per-step drift shared by all paths.
-
-    ``jump_geometry`` caches the target-independent part of the sup
-    refinement: the path value just before and just after every jump, and
-    the per-path segments of the records.  It is computed on first use; the
-    sup kernel then reads it block by block for all targets of one pass, and
-    later :func:`sup_distance_batch` calls on the same batch reuse it.
-    Batches are treated as immutable: no code writes into their arrays after
-    sampling, so the cache stays exact.
+    deterministic per-step drift shared by all paths.  The sup kernel reads
+    these records and caches nothing on the batch.
     """
 
     times: np.ndarray
@@ -131,49 +127,6 @@ class BatchPaths:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @cached_property
-    def jump_geometry(self) -> "_JumpGeometry":
-        """Left and right limits of the path at each jump record.
-
-        Within a step the continuous part (drift plus Gaussian proxy) is
-        accrued linearly up to the jump, and earlier jumps within the same
-        step are added via a grouped prefix sum.  Needs at least one record.
-        """
-        p, t, x = self.jump_path, self.jump_times, self.jump_sizes
-        n_steps = self.n_steps
-        frac = t / self.dt
-        step = frac.astype(np.int64)
-        np.minimum(step, n_steps - 1, out=step)
-        frac -= step
-        flat = p * n_steps
-        flat += step  # flat index of (path, step) into the per-step arrays
-
-        smooth = None if self.drift_steps is None else self.drift_steps[step]
-        if self.small_noise is not None:
-            noise = self.small_noise.take(flat)
-            smooth = noise if smooth is None else np.add(smooth, noise, out=smooth)
-
-        # exclusive prefix of same-step earlier jumps; records are (path, time)-sorted
-        new_group = np.empty(t.size, dtype=bool)
-        new_group[0] = True
-        np.not_equal(flat[1:], flat[:-1], out=new_group[1:])
-        excl = np.cumsum(x)
-        excl -= x
-        group_starts = np.flatnonzero(new_group)
-        excl -= np.repeat(excl[group_starts], np.diff(group_starts, append=t.size))
-
-        flat += p  # now into values, which has n_steps + 1 columns
-        pre = self.values.take(flat)
-        if smooth is not None:
-            smooth *= frac
-            pre += smooth
-        pre += excl
-        new_path = np.empty(t.size, dtype=bool)
-        new_path[0] = True
-        np.not_equal(p[1:], p[:-1], out=new_path[1:])
-        starts = np.flatnonzero(new_path)
-        return _JumpGeometry(pre=pre, post=pre + x, starts=starts, paths=p[starts])
-
     def extract(self, i: int) -> "BatchPaths":
         """Path ``i`` as a one-path batch."""
         if not 0 <= i < self.n_paths:
@@ -187,15 +140,6 @@ class BatchPaths:
         return replace(self, values=self.values[i:i + 1], jump_path=jp, jump_times=jt,
                        jump_sizes=js,
                        small_noise=None if self.small_noise is None else self.small_noise[i:i + 1])
-
-
-class _JumpGeometry(NamedTuple):
-    """Target-independent part of the jump refinement of one batch."""
-
-    pre: np.ndarray     # path value just before each jump record
-    post: np.ndarray    # path value just after it
-    starts: np.ndarray  # first record of each path that has records
-    paths: np.ndarray   # the path owning each of those segments
 
 
 def standard_symmetric_stable(alpha: float, size, rng) -> np.ndarray:
@@ -456,38 +400,48 @@ def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_
 
 
 def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
-                       shift_scale: float = 0.0, path_scale: float = 1.0) -> np.ndarray:
-    """sup_t |path_scale * X(t) - shift_scale * f(t)| for every path.
+                       shift_scale: float = 0.0, path_scale: float = 1.0,
+                       cap: float = np.inf) -> np.ndarray:
+    """min(sup_t |path_scale * X(t) - shift_scale * f(t)|, cap) for every path.
 
     The sup runs over the grid and, when jump records exist, over the left
-    and right limits at each jump instant (``BatchPaths.jump_geometry``,
-    computed once per batch), so a jump that briefly exits the ball between
-    grid points is not missed.  This is one row of the sup kernel that
+    and right limits at each jump instant, so a jump that briefly exits the
+    ball between grid points is not missed.  A caller that only tests
+    ``sup < r`` passes ``cap=r``: the refined sup is never below the grid
+    sup, so a path whose grid sup already reaches ``cap`` is decided without
+    its jump records.  This is one row of the sup kernel that
     :func:`sample_sups` runs for all of its targets at once.
     """
-    return _sup_matrix(batch, [(f, shift_scale)], path_scale)[0]
+    return _sup_matrix(batch, [(f, shift_scale)], path_scale, cap)[0]
 
 
 _BLOCK_ELEMS = 1 << 16  # doubles per row block of _sup_matrix: a 512 KiB buffer
 
 
-def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0) -> np.ndarray:
-    """Refined sups of every path against every ``(f, shift_scale)`` target.
+def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
+                cap: float = np.inf) -> np.ndarray:
+    """Refined sups of every path against every ``(f, shift_scale)`` target, capped.
 
-    Returns the ``(len(targets), n_paths)`` matrix in one pass over the
-    batch, in row blocks of about ``_BLOCK_ELEMS`` grid values.  For each
-    block, the grid max of every target goes through one reused buffer, then
-    the block's contiguous jump records are reduced per path, again for every
-    target.  f is evaluated once per distinct f object and scaled per target;
-    a None target skips the subtraction.  Every element sees the same
-    operations as a one-target pass would, so each row is bit-identical to
-    the sup against its target alone.
+    Returns the ``(len(targets), n_paths)`` matrix ``np.minimum(sup, cap)``
+    in one pass over the batch, in row blocks of about ``_BLOCK_ELEMS`` grid
+    values.  For each block, the grid max of every target goes through one
+    reused buffer.  The block's paths whose grid sup is below ``cap`` for
+    some target are still undecided (with ``cap`` = inf, every path); only
+    their jump records are gathered, given their left and right limits
+    (:func:`_jump_limits`) and reduced per path, again for every target.  A
+    path whose grid sup reaches ``cap`` for every target keeps it: its
+    refined sup is no smaller, so both cap to ``cap``.  f is evaluated once
+    per distinct f object and scaled per target; a None target skips the
+    subtraction.  Every element sees the same operations as a one-target
+    pass would, so each row is bit-identical to the sup against its target
+    alone.
 
     A batch of two or more blocks is split into two contiguous halves of
     blocks: a helper thread runs the second half while the calling thread
-    runs the first.  Each half has its own buffers and writes only its own
-    columns of the result, and the jump geometry is built before the split,
-    so the bits do not depend on the split.
+    runs the first.  Each half has its own buffers, builds the limits of its
+    own blocks and writes only its own columns of the result, and nothing
+    it computes depends on another block, so the bits do not depend on the
+    split.
     """
     values = batch.values
     n_paths, n_cols = values.shape
@@ -499,9 +453,10 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0) -> np.ndarr
     edges = [*range(0, n_paths, rows), n_paths]
     refine = batch.jump_times is not None and batch.jump_times.size > 0
     if refine:
-        geo = batch.jump_geometry  # a cached_property: filled here, before any thread reads it
-        rec_edges = np.searchsorted(batch.jump_path, edges).tolist()
-        seg_edges = np.searchsorted(geo.paths, edges).tolist()
+        # records are (path, time)-sorted: path i owns records first[i]:first[i + 1]
+        first = np.searchsorted(batch.jump_path, np.arange(n_paths + 1))
+        # the batch-wide running sum of jump sizes, for the within-step prefix
+        csum = np.cumsum(batch.jump_sizes)
 
     def run_blocks(b0: int, b1: int) -> None:
         buf = np.empty((min(rows, n_paths), n_cols))
@@ -519,20 +474,27 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0) -> np.ndarr
                     np.subtract(block, target, out=dev)
                     np.abs(dev, out=dev)
                 dev.max(axis=1, out=out[k, r0:r1])
-            if not refine or rec_edges[b] == rec_edges[b + 1]:
+            if not refine:
                 continue
 
-            # the block's jump records are contiguous, one segment per path with records
-            lo, hi = rec_edges[b], rec_edges[b + 1]
-            s0, s1 = seg_edges[b], seg_edges[b + 1]
-            pre, post = geo.pre[lo:hi], geo.post[lo:hi]
+            # the undecided paths with records, and where their records start
+            live = r0 + np.flatnonzero((out[:, r0:r1] < cap).any(axis=0))
+            counts = first[live + 1] - first[live]
+            live, counts = live[counts > 0], counts[counts > 0]
+            if live.size == 0:
+                continue
+            starts = np.cumsum(counts) - counts
+            lo, hi = first[live[0]], first[live[-1] + 1]
+            if hi - lo == starts[-1] + counts[-1]:
+                sel = slice(lo, hi)  # one contiguous run of records, no gather needed
+            else:
+                sel = np.repeat(first[live] - starts, counts) + np.arange(starts[-1] + counts[-1])
+            t, pre, post = _jump_limits(batch, sel, csum)
             if scaled is not None:
                 pre, post = path_scale * pre, path_scale * post
-            starts = geo.starts[s0:s1] - lo
-            owners = geo.paths[s0:s1] - r0
-            t = batch.jump_times[lo:hi]
+            owners = live - r0
             jump_f = {key: np.asarray(f(t), dtype=float) for key, f in shifts.items()}
-            cand, other = np.empty(hi - lo), np.empty(hi - lo)
+            cand, other = np.empty(t.size), np.empty(t.size)
             for k, (f, scale) in enumerate(targets):
                 if f is None:
                     np.abs(pre, out=cand)
@@ -549,13 +511,53 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0) -> np.ndarr
     n_blocks = len(edges) - 1
     if n_blocks == 1:
         run_blocks(0, 1)
-        return out
-    half = n_blocks // 2
-    with ThreadPoolExecutor(1) as helper:
-        second = helper.submit(run_blocks, half, n_blocks)
-        run_blocks(0, half)
-        second.result()
-    return out
+    else:
+        half = n_blocks // 2
+        with ThreadPoolExecutor(1) as helper:
+            second = helper.submit(run_blocks, half, n_blocks)
+            run_blocks(0, half)
+            second.result()
+    return np.minimum(out, cap, out=out)
+
+
+def _jump_limits(batch: BatchPaths, sel, csum: np.ndarray):
+    """Instants and left and right limits of the jump records ``sel`` selects.
+
+    ``sel`` (a slice or an index array) picks every record of some paths,
+    in record order.  Within a step the continuous part (drift plus Gaussian
+    proxy) is accrued linearly up to the jump, and earlier jumps within the
+    same step are added via a grouped prefix sum, taken from ``csum``, the
+    running sum of all of the batch's jump sizes.  Returns (t, pre, post).
+    """
+    p, t, x = batch.jump_path[sel], batch.jump_times[sel], batch.jump_sizes[sel]
+    n_steps = batch.n_steps
+    frac = t / batch.dt
+    step = frac.astype(np.int64)
+    np.minimum(step, n_steps - 1, out=step)
+    frac -= step
+    flat = p * n_steps
+    flat += step  # flat index of (path, step) into the per-step arrays
+
+    smooth = None if batch.drift_steps is None else batch.drift_steps[step]
+    if batch.small_noise is not None:
+        noise = batch.small_noise.take(flat)
+        smooth = noise if smooth is None else np.add(smooth, noise, out=smooth)
+
+    # exclusive prefix of same-step earlier jumps; the selected paths' groups are whole
+    new_group = np.empty(t.size, dtype=bool)
+    new_group[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=new_group[1:])
+    excl = csum[sel] - x
+    group_starts = np.flatnonzero(new_group)
+    excl -= np.repeat(excl[group_starts], np.diff(group_starts, append=t.size))
+
+    flat += p  # now into values, which has n_steps + 1 columns
+    pre = batch.values.take(flat)
+    if smooth is not None:
+        smooth *= frac
+        pre += smooth
+    pre += excl
+    return t, pre, pre + x
 
 
 _BATCH_ELEMS = 1 << 22  # grid values per batch that batch_plan aims at: a 32 MiB values array
@@ -600,12 +602,12 @@ def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map)
     return list(pmap(_run_batch, jobs))
 
 
-def _sups_kernel(sample, targets, n_steps, stream, size) -> np.ndarray:
-    return _sup_matrix(sample(size, n_steps, stream), targets)
+def _sups_kernel(sample, targets, n_steps, cap, stream, size) -> np.ndarray:
+    return _sup_matrix(sample(size, n_steps, stream), targets, cap=cap)
 
 
 def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,
-                pmap=map) -> np.ndarray:
+                pmap=map, cap: float = np.inf) -> np.ndarray:
     """Sup-norm distances of ``n_paths`` sampled paths to each target.
 
     ``sample(size, n_steps, rng)`` draws one batch, e.g. a sampler with its
@@ -617,7 +619,7 @@ def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,
     all targets.  Pass one f object for targets that share a shift, so it is
     evaluated once.
     """
-    kernel = partial(_sups_kernel, sample, tuple(targets), n_steps)
+    kernel = partial(_sups_kernel, sample, tuple(targets), n_steps, cap)
     return np.concatenate(map_batches(kernel, n_paths, n_steps, stream, pmap), axis=1)
 
 

@@ -89,7 +89,8 @@ def prob_no_big_jumps(alpha: float, r: float) -> float:
 
 
 def _bernoulli_estimate(sample, query, n_paths, n_steps, rng, pmap) -> Estimate:
-    sups = sample_sups(sample, [(query.f, query.shift_scale)], n_paths, n_steps, rng, pmap)
+    sups = sample_sups(sample, [(query.f, query.shift_scale)], n_paths, n_steps, rng, pmap,
+                       cap=query.r)
     return Estimate.from_bernoulli(int(np.sum(sups < query.r)), n_paths)
 
 
@@ -125,7 +126,7 @@ def estimate_given_no_big_jumps(query: SmallBallQuery, n_paths: int, n_steps: in
 def _is_kernel(tilt, r, n_steps, eps_cutoff, stream, size):
     batch, lw = sample_tilted_batch(tilt, size, n_steps, stream,
                                     eps_cutoff=eps_cutoff, drift_mode="martingale")
-    sups = sup_distance_batch(batch)
+    sups = sup_distance_batch(batch, cap=r)
     w = np.exp(lw)
     hit = sups < r
     v = w * hit
@@ -310,7 +311,7 @@ def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
         eps_cutoff = r / DEFAULT_EPS_RATIO
     targets = [(None, 0.0)] + [(f, lam) for _, f, lam in battery]
     sups = sample_sups(partial(sample_jump_batch, params, eps_cutoff), targets, n_paths,
-                       n_steps, rng, pmap)
+                       n_steps, rng, pmap, cap=r)
     hits = (sups < r).sum(axis=1)
 
     p = hits / n_paths

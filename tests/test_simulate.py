@@ -371,15 +371,34 @@ class TestSupMatrix:
            targets=st.lists(st.tuples(st.sampled_from(SHIFTS), st.floats(-2.0, 2.0)),
                             min_size=1, max_size=6),
            path_scale=st.sampled_from([1.0, 0.5, 1.7]),
-           block=st.sampled_from([1, 16, 100, simulate._BLOCK_ELEMS]))
-    def test_rows_equal_one_target_sups(self, batch, targets, path_scale, block):
+           block=st.sampled_from([1, 16, 100, simulate._BLOCK_ELEMS]),
+           cap=st.sampled_from(["inf", "below", "above", "equal", "grid"]),
+           pick=st.integers(0, 10**6))
+    def test_rows_equal_one_target_sups(self, batch, targets, path_scale, block, cap, pick):
         # small blocks put several blocks in one batch, leave a short last
         # block, or make one grid row longer than a block
         with mock.patch.object(simulate, "_BLOCK_ELEMS", block):
             got = _sup_matrix(batch, targets, path_scale)
-        assert got.shape == (len(targets), batch.n_paths)
-        for row, (f, lam) in zip(got, targets):
-            assert np.array_equal(row, _one_target_sup(batch, f, lam, path_scale))
+            assert got.shape == (len(targets), batch.n_paths)
+            for row, (f, lam) in zip(got, targets):
+                assert np.array_equal(row, _one_target_sup(batch, f, lam, path_scale))
+            grid = _sup_matrix(dataclasses.replace(batch, jump_times=None), targets, path_scale)
+            # "equal" is one refined sup; "grid" the least grid sup of one path,
+            # which leaves that path decided, on the boundary of the test
+            cap = {"inf": np.inf, "below": np.nextafter(got.min(), -np.inf),
+                   "above": np.nextafter(got.max(), np.inf), "equal": got.flat[pick % got.size],
+                   "grid": grid.min(axis=0)[pick % batch.n_paths]}[cap]
+            recorded = {id(f): _Recorded(f) for f, _ in targets if f is not None}
+            watched = [(None if f is None else recorded[id(f)], lam) for f, lam in targets]
+            capped = _sup_matrix(batch, watched, path_scale, cap)
+        assert np.array_equal(capped, np.minimum(got, cap))
+        # only undecided paths, grid sup below cap for some target, are refined:
+        # each f sees the grid, then exactly those paths' jump instants
+        if batch.jump_times is not None:
+            undecided = np.flatnonzero((grid < cap).any(axis=0))
+            want = np.sort(batch.jump_times[np.isin(batch.jump_path, undecided)])
+            for f in recorded.values():
+                assert np.array_equal(np.sort(np.concatenate([want[:0], *f.calls[1:]])), want)
 
 
 def _replayed_sup(batch, f, shift_scale, path_scale):
@@ -573,8 +592,8 @@ class TestHelperThread:
             assert np.array_equal(row, _one_target_sup(batch, f, lam, 1.0))
 
     def test_many_callers_under_fast_switching(self):
-        # more callers than cores, each splitting its pass with a helper, on
-        # one shared batch whose jump geometry is not yet built
+        # more callers than cores, each splitting its pass with a helper and
+        # building its own jump limits, on one shared batch
         batch = HELPER_SAMPLERS["tilted"](300, 256, RngStream(56))
         want = np.stack([_one_target_sup(batch, f, lam, 1.0) for f, lam in HELPER_TARGETS])
         interval = sys.getswitchinterval()
