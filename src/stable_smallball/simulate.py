@@ -455,8 +455,6 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
     if refine:
         # records are (path, time)-sorted: path i owns records first[i]:first[i + 1]
         first = np.searchsorted(batch.jump_path, np.arange(n_paths + 1))
-        # the batch-wide running sum of jump sizes, for the within-step prefix
-        csum = np.cumsum(batch.jump_sizes)
 
     def run_blocks(b0: int, b1: int) -> None:
         buf = np.empty((min(rows, n_paths), n_cols))
@@ -489,7 +487,7 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
                 sel = slice(lo, hi)  # one contiguous run of records, no gather needed
             else:
                 sel = np.repeat(first[live] - starts, counts) + np.arange(starts[-1] + counts[-1])
-            t, pre, post = _jump_limits(batch, sel, csum)
+            t, pre, post = _jump_limits(batch, sel)
             if scaled is not None:
                 pre, post = path_scale * pre, path_scale * post
             owners = live - r0
@@ -520,14 +518,15 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
     return np.minimum(out, cap, out=out)
 
 
-def _jump_limits(batch: BatchPaths, sel, csum: np.ndarray):
+def _jump_limits(batch: BatchPaths, sel):
     """Instants and left and right limits of the jump records ``sel`` selects.
 
     ``sel`` (a slice or an index array) picks every record of some paths,
     in record order.  Within a step the continuous part (drift plus Gaussian
     proxy) is accrued linearly up to the jump, and earlier jumps within the
-    same step are added via a grouped prefix sum, taken from ``csum``, the
-    running sum of all of the batch's jump sizes.  Returns (t, pre, post).
+    same step are added in time order, a sum over that (path, step) alone,
+    so a path's limits are the same bits in any batch and under any
+    selection.  Returns (t, pre, post).
     """
     p, t, x = batch.jump_path[sel], batch.jump_times[sel], batch.jump_sizes[sel]
     n_steps = batch.n_steps
@@ -543,13 +542,15 @@ def _jump_limits(batch: BatchPaths, sel, csum: np.ndarray):
         noise = batch.small_noise.take(flat)
         smooth = noise if smooth is None else np.add(smooth, noise, out=smooth)
 
-    # exclusive prefix of same-step earlier jumps; the selected paths' groups are whole
-    new_group = np.empty(t.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=new_group[1:])
-    excl = csum[sel] - x
-    group_starts = np.flatnonzero(new_group)
-    excl -= np.repeat(excl[group_starts], np.diff(group_starts, append=t.size))
+    # exclusive prefix of same-step earlier jumps, one rank of each group per
+    # pass: excl[i] = excl[i - 1] + x[i - 1] within a group, 0 at its start
+    later = np.zeros(t.size + 1, dtype=bool)  # continues the group before it; False sentinel
+    np.equal(flat[1:], flat[:-1], out=later[1:-1])
+    excl = np.zeros(t.size)
+    rank = np.flatnonzero(later[1:-1] & ~later[:-2]) + 1  # the second record of each group
+    while rank.size:
+        excl[rank] = excl[rank - 1] + x[rank - 1]
+        rank = rank[later[rank + 1]] + 1
 
     flat += p  # now into values, which has n_steps + 1 columns
     pre = batch.values.take(flat)

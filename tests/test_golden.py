@@ -175,7 +175,7 @@ JUMP = {
     "jump_times": "d66c645e1e3c35b556a4d9bfc870779d5b6e85a456aaf37083677fc40b6c7712",
     "jump_sizes": "37bfd4039f88fd292b99ef0b1eec0cb0155b00b3d81fb754b08001f0ee0183fb",
     "small_noise": "4ce49ee62273353c86a093c79c5f0775ecb71e0bf9bd5e1553f3720808c54058",
-    "sups": "adf41fdb501cf509440efdf6e789c0208055752e7edc3f2bb0a5027dc45f131c"
+    "sups": "ed5078a17941f6da06961cbabcb974a2921eaf00a527a4be9e55a82033869dfc"
 }
 TILTED = {
     "values": "2c1ea26f332e6a98037ff459f76d1c8188403d4e901c45b4625263ef17f8adea",
@@ -185,9 +185,9 @@ TILTED = {
     "small_noise": "fdb796893ffa1ef48a37b2236a4363b02d5966db7f46e9b1a6016f78c478e7ef",
     "drift_steps": "ab9442dbb6ae3181bf7c4cc8a98c0cbc523e1f43ef48045d5dce292abfc0a58b",
     "log_weights": "f1dd587bdcbf65aeec90536b6cea8017c214a2ab0860f84fa8668e7eefeef1ae",
-    "sups": "386dee032c674c4034d2a4253d89629e04e917ea3fea73aa21a5985e6ce055f2"
+    "sups": "041d55ca9decc51ef43554063ea0dd069da274d8b489f75e3857ffd27e5c26bc"
 }
-BENCHMARK_BATTERY = "c3020a6a5db4f33ed8ecdd7558b93bbc5d4a46f0775ba1455df85a52da2a4a9e"
+BENCHMARK_BATTERY = "e862d3dcab1f930e09341b8057c85d3faa17416efbadafb6640d1ec5b555a43b"
 ANDERSON = "5673b95949c2eb9002eb3aa52c7bc1dd3b60bca2d8f3745d227d47772ca56f0a"
 ESTIMATORS = {
     "crude_jumps": "3388479e7d5c43e17f8e266db873ef06c2e924fea8a130b84e02c4e7df22fa9a",

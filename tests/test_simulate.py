@@ -336,9 +336,9 @@ def _kernel_batches(draw):
 
 
 def _one_target_sup(batch, f, shift_scale, path_scale):
-    """One target's refined sup as the one-target kernel computed it: the
-    jump geometry with its batch-wide prefix sum, then the grid max and the
-    pre/post candidates over the whole batch at once."""
+    """One target's refined sup: the grid max, then the pre/post candidates
+    of every jump record over the whole batch at once, with the prefix of
+    earlier jumps in the same step summed one record at a time."""
     times, values = batch.times, batch.values
     target = np.zeros_like(times) if f is None else shift_scale * np.asarray(f(times), dtype=float)
     out = np.max(np.abs(path_scale * values - target), axis=1)
@@ -353,9 +353,10 @@ def _one_target_sup(batch, f, shift_scale, path_scale):
     if batch.small_noise is not None:
         smooth += batch.small_noise[p, step]
     key = p * batch.n_steps + step
-    new_group = np.r_[True, key[1:] != key[:-1]]
-    excl = np.cumsum(x) - x
-    excl = excl - excl[new_group][np.cumsum(new_group) - 1]
+    excl = np.zeros(t.size)
+    for i in range(1, t.size):
+        if key[i] == key[i - 1]:
+            excl[i] = excl[i - 1] + x[i - 1]
     pre = values[p, step] + smooth * frac + excl
     t_target = np.zeros_like(t) if f is None else shift_scale * np.asarray(f(t), dtype=float)
     cand = np.maximum(np.abs(path_scale * pre - t_target),
@@ -615,10 +616,7 @@ class TestExtract:
             path = batch.extract(i)
             assert path.n_paths == 1 and not np.any(path.jump_path)
             assert np.array_equal(path.values[0], batch.values[i])
-            # not bit-equal: the within-step prefix sums of jump_geometry run
-            # over the whole batch's records, so rounding depends on the batch
-            assert sup_distance_batch(path, tent_shift(), 0.5)[0] == pytest.approx(
-                sups[i], rel=1e-12)
+            assert sup_distance_batch(path, tent_shift(), 0.5)[0] == sups[i]
         with pytest.raises(IndexError):
             batch.extract(20)
 
