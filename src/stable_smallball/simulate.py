@@ -615,10 +615,12 @@ def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,
     leading arguments bound: ``partial(sample_jump_batch, params, eps)``.
     ``targets`` holds ``(f, shift_scale)`` pairs, f None for the centred sup.
     Row i of the ``(len(targets), n_paths)`` result is
-    ``sup_distance_batch(batch, *targets[i])`` over the batches in plan
-    order, so every target sees the same paths; each batch is read once for
-    all targets.  Pass one f object for targets that share a shift, so it is
-    evaluated once.
+    ``sup_distance_batch(batch, *targets[i], cap=cap)`` over the batches in
+    plan order, so every target sees the same paths; each batch is read once
+    for all targets.  Pass one f object for targets that share a shift, so it
+    is evaluated once, and the radius as ``cap`` when only ``sup < r`` is
+    counted, so paths the grid already puts outside every ball skip their
+    jump records.
     """
     kernel = partial(_sups_kernel, sample, tuple(targets), n_steps, cap)
     return np.concatenate(map_batches(kernel, n_paths, n_steps, stream, pmap), axis=1)

@@ -18,7 +18,9 @@ p(0, 0) over a battery of shifts with common random numbers, and
 near -alpha.
 
 Every sup-counting estimator (crude, conditional, Anderson, tail) draws
-through ``simulate.sample_sups`` and keeps only its own reduction of the sups.
+through ``simulate.sample_sups`` and keeps only its own reduction of the sups;
+those that count ``sup < r``, and the importance-sampling kernel, pass r as
+the sup kernel's cap.
 """
 
 from __future__ import annotations
