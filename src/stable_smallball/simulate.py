@@ -478,15 +478,17 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
             # the undecided paths with records, and where their records start
             live = r0 + np.flatnonzero((out[:, r0:r1] < cap).any(axis=0))
             counts = first[live + 1] - first[live]
-            live, counts = live[counts > 0], counts[counts > 0]
+            has = counts > 0
+            live, counts = live[has], counts[has]
             if live.size == 0:
                 continue
             starts = np.cumsum(counts) - counts
-            lo, hi = first[live[0]], first[live[-1] + 1]
-            if hi - lo == starts[-1] + counts[-1]:
-                sel = slice(lo, hi)  # one contiguous run of records, no gather needed
+            n_rec = starts[-1] + counts[-1]
+            lo = first[live[0]]
+            if first[live[-1] + 1] - lo == n_rec:
+                sel = slice(lo, lo + n_rec)  # one contiguous run of records, no gather needed
             else:
-                sel = np.repeat(first[live] - starts, counts) + np.arange(starts[-1] + counts[-1])
+                sel = np.repeat(first[live] - starts, counts) + np.arange(n_rec)
             t, pre, post = _jump_limits(batch, sel)
             if scaled is not None:
                 pre, post = path_scale * pre, path_scale * post
