@@ -146,7 +146,7 @@ def step_mean_amplitude(tilt: TiltSpec, n_steps: int) -> np.ndarray:
     return tilt.kappa * (2.0 - tilt.params.alpha) / (2.0 * tilt.jump_cut) * slope
 
 
-def log_weight_batch(tilt: TiltSpec, batch) -> np.ndarray:
+def log_weight_batch(tilt: TiltSpec, batch, log_tilt: np.ndarray | None = None) -> np.ndarray:
     """log(dP_base/dP_tilted) per path, from the recorded jumps and proxy noise.
 
     The jump block is minus the sum of theta over recorded jumps inside the
@@ -155,6 +155,10 @@ def log_weight_batch(tilt: TiltSpec, batch) -> np.ndarray:
     block is the exact normal likelihood ratio per step.  Both blocks have
     unit expectation under the tilted law, which is the key unbiasedness
     diagnostic.
+
+    ``log_tilt``, when given, holds log1p(beta(t) x) for every record in
+    record order, as the sampler computed it for thinning; only its entries
+    inside the cut are read, and they are the bits ``theta`` would give.
     """
     n = batch.n_paths
     lw = np.zeros(n)
@@ -162,7 +166,7 @@ def log_weight_batch(tilt: TiltSpec, batch) -> np.ndarray:
         x, t, p = batch.jump_sizes, batch.jump_times, batch.jump_path
         inside = np.abs(x) < tilt.jump_cut
         if np.any(inside):
-            th = theta(tilt, x[inside], t[inside])
+            th = theta(tilt, x[inside], t[inside]) if log_tilt is None else log_tilt[inside]
             lw -= np.bincount(p[inside], weights=th, minlength=n)
     if batch.small_noise is not None:
         bbar = step_mean_amplitude(tilt, batch.n_steps)

@@ -12,9 +12,10 @@ reproducible and independent of batch splitting or worker count:
   of the truncated process, optionally under an exponential tilt of the jump
   measure; the tilted sampler records everything needed to reweight back.
 
-The jump-resolved samplers share ``_draw_jumps`` for each band of jumps
-and ``_bin_with_proxy`` to sort and bin them and draw the Gaussian proxy;
-every sampler ends in ``_cumulate``, which sums increments into paths.
+The jump-resolved samplers draw each band of jumps as a ``_Band`` and
+share ``_bin_with_proxy`` to finish, sort and bin the records and draw the
+Gaussian proxy; every sampler ends in ``_cumulate``, which sums increments
+into paths.
 
 A path is a :class:`BatchPaths`; one path is a batch of one
 (``BatchPaths.extract``).  One kernel evaluates sup-norm distances to scaled
@@ -32,25 +33,31 @@ counts sups draws through ``sample_sups``, which returns the sups of every
 path against every target as one matrix; the estimator keeps only its own
 reduction (``< r`` or ``> x``).
 
-Inside one batch, work that needs no Python runs on a helper thread, made
-for the call (``with ThreadPoolExecutor(1)``) and joined before it returns,
-so no thread outlives a call and none is alive when a process pool forks.
-Two stages use it, and neither can change a bit:
+Inside one batch, the calling thread shares the work with one helper
+thread, made for the call (``with ThreadPoolExecutor(1)`` in
+``_run_pieces``) and joined before it returns, so no thread outlives a call
+and none is alive when a process pool forks.  Every sampler follows one
+rule: draw first, then finish in pieces.
 
-* in the samplers, only ``_bin_with_proxy``: it draws the Gaussian proxy,
-  the batch's last draw from the generator, on the helper while the calling
-  thread sorts and bins the jump records.  The calling thread does not
-  touch the generator until the draw is joined, so the generator sees the
-  same calls in the same order as in a serial run;
-* the sup kernel runs the second half of its row blocks on the helper and
-  the first half on the calling thread; each block's grid pass, jump limits
-  and refinement run on the thread that owns the block.  Each half has its
-  own buffers and writes only its own columns, and each element sees the
-  same operations as in a serial pass.
+* All generator calls run on the calling thread, in one fixed order.  The
+  last of them, the Gaussian proxy, may run on the helper while the calling
+  thread takes the first pieces; the calling thread does not touch the
+  generator again, so the generator sees the same calls in the same order
+  as in a serial run.
+* Everything after the draws runs as pieces that both threads take in order
+  from a shared counter: the stable transform in element chunks; the jump
+  magnitudes, the thinning test, the (path, time) sort, the gathers and the
+  per-step sums in path chunks; ``_cumulate`` in row chunks, once the proxy
+  is joined; the sup kernel in row blocks.
+* Each piece reads only its own slice of the draws and writes only its own
+  slice of outputs allocated before the pieces run, and each element sees
+  the same operations as in a serial pass, so the bits do not depend on
+  which thread takes which piece.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -62,6 +69,47 @@ from .girsanov import TiltSpec, log_weight_batch, step_mean_amplitude
 from .processes import AlphaStableParams, ShiftFunction, zero_shift
 
 DEFAULT_EPS_RATIO = 50.0  # eps_cutoff = jump_cut / 50 unless overridden
+_PIECE_ELEMS = 1 << 16  # variates, jump records or grid values per piece: 512 KiB of doubles
+
+
+def _run_pieces(work, n_pieces: int, first=None):
+    """Run ``work(i)`` once for each i in range(n_pieces); return ``first()``.
+
+    The calling thread and one helper thread take the pieces in order from a
+    shared counter until none is left.  The helper first runs ``first``,
+    when given: the batch's last generator call, so no other generator call
+    can overlap it.  The helper is made for the call and joined before it
+    returns.  With at most one piece, the calling thread runs it, then
+    ``first``, and no helper is made.
+    """
+    if n_pieces <= 1:
+        for i in range(n_pieces):
+            work(i)
+        return None if first is None else first()
+    taken = iter(range(n_pieces))
+    lock = threading.Lock()
+
+    def take() -> None:
+        while True:
+            with lock:
+                i = next(taken, None)
+            if i is None:
+                return
+            work(i)
+
+    def helper():
+        out = None if first is None else first()
+        take()
+        return out
+
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(helper)
+        take()
+        return pending.result()
+
+
+def _n_pieces(n: int, per: int) -> int:
+    return -(-n // per)
 
 
 @dataclass(frozen=True)
@@ -147,19 +195,27 @@ def standard_symmetric_stable(alpha: float, size, rng) -> np.ndarray:
     gen = _as_generator(rng)
     u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     e = gen.standard_exponential(size)
+    out = np.empty_like(u)
+    flat_u, flat_e, flat_out = u.reshape(-1), e.reshape(-1), out.reshape(-1)
     inv_a = 1.0 / alpha
-    # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha),
-    # in place, with the same operations in the same order as the plain expression
-    out = np.multiply(alpha, u)
-    np.sin(out, out=out)
-    den = np.cos(u)
-    den **= inv_a
-    out /= den
-    u *= 1.0 - alpha
-    np.cos(u, out=u)
-    u /= e
-    u **= (1.0 - alpha) * inv_a
-    out *= u
+
+    def piece(i: int) -> None:
+        # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha),
+        # in place, with the same operations in the same order as the plain expression
+        s = slice(i * _PIECE_ELEMS, (i + 1) * _PIECE_ELEMS)
+        v, o = flat_u[s], flat_out[s]
+        np.multiply(alpha, v, out=o)
+        np.sin(o, out=o)
+        den = np.cos(v)
+        den **= inv_a
+        o /= den
+        v *= 1.0 - alpha
+        np.cos(v, out=v)
+        v /= flat_e[s]
+        v **= (1.0 - alpha) * inv_a
+        o *= v
+
+    _run_pieces(piece, _n_pieces(out.size, _PIECE_ELEMS))
     return out
 
 
@@ -177,40 +233,81 @@ def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int, r
 def _stable_paths(alpha: float, scale, n_paths: int, n_steps: int, gen) -> BatchPaths:
     """Paths whose increments are standard stable variates times ``scale``,
     a scalar or one factor per step."""
-    incr = standard_symmetric_stable(alpha, (n_paths, n_steps), gen)
-    incr *= scale
-    return _cumulate(incr)
+    return _cumulate(standard_symmetric_stable(alpha, (n_paths, n_steps), gen), scale=scale)
 
 
-def _cumulate(incr: np.ndarray, **records) -> BatchPaths:
+def _cumulate(incr: np.ndarray, scale=None, **records) -> BatchPaths:
     """The batch on the unit grid whose paths are the running sums of ``incr``.
 
-    ``records`` become the batch's fields; its per-step ``drift_steps`` and
-    ``small_noise``, when given, are first added into ``incr`` in that order.
+    ``records`` become the batch's fields.  In each row chunk, ``incr`` is
+    first multiplied by ``scale`` (a scalar or one factor per step), then
+    the per-step ``drift_steps`` and ``small_noise`` are added, each when
+    given, in that order.
     """
-    for name in ("drift_steps", "small_noise"):
-        if records.get(name) is not None:
-            incr += records[name]
+    drift, noise = records.get("drift_steps"), records.get("small_noise")
     n_paths, n_steps = incr.shape
     values = np.zeros((n_paths, n_steps + 1))
-    np.cumsum(incr, axis=1, out=values[:, 1:])
+    rows = max(1, _PIECE_ELEMS // n_steps)
+
+    def piece(i: int) -> None:
+        s = slice(i * rows, (i + 1) * rows)
+        block = incr[s]
+        if scale is not None:
+            block *= scale
+        if drift is not None:
+            block += drift
+        if noise is not None:
+            block += noise[s]
+        np.cumsum(block, axis=1, out=values[s, 1:])
+
+    _run_pieces(piece, _n_pieces(n_paths, rows))
     return BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values, **records)
 
 
-def _draw_jumps(gen, rate: float, n_paths: int, alpha: float, lower: float,
-                upper: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Poisson(rate) jumps per path with magnitudes in [lower, upper); upper may be inf.
+@dataclass(frozen=True)
+class _Band:
+    """The draws of one band of jumps, lower <= |x| < upper, grouped by path.
 
-    Draws the per-path counts, then the instants (uniform on (0, 1]), then
-    the magnitudes (density alpha x^(-1-alpha) on [lower, upper), by
-    inversion), then symmetric signs.  Returns (path_idx, t, sizes), grouped
-    by path in draw order.
+    Path i owns records ``first[i]:first[i + 1]``, in draw order.  ``t`` and
+    ``x`` hold uniforms until :meth:`finish` turns a slice of them, in
+    place, into instants and signed sizes; ``up`` marks positive signs.
     """
-    path_idx = np.repeat(np.arange(n_paths, dtype=np.int64), gen.poisson(rate, n_paths))
-    t = 1.0 - gen.random(path_idx.size)
-    hi_pow = upper ** -alpha  # 0.0 for upper = inf, so the sum below is exact
-    sizes = (hi_pow + (1.0 - gen.random(t.size)) * (lower ** -alpha - hi_pow)) ** (-1.0 / alpha)
-    return path_idx, t, sizes * (2.0 * gen.integers(0, 2, t.size) - 1.0)
+
+    counts: np.ndarray
+    first: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
+    up: np.ndarray
+    alpha: float
+    lower: float
+    upper: float
+
+    @classmethod
+    def draw(cls, gen, rate: float, n_paths: int, alpha: float, lower: float,
+             upper: float) -> "_Band":
+        """Poisson(rate) jumps per path; upper may be inf.  Draws the counts,
+        then uniforms for the instants, then for the magnitudes, then the signs."""
+        counts = gen.poisson(rate, n_paths)
+        first = np.zeros(n_paths + 1, dtype=np.int64)
+        np.cumsum(counts, out=first[1:])
+        n = int(first[-1])
+        t, x = gen.random(n), gen.random(n)
+        return cls(counts, first, t, x, gen.integers(0, 2, n).astype(bool), alpha, lower, upper)
+
+    def records(self, p0: int, p1: int) -> slice:
+        return slice(self.first[p0], self.first[p1])
+
+    def finish(self, s: slice) -> None:
+        """Instants on (0, 1], and magnitudes with density alpha x^(-1-alpha)
+        on [lower, upper) by inversion, with their signs, for the records ``s``."""
+        t, x = self.t[s], self.x[s]
+        np.subtract(1.0, t, out=t)
+        hi_pow = self.upper ** -self.alpha  # 0.0 for upper = inf, so the sum below is exact
+        np.subtract(1.0, x, out=x)
+        x *= self.lower ** -self.alpha - hi_pow
+        x += hi_pow
+        x **= -1.0 / self.alpha
+        x *= 2.0 * self.up[s] - 1.0
 
 
 def _jump_order(path_idx, t):
@@ -238,32 +335,105 @@ def _jump_order(path_idx, t):
     return order
 
 
-def _bin_with_proxy(gen, path_idx, t, sizes, n_paths: int, n_steps: int,
-                    noise_var: float | None):
-    """Sort jump records by (path, time), sum them per step, draw the proxy.
+def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy=None, thin=None):
+    """Finish, sort and bin the jump records of ``bands``, and draw the proxy.
 
-    Returns the sorted records, the (n_paths, n_steps) jump increments and
-    the Gaussian proxy of per-step variance ``noise_var`` (or None);
-    callers rebind their record names to the sorted ones, so the unsorted
-    arrays die with this call.  The proxy, the batch's last draw from
-    ``gen``, runs on a helper thread while this thread sorts and bins.  The
-    order equals ``np.lexsort((t, path_idx))`` element for element (see
-    :func:`_jump_order`), so records, values and log-weights are bit-identical
-    to a lexsort's.
+    Works in path chunks of about ``_PIECE_ELEMS`` records.  ``thin``, when
+    given, is ``(tilt, u, bound)`` for ``bands[0]``: a first pass finishes
+    that band and keeps record i when u[i] (1 + bound) < 1 + beta(t_i) x_i,
+    overwriting u with log1p(beta(t) x).  The second pass finishes the other
+    bands and orders each chunk's records, its paths' records of each band
+    in turn, by (path, time); that equals ``np.lexsort((t, path_idx))`` over
+    the bands' records concatenated (see :func:`_jump_order`), so records,
+    values and log-weights are bit-identical to a lexsort's.  It then sums
+    them per step.  ``proxy``, the batch's last generator call, runs on the
+    helper thread while the calling thread takes the first chunks.
+
+    Returns (jump_path, t, sizes, log_tilt, incr, noise): log_tilt holds
+    the kept log1p(beta(t) x) in record order, 0 on the other bands'
+    records, and is None without ``thin``.
     """
-    with ThreadPoolExecutor(1) as helper:
-        pending = None
-        if noise_var is not None:
-            pending = helper.submit(gen.normal, 0.0, np.sqrt(noise_var), (n_paths, n_steps))
-        order = _jump_order(path_idx, t)
-        path_idx, t, sizes = path_idx[order], t[order], sizes[order]
-        step = np.minimum((t * n_steps).astype(np.int64), n_steps - 1)
-        incr = np.bincount(path_idx * n_steps + step, weights=sizes,
-                           minlength=n_paths * n_steps)
-        # with no records bincount returns int64 zeros; callers add into incr in place
-        incr = incr.astype(float, copy=False).reshape(n_paths, n_steps)
-        noise = None if pending is None else pending.result()
-    return path_idx, t, sizes, incr, noise
+    counts = [band.counts for band in bands]  # records per path, after thinning
+    per = max(1, _PIECE_ELEMS * n_paths // max(1, sum(int(b.first[-1]) for b in bands)))
+    edges = [*range(0, n_paths, per), n_paths]
+    n_pieces = len(edges) - 1
+    keep = None
+    if thin is not None:
+        tilt, u, bound = thin
+        thinned = bands[0]
+        keep = np.empty(u.size, dtype=bool)
+        counts[0] = np.empty(n_paths, dtype=np.int64)
+
+        def thin_piece(i: int) -> None:
+            p0, p1 = edges[i], edges[i + 1]
+            s = thinned.records(p0, p1)
+            thinned.finish(s)
+            bx = tilt.beta(thinned.t[s])
+            bx *= thinned.x[s]
+            np.less(u[s] * (1.0 + bound), 1.0 + bx, out=keep[s])
+            np.log1p(bx, out=u[s])
+            owner = np.repeat(np.arange(p1 - p0), thinned.counts[p0:p1])
+            counts[0][p0:p1] = np.bincount(owner[keep[s]], minlength=p1 - p0)
+
+        _run_pieces(thin_piece, n_pieces)
+
+    out_counts = sum(counts)
+    first = np.zeros(n_paths + 1, dtype=np.int64)
+    np.cumsum(out_counts, out=first[1:])
+    path_out = np.empty(first[-1], dtype=np.int64)
+    t_out, x_out = np.empty(first[-1]), np.empty(first[-1])
+    log_tilt = None if keep is None else np.empty(first[-1])
+    incr = np.empty((n_paths, n_steps))
+
+    def sort_piece(i: int) -> None:
+        p0, p1 = edges[i], edges[i + 1]
+        t, x, lt = [], [], []
+        for j, band in enumerate(bands):
+            s = band.records(p0, p1)
+            if j == 0 and keep is not None:
+                k = keep[s]
+                t.append(band.t[s][k])
+                x.append(band.x[s][k])
+                lt.append(u[s][k])
+            else:
+                band.finish(s)
+                t.append(band.t[s])
+                x.append(band.x[s])
+                lt.append(np.zeros(s.stop - s.start))
+        owner = np.concatenate([np.repeat(np.arange(p1 - p0), c[p0:p1]) for c in counts])
+        t, x = np.concatenate(t), np.concatenate(x)
+        order = _jump_order(owner, t)
+        o = slice(first[p0], first[p1])
+        path_out[o] = np.repeat(np.arange(p0, p1), out_counts[p0:p1])
+        t_out[o], x_out[o] = t[order], x[order]
+        if log_tilt is not None:
+            log_tilt[o] = np.concatenate(lt)[order]
+        step = np.minimum((t_out[o] * n_steps).astype(np.int64), n_steps - 1)
+        step += (path_out[o] - p0) * n_steps
+        incr[p0:p1] = np.bincount(step, weights=x_out[o],
+                                  minlength=(p1 - p0) * n_steps).reshape(p1 - p0, n_steps)
+
+    noise = _run_pieces(sort_piece, n_pieces, proxy)
+    return path_out, t_out, x_out, log_tilt, incr, noise
+
+
+def _proxy(gen, sd: float, n_paths: int, n_steps: int):
+    """The draw ``gen.normal(0.0, sd, (n_paths, n_steps))``, to be made later.
+
+    Its array is allocated here, on the calling thread, so the helper thread
+    that makes the draw allocates nothing grid-sized: each thread allocates
+    from its own malloc arena, and a grid-sized array freed in a helper's
+    arena stayed resident in some runs.
+    """
+    out = np.empty((n_paths, n_steps))
+
+    def draw() -> np.ndarray:
+        gen.standard_normal(out=out)
+        np.multiply(out, sd, out=out)
+        # normal() returns loc + sd * z; adding loc = 0.0 keeps its bits
+        return np.add(out, 0.0, out=out)
+
+    return draw
 
 
 def _check_shape(n_paths: int, n_steps: int) -> None:
@@ -288,12 +458,13 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
         raise ValueError("eps_cutoff must be positive")
     gen = _as_generator(rng)
     alpha = params.alpha
-    path_idx, t, sizes = _draw_jumps(gen, (2.0 / alpha) * eps_cutoff**-alpha, n_paths, alpha,
-                                     eps_cutoff, np.inf)
-    noise_var = (truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps)
-                 if gaussian_refinement else None)
-    path_idx, t, sizes, incr, noise = _bin_with_proxy(gen, path_idx, t, sizes, n_paths,
-                                                      n_steps, noise_var)
+    band = _Band.draw(gen, (2.0 / alpha) * eps_cutoff**-alpha, n_paths, alpha, eps_cutoff,
+                      np.inf)
+    proxy = None
+    if gaussian_refinement:
+        sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps))
+        proxy = _proxy(gen, sd, n_paths, n_steps)
+    path_idx, t, sizes, _, incr, noise = _bin_with_proxy([band], n_paths, n_steps, proxy)
     return _cumulate(incr, eps_cutoff=eps_cutoff, jump_path=path_idx, jump_times=t,
                      jump_sizes=sizes, small_noise=noise)
 
@@ -349,16 +520,13 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
 
     # interior jumps eps <= |x| < cut, thinned from the (1 + B)-inflated rate
     rate_int = scale * (1.0 + b_bound) * (2.0 / alpha) * (eps_cutoff**-alpha - cut**-alpha)
-    path_idx, t, sizes = _draw_jumps(gen, rate_int, n_paths, alpha, eps_cutoff, cut)
-    if b_bound > 0.0:
-        accept = gen.random(t.size) * (1.0 + b_bound) < 1.0 + tilt.beta(t) * sizes
-        path_idx, t, sizes = path_idx[accept], t[accept], sizes[accept]
+    bands = [_Band.draw(gen, rate_int, n_paths, alpha, eps_cutoff, cut)]
+    thin = None if b_bound == 0.0 else (tilt, gen.random(bands[0].t.size), b_bound)
 
     # exterior jumps |x| >= cut, untilted; only the small regime keeps them
     if tilt.keeps_exterior_jumps:
-        exterior = _draw_jumps(gen, scale * (2.0 / alpha) * cut**-alpha, n_paths, alpha, cut,
-                               np.inf)
-        path_idx, t, sizes = map(np.concatenate, zip((path_idx, t, sizes), exterior))
+        bands.append(_Band.draw(gen, scale * (2.0 / alpha) * cut**-alpha, n_paths, alpha, cut,
+                                np.inf))
 
     # compensate the tilt of the interior band so the component is a martingale
     bbar = step_mean_amplitude(tilt, n_steps)
@@ -367,14 +535,15 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
     if drift_mode == "shifted":
         drift = drift + np.diff(tilt.compensator_shift_curve(np.linspace(0.0, 1.0, n_steps + 1)))
 
-    path_idx, t, sizes, incr, noise = _bin_with_proxy(
-        gen, path_idx, t, sizes, n_paths, n_steps,
-        scale * truncated_second_moment(alpha, eps_cutoff) * dt)
+    sd = np.sqrt(scale * truncated_second_moment(alpha, eps_cutoff) * dt)
+    path_idx, t, sizes, log_tilt, incr, noise = _bin_with_proxy(
+        bands, n_paths, n_steps, _proxy(gen, sd, n_paths, n_steps), thin)
+    del bands, thin  # the raw draws die before the weights' temporaries are made
     batch = _cumulate(incr, eps_cutoff=eps_cutoff, jump_path=path_idx, jump_times=t,
                       jump_sizes=sizes, small_noise=noise, drift_steps=drift)
     if not compute_weights:
         return batch
-    return batch, log_weight_batch(tilt, batch)
+    return batch, log_weight_batch(tilt, batch, log_tilt)
 
 
 def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_steps: int,
@@ -415,15 +584,12 @@ def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
     return _sup_matrix(batch, [(f, shift_scale)], path_scale, cap)[0]
 
 
-_BLOCK_ELEMS = 1 << 16  # doubles per row block of _sup_matrix: a 512 KiB buffer
-
-
 def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
                 cap: float = np.inf) -> np.ndarray:
     """Refined sups of every path against every ``(f, shift_scale)`` target, capped.
 
     Returns the ``(len(targets), n_paths)`` matrix ``np.minimum(sup, cap)``
-    in one pass over the batch, in row blocks of about ``_BLOCK_ELEMS`` grid
+    in one pass over the batch, in row blocks of about ``_PIECE_ELEMS`` grid
     values.  For each block, the grid max of every target goes through one
     reused buffer.  The block's paths whose grid sup is below ``cap`` for
     some target are still undecided (with ``cap`` = inf, every path); only
@@ -436,12 +602,10 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
     pass would, so each row is bit-identical to the sup against its target
     alone.
 
-    A batch of two or more blocks is split into two contiguous halves of
-    blocks: a helper thread runs the second half while the calling thread
-    runs the first.  Each half has its own buffers, builds the limits of its
-    own blocks and writes only its own columns of the result, and nothing
-    it computes depends on another block, so the bits do not depend on the
-    split.
+    The row blocks are the pieces of ``_run_pieces``: each block has its
+    own buffers, builds its own limits and writes only its own columns of
+    the result, and nothing it computes depends on another block, so the
+    bits do not depend on which thread runs it.
     """
     values = batch.values
     n_paths, n_cols = values.shape
@@ -449,74 +613,63 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
     grid_f = {key: np.asarray(f(batch.times), dtype=float) for key, f in shifts.items()}
     grid_targets = [None if f is None else scale * grid_f[id(f)] for f, scale in targets]
     out = np.empty((len(targets), n_paths))
-    rows = max(1, _BLOCK_ELEMS // n_cols)
+    rows = max(1, _PIECE_ELEMS // n_cols)
     edges = [*range(0, n_paths, rows), n_paths]
     refine = batch.jump_times is not None and batch.jump_times.size > 0
     if refine:
         # records are (path, time)-sorted: path i owns records first[i]:first[i + 1]
         first = np.searchsorted(batch.jump_path, np.arange(n_paths + 1))
 
-    def run_blocks(b0: int, b1: int) -> None:
-        buf = np.empty((min(rows, n_paths), n_cols))
-        scaled = None if path_scale == 1.0 else np.empty_like(buf)
-        for b in range(b0, b1):
-            r0, r1 = edges[b], edges[b + 1]
-            block = values[r0:r1]
-            if scaled is not None:
-                block = np.multiply(block, path_scale, out=scaled[:r1 - r0])
-            dev = buf[:r1 - r0]
-            for k, target in enumerate(grid_targets):
-                if target is None:
-                    np.abs(block, out=dev)
-                else:
-                    np.subtract(block, target, out=dev)
-                    np.abs(dev, out=dev)
-                dev.max(axis=1, out=out[k, r0:r1])
-            if not refine:
-                continue
-
-            # the undecided paths with records, and where their records start
-            live = r0 + np.flatnonzero((out[:, r0:r1] < cap).any(axis=0))
-            counts = first[live + 1] - first[live]
-            has = counts > 0
-            live, counts = live[has], counts[has]
-            if live.size == 0:
-                continue
-            starts = np.cumsum(counts) - counts
-            n_rec = starts[-1] + counts[-1]
-            lo = first[live[0]]
-            if first[live[-1] + 1] - lo == n_rec:
-                sel = slice(lo, lo + n_rec)  # one contiguous run of records, no gather needed
+    def run_block(b: int) -> None:
+        r0, r1 = edges[b], edges[b + 1]
+        block = values[r0:r1]
+        if path_scale != 1.0:
+            block = np.multiply(block, path_scale)
+        dev = np.empty_like(block)
+        for k, target in enumerate(grid_targets):
+            if target is None:
+                np.abs(block, out=dev)
             else:
-                sel = np.repeat(first[live] - starts, counts) + np.arange(n_rec)
-            t, pre, post = _jump_limits(batch, sel)
-            if scaled is not None:
-                pre, post = path_scale * pre, path_scale * post
-            owners = live - r0
-            jump_f = {key: np.asarray(f(t), dtype=float) for key, f in shifts.items()}
-            cand, other = np.empty(t.size), np.empty(t.size)
-            for k, (f, scale) in enumerate(targets):
-                if f is None:
-                    np.abs(pre, out=cand)
-                    np.abs(post, out=other)
-                else:
-                    t_target = scale * jump_f[id(f)]
-                    np.abs(np.subtract(pre, t_target, out=cand), out=cand)
-                    np.abs(np.subtract(post, t_target, out=other), out=other)
-                np.maximum(cand, other, out=cand)
-                seg_max = np.maximum.reduceat(cand, starts)
-                row = out[k, r0:r1]
-                row[owners] = np.maximum(row[owners], seg_max)
+                np.subtract(block, target, out=dev)
+                np.abs(dev, out=dev)
+            dev.max(axis=1, out=out[k, r0:r1])
+        if not refine:
+            return
 
-    n_blocks = len(edges) - 1
-    if n_blocks == 1:
-        run_blocks(0, 1)
-    else:
-        half = n_blocks // 2
-        with ThreadPoolExecutor(1) as helper:
-            second = helper.submit(run_blocks, half, n_blocks)
-            run_blocks(0, half)
-            second.result()
+        # the undecided paths with records, and where their records start
+        live = r0 + np.flatnonzero((out[:, r0:r1] < cap).any(axis=0))
+        counts = first[live + 1] - first[live]
+        has = counts > 0
+        live, counts = live[has], counts[has]
+        if live.size == 0:
+            return
+        starts = np.cumsum(counts) - counts
+        n_rec = starts[-1] + counts[-1]
+        lo = first[live[0]]
+        if first[live[-1] + 1] - lo == n_rec:
+            sel = slice(lo, lo + n_rec)  # one contiguous run of records, no gather needed
+        else:
+            sel = np.repeat(first[live] - starts, counts) + np.arange(n_rec)
+        t, pre, post = _jump_limits(batch, sel)
+        if path_scale != 1.0:
+            pre, post = path_scale * pre, path_scale * post
+        owners = live - r0
+        jump_f = {key: np.asarray(f(t), dtype=float) for key, f in shifts.items()}
+        cand, other = np.empty(t.size), np.empty(t.size)
+        for k, (f, scale) in enumerate(targets):
+            if f is None:
+                np.abs(pre, out=cand)
+                np.abs(post, out=other)
+            else:
+                t_target = scale * jump_f[id(f)]
+                np.abs(np.subtract(pre, t_target, out=cand), out=cand)
+                np.abs(np.subtract(post, t_target, out=other), out=other)
+            np.maximum(cand, other, out=cand)
+            seg_max = np.maximum.reduceat(cand, starts)
+            row = out[k, r0:r1]
+            row[owners] = np.maximum(row[owners], seg_max)
+
+    _run_pieces(run_block, len(edges) - 1)
     return np.minimum(out, cap, out=out)
 
 

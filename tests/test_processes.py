@@ -92,6 +92,21 @@ class TestShiftFunction:
             inner = t0 + (t1 - t0) * np.array([0.25, 0.5, 0.75])
             assert np.all(f.derivative(inner) == (v1 - v0) / (t1 - t0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=8),
+           st.lists(st.floats(0.0, 1.0), max_size=16), st.integers(0, 2**32 - 1))
+    def test_derivative_equals_clipped_search(self, interior, extra_t, seed):
+        # the slope index of one search over the interior knots equals the
+        # clipped index of a search over all knots, at 0, every knot and 1
+        times = np.unique([0.0, *interior, 1.0])
+        assume(np.all(np.diff(times) > 1e-9))
+        values = np.concatenate(([0.0], np.random.default_rng(seed).normal(size=times.size - 1)))
+        f = ShiftFunction(times, values)
+        t = np.concatenate((times, extra_t))
+        old = f.slopes[np.clip(np.searchsorted(times, t, side="right") - 1, 0, f.slopes.size - 1)]
+        assert f.derivative(t).tobytes() == old.tobytes()
+        assert [f.derivative(float(s)) for s in t] == list(old)
+
     def test_eval_shift_vectorized(self):
         f = identity_shift()
         t = np.array([0.0, 0.25, 1.0])

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
 from unittest import mock
@@ -35,6 +36,7 @@ from stable_smallball import (
     zero_shift,
 )
 from stable_smallball import simulate
+from stable_smallball.diagnostics import weight_battery
 from stable_smallball.simulate import _jump_order, _sup_matrix
 
 PARAMS = AlphaStableParams(1.5)
@@ -372,13 +374,13 @@ class TestSupMatrix:
            targets=st.lists(st.tuples(st.sampled_from(SHIFTS), st.floats(-2.0, 2.0)),
                             min_size=1, max_size=6),
            path_scale=st.sampled_from([1.0, 0.5, 1.7]),
-           block=st.sampled_from([1, 16, 100, simulate._BLOCK_ELEMS]),
+           block=st.sampled_from([1, 16, 100, simulate._PIECE_ELEMS]),
            cap=st.sampled_from(["inf", "below", "above", "equal", "grid"]),
            pick=st.integers(0, 10**6))
     def test_rows_equal_one_target_sups(self, batch, targets, path_scale, block, cap, pick):
         # small blocks put several blocks in one batch, leave a short last
         # block, or make one grid row longer than a block
-        with mock.patch.object(simulate, "_BLOCK_ELEMS", block):
+        with mock.patch.object(simulate, "_PIECE_ELEMS", block):
             got = _sup_matrix(batch, targets, path_scale)
             assert got.shape == (len(targets), batch.n_paths)
             for row, (f, lam) in zip(got, targets):
@@ -540,9 +542,93 @@ class _Recorded:
         return self.f(t)
 
 
+# every sampler, with both tilt regimes; each finishes its draws in pieces
+SCHEDULE_SAMPLERS = {
+    "jump": partial(sample_jump_batch, PARAMS, 0.1),
+    "tilted_middle": partial(sample_tilted_batch, TILTS[0], eps_cutoff=0.05),
+    "tilted_small": partial(sample_tilted_batch, TILTS[1], eps_cutoff=0.1),
+    "stable": partial(sample_stable_batch, PARAMS),
+    "time_changed": partial(sample_time_changed_batch, PARAMS, lambda t: 1.0 + t),
+}
+
+
+def _serial(work, n_pieces, first=None):
+    """The contract of ``simulate._run_pieces``, on the calling thread alone."""
+    out = None if first is None else first()
+    for i in range(n_pieces):
+        work(i)
+    return out
+
+
+def _forced(schedule, calls):
+    """``simulate._run_pieces`` under a forced schedule.
+
+    "helper_late": the helper starts only after the calling thread has run
+    every piece.  "caller_late": the helper starts once the calling thread
+    has taken the first piece, and the calling thread ends that piece only
+    after the helper has run all the others.  Each call appends
+    ``(n_pieces, [(piece, by_caller), ...])`` to ``calls``.
+    """
+    run_pieces = simulate._run_pieces
+
+    def run(work, n_pieces, first=None):
+        caller, log = threading.get_ident(), []
+        calls.append((n_pieces, log))
+        started, finished = threading.Event(), threading.Event()
+        if n_pieces == 0:
+            started.set()
+            finished.set()
+
+        def logged(i):
+            by_caller = threading.get_ident() == caller
+            if by_caller:
+                started.set()
+            work(i)
+            log.append((i, by_caller))
+            if len(log) == n_pieces:
+                finished.set()
+            if schedule == "caller_late" and by_caller:
+                assert finished.wait(30)
+
+        def gate():
+            assert (finished if schedule == "helper_late" else started).wait(30)
+            return None if first is None else first()
+
+        return run_pieces(logged, n_pieces, gate)
+
+    return run
+
+
+def _sample_bytes(result):
+    batch, lw = result if isinstance(result, tuple) else (result, None)
+    arrays = [getattr(batch, field.name) for field in dataclasses.fields(batch)] + [lw]
+    return [None if a is None else np.asarray(a).tobytes() for a in arrays]
+
+
 class TestHelperThread:
     """The helper thread of the samplers and of the sup kernel changes no bits
     and outlives no call."""
+
+    @pytest.mark.parametrize("schedule", ["helper_late", "caller_late"])
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
+    def test_forced_schedules_give_the_same_bytes(self, name, schedule):
+        # small pieces put dozens of pieces in every stage of a 120 x 256 batch
+        sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(57))
+        calls = []
+        with mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 10):
+            with mock.patch.object(simulate, "_run_pieces", _serial):
+                want = _sample_bytes(sample())
+            before = threading.active_count()
+            with mock.patch.object(simulate, "_run_pieces", _forced(schedule, calls)):
+                got = _sample_bytes(sample())
+            assert threading.active_count() == before
+        assert got == want
+        assert _sample_bytes(sample()) == want  # and so do the default pieces
+        assert max(n for n, _ in calls) > 10
+        for n_pieces, log in calls:
+            assert sorted(i for i, _ in log) == list(range(n_pieces))  # each piece once
+            by_caller = [i for i, mine in log if mine]
+            assert by_caller == (list(range(n_pieces)) if schedule == "helper_late" else [0])
 
     @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
     def test_same_bytes_under_map_threads_and_forked_processes(self, name):
@@ -569,13 +655,13 @@ class TestHelperThread:
         _sup_matrix(batch, HELPER_TARGETS)  # 255 + 45 paths: two blocks
         assert threading.active_count() == before
 
-    def test_halves_cover_every_block_once(self):
+    def test_pieces_cover_every_block_once(self):
         # f is evaluated once on the grid, then once per row block on that
         # block's jump instants: a skipped or repeated block changes the
         # multiset of instants seen, whatever the threads' timing
         batch = HELPER_SAMPLERS["jump"](300, 256, RngStream(54))
         f = _Recorded(identity_shift())
-        with mock.patch.object(simulate, "_BLOCK_ELEMS", 10 * 257):  # 30 blocks of 10 paths
+        with mock.patch.object(simulate, "_PIECE_ELEMS", 10 * 257):  # 30 blocks of 10 paths
             got = _sup_matrix(batch, [(f, 0.5), (None, 0.0)])
         assert np.array_equal(f.calls[0], batch.times)
         assert len(f.calls) == 1 + 30
@@ -606,6 +692,22 @@ class TestHelperThread:
         finally:
             sys.setswitchinterval(interval)
         assert all(r.tobytes() == want.tobytes() for r in results)
+
+
+class TestMemory:
+    def test_small_regime_batch_peak(self):
+        # the selftest's small-regime weight batch (weight_battery member 3,
+        # 3.3M interior jump records) sets the selftest's peak memory; while
+        # its samplers drew and finished records in one piece, its tracemalloc
+        # peak was 250,947,653 bytes (NumPy 2.4.6, Python 3.11.7)
+        tilt = weight_battery(PARAMS)[3][1]
+        tracemalloc.start()
+        try:
+            sample_tilted_batch(tilt, 2000, 256, RngStream(103).child(3), eps_cutoff=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 250_947_653
 
 
 class TestExtract:
