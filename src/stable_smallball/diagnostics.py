@@ -120,7 +120,7 @@ def weight_battery(params: processes.AlphaStableParams) -> list[tuple[str, girsa
     ]
 
 
-def check_weight_unit_mean(n_paths: int, gate: float = 5.0):
+def check_weight_unit_mean(n_paths: int):
     params = processes.AlphaStableParams(1.5)
     rng = simulate.RngStream(103)
     worst = ("", 0.0)
@@ -137,7 +137,7 @@ def check_weight_unit_mean(n_paths: int, gate: float = 5.0):
         dev = abs(w.mean() - 1.0) / (w.std() / math.sqrt(n_paths))
         if dev > worst[1]:
             worst = (label, dev)
-    return worst[1] < gate, f"worst |mean-1|/se {worst[1]:.2f} at {worst[0]!r} (gate {gate})"
+    return worst[1] < 5.0, f"worst |mean-1|/se {worst[1]:.2f} at {worst[0]!r} (gate 5.0)"
 
 
 def check_tilted_mean_oracle(n_paths: int):

@@ -71,16 +71,15 @@ class TiltSpec:
 
     @classmethod
     def small_shift(cls, params: AlphaStableParams, f: ShiftFunction, lam: float,
-                    rho: float | None = None, r: float | None = None) -> "TiltSpec":
-        """Small-shift tilt in rescaled coordinates.
+                    r: float) -> "TiltSpec":
+        """Small-shift tilt in rescaled coordinates at radius r.
 
-        When rho is omitted it defaults to rho* = r^-alpha / (lam r^(alpha-1)),
-        which balances the no-big-jump cost against the tilt cost at radius r.
+        Its rho is rho* = r^-alpha / (lam r^(alpha-1)), which balances the
+        no-big-jump cost against the tilt cost at radius r.
         """
-        if rho is None:
-            if r is None or lam <= 0.0:
-                raise ValueError("need rho, or r together with lam > 0")
-            rho = r**-params.alpha / (lam * r ** (params.alpha - 1.0))
+        if lam <= 0.0:
+            raise ValueError("the small-shift tilt needs lam > 0")
+        rho = r**-params.alpha / (lam * r ** (params.alpha - 1.0))
         return cls(params=params, f=f, regime="small_shift", coeff=lam, extent=rho)
 
     @cached_property
@@ -103,12 +102,17 @@ class TiltSpec:
         return self.regime == "small_shift"
 
     @cached_property
+    def amplitude_factor(self) -> float:
+        """kappa (2-alpha)/2, the factor of f' in the amplitude b(t)."""
+        return self.kappa * (2.0 - self.params.alpha) / 2.0
+
+    @cached_property
     def amplitude_bound(self) -> float:
-        return self.kappa * (2.0 - self.params.alpha) / 2.0 * self.f.sup_deriv
+        return self.amplitude_factor * self.f.sup_deriv
 
     def amplitude(self, t):
         """b(t) = kappa (2-alpha)/2 f'(t)."""
-        return self.kappa * (2.0 - self.params.alpha) / 2.0 * self.f.derivative(t)
+        return self.amplitude_factor * self.f.derivative(t)
 
     def beta(self, t):
         return self.amplitude(t) / self.jump_cut
@@ -143,7 +147,7 @@ def step_mean_amplitude(tilt: TiltSpec, n_steps: int) -> np.ndarray:
     grid = np.linspace(0.0, 1.0, n_steps + 1)
     f_vals = np.asarray(tilt.f(grid), dtype=float)
     slope = np.diff(f_vals) * n_steps
-    return tilt.kappa * (2.0 - tilt.params.alpha) / (2.0 * tilt.jump_cut) * slope
+    return tilt.amplitude_factor / tilt.jump_cut * slope
 
 
 def log_weight_batch(tilt: TiltSpec, batch, log_tilt: np.ndarray | None = None) -> np.ndarray:
@@ -154,25 +158,21 @@ def log_weight_batch(tilt: TiltSpec, batch, log_tilt: np.ndarray | None = None) 
     the jump density is odd in x over the symmetric cut.  The Gaussian-proxy
     block is the exact normal likelihood ratio per step.  Both blocks have
     unit expectation under the tilted law, which is the key unbiasedness
-    diagnostic.
+    diagnostic.  ``batch`` has record arrays (maybe empty) and the proxy.
 
     ``log_tilt``, when given, holds log1p(beta(t) x) for every record in
     record order, as the sampler computed it for thinning; only its entries
     inside the cut are read, and they are the bits ``theta`` would give.
     """
-    n = batch.n_paths
-    lw = np.zeros(n)
-    if batch.jump_times is not None and batch.jump_times.size:
-        x, t, p = batch.jump_sizes, batch.jump_times, batch.jump_path
-        inside = np.abs(x) < tilt.jump_cut
-        if np.any(inside):
-            th = theta(tilt, x[inside], t[inside]) if log_tilt is None else log_tilt[inside]
-            lw -= np.bincount(p[inside], weights=th, minlength=n)
-    if batch.small_noise is not None:
-        bbar = step_mean_amplitude(tilt, batch.n_steps)
-        sig2 = tilt.intensity_scale * truncated_second_moment(
-            tilt.params.alpha, batch.eps_cutoff) * batch.dt
-        lw -= batch.small_noise @ bbar + 0.5 * sig2 * float(np.sum(bbar**2))
+    x, t, p = batch.jump_sizes, batch.jump_times, batch.jump_path
+    inside = np.abs(x) < tilt.jump_cut
+    th = theta(tilt, x[inside], t[inside]) if log_tilt is None else log_tilt[inside]
+    lw = np.zeros(batch.n_paths)
+    lw -= np.bincount(p[inside], weights=th, minlength=batch.n_paths)
+    bbar = step_mean_amplitude(tilt, batch.n_steps)
+    sig2 = tilt.intensity_scale * truncated_second_moment(
+        tilt.params.alpha, batch.eps_cutoff) * batch.dt
+    lw -= batch.small_noise @ bbar + 0.5 * sig2 * float(np.sum(bbar**2))
     return lw
 
 
@@ -188,7 +188,7 @@ def deterministic_exponent(tilt: TiltSpec) -> float:
     check = tilt.validity_check()
     if not check.passed:
         raise ValueError("deterministic exponent diverges: amplitude bound >= 1")
-    u = tilt.kappa * (2.0 - a) / 2.0 * tilt.f.slopes
+    u = tilt.amplitude_factor * tilt.f.slopes
     w = np.diff(tilt.f.knot_times)
     b_sup = float(np.max(np.abs(u))) if u.size else 0.0
     if b_sup == 0.0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 from scipy import stats
@@ -168,7 +168,7 @@ def random_shift(n_knots: int, rng: np.random.Generator) -> ShiftFunction:
 
 @dataclass(frozen=True)
 class ScalingFunction:
-    """Scaling h(t) used by the integral test, t >= t_min > e.
+    """Scaling h(t) used by the integral test, for t >= t_min = e^2 (log log t > 0).
 
     ``power_loglog`` means h(t) = (log t)^log_power * (log log t)^loglog_power,
     the family for which the integral test has an analytic answer.  ``custom``
@@ -179,15 +179,13 @@ class ScalingFunction:
     log_power: float = 0.0
     loglog_power: float = 0.0
     func: Callable[[np.ndarray], np.ndarray] | None = None
-    t_min: float = float(np.exp(2.0))
+    t_min: ClassVar[float] = float(np.exp(2.0))
 
     def __post_init__(self) -> None:
         if self.kind not in ("power_loglog", "custom"):
             raise ValueError(f"unknown scaling kind {self.kind!r}")
         if self.kind == "custom" and self.func is None:
             raise ValueError("custom scaling needs a callable")
-        if self.t_min <= float(np.e):
-            raise ValueError("t_min must exceed e so that log log t > 0")
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)

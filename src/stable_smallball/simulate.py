@@ -7,7 +7,7 @@ reproducible and independent of batch splitting or worker count:
   the reference marginal-law sampler; ``sample_time_changed_batch`` runs
   the same increments through a deterministic clock,
 * ``sample_jump_batch``: jumps above a cutoff resolved individually, the
-  sub-cutoff remainder replaced by its Gaussian proxy (optional),
+  sub-cutoff remainder replaced by its Gaussian proxy,
 * ``sample_truncated_batch`` / ``sample_tilted_batch``: jump-resolved paths
   of the truncated process, optionally under an exponential tilt of the jump
   measure; the tilted sampler records everything needed to reweight back.
@@ -122,15 +122,13 @@ class RngStream:
     """
 
     seed: int
-    stream_id: int = 0
     subkeys: tuple = ()
 
     def child(self, *keys: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id, self.subkeys + tuple(int(k) for k in keys))
+        return RngStream(self.seed, self.subkeys + tuple(int(k) for k in keys))
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed,
-                                    spawn_key=(self.stream_id, *self.subkeys))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, *self.subkeys))
         return np.random.default_rng(ss)
 
 
@@ -149,7 +147,7 @@ class BatchPaths:
     ``values`` has shape (n_paths, n_steps + 1) with values[:, 0] = 0.  Jump
     records are flat arrays sorted by (path, time); ``jump_path`` holds the
     owning path index.  ``small_noise`` is the per-step Gaussian proxy of the
-    sub-cutoff jumps (None when the proxy is off), ``drift_steps`` the
+    sub-cutoff jumps (None for increment samplers), ``drift_steps`` the
     deterministic per-step drift shared by all paths.  The sup kernel reads
     these records and caches nothing on the batch.
     """
@@ -335,7 +333,7 @@ def _jump_order(path_idx, t):
     return order
 
 
-def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy=None, thin=None):
+def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy, thin=None):
     """Finish, sort and bin the jump records of ``bands``, and draw the proxy.
 
     Works in path chunks of about ``_PIECE_ELEMS`` records.  ``thin``, when
@@ -444,14 +442,14 @@ def _check_shape(n_paths: int, n_steps: int) -> None:
 
 
 def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int,
-                      n_steps: int, rng, gaussian_refinement: bool = True) -> BatchPaths:
+                      n_steps: int, rng) -> BatchPaths:
     """Jump-resolved paths: all jumps above eps_cutoff drawn individually.
 
     Jumps |x| >= eps arrive at rate (2/alpha) eps^-alpha with Pareto
     magnitudes and symmetric signs.  The discarded sub-eps part is a centered
-    martingale with per-step variance v0(eps) dt; with refinement on it is
-    replaced by that Gaussian, otherwise dropped.  No compensating drift is
-    needed: the big-jump part is symmetric, hence already centered.
+    martingale with per-step variance v0(eps) dt, replaced by that Gaussian.
+    No compensating drift is needed: the big-jump part is symmetric, hence
+    already centered.
     """
     _check_shape(n_paths, n_steps)
     if eps_cutoff <= 0.0:
@@ -460,25 +458,23 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     alpha = params.alpha
     band = _Band.draw(gen, (2.0 / alpha) * eps_cutoff**-alpha, n_paths, alpha, eps_cutoff,
                       np.inf)
-    proxy = None
-    if gaussian_refinement:
-        sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps))
-        proxy = _proxy(gen, sd, n_paths, n_steps)
-    path_idx, t, sizes, _, incr, noise = _bin_with_proxy([band], n_paths, n_steps, proxy)
+    sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps))
+    path_idx, t, sizes, _, incr, noise = _bin_with_proxy(
+        [band], n_paths, n_steps, _proxy(gen, sd, n_paths, n_steps))
     return _cumulate(incr, eps_cutoff=eps_cutoff, jump_path=path_idx, jump_times=t,
                      jump_sizes=sizes, small_noise=noise)
 
 
 def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_steps: int,
-                           rng, eps_cutoff: float | None = None) -> BatchPaths:
+                           rng) -> BatchPaths:
     """Paths of the truncated process: every jump with |x| >= r removed.
 
     Identical draw sequence to :func:`sample_tilted_batch` with a zero tilt,
     so the two agree path for path under a common stream.
     """
     tilt = TiltSpec.middle_shift(params, zero_shift(), c=0.0, r=r)
-    return sample_tilted_batch(tilt, n_paths, n_steps, rng, eps_cutoff=eps_cutoff,
-                               drift_mode="martingale", compute_weights=False)
+    return sample_tilted_batch(tilt, n_paths, n_steps, rng, drift_mode="martingale",
+                               compute_weights=False)
 
 
 def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,

@@ -34,7 +34,7 @@ from .constants import _wls_line
 from .girsanov import TiltSpec, compensator_cancellation
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
-from .simulate import DEFAULT_EPS_RATIO, RngStream, map_batches, sample_jump_batch, \
+from .simulate import DEFAULT_EPS_RATIO, RngStream, _Band, map_batches, sample_jump_batch, \
     sample_stable_batch, sample_sups, sample_tilted_batch, sample_truncated_batch, \
     sup_distance_batch
 
@@ -118,11 +118,10 @@ def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
 
 
 def estimate_given_no_big_jumps(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
-                                rng: RngStream | None = None, pmap=map,
-                                eps_cutoff: float | None = None) -> Estimate:
+                                rng: RngStream | None = None) -> Estimate:
     """P(sup |X - shift| < r | no jump exceeds r), by simulating the truncated law."""
-    sample = partial(sample_truncated_batch, query.params, query.r, eps_cutoff=eps_cutoff)
-    return _bernoulli_estimate(sample, query, n_paths, n_steps, rng, pmap)
+    sample = partial(sample_truncated_batch, query.params, query.r)
+    return _bernoulli_estimate(sample, query, n_paths, n_steps, rng, map)
 
 
 def _is_kernel(tilt, r, n_steps, eps_cutoff, stream, size):
@@ -186,21 +185,26 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
                     ess=ess, flags=tuple(flags))
 
 
-def _no_big_jump_kernel(params, r, eps_cutoff, n_steps, stream, size) -> int:
-    batch = sample_jump_batch(params, eps_cutoff, size, n_steps, stream,
-                              gaussian_refinement=False)
-    big = np.abs(batch.jump_sizes) >= r
-    flagged = np.bincount(batch.jump_path[big], minlength=size) > 0
-    return int(np.sum(~flagged))
+def _no_big_jump_kernel(params, r, eps_cutoff, stream, size) -> int:
+    """The number of paths with no |x| >= r among the jumps above
+    ``eps_cutoff`` that ``sample_jump_batch`` draws on ``stream``."""
+    alpha = params.alpha
+    band = _Band.draw(stream.generator(), (2.0 / alpha) * eps_cutoff**-alpha, size, alpha,
+                      eps_cutoff, np.inf)
+    band.finish(slice(None))
+    owner = np.repeat(np.arange(size), band.counts)
+    return size - np.unique(owner[np.abs(band.x) >= r]).size
 
 
 def empirical_no_big_jump_fraction(params: AlphaStableParams, r: float, n_paths: int,
-                                   n_steps: int = 256, rng: RngStream | None = None,
-                                   pmap=map) -> Estimate:
+                                   rng: RngStream | None = None) -> Estimate:
     """Fraction of jump-resolved paths with every |jump| < r; oracle for
-    :func:`prob_no_big_jumps`."""
-    kernel = partial(_no_big_jump_kernel, params, r, min(r / 4.0, 0.25), n_steps)
-    hits = sum(map_batches(kernel, n_paths, n_steps, rng, pmap))
+    :func:`prob_no_big_jumps`.  Each batch of ``batch_plan(n_paths, 256)``
+    draws only the jumps above min(r/4, 1/4) of its paths."""
+    if r <= 0.0:
+        raise ValueError("r must be positive")
+    kernel = partial(_no_big_jump_kernel, params, r, min(r / 4.0, 0.25))
+    hits = sum(map_batches(kernel, n_paths, 256, rng))
     return Estimate.from_bernoulli(hits, n_paths)
 
 

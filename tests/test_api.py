@@ -1,4 +1,5 @@
-"""The public API: every exported function and class has a consumer in the package."""
+"""The public API: every exported function and class has a consumer in the
+package, and every defaulted parameter of one a caller there that sets it."""
 
 import ast
 import inspect
@@ -6,19 +7,65 @@ from pathlib import Path
 
 import stable_smallball
 
+# defaulted parameters that no call in the package sets, with the reason they stay
+UNSET_ALLOWED = {
+    "anderson_report(battery)": "tests pass their own batteries",
+}
+
+
+def _package_trees():
+    """The parsed modules of the package, ``__init__`` excluded."""
+    return [ast.parse(path.read_text())
+            for path in Path(stable_smallball.__file__).parent.glob("*.py")
+            if path.name != "__init__.py"]
+
+
+def _name_of(node) -> str | None:
+    """The identifier of a ``Name`` or ``Attribute`` node, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
 
 def _names_used_in_package() -> set[str]:
     """Every ``Name`` and ``Attribute`` in the package's modules but ``__init__``."""
-    used = set()
-    for path in Path(stable_smallball.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+    return {_name_of(node) for tree in _package_trees() for node in ast.walk(tree)} - {None}
+
+
+def _arguments_set_in_package() -> dict[str, tuple[int, set[str]]]:
+    """For each callee name, the most leading positional arguments any call
+    passes and every keyword passed, counting ``partial(fn, ...)`` as a call
+    of fn.  A ``*args`` ends the positional count."""
+    seen: dict[str, tuple[int, set[str]]] = {}
+    for tree in _package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _name_of(node.func), node.args
+            if name == "partial" and args:
+                name, args = _name_of(args[0]), args[1:]
+            if name is None:
+                continue
+            n_pos = next((i for i, a in enumerate(args) if isinstance(a, ast.Starred)),
+                         len(args))
+            most, keys = seen.get(name, (0, set()))
+            seen[name] = (max(most, n_pos), keys | {k.arg for k in node.keywords if k.arg})
+    return seen
+
+
+def _exported_callables():
+    """(label, callable) for every exported function and every classmethod
+    of an exported class."""
+    for name in stable_smallball.__all__:
+        obj = getattr(stable_smallball, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, raw in vars(obj).items():
+                if isinstance(raw, classmethod):
+                    yield attr, getattr(obj, attr)
 
 
 def test_every_exported_function_and_class_has_a_consumer():
@@ -29,3 +76,19 @@ def test_every_exported_function_and_class_has_a_consumer():
                 or inspect.isclass(getattr(stable_smallball, name))}
     unused = sorted(exported - _names_used_in_package())
     assert not unused, f"exported but used nowhere in the package: {unused}"
+
+
+def test_every_defaulted_parameter_is_set_in_the_package():
+    # a default that no caller overrides is a constant with extra steps
+    seen = _arguments_set_in_package()
+    unset = []
+    for label, fn in _exported_callables():
+        most, keys = seen.get(label, (0, set()))
+        for i, p in enumerate(inspect.signature(fn).parameters.values()):
+            if p.default is p.empty:
+                continue
+            by_position = i < most and p.kind is not p.KEYWORD_ONLY
+            if not by_position and p.name not in keys:
+                unset.append(f"{label}({p.name})")
+    assert sorted(unset) == sorted(UNSET_ALLOWED), (
+        f"defaulted parameters that no call in the package sets: {sorted(unset)}")

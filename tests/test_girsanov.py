@@ -44,6 +44,8 @@ class TestTiltSpec:
         assert tilt.intensity_scale == pytest.approx(rho_star)
         assert tilt.kappa == pytest.approx(lam * rho_star ** (-0.5 / 1.5))
         assert tilt.keeps_exterior_jumps
+        with pytest.raises(ValueError):
+            TiltSpec.small_shift(PARAMS, identity_shift(), 0.0, r=r)
 
     def test_amplitude_follows_derivative(self):
         tilt = TiltSpec.middle_shift(PARAMS, tent_shift(), 0.3, 1.0)

@@ -84,6 +84,21 @@ def _tilted_digests() -> dict:
     return out
 
 
+def _no_interior_log_weight_digest() -> str:
+    # eps_cutoff just below the cut empties the tilted band: the middle batch
+    # has no jump records at all, the small one only untilted exterior jumps
+    lws, n_records = [], []
+    for tilt in (TiltSpec.middle_shift(PARAMS, identity_shift(), c=0.2, r=0.8),
+                 TiltSpec.small_shift(PARAMS, tent_shift(), lam=0.2, r=0.6)):
+        batch, lw = sample_tilted_batch(tilt, 16, 64, RngStream(4210),
+                                        eps_cutoff=np.nextafter(tilt.jump_cut, 0.0))
+        assert not np.any(np.abs(batch.jump_sizes) < tilt.jump_cut)
+        lws.append(lw)
+        n_records.append(batch.jump_sizes.size)
+    assert n_records[0] == 0 < n_records[1]
+    return _digest(np.concatenate(lws))
+
+
 def _benchmark_battery_digest() -> str:
     # the shape of the benchmark's anderson workload: three 2047-path batches
     # with about a thousand jump records per path, six targets each
@@ -187,6 +202,7 @@ TILTED = {
     "log_weights": "f1dd587bdcbf65aeec90536b6cea8017c214a2ab0860f84fa8668e7eefeef1ae",
     "sups": "041d55ca9decc51ef43554063ea0dd069da274d8b489f75e3857ffd27e5c26bc"
 }
+NO_INTERIOR_LOG_WEIGHTS = "1ec62c470b56892a7079bf05ee158650ee499d7a0a47959421452f86a673bfca"
 BENCHMARK_BATTERY = "e862d3dcab1f930e09341b8057c85d3faa17416efbadafb6640d1ec5b555a43b"
 ANDERSON = "5673b95949c2eb9002eb3aa52c7bc1dd3b60bca2d8f3745d227d47772ca56f0a"
 ESTIMATORS = {
@@ -233,6 +249,10 @@ def test_jump_batch_bits(jump, name):
 @pytest.mark.parametrize("name", [*RECORDS, "drift_steps", "log_weights", "sups"])
 def test_small_regime_tilted_batch_bits(tilted, name):
     assert tilted[name] == TILTED[name]
+
+
+def test_no_interior_record_log_weights_bits():
+    assert _no_interior_log_weight_digest() == NO_INTERIOR_LOG_WEIGHTS
 
 
 def test_battery_sups_at_benchmark_shape_bits():

@@ -62,11 +62,6 @@ class TestRngStream:
         b = RngStream(3).child(2, 5).generator().random(3)
         assert np.array_equal(a, b)
 
-    def test_distinct_stream_ids_differ(self):
-        a = RngStream(3, stream_id=0).generator().random(3)
-        b = RngStream(3, stream_id=1).generator().random(3)
-        assert not np.array_equal(a, b)
-
 
 class TestStandardVariates:
     def test_characteristic_function(self):
@@ -158,13 +153,6 @@ class TestJumpSampler:
         sup_a = np.max(np.abs(a.values), axis=1)
         sup_b = np.max(np.abs(b.values), axis=1)
         assert stats.ks_2samp(sup_a, sup_b).pvalue > 0.01
-
-    def test_gaussian_refinement_toggle(self):
-        with_proxy = sample_jump_batch(PARAMS, 0.1, 5, 32, RngStream(12))
-        without = sample_jump_batch(PARAMS, 0.1, 5, 32, RngStream(12),
-                                    gaussian_refinement=False)
-        assert with_proxy.small_noise is not None
-        assert without.small_noise is None
 
 
 class TestTruncatedSampler:
@@ -321,8 +309,9 @@ TILTS = [TiltSpec.middle_shift(PARAMS, identity_shift(), c=0.2, r=0.8),
 
 @st.composite
 def _kernel_batches(draw):
-    """Jump (with and without proxy), tilted (with drift and proxy), stable
-    and record-free proxy-free batches, 1-9 paths."""
+    """Jump and tilted (with drift) batches, each with the Gaussian proxy,
+    stable batches (no proxy, no records) and record-free jump batches,
+    1-9 paths."""
     kind = draw(st.sampled_from(["jump", "tilted", "stable", "bare"]))
     n_paths, n_steps = draw(st.integers(1, 9)), draw(st.integers(2, 40))
     rng = RngStream(draw(st.integers(0, 2**32 - 1)))
@@ -331,10 +320,9 @@ def _kernel_batches(draw):
     if kind == "tilted":
         return sample_tilted_batch(draw(st.sampled_from(TILTS)), n_paths, n_steps, rng,
                                    compute_weights=False)
-    if kind == "bare":  # no proxy and, at this cutoff, no records
-        return sample_jump_batch(PARAMS, 1e3, n_paths, n_steps, rng, gaussian_refinement=False)
-    return sample_jump_batch(PARAMS, draw(st.floats(0.05, 1.0)), n_paths, n_steps, rng,
-                             gaussian_refinement=draw(st.booleans()))
+    if kind == "bare":  # at this cutoff, empty record arrays
+        return sample_jump_batch(PARAMS, 1e3, n_paths, n_steps, rng)
+    return sample_jump_batch(PARAMS, draw(st.floats(0.05, 1.0)), n_paths, n_steps, rng)
 
 
 def _one_target_sup(batch, f, shift_scale, path_scale):
@@ -500,7 +488,7 @@ def _echo(stream, size):
 
 class TestMapBatches:
     def test_one_child_stream_per_batch_in_plan_order(self):
-        stream = RngStream(31, 2)
+        stream = RngStream(31)
         got = map_batches(_echo, 5000, 2048, stream)
         assert len(got) == 3
         assert got == [(stream.child(b), size) for b, size in batch_plan(5000, 2048)]
@@ -525,7 +513,7 @@ class TestMapBatches:
 # draws none; every one is a module-level partial, so a process pool takes it
 HELPER_SAMPLERS = {
     "jump": partial(sample_jump_batch, PARAMS, 0.1),
-    "jump_no_proxy": partial(sample_jump_batch, PARAMS, 0.1, gaussian_refinement=False),
+    "stable": partial(sample_stable_batch, PARAMS),
     "tilted": partial(sample_tilted_batch, TILTS[0], eps_cutoff=0.1, compute_weights=False),
 }
 HELPER_TARGETS = [(None, 0.0), (identity_shift(), 0.5), (tent_shift(), -1.0)]

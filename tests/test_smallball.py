@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stable_smallball import (
     AlphaStableParams,
@@ -17,10 +18,12 @@ from stable_smallball import (
     estimate_is,
     identity_shift,
     prob_no_big_jumps,
+    sample_jump_batch,
     tail_prob_check,
     tent_shift,
     zero_shift,
 )
+from stable_smallball.smallball import _no_big_jump_kernel
 
 PARAMS = AlphaStableParams(1.5)
 
@@ -50,6 +53,20 @@ class TestProbNoBigJumps:
         est = empirical_no_big_jump_fraction(PARAMS, 1.0, 4000, rng=RngStream(40))
         ref = prob_no_big_jumps(1.5, 1.0)
         assert abs(est.value - ref) < 4.0 * est.stderr
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40),
+           n_steps=st.integers(2, 64), r=st.floats(0.2, 3.0),
+           alpha=st.sampled_from([1.2, 1.5, 1.8]))
+    def test_oracle_counts_the_sampler_paths_without_a_big_jump(self, seed, size, n_steps, r,
+                                                               alpha):
+        # the oracle draws only the sampler's jump band, so on one stream it
+        # sees the very jumps of the sampler's paths, whatever the grid
+        params, eps = AlphaStableParams(alpha), min(r / 4.0, 0.25)
+        stream = RngStream(seed)
+        batch = sample_jump_batch(params, eps, size, n_steps, stream)
+        with_big = np.unique(batch.jump_path[np.abs(batch.jump_sizes) >= r])
+        assert _no_big_jump_kernel(params, r, eps, stream, size) == size - with_big.size
 
 
 class TestCrude:
