@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import constants, diagnostics, lil, processes, simulate, smallball
+from . import constants, lil, processes, simulate, smallball
 
 
 class Option(NamedTuple):
@@ -170,12 +170,12 @@ def _write_run_config(cfg: dict) -> Path:
     return out
 
 
-def _emit(cfg: dict, records: list[dict], name: str) -> None:
-    """Write records as JSON (one) or line-delimited JSON (sweep), echo to stdout."""
+def _emit(cfg: dict, records: list[dict], name: str, sweep: bool = False) -> None:
+    """Write records as JSON (one, not of a sweep) or line-delimited JSON, echo to stdout."""
     out = _write_run_config(cfg)
     for rec in records:
         rec["config"] = cfg
-    if len(records) == 1:
+    if len(records) == 1 and not sweep:
         text = _dumps(records[0], indent=2, sort_keys=True) + "\n"
         (out / f"{name}.json").write_text(text)
     else:
@@ -301,27 +301,22 @@ def cmd_smallball(cfg: dict, mode: str) -> int:
 
 def cmd_constants(cfg: dict) -> int:
     rng = simulate.RngStream(cfg["seed"])
-    with _pmap(cfg) as pmap:
-        records = []
-        for i, alpha in enumerate(_split(cfg["alpha"], "alpha")):
-            spectral = constants.smallball_constant_spectral(alpha, n_grid=cfg["grid"])
-            if cfg["mc_n"] > 0:
-                mc = constants.smallball_constant_mc(
-                    alpha, r_list=_split(cfg["mc_r"], "mc_r"),
-                    n_paths=cfg["mc_n"], n_steps=cfg["steps"], rng=rng.child(i),
-                    pmap=pmap)
-                k_mc = mc.value
-            else:
-                k_mc = None
-            records.append({
-                "alpha": alpha,
-                "c_alpha": constants.char_exponent_scale(alpha),
-                "K_spectral": spectral.value,
-                "K_mc": k_mc,
-                "C_alpha": constants.middle_shift_constant(alpha),
-            })
-        _emit(cfg, records, "constants")
-        return 0
+    alphas, records = _split(cfg["alpha"], "alpha"), []
+    try:
+        with _pmap(cfg) as pmap:
+            for i, alpha in enumerate(alphas):
+                spectral = constants.smallball_constant_spectral(alpha, n_grid=cfg["grid"])
+                mc = None if cfg["mc_n"] <= 0 else constants.smallball_constant_mc(
+                    alpha, r_list=_split(cfg["mc_r"], "mc_r"), n_paths=cfg["mc_n"],
+                    n_steps=cfg["steps"], rng=rng.child(i), pmap=pmap)
+                records.append({
+                    "alpha": alpha, "c_alpha": constants.char_exponent_scale(alpha),
+                    "K_spectral": spectral.value, "K_mc": None if mc is None else mc.value,
+                    "C_alpha": constants.middle_shift_constant(alpha)})
+    finally:
+        if records:  # an alpha that fails leaves the finished ones written
+            _emit(cfg, records, "constants", sweep=len(alphas) > 1)
+    return 0
 
 
 def cmd_lil(cfg: dict, mode: str) -> int:
@@ -368,6 +363,7 @@ def cmd_lil(cfg: dict, mode: str) -> int:
 
 
 def cmd_selftest(cfg: dict) -> int:
+    from . import diagnostics
     results = diagnostics.run_selftest(full=cfg["full"])
     report = diagnostics.format_results(results)
     sys.stdout.write(report + "\n")

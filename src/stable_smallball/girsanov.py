@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .constants import truncated_second_moment
 from .processes import AlphaStableParams, ShiftFunction
@@ -225,6 +224,7 @@ def compensator_cancellation(tilt: TiltSpec) -> float:
     should sit at rounding-noise level.  The inner limit 1e-6 cut avoids the
     non-integrable |x|^(-alpha) singularity of the absolute normalizer.
     """
+    from scipy import integrate
     a = tilt.params.alpha
     cut = tilt.jump_cut
     inner = 1e-6 * cut

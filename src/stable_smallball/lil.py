@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .processes import AlphaStableParams, ScalingFunction, ShiftFunction
 from .simulate import BatchPaths, _require_stream, sample_stable_batch, sup_distance_batch
@@ -140,6 +139,7 @@ def integral_test(h: ScalingFunction, alpha: float) -> IntegralTestResult:
         return IntegralTestResult(cls, "analytic",
                                   {"p_alpha": pa, "q_alpha": qa})
 
+    from scipy import integrate
     # substitute t = e^u: integral becomes int du / h(e^u)^alpha
     u0 = max(np.log(h.t_min), 2.0) + 1.0
     edges = [u0]

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -250,6 +249,7 @@ class Estimate:
 
 
 def _clopper_pearson(successes: int, n: int) -> tuple[float, float]:
+    from scipy import stats
     tail = (1.0 - 0.95) / 2.0  # of the 95% interval
     lo = 0.0 if successes == 0 else float(stats.beta.ppf(tail, successes, n - successes + 1))
     hi = 1.0 if successes == n else float(stats.beta.ppf(1.0 - tail, successes + 1, n - successes))

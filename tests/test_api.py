@@ -1,8 +1,12 @@
 """The public API: every exported function and class has a consumer in the
-package, and every defaulted parameter of one a caller there that sets it."""
+package, every defaulted parameter of one a caller there that sets it, and
+runs that need no SciPy routine do not load SciPy."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stable_smallball
@@ -92,3 +96,27 @@ def test_every_defaulted_parameter_is_set_in_the_package():
                 unset.append(f"{label}({p.name})")
     assert sorted(unset) == sorted(UNSET_ALLOWED), (
         f"defaulted parameters that no call in the package sets: {sorted(unset)}")
+
+
+NO_SCIPY_RUN = """
+import sys
+import stable_smallball
+import stable_smallball.cli
+from stable_smallball import AlphaStableParams, RngStream, anderson_report
+params = AlphaStableParams(1.5)
+params.c_alpha
+anderson_report(params, 1.0, 64, rng=RngStream(0), n_steps=64)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_package_and_anderson_run_load_no_scipy():
+    # a fresh interpreter, so no other test has imported SciPy already
+    package_root = str(Path(stable_smallball.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -287,6 +287,15 @@ class TestConstants:
                    "--mc-r", "0.2,0.25", "--steps", "16", "--out", str(tmp_path)])
         _assert_one_line_error(rc, 3, capsys, "too few resolvable radii")
 
+    def test_unresolved_last_alpha_keeps_the_finished_records(self, tmp_path, capsys):
+        # at seed 0 these settings give 18 and 48 hits at alpha 1.2, but 0 and 1
+        # at 1.8, where only one radius resolves
+        rc = main(["constants", "--alpha", "1.2,1.8", "--grid", "64", "--mc-n", "2000",
+                   "--mc-r", "0.7,1.0", "--steps", "64", "--out", str(tmp_path)])
+        _assert_one_line_error(rc, 3, capsys, "too few resolvable radii")
+        [rec] = _read_jsonl(tmp_path / "constants.jsonl")  # a sweep's file, though one record
+        assert rec["alpha"] == 1.2 and rec["K_mc"] > 0.0
+
     def test_bad_alpha_list(self, tmp_path, capsys):
         rc = main(["constants", "--alpha", "1.5,abc", "--out", str(tmp_path)])
         assert rc == 2
