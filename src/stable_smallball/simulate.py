@@ -28,7 +28,9 @@ all targets in turn.  A caller that only tests ``sup < r`` passes
 reaches r for every target is then decided without its jump records.
 ``sup_distance_batch`` is its one-target form.  ``map_batches`` is the one
 batch loop of every estimator: it runs a kernel over the deterministic
-``batch_plan``, each batch on its own child stream.  Every estimator that
+``batch_plan``, each batch on its own child stream.  The plan bounds a
+batch's grid values and, given the expected jump records per path
+(``tilted_jump_rates``), its jump records.  Every estimator that
 counts sups draws through ``sample_sups``, which returns the sups of every
 path against every target as one matrix; the estimator keeps only its own
 reduction (``< r`` or ``> x``).
@@ -477,6 +479,28 @@ def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_
                                compute_weights=False)
 
 
+def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, float, float]:
+    """(eps_cutoff, interior rate, exterior rate) of :func:`sample_tilted_batch`.
+
+    ``eps_cutoff`` None means jump_cut / ``DEFAULT_EPS_RATIO``.  The interior
+    rate is the Poisson rate per path of the envelope jumps
+    eps_cutoff <= |x| < jump_cut, which the sampler draws before thinning;
+    the exterior rate, of the untilted jumps |x| >= jump_cut, is 0 unless
+    the tilt keeps them.  Their sum is the expected jump records per path.
+    """
+    alpha = tilt.params.alpha
+    cut = tilt.jump_cut
+    scale = tilt.intensity_scale
+    if eps_cutoff is None:
+        eps_cutoff = cut / DEFAULT_EPS_RATIO
+    if not 0.0 < eps_cutoff < cut:
+        raise ValueError("eps_cutoff must lie in (0, jump_cut)")
+    rate_int = scale * (1.0 + tilt.amplitude_bound) * (2.0 / alpha) * (
+        eps_cutoff**-alpha - cut**-alpha)
+    rate_ext = scale * (2.0 / alpha) * cut**-alpha if tilt.keeps_exterior_jumps else 0.0
+    return eps_cutoff, rate_int, rate_ext
+
+
 def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
                         eps_cutoff: float | None = None, drift_mode: str = "shifted",
                         compute_weights: bool = True,
@@ -507,22 +531,17 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
     alpha = tilt.params.alpha
     cut = tilt.jump_cut
     scale = tilt.intensity_scale
-    if eps_cutoff is None:
-        eps_cutoff = cut / DEFAULT_EPS_RATIO
-    if not 0.0 < eps_cutoff < cut:
-        raise ValueError("eps_cutoff must lie in (0, jump_cut)")
+    eps_cutoff, rate_int, rate_ext = tilted_jump_rates(tilt, eps_cutoff)
     b_bound = check.value
     dt = 1.0 / n_steps
 
     # interior jumps eps <= |x| < cut, thinned from the (1 + B)-inflated rate
-    rate_int = scale * (1.0 + b_bound) * (2.0 / alpha) * (eps_cutoff**-alpha - cut**-alpha)
     bands = [_Band.draw(gen, rate_int, n_paths, alpha, eps_cutoff, cut)]
     thin = None if b_bound == 0.0 else (tilt, gen.random(bands[0].t.size), b_bound)
 
     # exterior jumps |x| >= cut, untilted; only the small regime keeps them
     if tilt.keeps_exterior_jumps:
-        bands.append(_Band.draw(gen, scale * (2.0 / alpha) * cut**-alpha, n_paths, alpha, cut,
-                                np.inf))
+        bands.append(_Band.draw(gen, rate_ext, n_paths, alpha, cut, np.inf))
 
     # compensate the tilt of the interior band so the component is a martingale
     bbar = step_mean_amplitude(tilt, n_steps)
@@ -713,17 +732,24 @@ def _jump_limits(batch: BatchPaths, sel):
 
 
 _BATCH_ELEMS = 1 << 22  # grid values per batch that batch_plan aims at: a 32 MiB values array
+_BATCH_RECORDS = 1 << 20  # expected jump records per batch: a tilted batch peaks near 70 MB
 
 
-def batch_plan(n_total: int, n_steps: int) -> list[tuple[int, int]]:
+def batch_plan(n_total: int, n_steps: int, records: float = 0.0) -> list[tuple[int, int]]:
     """Deterministic split of n_total paths into (batch_index, size) pieces.
 
-    The plan depends only on (n_total, n_steps), never on worker count, so
-    distributing batches over processes cannot change results.
+    A batch holds about ``_BATCH_ELEMS`` grid values and, given the expected
+    jump ``records`` per path, at most ``_BATCH_RECORDS`` expected records;
+    no batch is cut below 64 paths.  ``records`` 0 leaves the grid bound
+    alone.  The plan depends only on its arguments, never on worker count,
+    so distributing batches over processes cannot change results.
     """
     if n_total < 1:
         raise ValueError("n_total must be positive")
-    per = max(64, min(n_total, _BATCH_ELEMS // (n_steps + 1)))
+    cap = _BATCH_ELEMS // (n_steps + 1)
+    if records > 0.0:
+        cap = min(cap, int(_BATCH_RECORDS // records))
+    per = max(64, min(n_total, cap))
     sizes = [per] * (n_total // per)
     if n_total % per:
         sizes.append(n_total % per)
@@ -740,8 +766,10 @@ def _run_batch(job):
     return kernel(stream, size)
 
 
-def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map) -> list:
-    """``kernel(stream.child(b), size)`` for each ``(b, size)`` of :func:`batch_plan`.
+def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map,
+                records: float = 0.0) -> list:
+    """``kernel(stream.child(b), size)`` for each ``(b, size)`` of
+    ``batch_plan(n_paths, n_steps, records)``.
 
     Results come back as a list in plan order; callers reduce it in that
     order, so sums are bit-identical under any ``pmap``.  ``pmap(fn, jobs)``
@@ -750,7 +778,8 @@ def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map)
     of one.
     """
     _require_stream(stream)
-    jobs = [(kernel, stream.child(b), size) for b, size in batch_plan(n_paths, n_steps)]
+    jobs = [(kernel, stream.child(b), size)
+            for b, size in batch_plan(n_paths, n_steps, records)]
     return list(pmap(_run_batch, jobs))
 
 

@@ -31,14 +31,12 @@ from functools import partial
 import numpy as np
 
 from .constants import _wls_line
-from .girsanov import TiltSpec, compensator_cancellation
+from .girsanov import TiltSpec
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
 from .simulate import DEFAULT_EPS_RATIO, RngStream, _Band, map_batches, sample_jump_batch, \
     sample_stable_batch, sample_sups, sample_tilted_batch, sample_truncated_batch, \
     sup_distance_batch
-
-_CANCEL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -152,10 +150,6 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
     check = tilt.validity_check()
     if not check.passed:
         raise ValueError(f"tilt out of range: amplitude bound {check.value:.4f} >= 1")
-    if tilt.amplitude_bound > 0.0:
-        resid = compensator_cancellation(tilt)
-        if resid > _CANCEL_TOL:
-            raise RuntimeError(f"compensator cancellation residual {resid:.2e} too large")
 
     p_a = prob_no_big_jumps(query.params.alpha, query.r)
     kernel = partial(_is_kernel, tilt, query.r, n_steps, eps_cutoff)

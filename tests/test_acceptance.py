@@ -2,23 +2,21 @@
 printed PASS/FAIL line each.
 
 Every criterion pins its tolerance, sample size, and seed.  Criteria 01 and
-05-12 call the ``diagnostics`` checks that the selftest runs, with their own
+04-12 call the ``diagnostics`` checks that the selftest runs, with their own
 pinned arguments; the others keep their bodies here.  Every criterion reports
 through a ``CheckResult``, so each line carries its seconds.  Expensive Monte
 Carlo runs are shared through module-scoped fixtures; the whole battery is
 serial and finishes in a few minutes on one core.
 """
 
-import math
 import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from stable_smallball import AlphaStableParams, RngStream, diagnostics, simulate
+from stable_smallball import AlphaStableParams, RngStream, diagnostics
 from stable_smallball.constants import smallball_constant_mc, smallball_constant_spectral
-from stable_smallball.diagnostics import CheckResult, _check, weight_battery
+from stable_smallball.diagnostics import CheckResult, _check
 from stable_smallball.smallball import tail_prob_check
 
 ALPHA = 1.5
@@ -71,29 +69,9 @@ def test_03_mc_constant_matches_spectral(mc_fit):
     _verdict(3, _check("mc_constant", _mc_constant, mc_fit[0]))
 
 
-def _tilted_unit_mean():
-    gate = 4.0
-    worst_label, worst_dev = "", 0.0
-    rng = RngStream(41)
-    for i, (label, tilt) in enumerate(weight_battery(PARAMS)):
-        child = rng.child(i)
-        parts = []
-        # chunked draws: the small-regime tilts carry thousands of jumps per
-        # path at their default resolution, so one 10k batch would not fit
-        for j in range(10):
-            _, lw = simulate.sample_tilted_batch(tilt, 1000, 256, child.child(j))
-            parts.append(np.exp(lw))
-        w = np.concatenate(parts)
-        se = w.std(ddof=1) / math.sqrt(w.size)
-        dev = abs(w.mean() - 1.0) / se if se > 0.0 else 0.0
-        if dev >= worst_dev:
-            worst_label, worst_dev = label, dev
-    return worst_dev < gate, (f"unit-mean weights on 6 tilts x 10k paths, worst "
-                              f"{worst_dev:.2f} stderr ({worst_label}; gate {gate})")
-
-
 def test_04_tilted_weights_have_unit_mean():
-    _verdict(4, _check("tilted_unit_mean", _tilted_unit_mean))
+    _verdict(4, _check("tilted_unit_mean", diagnostics.check_weight_unit_mean,
+                       10_000, RngStream(41), 4.0, None))
 
 
 def test_05_importance_sampling_agrees_with_crude():

@@ -102,10 +102,13 @@ NO_SCIPY_RUN = """
 import sys
 import stable_smallball
 import stable_smallball.cli
-from stable_smallball import AlphaStableParams, RngStream, anderson_report
+from stable_smallball import AlphaStableParams, RngStream, SmallBallQuery, anderson_report, \
+    estimate_is, identity_shift
 params = AlphaStableParams(1.5)
 params.c_alpha
 anderson_report(params, 1.0, 64, rng=RngStream(0), n_steps=64)
+estimate_is(SmallBallQuery.middle(params, identity_shift(), c=0.2, r=1.0), 64, n_steps=64,
+            rng=RngStream(0))
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

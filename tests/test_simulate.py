@@ -87,16 +87,6 @@ class TestIncrementSampler:
         assert np.all(batch.values[:, 0] == 0.0)
         assert batch.times[0] == 0.0 and batch.times[-1] == 1.0
 
-    def test_increment_characteristic_function(self):
-        batch = sample_stable_batch(PARAMS, 2000, 128, RngStream(2))
-        incr = np.diff(batch.values, axis=1).ravel()
-        dt = 1.0 / 128.0
-        for u in (1.0, 3.0):
-            target = math.exp(-PARAMS.c_alpha * dt * u**1.5)
-            ecf = np.mean(np.cos(u * incr))
-            se = np.std(np.cos(u * incr)) / math.sqrt(incr.size)
-            assert abs(ecf - target) < 5.0 * se
-
     def test_self_similarity_of_marginals(self):
         # X(T s) / T^(1/alpha) should match X(s) in law at fixed s; the clock
         # of constant speed T runs the path at X(T s)
@@ -169,12 +159,6 @@ class TestTruncatedSampler:
 
 
 class TestTiltedSampler:
-    def test_weight_mean_one(self):
-        tilt = TiltSpec.middle_shift(PARAMS, identity_shift(), 0.5, 1.0)
-        _, lw = sample_tilted_batch(tilt, 4000, 128, RngStream(15))
-        w = np.exp(lw)
-        assert abs(np.mean(w) - 1.0) < 4.0 * np.std(w) / math.sqrt(w.size)
-
     def test_shifted_mode_moves_the_mean(self):
         tilt = TiltSpec.middle_shift(PARAMS, identity_shift(), 0.5, 1.0)
         batch, _ = sample_tilted_batch(tilt, 4000, 128, RngStream(16),
@@ -213,15 +197,6 @@ class TestTimeChange:
         a = sample_time_changed_batch(PARAMS, lambda t: 2.0 * t, n, 512, RngStream(20))
         b = sample_stable_batch(PARAMS, n, 512, RngStream(21))
         assert stats.ks_2samp(a.values[:, -1], b.values[:, -1]).pvalue > 0.01
-
-    def test_sup_norm_identity_in_law(self):
-        n = 10_000
-        mass = 1.5  # total integral of 1 + t on [0, 1]
-        eta = sample_time_changed_batch(PARAMS, lambda t: 1.0 + t, n, 2048, RngStream(22))
-        zeta = sample_stable_batch(PARAMS, n, 2048, RngStream(23))
-        s_eta = np.max(np.abs(eta.values), axis=1)
-        s_zeta = mass ** (1.0 / 1.5) * np.max(np.abs(zeta.values), axis=1)
-        assert stats.ks_2samp(s_eta, s_zeta).pvalue > 0.01
 
     def test_rejects_negative_speed(self):
         with pytest.raises(ValueError):
@@ -468,15 +443,22 @@ class TestJumpOrder:
 
 class TestBatchPlan:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 10**6), st.integers(2, 8192))
-    @example(100_000, 2048)
-    def test_covers_total_deterministically(self, n_total, n_steps):
-        plan = batch_plan(n_total, n_steps)
+    @given(st.integers(1, 10**6), st.integers(2, 8192),
+           st.one_of(st.just(0.0), st.floats(1e-3, 1e7)))
+    @example(100_000, 2048, 0.0)
+    @example(10_000, 256, 6683.1)  # criterion 04's small-regime tilt: 65 batches
+    def test_covers_total_deterministically(self, n_total, n_steps, records):
+        plan = batch_plan(n_total, n_steps, records)
         sizes = [size for _, size in plan]
         assert sum(sizes) == n_total and min(sizes) > 0
         assert [b for b, _ in plan] == list(range(len(plan)))
         assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
-        assert plan == batch_plan(n_total, n_steps)
+        assert plan == batch_plan(n_total, n_steps, records)
+        # no batch above the 64-path floor exceeds the record budget
+        assert sizes[0] <= 64 or sizes[0] * records <= simulate._BATCH_RECORDS
+        if records == 0.0:
+            assert plan == batch_plan(n_total, n_steps)
+            assert sizes[0] == min(n_total, max(64, simulate._BATCH_ELEMS // (n_steps + 1)))
 
     def test_small_total_single_batch(self):
         assert batch_plan(50, 64) == [(0, 50)]
@@ -684,9 +666,10 @@ class TestHelperThread:
 
 class TestMemory:
     def test_small_regime_batch_peak(self):
-        # the selftest's small-regime weight batch (weight_battery member 3,
-        # 3.3M interior jump records) sets the selftest's peak memory; while
-        # its samplers drew and finished records in one piece, its tracemalloc
+        # one sampler call of 2000 small-regime paths (weight_battery member
+        # 3, 3.3M interior jump records), the batch the selftest's weight
+        # check drew whole before its plan was bounded by jump records; while
+        # the samplers drew and finished records in one piece, its tracemalloc
         # peak was 250,947,653 bytes (NumPy 2.4.6, Python 3.11.7)
         tilt = weight_battery(PARAMS)[3][1]
         tracemalloc.start()
