@@ -116,8 +116,11 @@ class ShiftFunction:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
             raise ValueError("shift functions are defined on [0, 1] only")
-        # piece i runs from knot i up to knot i + 1; t = 1 falls in the last
-        out = self.slopes[np.searchsorted(self.knot_times[1:-1], t_arr, side="right")]
+        if self.slopes.size == 1:  # no interior knot: one slope everywhere
+            out = np.full(t_arr.shape, self.slopes[0])
+        else:
+            # piece i runs from knot i up to knot i + 1; t = 1 falls in the last
+            out = self.slopes[np.searchsorted(self.knot_times[1:-1], t_arr, side="right")]
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def to_json(self) -> str:

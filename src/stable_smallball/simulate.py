@@ -15,7 +15,11 @@ reproducible and independent of batch splitting or worker count:
 The jump-resolved samplers draw each band of jumps as a ``_Band`` and
 share ``_bin_with_proxy`` to finish, sort and bin the records and draw the
 Gaussian proxy; every sampler ends in ``_cumulate``, which sums increments
-into paths.
+into paths.  A batch holds its grid once: the jump samplers bin their
+per-step jump sums straight into the ``values`` array the batch returns,
+and ``_cumulate`` sums each path there in place; the stable transform
+writes its variates over its exponential draws, and ``_cumulate`` sums
+those into ``values``.
 
 A path is a :class:`BatchPaths`; one path is a batch of one
 (``BatchPaths.extract``).  One kernel evaluates sup-norm distances to scaled
@@ -195,16 +199,15 @@ def standard_symmetric_stable(alpha: float, size, rng) -> np.ndarray:
     gen = _as_generator(rng)
     u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     e = gen.standard_exponential(size)
-    out = np.empty_like(u)
-    flat_u, flat_e, flat_out = u.reshape(-1), e.reshape(-1), out.reshape(-1)
+    flat_u, flat_e = u.reshape(-1), e.reshape(-1)
     inv_a = 1.0 / alpha
 
     def piece(i: int) -> None:
         # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha),
-        # in place, with the same operations in the same order as the plain expression
+        # written over e, with the same operations in the same order as the plain expression
         s = slice(i * _PIECE_ELEMS, (i + 1) * _PIECE_ELEMS)
-        v, o = flat_u[s], flat_out[s]
-        np.multiply(alpha, v, out=o)
+        v = flat_u[s]
+        o = np.multiply(alpha, v)
         np.sin(o, out=o)
         den = np.cos(v)
         den **= inv_a
@@ -213,10 +216,10 @@ def standard_symmetric_stable(alpha: float, size, rng) -> np.ndarray:
         np.cos(v, out=v)
         v /= flat_e[s]
         v **= (1.0 - alpha) * inv_a
-        o *= v
+        np.multiply(o, v, out=flat_e[s])
 
-    _run_pieces(piece, _n_pieces(out.size, _PIECE_ELEMS))
-    return out
+    _run_pieces(piece, _n_pieces(e.size, _PIECE_ELEMS))
+    return e
 
 
 def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int, rng) -> BatchPaths:
@@ -233,20 +236,24 @@ def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int, r
 def _stable_paths(alpha: float, scale, n_paths: int, n_steps: int, gen) -> BatchPaths:
     """Paths whose increments are standard stable variates times ``scale``,
     a scalar or one factor per step."""
-    return _cumulate(standard_symmetric_stable(alpha, (n_paths, n_steps), gen), scale=scale)
+    incr = standard_symmetric_stable(alpha, (n_paths, n_steps), gen)
+    return _cumulate(np.empty((n_paths, n_steps + 1)), incr, scale=scale)
 
 
-def _cumulate(incr: np.ndarray, scale=None, **records) -> BatchPaths:
+def _cumulate(values: np.ndarray, incr: np.ndarray, scale=None, **records) -> BatchPaths:
     """The batch on the unit grid whose paths are the running sums of ``incr``.
 
-    ``records`` become the batch's fields.  In each row chunk, ``incr`` is
-    first multiplied by ``scale`` (a scalar or one factor per step), then
-    the per-step ``drift_steps`` and ``small_noise`` are added, each when
-    given, in that order.
+    ``values`` (n_paths, n_steps + 1) becomes the batch's grid: column 0 is
+    set to 0 and the sums are written into the rest.  ``incr`` is either
+    ``values[:, 1:]`` itself, so the paths are summed in place, or a
+    separate (n_paths, n_steps) array, which is overwritten.  ``records``
+    become the batch's fields.  In each row chunk, ``incr`` is first
+    multiplied by ``scale`` (a scalar or one factor per step), then the
+    per-step ``drift_steps`` and ``small_noise`` are added, each when given,
+    in that order.
     """
     drift, noise = records.get("drift_steps"), records.get("small_noise")
     n_paths, n_steps = incr.shape
-    values = np.zeros((n_paths, n_steps + 1))
     rows = max(1, _PIECE_ELEMS // n_steps)
 
     def piece(i: int) -> None:
@@ -258,6 +265,7 @@ def _cumulate(incr: np.ndarray, scale=None, **records) -> BatchPaths:
             block += drift
         if noise is not None:
             block += noise[s]
+        values[s, 0] = 0.0
         np.cumsum(block, axis=1, out=values[s, 1:])
 
     _run_pieces(piece, _n_pieces(n_paths, rows))
@@ -349,9 +357,11 @@ def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy, thin=None):
     them per step.  ``proxy``, the batch's last generator call, runs on the
     helper thread while the calling thread takes the first chunks.
 
-    Returns (jump_path, t, sizes, log_tilt, incr, noise): log_tilt holds
-    the kept log1p(beta(t) x) in record order, 0 on the other bands'
-    records, and is None without ``thin``.
+    Returns (jump_path, t, sizes, log_tilt, values, noise): values is the
+    batch's (n_paths, n_steps + 1) grid array, each step's jump sum in the
+    column after it and column 0 not yet set, for ``_cumulate`` to sum in
+    place; log_tilt holds the kept log1p(beta(t) x) in record order, 0 on
+    the other bands' records, and is None without ``thin``.
     """
     counts = [band.counts for band in bands]  # records per path, after thinning
     per = max(1, _PIECE_ELEMS * n_paths // max(1, sum(int(b.first[-1]) for b in bands)))
@@ -383,7 +393,7 @@ def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy, thin=None):
     path_out = np.empty(first[-1], dtype=np.int64)
     t_out, x_out = np.empty(first[-1]), np.empty(first[-1])
     log_tilt = None if keep is None else np.empty(first[-1])
-    incr = np.empty((n_paths, n_steps))
+    values = np.empty((n_paths, n_steps + 1))
 
     def sort_piece(i: int) -> None:
         p0, p1 = edges[i], edges[i + 1]
@@ -410,11 +420,11 @@ def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy, thin=None):
             log_tilt[o] = np.concatenate(lt)[order]
         step = np.minimum((t_out[o] * n_steps).astype(np.int64), n_steps - 1)
         step += (path_out[o] - p0) * n_steps
-        incr[p0:p1] = np.bincount(step, weights=x_out[o],
-                                  minlength=(p1 - p0) * n_steps).reshape(p1 - p0, n_steps)
+        values[p0:p1, 1:] = np.bincount(step, weights=x_out[o],
+                                        minlength=(p1 - p0) * n_steps).reshape(p1 - p0, n_steps)
 
     noise = _run_pieces(sort_piece, n_pieces, proxy)
-    return path_out, t_out, x_out, log_tilt, incr, noise
+    return path_out, t_out, x_out, log_tilt, values, noise
 
 
 def _proxy(gen, sd: float, n_paths: int, n_steps: int):
@@ -461,10 +471,11 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     band = _Band.draw(gen, (2.0 / alpha) * eps_cutoff**-alpha, n_paths, alpha, eps_cutoff,
                       np.inf)
     sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps))
-    path_idx, t, sizes, _, incr, noise = _bin_with_proxy(
+    path_idx, t, sizes, _, values, noise = _bin_with_proxy(
         [band], n_paths, n_steps, _proxy(gen, sd, n_paths, n_steps))
-    return _cumulate(incr, eps_cutoff=eps_cutoff, jump_path=path_idx, jump_times=t,
-                     jump_sizes=sizes, small_noise=noise)
+    del band  # the raw draws die before the paths are summed
+    return _cumulate(values, values[:, 1:], eps_cutoff=eps_cutoff, jump_path=path_idx,
+                     jump_times=t, jump_sizes=sizes, small_noise=noise)
 
 
 def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_steps: int,
@@ -551,11 +562,11 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
         drift = drift + np.diff(tilt.compensator_shift_curve(np.linspace(0.0, 1.0, n_steps + 1)))
 
     sd = np.sqrt(scale * truncated_second_moment(alpha, eps_cutoff) * dt)
-    path_idx, t, sizes, log_tilt, incr, noise = _bin_with_proxy(
+    path_idx, t, sizes, log_tilt, values, noise = _bin_with_proxy(
         bands, n_paths, n_steps, _proxy(gen, sd, n_paths, n_steps), thin)
-    del bands, thin  # the raw draws die before the weights' temporaries are made
-    batch = _cumulate(incr, eps_cutoff=eps_cutoff, jump_path=path_idx, jump_times=t,
-                      jump_sizes=sizes, small_noise=noise, drift_steps=drift)
+    del bands, thin  # the raw draws die before the paths are summed
+    batch = _cumulate(values, values[:, 1:], eps_cutoff=eps_cutoff, jump_path=path_idx,
+                      jump_times=t, jump_sizes=sizes, small_noise=noise, drift_steps=drift)
     if not compute_weights:
         return batch
     return batch, log_weight_batch(tilt, batch, log_tilt)

@@ -1,6 +1,7 @@
 """Golden digests: sampler records, refined sups, estimators and artifacts, bit for bit.
 
 The SHA-256 digests below pin the exact output of the jump-resolved samplers,
+of the increment (CMS) samplers' paths,
 of ``sup_distance_batch``, of every batch-driven estimator, of the spectral
 rate constant (value, raw eigenvalues and gap), of the path splitting and
 scaled-distance sweep in ``lil`` and of the CSV files that ``stable-smallball
@@ -40,8 +41,10 @@ from stable_smallball import (
     identity_shift,
     sample_jump_batch,
     sample_scaled_distances,
+    sample_stable_batch,
     sample_sups,
     sample_tilted_batch,
+    sample_time_changed_batch,
     smallball_constant_mc,
     smallball_constant_spectral,
     split_at,
@@ -82,6 +85,14 @@ def _tilted_digests() -> dict:
     out["log_weights"] = _digest(lw)
     out["sups"] = _digest(_battery_sups(batch))
     return out
+
+
+def _increment_digests() -> dict:
+    # both are cut into several CMS pieces and several row chunks, the last
+    # ones partial; the time-changed batch scales each step by its own factor
+    stable = sample_stable_batch(PARAMS, 64, 2048, RngStream(4211))
+    clocked = sample_time_changed_batch(PARAMS, lambda t: 1.0 + t, 40, 2048, RngStream(4212))
+    return {"stable": _digest(stable.values), "time_changed": _digest(clocked.values)}
 
 
 def _no_interior_log_weight_digest() -> str:
@@ -202,6 +213,10 @@ TILTED = {
     "log_weights": "f1dd587bdcbf65aeec90536b6cea8017c214a2ab0860f84fa8668e7eefeef1ae",
     "sups": "041d55ca9decc51ef43554063ea0dd069da274d8b489f75e3857ffd27e5c26bc"
 }
+INCREMENTS = {
+    "stable": "f5c670bca35ee38a1a260917517e1d7425095143541e043bccc4293d38715b4e",
+    "time_changed": "c7579fd32e0f67c9d256eb24123cd95769eca9e7c4128e55d660d5992faa925f"
+}
 NO_INTERIOR_LOG_WEIGHTS = "1ec62c470b56892a7079bf05ee158650ee499d7a0a47959421452f86a673bfca"
 BENCHMARK_BATTERY = "e862d3dcab1f930e09341b8057c85d3faa17416efbadafb6640d1ec5b555a43b"
 ANDERSON = "5673b95949c2eb9002eb3aa52c7bc1dd3b60bca2d8f3745d227d47772ca56f0a"
@@ -249,6 +264,16 @@ def test_jump_batch_bits(jump, name):
 @pytest.mark.parametrize("name", [*RECORDS, "drift_steps", "log_weights", "sups"])
 def test_small_regime_tilted_batch_bits(tilted, name):
     assert tilted[name] == TILTED[name]
+
+
+@pytest.fixture(scope="module")
+def increments():
+    return _increment_digests()
+
+
+@pytest.mark.parametrize("name", sorted(INCREMENTS))
+def test_increment_batch_bits(increments, name):
+    assert increments[name] == INCREMENTS[name]
 
 
 def test_no_interior_record_log_weights_bits():
