@@ -9,7 +9,6 @@ from .constants import (
     SmallBallConstant,
     char_exponent_scale,
     dirichlet_eigenvalue,
-    gaussian_validation_eigenvalue,
     middle_shift_constant,
     psi,
     smallball_constant_mc,
@@ -40,11 +39,9 @@ from .lil import (
 from .processes import (
     AlphaStableParams,
     Estimate,
-    ScalingFunction,
     ShiftFunction,
     identity_shift,
     make_shift,
-    power_loglog_scaling,
     random_shift,
     tent_shift,
     zero_shift,

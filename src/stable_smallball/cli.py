@@ -323,12 +323,10 @@ def cmd_lil(cfg: dict, mode: str) -> int:
     if mode == "integral-test":
         if cfg["log_power"] is None:
             raise ConfigError("config key 'log_power' is required for integral-test")
-        h = processes.power_loglog_scaling(cfg["log_power"], cfg["loglog_power"])
-        res = lil.integral_test(h, cfg["alpha"])
+        res = lil.integral_test(cfg["log_power"], cfg["loglog_power"], cfg["alpha"])
         rec = {"alpha": cfg["alpha"], "log_power": cfg["log_power"],
                "loglog_power": cfg["loglog_power"],
-               "classification": res.classification, "method": res.method,
-               "evidence": res.evidence}
+               "classification": res.classification, "evidence": res.evidence}
         _emit(cfg, [rec], "integral_test")
         return 0
     if mode == "ratios":

@@ -137,15 +137,6 @@ def _stable_operator(alpha: float, m: int, half_width: float) -> np.ndarray:
     return linalg.toeplitz(col)
 
 
-def _gaussian_operator(m: int, half_width: float) -> np.ndarray:
-    from scipy import linalg
-    h = 2.0 * half_width / m
-    col = np.zeros(m - 1)
-    col[0] = 1.0 / h**2
-    col[1] = -0.5 / h**2
-    return linalg.toeplitz(col)
-
-
 def _inverse_iteration(a_mat: np.ndarray, cho, v: np.ndarray, tol: float,
                        deflate: np.ndarray | None = None, max_iter: int = 500):
     """Inverse power iteration on an SPD matrix from the unit start vector ``v``.
@@ -174,24 +165,14 @@ def _inverse_iteration(a_mat: np.ndarray, cho, v: np.ndarray, tol: float,
     return lam, v
 
 
-def dirichlet_eigenvalue(alpha: float | None, n_grid: int, half_width: float = 1.0,
-                         mode: str = "stable") -> tuple[float, np.ndarray]:
-    """Smallest Dirichlet eigenvalue of the generator on (-half_width, half_width).
-
-    ``mode="gaussian"`` swaps in -(1/2) d^2/dx^2, the alpha -> 2 analogue used
-    for validation against pi^2/8.
-    """
+def dirichlet_eigenvalue(alpha: float, n_grid: int, half_width: float = 1.0
+                         ) -> tuple[float, np.ndarray]:
+    """Smallest Dirichlet eigenvalue of the generator on (-half_width, half_width)."""
     if n_grid < 8:
         raise ValueError("grid too coarse")
-    if mode == "stable":
-        if alpha is None or not (1.0 < alpha < 2.0):
-            raise ValueError("stable mode needs alpha in (1, 2)")
-        a_mat = _stable_operator(alpha, n_grid, half_width)
-    elif mode == "gaussian":
-        a_mat = _gaussian_operator(n_grid, half_width)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _ground_state(a_mat)[:2]
+    if not (1.0 < alpha < 2.0):
+        raise ValueError("alpha must lie in (1, 2)")
+    return _ground_state(_stable_operator(alpha, n_grid, half_width))[:2]
 
 
 def _ground_state(a_mat: np.ndarray):
@@ -235,7 +216,7 @@ def smallball_constant_spectral(alpha: float, n_grid: int = 1024,
     grids = [n_grid // 4, n_grid // 2, n_grid]
     raw: dict[int, float] = {}
     for m in grids[:-1]:
-        raw[m], _ = dirichlet_eigenvalue(alpha, m, half_width, mode="stable")
+        raw[m], _ = dirichlet_eigenvalue(alpha, m, half_width)
     # the finest grid's operator and factor serve both eigenvalues
     a_mat = _stable_operator(alpha, grids[-1], half_width)
     raw[grids[-1]], vec, cho = _ground_state(a_mat)
@@ -256,22 +237,8 @@ def smallball_constant_spectral(alpha: float, n_grid: int = 1024,
     return SmallBallConstant(alpha=alpha, value=value, method="spectral", diagnostics=diagnostics)
 
 
-def gaussian_validation_eigenvalue(n_grid: int = 512) -> float:
-    """Richardson-refined lowest eigenvalue of -(1/2) d^2/dx^2 on (-1, 1).
-
-    The exact value is pi^2/8; the discretization converges at second order,
-    so the three-grid extrapolation leaves a tiny residual.
-    """
-    raw = {}
-    for m in (n_grid // 4, n_grid // 2, n_grid):
-        lam, _ = dirichlet_eigenvalue(None, m, mode="gaussian")
-        raw[m] = lam
-    value, _ = _richardson(raw)
-    return value
-
-
 def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: int = 100_000,
-                          n_steps: int = 2048, rng=None, pmap=map) -> SmallBallConstant:
+                          n_steps: int = 2048, *, rng, pmap=map) -> SmallBallConstant:
     """Small-ball rate constant from crude Monte Carlo over several radii.
 
     For each r the exit-free fraction p_hat is estimated on fresh paths

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +22,8 @@ class AlphaStableParams:
     """Parameters of the symmetric alpha-stable process, 1 < alpha < 2.
 
     The boundary cases are excluded on purpose: alpha = 2 is the Wiener
-    process (only the spectral solver has a Gaussian validation mode) and
-    alpha <= 1 changes the compensation structure of the jump integral.
+    process and alpha <= 1 changes the compensation structure of the jump
+    integral.
     """
 
     alpha: float
@@ -166,45 +166,6 @@ def random_shift(n_knots: int, rng: np.random.Generator) -> ShiftFunction:
     slopes = rng.uniform(-1.0, 1.0, n_knots - 1)
     values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(times))))
     return ShiftFunction(times, values)
-
-
-@dataclass(frozen=True)
-class ScalingFunction:
-    """Scaling h(t) used by the integral test, for t >= t_min = e^2 (log log t > 0).
-
-    ``power_loglog`` means h(t) = (log t)^log_power * (log log t)^loglog_power,
-    the family for which the integral test has an analytic answer.  ``custom``
-    wraps an arbitrary positive callable and forces the numeric route.
-    """
-
-    kind: str
-    log_power: float = 0.0
-    loglog_power: float = 0.0
-    func: Callable[[np.ndarray], np.ndarray] | None = None
-    t_min: ClassVar[float] = float(np.exp(2.0))
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("power_loglog", "custom"):
-            raise ValueError(f"unknown scaling kind {self.kind!r}")
-        if self.kind == "custom" and self.func is None:
-            raise ValueError("custom scaling needs a callable")
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < self.t_min):
-            raise ValueError(f"scaling function defined for t >= {self.t_min}")
-        if self.kind == "custom":
-            out = np.asarray(self.func(t_arr), dtype=float)
-        else:
-            lt = np.log(t_arr)
-            out = lt**self.log_power * np.log(lt) ** self.loglog_power
-        if np.any(out <= 0.0):
-            raise ValueError("scaling function must be positive")
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-def power_loglog_scaling(log_power: float, loglog_power: float = 0.0) -> ScalingFunction:
-    return ScalingFunction(kind="power_loglog", log_power=log_power, loglog_power=loglog_power)
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,8 @@ class SmallBallQuery:
 
     ``regime_tag`` records the intended asymptotic regime of the pair
     (shift_scale, r): "small" when the product shift_scale * r^(alpha-1) is
-    meant to vanish, "middle" when it is held at a constant c (recorded), and
-    "large" otherwise.  The tag selects which estimators and bounds apply.
+    meant to vanish, "middle" when it is held at a constant c.  Only "middle"
+    queries can be estimated by importance sampling (:func:`estimate_is`).
     """
 
     params: AlphaStableParams
@@ -60,7 +60,7 @@ class SmallBallQuery:
             raise ValueError("r must be positive")
         if self.shift_scale < 0.0:
             raise ValueError("shift_scale must be nonnegative")
-        if self.regime_tag not in ("small", "middle", "large"):
+        if self.regime_tag not in ("small", "middle"):
             raise ValueError(f"unknown regime_tag {self.regime_tag!r}")
 
     @property
@@ -94,8 +94,8 @@ def _bernoulli_estimate(sample, query, n_paths, n_steps, rng, pmap) -> Estimate:
     return Estimate.from_bernoulli(int(np.sum(sups < query.r)), n_paths)
 
 
-def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
-                   rng: RngStream | None = None, pmap=map,
+def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
+                   rng: RngStream, pmap=map,
                    sampler: str = "jumps", eps_cutoff: float | None = None) -> Estimate:
     """Direct Monte Carlo for the shifted small-ball probability.
 
@@ -115,8 +115,8 @@ def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
     return _bernoulli_estimate(sample, query, n_paths, n_steps, rng, pmap)
 
 
-def estimate_given_no_big_jumps(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
-                                rng: RngStream | None = None) -> Estimate:
+def estimate_given_no_big_jumps(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
+                                rng: RngStream) -> Estimate:
     """P(sup |X - shift| < r | no jump exceeds r), by simulating the truncated law."""
     sample = partial(sample_truncated_batch, query.params, query.r)
     return _bernoulli_estimate(sample, query, n_paths, n_steps, rng, map)
@@ -133,8 +133,8 @@ def _is_kernel(tilt, r, n_steps, eps_cutoff, stream, size):
             float(v[hit].sum()), float((v[hit] ** 2).sum()))
 
 
-def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048,
-                rng: RngStream | None = None, pmap=map,
+def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
+                rng: RngStream, pmap=map,
                 eps_cutoff: float | None = None) -> Estimate:
     """Importance-sampling estimate in the middle regime.
 
@@ -191,7 +191,7 @@ def _no_big_jump_kernel(params, r, eps_cutoff, stream, size) -> int:
 
 
 def empirical_no_big_jump_fraction(params: AlphaStableParams, r: float, n_paths: int,
-                                   rng: RngStream | None = None) -> Estimate:
+                                   rng: RngStream) -> Estimate:
     """Fraction of jump-resolved paths with every |jump| < r; oracle for
     :func:`prob_no_big_jumps`.  Each batch of ``batch_plan(n_paths, 256)``
     draws only the jumps above min(r/4, 1/4) of its paths."""
@@ -223,7 +223,7 @@ class TailReport:
         return float(np.max(self.k_hat[good]) / np.min(self.k_hat[good]))
 
 
-def tail_prob_check(alpha: float, x_list, n_paths: int, rng: RngStream | None = None,
+def tail_prob_check(alpha: float, x_list, n_paths: int, rng: RngStream,
                     n_steps: int = 2048, pmap=map) -> TailReport:
     """Estimate P(sup |X| > x) on shared paths and fit the tail exponent.
 
@@ -297,7 +297,7 @@ def default_battery(params: AlphaStableParams) -> list[tuple[str, ShiftFunction,
 
 
 def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
-                    rng: RngStream | None = None, battery=None, n_steps: int = 2048,
+                    rng: RngStream, battery=None, n_steps: int = 2048,
                     pmap=map, eps_cutoff: float | None = None) -> AndersonReport:
     """Estimate every battery member on the same paths and flag violations.
 

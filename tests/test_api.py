@@ -1,6 +1,6 @@
 """The public API: every exported function and class has a consumer in the
-package, every defaulted parameter of one a caller there that sets it, and
-runs that need no SciPy routine do not load SciPy."""
+package, every defaulted parameter of one a caller there that sets it, no
+``rng`` a default, and runs that need no SciPy routine do not load SciPy."""
 
 import ast
 import inspect
@@ -96,6 +96,14 @@ def test_every_defaulted_parameter_is_set_in_the_package():
                 unset.append(f"{label}({p.name})")
     assert sorted(unset) == sorted(UNSET_ALLOWED), (
         f"defaulted parameters that no call in the package sets: {sorted(unset)}")
+
+
+def test_no_exported_callable_defaults_rng():
+    # a random stream must be passed: a default could only be refused
+    defaulted = [label for label, fn in _exported_callables()
+                 if "rng" in (params := inspect.signature(fn).parameters)
+                 and params["rng"].default is not inspect.Parameter.empty]
+    assert not defaulted, f"callables that give rng a default: {sorted(defaulted)}"
 
 
 NO_SCIPY_RUN = """

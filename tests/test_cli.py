@@ -342,7 +342,7 @@ class TestLil:
         assert rc == 0
         rec = _read_json(tmp_path / "integral_test.json")
         assert rec["classification"] == "converges"
-        assert rec["method"] == "analytic"
+        assert "method" not in rec
 
     def test_integral_test_requires_log_power(self, tmp_path, capsys):
         rc = main(["lil", "integral-test", "--out", str(tmp_path)])

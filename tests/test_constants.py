@@ -15,7 +15,6 @@ from stable_smallball import (
     RngStream,
     char_exponent_scale,
     dirichlet_eigenvalue,
-    gaussian_validation_eigenvalue,
     middle_shift_constant,
     psi,
     smallball_constant_mc,
@@ -100,10 +99,6 @@ class TestMiddleShiftConstant:
 
 
 class TestSpectral:
-    def test_gaussian_mode_hits_pi2_over_8(self):
-        val = gaussian_validation_eigenvalue(512)
-        assert val == pytest.approx(math.pi**2 / 8.0, rel=1e-8)
-
     @pytest.mark.parametrize("order", [0.5, 1.0, 2.0, 3.5])
     def test_richardson_recovers_the_limit(self, order):
         limit, coeff, m = 5.3, 0.7, 64
@@ -113,7 +108,7 @@ class TestSpectral:
         assert p == pytest.approx(order, rel=1e-6)
 
     def test_eigenvalue_positive_with_positive_ground_state(self):
-        lam, vec = dirichlet_eigenvalue(1.5, 256, 1.0, mode="stable")
+        lam, vec = dirichlet_eigenvalue(1.5, 256, 1.0)
         assert lam > 0.0
         assert np.min(vec) > -1e-8 and np.max(vec) > 0.0
 

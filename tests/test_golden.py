@@ -112,7 +112,7 @@ def _no_interior_log_weight_digest() -> str:
 
 def _benchmark_battery_digest() -> str:
     # the shape of the benchmark's anderson workload: three 2047-path batches
-    # with about a thousand jump records per path, six targets each
+    # with (2/1.5) 0.02^-1.5 = 471 jump records per path on average, six targets each
     sample = partial(sample_jump_batch, PARAMS, 0.02)
     targets = [(None, 0.0)] + [(f, lam) for _, f, lam in default_battery(PARAMS)]
     return _digest(sample_sups(sample, targets, 6141, 2048, RngStream(1).child(0)))

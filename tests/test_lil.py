@@ -13,11 +13,9 @@ from stable_smallball import (
     DIAGNOSTIC_NOTE,
     GridSpec,
     RngStream,
-    ScalingFunction,
     grid_gap_ratios,
     identity_shift,
     integral_test,
-    power_loglog_scaling,
     running_min_trace,
     sample_jump_batch,
     sample_scaled_distances,
@@ -62,18 +60,6 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(kind="upper", k_min=1, k_max=10, gamma=1.0)
 
-    def test_times_materialize_when_safe(self):
-        spec = GridSpec(kind="lower", k_min=21, k_max=40)
-        t = spec.times()
-        assert np.allclose(np.log(t), spec.log_times())
-
-    def test_overflow_guard(self):
-        spec = GridSpec(kind="upper", k_min=1, k_max=40, gamma=2.0)
-        with pytest.raises(OverflowError):
-            spec.times()
-        # log-space access keeps working far beyond the float horizon
-        assert spec.log_times()[-1] == pytest.approx(1600.0)
-
 
 class TestGapRatios:
     def test_acceptance_point(self):
@@ -102,34 +88,27 @@ class TestIntegralTest:
     def test_four_analytic_cases(self):
         alpha = 1.5
         cases = [
-            (power_loglog_scaling(2.0 / alpha, 0.0), "converges"),
-            (power_loglog_scaling(1.0 / alpha, 0.0), "diverges"),
-            (power_loglog_scaling(0.0, -1.0 / alpha), "diverges"),
-            (power_loglog_scaling(1.0 / alpha, 2.0 / alpha), "converges"),
+            (2.0 / alpha, 0.0, "converges"),
+            (1.0 / alpha, 0.0, "diverges"),
+            (0.0, -1.0 / alpha, "diverges"),
+            (1.0 / alpha, 2.0 / alpha, "converges"),
         ]
-        for h, want in cases:
-            res = integral_test(h, alpha)
+        for p, q, want in cases:
+            res = integral_test(p, q, alpha)
             assert res.classification == want
-            assert res.method == "analytic"
+            assert res.evidence == {"p_alpha": p * alpha, "q_alpha": q * alpha}
 
     def test_borderline_loglog_power(self):
         # p alpha == 1: converges iff q alpha > 1
         alpha = 1.5
-        assert integral_test(power_loglog_scaling(1.0 / alpha, 1.0 / alpha),
-                             alpha).classification == "diverges"
+        assert integral_test(1.0 / alpha, 1.0 / alpha, alpha).classification == "diverges"
 
-    def test_numeric_route_matches_analytic(self):
-        alpha = 1.5
-        for lp, want in ((2.0 / alpha, "converges"), (1.0 / alpha, "diverges")):
-            h = ScalingFunction(kind="custom", func=lambda t, lp=lp: np.log(t) ** lp)
-            res = integral_test(h, alpha)
-            assert res.method == "numeric"
-            assert res.classification == want
-
-    def test_numeric_evidence_fields(self):
-        h = ScalingFunction(kind="custom", func=lambda t: np.log(t))
-        res = integral_test(h, 1.5)
-        assert "tail_ratio" in res.evidence
+    @pytest.mark.parametrize("alpha", [i / 100 for i in range(101, 200)])
+    def test_p_equal_one_over_alpha_is_the_borderline(self, alpha):
+        # float(1/alpha) * alpha misses 1 by an ulp for some alphas (1.27 among
+        # them); the rule must still read p alpha = 1 and decide on q alpha
+        assert integral_test(1.0 / alpha, 2.0 / alpha, alpha).classification == "converges"
+        assert integral_test(1.0 / alpha, 1.0 / alpha, alpha).classification == "diverges"
 
 
 class TestScaledDistance:

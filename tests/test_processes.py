@@ -1,4 +1,4 @@
-"""Parameter types, shift functions, scaling functions, estimates."""
+"""Parameter types, shift functions, estimates."""
 
 import json
 import math
@@ -10,11 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from stable_smallball import (
     AlphaStableParams,
     Estimate,
-    ScalingFunction,
     ShiftFunction,
     identity_shift,
     make_shift,
-    power_loglog_scaling,
     random_shift,
     tent_shift,
     zero_shift,
@@ -128,27 +126,6 @@ class TestShiftFunction:
             for a in (0.0, 0.3, 0.8, 0.97, 1.0):
                 gap = np.max(np.abs(f(s) - f(a * s)))
                 assert gap <= f.l2_deriv * math.sqrt(1.0 - a) + 1e-12
-
-
-class TestScalingFunction:
-    def test_power_loglog_values(self):
-        h = power_loglog_scaling(2.0, 1.0)
-        t = math.exp(math.exp(1.3))
-        assert h(t) == pytest.approx(math.exp(1.3) ** 2 * 1.3, rel=1e-12)
-
-    def test_custom_callable(self):
-        h = ScalingFunction(kind="custom", func=lambda t: np.log(t))
-        assert h(math.exp(5.0)) == pytest.approx(5.0)
-
-    def test_domain_guard(self):
-        h = power_loglog_scaling(1.0)
-        with pytest.raises(ValueError):
-            h(1.5)
-
-    def test_positivity_guard(self):
-        h = ScalingFunction(kind="custom", func=lambda t: np.log(t) - 100.0)
-        with pytest.raises(ValueError):
-            h(math.exp(3.0))
 
 
 class TestEstimate:

@@ -40,6 +40,10 @@ class TestQuery:
         with pytest.raises(ValueError):
             SmallBallQuery.centered(PARAMS, 0.0)
 
+    def test_rejects_unknown_regime_tag(self):
+        with pytest.raises(ValueError, match="regime_tag"):
+            SmallBallQuery(PARAMS, identity_shift(), 0.5, 1.0, "large")
+
 
 class TestProbNoBigJumps:
     def test_closed_form(self):
