@@ -245,13 +245,15 @@ def check_deterministic_exponent(n_tilts: int, seed: int):
     while made < n_tilts:
         params = params_pool[made % 3]
         f = processes.random_shift(int(rng.integers(2, 9)), rng)
-        if rng.random() < 0.5:
-            c = float(rng.uniform(0.05, 1.5))
-            tilt = girsanov.TiltSpec.middle_shift(params, f, c, float(rng.uniform(0.3, 2.0)))
-        else:
-            lam = float(rng.uniform(0.05, 0.5))
-            tilt = girsanov.TiltSpec.small_shift(params, f, lam, r=float(rng.uniform(0.3, 1.0)))
-        if not tilt.validity_check().passed:
+        # every draw is a call argument, so a refused tilt leaves the sequence as it is
+        try:
+            if rng.random() < 0.5:
+                tilt = girsanov.TiltSpec.middle_shift(params, f, float(rng.uniform(0.05, 1.5)),
+                                                      float(rng.uniform(0.3, 2.0)))
+            else:
+                tilt = girsanov.TiltSpec.small_shift(params, f, float(rng.uniform(0.05, 0.5)),
+                                                     float(rng.uniform(0.3, 1.0)))
+        except ValueError:
             continue
         made += 1
         series = girsanov.deterministic_exponent(tilt)

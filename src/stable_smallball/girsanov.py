@@ -32,21 +32,14 @@ _SERIES_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ValidityResult:
-    """Outcome of the tilt-range check: the intensity factor 1 + beta(t) x
-    must stay positive, i.e. the amplitude bound must be below one."""
-
-    passed: bool
-    value: float
-
-
-@dataclass(frozen=True)
 class TiltSpec:
     """A time-inhomogeneous linear tilt of the jump measure.
 
     Carries the regime label and its two defining reals; everything else
     (kappa, jump_cut, intensity_scale, amplitude) is derived.  Use the
-    :meth:`middle_shift` and :meth:`small_shift` constructors.
+    :meth:`middle_shift` and :meth:`small_shift` constructors.  A tilt whose
+    amplitude bound is not below one cannot be built: the intensity factor
+    1 + beta(t) x must stay positive inside the cut.
     """
 
     params: AlphaStableParams
@@ -62,6 +55,9 @@ class TiltSpec:
             raise ValueError("tilt coefficient must be nonnegative")
         if self.extent <= 0.0:
             raise ValueError("tilt extent must be positive")
+        if not self.amplitude_bound < 1.0:
+            raise ValueError(f"tilt is out of range: amplitude bound {self.amplitude_bound:.4f}"
+                             " is not below 1")
 
     @classmethod
     def middle_shift(cls, params: AlphaStableParams, f: ShiftFunction,
@@ -115,10 +111,6 @@ class TiltSpec:
 
     def beta(self, t):
         return self.amplitude(t) / self.jump_cut
-
-    def validity_check(self) -> ValidityResult:
-        b = self.amplitude_bound
-        return ValidityResult(passed=b < 1.0, value=b)
 
     def compensator_shift_curve(self, t):
         """Mean path of the tilted process: intensity_scale * kappa * cut^(1-alpha) f(t)."""
@@ -184,9 +176,6 @@ def deterministic_exponent(tilt: TiltSpec) -> float:
     (ratio = amplitude bound squared) falls below 1e-12 of the partial sum.
     """
     a = tilt.params.alpha
-    check = tilt.validity_check()
-    if not check.passed:
-        raise ValueError("deterministic exponent diverges: amplitude bound >= 1")
     u = tilt.amplitude_factor * tilt.f.slopes
     w = np.diff(tilt.f.knot_times)
     b_sup = float(np.max(np.abs(u))) if u.size else 0.0

@@ -36,7 +36,7 @@ class GridSpec:
 
     kind="lower": log T_k = k (log k)^-3, defined for k >= 21 where it is
     increasing (k (log k)^-3 is monotone iff log k > 3).
-    kind="upper": log T_k = k^gamma with gamma > 1, defined for k >= 1.
+    kind="upper": log T_k = k^gamma with finite gamma > 1, defined for k >= 1.
     """
 
     kind: str
@@ -55,8 +55,8 @@ class GridSpec:
             if self.gamma is not None:
                 raise ValueError("gamma applies to the upper grid only")
         else:
-            if self.gamma is None or self.gamma <= 1.0:
-                raise ValueError("upper grid needs gamma > 1")
+            if self.gamma is None or not 1.0 < self.gamma < np.inf:
+                raise ValueError(f"upper grid needs a finite gamma > 1, got {self.gamma}")
             if self.k_min < 1:
                 raise ValueError("upper grid needs k >= 1")
 
@@ -86,6 +86,7 @@ def grid_gap_ratios(k: int, delta: float, alpha: float, kind: str = "lower",
     horizon ratio T_k/T_{k+1}; the lower grid drives r1, r2 to 0 and r3 to 1
     as k grows.  All three are evaluated in log-space.
     """
+    AlphaStableParams(alpha)
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     spec = GridSpec(kind=kind, k_min=k, k_max=k + 1, gamma=gamma)
@@ -120,6 +121,9 @@ def integral_test(log_power: float, loglog_power: float, alpha: float) -> Integr
     Both products are compared with 1 to a relative tolerance of 1e-12, so
     p = 1/alpha counts as p alpha = 1 whichever way the product rounds.
     """
+    AlphaStableParams(alpha)
+    if not (np.isfinite(log_power) and np.isfinite(loglog_power)):
+        raise ValueError(f"powers must be finite, got p={log_power}, q={loglog_power}")
     pa = log_power * alpha
     qa = loglog_power * alpha
     if pa > 1.0 + _UNIT_RTOL or (abs(pa - 1.0) <= _UNIT_RTOL and qa > 1.0 + _UNIT_RTOL):

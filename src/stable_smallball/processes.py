@@ -61,10 +61,8 @@ class ShiftFunction:
 
     Notes
     -----
-    ``sup_deriv`` is the sup norm of f' and ``l2_deriv`` the L2 norm
-    (int_0^1 f'(t)^2 dt)^(1/2); both are exact for the piecewise-linear
-    family.  For any 0 <= a <= 1 the Schwarz inequality gives
-    |f(s) - f(a s)| <= l2_deriv * sqrt(1 - a).
+    ``sup_deriv`` is the sup norm of f', exact for the piecewise-linear
+    family.
     """
 
     knot_times: np.ndarray
@@ -95,10 +93,6 @@ class ShiftFunction:
     @cached_property
     def sup_deriv(self) -> float:
         return float(np.max(np.abs(self.slopes)))
-
-    @cached_property
-    def l2_deriv(self) -> float:
-        return float(np.sqrt(np.sum(self.slopes**2 * np.diff(self.knot_times))))
 
     @property
     def is_zero(self) -> bool:
@@ -151,7 +145,7 @@ def identity_shift() -> ShiftFunction:
 
 
 def tent_shift() -> ShiftFunction:
-    """Tent map: up to 1 at t = 1/2 and back to 0; ||f'|| = 2, l2_deriv = 2."""
+    """Tent map: up to 1 at t = 1/2 and back to 0; ||f'|| = 2."""
     return make_shift([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
 
 

@@ -147,9 +147,6 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
     if query.regime_tag != "middle":
         raise ValueError("importance sampling is implemented for the middle regime only")
     tilt = TiltSpec.middle_shift(query.params, query.f, c=query.c, r=query.r)
-    check = tilt.validity_check()
-    if not check.passed:
-        raise ValueError(f"tilt out of range: amplitude bound {check.value:.4f} >= 1")
 
     p_a = prob_no_big_jumps(query.params.alpha, query.r)
     kernel = partial(_is_kernel, tilt, query.r, n_steps, eps_cutoff)

@@ -128,20 +128,6 @@ class TestSmallball:
         assert table[0] == "r,estimate,stderr"
         assert len(table) == 3
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
-        outs = {}
-        for w in ("1", "2"):
-            out = tmp_path / f"w{w}"
-            rc = main(["smallball", "crude", "--n", "400", "--steps", "128",
-                       "--r", "0.9", "--c", "0.2", "--workers", w,
-                       "--seed", "3", "--out", str(out)])
-            assert rc == 0
-            rec = _read_json(out / "crude.json")
-            cfg = rec.pop("config")
-            cfg.pop("workers"), cfg.pop("out")
-            outs[w] = (rec, cfg)
-        assert outs["1"] == outs["2"]
-
     # 2100 paths of 2048 steps make two batches, so a pool of two splits the work
     @pytest.mark.parametrize("argv, artifact", [
         (["crude", "--sampler", "jumps", "--r", "0.9,1.2", "--c", "0.2"], "crude.jsonl"),
@@ -260,14 +246,6 @@ class TestConstants:
         recs = _read_jsonl(tmp_path / "constants.jsonl")
         assert [r["alpha"] for r in recs] == [1.2, 1.8]
 
-    def test_mc_fit_included_when_requested(self, tmp_path):
-        rc = main(["constants", "--alpha", "1.5", "--grid", "128",
-                   "--mc-n", "400", "--steps", "128", "--mc-r", "0.8,1.0,1.2",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        rec = _read_json(tmp_path / "constants.json")
-        assert rec["K_mc"] is not None and rec["K_mc"] > 0.0
-
     def test_mc_fit_under_a_pool_matches_serial(self, tmp_path):
         recs = {}
         for w in ("1", "2"):
@@ -348,6 +326,22 @@ class TestLil:
         rc = main(["lil", "integral-test", "--out", str(tmp_path)])
         assert rc == 2
         assert "log_power" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["integral-test", "--log-power", "nan"], "powers must be finite"),
+        (["integral-test", "--log-power", "1", "--loglog-power", "inf"], "powers must be finite"),
+        (["integral-test", "--log-power", "1", "--alpha", "5"], "alpha must lie"),
+        (["ratios", "--alpha", "5"], "alpha must lie"),
+        (["ratios", "--kind", "upper", "--gamma", "nan", "--k", "5"], "gamma > 1"),
+        (["grid", "--kind", "upper", "--gamma", "nan"], "gamma > 1"),
+        (["grid", "--kind", "upper", "--gamma", "inf"], "gamma > 1"),
+    ], ids=["log-power-nan", "loglog-power-inf", "integral-alpha", "ratios-alpha",
+            "ratios-gamma-nan", "grid-gamma-nan", "grid-gamma-inf"])
+    def test_invalid_number_exits_2_without_artifact(self, tmp_path, capsys, argv, text):
+        out = tmp_path / "out"
+        rc = main(["lil", *argv, "--out", str(out)])
+        _assert_one_line_error(rc, 2, capsys, text)
+        assert not out.exists()
 
     def test_grid_stays_in_log_space_past_float_horizon(self, tmp_path):
         # log T_40 = 1600 would overflow exp(); storing logT keeps it exact

@@ -124,15 +124,6 @@ class TestSpectral:
             with pytest.raises(RuntimeError, match="did not converge"):
                 _inverse_iteration(a_mat, cho, odd, 1e-10, deflate=deflate, max_iter=1)
 
-    def test_simplicity_via_spectral_gap(self):
-        res = smallball_constant_spectral(1.5, n_grid=256)
-        assert res.diagnostics["spectral_gap"] > 0.0
-
-    def test_domain_scaling(self):
-        a = smallball_constant_spectral(1.3, n_grid=256, half_width=1.0)
-        b = smallball_constant_spectral(1.3, n_grid=256, half_width=2.0)
-        assert b.value * 2.0**1.3 == pytest.approx(a.value, rel=1e-9)
-
     def test_decreases_with_wider_domain(self):
         a = smallball_constant_spectral(1.5, n_grid=256, half_width=1.0)
         b = smallball_constant_spectral(1.5, n_grid=256, half_width=1.5)

@@ -54,12 +54,12 @@ class TestTiltSpec:
         assert tilt.beta(0.2) == pytest.approx(beta_expected)
         assert tilt.beta(0.8) == pytest.approx(-beta_expected)
 
-    def test_validity_check_boundary(self):
-        # middle regime requires c (2-a)/2 sup|f'| < 1
-        good = TiltSpec.middle_shift(PARAMS, tent_shift(), 1.9, 1.0)
-        bad = TiltSpec.middle_shift(PARAMS, tent_shift(), 2.1, 1.0)
-        assert good.validity_check().passed
-        assert not bad.validity_check().passed
+    def test_constructor_enforces_the_range(self):
+        # middle regime requires c (2-a)/2 sup|f'| < 1; NaN is refused too
+        assert TiltSpec.middle_shift(PARAMS, tent_shift(), 1.9, 1.0).amplitude_bound < 1.0
+        for c in (2.1, math.nan):
+            with pytest.raises(ValueError, match="amplitude bound"):
+                TiltSpec.middle_shift(PARAMS, tent_shift(), c, 1.0)
 
 
 class TestTheta:
@@ -108,11 +108,6 @@ class TestLogWeight:
             assert np.any(np.abs(batch.jump_sizes) >= tilt.jump_cut)
         assert log_weight_batch(tilt, batch).tobytes() == lw.tobytes()
 
-    def test_zero_tilt_weights_are_one(self):
-        tilt = TiltSpec.middle_shift(PARAMS, zero_shift(), 0.0, 1.0)
-        _, lw = sample_tilted_batch(tilt, 50, 64, RngStream(34))
-        assert np.all(lw == 0.0)
-
 
 class TestDeterministicExponent:
     def test_identity_closed_form_structure(self):
@@ -132,9 +127,10 @@ class TestDeterministicExponent:
         rng = np.random.default_rng(35)
         for _ in range(5):
             f = random_shift(5, rng)
-            tilt = TiltSpec.middle_shift(PARAMS, f, float(rng.uniform(0.1, 1.0)),
-                                         float(rng.uniform(0.5, 1.5)))
-            if not tilt.validity_check().passed:
+            try:
+                tilt = TiltSpec.middle_shift(PARAMS, f, float(rng.uniform(0.1, 1.0)),
+                                             float(rng.uniform(0.5, 1.5)))
+            except ValueError:
                 continue
             assert deterministic_exponent(tilt) == pytest.approx(
                 _exponent_by_quadrature(tilt), rel=1e-7)
@@ -147,9 +143,8 @@ class TestDeterministicExponent:
         assert ratio == pytest.approx(4.0, rel=1e-2)
 
     def test_rejects_invalid_amplitude(self):
-        tilt = TiltSpec.middle_shift(PARAMS, tent_shift(), 2.5, 1.0)
         with pytest.raises(ValueError):
-            deterministic_exponent(tilt)
+            deterministic_exponent(TiltSpec.middle_shift(PARAMS, tent_shift(), 2.5, 1.0))
 
 
 class TestCompensatorCancellation:

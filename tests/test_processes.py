@@ -50,9 +50,6 @@ class TestShiftFunction:
         # right-continuity at the knot
         assert tent.derivative(0.5) == -2.0
 
-    def test_l2_deriv_tent(self):
-        assert tent_shift().l2_deriv == pytest.approx(2.0)
-
     def test_domain_enforced(self):
         with pytest.raises(ValueError):
             identity_shift()(1.2)
@@ -116,16 +113,6 @@ class TestShiftFunction:
             f = random_shift(8, rng)
             assert f.sup_deriv <= 1.0
             assert f(0.0) == 0.0
-
-    def test_schwarz_bound_on_time_contraction(self):
-        # |f(s) - f(as)| <= l2_deriv (1-a)^(1/2) for a in [0,1], s in [0,1]
-        rng = np.random.default_rng(2)
-        s = np.linspace(0.0, 1.0, 101)
-        for _ in range(10):
-            f = random_shift(6, rng)
-            for a in (0.0, 0.3, 0.8, 0.97, 1.0):
-                gap = np.max(np.abs(f(s) - f(a * s)))
-                assert gap <= f.l2_deriv * math.sqrt(1.0 - a) + 1e-12
 
 
 class TestEstimate:

@@ -67,15 +67,6 @@ class TestProbNoBigJumps:
 
 
 class TestCrude:
-    def test_deterministic_and_pool_invariant(self):
-        from concurrent.futures import ThreadPoolExecutor
-        q = SmallBallQuery.centered(PARAMS, 1.0)
-        a = estimate_crude(q, 2000, n_steps=256, rng=RngStream(41))
-        b = estimate_crude(q, 2000, n_steps=256, rng=RngStream(41))
-        with ThreadPoolExecutor(4) as ex:
-            c = estimate_crude(q, 2000, n_steps=256, rng=RngStream(41), pmap=ex.map)
-        assert a.value == b.value == c.value
-
     def test_stderr_shrinks_with_n(self):
         q = SmallBallQuery.centered(PARAMS, 1.5)
         small = estimate_crude(q, 2000, n_steps=256, rng=RngStream(42))
