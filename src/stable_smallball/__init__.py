@@ -17,7 +17,6 @@ from .constants import (
 )
 from .girsanov import (
     TiltSpec,
-    compensator_cancellation,
     deterministic_exponent,
     log_weight_batch,
     step_mean_amplitude,

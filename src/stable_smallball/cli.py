@@ -82,7 +82,7 @@ def _json_default(obj):
 
 
 def _dumps(obj, **kwargs) -> str:
-    return json.dumps(obj, default=_json_default, **kwargs)
+    return json.dumps(obj, default=_json_default, allow_nan=False, **kwargs)
 
 
 def _coerce(key: str, raw: str, typ):

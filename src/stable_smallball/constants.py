@@ -7,8 +7,9 @@ sup-norm ball of radius r decays like exp(-K r^-alpha).  This module computes
   c_alpha |u|^alpha induced by the jump density |x|^(-1-alpha), in closed
   form,
 * ``smallball_constant_spectral`` / ``smallball_constant_mc``: the rate K as
-  the lowest Dirichlet eigenvalue of the generator on (-1, 1), and as the
-  slope of -log p_hat against r^-alpha from simulation,
+  the lowest Dirichlet eigenvalue of the generator on (-1, 1) (multiply by
+  R^-alpha for (-R, R)), and as the slope of -log p_hat against r^-alpha
+  from simulation,
 * ``middle_shift_constant``: the series constant C(alpha) of the
   moderate-shift lower bound exp(-C(alpha) r^-alpha), which bounds K from
   above,
@@ -102,20 +103,20 @@ class SmallBallConstant:
             raise ValueError("rate constant must be positive")
 
 
-def _stable_operator(alpha: float, m: int, half_width: float) -> np.ndarray:
-    """Dense discretization of the negated generator on (-R, R), Dirichlet outside.
+def _stable_operator(alpha: float, m: int) -> np.ndarray:
+    """Dense discretization of the negated generator on (-1, 1), Dirichlet outside.
 
     Writing g(y) = phi(x+y) + phi(x-y) - 2 phi(x), the generator acts as
     int_0^inf g(y) y^(-1-alpha) dy.  On the first cell [0, h] the quadratic
     model g(y) ~ g(h) y^2/h^2 absorbs the singularity (the second-order
     Taylor compensation); on later cells g is interpolated linearly between
-    grid values, integrated against the kernel in closed form; beyond y = 2R
+    grid values, integrated against the kernel in closed form; beyond y = 2
     both arguments are outside the interval, so g = -2 phi(x) exactly and the
-    tail integrates to -2 phi(x) (2R)^(-alpha)/alpha.
+    tail integrates to -2 phi(x) 2^(-alpha)/alpha.
     """
     from scipy import linalg
     a = alpha
-    h = 2.0 * half_width / m
+    h = 2.0 / m
     j = np.arange(1, m + 1, dtype=float)
     y = j * h
     # I0 = int y^(-1-a), I1 = int y^(-a) over [y_j, y_{j+1}]
@@ -129,7 +130,7 @@ def _stable_operator(alpha: float, m: int, half_width: float) -> np.ndarray:
     w[1:-1] = right[:-1] + left[1:]
     w[-1] = right[-1]
 
-    tail = (2.0 * half_width) ** (-a) / a
+    tail = 2.0 ** (-a) / a
     diag = 2.0 * np.sum(w) + 2.0 * tail
     col = np.zeros(m - 1)
     col[0] = diag
@@ -165,14 +166,14 @@ def _inverse_iteration(a_mat: np.ndarray, cho, v: np.ndarray, tol: float,
     return lam, v
 
 
-def dirichlet_eigenvalue(alpha: float, n_grid: int, half_width: float = 1.0
-                         ) -> tuple[float, np.ndarray]:
-    """Smallest Dirichlet eigenvalue of the generator on (-half_width, half_width)."""
+def dirichlet_eigenvalue(alpha: float, n_grid: int) -> tuple[float, np.ndarray]:
+    """Smallest Dirichlet eigenvalue of the generator on (-1, 1), and its vector;
+    multiply by R^-alpha for (-R, R)."""
     if n_grid < 8:
         raise ValueError("grid too coarse")
     if not (1.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (1, 2)")
-    return _ground_state(_stable_operator(alpha, n_grid, half_width))[:2]
+    return _ground_state(_stable_operator(alpha, n_grid))[:2]
 
 
 def _ground_state(a_mat: np.ndarray):
@@ -202,23 +203,23 @@ def _richardson(values: dict[int, float]) -> tuple[float, float | None]:
     return l3 - d2 / (2.0**p - 1.0), p
 
 
-def smallball_constant_spectral(alpha: float, n_grid: int = 1024,
-                                half_width: float = 1.0) -> SmallBallConstant:
+def smallball_constant_spectral(alpha: float, n_grid: int = 1024) -> SmallBallConstant:
     """Small-ball rate constant from the spectral problem, Richardson-refined.
 
-    Solves on grids n_grid/4, n_grid/2 and n_grid, estimates the observed
-    convergence order from the three values and extrapolates.  The returned
-    diagnostics carry the raw eigenvalues, the order, the spectral gap and
-    the eigenvector positivity check.
+    K is the lowest Dirichlet eigenvalue on (-1, 1); multiply by R^-alpha for
+    (-R, R), by self-similarity.  Solves on grids n_grid/4, n_grid/2 and
+    n_grid, estimates the observed convergence order from the three values
+    and extrapolates.  The returned diagnostics carry the grids, the raw
+    eigenvalues, the order and the spectral gap.
     """
     if n_grid < 64:
         raise ValueError("n_grid must be at least 64")
     grids = [n_grid // 4, n_grid // 2, n_grid]
     raw: dict[int, float] = {}
     for m in grids[:-1]:
-        raw[m], _ = dirichlet_eigenvalue(alpha, m, half_width)
+        raw[m], _ = dirichlet_eigenvalue(alpha, m)
     # the finest grid's operator and factor serve both eigenvalues
-    a_mat = _stable_operator(alpha, grids[-1], half_width)
+    a_mat = _stable_operator(alpha, grids[-1])
     raw[grids[-1]], vec, cho = _ground_state(a_mat)
     value, order = _richardson(raw)
     start = np.random.default_rng(0).standard_normal(a_mat.shape[0])
@@ -230,7 +231,6 @@ def smallball_constant_spectral(alpha: float, n_grid: int = 1024,
         "raw_eigenvalues": [raw[m] for m in grids],
         "observed_order": order,
         "spectral_gap": gap,
-        "half_width": half_width,
     }
     if gap <= 0.0:
         raise RuntimeError("ground state is not simple")

@@ -53,8 +53,8 @@ class TiltSpec:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.coeff < 0.0:
             raise ValueError("tilt coefficient must be nonnegative")
-        if self.extent <= 0.0:
-            raise ValueError("tilt extent must be positive")
+        if not 0.0 < self.extent < np.inf:
+            raise ValueError("tilt extent must be positive and finite")
         if not self.amplitude_bound < 1.0:
             raise ValueError(f"tilt is out of range: amplitude bound {self.amplitude_bound:.4f}"
                              " is not below 1")
@@ -203,27 +203,3 @@ def deterministic_exponent(tilt: TiltSpec) -> float:
             raise RuntimeError("series did not converge; amplitude bound too close to 1")
     return pref * total
 
-
-def compensator_cancellation(tilt: TiltSpec) -> float:
-    """Residual of int (e^theta - 1) dLambda at time t = 1/2, relative scale.
-
-    The integrand is beta(t) x |x|^(-1-alpha), odd over the symmetric cut, so
-    the two half-line integrals cancel exactly; this evaluates the folded
-    integrand numerically and returns |integral| / int |integrand|, which
-    should sit at rounding-noise level.  The inner limit 1e-6 cut avoids the
-    non-integrable |x|^(-alpha) singularity of the absolute normalizer.
-    """
-    from scipy import integrate
-    a = tilt.params.alpha
-    cut = tilt.jump_cut
-    inner = 1e-6 * cut
-    beta_t = float(tilt.beta(0.5))
-    if beta_t == 0.0:
-        return 0.0
-
-    def folded(x):
-        return (np.expm1(np.log1p(beta_t * x)) + np.expm1(np.log1p(-beta_t * x))) * x ** (-1.0 - a)
-
-    val = integrate.quad(folded, inner, cut, limit=200)[0]
-    norm = 2.0 * abs(beta_t) * (inner ** (1.0 - a) - cut ** (1.0 - a)) / (a - 1.0)
-    return abs(val) / norm

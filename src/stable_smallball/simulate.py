@@ -138,12 +138,11 @@ class RngStream:
         return np.random.default_rng(ss)
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError("rng must be an RngStream or numpy Generator")
+def _require_stream(stream) -> RngStream:
+    """``stream`` itself, if it is an RngStream; every sampler and driver takes one."""
+    if not isinstance(stream, RngStream):
+        raise ValueError("an RngStream is required for reproducible estimates")
+    return stream
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,9 @@ class BatchPaths:
                        small_noise=None if self.small_noise is None else self.small_noise[i:i + 1])
 
 
-def standard_symmetric_stable(alpha: float, size, rng) -> np.ndarray:
+def standard_symmetric_stable(alpha: float, size, rng: RngStream) -> np.ndarray:
     """Standard symmetric alpha-stable variates, E exp(iuS) = exp(-|u|^alpha)."""
-    gen = _as_generator(rng)
+    gen = _require_stream(rng).generator()
     u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     e = gen.standard_exponential(size)
     flat_u, flat_e = u.reshape(-1), e.reshape(-1)
@@ -222,7 +221,8 @@ def standard_symmetric_stable(alpha: float, size, rng) -> np.ndarray:
     return e
 
 
-def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int, rng) -> BatchPaths:
+def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int,
+                        rng: RngStream) -> BatchPaths:
     """Paths from i.i.d. stable increments on a uniform grid of [0, 1].
 
     Each increment over dt has characteristic function exp(-c_alpha dt |u|^alpha),
@@ -230,13 +230,13 @@ def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int, r
     """
     _check_shape(n_paths, n_steps)
     scale = (params.c_alpha * (1.0 / n_steps)) ** (1.0 / params.alpha)
-    return _stable_paths(params.alpha, scale, n_paths, n_steps, _as_generator(rng))
+    return _stable_paths(params.alpha, scale, n_paths, n_steps, rng)
 
 
-def _stable_paths(alpha: float, scale, n_paths: int, n_steps: int, gen) -> BatchPaths:
+def _stable_paths(alpha: float, scale, n_paths: int, n_steps: int, rng: RngStream) -> BatchPaths:
     """Paths whose increments are standard stable variates times ``scale``,
     a scalar or one factor per step."""
-    incr = standard_symmetric_stable(alpha, (n_paths, n_steps), gen)
+    incr = standard_symmetric_stable(alpha, (n_paths, n_steps), rng)
     return _cumulate(np.empty((n_paths, n_steps + 1)), incr, scale=scale)
 
 
@@ -454,7 +454,7 @@ def _check_shape(n_paths: int, n_steps: int) -> None:
 
 
 def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int,
-                      n_steps: int, rng) -> BatchPaths:
+                      n_steps: int, rng: RngStream) -> BatchPaths:
     """Jump-resolved paths: all jumps above eps_cutoff drawn individually.
 
     Jumps |x| >= eps arrive at rate (2/alpha) eps^-alpha with Pareto
@@ -464,9 +464,9 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     already centered.
     """
     _check_shape(n_paths, n_steps)
-    if eps_cutoff <= 0.0:
-        raise ValueError("eps_cutoff must be positive")
-    gen = _as_generator(rng)
+    if not 0.0 < eps_cutoff < np.inf:
+        raise ValueError("eps_cutoff must be positive and finite")
+    gen = _require_stream(rng).generator()
     alpha = params.alpha
     band = _Band.draw(gen, (2.0 / alpha) * eps_cutoff**-alpha, n_paths, alpha, eps_cutoff,
                       np.inf)
@@ -479,7 +479,7 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
 
 
 def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_steps: int,
-                           rng) -> BatchPaths:
+                           rng: RngStream) -> BatchPaths:
     """Paths of the truncated process: every jump with |x| >= r removed.
 
     Identical draw sequence to :func:`sample_tilted_batch` with a zero tilt,
@@ -512,7 +512,7 @@ def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, 
     return eps_cutoff, rate_int, rate_ext
 
 
-def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
+def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
                         eps_cutoff: float | None = None, drift_mode: str = "shifted",
                         compute_weights: bool = True,
                         ) -> tuple[BatchPaths, np.ndarray] | BatchPaths:
@@ -535,7 +535,7 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
     if drift_mode not in ("martingale", "shifted"):
         raise ValueError(f"unknown drift_mode {drift_mode!r}")
 
-    gen = _as_generator(rng)
+    gen = _require_stream(rng).generator()
     alpha = tilt.params.alpha
     cut = tilt.jump_cut
     scale = tilt.intensity_scale
@@ -570,7 +570,7 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng,
 
 
 def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_steps: int,
-                              rng) -> BatchPaths:
+                              rng: RngStream) -> BatchPaths:
     """Stable paths run through the clock Phi(t) = int_0^t speed(s) ds.
 
     ``speed`` is a positive callable on [0, 1], evaluated on the grid and
@@ -579,7 +579,6 @@ def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_
     measure carries the total mass Phi(1).
     """
     _check_shape(n_paths, n_steps)
-    gen = _as_generator(rng)
     times = np.linspace(0.0, 1.0, n_steps + 1)
     mu = np.asarray(speed(times), dtype=float)
     if mu.shape != times.shape or np.any(mu < 0.0) or not np.all(np.isfinite(mu)):
@@ -588,7 +587,7 @@ def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_
     if not np.any(d_phi > 0.0):
         raise ValueError("speed must have positive total mass")
     scale = (params.c_alpha * d_phi) ** (1.0 / params.alpha)
-    return _stable_paths(params.alpha, scale, n_paths, n_steps, gen)
+    return _stable_paths(params.alpha, scale, n_paths, n_steps, rng)
 
 
 def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
@@ -762,11 +761,6 @@ def batch_plan(n_total: int, n_steps: int, records: float = 0.0) -> list[tuple[i
     if n_total % per:
         sizes.append(n_total % per)
     return list(enumerate(sizes))
-
-
-def _require_stream(stream) -> None:
-    if not isinstance(stream, RngStream):
-        raise ValueError("an RngStream is required for reproducible estimates")
 
 
 def _run_batch(job):

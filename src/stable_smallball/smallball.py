@@ -56,10 +56,10 @@ class SmallBallQuery:
     regime_tag: str
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise ValueError("r must be positive")
-        if self.shift_scale < 0.0:
-            raise ValueError("shift_scale must be nonnegative")
+        if not 0.0 < self.r < np.inf:
+            raise ValueError("r must be positive and finite")
+        if not 0.0 <= self.shift_scale < np.inf:
+            raise ValueError("shift_scale must be nonnegative and finite")
         if self.regime_tag not in ("small", "middle"):
             raise ValueError(f"unknown regime_tag {self.regime_tag!r}")
 
@@ -71,8 +71,8 @@ class SmallBallQuery:
     @classmethod
     def middle(cls, params: AlphaStableParams, f: ShiftFunction, c: float, r: float
                ) -> "SmallBallQuery":
-        if c < 0.0:
-            raise ValueError("c must be nonnegative")
+        if not 0.0 <= c < np.inf:
+            raise ValueError("c must be nonnegative and finite")
         return cls(params=params, f=f, shift_scale=c * r ** -(params.alpha - 1.0),
                    r=r, regime_tag="middle")
 
@@ -115,7 +115,7 @@ def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
     return _bernoulli_estimate(sample, query, n_paths, n_steps, rng, pmap)
 
 
-def estimate_given_no_big_jumps(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
+def estimate_given_no_big_jumps(query: SmallBallQuery, n_paths: int, n_steps: int, *,
                                 rng: RngStream) -> Estimate:
     """P(sup |X - shift| < r | no jump exceeds r), by simulating the truncated law."""
     sample = partial(sample_truncated_batch, query.params, query.r)

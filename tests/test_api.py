@@ -1,6 +1,6 @@
 """The public API: every exported function and class has a consumer in the
-package, every defaulted parameter of one a caller there that sets it, no
-``rng`` a default, and runs that need no SciPy routine do not load SciPy."""
+package, every defaulted parameter a caller outside the self-checks that sets
+it, no ``rng`` a default, and runs that need no SciPy routine do not load SciPy."""
 
 import ast
 import inspect
@@ -11,17 +11,18 @@ from pathlib import Path
 
 import stable_smallball
 
-# defaulted parameters that no call in the package sets, with the reason they stay
+# defaulted parameters that no call outside the self-checks sets, with the reason they stay
 UNSET_ALLOWED = {
     "anderson_report(battery)": "tests pass their own batteries",
+    "map_batches(records)": "only the unit-mean check bounds its plan by records so far",
 }
 
 
-def _package_trees():
-    """The parsed modules of the package, ``__init__`` excluded."""
+def _package_trees(skip=("__init__.py",)):
+    """The parsed modules of the package, those named in ``skip`` excluded."""
     return [ast.parse(path.read_text())
             for path in Path(stable_smallball.__file__).parent.glob("*.py")
-            if path.name != "__init__.py"]
+            if path.name not in skip]
 
 
 def _name_of(node) -> str | None:
@@ -40,10 +41,10 @@ def _names_used_in_package() -> set[str]:
 
 def _arguments_set_in_package() -> dict[str, tuple[int, set[str]]]:
     """For each callee name, the most leading positional arguments any call
-    passes and every keyword passed, counting ``partial(fn, ...)`` as a call
-    of fn.  A ``*args`` ends the positional count."""
+    outside the self-checks passes and every keyword passed, counting
+    ``partial(fn, ...)`` as a call of fn.  A ``*args`` ends the positional count."""
     seen: dict[str, tuple[int, set[str]]] = {}
-    for tree in _package_trees():
+    for tree in _package_trees(("__init__.py", "diagnostics.py")):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -53,6 +53,29 @@ def _assert_one_line_error(rc, code, capsys, text):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    ("lil integral-test --log-power nan", "powers must be finite"),
+    ("lil integral-test --log-power 1 --loglog-power inf", "powers must be finite"),
+    ("lil integral-test --log-power 1 --alpha 5", "alpha must lie"),
+    ("lil ratios --alpha 5", "alpha must lie"),
+    ("lil ratios --kind upper --gamma nan --k 5", "gamma > 1"),
+    ("lil grid --kind upper --gamma nan", "gamma > 1"),
+    ("lil grid --kind upper --gamma inf", "gamma > 1"),
+    ("smallball crude --c nan", "c must be nonnegative and finite"),
+    ("smallball crude --lam nan", "shift_scale must be nonnegative and finite"),
+    ("smallball crude --r inf", "r must be positive and finite"),
+    ("smallball crude --r nan", "r must be positive and finite"),
+    ("smallball is --r nan --c 0.2", "r must be positive and finite"),
+    ("simulate --eps nan", "eps_cutoff must be positive and finite"),
+], ids=["log-power-nan", "loglog-power-inf", "integral-alpha", "ratios-alpha",
+        "ratios-gamma-nan", "grid-gamma-nan", "grid-gamma-inf", "crude-c-nan",
+        "crude-lam-nan", "crude-r-inf", "crude-r-nan", "is-r-nan", "simulate-eps-nan"])
+def test_invalid_number_exits_2_without_artifact(tmp_path, capsys, argv, text):
+    out = tmp_path / "out"
+    _assert_one_line_error(main([*argv.split(), "--out", str(out)]), 2, capsys, text)
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_single_path_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -327,22 +350,6 @@ class TestLil:
         assert rc == 2
         assert "log_power" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, text", [
-        (["integral-test", "--log-power", "nan"], "powers must be finite"),
-        (["integral-test", "--log-power", "1", "--loglog-power", "inf"], "powers must be finite"),
-        (["integral-test", "--log-power", "1", "--alpha", "5"], "alpha must lie"),
-        (["ratios", "--alpha", "5"], "alpha must lie"),
-        (["ratios", "--kind", "upper", "--gamma", "nan", "--k", "5"], "gamma > 1"),
-        (["grid", "--kind", "upper", "--gamma", "nan"], "gamma > 1"),
-        (["grid", "--kind", "upper", "--gamma", "inf"], "gamma > 1"),
-    ], ids=["log-power-nan", "loglog-power-inf", "integral-alpha", "ratios-alpha",
-            "ratios-gamma-nan", "grid-gamma-nan", "grid-gamma-inf"])
-    def test_invalid_number_exits_2_without_artifact(self, tmp_path, capsys, argv, text):
-        out = tmp_path / "out"
-        rc = main(["lil", *argv, "--out", str(out)])
-        _assert_one_line_error(rc, 2, capsys, text)
-        assert not out.exists()
-
     def test_grid_stays_in_log_space_past_float_horizon(self, tmp_path):
         # log T_40 = 1600 would overflow exp(); storing logT keeps it exact
         rc = main(["lil", "grid", "--kind", "upper", "--k-min", "1",
@@ -504,7 +511,7 @@ def test_selftest_passes_every_check(tmp_path):
     results = _read_json(tmp_path / "selftest.json")["results"]
     failed = [f"{r['name']}: {r['detail']}" for r in results if not r["passed"]]
     assert not failed, "; ".join(failed)
-    assert rc == 0 and len(results) == 22
+    assert rc == 0 and len(results) == 19
 
 
 def test_module_entry_point(tmp_path):

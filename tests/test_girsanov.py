@@ -10,7 +10,6 @@ from stable_smallball import (
     AlphaStableParams,
     RngStream,
     TiltSpec,
-    compensator_cancellation,
     deterministic_exponent,
     identity_shift,
     log_weight_batch,
@@ -145,13 +144,3 @@ class TestDeterministicExponent:
     def test_rejects_invalid_amplitude(self):
         with pytest.raises(ValueError):
             deterministic_exponent(TiltSpec.middle_shift(PARAMS, tent_shift(), 2.5, 1.0))
-
-
-class TestCompensatorCancellation:
-    def test_residual_negligible(self):
-        tilt = TiltSpec.middle_shift(PARAMS, identity_shift(), 0.5, 1.0)
-        assert compensator_cancellation(tilt) < 1e-10
-
-    def test_small_regime_residual(self):
-        tilt = TiltSpec.small_shift(PARAMS, tent_shift(), 0.2, r=0.6)
-        assert compensator_cancellation(tilt) < 1e-10

@@ -493,6 +493,14 @@ SCHEDULE_SAMPLERS = {
 }
 
 
+@pytest.mark.parametrize("draw", [
+    partial(standard_symmetric_stable, 1.5, 8), partial(sample_truncated_batch, PARAMS, 1.0, 4, 8),
+    *(partial(s, 4, 8) for s in SCHEDULE_SAMPLERS.values())], ids=lambda d: d.func.__name__)
+def test_every_sampler_refuses_a_numpy_generator(draw):
+    with pytest.raises(ValueError, match="RngStream is required"):
+        draw(np.random.default_rng(0))
+
+
 def _serial(work, n_pieces, first=None):
     """The contract of ``simulate._run_pieces``, on the calling thread alone."""
     out = None if first is None else first()
