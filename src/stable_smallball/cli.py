@@ -38,7 +38,7 @@ class Option(NamedTuple):
 
 OPTIONS = {
     "alpha": Option(float, 1.5, "stability index in (1, 2)"),
-    "seed": Option(int, 0, "master RNG seed"),
+    "seed": Option(int, 0, "master RNG seed, nonnegative"),
     "workers": Option(int, 1, "process-pool size; 1 = run in-process"),
     "n": Option(int, 1000, "number of sample paths"),
     "steps": Option(int, 2048, "time-grid steps on [0,1]"),
@@ -138,6 +138,8 @@ def _resolve(args: argparse.Namespace, sub_name: str) -> dict:
     cfg.update({key: val for key, val in flags.items() if val is not None})
     if cfg["workers"] < 1:
         raise ConfigError(f"config key 'workers': must be at least 1, got {cfg['workers']}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"config key 'seed': must be nonnegative, got {cfg['seed']}")
     cfg["out"] = os.environ.get("STABLE_SMALLBALL_OUT") or cfg["out"]
     cfg["subcommand"] = sub_name
     return cfg
@@ -164,23 +166,25 @@ def _load_shift(path: str | None) -> processes.ShiftFunction:
 
 def _write_run_config(cfg: dict) -> Path:
     """Write the resolved settings to ``run_config.json``; return the output directory."""
+    text = _dumps(cfg, indent=2, sort_keys=True) + "\n"  # before mkdir: a bad value leaves no dir
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "run_config.json").write_text(_dumps(cfg, indent=2, sort_keys=True) + "\n")
+    (out / "run_config.json").write_text(text)
     return out
 
 
 def _emit(cfg: dict, records: list[dict], name: str, sweep: bool = False) -> None:
-    """Write records as JSON (one, not of a sweep) or line-delimited JSON, echo to stdout."""
-    out = _write_run_config(cfg)
+    """Write records as JSON (one, not of a sweep) or line-delimited JSON, echo to stdout.
+
+    Every record is serialised before any file is written, so a record that
+    cannot be dumped leaves no artifact behind."""
     for rec in records:
         rec["config"] = cfg
     if len(records) == 1 and not sweep:
-        text = _dumps(records[0], indent=2, sort_keys=True) + "\n"
-        (out / f"{name}.json").write_text(text)
+        fname, text = f"{name}.json", _dumps(records[0], indent=2, sort_keys=True) + "\n"
     else:
-        text = "".join(_dumps(r, sort_keys=True) + "\n" for r in records)
-        (out / f"{name}.jsonl").write_text(text)
+        fname, text = f"{name}.jsonl", "".join(_dumps(r, sort_keys=True) + "\n" for r in records)
+    (_write_run_config(cfg) / fname).write_text(text)
     sys.stdout.write(text)
 
 

@@ -241,30 +241,26 @@ def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: in
                           n_steps: int = 2048, *, rng, pmap=map) -> SmallBallConstant:
     """Small-ball rate constant from crude Monte Carlo over several radii.
 
-    For each r the exit-free fraction p_hat is estimated on fresh paths
-    (independent substreams), then -log p_hat is regressed on r^-alpha by
-    weighted least squares with an intercept; the intercept absorbs the
-    subexponential prefactor, the slope estimates the rate constant.
-    Radii whose p_hat is exactly zero are dropped and reported.
+    One set of paths is drawn on ``rng`` and its sup is counted against every
+    radius, as ``smallball.tail_prob_check`` counts its levels, so the
+    exit-free fractions p_hat are nested events of one sample.  Then
+    -log p_hat is regressed on r^-alpha by weighted least squares with an
+    intercept; the intercept absorbs the subexponential prefactor, the slope
+    estimates the rate constant.  Radii whose p_hat is exactly zero or one
+    are dropped and reported.
 
     Diagnostics include a free-exponent fit: the slope of log(-log p_hat)
     against log r, which should sit near -alpha.
     """
-    from .simulate import _require_stream, sample_stable_batch, sample_sups
+    from .simulate import sample_stable_batch, sample_sups
 
-    _require_stream(rng)  # before rng.child: the driver sees only the children
+    r_arr = _distinct_levels(r_list, "radii")
     sample = partial(sample_stable_batch, AlphaStableParams(alpha))
-    r_arr = np.asarray(sorted(r_list), dtype=float)
-    if r_arr.size < 2:
-        raise ValueError("need at least two radii")
-
-    hits = np.zeros(r_arr.size, dtype=np.int64)
-    for i, r in enumerate(r_arr):
-        sups = sample_sups(sample, [(None, 0.0)], n_paths, n_steps, rng.child(i), pmap)
-        hits[i] = int(np.sum(sups < r))
+    sups = sample_sups(sample, [(None, 0.0)], n_paths, n_steps, rng, pmap)[0]
+    hits = (sups < r_arr[:, None]).sum(axis=1)
 
     p_hat = hits / n_paths
-    keep = p_hat > 0.0
+    keep = (p_hat > 0.0) & (p_hat < 1.0)  # -log p_hat of 0 or 1 carries no rate
     dropped = [float(r) for r in r_arr[~keep]]
     if keep.sum() < 2:
         raise RuntimeError("too few resolvable radii for a slope fit; increase n_paths")
@@ -272,7 +268,7 @@ def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: in
 
     x = r_kept ** (-alpha)
     y = -np.log(p_kept)
-    w = n_paths * p_kept / np.maximum(1.0 - p_kept, 1e-12)  # 1/var of -log p_hat
+    w = n_paths * p_kept / (1.0 - p_kept)  # 1/var of -log p_hat
     slope, slope_se, intercept = _wls_line(x, y, w)
 
     lx, ly = np.log(r_kept), np.log(y)
@@ -288,10 +284,20 @@ def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: in
         "slope_stderr": slope_se,
         "exponent_slope": exp_slope,
         "exponent_slope_stderr": exp_slope_se,
-        "n_paths_per_r": n_paths,
+        "n_paths": n_paths,
         "n_steps": n_steps,
     }
     return SmallBallConstant(alpha=alpha, value=slope, method="mc_fit", diagnostics=diagnostics)
+
+
+def _distinct_levels(values, name: str) -> np.ndarray:
+    """``values`` sorted as floats: at least two, each positive, finite and
+    distinct, since one path set counted twice at a level doubles its hits."""
+    arr = np.sort(np.asarray(values, dtype=float))
+    if arr.size < 2 or not (np.all(np.isfinite(arr)) and arr[0] > 0.0
+                            and np.all(np.diff(arr) > 0.0)):
+        raise ValueError(f"need at least two {name}, each positive, finite and distinct")
+    return arr
 
 
 def _wls_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:

@@ -751,8 +751,7 @@ def batch_plan(n_total: int, n_steps: int, records: float = 0.0) -> list[tuple[i
     alone.  The plan depends only on its arguments, never on worker count,
     so distributing batches over processes cannot change results.
     """
-    if n_total < 1:
-        raise ValueError("n_total must be positive")
+    _check_shape(n_total, n_steps)
     cap = _BATCH_ELEMS // (n_steps + 1)
     if records > 0.0:
         cap = min(cap, int(_BATCH_RECORDS // records))

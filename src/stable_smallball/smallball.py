@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .constants import _wls_line
+from .constants import _distinct_levels, _wls_line
 from .girsanov import TiltSpec
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
@@ -227,10 +227,13 @@ def tail_prob_check(alpha: float, x_list, n_paths: int, rng: RngStream,
     The sup-norm tail of the stable path is K x^-alpha (1 + o(1)), so the
     weighted log-log slope should land near -alpha.
     """
-    x_arr = np.asarray(sorted(x_list), dtype=float)
-    if x_arr.size < 2 or np.any(x_arr <= 0.0):
-        raise ValueError("need at least two positive levels")
-    sups = sample_sups(partial(sample_stable_batch, AlphaStableParams(alpha)), [(None, 0.0)],
+    params = AlphaStableParams(alpha)
+    x_arr = _distinct_levels(x_list, "levels")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        x_alpha = x_arr**alpha
+    if not np.all((x_alpha > 0.0) & (x_alpha < np.inf)):
+        raise ValueError("levels must keep x^alpha positive and finite")
+    sups = sample_sups(partial(sample_stable_batch, params), [(None, 0.0)],
                        n_paths, n_steps, rng, pmap)[0]
     counts = (sups[None, :] > x_arr[:, None]).sum(axis=1)
     p = counts / n_paths
@@ -246,7 +249,7 @@ def tail_prob_check(alpha: float, x_list, n_paths: int, rng: RngStream,
     comb = np.sqrt(se[1:] ** 2 + se[:-1] ** 2)
     monotone = bool(np.all(diffs <= 2.0 * comb))
     return TailReport(x_list=x_arr, p_hat=p, stderr=se, slope=slope, slope_stderr=slope_se,
-                      k_hat=p * x_arr**alpha, monotone_within_2se=monotone, n_paths=n_paths)
+                      k_hat=p * x_alpha, monotone_within_2se=monotone, n_paths=n_paths)
 
 
 @dataclass(frozen=True)

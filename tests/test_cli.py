@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line interface and its artifacts."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -10,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stable_smallball
-from stable_smallball import DIAGNOSTIC_NOTE, GridSpec, grid_gap_ratios
-from stable_smallball.cli import _resolve, build_parser, main
+from stable_smallball import DIAGNOSTIC_NOTE, GridSpec, diagnostics, grid_gap_ratios
+from stable_smallball.cli import _options, _resolve, build_parser, main
+from stable_smallball.simulate import batch_plan
 
 SCRIPT = "stable-smallball"
 SUBCOMMANDS = ("simulate", "smallball", "constants", "lil", "selftest")
@@ -53,6 +56,10 @@ def _assert_one_line_error(rc, code, capsys, text):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+MC_FIT = "constants --alpha 1.5 --grid 64 --mc-n 400 --steps 64"
+RADII = "radii, each positive, finite and distinct"
+
+
 @pytest.mark.parametrize("argv, text", [
     ("lil integral-test --log-power nan", "powers must be finite"),
     ("lil integral-test --log-power 1 --loglog-power inf", "powers must be finite"),
@@ -67,13 +74,70 @@ def _assert_one_line_error(rc, code, capsys, text):
     ("smallball crude --r nan", "r must be positive and finite"),
     ("smallball is --r nan --c 0.2", "r must be positive and finite"),
     ("simulate --eps nan", "eps_cutoff must be positive and finite"),
+    (f"{MC_FIT} --mc-r inf,1.5,2.0", RADII),
+    (f"{MC_FIT} --mc-r nan,1.5,2.0", RADII),
+    (f"{MC_FIT} --mc-r=-1,1.5,2.0", RADII),
+    (f"{MC_FIT} --mc-r 1.5,1.5,2.0", RADII),
+    ("smallball tail --x nan,5,10 --n 200 --steps 64",
+     "levels, each positive, finite and distinct"),
+    ("smallball tail --x 5,10,1e308 --n 200 --steps 64", "keep x^alpha positive and finite"),
+    ("smallball crude --steps=-1", "n_steps must be at least 2"),
 ], ids=["log-power-nan", "loglog-power-inf", "integral-alpha", "ratios-alpha",
         "ratios-gamma-nan", "grid-gamma-nan", "grid-gamma-inf", "crude-c-nan",
-        "crude-lam-nan", "crude-r-inf", "crude-r-nan", "is-r-nan", "simulate-eps-nan"])
+        "crude-lam-nan", "crude-r-inf", "crude-r-nan", "is-r-nan", "simulate-eps-nan",
+        "mc-r-inf", "mc-r-nan", "mc-r-negative", "mc-r-repeated", "tail-x-nan",
+        "tail-x-overflow", "crude-steps-negative"])
 def test_invalid_number_exits_2_without_artifact(tmp_path, capsys, argv, text):
     out = tmp_path / "out"
     _assert_one_line_error(main([*argv.split(), "--out", str(out)]), 2, capsys, text)
     assert not out.exists()
+
+
+FUZZ_TOKENS = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-308")
+NUMBER_LISTS = ("alpha", "r", "x", "mc_r", "k")  # comma lists; constants' alpha is one
+TINY = {"n": "64", "steps": "8", "grid": "64", "mc_n": "200"}
+NUMERIC_OPTIONS = [(sub, key) for sub in LEAVES for key, opt in _options(sub).items()
+                   if opt.type in (int, float) or key in NUMBER_LISTS]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=st.sampled_from(NUMERIC_OPTIONS), token=st.sampled_from(FUZZ_TOKENS))
+@example(case=("smallball.tail", "steps"), token="-1")
+@example(case=("smallball.tail", "x"), token="nan")
+def test_extreme_number_in_any_option(case, token):
+    """One numeric option of one leaf set to an extreme token, at tiny sizes:
+    the run exits 0-3, a refusal is one line and leaves no output directory,
+    and every JSON artifact is strict JSON.  A list option gets the token in
+    place of its first default value."""
+    sub, key = case
+    options = _options(sub)
+    args = {k: v for k, v in TINY.items() if k in options}
+    args[key] = ",".join([token, *str(options[key].default).split(",")[1:]])
+    argv = [*sub.split("."), *(f"--{k.replace('_', '-')}={v}" for k, v in args.items())]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        # the battery reads no numeric option (it pins its own sizes and seeds),
+        # so an empty one stands in for its seconds-long run
+        mp.setattr(diagnostics, "run_selftest", lambda full: [])
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main([*argv, "--out", str(out)])
+            except SystemExit as exc:  # argparse refuses a token its type cannot parse
+                rc = exc.code
+        assert rc in (0, 1, 2, 3), argv
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert sum("error: " in line for line in lines) == 1, (argv, lines)
+            assert "Traceback" not in err.getvalue() and not out.exists(), argv
+        for path in out.glob("*.json*"):
+            text = path.read_text()
+            for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                json.loads(doc, parse_constant=_refuse_constant)
 
 
 class TestSimulate:
@@ -270,11 +334,12 @@ class TestConstants:
         assert [r["alpha"] for r in recs] == [1.2, 1.8]
 
     def test_mc_fit_under_a_pool_matches_serial(self, tmp_path):
+        assert len(batch_plan(2100, 2048)) == 2  # so the pool splits the one draw
         recs = {}
         for w in ("1", "2"):
             out = tmp_path / f"w{w}"
-            rc = main(["constants", "--alpha", "1.5", "--grid", "64", "--mc-n", "512",
-                       "--mc-r", "1.2,1.6,2.0", "--steps", "64", "--workers", w,
+            rc = main(["constants", "--alpha", "1.5", "--grid", "64", "--mc-n", "2100",
+                       "--mc-r", "1.2,1.6,2.0", "--steps", "2048", "--workers", w,
                        "--out", str(out)])
             assert rc == 0
             rec = _read_json(out / "constants.json")
@@ -289,8 +354,8 @@ class TestConstants:
         _assert_one_line_error(rc, 3, capsys, "too few resolvable radii")
 
     def test_unresolved_last_alpha_keeps_the_finished_records(self, tmp_path, capsys):
-        # at seed 0 these settings give 18 and 48 hits at alpha 1.2, but 0 and 1
-        # at 1.8, where only one radius resolves
+        # at seed 0 these settings give 7 and 57 hits at alpha 1.2, but 0 and 0
+        # at 1.8, where no radius resolves
         rc = main(["constants", "--alpha", "1.2,1.8", "--grid", "64", "--mc-n", "2000",
                    "--mc-r", "0.7,1.0", "--steps", "64", "--out", str(tmp_path)])
         _assert_one_line_error(rc, 3, capsys, "too few resolvable radii")
@@ -470,6 +535,13 @@ steps = 128
         assert rc == 2
         assert "config key 'workers'" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--seed=-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: config key 'seed': "
+                                           "must be nonnegative, got -1\n")
+        assert not out.exists()
+
     @settings(max_examples=60, deadline=None)
     @given(sub=st.sampled_from(LEAVES),
            layers=st.fixed_dictionaries({
@@ -514,11 +586,22 @@ def test_selftest_passes_every_check(tmp_path):
     assert rc == 0 and len(results) == 19
 
 
+def _package_env() -> dict:
+    """The environment, with the directory that holds the imported package
+    first on PYTHONPATH, so a fresh interpreter imports the same package
+    from an uninstalled checkout."""
+    package_root = str(Path(stable_smallball.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "stable_smallball", "lil", "ratios",
          "--k", "1000000", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_package_env())
     assert proc.returncode == 0
     assert (tmp_path / "ratios.json").exists()
 
@@ -547,13 +630,9 @@ def test_console_script_help():
     # a fresh interpreter that imports the same package as this suite; the
     # wrapper itself exists only once the package is installed.
     module, func = _declared_script_target()
-    package_root = str(Path(stable_smallball.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
     code = f"import sys; from {module} import {func} as f; sys.exit(f())"
     proc = subprocess.run([sys.executable, "-c", code, "--help"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_package_env())
     _assert_cli_help(proc)
 
 

@@ -6,12 +6,14 @@ without referencing how they were obtained.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import linalg
 
 from stable_smallball import (
+    AlphaStableParams,
     RngStream,
     char_exponent_scale,
     dirichlet_eigenvalue,
@@ -23,6 +25,7 @@ from stable_smallball import (
 )
 from stable_smallball.constants import _inverse_iteration, _richardson, _stable_operator
 from stable_smallball.diagnostics import check_char_exponent_scale
+from stable_smallball.simulate import sample_stable_batch, sample_sups
 
 C_ALPHA_ORACLE = {
     1.2: 2.9980563908116560207,
@@ -144,6 +147,21 @@ class TestSmallballConstantMC:
         assert res.value > 0.0
         assert res.diagnostics["slope_stderr"] > 0.0
         assert len(res.diagnostics["p_hat"]) == 3
+
+    def test_p_hat_counts_one_draw_at_every_radius(self):
+        r_list, n, steps = (1.0, 1.5, 2.0), 1000, 128
+        res = smallball_constant_mc(1.5, r_list=r_list, n_paths=n, n_steps=steps,
+                                    rng=RngStream(7))
+        [sups] = sample_sups(partial(sample_stable_batch, AlphaStableParams(1.5)),
+                             [(None, 0.0)], n, steps, RngStream(7))
+        assert res.diagnostics["dropped_r"] == []
+        assert res.diagnostics["p_hat"] == [np.count_nonzero(sups < r) / n for r in r_list]
+
+    def test_radius_that_every_path_stays_in_is_dropped(self):
+        res = smallball_constant_mc(1.5, r_list=(1.0, 1.5, 2.0, 1e6), n_paths=1000,
+                                    n_steps=128, rng=RngStream(7))
+        assert res.diagnostics["dropped_r"] == [1e6]
+        assert np.isfinite(res.diagnostics["exponent_slope"])
 
     def test_requires_stream(self):
         with pytest.raises(ValueError):

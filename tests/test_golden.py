@@ -227,7 +227,7 @@ ESTIMATORS = {
     "is": "53cef5ff3246bf2bc9b851dbf7c34d0247c4bc3a98b3d2af2c9838c4559567eb",
     "no_big_jump_fraction": "4fc5b39239ccf7b8535d9bba09568c2920bb6b3c4fc00da09fdb49a87955c6ed",
     "tail_p_hat": "1588d36ef7306ce36bb90c31be7440d051ec3687029769f3ef951a73b80acc05",
-    "mc_p_hat": "557cefd6e871643e997c3e2de509d546ba01eb42ad8f9dc9d5a8d443a49850c0",
+    "mc_p_hat": "337c8d2c3898dc53c787048700f9704165a4e27fb96f6a10478dddc43d064dab",
     "spectral": "5916fea6272bdb17af9301aa688b75a01e19bec51978c39c610d3ed1ba39e9a7"
 }
 SPLIT = {
