@@ -1,15 +1,17 @@
 """Command-line interface: reproducible, config-driven experiment runs.
 
 Every setting is declared once, in ``OPTIONS`` (type, default, help), and each
-subcommand in ``_COMMANDS`` lists the settings it takes plus any default it
-overrides; the parser's flags, the config-file keys and the resolved defaults
-are all built from these two tables.  Layered settings resolution, lowest
-priority first: built-in defaults, the ``[common]`` section of the config
-file, the subcommand's own section, then explicit command-line flags.  The
-``STABLE_SMALLBALL_OUT`` environment variable overrides the output directory
-and nothing else.  Every run writes ``run_config.json`` (the fully resolved
-settings) next to its artifacts, and JSON artifacts embed the same record
-under a ``config`` key.
+subcommand in ``_COMMANDS`` lists the settings it reads plus any default it
+overrides; every subcommand also takes ``out``.  The parser's flags, the
+config-file keys and the resolved defaults are all built from these two
+tables, so a subcommand offers exactly the settings it reads.  Layered
+settings resolution, lowest priority first: built-in defaults, the
+``[common]`` section of the config file, the subcommand's own section, then
+explicit command-line flags.  ``[common]`` may set any key of ``COMMON``; each
+is applied only to a subcommand that takes it.  The ``STABLE_SMALLBALL_OUT``
+environment variable overrides the output directory and nothing else.  Every
+run writes ``run_config.json`` (the fully resolved settings) next to its
+artifacts, and JSON artifacts embed the same record under a ``config`` key.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ OPTIONS = {
     "loglog_power": Option(float, 0.0, "exponent of log log t in the scaling function"),
     "full": Option(bool, False, "acceptance-scale sample sizes"),
 }
-COMMON = ("alpha", "seed", "workers", "n", "steps", "out")
+COMMON = ("alpha", "seed", "workers", "n", "steps", "out")  # the keys [common] may set
 
 
 class ConfigError(Exception):
@@ -98,25 +100,29 @@ def _coerce(key: str, raw: str, typ):
 
 
 def _options(sub_name: str) -> dict:
-    """The subcommand's settings: the common ones, then its own, overrides applied."""
+    """The settings the subcommand reads, then ``out``, overrides applied."""
     command = _COMMANDS[sub_name]
     return {key: OPTIONS[key]._replace(**command.overrides.get(key, {}))
-            for key in COMMON + command.keys}
+            for key in command.keys + ("out",)}
 
 
 def _load_config(path: str, sub_name: str) -> dict:
-    """Merge [common] and the subcommand section of an INI-style file."""
+    """Merge [common] and the subcommand section of an INI-style file; a
+    [common] key the subcommand does not take is skipped."""
     parser = configparser.ConfigParser(interpolation=None)
     if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
     merged: dict = {}
+    options = _options(sub_name)
     common = {key: OPTIONS[key] for key in COMMON}  # [common] keeps the shared types
-    for section, allowed in (("common", common), (sub_name, _options(sub_name))):
+    for section, allowed in (("common", common), (sub_name, options)):
         if not parser.has_section(section):
             continue
         for key, raw in parser.items(section):
             if key not in allowed:
                 raise ConfigError(f"unknown config key '{key}' in section [{section}]")
+            if key not in options:
+                continue
             opt = allowed[key]
             merged[key] = _coerce(key, raw, opt.type)
             if opt.choices and merged[key] not in opt.choices:
@@ -136,9 +142,9 @@ def _resolve(args: argparse.Namespace, sub_name: str) -> dict:
         cfg.update(_load_config(args.config, sub_name))
     flags = {key: getattr(args, key) for key in options}
     cfg.update({key: val for key, val in flags.items() if val is not None})
-    if cfg["workers"] < 1:
+    if "workers" in cfg and cfg["workers"] < 1:
         raise ConfigError(f"config key 'workers': must be at least 1, got {cfg['workers']}")
-    if cfg["seed"] < 0:
+    if "seed" in cfg and cfg["seed"] < 0:
         raise ConfigError(f"config key 'seed': must be nonnegative, got {cfg['seed']}")
     cfg["out"] = os.environ.get("STABLE_SMALLBALL_OUT") or cfg["out"]
     cfg["subcommand"] = sub_name
@@ -383,22 +389,25 @@ class Command(NamedTuple):
     overrides: dict = {}
 
 
+_DRAW = ("alpha", "seed", "workers", "n", "steps")  # what every smallball leaf reads
 _COMMANDS = {
-    "simulate": Command(cmd_simulate, ("sampler", "eps"), {"eps": {"default": 0.02}}),
-    "smallball.crude": Command(cmd_smallball, ("r", "c", "lam", "shift", "sampler", "eps",
-                                               "csv")),
-    "smallball.is": Command(cmd_smallball, ("r", "c", "shift", "eps", "csv")),
-    "smallball.anderson": Command(cmd_smallball, ("r", "eps")),
-    "smallball.tail": Command(cmd_smallball, ("x", "csv")),
-    "constants": Command(cmd_constants, ("grid", "mc_n", "mc_r"), {"alpha": {
+    "simulate": Command(cmd_simulate, ("alpha", "seed", "n", "steps", "sampler", "eps"),
+                        {"eps": {"default": 0.02}}),
+    "smallball.crude": Command(cmd_smallball, _DRAW + ("r", "c", "lam", "shift", "sampler",
+                                                       "eps", "csv")),
+    "smallball.is": Command(cmd_smallball, _DRAW + ("r", "c", "shift", "eps", "csv")),
+    "smallball.anderson": Command(cmd_smallball, _DRAW + ("r", "eps")),
+    "smallball.tail": Command(cmd_smallball, _DRAW + ("x", "csv")),
+    "constants": Command(cmd_constants, ("alpha", "seed", "workers", "steps", "grid", "mc_n",
+                                         "mc_r"), {"alpha": {
         "type": str, "help": "stability index in (1, 2); comma list allowed"}}),
     "lil.grid": Command(cmd_lil, ("kind", "k_min", "k_max", "gamma")),
-    "lil.ratios": Command(cmd_lil, ("k", "delta", "kind", "gamma")),
+    "lil.ratios": Command(cmd_lil, ("alpha", "k", "delta", "kind", "gamma")),
     # the scaled distance needs log log T > 1, i.e. k(log k)^-3 > e on the lower grid
-    "lil.distance-sweep": Command(cmd_lil, ("kind", "k_min", "k_max", "gamma", "delta",
-                                            "shift"),
+    "lil.distance-sweep": Command(cmd_lil, ("alpha", "seed", "steps", "kind", "k_min",
+                                            "k_max", "gamma", "delta", "shift"),
                                   {"k_min": {"default": 1000}, "k_max": {"default": 1050}}),
-    "lil.integral-test": Command(cmd_lil, ("log_power", "loglog_power")),
+    "lil.integral-test": Command(cmd_lil, ("alpha", "log_power", "loglog_power")),
     "selftest": Command(cmd_selftest, ("full",)),
 }
 _HELP = {

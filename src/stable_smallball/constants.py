@@ -252,11 +252,24 @@ def smallball_constant_mc(alpha: float, r_list=(0.6, 0.8, 1.0, 1.2), n_paths: in
     Diagnostics include a free-exponent fit: the slope of log(-log p_hat)
     against log r, which should sit near -alpha.
     """
-    from .simulate import sample_stable_batch, sample_sups
-
     r_arr = _distinct_levels(r_list, "radii")
-    sample = partial(sample_stable_batch, AlphaStableParams(alpha))
-    sups = sample_sups(sample, [(None, 0.0)], n_paths, n_steps, rng, pmap)[0]
+    sups = _stable_sups(AlphaStableParams(alpha), n_paths, n_steps, rng, pmap)
+    return _fit_constant(alpha, r_arr, sups, n_steps)
+
+
+def _stable_sups(params: AlphaStableParams, n_paths: int, n_steps: int, rng, pmap
+                 ) -> np.ndarray:
+    """sup |X| over the grid of ``n_paths`` CMS paths drawn on ``rng``: the
+    sample that the constant fit and ``smallball.tail_prob_check`` count."""
+    from .simulate import sample_stable_batch, sample_sups
+    sample = partial(sample_stable_batch, params)
+    return sample_sups(sample, [(None, 0.0)], n_paths, n_steps, rng, pmap)[0]
+
+
+def _fit_constant(alpha: float, r_arr: np.ndarray, sups: np.ndarray, n_steps: int
+                  ) -> SmallBallConstant:
+    """The fit of ``smallball_constant_mc`` over the sups of one path set."""
+    n_paths = sups.size
     hits = (sups < r_arr[:, None]).sum(axis=1)
 
     p_hat = hits / n_paths

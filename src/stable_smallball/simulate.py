@@ -63,6 +63,7 @@ rule: draw first, then finish in pieces.
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -453,6 +454,15 @@ def _check_shape(n_paths: int, n_steps: int) -> None:
         raise ValueError("n_steps must be at least 2")
 
 
+def _cutoff_power(alpha: float, eps_cutoff: float) -> float:
+    """eps_cutoff^-alpha, which sets the rate (2/alpha) eps_cutoff^-alpha of the
+    jumps |x| >= eps_cutoff; refuses a positive cutoff whose power overflows."""
+    try:
+        return math.pow(eps_cutoff, -alpha)
+    except OverflowError:
+        raise ValueError("eps_cutoff is too small: eps_cutoff^-alpha overflows") from None
+
+
 def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int,
                       n_steps: int, rng: RngStream) -> BatchPaths:
     """Jump-resolved paths: all jumps above eps_cutoff drawn individually.
@@ -466,10 +476,10 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     _check_shape(n_paths, n_steps)
     if not 0.0 < eps_cutoff < np.inf:
         raise ValueError("eps_cutoff must be positive and finite")
-    gen = _require_stream(rng).generator()
     alpha = params.alpha
-    band = _Band.draw(gen, (2.0 / alpha) * eps_cutoff**-alpha, n_paths, alpha, eps_cutoff,
-                      np.inf)
+    rate = (2.0 / alpha) * _cutoff_power(alpha, eps_cutoff)
+    gen = _require_stream(rng).generator()
+    band = _Band.draw(gen, rate, n_paths, alpha, eps_cutoff, np.inf)
     sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps))
     path_idx, t, sizes, _, values, noise = _bin_with_proxy(
         [band], n_paths, n_steps, _proxy(gen, sd, n_paths, n_steps))
@@ -486,8 +496,7 @@ def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_
     so the two agree path for path under a common stream.
     """
     tilt = TiltSpec.middle_shift(params, zero_shift(), c=0.0, r=r)
-    return sample_tilted_batch(tilt, n_paths, n_steps, rng, drift_mode="martingale",
-                               compute_weights=False)
+    return sample_tilted_batch(tilt, n_paths, n_steps, rng, compute_weights=False)
 
 
 def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, float, float]:
@@ -507,14 +516,13 @@ def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, 
     if not 0.0 < eps_cutoff < cut:
         raise ValueError("eps_cutoff must lie in (0, jump_cut)")
     rate_int = scale * (1.0 + tilt.amplitude_bound) * (2.0 / alpha) * (
-        eps_cutoff**-alpha - cut**-alpha)
+        _cutoff_power(alpha, eps_cutoff) - cut**-alpha)
     rate_ext = scale * (2.0 / alpha) * cut**-alpha if tilt.keeps_exterior_jumps else 0.0
     return eps_cutoff, rate_int, rate_ext
 
 
 def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
-                        eps_cutoff: float | None = None, drift_mode: str = "shifted",
-                        compute_weights: bool = True,
+                        eps_cutoff: float | None = None, compute_weights: bool = True,
                         ) -> tuple[BatchPaths, np.ndarray] | BatchPaths:
     """Paths under the tilted jump measure, with exact reweighting records.
 
@@ -523,18 +531,14 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     tilted inverse CDF is needed.  Above the cutoff the tilt is off: in the
     middle regime those jumps are removed entirely, in the small regime they
     are kept untilted.  Jumps below ``eps_cutoff`` are replaced by their
-    Gaussian proxy.  The default ``drift_mode="shifted"`` adds the
-    compensator drift, so the path mean follows the tilt's shift curve;
-    ``"martingale"`` keeps the path centered instead, which is how the
-    importance-sampling estimator consumes it.  The log weight is the same
-    either way: it depends on the jump and noise records, not the drift.
+    Gaussian proxy.  The drift compensates the tilt, so the path is a
+    centered martingale, which is how the importance-sampling estimator
+    consumes it; adding ``tilt.compensator_shift_curve`` gives the tilted
+    path with its mean.
 
     Returns (batch, log_weights) unless ``compute_weights=False``.
     """
     _check_shape(n_paths, n_steps)
-    if drift_mode not in ("martingale", "shifted"):
-        raise ValueError(f"unknown drift_mode {drift_mode!r}")
-
     gen = _require_stream(rng).generator()
     alpha = tilt.params.alpha
     cut = tilt.jump_cut
@@ -555,8 +559,6 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     bbar = step_mean_amplitude(tilt, n_steps)
     v_band = truncated_second_moment(alpha, cut) - truncated_second_moment(alpha, eps_cutoff)
     drift = -scale * v_band * bbar * dt
-    if drift_mode == "shifted":
-        drift = drift + np.diff(tilt.compensator_shift_curve(np.linspace(0.0, 1.0, n_steps + 1)))
 
     sd = np.sqrt(scale * truncated_second_moment(alpha, eps_cutoff) * dt)
     path_idx, t, sizes, log_tilt, values, noise = _bin_with_proxy(

@@ -25,18 +25,19 @@ the sup kernel's cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .constants import _distinct_levels, _wls_line
+from .constants import _distinct_levels, _stable_sups, _wls_line
 from .girsanov import TiltSpec
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
-from .simulate import DEFAULT_EPS_RATIO, RngStream, _Band, map_batches, sample_jump_batch, \
-    sample_stable_batch, sample_sups, sample_tilted_batch, sample_truncated_batch, \
-    sup_distance_batch
+from .simulate import DEFAULT_EPS_RATIO, RngStream, _Band, _cutoff_power, map_batches, \
+    sample_jump_batch, sample_stable_batch, sample_sups, sample_tilted_batch, \
+    sample_truncated_batch, sup_distance_batch
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,7 @@ class SmallBallQuery:
     regime_tag: str
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.r < np.inf:
-            raise ValueError("r must be positive and finite")
+        _check_radius(self.r, self.params.alpha)
         if not 0.0 <= self.shift_scale < np.inf:
             raise ValueError("shift_scale must be nonnegative and finite")
         if self.regime_tag not in ("small", "middle"):
@@ -71,6 +71,7 @@ class SmallBallQuery:
     @classmethod
     def middle(cls, params: AlphaStableParams, f: ShiftFunction, c: float, r: float
                ) -> "SmallBallQuery":
+        _check_radius(r, params.alpha)  # before the power of r below
         if not 0.0 <= c < np.inf:
             raise ValueError("c must be nonnegative and finite")
         return cls(params=params, f=f, shift_scale=c * r ** -(params.alpha - 1.0),
@@ -79,6 +80,16 @@ class SmallBallQuery:
     @classmethod
     def centered(cls, params: AlphaStableParams, r: float) -> "SmallBallQuery":
         return cls(params=params, f=zero_shift(), shift_scale=0.0, r=r, regime_tag="middle")
+
+
+def _check_radius(r: float, alpha: float) -> None:
+    """Refuse a radius that is not positive and finite, or whose r^-alpha overflows."""
+    if not 0.0 < r < np.inf:
+        raise ValueError("r must be positive and finite")
+    try:
+        math.pow(r, -alpha)
+    except OverflowError:
+        raise ValueError("r is too small: r^-alpha overflows") from None
 
 
 def prob_no_big_jumps(alpha: float, r: float) -> float:
@@ -123,8 +134,7 @@ def estimate_given_no_big_jumps(query: SmallBallQuery, n_paths: int, n_steps: in
 
 
 def _is_kernel(tilt, r, n_steps, eps_cutoff, stream, size):
-    batch, lw = sample_tilted_batch(tilt, size, n_steps, stream,
-                                    eps_cutoff=eps_cutoff, drift_mode="martingale")
+    batch, lw = sample_tilted_batch(tilt, size, n_steps, stream, eps_cutoff=eps_cutoff)
     sups = sup_distance_batch(batch, cap=r)
     w = np.exp(lw)
     hit = sups < r
@@ -180,8 +190,8 @@ def _no_big_jump_kernel(params, r, eps_cutoff, stream, size) -> int:
     """The number of paths with no |x| >= r among the jumps above
     ``eps_cutoff`` that ``sample_jump_batch`` draws on ``stream``."""
     alpha = params.alpha
-    band = _Band.draw(stream.generator(), (2.0 / alpha) * eps_cutoff**-alpha, size, alpha,
-                      eps_cutoff, np.inf)
+    band = _Band.draw(stream.generator(), (2.0 / alpha) * _cutoff_power(alpha, eps_cutoff),
+                      size, alpha, eps_cutoff, np.inf)
     band.finish(slice(None))
     owner = np.repeat(np.arange(size), band.counts)
     return size - np.unique(owner[np.abs(band.x) >= r]).size
@@ -233,8 +243,12 @@ def tail_prob_check(alpha: float, x_list, n_paths: int, rng: RngStream,
         x_alpha = x_arr**alpha
     if not np.all((x_alpha > 0.0) & (x_alpha < np.inf)):
         raise ValueError("levels must keep x^alpha positive and finite")
-    sups = sample_sups(partial(sample_stable_batch, params), [(None, 0.0)],
-                       n_paths, n_steps, rng, pmap)[0]
+    return _tail_fit(x_arr, x_alpha, _stable_sups(params, n_paths, n_steps, rng, pmap))
+
+
+def _tail_fit(x_arr: np.ndarray, x_alpha: np.ndarray, sups: np.ndarray) -> TailReport:
+    """The fit of ``tail_prob_check`` over the sups of one path set."""
+    n_paths = sups.size
     counts = (sups[None, :] > x_arr[:, None]).sum(axis=1)
     p = counts / n_paths
     se = np.sqrt(p * (1.0 - p) / n_paths)
@@ -305,6 +319,7 @@ def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
     tested against every shift, so a true inequality can only be violated by
     an implementation error, not by independent-sample noise.
     """
+    _check_radius(r, params.alpha)
     if battery is None:
         battery = default_battery(params)
     if eps_cutoff is None:

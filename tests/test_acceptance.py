@@ -5,8 +5,9 @@ Every criterion pins its tolerance, sample size, and seed.  Criteria 01 and
 04-12 call the ``diagnostics`` checks that the selftest runs, with their own
 pinned arguments; the others keep their bodies here.  Every criterion reports
 through a ``CheckResult``, so each line carries its seconds.  Expensive Monte
-Carlo runs are shared through module-scoped fixtures; the whole battery is
-serial and finishes in a few minutes on one core.
+Carlo runs are shared through module-scoped fixtures: criteria 02, 03 and 13
+count one 100k-path draw.  The whole battery is serial and finishes in about
+a minute on one core.
 """
 
 import time
@@ -14,10 +15,13 @@ from dataclasses import replace
 
 import pytest
 
+import numpy as np
+
 from stable_smallball import AlphaStableParams, RngStream, diagnostics
-from stable_smallball.constants import smallball_constant_mc, smallball_constant_spectral
+from stable_smallball.constants import _distinct_levels, _fit_constant, _stable_sups, \
+    smallball_constant_spectral
 from stable_smallball.diagnostics import CheckResult, _check
-from stable_smallball.smallball import tail_prob_check
+from stable_smallball.smallball import _tail_fit
 
 ALPHA = 1.5
 PARAMS = AlphaStableParams(ALPHA)
@@ -32,13 +36,21 @@ def _verdict(num: int, result: CheckResult) -> None:
 
 
 @pytest.fixture(scope="module")
-def mc_fit():
-    """Shared 100k-path Monte Carlo fit of the small-ball constant."""
+def sups():
+    """sup |X| of 100k CMS paths of 2048 steps, the draw of
+    ``smallball_constant_mc`` and ``tail_prob_check`` on this stream, and
+    the seconds it took."""
     t0 = time.time()
-    fit = smallball_constant_mc(ALPHA, r_list=(0.6, 0.8, 1.0, 1.2),
-                                n_paths=100_000, n_steps=2048,
-                                rng=RngStream(20260814))
-    return fit, time.time() - t0
+    return _stable_sups(PARAMS, 100_000, 2048, RngStream(20260814), map), time.time() - t0
+
+
+@pytest.fixture(scope="module")
+def mc_fit(sups):
+    """Monte Carlo fit of the small-ball constant on the shared draw, and the
+    seconds of draw and fit."""
+    t0 = time.time()
+    fit = _fit_constant(ALPHA, _distinct_levels((0.6, 0.8, 1.0, 1.2), "radii"), sups[0], 2048)
+    return fit, sups[1] + time.time() - t0
 
 
 def test_01_gaussian_eigenvalue_reference():
@@ -111,13 +123,13 @@ def test_12_spectral_constant_below_shift_constant():
     _verdict(12, _check("smallball_ordering", diagnostics.check_smallball_ordering))
 
 
-def _tail_exponent():
-    rep = tail_prob_check(ALPHA, [20.0, 40.0, 80.0, 160.0], 100_000,
-                          rng=RngStream(20260814), n_steps=2048)
+def _tail_exponent(sups):
+    x = np.array([20.0, 40.0, 80.0, 160.0])
+    rep = _tail_fit(x, x**ALPHA, sups)
     return abs(rep.slope - (-ALPHA)) <= SLOPE_BAND, (
         f"sup-tail log-log slope {rep.slope:.4f} "
         f"(target -{ALPHA} +- {SLOPE_BAND:.3f}) on x in [20, 160], 100k paths")
 
 
-def test_13_tail_probability_exponent():
-    _verdict(13, _check("tail_exponent", _tail_exponent))
+def test_13_tail_probability_exponent(sups):
+    _verdict(13, _check("tail_exponent", _tail_exponent, sups[0]))

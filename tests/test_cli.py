@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import stable_smallball
 from stable_smallball import DIAGNOSTIC_NOTE, GridSpec, diagnostics, grid_gap_ratios
-from stable_smallball.cli import _options, _resolve, build_parser, main
+from stable_smallball import cli
+from stable_smallball.cli import COMMON, _options, _resolve, build_parser, main
 from stable_smallball.simulate import batch_plan
 
 SCRIPT = "stable-smallball"
@@ -82,11 +83,21 @@ RADII = "radii, each positive, finite and distinct"
      "levels, each positive, finite and distinct"),
     ("smallball tail --x 5,10,1e308 --n 200 --steps 64", "keep x^alpha positive and finite"),
     ("smallball crude --steps=-1", "n_steps must be at least 2"),
+    ("smallball crude --r 1e-308", "r^-alpha overflows"),
+    ("smallball is --r 1e-308", "r^-alpha overflows"),
+    ("smallball crude --r 0 --c 0.2", "r must be positive and finite"),
+    ("smallball is --r 5e-324 --c 0.2 --alpha 1.99", "r^-alpha overflows"),
+    ("smallball anderson --r 1e-308", "r^-alpha overflows"),
+    ("smallball crude --eps 1e-308", "eps_cutoff^-alpha overflows"),
+    ("smallball is --r 0.8 --c 0.2 --eps 1e-308", "eps_cutoff^-alpha overflows"),
+    ("simulate --eps 1e-308", "eps_cutoff^-alpha overflows"),
 ], ids=["log-power-nan", "loglog-power-inf", "integral-alpha", "ratios-alpha",
         "ratios-gamma-nan", "grid-gamma-nan", "grid-gamma-inf", "crude-c-nan",
         "crude-lam-nan", "crude-r-inf", "crude-r-nan", "is-r-nan", "simulate-eps-nan",
         "mc-r-inf", "mc-r-nan", "mc-r-negative", "mc-r-repeated", "tail-x-nan",
-        "tail-x-overflow", "crude-steps-negative"])
+        "tail-x-overflow", "crude-steps-negative", "crude-r-tiny", "is-r-tiny",
+        "crude-r-zero-with-c", "is-r-subnormal", "anderson-r-tiny", "crude-eps-tiny",
+        "is-eps-tiny", "simulate-eps-tiny"])
 def test_invalid_number_exits_2_without_artifact(tmp_path, capsys, argv, text):
     out = tmp_path / "out"
     _assert_one_line_error(main([*argv.split(), "--out", str(out)]), 2, capsys, text)
@@ -138,6 +149,55 @@ def test_extreme_number_in_any_option(case, token):
             text = path.read_text()
             for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
                 json.loads(doc, parse_constant=_refuse_constant)
+
+
+class _ReadKeys(dict):
+    """A resolved config that records every key a command looks up."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# tiny runs that reach every branch reading a setting: the Monte Carlo fit
+# runs (mc_n > 0) and the battery is stubbed as in the fuzz test
+READ_RUNS = {
+    "simulate": "--n 1 --steps 8",
+    "smallball.crude": "--n 64 --steps 8 --r 1.0,2.0",
+    "smallball.is": "--n 64 --steps 8 --r 1.0,2.0",
+    "smallball.anderson": "--n 64 --steps 8 --r 2.0",
+    "smallball.tail": "--n 200 --steps 8 --x 1,2",
+    "constants": "--grid 64 --mc-n 400 --steps 16 --mc-r 1.5,2.0,2.5",
+    "lil.grid": "",
+    "lil.ratios": "",
+    "lil.distance-sweep": "--k-max 1001 --steps 8",
+    "lil.integral-test": "--log-power 1.4",
+    "selftest": "",
+}
+
+
+@pytest.mark.parametrize("sub", LEAVES)
+def test_every_offered_setting_is_read(tmp_path, monkeypatch, sub):
+    configs = []
+
+    def recorded(args, sub_name):
+        configs.append(_ReadKeys(_resolve(args, sub_name)))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "_resolve", recorded)
+    monkeypatch.setattr(diagnostics, "run_selftest", lambda full: [])
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main([*sub.split("."), *READ_RUNS[sub].split(), "--out", str(tmp_path)])
+    assert rc in (0, 1)
+    assert set(_options(sub)) - configs[0].read == set()
 
 
 class TestSimulate:
@@ -498,8 +558,7 @@ steps = 128
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
-        rc = main(["simulate", "--n", "1", "--steps", "16", "--workers", workers,
-                   "--out", str(tmp_path)])
+        rc = main(["constants", "--grid", "64", "--workers", workers, "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"config error: config key 'workers': must be at least 1, got {workers}\n"
@@ -543,17 +602,21 @@ steps = 128
         assert not out.exists()
 
     @settings(max_examples=60, deadline=None)
-    @given(sub=st.sampled_from(LEAVES),
-           layers=st.fixed_dictionaries({
-               key: st.dictionaries(st.sampled_from(CONFIG_LAYERS), st.integers(1, 10**6))
-               for key in ("seed", "n", "steps")}))
-    def test_highest_set_layer_wins(self, sub, layers):
+    @given(sub=st.sampled_from(LEAVES), data=st.data())
+    def test_highest_set_layer_wins(self, sub, data):
+        # the leaf's own integer settings and its output directory; a key
+        # outside COMMON has no [common] layer
+        options = _options(sub)
+        layers = {key: data.draw(st.dictionaries(
+                      st.sampled_from(CONFIG_LAYERS if key in COMMON else CONFIG_LAYERS[1:]),
+                      st.integers(1, 10**6)), label=key)
+                  for key, opt in options.items() if opt.type is int or key == "out"}
         lines = {"common": [], "section": []}
         flags = []
         for key, values in layers.items():
             for layer, value in values.items():
                 if layer == "flag":
-                    flags += [f"--{key}", str(value)]
+                    flags += [f"--{key.replace('_', '-')}", str(value)]
                 else:
                     lines[layer].append(f"{key} = {value}")
         with tempfile.TemporaryDirectory() as tmp:
@@ -563,10 +626,37 @@ steps = 128
                                           f"[{sub}]", *lines["section"]]) + "\n")
                 flags += ["--config", str(ini)]
             cfg = _resolve(build_parser().parse_args([*sub.split("."), *flags]), sub)
-        defaults = {"seed": 0, "n": 1000, "steps": 2048}
         for key, values in layers.items():
             set_layers = [layer for layer in CONFIG_LAYERS if layer in values]
-            assert cfg[key] == (values[set_layers[-1]] if set_layers else defaults[key])
+            expected = values[set_layers[-1]] if set_layers else options[key].default
+            assert cfg[key] == options[key].type(expected)
+
+    def test_common_key_applies_only_where_read(self, tmp_path):
+        cfg = self._write(tmp_path, "[common]\nalpha = 1.8\nseed = 7\nn = 150\n")
+        grid, crude = tmp_path / "grid", tmp_path / "crude"
+        assert main(["lil", "grid", "--config", str(cfg), "--out", str(grid)]) == 0
+        assert not {"alpha", "seed", "n"} & set(_read_json(grid / "run_config.json"))
+        assert main(["smallball", "crude", "--config", str(cfg), "--steps", "64",
+                     "--out", str(crude)]) == 0
+        resolved = _read_json(crude / "run_config.json")
+        assert (resolved["alpha"], resolved["seed"], resolved["n"]) == (1.8, 7, 150)
+
+    @pytest.mark.parametrize("argv", ["lil grid --alpha nan", "selftest --alpha nan",
+                                      "selftest --seed 3", "simulate --workers 2"])
+    def test_flag_a_leaf_does_not_read_is_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv.split(), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_section_key_a_leaf_does_not_read_is_refused(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "[lil.grid]\nalpha = 1.5\n")
+        rc = main(["lil", "grid", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unknown config key 'alpha' in section [lil.grid]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_env_overrides_out_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_dest"

@@ -204,14 +204,14 @@ JUMP = {
     "sups": "ed5078a17941f6da06961cbabcb974a2921eaf00a527a4be9e55a82033869dfc"
 }
 TILTED = {
-    "values": "2c1ea26f332e6a98037ff459f76d1c8188403d4e901c45b4625263ef17f8adea",
+    "values": "6631b561fb4f02a03cb191ecc598b64d2ecc3ee17e483443c6b91be0df213590",
     "jump_path": "783eb789059bc976f163593c3016a38841e2f478f143bee3fb75a2e85cc6b224",
     "jump_times": "b918357febe0b03d1d02c3923913696ea70aede2344070a6b432ab3020ded613",
     "jump_sizes": "d8d80d20097f7bddce26bc9401c06cac6ed7bbef8c37cb10bfedc29e42eaad12",
     "small_noise": "fdb796893ffa1ef48a37b2236a4363b02d5966db7f46e9b1a6016f78c478e7ef",
-    "drift_steps": "ab9442dbb6ae3181bf7c4cc8a98c0cbc523e1f43ef48045d5dce292abfc0a58b",
+    "drift_steps": "93fc138dea54a896b07b89fb262f5a6f40965ee08452783f9f5f114cf6110186",
     "log_weights": "f1dd587bdcbf65aeec90536b6cea8017c214a2ab0860f84fa8668e7eefeef1ae",
-    "sups": "041d55ca9decc51ef43554063ea0dd069da274d8b489f75e3857ffd27e5c26bc"
+    "sups": "8b5621e16903e9c8e8f684f1ca92f4fb2cd3481b0a7ca7e540201e95f22167c4"
 }
 INCREMENTS = {
     "stable": "f5c670bca35ee38a1a260917517e1d7425095143541e043bccc4293d38715b4e",
@@ -231,16 +231,16 @@ ESTIMATORS = {
     "spectral": "5916fea6272bdb17af9301aa688b75a01e19bec51978c39c610d3ed1ba39e9a7"
 }
 SPLIT = {
-    "frozen.values": "25a895a4dd4db986bdd31df13e1f61a76b576c17de692feb1716ce8ae2383f25",
+    "frozen.values": "945e82d8fc02c1de6a39c90ea78eed92e72fe004b65a7f78aed753b24c03b7e9",
     "frozen.jump_times": "9db4fabe89a2c1625de63554fd002fd5007c951410e2ae3a5cd62dcdc4288613",
     "frozen.jump_sizes": "576577e65e648caeb885fe69dee5c9e67fbf2649e38f753bbfb89248cb2b9060",
     "frozen.small_noise": "a94c754b106ad28e94e68bd359eaea2905174cb8c5903e6d1007db3d8aca087b",
-    "frozen.drift_steps": "cbb6a69b6c9652dde364bc5189f64d6ba942aa39aa3ed6038d3810b074355921",
-    "rest.values": "f7cd03c5919c330bbdddf45dc11cab27eeb869e6a21d0a9f4272668755480e66",
+    "frozen.drift_steps": "4eaf3d581ca8527f961339d0d9b4784d059a5029e6f4900391b90298fb6cdd8a",
+    "rest.values": "cc45b9ccf2792391359d63c4aa0950262df11eb38077599d04f874f9d8698dc1",
     "rest.jump_times": "83b6f38e0bfa4ccf9b40d26a88f869a830ddb3cf8e9227c424f2a3128d123a0e",
     "rest.jump_sizes": "ca0108025e9c12bb6cbc1112f2700f6ee9214da32bc4bd2bc58d9d38c2c50053",
     "rest.small_noise": "7ec88a6d1cbd91b04e1496febcd31888608560e712d81a2802a1ff5c6a3f8e9a",
-    "rest.drift_steps": "d906f50848ae096042af260ae1e9f7f82eaccd135b3a0ba1c8dcf8d50683573d"
+    "rest.drift_steps": "cef13cef86c1086b7b0a68a90ef871bf0dbf2559eb423b3e16e8c2815a16a851"
 }
 SCALED_DISTANCES = "7be8f7a35a9dd24cfa51ef515156e2a87b07f39653603630faded38fb393d38c"
 SIMULATE_CSV = "6d19a8a9dcd982a4c1b5c9ba814522300f3c99b0e19ddfeeac6f807c16187aad"

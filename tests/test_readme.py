@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stable_smallball.cli import main
+from stable_smallball.cli import _COMMANDS, _options, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```$", README, flags=re.M | re.S)
@@ -41,3 +41,11 @@ def test_cli_line(workdir, line):
 @pytest.mark.parametrize("index", range(len(PYTHON)))
 def test_python_block(workdir, index):
     exec(compile(PYTHON[index], "README.md", "exec"), {})
+
+
+def test_flag_table_lists_each_subcommand_settings():
+    rows = dict(re.findall(r"^\| `([a-z -]+)` \| `(--[^`]*)` \|$", README, flags=re.M))
+    assert {name.replace(" ", ".") for name in rows} == set(_COMMANDS)
+    for name, flags in rows.items():
+        keys = [flag[2:].replace("-", "_") for flag in flags.split()]
+        assert keys + ["out"] == list(_options(name.replace(" ", ".")))

@@ -153,17 +153,9 @@ class TestTruncatedSampler:
 class TestTiltedSampler:
     def test_martingale_mode_centered(self):
         tilt = TiltSpec.middle_shift(PARAMS, identity_shift(), 0.5, 1.0)
-        batch, _ = sample_tilted_batch(tilt, 4000, 128, RngStream(17),
-                                       drift_mode="martingale")
+        batch, _ = sample_tilted_batch(tilt, 4000, 128, RngStream(17))
         x1 = batch.values[:, -1]
         assert abs(np.mean(x1)) < 4.0 * np.std(x1) / math.sqrt(x1.size)
-
-    def test_weights_do_not_depend_on_drift_mode(self):
-        tilt = TiltSpec.middle_shift(PARAMS, tent_shift(), 0.3, 1.0)
-        _, lw_a = sample_tilted_batch(tilt, 30, 64, RngStream(18))
-        _, lw_b = sample_tilted_batch(tilt, 30, 64, RngStream(18),
-                                      drift_mode="martingale")
-        assert np.array_equal(lw_a, lw_b)
 
 
 class TestTimeChange:
