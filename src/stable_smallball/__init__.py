@@ -54,7 +54,6 @@ from .simulate import (
     sample_sups,
     sample_tilted_batch,
     sample_time_changed_batch,
-    sample_truncated_batch,
     standard_symmetric_stable,
     sup_distance_batch,
     write_path_csv,
@@ -68,7 +67,6 @@ from .smallball import (
     default_battery,
     empirical_no_big_jump_fraction,
     estimate_crude,
-    estimate_given_no_big_jumps,
     estimate_is,
     prob_no_big_jumps,
     tail_prob_check,

@@ -27,6 +27,9 @@ import numpy as np
 from .processes import AlphaStableParams
 
 _SERIES_RTOL = 1e-12
+# the dense operator on n_grid cells holds (n_grid - 1)^2 doubles: 0.54 GB at
+# this bound, and its Cholesky factor as much again
+_MAX_GRID = 8192
 
 
 def psi(u):
@@ -169,8 +172,8 @@ def _inverse_iteration(a_mat: np.ndarray, cho, v: np.ndarray, tol: float,
 def dirichlet_eigenvalue(alpha: float, n_grid: int) -> tuple[float, np.ndarray]:
     """Smallest Dirichlet eigenvalue of the generator on (-1, 1), and its vector;
     multiply by R^-alpha for (-R, R)."""
-    if n_grid < 8:
-        raise ValueError("grid too coarse")
+    if not 8 <= n_grid <= _MAX_GRID:
+        raise ValueError(f"n_grid must lie in [8, {_MAX_GRID}], got {n_grid}")
     if not (1.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (1, 2)")
     return _ground_state(_stable_operator(alpha, n_grid))[:2]
@@ -212,8 +215,8 @@ def smallball_constant_spectral(alpha: float, n_grid: int = 1024) -> SmallBallCo
     and extrapolates.  The returned diagnostics carry the grids, the raw
     eigenvalues, the order and the spectral gap.
     """
-    if n_grid < 64:
-        raise ValueError("n_grid must be at least 64")
+    if not 64 <= n_grid <= _MAX_GRID:  # before the coarser grids' matrices are built
+        raise ValueError(f"n_grid must lie in [64, {_MAX_GRID}], got {n_grid}")
     grids = [n_grid // 4, n_grid // 2, n_grid]
     raw: dict[int, float] = {}
     for m in grids[:-1]:

@@ -348,10 +348,10 @@ def check_conditioning_identity(n_paths: int):
     q = smallball.SmallBallQuery.centered(params, 1.0)
     rng = simulate.RngStream(110)
     crude = smallball.estimate_crude(q, n_paths, n_steps=512, rng=rng.child(0))
-    cond = smallball.estimate_given_no_big_jumps(q, n_paths, n_steps=512, rng=rng.child(1))
-    pa = smallball.prob_no_big_jumps(params.alpha, q.r)
-    lhs, rhs = crude.value, pa * cond.value
-    comb = math.sqrt(crude.stderr**2 + (pa * cond.stderr) ** 2)
+    # at zero shift the weights are 1: the IS value is P(A) times the conditional fraction
+    cond = smallball.estimate_is(q, n_paths, n_steps=512, rng=rng.child(1))
+    lhs, rhs = crude.value, cond.value
+    comb = math.sqrt(crude.stderr**2 + cond.stderr**2)
     dev = abs(lhs - rhs) / max(comb, 1e-12)
     return dev < 4.0, f"crude {lhs:.4f} vs P(A) x conditional {rhs:.4f}, dev {dev:.2f} se"
 

@@ -8,9 +8,10 @@ reproducible and independent of batch splitting or worker count:
   the same increments through a deterministic clock,
 * ``sample_jump_batch``: jumps above a cutoff resolved individually, the
   sub-cutoff remainder replaced by its Gaussian proxy,
-* ``sample_truncated_batch`` / ``sample_tilted_batch``: jump-resolved paths
-  of the truncated process, optionally under an exponential tilt of the jump
-  measure; the tilted sampler records everything needed to reweight back.
+* ``sample_tilted_batch``: jump-resolved paths of the truncated process
+  under an exponential tilt of the jump measure, with the log-weights that
+  reweight them back; at zero tilt the paths follow the truncated law and
+  every weight is 1.
 
 The jump-resolved samplers draw each band of jumps as a ``_Band`` and
 share ``_bin_with_proxy`` to finish, sort and bin the records and draw the
@@ -73,7 +74,7 @@ import numpy as np
 
 from .constants import truncated_second_moment
 from .girsanov import TiltSpec, log_weight_batch, step_mean_amplitude
-from .processes import AlphaStableParams, ShiftFunction, zero_shift
+from .processes import AlphaStableParams, ShiftFunction
 
 DEFAULT_EPS_RATIO = 50.0  # eps_cutoff = jump_cut / 50 unless overridden
 _PIECE_ELEMS = 1 << 16  # variates, jump records or grid values per piece: 512 KiB of doubles
@@ -463,6 +464,30 @@ def _cutoff_power(alpha: float, eps_cutoff: float) -> float:
         raise ValueError("eps_cutoff is too small: eps_cutoff^-alpha overflows") from None
 
 
+def _jump_rate(alpha: float, eps_cutoff: float) -> float:
+    """(2/alpha) eps_cutoff^-alpha, the rate per path of the jumps |x| >= eps_cutoff."""
+    return _check_records((2.0 / alpha) * _cutoff_power(alpha, eps_cutoff))
+
+
+def _check_records(per_path: float) -> float:
+    """``per_path`` expected jump records per path, refused above the
+    ``_BATCH_RECORDS`` that one batch may hold: no plan could draw a path."""
+    if not per_path <= _BATCH_RECORDS:
+        raise ValueError(f"eps_cutoff is too small: {per_path:.3g} expected jump records per "
+                         f"path exceed the {_BATCH_RECORDS} one batch may hold")
+    return per_path
+
+
+def _resolve_cutoff(eps_cutoff: float | None, cut: float) -> float:
+    """``eps_cutoff``, or cut / ``DEFAULT_EPS_RATIO`` for None; refused unless
+    it lies in (0, cut), cut being the radius or a tilt's jump cut."""
+    if eps_cutoff is None:
+        eps_cutoff = cut / DEFAULT_EPS_RATIO
+    if not 0.0 < eps_cutoff < cut:
+        raise ValueError(f"eps_cutoff must lie in (0, {float(cut)})")
+    return eps_cutoff
+
+
 def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int,
                       n_steps: int, rng: RngStream) -> BatchPaths:
     """Jump-resolved paths: all jumps above eps_cutoff drawn individually.
@@ -477,7 +502,7 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     if not 0.0 < eps_cutoff < np.inf:
         raise ValueError("eps_cutoff must be positive and finite")
     alpha = params.alpha
-    rate = (2.0 / alpha) * _cutoff_power(alpha, eps_cutoff)
+    rate = _jump_rate(alpha, eps_cutoff)
     gen = _require_stream(rng).generator()
     band = _Band.draw(gen, rate, n_paths, alpha, eps_cutoff, np.inf)
     sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps))
@@ -488,42 +513,29 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
                      jump_times=t, jump_sizes=sizes, small_noise=noise)
 
 
-def sample_truncated_batch(params: AlphaStableParams, r: float, n_paths: int, n_steps: int,
-                           rng: RngStream) -> BatchPaths:
-    """Paths of the truncated process: every jump with |x| >= r removed.
-
-    Identical draw sequence to :func:`sample_tilted_batch` with a zero tilt,
-    so the two agree path for path under a common stream.
-    """
-    tilt = TiltSpec.middle_shift(params, zero_shift(), c=0.0, r=r)
-    return sample_tilted_batch(tilt, n_paths, n_steps, rng, compute_weights=False)
-
-
 def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, float, float]:
     """(eps_cutoff, interior rate, exterior rate) of :func:`sample_tilted_batch`.
 
-    ``eps_cutoff`` None means jump_cut / ``DEFAULT_EPS_RATIO``.  The interior
-    rate is the Poisson rate per path of the envelope jumps
+    ``eps_cutoff`` is resolved against jump_cut (:func:`_resolve_cutoff`).
+    The interior rate is the Poisson rate per path of the envelope jumps
     eps_cutoff <= |x| < jump_cut, which the sampler draws before thinning;
     the exterior rate, of the untilted jumps |x| >= jump_cut, is 0 unless
-    the tilt keeps them.  Their sum is the expected jump records per path.
+    the tilt keeps them.  Their sum is the expected jump records per path,
+    refused as :func:`_check_records` refuses it.
     """
     alpha = tilt.params.alpha
     cut = tilt.jump_cut
     scale = tilt.intensity_scale
-    if eps_cutoff is None:
-        eps_cutoff = cut / DEFAULT_EPS_RATIO
-    if not 0.0 < eps_cutoff < cut:
-        raise ValueError("eps_cutoff must lie in (0, jump_cut)")
+    eps_cutoff = _resolve_cutoff(eps_cutoff, cut)
     rate_int = scale * (1.0 + tilt.amplitude_bound) * (2.0 / alpha) * (
         _cutoff_power(alpha, eps_cutoff) - cut**-alpha)
     rate_ext = scale * (2.0 / alpha) * cut**-alpha if tilt.keeps_exterior_jumps else 0.0
+    _check_records(rate_int + rate_ext)
     return eps_cutoff, rate_int, rate_ext
 
 
 def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
-                        eps_cutoff: float | None = None, compute_weights: bool = True,
-                        ) -> tuple[BatchPaths, np.ndarray] | BatchPaths:
+                        eps_cutoff: float | None = None) -> tuple[BatchPaths, np.ndarray]:
     """Paths under the tilted jump measure, with exact reweighting records.
 
     Jumps below the tilt cutoff are drawn by thinning from the envelope
@@ -534,9 +546,10 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     Gaussian proxy.  The drift compensates the tilt, so the path is a
     centered martingale, which is how the importance-sampling estimator
     consumes it; adding ``tilt.compensator_shift_curve`` gives the tilted
-    path with its mean.
+    path with its mean.  At zero tilt (c = 0 in the middle regime) the paths
+    follow the truncated law and every log-weight is 0.
 
-    Returns (batch, log_weights) unless ``compute_weights=False``.
+    Returns (batch, log_weights).
     """
     _check_shape(n_paths, n_steps)
     gen = _require_stream(rng).generator()
@@ -566,8 +579,6 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     del bands, thin  # the raw draws die before the paths are summed
     batch = _cumulate(values, values[:, 1:], eps_cutoff=eps_cutoff, jump_path=path_idx,
                       jump_times=t, jump_sizes=sizes, small_noise=noise, drift_steps=drift)
-    if not compute_weights:
-        return batch
     return batch, log_weight_batch(tilt, batch, log_tilt)
 
 
@@ -668,12 +679,7 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
         if live.size == 0:
             return
         starts = np.cumsum(counts) - counts
-        n_rec = starts[-1] + counts[-1]
-        lo = first[live[0]]
-        if first[live[-1] + 1] - lo == n_rec:
-            sel = slice(lo, lo + n_rec)  # one contiguous run of records, no gather needed
-        else:
-            sel = np.repeat(first[live] - starts, counts) + np.arange(n_rec)
+        sel = np.repeat(first[live] - starts, counts) + np.arange(starts[-1] + counts[-1])
         t, pre, post = _jump_limits(batch, sel)
         if path_scale != 1.0:
             pre, post = path_scale * pre, path_scale * post
@@ -700,9 +706,9 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
 def _jump_limits(batch: BatchPaths, sel):
     """Instants and left and right limits of the jump records ``sel`` selects.
 
-    ``sel`` (a slice or an index array) picks every record of some paths,
-    in record order.  Within a step the continuous part (drift plus Gaussian
-    proxy) is accrued linearly up to the jump, and earlier jumps within the
+    ``sel``, an index array, picks every record of some paths, in record
+    order.  Within a step the continuous part (drift plus Gaussian proxy)
+    is accrued linearly up to the jump, and earlier jumps within the
     same step are added in time order, a sum over that (path, step) alone,
     so a path's limits are the same bits in any batch and under any
     selection.  Returns (t, pre, post).

@@ -1,26 +1,25 @@
 """Shifted small-ball probability estimators.
 
 The target quantity is P(sup_t |X(t) - shift_scale * f(t)| < r) on [0, 1].
-Three routes:
+Two routes:
 
 * ``estimate_crude``: direct fraction over simulated paths,
-* ``estimate_given_no_big_jumps``: the probability conditioned on "no jump
-  larger than r", by simulating the truncated law,
 * ``estimate_is``: condition on "no jump larger than r" (exact closed form),
   then estimate the conditional probability by importance sampling under the
   Girsanov tilt whose compensator reproduces the shift; the indicator is on
   the centered ball of the tilted martingale, the weight restores the
-  truncated law.
+  truncated law.  At zero shift the tilt vanishes and every weight is 1, so
+  the conditional probability is a plain fraction of truncated-law paths.
 
 ``anderson_report`` checks the symmetric-process inequality p(f, lam) <=
 p(0, 0) over a battery of shifts with common random numbers, and
 ``tail_prob_check`` fits the sup-norm tail exponent, which must come out
 near -alpha.
 
-Every sup-counting estimator (crude, conditional, Anderson, tail) draws
-through ``simulate.sample_sups`` and keeps only its own reduction of the sups;
-those that count ``sup < r``, and the importance-sampling kernel, pass r as
-the sup kernel's cap.
+Every sup-counting estimator (crude, Anderson, tail) draws through
+``simulate.sample_sups`` and keeps only its own reduction of the sups; those
+that count ``sup < r``, and the importance-sampling kernel, pass r as the sup
+kernel's cap.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ from .constants import _distinct_levels, _stable_sups, _wls_line
 from .girsanov import TiltSpec
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
-from .simulate import DEFAULT_EPS_RATIO, RngStream, _Band, _cutoff_power, map_batches, \
+from .simulate import RngStream, _Band, _jump_rate, _resolve_cutoff, map_batches, \
     sample_jump_batch, sample_stable_batch, sample_sups, sample_tilted_batch, \
-    sample_truncated_batch, sup_distance_batch
+    sup_distance_batch
 
 
 @dataclass(frozen=True)
@@ -99,38 +98,25 @@ def prob_no_big_jumps(alpha: float, r: float) -> float:
     return float(np.exp(-(2.0 / alpha) * r**-alpha))
 
 
-def _bernoulli_estimate(sample, query, n_paths, n_steps, rng, pmap) -> Estimate:
-    sups = sample_sups(sample, [(query.f, query.shift_scale)], n_paths, n_steps, rng, pmap,
-                       cap=query.r)
-    return Estimate.from_bernoulli(int(np.sum(sups < query.r)), n_paths)
-
-
 def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
                    rng: RngStream, pmap=map,
                    sampler: str = "jumps", eps_cutoff: float | None = None) -> Estimate:
     """Direct Monte Carlo for the shifted small-ball probability.
 
-    The default sampler resolves jumps above r/50 individually (Gaussian
-    proxy below), so the sup-norm check also sees the jump instants between
-    grid points; ``sampler="increments"`` uses the plain stable-increment
-    grid instead.
+    The default sampler resolves jumps above ``eps_cutoff`` (default r/50,
+    and below r) individually, with a Gaussian proxy below, so the sup-norm
+    check also sees the jump instants between grid points;
+    ``sampler="increments"`` uses the plain stable-increment grid instead.
     """
-    if eps_cutoff is None:
-        eps_cutoff = query.r / DEFAULT_EPS_RATIO
     if sampler == "jumps":
-        sample = partial(sample_jump_batch, query.params, eps_cutoff)
+        sample = partial(sample_jump_batch, query.params, _resolve_cutoff(eps_cutoff, query.r))
     elif sampler == "increments":
         sample = partial(sample_stable_batch, query.params)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
-    return _bernoulli_estimate(sample, query, n_paths, n_steps, rng, pmap)
-
-
-def estimate_given_no_big_jumps(query: SmallBallQuery, n_paths: int, n_steps: int, *,
-                                rng: RngStream) -> Estimate:
-    """P(sup |X - shift| < r | no jump exceeds r), by simulating the truncated law."""
-    sample = partial(sample_truncated_batch, query.params, query.r)
-    return _bernoulli_estimate(sample, query, n_paths, n_steps, rng, map)
+    sups = sample_sups(sample, [(query.f, query.shift_scale)], n_paths, n_steps, rng, pmap,
+                       cap=query.r)
+    return Estimate.from_bernoulli(int(np.sum(sups < query.r)), n_paths)
 
 
 def _is_kernel(tilt, r, n_steps, eps_cutoff, stream, size):
@@ -151,8 +137,10 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
     Factorizes the event over A = {no jump > r}: the probability of A is
     closed-form, and conditionally on A the shifted event is rewritten under
     the tilted law as E[W * 1(sup |xi| < r)] with xi the centered tilted
-    path.  Requires a valid tilt; flags the estimate when the effective
-    sample size of the weighted hits drops below 30.
+    path.  For a centered query (c = 0) W is 1, so the value is P(A) times
+    the fraction of truncated-law paths inside the ball.  Requires a valid
+    tilt; flags the estimate when the effective sample size of the weighted
+    hits drops below 30.
     """
     if query.regime_tag != "middle":
         raise ValueError("importance sampling is implemented for the middle regime only")
@@ -190,8 +178,8 @@ def _no_big_jump_kernel(params, r, eps_cutoff, stream, size) -> int:
     """The number of paths with no |x| >= r among the jumps above
     ``eps_cutoff`` that ``sample_jump_batch`` draws on ``stream``."""
     alpha = params.alpha
-    band = _Band.draw(stream.generator(), (2.0 / alpha) * _cutoff_power(alpha, eps_cutoff),
-                      size, alpha, eps_cutoff, np.inf)
+    band = _Band.draw(stream.generator(), _jump_rate(alpha, eps_cutoff), size, alpha,
+                      eps_cutoff, np.inf)
     band.finish(slice(None))
     owner = np.repeat(np.arange(size), band.counts)
     return size - np.unique(owner[np.abs(band.x) >= r]).size
@@ -317,16 +305,16 @@ def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
 
     Common random numbers make the comparison paired: the same path set is
     tested against every shift, so a true inequality can only be violated by
-    an implementation error, not by independent-sample noise.
+    an implementation error, not by independent-sample noise.  The paths
+    resolve jumps above ``eps_cutoff`` (default r/50, and below r), as in
+    :func:`estimate_crude`.
     """
     _check_radius(r, params.alpha)
     if battery is None:
         battery = default_battery(params)
-    if eps_cutoff is None:
-        eps_cutoff = r / DEFAULT_EPS_RATIO
     targets = [(None, 0.0)] + [(f, lam) for _, f, lam in battery]
-    sups = sample_sups(partial(sample_jump_batch, params, eps_cutoff), targets, n_paths,
-                       n_steps, rng, pmap, cap=r)
+    sample = partial(sample_jump_batch, params, _resolve_cutoff(eps_cutoff, r))
+    sups = sample_sups(sample, targets, n_paths, n_steps, rng, pmap, cap=r)
     hits = (sups < r).sum(axis=1)
 
     p = hits / n_paths

@@ -59,6 +59,7 @@ def _assert_one_line_error(rc, code, capsys, text):
 
 MC_FIT = "constants --alpha 1.5 --grid 64 --mc-n 400 --steps 64"
 RADII = "radii, each positive, finite and distinct"
+RECORDS = "expected jump records per path exceed"
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -91,13 +92,22 @@ RADII = "radii, each positive, finite and distinct"
     ("smallball crude --eps 1e-308", "eps_cutoff^-alpha overflows"),
     ("smallball is --r 0.8 --c 0.2 --eps 1e-308", "eps_cutoff^-alpha overflows"),
     ("simulate --eps 1e-308", "eps_cutoff^-alpha overflows"),
+    ("smallball crude --r 1 --eps 1", "eps_cutoff must lie in (0, 1.0)"),
+    ("smallball anderson --eps 5", "eps_cutoff must lie in (0, 1.0)"),
+    ("simulate --eps 1e-12", RECORDS),
+    ("smallball crude --eps 1e-150", RECORDS),
+    ("smallball crude --r 1e-200", RECORDS),
+    ("smallball is --r 0.8 --c 0.2 --eps 1e-150", RECORDS),
+    ("constants --grid 8193", "n_grid must lie in [64, 8192], got 8193"),
 ], ids=["log-power-nan", "loglog-power-inf", "integral-alpha", "ratios-alpha",
         "ratios-gamma-nan", "grid-gamma-nan", "grid-gamma-inf", "crude-c-nan",
         "crude-lam-nan", "crude-r-inf", "crude-r-nan", "is-r-nan", "simulate-eps-nan",
         "mc-r-inf", "mc-r-nan", "mc-r-negative", "mc-r-repeated", "tail-x-nan",
         "tail-x-overflow", "crude-steps-negative", "crude-r-tiny", "is-r-tiny",
         "crude-r-zero-with-c", "is-r-subnormal", "anderson-r-tiny", "crude-eps-tiny",
-        "is-eps-tiny", "simulate-eps-tiny"])
+        "is-eps-tiny", "simulate-eps-tiny", "crude-eps-at-r", "anderson-eps-above-r",
+        "simulate-eps-records", "crude-eps-records", "crude-r-records", "is-eps-records",
+        "constants-grid-above-bound"])
 def test_invalid_number_exits_2_without_artifact(tmp_path, capsys, argv, text):
     out = tmp_path / "out"
     _assert_one_line_error(main([*argv.split(), "--out", str(out)]), 2, capsys, text)

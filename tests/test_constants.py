@@ -7,6 +7,7 @@ without referencing how they were obtained.
 
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from stable_smallball import (
     smallball_constant_spectral,
     truncated_second_moment,
 )
+from stable_smallball import constants
 from stable_smallball.constants import _inverse_iteration, _richardson, _stable_operator
 from stable_smallball.diagnostics import check_char_exponent_scale
 from stable_smallball.simulate import sample_stable_batch, sample_sups
@@ -137,6 +139,13 @@ class TestSpectral:
         vals = [smallball_constant_spectral(a, n_grid=256).value
                 for a in (1.2, 1.5, 1.8)]
         assert vals[0] < vals[1] < vals[2]
+
+    @pytest.mark.parametrize("solve", [dirichlet_eigenvalue, smallball_constant_spectral])
+    def test_grid_above_bound_refused_before_any_matrix(self, solve):
+        with mock.patch.object(constants, "_stable_operator",
+                               side_effect=AssertionError("matrix built")):
+            with pytest.raises(ValueError, match=r"n_grid must lie in \[\d+, 8192\], got 8193"):
+                solve(1.5, 8193)
 
 
 class TestSmallballConstantMC:

@@ -36,7 +36,6 @@ from stable_smallball import (
     default_battery,
     empirical_no_big_jump_fraction,
     estimate_crude,
-    estimate_given_no_big_jumps,
     estimate_is,
     identity_shift,
     sample_jump_batch,
@@ -152,8 +151,8 @@ def _estimator_digests() -> dict:
             estimate_crude(QUERY, 600, 256, rng=RngStream(4202))),
         "crude_increments": _estimate_digest(
             estimate_crude(QUERY, 600, 256, rng=RngStream(4203), sampler="increments")),
-        "given_no_big_jumps": _estimate_digest(
-            estimate_given_no_big_jumps(QUERY, 600, 256, rng=RngStream(4204))),
+        "is_centered": _estimate_digest(
+            estimate_is(SmallBallQuery.centered(PARAMS, 1.2), 600, 256, rng=RngStream(4204))),
         "is": _estimate_digest(estimate_is(is_query, 3069, 4096, rng=RngStream(4201))),
         "no_big_jump_fraction": _estimate_digest(
             empirical_no_big_jump_fraction(PARAMS, 1.0, 500, rng=RngStream(4205))),
@@ -223,8 +222,8 @@ ANDERSON = "5673b95949c2eb9002eb3aa52c7bc1dd3b60bca2d8f3745d227d47772ca56f0a"
 ESTIMATORS = {
     "crude_jumps": "3388479e7d5c43e17f8e266db873ef06c2e924fea8a130b84e02c4e7df22fa9a",
     "crude_increments": "6afcb5832de1a508d65aae2700f48e79ed1a84c9af2c57cb19de98b88167757d",
-    "given_no_big_jumps": "5c9a9139112660eb83e3cc5d96e02c7617c5fd5df3cc9b2c09e19fd26489313a",
     "is": "53cef5ff3246bf2bc9b851dbf7c34d0247c4bc3a98b3d2af2c9838c4559567eb",
+    "is_centered": "4e6384fa7a33616e57f8c7836bb3996461d9b90aca3f16481409cfb53220965f",
     "no_big_jump_fraction": "4fc5b39239ccf7b8535d9bba09568c2920bb6b3c4fc00da09fdb49a87955c6ed",
     "tail_p_hat": "1588d36ef7306ce36bb90c31be7440d051ec3687029769f3ef951a73b80acc05",
     "mc_p_hat": "337c8d2c3898dc53c787048700f9704165a4e27fb96f6a10478dddc43d064dab",

@@ -28,11 +28,11 @@ from stable_smallball import (
     sample_sups,
     sample_tilted_batch,
     sample_time_changed_batch,
-    sample_truncated_batch,
     standard_symmetric_stable,
     sup_distance_batch,
     tent_shift,
     write_path_csv,
+    zero_shift,
 )
 from stable_smallball import simulate
 from stable_smallball.diagnostics import weight_battery
@@ -143,10 +143,18 @@ class TestJumpSampler:
         sup_b = np.max(np.abs(b.values), axis=1)
         assert stats.ks_2samp(sup_a, sup_b).pvalue > 0.01
 
+    def test_cutoff_floor_of_one_batch(self):
+        # (2/alpha) eps^-alpha expected records per path: 1.01M at 1.2e-4,
+        # 1.07M at 1.16e-4, which is above the 2^20 one batch may hold
+        assert sample_jump_batch(PARAMS, 1.2e-4, 1, 2, RngStream(12)).jump_sizes.size > 0
+        with pytest.raises(ValueError, match="expected jump records per path exceed"):
+            sample_jump_batch(PARAMS, 1.16e-4, 1, 2, RngStream(12))
+
 
 class TestTruncatedSampler:
     def test_no_jump_exceeds_r(self):
-        batch = sample_truncated_batch(PARAMS, 0.7, 200, 64, RngStream(13))
+        tilt = TiltSpec.middle_shift(PARAMS, zero_shift(), 0.0, 0.7)  # zero tilt: truncated law
+        batch = sample_tilted_batch(tilt, 200, 64, RngStream(13))[0]
         assert np.max(np.abs(batch.jump_sizes)) < 0.7
 
 
@@ -245,6 +253,11 @@ TILTS = [TiltSpec.middle_shift(PARAMS, identity_shift(), c=0.2, r=0.8),
          TiltSpec.small_shift(PARAMS, tent_shift(), lam=0.2, r=0.6)]
 
 
+def _tilted_paths(tilt, n_paths, n_steps, rng, eps_cutoff=None):
+    """The paths of ``sample_tilted_batch``, without their log-weights."""
+    return sample_tilted_batch(tilt, n_paths, n_steps, rng, eps_cutoff)[0]
+
+
 @st.composite
 def _kernel_batches(draw):
     """Jump and tilted (with drift) batches, each with the Gaussian proxy,
@@ -256,8 +269,7 @@ def _kernel_batches(draw):
     if kind == "stable":
         return sample_stable_batch(PARAMS, n_paths, n_steps, rng)
     if kind == "tilted":
-        return sample_tilted_batch(draw(st.sampled_from(TILTS)), n_paths, n_steps, rng,
-                                   compute_weights=False)
+        return _tilted_paths(draw(st.sampled_from(TILTS)), n_paths, n_steps, rng)
     if kind == "bare":  # at this cutoff, empty record arrays
         return sample_jump_batch(PARAMS, 1e3, n_paths, n_steps, rng)
     return sample_jump_batch(PARAMS, draw(st.floats(0.05, 1.0)), n_paths, n_steps, rng)
@@ -459,7 +471,7 @@ class TestMapBatches:
 HELPER_SAMPLERS = {
     "jump": partial(sample_jump_batch, PARAMS, 0.1),
     "stable": partial(sample_stable_batch, PARAMS),
-    "tilted": partial(sample_tilted_batch, TILTS[0], eps_cutoff=0.1, compute_weights=False),
+    "tilted": partial(_tilted_paths, TILTS[0], eps_cutoff=0.1),
 }
 HELPER_TARGETS = [(None, 0.0), (identity_shift(), 0.5), (tent_shift(), -1.0)]
 
@@ -486,7 +498,7 @@ SCHEDULE_SAMPLERS = {
 
 
 @pytest.mark.parametrize("draw", [
-    partial(standard_symmetric_stable, 1.5, 8), partial(sample_truncated_batch, PARAMS, 1.0, 4, 8),
+    partial(standard_symmetric_stable, 1.5, 8),
     *(partial(s, 4, 8) for s in SCHEDULE_SAMPLERS.values())], ids=lambda d: d.func.__name__)
 def test_every_sampler_refuses_a_numpy_generator(draw):
     with pytest.raises(ValueError, match="RngStream is required"):
