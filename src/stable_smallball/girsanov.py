@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import truncated_second_moment
 from .processes import AlphaStableParams, ShiftFunction
 
 _SERIES_RTOL = 1e-12
@@ -141,29 +140,19 @@ def step_mean_amplitude(tilt: TiltSpec, n_steps: int) -> np.ndarray:
     return tilt.amplitude_factor / tilt.jump_cut * slope
 
 
-def log_weight_batch(tilt: TiltSpec, batch, log_tilt: np.ndarray | None = None) -> np.ndarray:
-    """log(dP_base/dP_tilted) per path, from the recorded jumps and proxy noise.
+def log_weight_batch(batch, log_tilt: np.ndarray, bbar: np.ndarray,
+                     proxy_var: float) -> np.ndarray:
+    """log(dP_base/dP_tilted) per path of a tilted batch, from its records and proxy.
 
-    The jump block is minus the sum of theta over recorded jumps inside the
-    cut; its compensator term vanishes exactly because (e^theta - 1) times
-    the jump density is odd in x over the symmetric cut.  The Gaussian-proxy
-    block is the exact normal likelihood ratio per step.  Both blocks have
-    unit expectation under the tilted law, which is the key unbiasedness
-    diagnostic.  ``batch`` has record arrays (maybe empty) and the proxy.
-
-    ``log_tilt``, when given, holds log1p(beta(t) x) for every record in
-    record order, as the sampler computed it for thinning; only its entries
-    inside the cut are read, and they are the bits ``theta`` would give.
+    Minus the per-path sum of ``log_tilt``, theta = log1p(beta(t) x) of each
+    record from the sampler's thinning (0 on the untilted exterior band), minus
+    the proxy's exact normal likelihood ratio per step, given the step means
+    ``bbar`` of beta and the proxy's per-step variance ``proxy_var``.  Each
+    block, exponentiated, has mean 1 under the tilted law.
     """
-    x, t, p = batch.jump_sizes, batch.jump_times, batch.jump_path
-    inside = np.abs(x) < tilt.jump_cut
-    th = theta(tilt, x[inside], t[inside]) if log_tilt is None else log_tilt[inside]
     lw = np.zeros(batch.n_paths)
-    lw -= np.bincount(p[inside], weights=th, minlength=batch.n_paths)
-    bbar = step_mean_amplitude(tilt, batch.n_steps)
-    sig2 = tilt.intensity_scale * truncated_second_moment(
-        tilt.params.alpha, batch.eps_cutoff) * batch.dt
-    lw -= batch.small_noise @ bbar + 0.5 * sig2 * float(np.sum(bbar**2))
+    lw -= np.bincount(batch.jump_path, weights=log_tilt, minlength=batch.n_paths)
+    lw -= batch.small_noise @ bbar + 0.5 * proxy_var * float(np.sum(bbar**2))
     return lw
 
 

@@ -15,7 +15,8 @@ reproducible and independent of batch splitting or worker count:
 
 The jump-resolved samplers draw each band of jumps as a ``_Band`` and
 share ``_bin_with_proxy`` to finish, sort and bin the records and draw the
-Gaussian proxy; every sampler ends in ``_cumulate``, which sums increments
+Gaussian proxy; ``_record_steps`` puts a record in its step, there and in
+the sup kernel.  Every sampler ends in ``_cumulate``, which sums increments
 into paths.  A batch holds its grid once: the jump samplers bin their
 per-step jump sums straight into the ``values`` array the batch returns,
 and ``_cumulate`` sums each path there in place; the stable transform
@@ -153,15 +154,16 @@ class BatchPaths:
 
     ``values`` has shape (n_paths, n_steps + 1) with values[:, 0] = 0.  Jump
     records are flat arrays sorted by (path, time); ``jump_path`` holds the
-    owning path index.  ``small_noise`` is the per-step Gaussian proxy of the
-    sub-cutoff jumps (None for increment samplers), ``drift_steps`` the
-    deterministic per-step drift shared by all paths.  The sup kernel reads
-    these records and caches nothing on the batch.
+    owning path index, and a record at t belongs to step
+    min(floor(t / dt), n_steps - 1) (``_record_steps``).  ``small_noise`` is
+    the per-step Gaussian proxy of the sub-cutoff jumps (None for increment
+    samplers), ``drift_steps`` the deterministic per-step drift shared by all
+    paths.  The sup kernel reads these records and caches nothing on the
+    batch.
     """
 
     times: np.ndarray
     values: np.ndarray
-    eps_cutoff: float | None = None
     jump_path: np.ndarray | None = None
     jump_times: np.ndarray | None = None
     jump_sizes: np.ndarray | None = None
@@ -345,6 +347,16 @@ def _jump_order(path_idx, t):
     return order
 
 
+def _record_steps(t, dt: float, n_steps: int):
+    """(step, t / dt) of each jump instant, step = min(floor(t / dt), n_steps - 1): the
+    one step rule of the binning and the jump limits.  t * n_steps can round across
+    an integer, and a batch restricted to [0, t*] has dt = t* / n_steps."""
+    scaled = t / dt
+    step = scaled.astype(np.int64)
+    np.minimum(step, n_steps - 1, out=step)
+    return step, scaled
+
+
 def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy, thin=None):
     """Finish, sort and bin the jump records of ``bands``, and draw the proxy.
 
@@ -420,7 +432,7 @@ def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy, thin=None):
         t_out[o], x_out[o] = t[order], x[order]
         if log_tilt is not None:
             log_tilt[o] = np.concatenate(lt)[order]
-        step = np.minimum((t_out[o] * n_steps).astype(np.int64), n_steps - 1)
+        step = _record_steps(t_out[o], 1.0 / n_steps, n_steps)[0]
         step += (path_out[o] - p0) * n_steps
         values[p0:p1, 1:] = np.bincount(step, weights=x_out[o],
                                         minlength=(p1 - p0) * n_steps).reshape(p1 - p0, n_steps)
@@ -509,8 +521,8 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     path_idx, t, sizes, _, values, noise = _bin_with_proxy(
         [band], n_paths, n_steps, _proxy(gen, sd, n_paths, n_steps))
     del band  # the raw draws die before the paths are summed
-    return _cumulate(values, values[:, 1:], eps_cutoff=eps_cutoff, jump_path=path_idx,
-                     jump_times=t, jump_sizes=sizes, small_noise=noise)
+    return _cumulate(values, values[:, 1:], jump_path=path_idx, jump_times=t, jump_sizes=sizes,
+                     small_noise=noise)
 
 
 def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, float, float]:
@@ -546,8 +558,8 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     Gaussian proxy.  The drift compensates the tilt, so the path is a
     centered martingale, which is how the importance-sampling estimator
     consumes it; adding ``tilt.compensator_shift_curve`` gives the tilted
-    path with its mean.  At zero tilt (c = 0 in the middle regime) the paths
-    follow the truncated law and every log-weight is 0.
+    path with its mean.  At zero tilt (amplitude bound 0) the paths follow
+    the truncated law and every log-weight is 0, with no weight pass.
 
     Returns (batch, log_weights).
     """
@@ -573,13 +585,15 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     v_band = truncated_second_moment(alpha, cut) - truncated_second_moment(alpha, eps_cutoff)
     drift = -scale * v_band * bbar * dt
 
-    sd = np.sqrt(scale * truncated_second_moment(alpha, eps_cutoff) * dt)
+    var = scale * truncated_second_moment(alpha, eps_cutoff) * dt  # of the proxy per step
     path_idx, t, sizes, log_tilt, values, noise = _bin_with_proxy(
-        bands, n_paths, n_steps, _proxy(gen, sd, n_paths, n_steps), thin)
+        bands, n_paths, n_steps, _proxy(gen, np.sqrt(var), n_paths, n_steps), thin)
     del bands, thin  # the raw draws die before the paths are summed
-    batch = _cumulate(values, values[:, 1:], eps_cutoff=eps_cutoff, jump_path=path_idx,
-                      jump_times=t, jump_sizes=sizes, small_noise=noise, drift_steps=drift)
-    return batch, log_weight_batch(tilt, batch, log_tilt)
+    batch = _cumulate(values, values[:, 1:], jump_path=path_idx, jump_times=t, jump_sizes=sizes,
+                      small_noise=noise, drift_steps=drift)
+    if b_bound == 0.0:
+        return batch, np.zeros(n_paths)
+    return batch, log_weight_batch(batch, log_tilt, bbar, var)
 
 
 def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_steps: int,
@@ -715,9 +729,7 @@ def _jump_limits(batch: BatchPaths, sel):
     """
     p, t, x = batch.jump_path[sel], batch.jump_times[sel], batch.jump_sizes[sel]
     n_steps = batch.n_steps
-    frac = t / batch.dt
-    step = frac.astype(np.int64)
-    np.minimum(step, n_steps - 1, out=step)
+    step, frac = _record_steps(t, batch.dt, n_steps)
     frac -= step
     flat = p * n_steps
     flat += step  # flat index of (path, step) into the per-step arrays

@@ -93,8 +93,7 @@ def _check_radius(r: float, alpha: float) -> None:
 
 def prob_no_big_jumps(alpha: float, r: float) -> float:
     """P(no jump exceeds r on [0,1]) = exp(-(2/alpha) r^-alpha)."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _check_radius(r, AlphaStableParams(alpha).alpha)  # refuses an alpha outside (1, 2) first
     return float(np.exp(-(2.0 / alpha) * r**-alpha))
 
 
@@ -190,8 +189,7 @@ def empirical_no_big_jump_fraction(params: AlphaStableParams, r: float, n_paths:
     """Fraction of jump-resolved paths with every |jump| < r; oracle for
     :func:`prob_no_big_jumps`.  Each batch of ``batch_plan(n_paths, 256)``
     draws only the jumps above min(r/4, 1/4) of its paths."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    _check_radius(r, params.alpha)
     kernel = partial(_no_big_jump_kernel, params, r, min(r / 4.0, 0.25))
     hits = sum(map_batches(kernel, n_paths, 256, rng))
     return Estimate.from_bernoulli(hits, n_paths)

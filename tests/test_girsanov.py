@@ -12,16 +12,17 @@ from stable_smallball import (
     TiltSpec,
     deterministic_exponent,
     identity_shift,
-    log_weight_batch,
     psi,
     random_shift,
     sample_tilted_batch,
     step_mean_amplitude,
     tent_shift,
     theta,
+    truncated_second_moment,
     zero_shift,
 )
 from stable_smallball.diagnostics import _exponent_by_quadrature
+from stable_smallball.simulate import tilted_jump_rates
 
 PARAMS = AlphaStableParams(1.5)
 
@@ -100,12 +101,23 @@ class TestLogWeight:
         TiltSpec.middle_shift(PARAMS, zero_shift(), 0.0, 1.0),
     ], ids=["middle", "small", "zero"])
     def test_recompute_matches_sampler(self, tilt):
-        # the sampler's log factors, carried from the thinning through the
-        # sort, are the bits theta gives when recomputed from the records
-        batch, lw = sample_tilted_batch(tilt, 100, 64, RngStream(33))
+        # the sampler's weights are the bits of the formula recomputed from the
+        # records: minus theta summed over the jumps inside the cut, minus the
+        # proxy's normal likelihood ratio per step
+        n_paths, n_steps = 100, 64
+        batch, lw = sample_tilted_batch(tilt, n_paths, n_steps, RngStream(33))
         if tilt.keeps_exterior_jumps:
             assert np.any(np.abs(batch.jump_sizes) >= tilt.jump_cut)
-        assert log_weight_batch(tilt, batch).tobytes() == lw.tobytes()
+        x, t, p = batch.jump_sizes, batch.jump_times, batch.jump_path
+        inside = np.abs(x) < tilt.jump_cut
+        ref = np.zeros(n_paths)
+        ref -= np.bincount(p[inside], weights=theta(tilt, x[inside], t[inside]),
+                           minlength=n_paths)
+        bbar = step_mean_amplitude(tilt, n_steps)
+        eps = tilted_jump_rates(tilt, None)[0]
+        var = tilt.intensity_scale * truncated_second_moment(PARAMS.alpha, eps) * batch.dt
+        ref -= batch.small_noise @ bbar + 0.5 * var * float(np.sum(bbar**2))
+        assert ref.tobytes() == lw.tobytes()
 
 
 class TestDeterministicExponent:

@@ -208,6 +208,25 @@ class TestSupDistance:
         got = sup_distance_batch(path, identity_shift(), shift_scale=-1.0)[0]
         assert got >= 2.0 + 0.25  # |2 - (-t)| at t >= 0.25 beats the grid-only 2
 
+    def test_binning_and_limits_share_the_step_rule(self):
+        # at 1000 steps, t * 1000 is 117.0 but t / (1/1000) is 116.99...; a
+        # jump binned into one step and replayed in the other read 0 -> -10
+        # for the path 0 -> 5 -> -5
+        class Finished(simulate._Band):
+            def finish(self, s):
+                pass
+
+        n_steps = 1000
+        band = Finished(counts=np.array([2]), first=np.array([0, 2]),
+                        t=np.array([1.0 - 0.883, 0.1175]), x=np.array([5.0, -10.0]),
+                        up=np.ones(2, dtype=bool), alpha=1.5, lower=1.0, upper=np.inf)
+        assert band.t[0] * n_steps == 117.0 and band.t[0] / (1.0 / n_steps) < 117.0
+        path, t, x, _, values, noise = simulate._bin_with_proxy(
+            [band], 1, n_steps, lambda: np.zeros((1, n_steps)))
+        batch = simulate._cumulate(values, values[:, 1:], jump_path=path, jump_times=t,
+                                   jump_sizes=x, small_noise=noise)
+        assert sup_distance_batch(batch)[0] == pytest.approx(5.0, rel=0.0, abs=np.spacing(5.0))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 6),
            n_steps=st.integers(2, 48), eps=st.floats(0.05, 2.0),

@@ -1,6 +1,8 @@
 """Small-ball estimators: crude, conditional, importance-sampled, batteries."""
 
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from stable_smallball import (
     SmallBallQuery,
     anderson_report,
     default_battery,
+    empirical_no_big_jump_fraction,
     estimate_crude,
     estimate_is,
     identity_shift,
@@ -50,6 +53,20 @@ class TestProbNoBigJumps:
         assert prob_no_big_jumps(1.5, 1.0) == pytest.approx(math.exp(-4.0 / 3.0))
         assert prob_no_big_jumps(1.5, 2.0) == pytest.approx(
             math.exp(-(4.0 / 3.0) * 2.0**-1.5))
+
+    @pytest.mark.parametrize("call, match", [
+        (partial(prob_no_big_jumps, 1.5, math.nan), "r must be positive and finite"),
+        (partial(prob_no_big_jumps, 1.5, math.inf), "r must be positive and finite"),
+        (partial(prob_no_big_jumps, 5.0, 1.0), "alpha must lie strictly in"),
+        (partial(prob_no_big_jumps, 1.5, 1e-300), "r^-alpha overflows"),
+        (partial(empirical_no_big_jump_fraction, PARAMS, math.nan, 10, rng=RngStream(1)),
+         "r must be positive and finite"),
+        (partial(empirical_no_big_jump_fraction, PARAMS, math.inf, 10, rng=RngStream(1)),
+         "r must be positive and finite"),
+    ], ids=["nan", "inf", "alpha", "tiny", "empirical-nan", "empirical-inf"])
+    def test_invalid_input_refused(self, call, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            call()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40),
