@@ -6,9 +6,11 @@ sample sizes with wide statistical gates (4-5 sigma), so a failure means a
 bug, not bad luck; ``full=True`` scales the Monte Carlo checks up to the
 sizes used in the acceptance tests.  Those tests call the same checks, so
 each invariant has one implementation; where the two callers pin different
-seeds, sizes or gates, the check takes them as arguments.  The unit-mean
-weight check, which criterion 04 runs at 10k paths, draws through
-``simulate.map_batches``, so the batch plan, not its caller, bounds its memory.
+seeds, sizes or gates, the check takes them as arguments.  The tilted checks
+(the unit-mean weights, which criterion 04 runs at 10k paths, and the
+tilted-mean oracle) draw through ``simulate.map_batches`` with their tilts'
+expected jump records, as the estimators do, so the batch plan, not its
+caller, bounds their memory.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ def check_truncation_probability(n_paths: int, rng: simulate.RngStream, gate: fl
 
 def weight_battery(params: processes.AlphaStableParams) -> list[tuple[str, girsanov.TiltSpec]]:
     """Default tilts for the unit-mean weight diagnostic, spanning both
-    regimes, several shifts, and the zero tilt."""
+    regimes and several shifts.  The zero tilt is not among them: its
+    weights are 1 by construction (``sample_tilted_batch``)."""
     rng = np.random.default_rng(np.random.SeedSequence(7))
     rand8 = processes.random_shift(8, rng)
     mk = girsanov.TiltSpec.middle_shift
@@ -159,8 +162,16 @@ def weight_battery(params: processes.AlphaStableParams) -> list[tuple[str, girsa
         ("middle rand8 c=.2 r=.8", mk(params, rand8, 0.2, 0.8)),
         ("small id lam=.2 r=.6", sk(params, processes.identity_shift(), 0.2, r=0.6)),
         ("small tent lam=.2 r=.6", sk(params, processes.tent_shift(), 0.2, r=0.6)),
-        ("zero tilt", mk(params, processes.zero_shift(), 0.0, 1.0)),
     ]
+
+
+def _map_tilted(kernel, tilt, n_paths: int, n_steps: int, stream: simulate.RngStream,
+                eps_cutoff: float | None = None) -> np.ndarray:
+    """``kernel(tilt, n_steps, eps, stream, size)`` over ``simulate.map_batches``,
+    planned by the tilt's expected jump records per path, concatenated."""
+    eps, rate_int, rate_ext = simulate.tilted_jump_rates(tilt, eps_cutoff)
+    return np.concatenate(simulate.map_batches(partial(kernel, tilt, n_steps, eps), n_paths,
+                                               n_steps, stream, records=rate_int + rate_ext))
 
 
 def _weights_kernel(tilt, n_steps, eps_cutoff, stream, size) -> np.ndarray:
@@ -168,28 +179,25 @@ def _weights_kernel(tilt, n_steps, eps_cutoff, stream, size) -> np.ndarray:
     return np.exp(lw)
 
 
+def _end_value_kernel(tilt, n_steps, eps_cutoff, stream, size) -> np.ndarray:
+    batch, _ = simulate.sample_tilted_batch(tilt, size, n_steps, stream, eps_cutoff=eps_cutoff)
+    return batch.values[:, -1]
+
+
 def check_weight_unit_mean(n_paths: int, rng: simulate.RngStream, gate: float,
                            eps_cutoff: float | None):
     """Girsanov weights of every ``weight_battery`` tilt have mean 1.
 
-    Tilt i draws ``n_paths`` paths of 256 steps through ``map_batches`` on
-    ``rng.child(i)``, in batches bounded by the tilt's expected jump records
-    per path; the kernel keeps only each path's weight.  Unit mean holds
-    exactly at any jump resolution, so a coarse ``eps_cutoff`` keeps the
-    small-regime members cheap; None takes the sampler's default.
+    Tilt i draws ``n_paths`` paths of 256 steps on ``rng.child(i)``
+    (``_map_tilted``); the kernel keeps only each path's weight.  Unit mean
+    holds exactly at any jump resolution, so a coarse ``eps_cutoff`` keeps
+    the small-regime members cheap; None takes the sampler's default.
     """
     params = processes.AlphaStableParams(1.5)
     n_steps = 256
     worst = ("", 0.0)
     for i, (label, tilt) in enumerate(weight_battery(params)):
-        eps, rate_int, rate_ext = simulate.tilted_jump_rates(tilt, eps_cutoff)
-        kernel = partial(_weights_kernel, tilt, n_steps, eps)
-        w = np.concatenate(simulate.map_batches(kernel, n_paths, n_steps, rng.child(i),
-                                                records=rate_int + rate_ext))
-        if tilt.amplitude_bound == 0.0:
-            if not np.all(w == 1.0):
-                return False, f"{label}: zero tilt must give unit weights"
-            continue
+        w = _map_tilted(_weights_kernel, tilt, n_paths, n_steps, rng.child(i), eps_cutoff)
         dev = abs(w.mean() - 1.0) / (w.std() / math.sqrt(n_paths))
         if dev > worst[1]:
             worst = (label, dev)
@@ -200,8 +208,8 @@ def check_tilted_mean_oracle(n_paths: int):
     params = processes.AlphaStableParams(1.5)
     tilt = girsanov.TiltSpec.middle_shift(params, processes.identity_shift(), 0.2, 0.8)
     target = _tilted_mean_by_quadrature(tilt)
-    batch, _ = simulate.sample_tilted_batch(tilt, n_paths, 256, simulate.RngStream(104))
-    x1 = batch.values[:, -1] + tilt.compensator_shift_curve(1.0)
+    x1 = _map_tilted(_end_value_kernel, tilt, n_paths, 256, simulate.RngStream(104))
+    x1 += tilt.compensator_shift_curve(1.0)
     se = x1.std() / math.sqrt(n_paths)
     dev = abs(x1.mean() - target) / se
     return (dev < 4.0 and x1.mean() > 0.0,

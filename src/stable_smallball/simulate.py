@@ -35,11 +35,12 @@ reaches r for every target is then decided without its jump records.
 ``sup_distance_batch`` is its one-target form.  ``map_batches`` is the one
 batch loop of every estimator: it runs a kernel over the deterministic
 ``batch_plan``, each batch on its own child stream.  The plan bounds a
-batch's grid values and, given the expected jump records per path
-(``tilted_jump_rates``), its jump records.  Every estimator that
-counts sups draws through ``sample_sups``, which returns the sups of every
-path against every target as one matrix; the estimator keeps only its own
-reduction (``< r`` or ``> x``).
+batch's grid values and, given the expected jump records per path, its jump
+records: every caller that maps jump-resolved draws passes that count, from
+``_jump_rate`` or ``tilted_jump_rates``, the one owner of each rate.  Every
+estimator that counts sups draws through ``sample_sups``, which returns the
+sups of every path against every target as one matrix; the estimator keeps
+only its own reduction (``< r`` or ``> x``).
 
 Inside one batch, the calling thread shares the work with one helper
 thread, made for the call (``with ThreadPoolExecutor(1)`` in
@@ -765,17 +766,19 @@ _BATCH_RECORDS = 1 << 20  # expected jump records per batch: a tilted batch peak
 def batch_plan(n_total: int, n_steps: int, records: float = 0.0) -> list[tuple[int, int]]:
     """Deterministic split of n_total paths into (batch_index, size) pieces.
 
-    A batch holds about ``_BATCH_ELEMS`` grid values and, given the expected
-    jump ``records`` per path, at most ``_BATCH_RECORDS`` expected records;
-    no batch is cut below 64 paths.  ``records`` 0 leaves the grid bound
-    alone.  The plan depends only on its arguments, never on worker count,
-    so distributing batches over processes cannot change results.
+    A batch holds about ``_BATCH_ELEMS`` grid values, or 64 paths where
+    fewer would; given the expected jump ``records`` per path, it also holds
+    at most ``_BATCH_RECORDS`` expected records, or one path where a path
+    alone expects more.  The 64-path floor never lifts a batch above the
+    records bound.  ``records`` 0 leaves the grid bound alone.  The plan
+    depends only on its arguments, never on worker count, so distributing
+    batches over processes cannot change results.
     """
     _check_shape(n_total, n_steps)
-    cap = _BATCH_ELEMS // (n_steps + 1)
+    per = max(64, _BATCH_ELEMS // (n_steps + 1))
     if records > 0.0:
-        cap = min(cap, int(_BATCH_RECORDS // records))
-    per = max(64, min(n_total, cap))
+        per = min(per, max(1, int(_BATCH_RECORDS // records)))
+    per = min(n_total, per)
     sizes = [per] * (n_total // per)
     if n_total % per:
         sizes.append(n_total % per)
@@ -792,11 +795,14 @@ def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map,
     """``kernel(stream.child(b), size)`` for each ``(b, size)`` of
     ``batch_plan(n_paths, n_steps, records)``.
 
-    Results come back as a list in plan order; callers reduce it in that
-    order, so sums are bit-identical under any ``pmap``.  ``pmap(fn, jobs)``
-    may be ``map`` or an executor's ``map``; for a process pool, ``kernel``
-    must pickle, i.e. be a module-level function or a ``functools.partial``
-    of one.
+    A kernel that draws jump-resolved paths passes its expected jump
+    ``records`` per path (``_jump_rate``, or the sum of the two rates of
+    ``tilted_jump_rates``), so no batch holds more than ``_BATCH_RECORDS``
+    expected records unless it is a single path.  Results come back as a
+    list in plan order; callers reduce it in that order, so sums are
+    bit-identical under any ``pmap``.  ``pmap(fn, jobs)`` may be ``map`` or
+    an executor's ``map``; for a process pool, ``kernel`` must pickle, i.e.
+    be a module-level function or a ``functools.partial`` of one.
     """
     _require_stream(stream)
     jobs = [(kernel, stream.child(b), size)
@@ -809,11 +815,14 @@ def _sups_kernel(sample, targets, n_steps, cap, stream, size) -> np.ndarray:
 
 
 def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,
-                pmap=map, cap: float = np.inf) -> np.ndarray:
+                pmap=map, cap: float = np.inf, records: float = 0.0) -> np.ndarray:
     """Sup-norm distances of ``n_paths`` sampled paths to each target.
 
     ``sample(size, n_steps, rng)`` draws one batch, e.g. a sampler with its
     leading arguments bound: ``partial(sample_jump_batch, params, eps)``.
+    ``records`` is its expected jump records per path, ``_jump_rate(alpha,
+    eps)`` for that one, which bounds each batch's records
+    (:func:`map_batches`); 0 for a sampler that draws no jumps.
     ``targets`` holds ``(f, shift_scale)`` pairs, f None for the centred sup.
     Row i of the ``(len(targets), n_paths)`` result is
     ``sup_distance_batch(batch, *targets[i], cap=cap)`` over the batches in
@@ -824,7 +833,7 @@ def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,
     jump records.
     """
     kernel = partial(_sups_kernel, sample, tuple(targets), n_steps, cap)
-    return np.concatenate(map_batches(kernel, n_paths, n_steps, stream, pmap), axis=1)
+    return np.concatenate(map_batches(kernel, n_paths, n_steps, stream, pmap, records), axis=1)
 
 
 def write_path_csv(path: BatchPaths, out, jumps_out=None) -> None:

@@ -19,7 +19,9 @@ near -alpha.
 Every sup-counting estimator (crude, Anderson, tail) draws through
 ``simulate.sample_sups`` and keeps only its own reduction of the sups; those
 that count ``sup < r``, and the importance-sampling kernel, pass r as the sup
-kernel's cap.
+kernel's cap.  Every estimator that draws jump-resolved paths passes their
+expected jump records per path to the batch plan, which bounds each batch's
+records as well as its grid.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift,
     identity_shift, tent_shift, zero_shift
 from .simulate import RngStream, _Band, _jump_rate, _resolve_cutoff, map_batches, \
     sample_jump_batch, sample_stable_batch, sample_sups, sample_tilted_batch, \
-    sup_distance_batch
+    sup_distance_batch, tilted_jump_rates
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,13 @@ def prob_no_big_jumps(alpha: float, r: float) -> float:
     return float(np.exp(-(2.0 / alpha) * r**-alpha))
 
 
+def _jump_sampler(params: AlphaStableParams, eps_cutoff: float | None, r: float):
+    """``sample_jump_batch`` at the cutoff ``eps_cutoff`` resolves against r,
+    and its expected jump records per path."""
+    eps = _resolve_cutoff(eps_cutoff, r)
+    return partial(sample_jump_batch, params, eps), _jump_rate(params.alpha, eps)
+
+
 def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
                    rng: RngStream, pmap=map,
                    sampler: str = "jumps", eps_cutoff: float | None = None) -> Estimate:
@@ -108,13 +117,13 @@ def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
     ``sampler="increments"`` uses the plain stable-increment grid instead.
     """
     if sampler == "jumps":
-        sample = partial(sample_jump_batch, query.params, _resolve_cutoff(eps_cutoff, query.r))
+        sample, records = _jump_sampler(query.params, eps_cutoff, query.r)
     elif sampler == "increments":
-        sample = partial(sample_stable_batch, query.params)
+        sample, records = partial(sample_stable_batch, query.params), 0.0
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
     sups = sample_sups(sample, [(query.f, query.shift_scale)], n_paths, n_steps, rng, pmap,
-                       cap=query.r)
+                       cap=query.r, records=records)
     return Estimate.from_bernoulli(int(np.sum(sups < query.r)), n_paths)
 
 
@@ -146,11 +155,12 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
     tilt = TiltSpec.middle_shift(query.params, query.f, c=query.c, r=query.r)
 
     p_a = prob_no_big_jumps(query.params.alpha, query.r)
-    kernel = partial(_is_kernel, tilt, query.r, n_steps, eps_cutoff)
+    eps, rate_int, rate_ext = tilted_jump_rates(tilt, eps_cutoff)
+    kernel = partial(_is_kernel, tilt, query.r, n_steps, eps)
     s1 = s2 = wh1 = wh2 = 0.0
     n_hit = 0
     # plain float adds in plan order: np.sum's pairwise order would move the last bits
-    for part in map_batches(kernel, n_paths, n_steps, rng, pmap):
+    for part in map_batches(kernel, n_paths, n_steps, rng, pmap, rate_int + rate_ext):
         s1 += part[0]
         s2 += part[1]
         n_hit += part[2]
@@ -173,12 +183,11 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
                     ess=ess, flags=tuple(flags))
 
 
-def _no_big_jump_kernel(params, r, eps_cutoff, stream, size) -> int:
+def _no_big_jump_kernel(alpha, r, eps_cutoff, rate, stream, size) -> int:
     """The number of paths with no |x| >= r among the jumps above
-    ``eps_cutoff`` that ``sample_jump_batch`` draws on ``stream``."""
-    alpha = params.alpha
-    band = _Band.draw(stream.generator(), _jump_rate(alpha, eps_cutoff), size, alpha,
-                      eps_cutoff, np.inf)
+    ``eps_cutoff``, at ``rate`` per path, that ``sample_jump_batch`` draws
+    on ``stream``."""
+    band = _Band.draw(stream.generator(), rate, size, alpha, eps_cutoff, np.inf)
     band.finish(slice(None))
     owner = np.repeat(np.arange(size), band.counts)
     return size - np.unique(owner[np.abs(band.x) >= r]).size
@@ -187,11 +196,14 @@ def _no_big_jump_kernel(params, r, eps_cutoff, stream, size) -> int:
 def empirical_no_big_jump_fraction(params: AlphaStableParams, r: float, n_paths: int,
                                    rng: RngStream) -> Estimate:
     """Fraction of jump-resolved paths with every |jump| < r; oracle for
-    :func:`prob_no_big_jumps`.  Each batch of ``batch_plan(n_paths, 256)``
-    draws only the jumps above min(r/4, 1/4) of its paths."""
+    :func:`prob_no_big_jumps`.  Each batch of ``batch_plan(n_paths, 256,
+    rate)`` draws only the jumps above min(r/4, 1/4) of its paths, ``rate``
+    per path."""
     _check_radius(r, params.alpha)
-    kernel = partial(_no_big_jump_kernel, params, r, min(r / 4.0, 0.25))
-    hits = sum(map_batches(kernel, n_paths, 256, rng))
+    eps = min(r / 4.0, 0.25)
+    rate = _jump_rate(params.alpha, eps)
+    kernel = partial(_no_big_jump_kernel, params.alpha, r, eps, rate)
+    hits = sum(map_batches(kernel, n_paths, 256, rng, records=rate))
     return Estimate.from_bernoulli(hits, n_paths)
 
 
@@ -311,8 +323,8 @@ def anderson_report(params: AlphaStableParams, r: float, n_paths: int,
     if battery is None:
         battery = default_battery(params)
     targets = [(None, 0.0)] + [(f, lam) for _, f, lam in battery]
-    sample = partial(sample_jump_batch, params, _resolve_cutoff(eps_cutoff, r))
-    sups = sample_sups(sample, targets, n_paths, n_steps, rng, pmap, cap=r)
+    sample, records = _jump_sampler(params, eps_cutoff, r)
+    sups = sample_sups(sample, targets, n_paths, n_steps, rng, pmap, cap=r, records=records)
     hits = (sups < r).sum(axis=1)
 
     p = hits / n_paths

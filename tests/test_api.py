@@ -14,7 +14,6 @@ import stable_smallball
 # defaulted parameters that no call outside the self-checks sets, with the reason they stay
 UNSET_ALLOWED = {
     "anderson_report(battery)": "tests pass their own batteries",
-    "map_batches(records)": "only the unit-mean check bounds its plan by records so far",
 }
 
 

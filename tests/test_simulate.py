@@ -441,6 +441,7 @@ class TestBatchPlan:
            st.one_of(st.just(0.0), st.floats(1e-3, 1e7)))
     @example(100_000, 2048, 0.0)
     @example(10_000, 256, 6683.1)  # criterion 04's small-regime tilt: 65 batches
+    @example(1000, 2048, 471404.0)  # crude at r = 0.01: 2 paths per batch, not 64
     def test_covers_total_deterministically(self, n_total, n_steps, records):
         plan = batch_plan(n_total, n_steps, records)
         sizes = [size for _, size in plan]
@@ -448,11 +449,11 @@ class TestBatchPlan:
         assert [b for b, _ in plan] == list(range(len(plan)))
         assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
         assert plan == batch_plan(n_total, n_steps, records)
-        # no batch above the 64-path floor exceeds the record budget
-        assert sizes[0] <= 64 or sizes[0] * records <= simulate._BATCH_RECORDS
         if records == 0.0:
             assert plan == batch_plan(n_total, n_steps)
             assert sizes[0] == min(n_total, max(64, simulate._BATCH_ELEMS // (n_steps + 1)))
+        else:  # the 64-path floor of the grid bound never lifts a batch above the records bound
+            assert sizes[0] <= max(1, simulate._BATCH_RECORDS // records)
 
     def test_small_total_single_batch(self):
         assert batch_plan(50, 64) == [(0, 50)]

@@ -24,6 +24,8 @@ from stable_smallball import (
     tent_shift,
     zero_shift,
 )
+from stable_smallball.girsanov import TiltSpec
+from stable_smallball.simulate import _BATCH_RECORDS, _jump_rate, tilted_jump_rates
 from stable_smallball.smallball import _no_big_jump_kernel
 
 PARAMS = AlphaStableParams(1.5)
@@ -80,7 +82,8 @@ class TestProbNoBigJumps:
         stream = RngStream(seed)
         batch = sample_jump_batch(params, eps, size, n_steps, stream)
         with_big = np.unique(batch.jump_path[np.abs(batch.jump_sizes) >= r])
-        assert _no_big_jump_kernel(params, r, eps, stream, size) == size - with_big.size
+        rate = _jump_rate(alpha, eps)
+        assert _no_big_jump_kernel(alpha, r, eps, rate, stream, size) == size - with_big.size
 
 
 class TestCrude:
@@ -129,6 +132,44 @@ class TestImportanceSampling:
         crude = estimate_crude(q, 4000, n_steps=512, rng=RngStream(52))
         is_est = estimate_is(q, 4000, n_steps=512, rng=RngStream(53))
         assert is_est.stderr < crude.stderr
+
+
+class _RecordingMap:
+    """A ``pmap`` that runs every job in order and keeps each job's batch size."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, fn, jobs):
+        jobs = list(jobs)
+        self.sizes += [size for _, _, size in jobs]
+        return map(fn, jobs)
+
+
+# at eps 0.005 a path expects (4/3) 0.005^-1.5 = 3771 jump records (the IS
+# envelope a few more), so 400 paths of 64 steps hold 1.5M: the records
+# bound, not the grid, sets the plan
+RECORD_BOUND_RUNS = {
+    "crude": (lambda pmap: estimate_crude(SmallBallQuery.centered(PARAMS, 1.0), 400, 64,
+                                          rng=RngStream(60), pmap=pmap, eps_cutoff=0.005),
+              _jump_rate(1.5, 0.005)),
+    "anderson": (lambda pmap: anderson_report(PARAMS, 1.0, 400, RngStream(61), n_steps=64,
+                                              pmap=pmap, eps_cutoff=0.005),
+                 _jump_rate(1.5, 0.005)),
+    "is": (lambda pmap: estimate_is(SmallBallQuery.middle(PARAMS, identity_shift(), 0.2, 0.8),
+                                    400, 64, rng=RngStream(62), pmap=pmap, eps_cutoff=0.005),
+           sum(tilted_jump_rates(TiltSpec.middle_shift(PARAMS, identity_shift(), 0.2, 0.8),
+                                 0.005)[1:])),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_BOUND_RUNS)
+def test_no_mapped_batch_exceeds_the_records_bound(name):
+    run, records = RECORD_BOUND_RUNS[name]
+    pmap = _RecordingMap()
+    run(pmap)
+    assert sum(pmap.sizes) == 400 and len(pmap.sizes) >= 2
+    assert max(pmap.sizes) * records <= _BATCH_RECORDS
 
 
 class TestTail:
