@@ -6,11 +6,11 @@ sample sizes with wide statistical gates (4-5 sigma), so a failure means a
 bug, not bad luck; ``full=True`` scales the Monte Carlo checks up to the
 sizes used in the acceptance tests.  Those tests call the same checks, so
 each invariant has one implementation; where the two callers pin different
-seeds, sizes or gates, the check takes them as arguments.  The tilted checks
-(the unit-mean weights, which criterion 04 runs at 10k paths, and the
-tilted-mean oracle) draw through ``simulate.map_batches`` with their tilts'
-expected jump records, as the estimators do, so the batch plan, not its
-caller, bounds their memory.
+seeds, sizes or gates, the check takes them as arguments.  The checks that
+draw jump-resolved batches themselves (the unit-mean weights, which
+criterion 04 runs at 10k paths, the tilted-mean oracle and the split check)
+draw through ``simulate.map_batches`` with their expected jump records, as
+the estimators do, so the batch plan, not its caller, bounds their memory.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def _weights_kernel(tilt, n_steps, eps_cutoff, stream, size) -> np.ndarray:
 
 def _end_value_kernel(tilt, n_steps, eps_cutoff, stream, size) -> np.ndarray:
     batch, _ = simulate.sample_tilted_batch(tilt, size, n_steps, stream, eps_cutoff=eps_cutoff)
-    return batch.values[:, -1]
+    return batch.values[:, -1].copy()  # the grid is reused by the next batch
 
 
 def check_weight_unit_mean(n_paths: int, rng: simulate.RngStream, gate: float,
@@ -400,11 +400,20 @@ def check_smallball_ordering():
     return True, "; ".join(lines)
 
 
+def _split_kernel(params, stream, size):
+    """Path 0 of the batch, and each path's sup over [0, 1/2] and increment over [1/2, 1]."""
+    batch = simulate.sample_jump_batch(params, 0.05, size, 256, stream)
+    half = np.argmin(np.abs(batch.times - 0.5))
+    past = np.max(np.abs(batch.values[:, : half + 1]), axis=1)
+    return batch.extract(0), past, batch.values[:, -1] - batch.values[:, half]
+
+
 def check_split_and_distance(n_paths: int):
     params = processes.AlphaStableParams(1.5)
-    rng = simulate.RngStream(113)
-    batch = simulate.sample_jump_batch(params, 0.05, n_paths, 256, rng.child(0))
-    path = batch.extract(0)
+    drawn = simulate.map_batches(partial(_split_kernel, params), n_paths, 256,
+                                 simulate.RngStream(113),
+                                 records=simulate._jump_rate(params.alpha, 0.05))
+    path = drawn[0][0]
     y, z = lil.split_at(path, 0.37)
     recon = float(np.max(np.abs(y.values + z.values - path.values)))
     parts = []
@@ -427,9 +436,8 @@ def check_split_and_distance(n_paths: int):
     ok = ok and sup_y == sup(sliced) and sup_y <= sup_x
     parts.append(f"sup(Y) {sup_y:.3f} == sup(X restricted) <= sup(X) {sup_x:.3f}")
     # independence of past sup and future increment: correlation within noise
-    half = np.argmin(np.abs(batch.times - 0.5))
-    past = np.max(np.abs(batch.values[:, : half + 1]), axis=1)
-    future = batch.values[:, -1] - batch.values[:, half]
+    past = np.concatenate([part[1] for part in drawn])
+    future = np.concatenate([part[2] for part in drawn])
     corr = float(np.corrcoef(np.minimum(past, 10), np.sign(future))[0, 1])
     ok = ok and abs(corr) < 4.0 / math.sqrt(n_paths)
     parts.append(f"corr(past, future sign) {corr:+.4f}")

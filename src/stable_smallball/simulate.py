@@ -14,14 +14,13 @@ reproducible and independent of batch splitting or worker count:
   every weight is 1.
 
 The jump-resolved samplers draw each band of jumps as a ``_Band`` and
-share ``_bin_with_proxy`` to finish, sort and bin the records and draw the
-Gaussian proxy; ``_record_steps`` puts a record in its step, there and in
-the sup kernel.  Every sampler ends in ``_cumulate``, which sums increments
-into paths.  A batch holds its grid once: the jump samplers bin their
-per-step jump sums straight into the ``values`` array the batch returns,
-and ``_cumulate`` sums each path there in place; the stable transform
-writes its variates over its exponential draws, and ``_cumulate`` sums
-those into ``values``.
+share ``_jump_paths``, which finishes, sorts and bins the records, adds
+the drift and the Gaussian proxy, and sums each path; ``_record_steps``
+puts a record in its step, there and in the sup kernel.  A batch holds its
+grid once: the jump samplers sum each piece's jump sums, drift and proxy
+straight into the ``values`` array the batch returns, and the stable
+transform writes its variates over its exponential draws, which are then
+summed into ``values``.
 
 A path is a :class:`BatchPaths`; one path is a batch of one
 (``BatchPaths.extract``).  One kernel evaluates sup-norm distances to scaled
@@ -48,25 +47,35 @@ thread, made for the call (``with ThreadPoolExecutor(1)`` in
 and none is alive when a process pool forks.  Every sampler follows one
 rule: draw first, then finish in pieces.
 
-* All generator calls run on the calling thread, in one fixed order.  The
-  last of them, the Gaussian proxy, may run on the helper while the calling
+* All generator calls run in one fixed order, on the calling thread but the
+  last: the Gaussian proxy of the jump samplers, which runs on the
+  helper, in row chunks and in order (``_ProxyDraw``), while the calling
   thread takes the first pieces; the calling thread does not touch the
   generator again, so the generator sees the same calls in the same order
-  as in a serial run.
+  as in a serial run, and chunked draws are the same bits as one.
 * Everything after the draws runs as pieces that both threads take in order
-  from a shared counter: the stable transform in element chunks; the jump
-  magnitudes, the thinning test, the (path, time) sort, the gathers and the
-  per-step sums in path chunks; ``_cumulate`` in row chunks, once the proxy
-  is joined; the sup kernel in row blocks.
+  from a shared counter: the stable transform in element chunks and its
+  sums in row chunks; the thinning test in path chunks; the jump
+  magnitudes, the (path, time) sort, the gathers, the per-step sums and
+  the path sums in row chunks, each of which waits for its own chunk of
+  the proxy and for nothing else; the sup kernel in row blocks.  The
+  helper takes pieces once it has drawn the proxy.
 * Each piece reads only its own slice of the draws and writes only its own
   slice of outputs allocated before the pieces run, and each element sees
   the same operations as in a serial pass, so the bits do not depend on
-  which thread takes which piece.
+  which thread takes which piece.  A proxy draw that raises releases every
+  piece waiting for it, and the call raises its error.
+
+``map_batches`` gives each thread that runs its kernels one workspace for
+the grid-sized arrays of a batch (the grid values and the proxy, or the
+stable variates), reused from batch to batch and bounded by the plan; a
+sampler called outside a kernel allocates fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -82,20 +91,24 @@ DEFAULT_EPS_RATIO = 50.0  # eps_cutoff = jump_cut / 50 unless overridden
 _PIECE_ELEMS = 1 << 16  # variates, jump records or grid values per piece: 512 KiB of doubles
 
 
-def _run_pieces(work, n_pieces: int, first=None):
-    """Run ``work(i)`` once for each i in range(n_pieces); return ``first()``.
+def _run_pieces(work, n_pieces: int, first=None) -> None:
+    """Run ``first()``, when given, and ``work(i)`` once for each i in range(n_pieces).
 
     The calling thread and one helper thread take the pieces in order from a
-    shared counter until none is left.  The helper first runs ``first``,
-    when given: the batch's last generator call, so no other generator call
-    can overlap it.  The helper is made for the call and joined before it
-    returns.  With at most one piece, the calling thread runs it, then
-    ``first``, and no helper is made.
+    shared counter until none is left.  The helper first runs ``first``: the
+    batch's last generator call, so no other generator call can overlap it.
+    A piece may wait for part of what ``first`` makes (``_ProxyDraw.wait``),
+    never for another piece.  The helper is made for the call and joined
+    before it returns; an error it raised is raised here, ahead of the
+    calling thread's.  With at most one piece, the calling thread runs
+    ``first``, then the piece, and no helper is made.
     """
     if n_pieces <= 1:
+        if first is not None:
+            first()
         for i in range(n_pieces):
             work(i)
-        return None if first is None else first()
+        return
     taken = iter(range(n_pieces))
     lock = threading.Lock()
 
@@ -107,19 +120,63 @@ def _run_pieces(work, n_pieces: int, first=None):
                 return
             work(i)
 
-    def helper():
-        out = None if first is None else first()
+    def helper() -> None:
+        if first is not None:
+            first()
         take()
-        return out
 
     with ThreadPoolExecutor(1) as pool:
         pending = pool.submit(helper)
-        take()
-        return pending.result()
+        try:
+            take()
+        finally:
+            pending.result()
 
 
 def _n_pieces(n: int, per: int) -> int:
     return -(-n // per)
+
+
+class _Workspace:
+    """One thread's grow-only buffers for the grid-sized arrays of its batches.
+
+    A slot's buffer grows to the largest array asked of it and is reused by
+    every later batch on the thread, so its pages are not handed back to
+    the system after each batch and faulted in again for the next.  Each
+    buffer is an anonymous mapping of its own, not a malloc block: a
+    long-lived block in malloc's heap would keep the heap below it from
+    being trimmed.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, slot: str, shape) -> np.ndarray:
+        """The first elements of the slot's buffer, in ``shape``; not initialised."""
+        n = int(np.prod(shape))
+        buf = self._buffers.get(slot)
+        if buf is None or buf.size < n:
+            self._buffers.pop(slot, None)  # free the smaller buffer before growing
+            # private, so a forked process pool's workers copy it on write, never share it
+            buf = np.frombuffer(mmap.mmap(-1, 8 * max(n, 1), flags=mmap.MAP_PRIVATE))
+            self._buffers[slot] = buf
+        return buf[:n].reshape(shape)
+
+
+_threads = threading.local()  # .workspace: the thread's _Workspace; .active: it, while a batch runs
+
+
+def _grid_array(slot: str, shape) -> np.ndarray:
+    """An uninitialised float array for a batch: the ``slot`` of this thread's
+    workspace while ``map_batches`` runs a kernel on it, else a fresh one.
+
+    The slots are ``"values"``, the grid the batch returns, and ``"draws"``,
+    the Gaussian proxy or the stable variates.  The stable transform also
+    takes its uniforms from ``"values"``: they are dead before the grid is
+    written.
+    """
+    ws = getattr(_threads, "active", None)
+    return np.empty(shape) if ws is None else ws.take(slot, shape)
 
 
 @dataclass(frozen=True)
@@ -184,25 +241,30 @@ class BatchPaths:
         return float(self.times[1] - self.times[0])
 
     def extract(self, i: int) -> "BatchPaths":
-        """Path ``i`` as a one-path batch."""
+        """Path ``i`` as a one-path batch with arrays of its own, so it
+        outlives the batch's arrays (``map_batches`` reuses them)."""
         if not 0 <= i < self.n_paths:
             raise IndexError(f"path index {i} out of range")
         jp = jt = js = None
         if self.jump_path is not None:
             # records are (path, time)-sorted, so path i owns one block
             lo, hi = np.searchsorted(self.jump_path, [i, i + 1])
-            jt, js = self.jump_times[lo:hi], self.jump_sizes[lo:hi]
+            jt, js = self.jump_times[lo:hi].copy(), self.jump_sizes[lo:hi].copy()
             jp = np.zeros(jt.size, dtype=np.int64)
-        return replace(self, values=self.values[i:i + 1], jump_path=jp, jump_times=jt,
-                       jump_sizes=js,
-                       small_noise=None if self.small_noise is None else self.small_noise[i:i + 1])
+        return replace(self, values=self.values[i:i + 1].copy(), jump_path=jp, jump_times=jt,
+                       jump_sizes=js, small_noise=None if self.small_noise is None
+                       else self.small_noise[i:i + 1].copy())
 
 
 def standard_symmetric_stable(alpha: float, size, rng: RngStream) -> np.ndarray:
-    """Standard symmetric alpha-stable variates, E exp(iuS) = exp(-|u|^alpha)."""
+    """Standard symmetric alpha-stable variates, E exp(iuS) = exp(-|u|^alpha).
+
+    Inside a ``map_batches`` kernel they live in the thread's workspace,
+    as a batch's grid does."""
     gen = _require_stream(rng).generator()
-    u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size)
-    e = gen.standard_exponential(size)
+    u, e = _grid_array("values", size), _grid_array("draws", size)
+    gen.random(out=u)  # the uniforms on [0, 1) that gen.uniform draws
+    gen.standard_exponential(out=e)
     flat_u, flat_e = u.reshape(-1), e.reshape(-1)
     inv_a = 1.0 / alpha
 
@@ -211,6 +273,8 @@ def standard_symmetric_stable(alpha: float, size, rng: RngStream) -> np.ndarray:
         # written over e, with the same operations in the same order as the plain expression
         s = slice(i * _PIECE_ELEMS, (i + 1) * _PIECE_ELEMS)
         v = flat_u[s]
+        v *= np.pi
+        v += -np.pi / 2.0  # gen.uniform(-pi/2, pi/2) returns low + (high - low) * u
         o = np.multiply(alpha, v)
         np.sin(o, out=o)
         den = np.cos(v)
@@ -242,39 +306,18 @@ def _stable_paths(alpha: float, scale, n_paths: int, n_steps: int, rng: RngStrea
     """Paths whose increments are standard stable variates times ``scale``,
     a scalar or one factor per step."""
     incr = standard_symmetric_stable(alpha, (n_paths, n_steps), rng)
-    return _cumulate(np.empty((n_paths, n_steps + 1)), incr, scale=scale)
-
-
-def _cumulate(values: np.ndarray, incr: np.ndarray, scale=None, **records) -> BatchPaths:
-    """The batch on the unit grid whose paths are the running sums of ``incr``.
-
-    ``values`` (n_paths, n_steps + 1) becomes the batch's grid: column 0 is
-    set to 0 and the sums are written into the rest.  ``incr`` is either
-    ``values[:, 1:]`` itself, so the paths are summed in place, or a
-    separate (n_paths, n_steps) array, which is overwritten.  ``records``
-    become the batch's fields.  In each row chunk, ``incr`` is first
-    multiplied by ``scale`` (a scalar or one factor per step), then the
-    per-step ``drift_steps`` and ``small_noise`` are added, each when given,
-    in that order.
-    """
-    drift, noise = records.get("drift_steps"), records.get("small_noise")
-    n_paths, n_steps = incr.shape
+    values = _grid_array("values", (n_paths, n_steps + 1))
     rows = max(1, _PIECE_ELEMS // n_steps)
 
     def piece(i: int) -> None:
         s = slice(i * rows, (i + 1) * rows)
         block = incr[s]
-        if scale is not None:
-            block *= scale
-        if drift is not None:
-            block += drift
-        if noise is not None:
-            block += noise[s]
+        block *= scale
         values[s, 0] = 0.0
         np.cumsum(block, axis=1, out=values[s, 1:])
 
     _run_pieces(piece, _n_pieces(n_paths, rows))
-    return BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values, **records)
+    return BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values)
 
 
 @dataclass(frozen=True)
@@ -358,28 +401,76 @@ def _record_steps(t, dt: float, n_steps: int):
     return step, scaled
 
 
-def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy, thin=None):
-    """Finish, sort and bin the jump records of ``bands``, and draw the proxy.
+class _ProxyDraw:
+    """The Gaussian proxy ``gen.normal(0.0, sd, out.shape)``, drawn into ``out``
+    in the row chunks ``edges`` delimits, in order.
 
-    Works in path chunks of about ``_PIECE_ELEMS`` records.  ``thin``, when
+    :meth:`draw` is the batch's last generator call, and it runs on the
+    helper thread while the pieces of ``_jump_paths`` bin their records;
+    each piece then waits for its own chunk only (:meth:`wait`).  Chunked
+    draws are the same bits as one draw over ``out``.  ``out`` is allocated
+    on the calling thread, so the helper allocates nothing grid-sized: each
+    thread allocates from its own malloc arena, and a grid-sized array freed
+    in a helper's arena stayed resident in some runs.
+    """
+
+    def __init__(self, gen, sd: float, out: np.ndarray, edges: list[int]) -> None:
+        self.gen, self.sd, self.out, self.edges = gen, sd, out, edges
+        self._drawn = 0  # chunks drawn so far
+        self._failed = False
+        self._changed = threading.Condition()
+
+    def draw(self) -> None:
+        """Draw every chunk in order; if a draw raises, release every waiter and re-raise."""
+        try:
+            for k in range(len(self.edges) - 1):
+                rows = self.out[self.edges[k]:self.edges[k + 1]]
+                self.gen.standard_normal(out=rows)
+                np.multiply(rows, self.sd, out=rows)
+                # normal() returns loc + sd * z; adding loc = 0.0 keeps its bits
+                np.add(rows, 0.0, out=rows)
+                with self._changed:
+                    self._drawn = k + 1
+                    self._changed.notify_all()
+        except BaseException:
+            with self._changed:
+                self._failed = True
+                self._changed.notify_all()
+            raise
+
+    def wait(self, k: int) -> np.ndarray:
+        """Chunk k's rows, once drawn; raises if the draw failed before it."""
+        with self._changed:
+            self._changed.wait_for(lambda: self._drawn > k or self._failed)
+            if self._drawn <= k:
+                raise RuntimeError("the Gaussian proxy draw failed")
+        return self.out[self.edges[k]:self.edges[k + 1]]
+
+
+def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, thin=None):
+    """The batch whose jump records are those of ``bands``, with the Gaussian proxy
+    ``gen.normal(0.0, sd, (n_paths, n_steps))`` and the per-step ``drift``, if given.
+
+    Works in pieces of consecutive paths, each with at most
+    ``_PIECE_ELEMS`` grid values and about as many records.  ``thin``, when
     given, is ``(tilt, u, bound)`` for ``bands[0]``: a first pass finishes
     that band and keeps record i when u[i] (1 + bound) < 1 + beta(t_i) x_i,
-    overwriting u with log1p(beta(t) x).  The second pass finishes the other
-    bands and orders each chunk's records, its paths' records of each band
-    in turn, by (path, time); that equals ``np.lexsort((t, path_idx))`` over
-    the bands' records concatenated (see :func:`_jump_order`), so records,
-    values and log-weights are bit-identical to a lexsort's.  It then sums
-    them per step.  ``proxy``, the batch's last generator call, runs on the
-    helper thread while the calling thread takes the first chunks.
+    overwriting u with log1p(beta(t) x).  The second pass, piece by piece:
+    finishes the other bands; orders the piece's records, its paths'
+    records of each band in turn, by (path, time), which equals
+    ``np.lexsort((t, path_idx))`` over the bands' records concatenated (see
+    :func:`_jump_order`), so records, values and log-weights are
+    bit-identical to a lexsort's; sums them per step; adds the drift; waits
+    for its rows of the proxy (:class:`_ProxyDraw`, drawn on the helper
+    thread meanwhile) and adds them; and sums each path into the grid.
 
-    Returns (jump_path, t, sizes, log_tilt, values, noise): values is the
-    batch's (n_paths, n_steps + 1) grid array, each step's jump sum in the
-    column after it and column 0 not yet set, for ``_cumulate`` to sum in
-    place; log_tilt holds the kept log1p(beta(t) x) in record order, 0 on
-    the other bands' records, and is None without ``thin``.
+    Returns (batch, log_tilt): log_tilt holds the kept log1p(beta(t) x) in
+    record order, 0 on the other bands' records, and is None without
+    ``thin``.
     """
     counts = [band.counts for band in bands]  # records per path, after thinning
-    per = max(1, _PIECE_ELEMS * n_paths // max(1, sum(int(b.first[-1]) for b in bands)))
+    n_records = sum(int(b.first[-1]) for b in bands)
+    per = max(1, min(_PIECE_ELEMS // n_steps, _PIECE_ELEMS * n_paths // max(1, n_records)))
     edges = [*range(0, n_paths, per), n_paths]
     n_pieces = len(edges) - 1
     keep = None
@@ -408,9 +499,10 @@ def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy, thin=None):
     path_out = np.empty(first[-1], dtype=np.int64)
     t_out, x_out = np.empty(first[-1]), np.empty(first[-1])
     log_tilt = None if keep is None else np.empty(first[-1])
-    values = np.empty((n_paths, n_steps + 1))
+    values = _grid_array("values", (n_paths, n_steps + 1))
+    proxy = _ProxyDraw(gen, sd, _grid_array("draws", (n_paths, n_steps)), edges)
 
-    def sort_piece(i: int) -> None:
+    def piece(i: int) -> None:
         p0, p1 = edges[i], edges[i + 1]
         t, x, lt = [], [], []
         for j, band in enumerate(bands):
@@ -435,30 +527,19 @@ def _bin_with_proxy(bands, n_paths: int, n_steps: int, proxy, thin=None):
             log_tilt[o] = np.concatenate(lt)[order]
         step = _record_steps(t_out[o], 1.0 / n_steps, n_steps)[0]
         step += (path_out[o] - p0) * n_steps
-        values[p0:p1, 1:] = np.bincount(step, weights=x_out[o],
-                                        minlength=(p1 - p0) * n_steps).reshape(p1 - p0, n_steps)
+        incr = np.bincount(step, weights=x_out[o], minlength=(p1 - p0) * n_steps)
+        incr = incr.astype(float, copy=False).reshape(p1 - p0, n_steps)  # int with no records
+        if drift is not None:
+            incr += drift
+        incr += proxy.wait(i)
+        values[p0:p1, 0] = 0.0
+        np.cumsum(incr, axis=1, out=values[p0:p1, 1:])
 
-    noise = _run_pieces(sort_piece, n_pieces, proxy)
-    return path_out, t_out, x_out, log_tilt, values, noise
-
-
-def _proxy(gen, sd: float, n_paths: int, n_steps: int):
-    """The draw ``gen.normal(0.0, sd, (n_paths, n_steps))``, to be made later.
-
-    Its array is allocated here, on the calling thread, so the helper thread
-    that makes the draw allocates nothing grid-sized: each thread allocates
-    from its own malloc arena, and a grid-sized array freed in a helper's
-    arena stayed resident in some runs.
-    """
-    out = np.empty((n_paths, n_steps))
-
-    def draw() -> np.ndarray:
-        gen.standard_normal(out=out)
-        np.multiply(out, sd, out=out)
-        # normal() returns loc + sd * z; adding loc = 0.0 keeps its bits
-        return np.add(out, 0.0, out=out)
-
-    return draw
+    _run_pieces(piece, n_pieces, proxy.draw)
+    batch = BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values,
+                       jump_path=path_out, jump_times=t_out, jump_sizes=x_out,
+                       small_noise=proxy.out, drift_steps=drift)
+    return batch, log_tilt
 
 
 def _check_shape(n_paths: int, n_steps: int) -> None:
@@ -519,11 +600,7 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     gen = _require_stream(rng).generator()
     band = _Band.draw(gen, rate, n_paths, alpha, eps_cutoff, np.inf)
     sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps))
-    path_idx, t, sizes, _, values, noise = _bin_with_proxy(
-        [band], n_paths, n_steps, _proxy(gen, sd, n_paths, n_steps))
-    del band  # the raw draws die before the paths are summed
-    return _cumulate(values, values[:, 1:], jump_path=path_idx, jump_times=t, jump_sizes=sizes,
-                     small_noise=noise)
+    return _jump_paths([band], gen, sd, n_paths, n_steps)[0]
 
 
 def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, float, float]:
@@ -587,11 +664,8 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     drift = -scale * v_band * bbar * dt
 
     var = scale * truncated_second_moment(alpha, eps_cutoff) * dt  # of the proxy per step
-    path_idx, t, sizes, log_tilt, values, noise = _bin_with_proxy(
-        bands, n_paths, n_steps, _proxy(gen, np.sqrt(var), n_paths, n_steps), thin)
-    del bands, thin  # the raw draws die before the paths are summed
-    batch = _cumulate(values, values[:, 1:], jump_path=path_idx, jump_times=t, jump_sizes=sizes,
-                      small_noise=noise, drift_steps=drift)
+    batch, log_tilt = _jump_paths(bands, gen, np.sqrt(var), n_paths, n_steps, drift, thin)
+    del bands, thin  # the raw draws die before the weights are computed
     if b_bound == 0.0:
         return batch, np.zeros(n_paths)
     return batch, log_weight_batch(batch, log_tilt, bbar, var)
@@ -786,8 +860,20 @@ def batch_plan(n_total: int, n_steps: int, records: float = 0.0) -> list[tuple[i
 
 
 def _run_batch(job):
+    """Run one job of ``map_batches`` with this thread's workspace active.
+
+    A batch drawn inside another job's kernel takes fresh arrays, so it
+    cannot overwrite the outer batch.
+    """
     kernel, stream, size = job
-    return kernel(stream, size)
+    outer = getattr(_threads, "active", None)
+    if outer is None and not hasattr(_threads, "workspace"):
+        _threads.workspace = _Workspace()
+    _threads.active = _threads.workspace if outer is None else None
+    try:
+        return kernel(stream, size)
+    finally:
+        _threads.active = outer
 
 
 def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map,
@@ -803,6 +889,15 @@ def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map,
     bit-identical under any ``pmap``.  ``pmap(fn, jobs)`` may be ``map`` or
     an executor's ``map``; for a process pool, ``kernel`` must pickle, i.e.
     be a module-level function or a ``functools.partial`` of one.
+
+    Each thread that runs a kernel keeps one workspace (``_Workspace``) for
+    the grid-sized arrays of the batch it draws: the grid values and the
+    Gaussian proxy, or the stable variates.  The next batch on that thread
+    writes over them, in this call or a later one, so a kernel draws one
+    batch and returns nothing that views it (copy what it keeps).  A
+    workspace grows to the largest batch its thread has drawn, which the
+    plan bounds: two arrays of at most max(``_BATCH_ELEMS``, 64 (n_steps +
+    1)) values each.  Samplers called outside a kernel allocate fresh arrays.
     """
     _require_stream(stream)
     jobs = [(kernel, stream.child(b), size)

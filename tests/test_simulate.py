@@ -34,7 +34,7 @@ from stable_smallball import (
     write_path_csv,
     zero_shift,
 )
-from stable_smallball import simulate
+from stable_smallball import diagnostics, simulate
 from stable_smallball.diagnostics import weight_battery
 from stable_smallball.simulate import _jump_order, _sup_matrix
 
@@ -221,10 +221,8 @@ class TestSupDistance:
                         t=np.array([1.0 - 0.883, 0.1175]), x=np.array([5.0, -10.0]),
                         up=np.ones(2, dtype=bool), alpha=1.5, lower=1.0, upper=np.inf)
         assert band.t[0] * n_steps == 117.0 and band.t[0] / (1.0 / n_steps) < 117.0
-        path, t, x, _, values, noise = simulate._bin_with_proxy(
-            [band], 1, n_steps, lambda: np.zeros((1, n_steps)))
-        batch = simulate._cumulate(values, values[:, 1:], jump_path=path, jump_times=t,
-                                   jump_sizes=x, small_noise=noise)
+        # a proxy sd of 0 draws a zero proxy
+        batch, _ = simulate._jump_paths([band], np.random.default_rng(0), 0.0, 1, n_steps)
         assert sup_distance_batch(batch)[0] == pytest.approx(5.0, rel=0.0, abs=np.spacing(5.0))
 
     @settings(max_examples=40, deadline=None)
@@ -496,6 +494,69 @@ HELPER_SAMPLERS = {
 HELPER_TARGETS = [(None, 0.0), (identity_shift(), 0.5), (tent_shift(), -1.0)]
 
 
+def _grid_addresses(sample, stream, size):
+    batch = sample(size, 2048, stream)
+    return [None if a is None else a.ctypes.data for a in (batch.values, batch.small_noise)]
+
+
+def _first_path(stream, size):
+    return sample_jump_batch(PARAMS, 0.1, size, 256, stream).extract(0)
+
+
+class TestWorkspace:
+    """``map_batches`` keeps each thread's grid-sized arrays across batches."""
+
+    @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
+    def test_batches_of_one_call_reuse_one_buffer(self, name):
+        # 2100 paths of 2048 steps: batches of 2047 and 53 paths
+        got = map_batches(partial(_grid_addresses, HELPER_SAMPLERS[name]), 2100, 2048,
+                          RngStream(61))
+        assert len(got) == 2 and got[0] == got[1]
+        # outside map_batches a sampler allocates fresh arrays
+        assert _grid_addresses(HELPER_SAMPLERS[name], RngStream(61), 53)[0] != got[0][0]
+
+    def test_end_values_outlive_their_batch(self):
+        # the kernel returns a column of its batch's grid: a view of the
+        # workspace would be overwritten by the next batch
+        tilt = weight_battery(PARAMS)[0][1]
+        eps, rate_int, rate_ext = simulate.tilted_jump_rates(tilt, None)
+        plan = batch_plan(2000, 256, rate_int + rate_ext)
+        assert len(plan) >= 2
+        stream = RngStream(62)
+        want = np.concatenate([
+            sample_tilted_batch(tilt, size, 256, stream.child(b), eps_cutoff=eps)[0].values[:, -1]
+            for b, size in plan])
+        got = diagnostics._map_tilted(diagnostics._end_value_kernel, tilt, 2000, 256, stream)
+        assert got.tobytes() == want.tobytes()
+
+    def test_extracted_paths_outlive_their_batch(self):
+        with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 14):  # 64-path batches
+            plan = batch_plan(300, 256)
+            got = map_batches(_first_path, 300, 256, RngStream(64))
+        want = [_first_path(RngStream(64).child(b), size) for b, size in plan]
+        assert [_sample_bytes(path) for path in got] == [_sample_bytes(path) for path in want]
+
+    @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
+    def test_same_bytes_as_fresh_arrays_under_threads_and_processes(self, name):
+        # 300 paths in 64-path batches: 5 batches over 2 threads or 2 forked
+        # processes, so each reuses its workspace, against batches drawn by hand
+        sample, stream = HELPER_SAMPLERS[name], RngStream(63)
+        with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 14):
+            plan = batch_plan(300, 256)
+            assert [size for _, size in plan] == [64, 64, 64, 64, 44]
+            want = np.concatenate([_sup_matrix(sample(size, 256, stream.child(b)), HELPER_TARGETS)
+                                   for b, size in plan], axis=1)
+            got = {"serial": sample_sups(sample, HELPER_TARGETS, 300, 256, stream)}
+            with ThreadPoolExecutor(max_workers=2) as ex:
+                got["threads"] = sample_sups(sample, HELPER_TARGETS, 300, 256, stream, pmap=ex.map)
+            with ProcessPoolExecutor(max_workers=2,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                got["processes"] = sample_sups(sample, HELPER_TARGETS, 300, 256, stream,
+                                               pmap=partial(pool.map, timeout=120))
+        for key, sups in got.items():
+            assert sups.tobytes() == want.tobytes(), key
+
+
 class _Recorded:
     """A shift that records every time array it is evaluated at."""
 
@@ -527,30 +588,45 @@ def test_every_sampler_refuses_a_numpy_generator(draw):
 
 def _serial(work, n_pieces, first=None):
     """The contract of ``simulate._run_pieces``, on the calling thread alone."""
-    out = None if first is None else first()
+    if first is not None:
+        first()
     for i in range(n_pieces):
         work(i)
-    return out
 
 
 def _forced(schedule, calls):
     """``simulate._run_pieces`` under a forced schedule.
 
-    "helper_late": the helper starts only after the calling thread has run
-    every piece.  "caller_late": the helper starts once the calling thread
-    has taken the first piece, and the calling thread ends that piece only
-    after the helper has run all the others.  Each call appends
-    ``(n_pieces, [(piece, by_caller), ...])`` to ``calls``.
+    "helper_late": the helper starts only once the calling thread can go no
+    further: it has run every piece, or, in a pass whose pieces wait for
+    the Gaussian proxy (``first`` is its ``_ProxyDraw.draw``), it waits for
+    a chunk that the helper has not begun to draw.  "caller_late": the
+    helper starts once the calling thread has taken the first piece, and
+    the calling thread ends that piece only after the helper has drawn the
+    proxy and run all the other pieces.  Each call appends ``(n_pieces,
+    has_proxy, waited, [(piece, by_caller), ...])`` to ``calls``, waited
+    listing the chunks the calling thread waited for.
     """
     run_pieces = simulate._run_pieces
 
     def run(work, n_pieces, first=None):
-        caller, log = threading.get_ident(), []
-        calls.append((n_pieces, log))
-        started, finished = threading.Event(), threading.Event()
-        if n_pieces == 0:
+        caller, log, waited = threading.get_ident(), [], []
+        calls.append((n_pieces, first is not None, waited, log))
+        started, stuck, finished = threading.Event(), threading.Event(), threading.Event()
+        if n_pieces <= 1:  # the calling thread runs first() before its one piece
             started.set()
-            finished.set()
+            stuck.set()
+        if first is not None:
+            proxy = first.__self__
+            wait = proxy.wait
+
+            def waiting(k):
+                if threading.get_ident() == caller:
+                    waited.append(k)
+                    stuck.set()
+                return wait(k)
+
+            proxy.wait = waiting
 
         def logged(i):
             by_caller = threading.get_ident() == caller
@@ -559,17 +635,43 @@ def _forced(schedule, calls):
             work(i)
             log.append((i, by_caller))
             if len(log) == n_pieces:
+                stuck.set()
                 finished.set()
             if schedule == "caller_late" and by_caller:
                 assert finished.wait(30)
 
         def gate():
-            assert (finished if schedule == "helper_late" else started).wait(30)
-            return None if first is None else first()
+            assert (stuck if schedule == "helper_late" else started).wait(30)
+            if first is not None:
+                try:
+                    first()
+                except BaseException:
+                    finished.set()  # no other piece will run: release the calling thread
+                    raise
 
-        return run_pieces(logged, n_pieces, gate)
+        run_pieces(logged, n_pieces, gate)
 
     return run
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+class _FailingNormals:
+    """A generator whose ``standard_normal`` raises at call ``fail_at``, counted from 0."""
+
+    def __init__(self, gen, fail_at):
+        self._gen, self._left = gen, fail_at
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def standard_normal(self, *args, **kwargs):
+        if self._left == 0:
+            raise _DrawFailed
+        self._left -= 1
+        return self._gen.standard_normal(*args, **kwargs)
 
 
 def _sample_bytes(result):
@@ -597,11 +699,46 @@ class TestHelperThread:
             assert threading.active_count() == before
         assert got == want
         assert _sample_bytes(sample()) == want  # and so do the default pieces
-        assert max(n for n, _ in calls) > 10
-        for n_pieces, log in calls:
+        assert max(n for n, *_ in calls) > 10
+        assert any(has_proxy for _, has_proxy, *_ in calls) == name.startswith(("jump", "tilted"))
+        for n_pieces, has_proxy, waited, log in calls:
             assert sorted(i for i, _ in log) == list(range(n_pieces))  # each piece once
             by_caller = [i for i, mine in log if mine]
-            assert by_caller == (list(range(n_pieces)) if schedule == "helper_late" else [0])
+            if schedule == "caller_late":
+                assert by_caller == [0]
+            elif has_proxy and n_pieces > 1:  # the calling thread waited in its first piece
+                assert by_caller[0] == 0 and waited[0] == 0
+            else:
+                assert by_caller == list(range(n_pieces))
+
+    @pytest.mark.parametrize("fail_at", [0, 7])
+    @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
+    @pytest.mark.parametrize("name", ["jump", "tilted_middle", "tilted_small"])
+    def test_a_failed_proxy_draw_raises_its_error(self, name, schedule, fail_at):
+        # the proxy's chunk fail_at raises: every piece waiting for a chunk
+        # is released, and the call ends with the draw's own error, not a hang
+        generator = simulate.RngStream.generator
+        sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(58))
+        run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
+        outcome = []
+
+        def call():
+            try:
+                sample()
+            except BaseException as exc:  # noqa: BLE001 - handed to the test thread
+                outcome.append(exc)
+
+        before = threading.active_count()
+        with mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 10), \
+                mock.patch.object(simulate, "_run_pieces", run_pieces), \
+                mock.patch.object(simulate.RngStream, "generator",
+                                  lambda stream: _FailingNormals(generator(stream), fail_at)):
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(60)
+        assert not caller.is_alive(), "the sampler hung"
+        assert len(outcome) == 1 and type(outcome[0]) is _DrawFailed
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
     def test_same_bytes_under_map_threads_and_forked_processes(self, name):
