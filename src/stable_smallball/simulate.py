@@ -66,18 +66,25 @@ rule: draw first, then finish in pieces.
   which thread takes which piece.  A proxy draw that raises releases every
   piece waiting for it, and the call raises its error.
 
-``map_batches`` gives each thread that runs its kernels one workspace for
-the grid-sized arrays of a batch (the grid values and the proxy, or the
-stable variates), reused from batch to batch and bounded by the plan; a
-sampler called outside a kernel allocates fresh arrays.
+``map_batches`` runs each kernel with an arena (``_Workspace``): one
+private anonymous mapping from which the batch takes every array whose size
+scales with the batch, the grid values, the proxy or the stable variates,
+and the jump draws and records (``_batch_array``); a piece's temporaries
+stay with malloc.  The arena is reset before each batch and not handed
+back, so its pages are not faulted in again by the next batch.  Idle
+arenas sit in one list for the whole process, so a call on a thread pool
+reuses those of an earlier call, and a forked child starts without any.
+A sampler called outside a kernel allocates fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -137,46 +144,103 @@ def _n_pieces(n: int, per: int) -> int:
     return -(-n // per)
 
 
-class _Workspace:
-    """One thread's grow-only buffers for the grid-sized arrays of its batches.
+_ALIGN = 64  # bytes: every array an arena hands out starts on a cache line
 
-    A slot's buffer grows to the largest array asked of it and is reused by
-    every later batch on the thread, so its pages are not handed back to
-    the system after each batch and faulted in again for the next.  Each
-    buffer is an anonymous mapping of its own, not a malloc block: a
-    long-lived block in malloc's heap would keep the heap below it from
-    being trimmed.
+
+def _mapping(nbytes: int) -> np.ndarray:
+    """A private anonymous mapping of ``nbytes`` (at least 1), as bytes.
+
+    Private, so a forked process copies it on write and never shares it.
+    """
+    return np.frombuffer(mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE), dtype=np.uint8)
+
+
+class _Workspace:
+    """An arena for the arrays of one running batch whose size scales with the batch.
+
+    :meth:`take` hands out consecutive, cache-line aligned pieces of one
+    private anonymous mapping; nothing is freed until :meth:`reset`, which
+    ``_run_batch`` calls before each kernel, so every array of the last
+    batch is dead by then.  A new arena maps what the plan lets a batch
+    hold: two grid arrays of ``_BATCH_ELEMS`` values and 64 bytes for each
+    of ``_BATCH_RECORDS`` records.  A page is resident only once written,
+    so this costs a smaller batch no memory, and the first batch of a
+    process faults its pages in once, not once in arrays of their own and
+    again in the arena.  An array that no longer fits gets a mapping of its
+    own (a spill), and the next reset replaces the arena's mapping with one
+    of the high-water size.  Its pages are not handed back after a batch
+    and faulted in again for the next, and being a mapping, not a malloc
+    block, it keeps no part of malloc's heap from being trimmed.
     """
 
     def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
+        self._buf = _mapping(16 * _BATCH_ELEMS + 64 * _BATCH_RECORDS)
+        self.used = 0  # bytes taken since the last reset, spills included
+        self.high = 0  # the most bytes one batch has taken from this arena
 
-    def take(self, slot: str, shape) -> np.ndarray:
-        """The first elements of the slot's buffer, in ``shape``; not initialised."""
-        n = int(np.prod(shape))
-        buf = self._buffers.get(slot)
-        if buf is None or buf.size < n:
-            self._buffers.pop(slot, None)  # free the smaller buffer before growing
-            # private, so a forked process pool's workers copy it on write, never share it
-            buf = np.frombuffer(mmap.mmap(-1, 8 * max(n, 1), flags=mmap.MAP_PRIVATE))
-            self._buffers[slot] = buf
-        return buf[:n].reshape(shape)
+    def reset(self) -> None:
+        """Start a batch: every array taken so far is dead."""
+        if self.high > self._buf.size:
+            self._buf = np.empty(0, dtype=np.uint8)  # unmap the smaller mapping first
+            self._buf = _mapping(self.high)
+        self.used = 0
+
+    def take(self, shape, dtype=float) -> np.ndarray:
+        """An uninitialised array of ``shape`` and ``dtype`` from the arena."""
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        start = self.used
+        self.used += -(-nbytes // _ALIGN) * _ALIGN
+        self.high = max(self.high, self.used)
+        if self.used <= self._buf.size:
+            raw = self._buf[start:start + nbytes]
+        else:
+            raw = _mapping(nbytes)[:nbytes]
+        return raw.view(dtype).reshape(shape)
 
 
-_threads = threading.local()  # .workspace: the thread's _Workspace; .active: it, while a batch runs
+_threads = threading.local()  # .active: the arena of the batch this thread runs, if any
+_idle: list[_Workspace] = []  # the arenas no running batch holds
+_idle_lock = threading.Lock()
 
 
-def _grid_array(slot: str, shape) -> np.ndarray:
-    """An uninitialised float array for a batch: the ``slot`` of this thread's
-    workspace while ``map_batches`` runs a kernel on it, else a fresh one.
+def _forget_arenas() -> None:
+    """In a forked child: no arena of the parent's, and a lock no thread holds."""
+    global _idle, _idle_lock
+    _idle, _idle_lock = [], threading.Lock()
 
-    The slots are ``"values"``, the grid the batch returns, and ``"draws"``,
-    the Gaussian proxy or the stable variates.  The stable transform also
-    takes its uniforms from ``"values"``: they are dead before the grid is
-    written.
+
+os.register_at_fork(after_in_child=_forget_arenas)
+
+
+def _batch_array(shape, dtype=float) -> np.ndarray:
+    """An uninitialised array whose size scales with the batch: from the arena
+    of the batch that ``map_batches`` runs on this thread, else a fresh one.
+
+    The arena outlives the batch, so its arrays are overwritten by the next
+    batch that takes the arena: a kernel copies what it keeps.
     """
     ws = getattr(_threads, "active", None)
-    return np.empty(shape) if ws is None else ws.take(slot, shape)
+    return np.empty(shape, dtype) if ws is None else ws.take(shape, dtype)
+
+
+@contextmanager
+def _batch_scratch(shape):
+    """An uninitialised float array of ``shape`` for the ``with`` body only.
+
+    In an arena it is taken last and handed back when the body ends, so the
+    next array taken starts where it started: the stable transform's
+    uniforms lie where ``_stable_paths`` then takes its grid.
+    """
+    ws = getattr(_threads, "active", None)
+    if ws is None:
+        yield np.empty(shape)
+        return
+    mark = ws.used
+    try:
+        yield ws.take(shape)
+    finally:
+        ws.used = mark
 
 
 @dataclass(frozen=True)
@@ -217,7 +281,9 @@ class BatchPaths:
     the per-step Gaussian proxy of the sub-cutoff jumps (None for increment
     samplers), ``drift_steps`` the deterministic per-step drift shared by all
     paths.  The sup kernel reads these records and caches nothing on the
-    batch.
+    batch.  In a ``map_batches`` kernel, ``values``, ``small_noise`` and the
+    three record arrays are views of the batch's arena, which the next batch
+    overwrites: copy what outlives the kernel (:meth:`extract` copies).
     """
 
     times: np.ndarray
@@ -259,34 +325,35 @@ class BatchPaths:
 def standard_symmetric_stable(alpha: float, size, rng: RngStream) -> np.ndarray:
     """Standard symmetric alpha-stable variates, E exp(iuS) = exp(-|u|^alpha).
 
-    Inside a ``map_batches`` kernel they live in the thread's workspace,
-    as a batch's grid does."""
+    Inside a ``map_batches`` kernel they live in the batch's arena, as a
+    batch's grid does."""
     gen = _require_stream(rng).generator()
-    u, e = _grid_array("values", size), _grid_array("draws", size)
-    gen.random(out=u)  # the uniforms on [0, 1) that gen.uniform draws
-    gen.standard_exponential(out=e)
-    flat_u, flat_e = u.reshape(-1), e.reshape(-1)
-    inv_a = 1.0 / alpha
+    e = _batch_array(size)
+    with _batch_scratch(size) as u:
+        gen.random(out=u)  # the uniforms on [0, 1) that gen.uniform draws
+        gen.standard_exponential(out=e)
+        flat_u, flat_e = u.reshape(-1), e.reshape(-1)
+        inv_a = 1.0 / alpha
 
-    def piece(i: int) -> None:
-        # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha),
-        # written over e, with the same operations in the same order as the plain expression
-        s = slice(i * _PIECE_ELEMS, (i + 1) * _PIECE_ELEMS)
-        v = flat_u[s]
-        v *= np.pi
-        v += -np.pi / 2.0  # gen.uniform(-pi/2, pi/2) returns low + (high - low) * u
-        o = np.multiply(alpha, v)
-        np.sin(o, out=o)
-        den = np.cos(v)
-        den **= inv_a
-        o /= den
-        v *= 1.0 - alpha
-        np.cos(v, out=v)
-        v /= flat_e[s]
-        v **= (1.0 - alpha) * inv_a
-        np.multiply(o, v, out=flat_e[s])
+        def piece(i: int) -> None:
+            # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha),
+            # written over e, with the same operations in the same order as the plain expression
+            s = slice(i * _PIECE_ELEMS, (i + 1) * _PIECE_ELEMS)
+            v = flat_u[s]
+            v *= np.pi
+            v += -np.pi / 2.0  # gen.uniform(-pi/2, pi/2) returns low + (high - low) * u
+            o = np.multiply(alpha, v)
+            np.sin(o, out=o)
+            den = np.cos(v)
+            den **= inv_a
+            o /= den
+            v *= 1.0 - alpha
+            np.cos(v, out=v)
+            v /= flat_e[s]
+            v **= (1.0 - alpha) * inv_a
+            np.multiply(o, v, out=flat_e[s])
 
-    _run_pieces(piece, _n_pieces(e.size, _PIECE_ELEMS))
+        _run_pieces(piece, _n_pieces(flat_e.size, _PIECE_ELEMS))
     return e
 
 
@@ -306,7 +373,7 @@ def _stable_paths(alpha: float, scale, n_paths: int, n_steps: int, rng: RngStrea
     """Paths whose increments are standard stable variates times ``scale``,
     a scalar or one factor per step."""
     incr = standard_symmetric_stable(alpha, (n_paths, n_steps), rng)
-    values = _grid_array("values", (n_paths, n_steps + 1))
+    values = _batch_array((n_paths, n_steps + 1))  # over the transform's spent uniforms
     rows = max(1, _PIECE_ELEMS // n_steps)
 
     def piece(i: int) -> None:
@@ -347,8 +414,14 @@ class _Band:
         first = np.zeros(n_paths + 1, dtype=np.int64)
         np.cumsum(counts, out=first[1:])
         n = int(first[-1])
-        t, x = gen.random(n), gen.random(n)
-        return cls(counts, first, t, x, gen.integers(0, 2, n).astype(bool), alpha, lower, upper)
+        t, x, up = _batch_array(n), _batch_array(n), _batch_array(n, bool)
+        gen.random(out=t)
+        gen.random(out=x)
+        # the int64 signs stay a malloc block: drawn in chunks into the arena
+        # instead, they left glibc's mmap threshold low, and the pieces'
+        # temporaries then faulted in again after every batch
+        up[:] = gen.integers(0, 2, n)
+        return cls(counts, first, t, x, up, alpha, lower, upper)
 
     def records(self, p0: int, p1: int) -> slice:
         return slice(self.first[p0], self.first[p1])
@@ -477,7 +550,7 @@ def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, t
     if thin is not None:
         tilt, u, bound = thin
         thinned = bands[0]
-        keep = np.empty(u.size, dtype=bool)
+        keep = _batch_array(u.size, bool)
         counts[0] = np.empty(n_paths, dtype=np.int64)
 
         def thin_piece(i: int) -> None:
@@ -496,11 +569,12 @@ def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, t
     out_counts = sum(counts)
     first = np.zeros(n_paths + 1, dtype=np.int64)
     np.cumsum(out_counts, out=first[1:])
-    path_out = np.empty(first[-1], dtype=np.int64)
-    t_out, x_out = np.empty(first[-1]), np.empty(first[-1])
-    log_tilt = None if keep is None else np.empty(first[-1])
-    values = _grid_array("values", (n_paths, n_steps + 1))
-    proxy = _ProxyDraw(gen, sd, _grid_array("draws", (n_paths, n_steps)), edges)
+    n_out = int(first[-1])
+    path_out = _batch_array(n_out, np.int64)
+    t_out, x_out = _batch_array(n_out), _batch_array(n_out)
+    log_tilt = None if keep is None else _batch_array(n_out)
+    values = _batch_array((n_paths, n_steps + 1))
+    proxy = _ProxyDraw(gen, sd, _batch_array((n_paths, n_steps)), edges)
 
     def piece(i: int) -> None:
         p0, p1 = edges[i], edges[i + 1]
@@ -652,7 +726,9 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
 
     # interior jumps eps <= |x| < cut, thinned from the (1 + B)-inflated rate
     bands = [_Band.draw(gen, rate_int, n_paths, alpha, eps_cutoff, cut)]
-    thin = None if b_bound == 0.0 else (tilt, gen.random(bands[0].t.size), b_bound)
+    thin = None
+    if b_bound != 0.0:
+        thin = (tilt, gen.random(out=_batch_array(bands[0].t.size)), b_bound)
 
     # exterior jumps |x| >= cut, untilted; only the small regime keeps them
     if tilt.keeps_exterior_jumps:
@@ -860,20 +936,26 @@ def batch_plan(n_total: int, n_steps: int, records: float = 0.0) -> list[tuple[i
 
 
 def _run_batch(job):
-    """Run one job of ``map_batches`` with this thread's workspace active.
+    """Run one job of ``map_batches`` on an arena of its own.
 
-    A batch drawn inside another job's kernel takes fresh arrays, so it
-    cannot overwrite the outer batch.
+    The job takes an idle arena, or makes one, resets it and gives it back
+    when its kernel returns, so the process holds as many arenas as batches
+    have ever run at once, whichever threads ran them.  A batch drawn inside
+    another job's kernel takes another arena, so it cannot overwrite the
+    outer batch.
     """
     kernel, stream, size = job
+    with _idle_lock:
+        ws = _idle.pop() if _idle else _Workspace()
+    ws.reset()
     outer = getattr(_threads, "active", None)
-    if outer is None and not hasattr(_threads, "workspace"):
-        _threads.workspace = _Workspace()
-    _threads.active = _threads.workspace if outer is None else None
+    _threads.active = ws
     try:
         return kernel(stream, size)
     finally:
         _threads.active = outer
+        with _idle_lock:
+            _idle.append(ws)
 
 
 def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map,
@@ -890,14 +972,14 @@ def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map,
     an executor's ``map``; for a process pool, ``kernel`` must pickle, i.e.
     be a module-level function or a ``functools.partial`` of one.
 
-    Each thread that runs a kernel keeps one workspace (``_Workspace``) for
-    the grid-sized arrays of the batch it draws: the grid values and the
-    Gaussian proxy, or the stable variates.  The next batch on that thread
-    writes over them, in this call or a later one, so a kernel draws one
-    batch and returns nothing that views it (copy what it keeps).  A
-    workspace grows to the largest batch its thread has drawn, which the
-    plan bounds: two arrays of at most max(``_BATCH_ELEMS``, 64 (n_steps +
-    1)) values each.  Samplers called outside a kernel allocate fresh arrays.
+    Each kernel runs with an arena (``_Workspace``) that holds every array
+    of its batch whose size scales with the batch: the grid values, the
+    Gaussian proxy or the stable variates, and the jump draws and records.
+    The next batch to take that arena, in this call or a later one and on
+    any thread, writes over them, so a kernel returns nothing that views
+    its batch (copy what it keeps).  An arena grows to the largest batch
+    it has run, which the plan bounds.  Samplers called outside a kernel
+    allocate fresh arrays.
     """
     _require_stream(stream)
     jobs = [(kernel, stream.child(b), size)

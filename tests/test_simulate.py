@@ -34,7 +34,7 @@ from stable_smallball import (
     write_path_csv,
     zero_shift,
 )
-from stable_smallball import diagnostics, simulate
+from stable_smallball import diagnostics, simulate, smallball
 from stable_smallball.diagnostics import weight_battery
 from stable_smallball.simulate import _jump_order, _sup_matrix
 
@@ -494,30 +494,118 @@ HELPER_SAMPLERS = {
 HELPER_TARGETS = [(None, 0.0), (identity_shift(), 0.5), (tent_shift(), -1.0)]
 
 
-def _grid_addresses(sample, stream, size):
-    batch = sample(size, 2048, stream)
-    return [None if a is None else a.ctypes.data for a in (batch.values, batch.small_noise)]
+def _in_arena(sample, stream, size):
+    """Whether each array of the kernel's batch lies in its arena's one mapping."""
+    batch = sample(size, 256, stream)
+    buf = simulate._threads.active._buf
+    lo, hi = buf.ctypes.data, buf.ctypes.data + buf.size
+    arrays = [batch.values, batch.small_noise, batch.jump_path, batch.jump_times, batch.jump_sizes]
+    return [lo <= a.ctypes.data and a.ctypes.data + a.nbytes <= hi
+            for a in arrays if a is not None]
+
+
+def _record_count(sample, stream, size):
+    times = sample(size, 256, stream).jump_times
+    return 0 if times is None else times.size
 
 
 def _first_path(stream, size):
     return sample_jump_batch(PARAMS, 0.1, size, 256, stream).extract(0)
 
 
+def _aligned(nbytes):
+    return -(-nbytes // simulate._ALIGN) * simulate._ALIGN
+
+
+def _fresh_worker(stream):
+    """A pool worker's idle arenas before its first batch, and the sups of a mapped call."""
+    idle = len(simulate._idle)
+    return idle, sample_sups(HELPER_SAMPLERS["jump"], HELPER_TARGETS, 100, 256, stream).tobytes()
+
+
+# kernels of every estimator route that maps jump-resolved or stable draws, each
+# (kernel, records per path); each pickles, so a process pool takes it
+_IS_EPS, *_IS_RATES = simulate.tilted_jump_rates(TILTS[0], 0.1)
+_ORACLE_RATE = simulate._jump_rate(PARAMS.alpha, 0.2)
+ARENA_KERNELS = {
+    **{name: (partial(simulate._sups_kernel, sample, tuple(HELPER_TARGETS), 256, np.inf), 0.0)
+       for name, sample in HELPER_SAMPLERS.items()},
+    "is": (partial(smallball._is_kernel, TILTS[0], 0.8, 256, _IS_EPS), sum(_IS_RATES)),
+    "no_big_jump": (partial(smallball._no_big_jump_kernel, PARAMS.alpha, 0.8, 0.2, _ORACLE_RATE),
+                    _ORACLE_RATE),
+}
+
+
 class TestWorkspace:
-    """``map_batches`` keeps each thread's grid-sized arrays across batches."""
+    """``map_batches`` runs each batch on an arena that later batches reuse."""
 
     @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
-    def test_batches_of_one_call_reuse_one_buffer(self, name):
-        # 2100 paths of 2048 steps: batches of 2047 and 53 paths
-        got = map_batches(partial(_grid_addresses, HELPER_SAMPLERS[name]), 2100, 2048,
-                          RngStream(61))
-        assert len(got) == 2 and got[0] == got[1]
-        # outside map_batches a sampler allocates fresh arrays
-        assert _grid_addresses(HELPER_SAMPLERS[name], RngStream(61), 53)[0] != got[0][0]
+    def test_batches_after_the_first_take_every_array_from_one_mapping(self, name):
+        # 64-path batches (the plan's floor), and a new arena too small for one:
+        # batch 0 spills
+        with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 13), \
+                mock.patch.object(simulate, "_BATCH_RECORDS", 1 << 10), \
+                mock.patch.object(simulate, "_idle", []):
+            got = map_batches(partial(_in_arena, HELPER_SAMPLERS[name]), 300, 256, RngStream(61))
+            assert len(got) == 5 and not all(got[0]) and all(all(inside) for inside in got[1:])
+            assert len(got[1]) == (1 if name == "stable" else 5)
+            # outside map_batches a sampler allocates fresh arrays
+            arena = simulate._idle[0]._buf
+            fresh = HELPER_SAMPLERS[name](64, 256, RngStream(61)).values
+            assert not arena.ctypes.data <= fresh.ctypes.data < arena.ctypes.data + arena.size
+
+    def test_a_stable_batch_holds_two_grid_arrays(self):
+        # the transform's uniforms lie where the grid is then taken
+        with mock.patch.object(simulate, "_idle", []):
+            map_batches(partial(_record_count, HELPER_SAMPLERS["stable"]), 64, 256, RngStream(66))
+            high = simulate._idle[0].high
+        assert high == _aligned(8 * 64 * 257) + _aligned(8 * 64 * 256)
+
+    def test_a_jump_batch_holds_its_draws_records_and_grid(self):
+        with mock.patch.object(simulate, "_idle", []):
+            kernel = partial(_record_count, HELPER_SAMPLERS["jump"])
+            (n,) = map_batches(kernel, 64, 256, RngStream(67))
+            arena = simulate._idle[0]
+        # the band's instants, magnitudes and signs; the sorted paths, instants
+        # and sizes; the grid and the proxy; all in the new arena's mapping
+        high = arena.high
+        assert n > 0 and high <= arena._buf.size
+        assert high == (5 * _aligned(8 * n) + _aligned(n) + _aligned(8 * 64 * 257)
+                        + _aligned(8 * 64 * 256))
+
+    def test_a_pool_call_after_a_serial_call_makes_no_arena(self):
+        made = []
+
+        class Counted(simulate._Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        # one batch, so the pool runs no two batches at once
+        kernel, stream = ARENA_KERNELS["jump"][0], RngStream(68)
+        with mock.patch.object(simulate, "_Workspace", Counted), \
+                mock.patch.object(simulate, "_idle", []):
+            serial = map_batches(kernel, 64, 256, stream)
+            assert len(made) == 1
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                pooled = map_batches(kernel, 64, 256, stream, pmap=ex.map)
+            assert len(made) == 1 and simulate._idle == made
+        assert pooled[0].tobytes() == serial[0].tobytes()
+
+    def test_a_forked_worker_starts_without_the_parents_arenas(self):
+        stream = RngStream(69)
+        want = _fresh_worker(stream)[1]
+        assert simulate._idle
+        ctx = multiprocessing.get_context("fork")
+        with simulate._idle_lock:  # held by a parent thread across the fork
+            pool = ctx.Pool(1)
+        with pool:  # terminates the worker, should it hang on the inherited lock
+            idle, got = pool.apply_async(_fresh_worker, (stream,)).get(timeout=60)
+        assert idle == 0 and got == want
 
     def test_end_values_outlive_their_batch(self):
         # the kernel returns a column of its batch's grid: a view of the
-        # workspace would be overwritten by the next batch
+        # arena would be overwritten by the next batch
         tilt = weight_battery(PARAMS)[0][1]
         eps, rate_int, rate_ext = simulate.tilted_jump_rates(tilt, None)
         plan = batch_plan(2000, 256, rate_int + rate_ext)
@@ -536,25 +624,27 @@ class TestWorkspace:
         want = [_first_path(RngStream(64).child(b), size) for b, size in plan]
         assert [_sample_bytes(path) for path in got] == [_sample_bytes(path) for path in want]
 
-    @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
+    @pytest.mark.parametrize("name", sorted(ARENA_KERNELS))
     def test_same_bytes_as_fresh_arrays_under_threads_and_processes(self, name):
-        # 300 paths in 64-path batches: 5 batches over 2 threads or 2 forked
-        # processes, so each reuses its workspace, against batches drawn by hand
-        sample, stream = HELPER_SAMPLERS[name], RngStream(63)
+        # 300 paths in 64-path batches: 5 batches over 2 threads or 2 worker
+        # processes (forked, or from a fork server, which shares no arena),
+        # so each reuses its arenas, against the kernel run outside map_batches
+        kernel, records = ARENA_KERNELS[name]
+        stream = RngStream(63)
         with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 14):
-            plan = batch_plan(300, 256)
+            plan = batch_plan(300, 256, records)
             assert [size for _, size in plan] == [64, 64, 64, 64, 44]
-            want = np.concatenate([_sup_matrix(sample(size, 256, stream.child(b)), HELPER_TARGETS)
-                                   for b, size in plan], axis=1)
-            got = {"serial": sample_sups(sample, HELPER_TARGETS, 300, 256, stream)}
+            want = [np.asarray(kernel(stream.child(b), size)).tobytes() for b, size in plan]
+            got = {"serial": map_batches(kernel, 300, 256, stream, records=records)}
             with ThreadPoolExecutor(max_workers=2) as ex:
-                got["threads"] = sample_sups(sample, HELPER_TARGETS, 300, 256, stream, pmap=ex.map)
-            with ProcessPoolExecutor(max_workers=2,
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
-                got["processes"] = sample_sups(sample, HELPER_TARGETS, 300, 256, stream,
-                                               pmap=partial(pool.map, timeout=120))
-        for key, sups in got.items():
-            assert sups.tobytes() == want.tobytes(), key
+                got["threads"] = map_batches(kernel, 300, 256, stream, ex.map, records)
+            for method in ("fork", "forkserver"):
+                with ProcessPoolExecutor(max_workers=2,
+                                         mp_context=multiprocessing.get_context(method)) as pool:
+                    got[method] = map_batches(kernel, 300, 256, stream,
+                                              partial(pool.map, timeout=120), records)
+        for key, parts in got.items():
+            assert [np.asarray(part).tobytes() for part in parts] == want, key
 
 
 class _Recorded:
