@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy import integrate, linalg, stats
+from scipy import integrate, stats
 
 from . import constants, girsanov, lil, processes, simulate, smallball
 
@@ -90,18 +90,20 @@ def check_char_exponent_scale(alphas):
     return worst < 1e-13, f"max rel dev closed form vs quadrature {worst:.2e} (gate 1e-13)"
 
 
+def _gaussian_operator(m: int) -> np.ndarray:
+    """First column of -(1/2) d^2/dx^2 on m cells of (-1, 1), Dirichlet outside,
+    by central differences: the alpha -> 2 analogue of ``constants._stable_operator``."""
+    col = np.zeros(m - 1)
+    col[:2] = 1.0 / (2.0 / m) ** 2, -0.5 / (2.0 / m) ** 2
+    return col
+
+
 def _gaussian_eigenvalue_by_richardson(n_grid: int) -> float:
-    """Lowest Dirichlet eigenvalue of -(1/2) d^2/dx^2 on (-1, 1), the alpha -> 2
-    analogue of the stable generator, whose exact value is pi^2/8: solved by
-    the spectral solver's inverse iteration on grids n_grid/4, n_grid/2 and
-    n_grid, then Richardson-extrapolated."""
-    raw = {}
-    for m in (n_grid // 4, n_grid // 2, n_grid):
-        h = 2.0 / m
-        col = np.zeros(m - 1)
-        col[0] = 1.0 / h**2
-        col[1] = -0.5 / h**2
-        raw[m] = constants._ground_state(linalg.toeplitz(col))[0]
+    """Lowest Dirichlet eigenvalue of -(1/2) d^2/dx^2 on (-1, 1), whose exact
+    value is pi^2/8: solved by the spectral solver, on the even block, on
+    grids n_grid/4, n_grid/2 and n_grid, then Richardson-extrapolated."""
+    raw = {m: constants._ground_state(_gaussian_operator(m))
+           for m in (n_grid // 4, n_grid // 2, n_grid)}
     return constants._richardson(raw)[0]
 
 

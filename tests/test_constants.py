@@ -25,8 +25,8 @@ from stable_smallball import (
     truncated_second_moment,
 )
 from stable_smallball import constants
-from stable_smallball.constants import _inverse_iteration, _richardson, _stable_operator
-from stable_smallball.diagnostics import check_char_exponent_scale
+from stable_smallball.constants import _fold, _ground_state, _richardson, _stable_operator
+from stable_smallball.diagnostics import _gaussian_operator, check_char_exponent_scale
 from stable_smallball.simulate import sample_stable_batch, sample_sups
 
 C_ALPHA_ORACLE = {
@@ -113,27 +113,46 @@ class TestSpectral:
         assert p == pytest.approx(order, rel=1e-6)
 
     def test_eigenvalue_positive_with_positive_ground_state(self):
-        lam, vec = dirichlet_eigenvalue(1.5, 256)
-        assert lam > 0.0
-        assert np.min(vec) > -1e-8 and np.max(vec) > 0.0
+        # the solve itself refuses a ground state that changes sign
+        assert dirichlet_eigenvalue(1.5, 256) > 0.0
 
-    def test_inverse_iteration_converges_or_raises(self):
-        a_mat = _stable_operator(1.5, 64)
-        cho = linalg.cho_factor(a_mat)
-        lam1, v1 = _inverse_iteration(a_mat, cho, np.ones(63) / np.sqrt(63), 1e-12)
-        odd = np.linspace(-1.0, 1.0, 63)  # the second eigenvector is odd
-        odd /= np.linalg.norm(odd)
-        lam2, _ = _inverse_iteration(a_mat, cho, odd, 1e-10, deflate=v1)
-        assert [lam1, lam2] == pytest.approx(np.linalg.eigvalsh(a_mat)[:2], rel=1e-8)
-        for deflate in (None, v1):
-            with pytest.raises(RuntimeError, match="did not converge"):
-                _inverse_iteration(a_mat, cho, odd, 1e-10, deflate=deflate, max_iter=1)
+    @pytest.mark.parametrize("n_grid", [64, 65, 100, 101])
+    @pytest.mark.parametrize("operator", [partial(_stable_operator, 1.2),
+                                          partial(_stable_operator, 1.5),
+                                          partial(_stable_operator, 1.8), _gaussian_operator],
+                             ids=["alpha1.2", "alpha1.5", "alpha1.8", "gaussian"])
+    def test_fold_matches_the_full_matrix(self, operator, n_grid):
+        # matrix orders n_grid - 1 of both parities: an odd order has a middle vector
+        col = operator(n_grid)
+        full = linalg.eigvalsh(linalg.toeplitz(col))[:2]
+        even, odd = linalg.eigvalsh(_fold(col, 1))[0], linalg.eigvalsh(_fold(col, -1))[0]
+        assert [_ground_state(col), even, odd] == pytest.approx(full[[0, 0, 1]], rel=1e-11)
+
+    @pytest.mark.parametrize("planted, message", [
+        ({0: 4.0, 1: 1.0}, "ground state is not positive"),  # it alternates in sign
+        ({0: 2.0, 1: -1.0, -1: 2.0}, "ground state is not simple"),  # odd lowest at -0.5
+    ], ids=["sign_change", "odd_below_even"])
+    def test_solver_refuses_a_broken_operator(self, planted, message):
+        def column(alpha, m):
+            col = np.zeros(m - 1)
+            for k, v in planted.items():
+                col[k] = v
+            return col
+
+        with mock.patch.object(constants, "_stable_operator", side_effect=column):
+            with pytest.raises(RuntimeError, match=message):
+                smallball_constant_spectral(1.5, 64)
 
     def test_diagnostics_present(self):
-        res = smallball_constant_spectral(1.5, n_grid=256)
-        assert res.method == "spectral"
-        assert {*res.diagnostics} == {"grids", "raw_eigenvalues", "observed_order", "spectral_gap"}
-        assert len(res.diagnostics["grids"]) == 3
+        # n_grid 100 is not a multiple of 4: its grids 25, 50 and 100 give
+        # matrix orders of both parities
+        for n_grid, grids in ((256, [64, 128, 256]), (100, [25, 50, 100])):
+            res = smallball_constant_spectral(1.5, n_grid=n_grid)
+            assert res.method == "spectral"
+            assert {*res.diagnostics} == {"grids", "raw_eigenvalues", "observed_order",
+                                          "spectral_gap"}
+            assert res.diagnostics["grids"] == grids
+            assert res.value > 0.0 and res.diagnostics["spectral_gap"] > 0.0
 
     def test_monotone_in_alpha(self):
         vals = [smallball_constant_spectral(a, n_grid=256).value
