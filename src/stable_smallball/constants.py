@@ -9,9 +9,9 @@ sup-norm ball of radius r decays like exp(-K r^-alpha).  This module computes
 * ``smallball_constant_spectral`` / ``smallball_constant_mc``: the rate K as
   the lowest Dirichlet eigenvalue of the generator on (-1, 1) (multiply by
   R^-alpha for (-R, R)), and as the slope of -log p_hat against r^-alpha
-  from simulation; the generator's matrix is solved on its even block, which
-  holds the positive ground state (Kwasnicki 2012), and on its odd block
-  for the spectral gap,
+  from simulation; the generator's matrix is solved on its even block only,
+  which holds the positive ground state (Kwasnicki 2012), as a
+  Perron-Frobenius check of the operator's and the vector's signs confirms,
 * ``middle_shift_constant``: the series constant C(alpha) of the
   moderate-shift lower bound exp(-C(alpha) r^-alpha), which bounds K from
   above,
@@ -29,8 +29,8 @@ import numpy as np
 from .processes import AlphaStableParams
 
 _SERIES_RTOL = 1e-12
-# the operator on n_grid cells is solved as dense blocks of order n_grid/2,
-# 134 MB each at this bound; a spectral solve there peaks at about 210 MB
+# the operator on n_grid cells is solved as one dense block of order n_grid/2,
+# 134 MB at this bound; a spectral solve there peaks at about 210 MB
 _MAX_GRID = 8192
 
 
@@ -143,44 +143,46 @@ def _stable_operator(alpha: float, m: int) -> np.ndarray:
     return col
 
 
-def _fold(col: np.ndarray, parity: int) -> np.ndarray:
+def _even_block(col: np.ndarray) -> np.ndarray:
     """The block of the symmetric Toeplitz matrix with first column ``col`` on
-    its even vectors (``parity`` 1) or odd ones (-1), as the flip i -> n-1-i
-    commutes with it.  The bases are (e_i +- e_{n-1-i})/sqrt 2 for i < n//2,
-    and e_{n//2} too in the even block when n is odd; entry (i, j) is
-    col[|i-j|] +- col[n-1-i-j], over sqrt 2 in the middle row and column.
+    its even vectors, as the flip i -> n-1-i commutes with it.  The basis is
+    (e_i + e_{n-1-i})/sqrt 2 for i < n//2, and e_{n//2} too when n is odd;
+    entry (i, j) is col[|i-j|] + col[n-1-i-j], over sqrt 2 in the middle row
+    and column.
     """
     from scipy import linalg
     n = col.size
-    k = n - n // 2 if parity > 0 else n // 2
+    k = n - n // 2
     block = linalg.toeplitz(col[:k])
-    block += np.lib.stride_tricks.sliding_window_view(parity * col[::-1], k)[:k]
-    if parity > 0 and n % 2:  # the middle vector is its own mirror image
+    block += np.lib.stride_tricks.sliding_window_view(col[::-1], k)[:k]
+    if n % 2:  # the middle vector is its own mirror image
         block[-1] /= math.sqrt(2.0)
         block[:, -1] /= math.sqrt(2.0)
     return block
 
 
-def _ground_state(col: np.ndarray) -> float:
-    """Lowest eigenvalue of the symmetric Toeplitz matrix with first column
-    ``col``, solved on its even block, where the positive ground state lies:
-    the Rayleigh quotient of ``eigh``'s vector, whose error is second order in
-    the vector's, while ``eigh``'s eigenvalue is off by about eps times the
-    block's norm (1.3e-10 relative at alpha 1.8 and n_grid 4096)."""
+def _ground_state(col: np.ndarray) -> tuple[float, float]:
+    """(lambda_1, lambda_3), the two lowest even eigenvalues of the symmetric
+    Toeplitz matrix with first column ``col``, from one ``eigh`` of its even
+    block.  lambda_1 is the Rayleigh quotient of the vector: ``eigh``'s own
+    value is off by about eps times the block's norm (1.3e-10 relative at
+    alpha 1.8 and n_grid 4096).  By Perron-Frobenius, an irreducible Z-matrix
+    (col[1] < 0, col[2:] <= 0) with a nonnegative eigenvector has it at its
+    lowest eigenvalue, which is simple: no odd mode lies at or below it."""
     from scipy import linalg
     # the block is symmetric, so its transpose is the Fortran-ordered array
     # that LAPACK overwrites without a copy
-    _, vec = linalg.eigh(_fold(col, 1).T, subset_by_index=[0, 0], driver="evr",
-                         overwrite_a=True)
-    vec = vec[:, 0] if vec.sum() >= 0.0 else -vec[:, 0]
-    if np.min(vec) < -1e-8:
-        raise RuntimeError("ground state is not positive; discretization is broken")
-    return float(vec @ (_fold(col, 1) @ vec))
+    lam, vec = linalg.eigh(_even_block(col).T, subset_by_index=[0, 1], driver="evr",
+                           overwrite_a=True)
+    vec = vec[:, 0] if vec[:, 0].sum() >= 0.0 else -vec[:, 0]
+    if not (col[1] < 0.0 and np.all(col[2:] <= 0.0) and np.min(vec) >= -1e-8):
+        raise RuntimeError("ground state is not positive and simple; discretization is broken")
+    return float(vec @ (_even_block(col) @ vec)), float(lam[1])
 
 
-def dirichlet_eigenvalue(alpha: float, n_grid: int) -> float:
-    """Smallest Dirichlet eigenvalue of the generator on (-1, 1); multiply by
-    R^-alpha for (-R, R)."""
+def dirichlet_eigenvalue(alpha: float, n_grid: int) -> tuple[float, float]:
+    """(lambda_1, lambda_3), the two lowest even Dirichlet eigenvalues of the
+    generator on (-1, 1); multiply by R^-alpha for (-R, R)."""
     if not 8 <= n_grid <= _MAX_GRID:
         raise ValueError(f"n_grid must lie in [8, {_MAX_GRID}], got {n_grid}")
     if not (1.0 < alpha < 2.0):
@@ -209,30 +211,25 @@ def smallball_constant_spectral(alpha: float, n_grid: int = 1024) -> SmallBallCo
 
     K is the lowest Dirichlet eigenvalue on (-1, 1); multiply by R^-alpha for
     (-R, R), by self-similarity.  Solves on grids n_grid/4, n_grid/2 and
-    n_grid, estimates the observed convergence order from the three values
-    and extrapolates.  The returned diagnostics carry the grids, the raw
-    eigenvalues, the order and the spectral gap on the finest grid: the
-    lowest eigenvalue of the odd block less that of the even block, which
-    holds the ground state.
+    n_grid (a multiple of 4, so the ratios are 2), estimates the observed
+    convergence order from the three values and extrapolates.  The returned
+    diagnostics carry the grids, the raw eigenvalues, the order and the
+    spectral gap lambda_3 - lambda_1 on the finest grid: the next even mode,
+    since an odd one vanishes at 0 and does not enter P(sup|X| < r).
     """
-    from scipy import linalg
     if not 64 <= n_grid <= _MAX_GRID:  # before the coarser grids' operators are built
         raise ValueError(f"n_grid must lie in [64, {_MAX_GRID}], got {n_grid}")
+    if n_grid % 4:
+        raise ValueError(f"n_grid must be a multiple of 4, got {n_grid}")
     grids = [n_grid // 4, n_grid // 2, n_grid]
-    raw = {m: dirichlet_eigenvalue(alpha, m) for m in grids}
-    value, order = _richardson(raw)
-    odd = _fold(_stable_operator(alpha, grids[-1]), -1)
-    lam2 = linalg.eigh(odd.T, eigvals_only=True, subset_by_index=[0, 0], driver="evr",
-                       overwrite_a=True)[0]
-    gap = float(lam2) - raw[grids[-1]]
+    lam1, lam3 = zip(*(dirichlet_eigenvalue(alpha, m) for m in grids))
+    value, order = _richardson(dict(zip(grids, lam1)))
     diagnostics = {
         "grids": grids,
-        "raw_eigenvalues": [raw[m] for m in grids],
+        "raw_eigenvalues": list(lam1),
         "observed_order": order,
-        "spectral_gap": gap,
+        "spectral_gap": lam3[-1] - lam1[-1],
     }
-    if gap <= 0.0:
-        raise RuntimeError("ground state is not simple")
     return SmallBallConstant(alpha=alpha, value=value, method="spectral", diagnostics=diagnostics)
 
 

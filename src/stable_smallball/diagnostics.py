@@ -102,7 +102,7 @@ def _gaussian_eigenvalue_by_richardson(n_grid: int) -> float:
     """Lowest Dirichlet eigenvalue of -(1/2) d^2/dx^2 on (-1, 1), whose exact
     value is pi^2/8: solved by the spectral solver, on the even block, on
     grids n_grid/4, n_grid/2 and n_grid, then Richardson-extrapolated."""
-    raw = {m: constants._ground_state(_gaussian_operator(m))
+    raw = {m: constants._ground_state(_gaussian_operator(m))[0]
            for m in (n_grid // 4, n_grid // 2, n_grid)}
     return constants._richardson(raw)[0]
 

@@ -99,6 +99,7 @@ UNKNOWN_KEY = "config error: unknown config key"
     ("smallball crude --r 1e-200", None, 2, RECORDS),
     ("smallball is --r 0.8 --c 0.2 --eps 1e-150", None, 2, RECORDS),
     ("constants --grid 8193", None, 2, "error: n_grid must lie in [64, 8192], got 8193"),
+    ("constants --grid 66", None, 2, "error: n_grid must be a multiple of 4, got 66"),
     ("smallball crude --r 0.8 --c 0.2 --lam 0.3", None, 2,
      f"{KEY} 'lam': give either 'c' or 'lam', not both"),
     ("smallball anderson --r 2.0,0.5 --n 100 --steps 64", None, 2,
@@ -149,9 +150,10 @@ UNKNOWN_KEY = "config error: unknown config key"
         "crude-r-zero-with-c", "is-r-subnormal", "anderson-r-tiny", "crude-eps-tiny",
         "is-eps-tiny", "simulate-eps-tiny", "crude-eps-at-r", "anderson-eps-above-r",
         "simulate-eps-records", "crude-eps-records", "crude-r-records", "is-eps-records",
-        "constants-grid-above-bound", "crude-c-and-lam", "anderson-two-radii",
-        "tail-unresolved", "shift-file-missing", "shift-file-malformed", "fit-unresolved",
-        "constants-alpha-not-a-number", "integral-test-no-log-power", "sweep-k-below-21",
+        "constants-grid-above-bound", "constants-grid-not-multiple-of-4", "crude-c-and-lam",
+        "anderson-two-radii", "tail-unresolved", "shift-file-missing", "shift-file-malformed",
+        "fit-unresolved", "constants-alpha-not-a-number", "integral-test-no-log-power",
+        "sweep-k-below-21",
         "ini-unknown-key", "ini-leaf-key-in-common", "ini-unknown-section", "ini-missing",
         "ini-seed-not-int", "ini-simulate-sampler", "workers-zero", "workers-negative",
         "r-empty", "alpha-empty", "k-blank", "ini-crude-sampler", "ini-grid-kind",

@@ -25,7 +25,7 @@ from stable_smallball import (
     truncated_second_moment,
 )
 from stable_smallball import constants
-from stable_smallball.constants import _fold, _ground_state, _richardson, _stable_operator
+from stable_smallball.constants import _ground_state, _richardson, _stable_operator
 from stable_smallball.diagnostics import _gaussian_operator, check_char_exponent_scale
 from stable_smallball.simulate import sample_stable_batch, sample_sups
 
@@ -114,7 +114,8 @@ class TestSpectral:
 
     def test_eigenvalue_positive_with_positive_ground_state(self):
         # the solve itself refuses a ground state that changes sign
-        assert dirichlet_eigenvalue(1.5, 256) > 0.0
+        lam1, lam3 = dirichlet_eigenvalue(1.5, 256)
+        assert 0.0 < lam1 < lam3
 
     @pytest.mark.parametrize("n_grid", [64, 65, 100, 101])
     @pytest.mark.parametrize("operator", [partial(_stable_operator, 1.2),
@@ -124,28 +125,39 @@ class TestSpectral:
     def test_fold_matches_the_full_matrix(self, operator, n_grid):
         # matrix orders n_grid - 1 of both parities: an odd order has a middle vector
         col = operator(n_grid)
-        full = linalg.eigvalsh(linalg.toeplitz(col))[:2]
-        even, odd = linalg.eigvalsh(_fold(col, 1))[0], linalg.eigvalsh(_fold(col, -1))[0]
-        assert [_ground_state(col), even, odd] == pytest.approx(full[[0, 0, 1]], rel=1e-11)
+        lam, vec = linalg.eigh(linalg.toeplitz(col))
+        even = [k for k in range(col.size) if np.allclose(vec[::-1, k], vec[:, k], atol=1e-8)]
+        assert list(_ground_state(col)) == pytest.approx([lam[0], lam[even[1]]], rel=1e-11)
 
-    @pytest.mark.parametrize("planted, message", [
-        ({0: 4.0, 1: 1.0}, "ground state is not positive"),  # it alternates in sign
-        ({0: 2.0, 1: -1.0, -1: 2.0}, "ground state is not simple"),  # odd lowest at -0.5
-    ], ids=["sign_change", "odd_below_even"])
-    def test_solver_refuses_a_broken_operator(self, planted, message):
+    @pytest.mark.parametrize("planted", [
+        {0: 4.0, 1: 1.0},  # a positive off-diagonal entry: the vector alternates in sign
+        {0: 2.0, 2: -1.0},  # reducible: the ground vector vanishes at every odd point
+        {0: 2.0, 1: -1.0, -1: 2.0},  # odd lowest at -0.5, below a positive even vector
+        None,  # a valid operator whose solve returns a vector that changes sign
+    ], ids=["positive_off_diagonal", "reducible", "odd_below_even", "sign_change"])
+    def test_solver_refuses_a_broken_operator(self, planted):
         def column(alpha, m):
             col = np.zeros(m - 1)
             for k, v in planted.items():
                 col[k] = v
             return col
 
-        with mock.patch.object(constants, "_stable_operator", side_effect=column):
-            with pytest.raises(RuntimeError, match=message):
-                smallball_constant_spectral(1.5, 64)
+        eigh = linalg.eigh
+
+        def sign_changing_eigh(*args, **kwargs):
+            lam, vec = eigh(*args, **kwargs)
+            vec[: vec.shape[0] // 2, 0] *= -1.0
+            return lam, vec
+
+        patch = (mock.patch.object(linalg, "eigh", side_effect=sign_changing_eigh)
+                 if planted is None else
+                 mock.patch.object(constants, "_stable_operator", side_effect=column))
+        with patch, pytest.raises(RuntimeError, match="ground state is not positive and simple"):
+            smallball_constant_spectral(1.5, 64)
 
     def test_diagnostics_present(self):
-        # n_grid 100 is not a multiple of 4: its grids 25, 50 and 100 give
-        # matrix orders of both parities
+        # n_grid 100 is a multiple of 4 but not a power of 2: its grids 25, 50
+        # and 100 give matrix orders 24, 49 and 99, of both parities
         for n_grid, grids in ((256, [64, 128, 256]), (100, [25, 50, 100])):
             res = smallball_constant_spectral(1.5, n_grid=n_grid)
             assert res.method == "spectral"

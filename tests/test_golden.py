@@ -227,7 +227,7 @@ ESTIMATORS = {
     "no_big_jump_fraction": "4fc5b39239ccf7b8535d9bba09568c2920bb6b3c4fc00da09fdb49a87955c6ed",
     "tail_p_hat": "1588d36ef7306ce36bb90c31be7440d051ec3687029769f3ef951a73b80acc05",
     "mc_p_hat": "337c8d2c3898dc53c787048700f9704165a4e27fb96f6a10478dddc43d064dab",
-    "spectral": "30329b8eb772665a25490cc1655ed9cc0d247380511769270bf64299616d4983"
+    "spectral": "66ef1c62845fbca572cfccf205f9002049396ba1b3fe726bbe9f53efc77b8311"
 }
 SPLIT = {
     "frozen.values": "945e82d8fc02c1de6a39c90ea78eed92e72fe004b65a7f78aed753b24c03b7e9",
