@@ -20,51 +20,59 @@ puts a record in its step, there and in the sup kernel.  A batch holds its
 grid once: the jump samplers sum each piece's jump sums, drift and proxy
 straight into the ``values`` array the batch returns, and the stable
 transform writes its variates over its exponential draws, which are then
-summed into ``values``.
+summed into ``values``.  A jump batch with one band and no thinning writes
+its sorted records over the band's draws.
 
 A path is a :class:`BatchPaths`; one path is a batch of one
-(``BatchPaths.extract``).  One kernel evaluates sup-norm distances to scaled
-drifts, refining within each step by replaying the recorded jump instants,
-so a jump that briefly exits the ball between grid points is not missed.
-It takes every target in one cache-blocked pass per batch: each row block
-of the grid, then the jump records of the block's undecided paths, against
-all targets in turn.  A caller that only tests ``sup < r`` passes
-``cap=r`` and gets the sups capped at r: a path whose grid sup already
-reaches r for every target is then decided without its jump records.
-``sup_distance_batch`` is its one-target form.  ``map_batches`` is the one
-batch loop of every estimator: it runs a kernel over the deterministic
-``batch_plan``, each batch on its own child stream.  The plan bounds a
-batch's grid values and, given the expected jump records per path, its jump
-records: every caller that maps jump-resolved draws passes that count, from
-``_jump_rate`` or ``tilted_jump_rates``, the one owner of each rate.  Every
-estimator that counts sups draws through ``sample_sups``, which returns the
-sups of every path against every target as one matrix; the estimator keeps
-only its own reduction (``< r`` or ``> x``).
+(``BatchPaths.extract``).  One kernel (``_Sups``) evaluates sup-norm
+distances to scaled drifts, refining within each step by replaying the
+recorded jump instants, so a jump that briefly exits the ball between grid
+points is not missed.  It takes every target at once, one range of rows at
+a time: the grid rows, then the jump records of the range's undecided
+paths, against all targets in turn.  A caller that only tests ``sup < r``
+passes ``cap=r`` and gets the sups capped at r: a path whose grid sup
+already reaches r for every target is then decided without its jump
+records.  It has two drivers: ``_sup_matrix`` runs it over a finished
+batch in cache-sized row blocks (``sup_distance_batch`` is its one-target
+form), and a sampler asked for its batch's sups (``_streamed_sups``) runs
+it in each of its own pieces, right after the piece sums its paths.
+``map_batches`` is the one batch loop of every estimator: it runs a kernel
+over the deterministic ``batch_plan``, each batch on its own child stream.
+The plan bounds a batch's grid values and, given the expected jump records
+per path, its jump records: every caller that maps jump-resolved draws
+passes that count, from ``_jump_rate`` or ``tilted_jump_rates``, the one
+owner of each rate.  Every estimator that counts sups draws through
+``sample_sups``, which returns the sups of every path against every target
+as one matrix, or, for importance sampling, asks its tilted sampler for
+them; the estimator keeps only its own reduction (``< r`` or ``> x``).
 
 Inside one batch, the calling thread shares the work with one helper
 thread, made for the call (``with ThreadPoolExecutor(1)`` in
 ``_run_pieces``) and joined before it returns, so no thread outlives a call
 and none is alive when a process pool forks.  Every sampler follows one
-rule: draw first, then finish in pieces.
+rule: draw first, stream the last draw, and finish in pieces.
 
 * All generator calls run in one fixed order, on the calling thread but the
-  last: the Gaussian proxy of the jump samplers, which runs on the
-  helper, in row chunks and in order (``_ProxyDraw``), while the calling
-  thread takes the first pieces; the calling thread does not touch the
-  generator again, so the generator sees the same calls in the same order
-  as in a serial run, and chunked draws are the same bits as one.
-* Everything after the draws runs as pieces that both threads take in order
-  from a shared counter: the stable transform in element chunks and its
-  sums in row chunks; the thinning test in path chunks; the jump
-  magnitudes, the (path, time) sort, the gathers, the per-step sums and
-  the path sums in row chunks, each of which waits for its own chunk of
-  the proxy and for nothing else; the sup kernel in row blocks.  The
-  helper takes pieces once it has drawn the proxy.
+  last, which runs on the helper in chunks and in order
+  (``_StreamedDraw``) while the calling thread takes the first pieces: the
+  Gaussian proxy of the jump samplers in row chunks, and the exponential
+  variates of the stable transform in its element chunks.  The calling
+  thread does not touch the generator again, so the generator sees the
+  same calls in the same order as in a serial run, and chunked draws are
+  the same bits as one.
+* Everything else runs as pieces that both threads take in order from a
+  shared counter: the stable transform in element chunks, each of which
+  waits for its own chunk of exponentials, and its sums in row chunks; the
+  thinning test in path chunks; the jump magnitudes, the (path, time)
+  sort, the gathers, the per-step sums and the path sums in row chunks,
+  each of which waits for its own chunk of the proxy and for nothing else;
+  the sup kernel in row blocks, or inside the row chunks of a sampler
+  asked for its sups.  The helper takes pieces once it has drawn.
 * Each piece reads only its own slice of the draws and writes only its own
   slice of outputs allocated before the pieces run, and each element sees
   the same operations as in a serial pass, so the bits do not depend on
-  which thread takes which piece.  A proxy draw that raises releases every
-  piece waiting for it, and the call raises its error.
+  which thread takes which piece.  A streamed draw that raises releases
+  every piece waiting for it, and the call raises its error.
 
 ``map_batches`` runs each kernel with an arena (``_Workspace``): one
 private anonymous mapping from which the batch takes every array whose size
@@ -104,7 +112,7 @@ def _run_pieces(work, n_pieces: int, first=None) -> None:
     The calling thread and one helper thread take the pieces in order from a
     shared counter until none is left.  The helper first runs ``first``: the
     batch's last generator call, so no other generator call can overlap it.
-    A piece may wait for part of what ``first`` makes (``_ProxyDraw.wait``),
+    A piece may wait for part of what ``first`` makes (``_StreamedDraw.wait``),
     never for another piece.  The helper is made for the call and joined
     before it returns; an error it raised is raised here, ahead of the
     calling thread's.  With at most one piece, the calling thread runs
@@ -138,10 +146,6 @@ def _run_pieces(work, n_pieces: int, first=None) -> None:
             take()
         finally:
             pending.result()
-
-
-def _n_pieces(n: int, per: int) -> int:
-    return -(-n // per)
 
 
 _ALIGN = 64  # bytes: every array an arena hands out starts on a cache line
@@ -331,14 +335,15 @@ def standard_symmetric_stable(alpha: float, size, rng: RngStream) -> np.ndarray:
     e = _batch_array(size)
     with _batch_scratch(size) as u:
         gen.random(out=u)  # the uniforms on [0, 1) that gen.uniform draws
-        gen.standard_exponential(out=e)
         flat_u, flat_e = u.reshape(-1), e.reshape(-1)
+        edges = [*range(0, flat_e.size, _PIECE_ELEMS), flat_e.size]
+        exps = _StreamedDraw(lambda chunk: gen.standard_exponential(out=chunk), flat_e, edges)
         inv_a = 1.0 / alpha
 
         def piece(i: int) -> None:
             # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha),
             # written over e, with the same operations in the same order as the plain expression
-            s = slice(i * _PIECE_ELEMS, (i + 1) * _PIECE_ELEMS)
+            s = slice(edges[i], edges[i + 1])
             v = flat_u[s]
             v *= np.pi
             v += -np.pi / 2.0  # gen.uniform(-pi/2, pi/2) returns low + (high - low) * u
@@ -349,11 +354,11 @@ def standard_symmetric_stable(alpha: float, size, rng: RngStream) -> np.ndarray:
             o /= den
             v *= 1.0 - alpha
             np.cos(v, out=v)
-            v /= flat_e[s]
+            v /= exps.wait(i)
             v **= (1.0 - alpha) * inv_a
             np.multiply(o, v, out=flat_e[s])
 
-        _run_pieces(piece, _n_pieces(flat_e.size, _PIECE_ELEMS))
+        _run_pieces(piece, len(edges) - 1, exps.draw)
     return e
 
 
@@ -372,19 +377,25 @@ def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int,
 def _stable_paths(alpha: float, scale, n_paths: int, n_steps: int, rng: RngStream) -> BatchPaths:
     """Paths whose increments are standard stable variates times ``scale``,
     a scalar or one factor per step."""
+    sups = _take_sups()
     incr = standard_symmetric_stable(alpha, (n_paths, n_steps), rng)
     values = _batch_array((n_paths, n_steps + 1))  # over the transform's spent uniforms
-    rows = max(1, _PIECE_ELEMS // n_steps)
+    batch = BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values)
+    if sups is not None:
+        sups.start(batch)
+    edges = [*range(0, n_paths, max(1, _PIECE_ELEMS // n_steps)), n_paths]
 
     def piece(i: int) -> None:
-        s = slice(i * rows, (i + 1) * rows)
-        block = incr[s]
+        r0, r1 = edges[i], edges[i + 1]
+        block = incr[r0:r1]
         block *= scale
-        values[s, 0] = 0.0
-        np.cumsum(block, axis=1, out=values[s, 1:])
+        values[r0:r1, 0] = 0.0
+        np.cumsum(block, axis=1, out=values[r0:r1, 1:])
+        if sups is not None:
+            sups.rows(r0, r1)
 
-    _run_pieces(piece, _n_pieces(n_paths, rows))
-    return BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values)
+    _run_pieces(piece, len(edges) - 1)
+    return batch
 
 
 @dataclass(frozen=True)
@@ -440,27 +451,36 @@ class _Band:
 
 
 def _jump_order(path_idx, t):
-    """The permutation ``np.lexsort((t, path_idx))``, from one float sort.
+    """The permutation ``np.lexsort((t, path_idx))``, from one sort of packed keys.
 
     With t in (0, 1] and path indices below 2^53 (exact as floats), the
     real key path + t is strictly increasing in (path, time) order, and
     rounding to nearest is monotone, so the float key can merge neighbours
-    into ties but never swaps them.  Records whose keys tie therefore
-    already sit in their right slots as a block; a lexsort over just those
-    records, taken in index order, restores lexsort's exact order (ties in
-    (path, time) keep their input order).  The key sort itself need not be
-    stable, which lets NumPy use its fastest argsort.
+    into ties but never swaps them.  The keys are positive normal floats,
+    whose bit patterns sort as their values do; clearing the low
+    ceil(log2 n) bits of each truncates it, which again merges but never
+    swaps, and frees those bits for the record's index.  One in-place sort
+    of the packed keys then orders the records by truncated key, ties by
+    index, and the low bits read the order.  Records whose truncated keys
+    tie already sit in their right slots as a block, in index order; a
+    lexsort over just those records restores lexsort's exact order (ties in
+    (path, time) share a block and keep their input order).
     """
-    key = path_idx + t
-    order = np.argsort(key)
-    key = key[order]
-    tied = np.zeros(key.size, dtype=bool)
-    np.equal(key[1:], key[:-1], out=tied[1:])
+    n = t.size
+    mask = (1 << (n - 1).bit_length()) - 1 if n else 0  # the low bits that hold an index below n
+    key = np.add(path_idx, t)
+    bits = key.view(np.int64)
+    bits &= ~mask
+    bits |= np.arange(n)
+    key.sort()  # as floats: faster than as integers, and the same order
+    order = bits & mask
+    bits ^= order  # the truncated keys, in sorted order
+    tied = np.zeros(n, dtype=bool)
+    np.equal(bits[1:], bits[:-1], out=tied[1:])
     tied[:-1] |= tied[1:]
     if tied.any():
-        pos = np.flatnonzero(tied)
-        sub = np.sort(order[pos])
-        order[pos] = sub[np.lexsort((t[sub], path_idx[sub]))]
+        sub = order[tied]
+        order[tied] = sub[np.lexsort((t[sub], path_idx[sub]))]
     return order
 
 
@@ -474,21 +494,23 @@ def _record_steps(t, dt: float, n_steps: int):
     return step, scaled
 
 
-class _ProxyDraw:
-    """The Gaussian proxy ``gen.normal(0.0, sd, out.shape)``, drawn into ``out``
-    in the row chunks ``edges`` delimits, in order.
+class _StreamedDraw:
+    """A sampler's last generator call, ``draw_chunk(chunk)`` over the chunks of
+    ``out`` that ``edges`` delimits along its first axis, in order.
 
-    :meth:`draw` is the batch's last generator call, and it runs on the
-    helper thread while the pieces of ``_jump_paths`` bin their records;
-    each piece then waits for its own chunk only (:meth:`wait`).  Chunked
-    draws are the same bits as one draw over ``out``.  ``out`` is allocated
-    on the calling thread, so the helper allocates nothing grid-sized: each
-    thread allocates from its own malloc arena, and a grid-sized array freed
-    in a helper's arena stayed resident in some runs.
+    :meth:`draw` runs on the helper thread (``first`` of ``_run_pieces``)
+    while the calling thread takes the first pieces; each piece then waits
+    for its own chunk only (:meth:`wait`).  The jump samplers stream their
+    Gaussian proxy in row chunks, the stable transform its exponential
+    variates in element chunks; chunked draws are the same bits as one
+    draw over ``out``.  ``out`` is allocated on the calling thread, so the
+    helper allocates nothing batch-sized: each thread allocates from its
+    own malloc arena, and a grid-sized array freed in a helper's arena
+    stayed resident in some runs.
     """
 
-    def __init__(self, gen, sd: float, out: np.ndarray, edges: list[int]) -> None:
-        self.gen, self.sd, self.out, self.edges = gen, sd, out, edges
+    def __init__(self, draw_chunk, out: np.ndarray, edges: list[int]) -> None:
+        self.draw_chunk, self.out, self.edges = draw_chunk, out, edges
         self._drawn = 0  # chunks drawn so far
         self._failed = False
         self._changed = threading.Condition()
@@ -497,11 +519,7 @@ class _ProxyDraw:
         """Draw every chunk in order; if a draw raises, release every waiter and re-raise."""
         try:
             for k in range(len(self.edges) - 1):
-                rows = self.out[self.edges[k]:self.edges[k + 1]]
-                self.gen.standard_normal(out=rows)
-                np.multiply(rows, self.sd, out=rows)
-                # normal() returns loc + sd * z; adding loc = 0.0 keeps its bits
-                np.add(rows, 0.0, out=rows)
+                self.draw_chunk(self.out[self.edges[k]:self.edges[k + 1]])
                 with self._changed:
                     self._drawn = k + 1
                     self._changed.notify_all()
@@ -512,12 +530,19 @@ class _ProxyDraw:
             raise
 
     def wait(self, k: int) -> np.ndarray:
-        """Chunk k's rows, once drawn; raises if the draw failed before it."""
+        """Chunk k, once drawn; raises if the draw failed before it."""
         with self._changed:
             self._changed.wait_for(lambda: self._drawn > k or self._failed)
             if self._drawn <= k:
-                raise RuntimeError("the Gaussian proxy draw failed")
+                raise RuntimeError("the streamed draw failed")
         return self.out[self.edges[k]:self.edges[k + 1]]
+
+
+def _normals(gen, sd: float, rows: np.ndarray) -> None:
+    """``gen.normal(0.0, sd, rows.shape)`` into ``rows``."""
+    gen.standard_normal(out=rows)
+    np.multiply(rows, sd, out=rows)
+    np.add(rows, 0.0, out=rows)  # normal() returns loc + sd * z; adding loc = 0.0 keeps its bits
 
 
 def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, thin=None):
@@ -534,13 +559,18 @@ def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, t
     ``np.lexsort((t, path_idx))`` over the bands' records concatenated (see
     :func:`_jump_order`), so records, values and log-weights are
     bit-identical to a lexsort's; sums them per step; adds the drift; waits
-    for its rows of the proxy (:class:`_ProxyDraw`, drawn on the helper
-    thread meanwhile) and adds them; and sums each path into the grid.
+    for its rows of the proxy (:class:`_StreamedDraw`, drawn on the helper
+    thread meanwhile) and adds them; sums each path into the grid; and,
+    when the batch's sups were asked for (:func:`_streamed_sups`), takes
+    its rows' sups.  With one band and no thinning, a piece's sorted
+    records cover the slots of its draws, which it has copied, so they are
+    written back over the band's instants and sizes.
 
     Returns (batch, log_tilt): log_tilt holds the kept log1p(beta(t) x) in
     record order, 0 on the other bands' records, and is None without
     ``thin``.
     """
+    sups = _take_sups()
     counts = [band.counts for band in bands]  # records per path, after thinning
     n_records = sum(int(b.first[-1]) for b in bands)
     per = max(1, min(_PIECE_ELEMS // n_steps, _PIECE_ELEMS * n_paths // max(1, n_records)))
@@ -571,10 +601,18 @@ def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, t
     np.cumsum(out_counts, out=first[1:])
     n_out = int(first[-1])
     path_out = _batch_array(n_out, np.int64)
-    t_out, x_out = _batch_array(n_out), _batch_array(n_out)
+    if keep is None and len(bands) == 1:
+        t_out, x_out = bands[0].t, bands[0].x
+    else:
+        t_out, x_out = _batch_array(n_out), _batch_array(n_out)
     log_tilt = None if keep is None else _batch_array(n_out)
     values = _batch_array((n_paths, n_steps + 1))
-    proxy = _ProxyDraw(gen, sd, _batch_array((n_paths, n_steps)), edges)
+    proxy = _StreamedDraw(partial(_normals, gen, sd), _batch_array((n_paths, n_steps)), edges)
+    batch = BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values,
+                       jump_path=path_out, jump_times=t_out, jump_sizes=x_out,
+                       small_noise=proxy.out, drift_steps=drift)
+    if sups is not None:
+        sups.start(batch, first)
 
     def piece(i: int) -> None:
         p0, p1 = edges[i], edges[i + 1]
@@ -608,11 +646,11 @@ def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, t
         incr += proxy.wait(i)
         values[p0:p1, 0] = 0.0
         np.cumsum(incr, axis=1, out=values[p0:p1, 1:])
+        if sups is not None:
+            del t, x, lt, owner, order, step, incr  # freed before the sups take theirs
+            sups.rows(p0, p1)
 
     _run_pieces(piece, n_pieces, proxy.draw)
-    batch = BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values,
-                       jump_path=path_out, jump_times=t_out, jump_sizes=x_out,
-                       small_noise=proxy.out, drift_steps=drift)
     return batch, log_tilt
 
 
@@ -769,75 +807,84 @@ def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_
 
 
 def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
-                       shift_scale: float = 0.0, path_scale: float = 1.0,
-                       cap: float = np.inf) -> np.ndarray:
-    """min(sup_t |path_scale * X(t) - shift_scale * f(t)|, cap) for every path.
+                       shift_scale: float = 0.0, path_scale: float = 1.0) -> np.ndarray:
+    """sup_t |path_scale * X(t) - shift_scale * f(t)| for every path.
 
     The sup runs over the grid and, when jump records exist, over the left
     and right limits at each jump instant, so a jump that briefly exits the
-    ball between grid points is not missed.  A caller that only tests
-    ``sup < r`` passes ``cap=r``: the refined sup is never below the grid
-    sup, so a path whose grid sup already reaches ``cap`` is decided without
-    its jump records.  This is one row of the sup kernel that
-    :func:`sample_sups` runs for all of its targets at once.
+    ball between grid points is not missed.  This is one row of the sup
+    kernel (:class:`_Sups`) that :func:`sample_sups` runs for all of its
+    targets at once, inside the sampler's pieces.
     """
-    return _sup_matrix(batch, [(f, shift_scale)], path_scale, cap)[0]
+    return _sup_matrix(batch, [(f, shift_scale)], path_scale)[0]
 
 
-def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
-                cap: float = np.inf) -> np.ndarray:
-    """Refined sups of every path against every ``(f, shift_scale)`` target, capped.
+class _Sups:
+    """Refined sups of one batch's paths against every ``(f, shift_scale)`` target,
+    capped: the ``(len(targets), n_paths)`` matrix ``np.minimum(sup, cap)``,
+    filled a row range at a time.
 
-    Returns the ``(len(targets), n_paths)`` matrix ``np.minimum(sup, cap)``
-    in one pass over the batch, in row blocks of about ``_PIECE_ELEMS`` grid
-    values.  For each block, the grid max of every target goes through one
-    reused buffer.  The block's paths whose grid sup is below ``cap`` for
-    some target are still undecided (with ``cap`` = inf, every path); only
-    their jump records are gathered, given their left and right limits
-    (:func:`_jump_limits`) and reduced per path, again for every target.  A
-    path whose grid sup reaches ``cap`` for every target keeps it: its
-    refined sup is no smaller, so both cap to ``cap``.  f is evaluated once
-    per distinct f object and scaled per target; a None target skips the
-    subtraction.  Every element sees the same operations as a one-target
-    pass would, so each row is bit-identical to the sup against its target
-    alone.
+    :meth:`start` takes the batch, whose grid and records may still be
+    filling, evaluates f once per distinct f object on the grid, and scales
+    it per target.  :meth:`rows` then fills the columns of a range of
+    paths whose grid, records and proxy are final: the grid max of every
+    target goes through one buffer; the range's paths whose grid sup is
+    below ``cap`` for some target are still undecided (with ``cap`` = inf,
+    every path); only their jump records are gathered, given their left
+    and right limits (:func:`_jump_limits`) and reduced per path, again for
+    every target.  A path whose grid sup reaches ``cap`` for every target
+    keeps it: its refined sup is no smaller, so both cap to ``cap``.  A
+    None target skips the subtraction.  Every element sees the same
+    operations as a one-target pass over the whole batch would, and a range
+    reads and writes only its own paths, so each row is bit-identical to
+    the sup against its target alone, however the paths are split into
+    ranges and whichever thread fills each.
 
-    The row blocks are the pieces of ``_run_pieces``: each block has its
-    own buffers, builds its own limits and writes only its own columns of
-    the result, and nothing it computes depends on another block, so the
-    bits do not depend on which thread runs it.
+    Two drivers run it: :func:`_sup_matrix` over a finished batch, in row
+    blocks of about ``_PIECE_ELEMS`` grid values, and the samplers' own
+    pieces, each right after its paths are summed (:func:`_streamed_sups`).
     """
-    values = batch.values
-    n_paths, n_cols = values.shape
-    shifts = {id(f): f for f, _ in targets if f is not None}
-    grid_f = {key: np.asarray(f(batch.times), dtype=float) for key, f in shifts.items()}
-    grid_targets = [None if f is None else scale * grid_f[id(f)] for f, scale in targets]
-    out = np.empty((len(targets), n_paths))
-    rows = max(1, _PIECE_ELEMS // n_cols)
-    edges = [*range(0, n_paths, rows), n_paths]
-    refine = batch.jump_times is not None and batch.jump_times.size > 0
-    if refine:
-        # records are (path, time)-sorted: path i owns records first[i]:first[i + 1]
-        first = np.searchsorted(batch.jump_path, np.arange(n_paths + 1))
 
-    def run_block(b: int) -> None:
-        r0, r1 = edges[b], edges[b + 1]
-        block = values[r0:r1]
-        if path_scale != 1.0:
-            block = np.multiply(block, path_scale)
+    def __init__(self, targets, path_scale: float = 1.0, cap: float = np.inf) -> None:
+        self.targets, self.path_scale, self.cap = list(targets), path_scale, cap
+        self.batch = None
+
+    def start(self, batch: BatchPaths, first=None) -> None:
+        """Take ``batch``; path i owns its records ``first[i]:first[i + 1]``,
+        found from ``batch.jump_path`` when ``first`` is None."""
+        self.batch = batch
+        self.shifts = {id(f): f for f, _ in self.targets if f is not None}
+        grid_f = {key: np.asarray(f(batch.times), dtype=float) for key, f in self.shifts.items()}
+        self.grid_targets = [None if f is None else scale * grid_f[id(f)]
+                             for f, scale in self.targets]
+        self.out = np.empty((len(self.targets), batch.n_paths))
+        self.first = None
+        if batch.jump_times is not None and batch.jump_times.size > 0:
+            # records are (path, time)-sorted: path i owns records first[i]:first[i + 1]
+            self.first = (np.searchsorted(batch.jump_path, np.arange(batch.n_paths + 1))
+                          if first is None else first)
+
+    def rows(self, r0: int, r1: int) -> None:
+        """Fill the columns r0:r1."""
+        batch, out, first, cap = self.batch, self.out[:, r0:r1], self.first, self.cap
+        block = batch.values[r0:r1]
+        if self.path_scale != 1.0:
+            block = np.multiply(block, self.path_scale)
         dev = np.empty_like(block)
-        for k, target in enumerate(grid_targets):
+        for k, target in enumerate(self.grid_targets):
             if target is None:
                 np.abs(block, out=dev)
             else:
                 np.subtract(block, target, out=dev)
                 np.abs(dev, out=dev)
-            dev.max(axis=1, out=out[k, r0:r1])
-        if not refine:
-            return
+            dev.max(axis=1, out=out[k])
+        if first is not None:
+            self._refine(r0, out, first)
+        np.minimum(out, cap, out=out)
 
+    def _refine(self, r0: int, out: np.ndarray, first: np.ndarray) -> None:
         # the undecided paths with records, and where their records start
-        live = r0 + np.flatnonzero((out[:, r0:r1] < cap).any(axis=0))
+        live = r0 + np.flatnonzero((out < self.cap).any(axis=0))
         counts = first[live + 1] - first[live]
         has = counts > 0
         live, counts = live[has], counts[has]
@@ -845,13 +892,13 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
             return
         starts = np.cumsum(counts) - counts
         sel = np.repeat(first[live] - starts, counts) + np.arange(starts[-1] + counts[-1])
-        t, pre, post = _jump_limits(batch, sel)
-        if path_scale != 1.0:
-            pre, post = path_scale * pre, path_scale * post
+        t, pre, post = _jump_limits(self.batch, sel)
+        if self.path_scale != 1.0:
+            pre, post = self.path_scale * pre, self.path_scale * post
         owners = live - r0
-        jump_f = {key: np.asarray(f(t), dtype=float) for key, f in shifts.items()}
+        jump_f = {key: np.asarray(f(t), dtype=float) for key, f in self.shifts.items()}
         cand, other = np.empty(t.size), np.empty(t.size)
-        for k, (f, scale) in enumerate(targets):
+        for k, (f, scale) in enumerate(self.targets):
             if f is None:
                 np.abs(pre, out=cand)
                 np.abs(post, out=other)
@@ -861,11 +908,55 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
                 np.abs(np.subtract(post, t_target, out=other), out=other)
             np.maximum(cand, other, out=cand)
             seg_max = np.maximum.reduceat(cand, starts)
-            row = out[k, r0:r1]
-            row[owners] = np.maximum(row[owners], seg_max)
+            out[k, owners] = np.maximum(out[k, owners], seg_max)
 
-    _run_pieces(run_block, len(edges) - 1)
-    return np.minimum(out, cap, out=out)
+    def of(self, batch: BatchPaths) -> np.ndarray:
+        """The sups of ``batch``: those its sampler's pieces took, else from
+        a pass of their own (a sampler that streams no sups)."""
+        if self.batch is batch:
+            return self.out
+        return _sup_matrix(batch, self.targets, self.path_scale, self.cap)
+
+
+def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
+                cap: float = np.inf) -> np.ndarray:
+    """The sups of :class:`_Sups` over a finished batch, in one pass.
+
+    The row blocks, of about ``_PIECE_ELEMS`` grid values each, are the
+    pieces of ``_run_pieces``: each block has its own buffers, builds its
+    own limits and writes only its own columns of the result.
+    """
+    sups = _Sups(targets, path_scale, cap)
+    sups.start(batch)
+    rows = max(1, _PIECE_ELEMS // batch.values.shape[1])
+    edges = [*range(0, batch.n_paths, rows), batch.n_paths]
+    _run_pieces(lambda b: sups.rows(edges[b], edges[b + 1]), len(edges) - 1)
+    return sups.out
+
+
+@contextmanager
+def _streamed_sups(targets, cap: float):
+    """Yields the :class:`_Sups` against ``targets``, capped at ``cap``, of the
+    batch that the ``with`` body draws on this thread.
+
+    The first sampler the body calls takes them (:func:`_take_sups`), and
+    its pieces fill each range of rows as soon as the range is summed,
+    while the helper thread may still draw; ``_Sups.of`` gives them for the
+    batch the sampler returned.
+    """
+    sups = _Sups(targets, cap=cap)
+    _threads.sups = sups
+    try:
+        yield sups
+    finally:
+        _threads.sups = None
+
+
+def _take_sups() -> _Sups | None:
+    """The sups this thread's sampler is asked to fill, if any; asked of it alone."""
+    sups = getattr(_threads, "sups", None)
+    _threads.sups = None
+    return sups
 
 
 def _jump_limits(batch: BatchPaths, sel):
@@ -988,7 +1079,9 @@ def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map,
 
 
 def _sups_kernel(sample, targets, n_steps, cap, stream, size) -> np.ndarray:
-    return _sup_matrix(sample(size, n_steps, stream), targets, cap=cap)
+    with _streamed_sups(targets, cap) as sups:
+        batch = sample(size, n_steps, stream)
+    return sups.of(batch)
 
 
 def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,

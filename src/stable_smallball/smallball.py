@@ -36,9 +36,9 @@ from .constants import _distinct_levels, _stable_sups, _wls_line
 from .girsanov import TiltSpec
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
-from .simulate import RngStream, _Band, _jump_rate, _resolve_cutoff, map_batches, \
-    sample_jump_batch, sample_stable_batch, sample_sups, sample_tilted_batch, \
-    sup_distance_batch, tilted_jump_rates
+from .simulate import RngStream, _Band, _jump_rate, _resolve_cutoff, _streamed_sups, \
+    map_batches, sample_jump_batch, sample_stable_batch, sample_sups, sample_tilted_batch, \
+    tilted_jump_rates
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,9 @@ def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
 
 
 def _is_kernel(tilt, r, n_steps, eps_cutoff, stream, size):
-    batch, lw = sample_tilted_batch(tilt, size, n_steps, stream, eps_cutoff=eps_cutoff)
-    sups = sup_distance_batch(batch, cap=r)
+    with _streamed_sups([(None, 0.0)], r) as streamed:
+        batch, lw = sample_tilted_batch(tilt, size, n_steps, stream, eps_cutoff=eps_cutoff)
+    sups = streamed.of(batch)[0]
     w = np.exp(lw)
     hit = sups < r
     v = w * hit

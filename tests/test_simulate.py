@@ -432,6 +432,34 @@ class TestJumpOrder:
         p, t = records
         assert np.array_equal(_jump_order(p, t), np.lexsort((t, p)))
 
+    @pytest.mark.parametrize("owners", [(0, 3), (simulate._PIECE_ELEMS // 2 - 4,
+                                                 simulate._PIECE_ELEMS // 2)],
+                             ids=["low_owners", "largest_owners"])
+    def test_more_than_two_to_the_sixteen_records(self, owners):
+        # 70000 records need 17 index bits; the largest local owner of a piece
+        # is _PIECE_ELEMS // 2 - 1 (two steps a path), where the truncated keys
+        # are coarsest; planted exact ties and instants of 1.0 ride along
+        rng = np.random.default_rng(71)
+        n = 70_000
+        p = rng.integers(*owners, n)
+        t = 1.0 - rng.random(n)
+        t[rng.integers(0, n, 500)] = 1.0
+        dup = rng.integers(0, n, (2, 500))
+        p[dup[0]], t[dup[0]] = p[dup[1]], t[dup[1]]
+        assert np.array_equal(_jump_order(p, t), np.lexsort((t, p)))
+
+    def test_one_record(self):
+        assert np.array_equal(_jump_order(np.array([5]), np.array([1.0])), [0])
+        assert _jump_order(np.array([], dtype=np.int64), np.array([])).size == 0
+
+    def test_keys_that_tie_only_once_truncated(self):
+        # 0.5 and the next float after it differ in the last bit of the key,
+        # which a sort of 4 records clears: the later instant comes first
+        p = np.array([0, 0, 3, 0])
+        t = np.array([np.nextafter(0.5, 1.0), 0.5, 1.0, np.nextafter(0.5, 1.0)])
+        assert len(set((p + t).tolist())) == 3
+        assert np.array_equal(_jump_order(p, t), [1, 0, 3, 2])
+
 
 class TestBatchPlan:
     @settings(max_examples=200, deadline=None)
@@ -484,8 +512,8 @@ class TestMapBatches:
         assert pooled.tobytes() == got.tobytes()
 
 
-# samplers that draw the Gaussian proxy on the helper thread, and one that
-# draws none; every one is a module-level partial, so a process pool takes it
+# samplers that stream the Gaussian proxy or the stable transform's exponentials
+# on the helper thread; every one is a module-level partial, so a process pool takes it
 HELPER_SAMPLERS = {
     "jump": partial(sample_jump_batch, PARAMS, 0.1),
     "stable": partial(sample_stable_batch, PARAMS),
@@ -566,11 +594,12 @@ class TestWorkspace:
             kernel = partial(_record_count, HELPER_SAMPLERS["jump"])
             (n,) = map_batches(kernel, 64, 256, RngStream(67))
             arena = simulate._idle[0]
-        # the band's instants, magnitudes and signs; the sorted paths, instants
-        # and sizes; the grid and the proxy; all in the new arena's mapping
+        # the band's instants and magnitudes, which the sorted instants and
+        # sizes overwrite, and its signs; the sorted paths; the grid and the
+        # proxy; all in the new arena's mapping
         high = arena.high
         assert n > 0 and high <= arena._buf.size
-        assert high == (5 * _aligned(8 * n) + _aligned(n) + _aligned(8 * 64 * 257)
+        assert high == (3 * _aligned(8 * n) + _aligned(n) + _aligned(8 * 64 * 257)
                         + _aligned(8 * 64 * 256))
 
     def test_a_pool_call_after_a_serial_call_makes_no_arena(self):
@@ -689,12 +718,12 @@ def _forced(schedule, calls):
 
     "helper_late": the helper starts only once the calling thread can go no
     further: it has run every piece, or, in a pass whose pieces wait for
-    the Gaussian proxy (``first`` is its ``_ProxyDraw.draw``), it waits for
+    a streamed draw (``first`` is its ``_StreamedDraw.draw``), it waits for
     a chunk that the helper has not begun to draw.  "caller_late": the
     helper starts once the calling thread has taken the first piece, and
-    the calling thread ends that piece only after the helper has drawn the
-    proxy and run all the other pieces.  Each call appends ``(n_pieces,
-    has_proxy, waited, [(piece, by_caller), ...])`` to ``calls``, waited
+    the calling thread ends that piece only after the helper has drawn and
+    run all the other pieces.  Each call appends ``(n_pieces,
+    streams, waited, [(piece, by_caller), ...])`` to ``calls``, waited
     listing the chunks the calling thread waited for.
     """
     run_pieces = simulate._run_pieces
@@ -748,8 +777,9 @@ class _DrawFailed(Exception):
     pass
 
 
-class _FailingNormals:
-    """A generator whose ``standard_normal`` raises at call ``fail_at``, counted from 0."""
+class _FailingDraws:
+    """A generator whose ``standard_normal`` and ``standard_exponential`` raise
+    at call ``fail_at`` of either, counted from 0."""
 
     def __init__(self, gen, fail_at):
         self._gen, self._left = gen, fail_at
@@ -757,11 +787,17 @@ class _FailingNormals:
     def __getattr__(self, name):
         return getattr(self._gen, name)
 
-    def standard_normal(self, *args, **kwargs):
+    def _counted(self, draw, *args, **kwargs):
         if self._left == 0:
             raise _DrawFailed
         self._left -= 1
-        return self._gen.standard_normal(*args, **kwargs)
+        return draw(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        return self._counted(self._gen.standard_normal, *args, **kwargs)
+
+    def standard_exponential(self, *args, **kwargs):
+        return self._counted(self._gen.standard_exponential, *args, **kwargs)
 
 
 def _sample_bytes(result):
@@ -790,23 +826,24 @@ class TestHelperThread:
         assert got == want
         assert _sample_bytes(sample()) == want  # and so do the default pieces
         assert max(n for n, *_ in calls) > 10
-        assert any(has_proxy for _, has_proxy, *_ in calls) == name.startswith(("jump", "tilted"))
-        for n_pieces, has_proxy, waited, log in calls:
+        assert any(streams for _, streams, *_ in calls)  # every sampler streams its last draw
+        for n_pieces, streams, waited, log in calls:
             assert sorted(i for i, _ in log) == list(range(n_pieces))  # each piece once
             by_caller = [i for i, mine in log if mine]
             if schedule == "caller_late":
                 assert by_caller == [0]
-            elif has_proxy and n_pieces > 1:  # the calling thread waited in its first piece
+            elif streams and n_pieces > 1:  # the calling thread waited in its first piece
                 assert by_caller[0] == 0 and waited[0] == 0
             else:
                 assert by_caller == list(range(n_pieces))
 
     @pytest.mark.parametrize("fail_at", [0, 7])
     @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
-    @pytest.mark.parametrize("name", ["jump", "tilted_middle", "tilted_small"])
+    @pytest.mark.parametrize("name", ["jump", "tilted_middle", "tilted_small", "stable"])
     def test_a_failed_proxy_draw_raises_its_error(self, name, schedule, fail_at):
-        # the proxy's chunk fail_at raises: every piece waiting for a chunk
-        # is released, and the call ends with the draw's own error, not a hang
+        # chunk fail_at of the streamed draw (the jump samplers' proxy, the
+        # stable transform's exponentials) raises: every piece waiting for a
+        # chunk is released, and the call ends with the draw's own error, not a hang
         generator = simulate.RngStream.generator
         sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(58))
         run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
@@ -822,7 +859,7 @@ class TestHelperThread:
         with mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 10), \
                 mock.patch.object(simulate, "_run_pieces", run_pieces), \
                 mock.patch.object(simulate.RngStream, "generator",
-                                  lambda stream: _FailingNormals(generator(stream), fail_at)):
+                                  lambda stream: _FailingDraws(generator(stream), fail_at)):
             caller = threading.Thread(target=call, daemon=True)
             caller.start()
             caller.join(60)
@@ -892,6 +929,48 @@ class TestHelperThread:
         finally:
             sys.setswitchinterval(interval)
         assert all(r.tobytes() == want.tobytes() for r in results)
+
+
+class TestStreamedSups:
+    """Sups taken inside a sampler's pieces equal a pass over its finished batch."""
+
+    @pytest.mark.parametrize("cap", [np.inf, 6.0])  # 6.0 caps some sups of every sampler
+    @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
+    def test_equal_a_pass_over_the_batch(self, name, schedule, cap):
+        # small pieces, so the sampler's pieces cut the batch into other row
+        # ranges than the pass's blocks
+        run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
+        with mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 10), \
+                mock.patch.object(simulate, "_run_pieces", run_pieces):
+            with simulate._streamed_sups(HELPER_TARGETS, cap) as sups:
+                result = SCHEDULE_SAMPLERS[name](120, 256, RngStream(59))
+        batch = result[0] if isinstance(result, tuple) else result
+        assert sups.batch is batch  # taken in the pieces, not by a pass of their own
+        want = np.stack([np.minimum(sup_distance_batch(batch, f, lam), cap)
+                         for f, lam in HELPER_TARGETS])
+        assert sups.of(batch).tobytes() == want.tobytes()
+        if cap < np.inf:
+            assert 0 < np.count_nonzero(want == cap) < want.size
+
+    def test_a_sampler_that_streams_none_gets_a_pass(self):
+        # a batch the sampler did not build, e.g. one a caller rescaled
+        def rescaled(size, n_steps, stream):
+            batch = sample_jump_batch(PARAMS, 0.1, size, n_steps, stream)
+            return dataclasses.replace(batch, values=0.5 * batch.values)
+
+        got = simulate._sups_kernel(rescaled, tuple(HELPER_TARGETS), 256, np.inf, RngStream(60), 50)
+        batch = rescaled(50, 256, RngStream(60))
+        assert got.tobytes() == _sup_matrix(batch, HELPER_TARGETS).tobytes()
+
+    def test_the_is_kernel_counts_the_sups_of_its_batch(self):
+        kernel, _ = ARENA_KERNELS["is"]
+        batch, lw = sample_tilted_batch(TILTS[0], 200, 256, RngStream(65), eps_cutoff=_IS_EPS)
+        hit = sup_distance_batch(batch) < 0.8
+        v = np.exp(lw) * hit
+        assert 0 < hit.sum() < hit.size
+        assert kernel(RngStream(65), 200) == (float(v.sum()), float((v * v).sum()), int(hit.sum()),
+                                              float(v[hit].sum()), float((v[hit] ** 2).sum()))
 
 
 # (sampler call, tracemalloc ceiling in bytes), each ceiling set a few percent
