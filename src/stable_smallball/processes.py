@@ -113,8 +113,12 @@ class ShiftFunction:
         if self.slopes.size == 1:  # no interior knot: one slope everywhere
             out = np.full(t_arr.shape, self.slopes[0])
         else:
-            # piece i runs from knot i up to knot i + 1; t = 1 falls in the last
-            out = self.slopes[np.searchsorted(self.knot_times[1:-1], t_arr, side="right")]
+            # piece i runs from knot i up to knot i + 1, so t lies in the piece
+            # numbered by the interior knots <= t; t = 1 falls in the last
+            piece = np.zeros(t_arr.shape, dtype=np.intp)
+            for knot in self.knot_times[1:-1]:
+                piece += t_arr >= knot
+            out = self.slopes.take(piece)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def to_json(self) -> str:

@@ -50,36 +50,47 @@ Inside one batch, the calling thread shares the work with one helper
 thread, made for the call (``with ThreadPoolExecutor(1)`` in
 ``_run_pieces``) and joined before it returns, so no thread outlives a call
 and none is alive when a process pool forks.  Every sampler follows one
-rule: draw first, stream the last draw, and finish in pieces.
+rule: count first, then draw each fixed-width chunk in its piece.
 
-* All generator calls run in one fixed order, on the calling thread but the
-  last, which runs on the helper in chunks and in order
+* The calling thread walks the batch's generator through the calls of a
+  serial run in their order (``_BitStream``), drawing only the Poisson
+  counts: their width varies, and they fix the offset of every word after
+  them.  A ``random`` double takes one 64-bit word and an ``integers(0,
+  2)`` sign half of one, so each fixed-width array (a band's instants,
+  magnitudes and signs, the thinning uniforms, the stable transform's
+  uniforms) starts at a known offset, and a piece draws its own chunk from
+  a generator advanced to that chunk's offset (``_generator_at``, the one
+  place every copy of the generator comes from).
+* The last draw, whose width varies too, starts on the helper thread past
+  every fixed-width word and runs in chunks and in order
   (``_StreamedDraw``) while the calling thread takes the first pieces: the
   Gaussian proxy of the jump samplers in row chunks, and the exponential
-  variates of the stable transform in its element chunks.  The calling
-  thread does not touch the generator again, so the generator sees the
-  same calls in the same order as in a serial run, and chunked draws are
-  the same bits as one.
+  variates of the stable transform in its element chunks.  Every generator
+  call reads the same words as in a serial run, so the bits are those of
+  one.
 * Everything else runs as pieces that both threads take in order from a
   shared counter: the stable transform in element chunks, each of which
-  waits for its own chunk of exponentials, and its sums in row chunks; the
-  thinning test in path chunks; the jump magnitudes, the (path, time)
-  sort, the gathers, the per-step sums and the path sums in row chunks,
-  each of which waits for its own chunk of the proxy and for nothing else;
-  the sup kernel in row blocks, or inside the row chunks of a sampler
-  asked for its sups.  The helper takes pieces once it has drawn.
+  draws its uniforms and waits for its own chunk of exponentials, and its
+  sums in row chunks; the thinning test in path chunks; the jump draws,
+  the (path, time) sort, the gathers, the per-step sums and the path sums
+  in row chunks, each of which waits for its own chunk of the proxy and
+  for nothing else; the sup kernel in row blocks, or inside the row chunks
+  of a sampler asked for its sups.  The helper takes pieces once it has
+  drawn.
 * Each piece reads only its own slice of the draws and writes only its own
   slice of outputs allocated before the pieces run, and each element sees
   the same operations as in a serial pass, so the bits do not depend on
   which thread takes which piece.  A streamed draw that raises releases
-  every piece waiting for it, and the call raises its error.
+  every piece waiting for it, and the call raises its error; a piece whose
+  draw raises ends the call with that error.
 
 ``map_batches`` runs each kernel with an arena (``_Workspace``): one
 private anonymous mapping from which the batch takes every array whose size
 scales with the batch, the grid values, the proxy or the stable variates,
-and the jump draws and records (``_batch_array``); a piece's temporaries
-stay with malloc.  The arena is reset before each batch and not handed
-back, so its pages are not faulted in again by the next batch.  Idle
+and the jump draws and records (``_batch_array``); a piece's temporaries,
+its jumps' signs and its stable uniforms among them, stay with malloc.  The
+arena is reset before each batch and not handed back, so its pages are not
+faulted in again by the next batch.  Idle
 arenas sit in one list for the whole process, so a call on a thread pool
 reuses those of an earlier call, and a forked child starts without any.
 A sampler called outside a kernel allocates fresh arrays.
@@ -216,6 +227,13 @@ def _forget_arenas() -> None:
 
 os.register_at_fork(after_in_child=_forget_arenas)
 
+# glibc's malloc maps each block above its mmap threshold (128 KiB at first)
+# on its own and trims its heap once twice that lies free at the top; freeing
+# a mapped block raises the threshold to that block's size.  One 8 MiB block
+# freed here lets the pieces' temporaries, about 512 KiB each, reuse heap
+# pages instead of faulting in fresh ones for every piece.
+np.empty(1 << 20)
+
 
 def _batch_array(shape, dtype=float) -> np.ndarray:
     """An uninitialised array whose size scales with the batch: from the arena
@@ -226,25 +244,6 @@ def _batch_array(shape, dtype=float) -> np.ndarray:
     """
     ws = getattr(_threads, "active", None)
     return np.empty(shape, dtype) if ws is None else ws.take(shape, dtype)
-
-
-@contextmanager
-def _batch_scratch(shape):
-    """An uninitialised float array of ``shape`` for the ``with`` body only.
-
-    In an arena it is taken last and handed back when the body ends, so the
-    next array taken starts where it started: the stable transform's
-    uniforms lie where ``_stable_paths`` then takes its grid.
-    """
-    ws = getattr(_threads, "active", None)
-    if ws is None:
-        yield np.empty(shape)
-        return
-    mark = ws.used
-    try:
-        yield ws.take(shape)
-    finally:
-        ws.used = mark
 
 
 @dataclass(frozen=True)
@@ -265,6 +264,94 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, *self.subkeys))
         return np.random.default_rng(ss)
+
+
+def _generator_at(state: dict, words: int = 0, half: int | None = None) -> np.random.Generator:
+    """This thread's generator, at the bit-generator ``state`` advanced by
+    ``words`` 64-bit words; ``half``, when given, is then the buffered
+    32-bit half that the next bounded-int call reads first.
+
+    Every draw after a batch's counts comes from here, the fixed-width
+    chunks and the streamed last draw alike.  The generator is made once
+    per thread and only set and advanced after that: a new one seeds
+    itself from the OS.  Advancing drops any buffered half, so a state
+    taken mid-stream gives a generator at a whole word.
+    """
+    gen = getattr(_threads, "gen", None)
+    if gen is None:
+        gen = _threads.gen = np.random.default_rng()
+    bits = gen.bit_generator
+    bits.state = state
+    bits.advance(words)
+    if half is not None:
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": half}
+    return gen
+
+
+class _BitStream:
+    """One batch's generator, walked through the calls of a serial run in
+    their order, drawing only the variable-width ones.
+
+    :meth:`counts` draws Poisson counts here, on the calling thread: how
+    many words they take depends on the words, so each offset after them
+    waits for them.  :meth:`doubles` and :meth:`signs` draw nothing: each
+    returns where its array starts and skips its words, so a piece can draw
+    any chunk of it from its own offset (:func:`_draw_doubles`,
+    :func:`_draw_signs`).  A ``random`` double takes one 64-bit word.  An
+    ``integers(0, 2)`` sign takes half of one, low half first; an odd
+    count leaves the high half buffered, and the next bounded-int call of
+    the batch reads it first, whatever ``random`` calls come in between.
+    :meth:`rest` is where the last, variable-width draw starts: past every
+    fixed-width word.
+    """
+
+    def __init__(self, stream: RngStream) -> None:
+        self._gen = stream.generator()
+        self._held = None  # the half that the last signs left buffered, if any
+
+    def counts(self, rate: float, n: int) -> np.ndarray:
+        return self._gen.poisson(rate, n)
+
+    def doubles(self, n: int) -> dict:
+        """The start of ``random(n)``."""
+        at = self._gen.bit_generator.state
+        self._gen.bit_generator.advance(n)
+        return at
+
+    def signs(self, n: int) -> tuple[dict, int | None]:
+        """The start of ``integers(0, 2, n)``: the state of its first new
+        word, and the buffered half it reads before that word, if any."""
+        at = (self._gen.bit_generator.state, self._held)
+        if n:
+            fresh = n - (self._held is not None)  # halves of new words
+            self._held = None
+            self._gen.bit_generator.advance(fresh // 2)
+            if fresh % 2:
+                self._gen.integers(0, 2, 1)  # the last sign's word: its high half stays buffered
+                self._held = self._gen.bit_generator.state["uinteger"]
+        return at
+
+    def rest(self) -> dict:
+        return self._gen.bit_generator.state
+
+
+def _draw_doubles(at: dict, out: np.ndarray, start: int) -> None:
+    """Elements ``start:start + out.size`` of ``random(n)`` from the start ``at``, into ``out``."""
+    _generator_at(at, start).random(out=out)
+
+
+def _draw_signs(at: tuple[dict, int | None], start: int, stop: int) -> np.ndarray:
+    """Elements ``start:stop`` of ``integers(0, 2, n)`` from the start ``at``
+    (:meth:`_BitStream.signs`), as int64."""
+    state, held = at
+    if held is not None:
+        if start == 0:
+            return _generator_at(state, 0, held).integers(0, 2, stop)
+        start, stop = start - 1, stop - 1  # the held half was sign 0
+    gen = _generator_at(state, start // 2)
+    if start % 2:
+        gen.integers(0, 2, 1)  # the word's low half, sign start - 1
+    return gen.integers(0, 2, stop - start)
 
 
 def _require_stream(stream) -> RngStream:
@@ -331,34 +418,34 @@ def standard_symmetric_stable(alpha: float, size, rng: RngStream) -> np.ndarray:
 
     Inside a ``map_batches`` kernel they live in the batch's arena, as a
     batch's grid does."""
-    gen = _require_stream(rng).generator()
+    bits = _BitStream(_require_stream(rng))
     e = _batch_array(size)
-    with _batch_scratch(size) as u:
-        gen.random(out=u)  # the uniforms on [0, 1) that gen.uniform draws
-        flat_u, flat_e = u.reshape(-1), e.reshape(-1)
-        edges = [*range(0, flat_e.size, _PIECE_ELEMS), flat_e.size]
-        exps = _StreamedDraw(lambda chunk: gen.standard_exponential(out=chunk), flat_e, edges)
-        inv_a = 1.0 / alpha
+    flat_e = e.reshape(-1)
+    u_at = bits.doubles(flat_e.size)  # the uniforms on [0, 1) that gen.uniform draws
+    edges = [*range(0, flat_e.size, _PIECE_ELEMS), flat_e.size]
+    exps = _StreamedDraw(_exponentials, flat_e, edges, bits.rest())
+    inv_a = 1.0 / alpha
 
-        def piece(i: int) -> None:
-            # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha),
-            # written over e, with the same operations in the same order as the plain expression
-            s = slice(edges[i], edges[i + 1])
-            v = flat_u[s]
-            v *= np.pi
-            v += -np.pi / 2.0  # gen.uniform(-pi/2, pi/2) returns low + (high - low) * u
-            o = np.multiply(alpha, v)
-            np.sin(o, out=o)
-            den = np.cos(v)
-            den **= inv_a
-            o /= den
-            v *= 1.0 - alpha
-            np.cos(v, out=v)
-            v /= exps.wait(i)
-            v **= (1.0 - alpha) * inv_a
-            np.multiply(o, v, out=flat_e[s])
+    def piece(i: int) -> None:
+        # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha),
+        # written over e, with the same operations in the same order as the plain expression
+        s = slice(edges[i], edges[i + 1])
+        v = np.empty(s.stop - s.start)
+        _draw_doubles(u_at, v, s.start)
+        v *= np.pi
+        v += -np.pi / 2.0  # gen.uniform(-pi/2, pi/2) returns low + (high - low) * u
+        o = np.multiply(alpha, v)
+        np.sin(o, out=o)
+        den = np.cos(v)
+        den **= inv_a
+        o /= den
+        v *= 1.0 - alpha
+        np.cos(v, out=v)
+        v /= exps.wait(i)
+        v **= (1.0 - alpha) * inv_a
+        np.multiply(o, v, out=flat_e[s])
 
-        _run_pieces(piece, len(edges) - 1, exps.draw)
+    _run_pieces(piece, len(edges) - 1, exps.draw)
     return e
 
 
@@ -398,56 +485,55 @@ def _stable_paths(alpha: float, scale, n_paths: int, n_steps: int, rng: RngStrea
     return batch
 
 
-@dataclass(frozen=True)
 class _Band:
-    """The draws of one band of jumps, lower <= |x| < upper, grouped by path.
+    """One band of jumps, lower <= |x| < upper, grouped by path.
 
-    Path i owns records ``first[i]:first[i + 1]``, in draw order.  ``t`` and
-    ``x`` hold uniforms until :meth:`finish` turns a slice of them, in
-    place, into instants and signed sizes; ``up`` marks positive signs.
+    Path i owns records ``first[i]:first[i + 1]``, in draw order.  Only
+    the counts are drawn with the band.  :meth:`finish` draws a range of
+    records: the uniforms of their instants into ``t``, those of their
+    magnitudes into ``x`` and their signs, each from its own offset in the
+    batch's bit stream (``t_at``, ``x_at``, ``signs_at``), and turns them,
+    in place, into instants and signed sizes.  A plain class: a frozen
+    dataclass of ten fields takes half a millisecond to define at import.
     """
 
-    counts: np.ndarray
-    first: np.ndarray
-    t: np.ndarray
-    x: np.ndarray
-    up: np.ndarray
-    alpha: float
-    lower: float
-    upper: float
+    def __init__(self, counts, first, t, x, t_at, x_at, signs_at, alpha, lower, upper) -> None:
+        self.counts, self.first, self.t, self.x = counts, first, t, x
+        self.t_at, self.x_at, self.signs_at = t_at, x_at, signs_at
+        self.alpha, self.lower, self.upper = alpha, lower, upper
 
     @classmethod
-    def draw(cls, gen, rate: float, n_paths: int, alpha: float, lower: float,
+    def draw(cls, bits: _BitStream, rate: float, n_paths: int, alpha: float, lower: float,
              upper: float) -> "_Band":
-        """Poisson(rate) jumps per path; upper may be inf.  Draws the counts,
-        then uniforms for the instants, then for the magnitudes, then the signs."""
-        counts = gen.poisson(rate, n_paths)
+        """Poisson(rate) jumps per path; upper may be inf.  In the batch's bit
+        stream, the counts come first, then uniforms for the instants, then
+        for the magnitudes, then the signs."""
+        counts = bits.counts(rate, n_paths)
         first = np.zeros(n_paths + 1, dtype=np.int64)
         np.cumsum(counts, out=first[1:])
         n = int(first[-1])
-        t, x, up = _batch_array(n), _batch_array(n), _batch_array(n, bool)
-        gen.random(out=t)
-        gen.random(out=x)
-        # the int64 signs stay a malloc block: drawn in chunks into the arena
-        # instead, they left glibc's mmap threshold low, and the pieces'
-        # temporaries then faulted in again after every batch
-        up[:] = gen.integers(0, 2, n)
-        return cls(counts, first, t, x, up, alpha, lower, upper)
+        t_at = bits.doubles(n)
+        x_at = bits.doubles(n)
+        return cls(counts, first, _batch_array(n), _batch_array(n), t_at, x_at, bits.signs(n),
+                   alpha, lower, upper)
 
     def records(self, p0: int, p1: int) -> slice:
-        return slice(self.first[p0], self.first[p1])
+        return slice(int(self.first[p0]), int(self.first[p1]))
 
     def finish(self, s: slice) -> None:
         """Instants on (0, 1], and magnitudes with density alpha x^(-1-alpha)
         on [lower, upper) by inversion, with their signs, for the records ``s``."""
         t, x = self.t[s], self.x[s]
+        _draw_doubles(self.t_at, t, s.start)
+        _draw_doubles(self.x_at, x, s.start)
+        up = _draw_signs(self.signs_at, s.start, s.stop)
         np.subtract(1.0, t, out=t)
         hi_pow = self.upper ** -self.alpha  # 0.0 for upper = inf, so the sum below is exact
         np.subtract(1.0, x, out=x)
         x *= self.lower ** -self.alpha - hi_pow
         x += hi_pow
         x **= -1.0 / self.alpha
-        x *= 2.0 * self.up[s] - 1.0
+        x *= 2.0 * up - 1.0
 
 
 def _jump_order(path_idx, t):
@@ -495,22 +581,25 @@ def _record_steps(t, dt: float, n_steps: int):
 
 
 class _StreamedDraw:
-    """A sampler's last generator call, ``draw_chunk(chunk)`` over the chunks of
-    ``out`` that ``edges`` delimits along its first axis, in order.
+    """A sampler's last generator call, ``fill(gen, chunk)`` over the chunks of
+    ``out`` that ``edges`` delimits along its first axis, in order, from
+    the bit-generator state ``at``.
 
-    :meth:`draw` runs on the helper thread (``first`` of ``_run_pieces``)
-    while the calling thread takes the first pieces; each piece then waits
-    for its own chunk only (:meth:`wait`).  The jump samplers stream their
-    Gaussian proxy in row chunks, the stable transform its exponential
-    variates in element chunks; chunked draws are the same bits as one
-    draw over ``out``.  ``out`` is allocated on the calling thread, so the
-    helper allocates nothing batch-sized: each thread allocates from its
-    own malloc arena, and a grid-sized array freed in a helper's arena
-    stayed resident in some runs.
+    Its width varies, so it starts past every fixed-width word of the
+    batch (:meth:`_BitStream.rest`).  :meth:`draw` runs on the helper
+    thread (``first`` of ``_run_pieces``) while the calling thread takes
+    the first pieces; each piece then waits for its own chunk only
+    (:meth:`wait`).  The jump samplers stream their Gaussian proxy in row
+    chunks, the stable transform its exponential variates in element
+    chunks; chunked draws are the same bits as one draw over ``out``.
+    ``out`` is allocated on the calling thread, so the helper allocates
+    nothing batch-sized: each thread allocates from its own malloc arena,
+    and a grid-sized array freed in a helper's arena stayed resident in
+    some runs.
     """
 
-    def __init__(self, draw_chunk, out: np.ndarray, edges: list[int]) -> None:
-        self.draw_chunk, self.out, self.edges = draw_chunk, out, edges
+    def __init__(self, fill, out: np.ndarray, edges: list[int], at: dict) -> None:
+        self.fill, self.out, self.edges, self.at = fill, out, edges, at
         self._drawn = 0  # chunks drawn so far
         self._failed = False
         self._changed = threading.Condition()
@@ -518,8 +607,9 @@ class _StreamedDraw:
     def draw(self) -> None:
         """Draw every chunk in order; if a draw raises, release every waiter and re-raise."""
         try:
+            gen = _generator_at(self.at)
             for k in range(len(self.edges) - 1):
-                self.draw_chunk(self.out[self.edges[k]:self.edges[k + 1]])
+                self.fill(gen, self.out[self.edges[k]:self.edges[k + 1]])
                 with self._changed:
                     self._drawn = k + 1
                     self._changed.notify_all()
@@ -538,23 +628,31 @@ class _StreamedDraw:
         return self.out[self.edges[k]:self.edges[k + 1]]
 
 
-def _normals(gen, sd: float, rows: np.ndarray) -> None:
+def _normals(sd: float, gen, rows: np.ndarray) -> None:
     """``gen.normal(0.0, sd, rows.shape)`` into ``rows``."""
     gen.standard_normal(out=rows)
     np.multiply(rows, sd, out=rows)
     np.add(rows, 0.0, out=rows)  # normal() returns loc + sd * z; adding loc = 0.0 keeps its bits
 
 
-def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, thin=None):
+def _exponentials(gen, out: np.ndarray) -> None:
+    gen.standard_exponential(out=out)
+
+
+def _jump_paths(bands, rest: dict, sd: float, n_paths: int, n_steps: int, drift=None,
+                thin=None):
     """The batch whose jump records are those of ``bands``, with the Gaussian proxy
-    ``gen.normal(0.0, sd, (n_paths, n_steps))`` and the per-step ``drift``, if given.
+    ``gen.normal(0.0, sd, (n_paths, n_steps))`` drawn from the bit-generator
+    state ``rest`` and the per-step ``drift``, if given.
 
     Works in pieces of consecutive paths, each with at most
     ``_PIECE_ELEMS`` grid values and about as many records.  ``thin``, when
-    given, is ``(tilt, u, bound)`` for ``bands[0]``: a first pass finishes
-    that band and keeps record i when u[i] (1 + bound) < 1 + beta(t_i) x_i,
-    overwriting u with log1p(beta(t) x).  The second pass, piece by piece:
-    finishes the other bands; orders the piece's records, its paths'
+    given, is ``(tilt, u_at, bound)`` for ``bands[0]``, u_at the start of
+    its uniforms ``random(n)`` (:meth:`_BitStream.doubles`): a first pass
+    draws and finishes that band's records, draws their uniforms u and
+    keeps record i when u[i] (1 + bound) < 1 + beta(t_i) x_i, overwriting u
+    with log1p(beta(t) x).  The second pass, piece by piece: draws and
+    finishes the other bands' records; orders the piece's records, its paths'
     records of each band in turn, by (path, time), which equals
     ``np.lexsort((t, path_idx))`` over the bands' records concatenated (see
     :func:`_jump_order`), so records, values and log-weights are
@@ -578,8 +676,9 @@ def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, t
     n_pieces = len(edges) - 1
     keep = None
     if thin is not None:
-        tilt, u, bound = thin
+        tilt, u_at, bound = thin
         thinned = bands[0]
+        u = _batch_array(thinned.t.size)
         keep = _batch_array(u.size, bool)
         counts[0] = np.empty(n_paths, dtype=np.int64)
 
@@ -587,6 +686,7 @@ def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, t
             p0, p1 = edges[i], edges[i + 1]
             s = thinned.records(p0, p1)
             thinned.finish(s)
+            _draw_doubles(u_at, u[s], s.start)
             bx = tilt.beta(thinned.t[s])
             bx *= thinned.x[s]
             np.less(u[s] * (1.0 + bound), 1.0 + bx, out=keep[s])
@@ -607,7 +707,7 @@ def _jump_paths(bands, gen, sd: float, n_paths: int, n_steps: int, drift=None, t
         t_out, x_out = _batch_array(n_out), _batch_array(n_out)
     log_tilt = None if keep is None else _batch_array(n_out)
     values = _batch_array((n_paths, n_steps + 1))
-    proxy = _StreamedDraw(partial(_normals, gen, sd), _batch_array((n_paths, n_steps)), edges)
+    proxy = _StreamedDraw(partial(_normals, sd), _batch_array((n_paths, n_steps)), edges, rest)
     batch = BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values,
                        jump_path=path_out, jump_times=t_out, jump_sizes=x_out,
                        small_noise=proxy.out, drift_steps=drift)
@@ -709,10 +809,10 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
         raise ValueError("eps_cutoff must be positive and finite")
     alpha = params.alpha
     rate = _jump_rate(alpha, eps_cutoff)
-    gen = _require_stream(rng).generator()
-    band = _Band.draw(gen, rate, n_paths, alpha, eps_cutoff, np.inf)
+    bits = _BitStream(_require_stream(rng))
+    band = _Band.draw(bits, rate, n_paths, alpha, eps_cutoff, np.inf)
     sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps))
-    return _jump_paths([band], gen, sd, n_paths, n_steps)[0]
+    return _jump_paths([band], bits.rest(), sd, n_paths, n_steps)[0]
 
 
 def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, float, float]:
@@ -754,7 +854,7 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     Returns (batch, log_weights).
     """
     _check_shape(n_paths, n_steps)
-    gen = _require_stream(rng).generator()
+    bits = _BitStream(_require_stream(rng))
     alpha = tilt.params.alpha
     cut = tilt.jump_cut
     scale = tilt.intensity_scale
@@ -763,14 +863,14 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     dt = 1.0 / n_steps
 
     # interior jumps eps <= |x| < cut, thinned from the (1 + B)-inflated rate
-    bands = [_Band.draw(gen, rate_int, n_paths, alpha, eps_cutoff, cut)]
+    bands = [_Band.draw(bits, rate_int, n_paths, alpha, eps_cutoff, cut)]
     thin = None
     if b_bound != 0.0:
-        thin = (tilt, gen.random(out=_batch_array(bands[0].t.size)), b_bound)
+        thin = (tilt, bits.doubles(bands[0].t.size), b_bound)
 
     # exterior jumps |x| >= cut, untilted; only the small regime keeps them
     if tilt.keeps_exterior_jumps:
-        bands.append(_Band.draw(gen, rate_ext, n_paths, alpha, cut, np.inf))
+        bands.append(_Band.draw(bits, rate_ext, n_paths, alpha, cut, np.inf))
 
     # compensate the tilt of the interior band so the component is a martingale
     bbar = step_mean_amplitude(tilt, n_steps)
@@ -778,7 +878,8 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     drift = -scale * v_band * bbar * dt
 
     var = scale * truncated_second_moment(alpha, eps_cutoff) * dt  # of the proxy per step
-    batch, log_tilt = _jump_paths(bands, gen, np.sqrt(var), n_paths, n_steps, drift, thin)
+    batch, log_tilt = _jump_paths(bands, bits.rest(), np.sqrt(var), n_paths, n_steps, drift,
+                                  thin)
     del bands, thin  # the raw draws die before the weights are computed
     if b_bound == 0.0:
         return batch, np.zeros(n_paths)

@@ -36,7 +36,7 @@ from .constants import _distinct_levels, _stable_sups, _wls_line
 from .girsanov import TiltSpec
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
-from .simulate import RngStream, _Band, _jump_rate, _resolve_cutoff, _streamed_sups, \
+from .simulate import RngStream, _Band, _BitStream, _jump_rate, _resolve_cutoff, _streamed_sups, \
     map_batches, sample_jump_batch, sample_stable_batch, sample_sups, sample_tilted_batch, \
     tilted_jump_rates
 
@@ -188,8 +188,8 @@ def _no_big_jump_kernel(alpha, r, eps_cutoff, rate, stream, size) -> int:
     """The number of paths with no |x| >= r among the jumps above
     ``eps_cutoff``, at ``rate`` per path, that ``sample_jump_batch`` draws
     on ``stream``."""
-    band = _Band.draw(stream.generator(), rate, size, alpha, eps_cutoff, np.inf)
-    band.finish(slice(None))
+    band = _Band.draw(_BitStream(stream), rate, size, alpha, eps_cutoff, np.inf)
+    band.finish(band.records(0, size))
     owner = np.repeat(np.arange(size), band.counts)
     return size - np.unique(owner[np.abs(band.x) >= r]).size
 

@@ -91,7 +91,7 @@ class TestShiftFunction:
     @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=8),
            st.lists(st.floats(0.0, 1.0), max_size=16), st.integers(0, 2**32 - 1))
     def test_derivative_equals_clipped_search(self, interior, extra_t, seed):
-        # the slope index of one search over the interior knots equals the
+        # the slope index, the count of interior knots <= t, equals the
         # clipped index of a search over all knots, at 0, every knot and 1
         times = np.unique([0.0, *interior, 1.0])
         assume(np.all(np.diff(times) > 1e-9))

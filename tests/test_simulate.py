@@ -219,10 +219,12 @@ class TestSupDistance:
         n_steps = 1000
         band = Finished(counts=np.array([2]), first=np.array([0, 2]),
                         t=np.array([1.0 - 0.883, 0.1175]), x=np.array([5.0, -10.0]),
-                        up=np.ones(2, dtype=bool), alpha=1.5, lower=1.0, upper=np.inf)
+                        t_at=None, x_at=None, signs_at=None, alpha=1.5, lower=1.0,
+                        upper=np.inf)
         assert band.t[0] * n_steps == 117.0 and band.t[0] / (1.0 / n_steps) < 117.0
         # a proxy sd of 0 draws a zero proxy
-        batch, _ = simulate._jump_paths([band], np.random.default_rng(0), 0.0, 1, n_steps)
+        rest = np.random.default_rng(0).bit_generator.state
+        batch, _ = simulate._jump_paths([band], rest, 0.0, 1, n_steps)
         assert sup_distance_batch(batch)[0] == pytest.approx(5.0, rel=0.0, abs=np.spacing(5.0))
 
     @settings(max_examples=40, deadline=None)
@@ -414,6 +416,129 @@ def interior_plus_exterior(draw):
     return _records(draw, paths.tolist())
 
 
+def _at(seed, words=0):
+    """A PCG64 state of ``seed``, ``words`` words on, as ``simulate._BitStream`` records one."""
+    bits = RngStream(seed).generator().bit_generator
+    bits.advance(words)
+    return bits.state
+
+
+def _gen(seed):
+    return RngStream(seed).generator()
+
+
+class TestNumpyWords:
+    """The facts about NumPy's generators that the offsets of a batch's
+    fixed-width draws rest on, checked against NumPy through the positioning
+    that the samplers' pieces use, at even and odd chunk starts."""
+
+    @pytest.mark.parametrize("start", [0, 1, 6, 7])
+    def test_a_double_takes_one_word(self, start):
+        want = _gen(70).random(20)
+        got = np.empty(20 - start)
+        simulate._draw_doubles(_at(70), got, start)
+        assert got.tobytes() == want[start:].tobytes()
+
+    @pytest.mark.parametrize("start", [0, 1, 6, 7])
+    def test_a_sign_takes_half_a_word(self, start):
+        want = _gen(71).integers(0, 2, 21)
+        assert want.dtype == np.int64
+        got = simulate._draw_signs((_at(71), None), start, 21)
+        assert got.tobytes() == want[start:].tobytes()
+        # half a word: 21 signs take 11 words, and the next double reads word 11
+        gen = _gen(71)
+        gen.integers(0, 2, 21)
+        assert gen.random() == _gen(71).random(12)[11]
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 3])
+    def test_an_odd_count_leaves_a_half_for_the_next_bounded_int_call(self, start):
+        # the small regime's exterior band: after an odd count of interior
+        # signs, doubles and a Poisson draw, the first exterior sign is the
+        # high half of the last interior sign's word
+        gen, bits = _gen(72), simulate._BitStream(RngStream(72))
+        gen.integers(0, 2, 3)
+        assert bits.signs(3)[1] is None
+        doubles = gen.random(4)
+        at = bits.doubles(4)
+        assert np.array_equal(bits.counts(5.0, 3), gen.poisson(5.0, 3))
+        want = gen.integers(0, 2, 6)
+        carried = bits.signs(6)
+        assert carried[1] is not None
+        assert want[0] == _gen(72).integers(0, 2, 4)[3]
+        got = np.empty(4)
+        simulate._draw_doubles(at, got, 0)
+        assert got.tobytes() == doubles.tobytes()
+        assert simulate._draw_signs(carried, start, 6).tobytes() == want[start:].tobytes()
+        # no half is left: the next sign takes a new word
+        assert gen.integers(0, 2, 2).tobytes() == \
+            simulate._generator_at(bits.rest()).integers(0, 2, 2).tobytes()
+
+    def test_advance_clears_the_half(self):
+        gen = _gen(73)
+        gen.integers(0, 2, 1)
+        held = gen.bit_generator.state
+        assert held["has_uint32"] == 1
+        fresh = simulate._generator_at(held).integers(0, 2, 2)
+        assert fresh.tobytes() == simulate._draw_signs((_at(73, 1), None), 0, 2).tobytes()
+        assert fresh.tobytes() != gen.integers(0, 2, 2).tobytes()  # which reads the half first
+
+
+def _edges(n, cuts):
+    return sorted({0, n, *(int(c * n) for c in cuts)})
+
+
+class TestBitStream:
+    """Fixed-width arrays drawn in chunks, each from its own offset, are the
+    bytes of one serial call per array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 5),
+           rates=st.tuples(st.floats(0.0, 9.0), st.floats(0.0, 9.0)),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=5))
+    def test_small_regime_draws_in_chunks(self, seed, n_paths, rates, cuts):
+        # the order of a small-regime tilted batch: per band the counts, the
+        # instants' and magnitudes' uniforms and the signs; the thinning
+        # uniforms after the first band; then the proxy normals
+        gen, bits = _gen(seed), simulate._BitStream(RngStream(seed))
+        calls = []
+        for band, rate in enumerate(rates):
+            counts = gen.poisson(rate, n_paths)
+            assert np.array_equal(bits.counts(rate, n_paths), counts)
+            n = int(counts.sum())
+            calls += [(gen.random(n), bits.doubles(n)), (gen.random(n), bits.doubles(n)),
+                      (gen.integers(0, 2, n), bits.signs(n))]
+            if band == 0:
+                calls.append((gen.random(n), bits.doubles(n)))
+        want_normals = gen.standard_normal(7)
+        for want, at in calls:
+            edges = _edges(want.size, cuts)
+            chunks = []
+            for a, b in reversed(list(zip(edges[:-1], edges[1:]))):  # in any order
+                if want.dtype == np.int64:
+                    chunks.append(simulate._draw_signs(at, a, b))
+                else:
+                    chunks.append(np.empty(b - a))
+                    simulate._draw_doubles(at, chunks[-1], a)
+            got = np.concatenate([want[:0], *chunks[::-1]])
+            assert got.tobytes() == want.tobytes()
+        got_normals = simulate._generator_at(bits.rest()).standard_normal(7)
+        assert got_normals.tobytes() == want_normals.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=5))
+    def test_stable_uniforms_in_chunks(self, seed, n, cuts):
+        gen, bits = _gen(seed), simulate._BitStream(RngStream(seed))
+        want, at = gen.random(n), bits.doubles(n)
+        got = np.empty(n)
+        edges = _edges(n, cuts)
+        for a, b in zip(edges[:-1], edges[1:]):
+            simulate._draw_doubles(at, got[a:b], a)
+        assert got.tobytes() == want.tobytes()
+        exps = simulate._generator_at(bits.rest()).standard_exponential(5)
+        assert exps.tobytes() == gen.standard_exponential(5).tobytes()
+
+
 class TestJumpOrder:
     """The binning sort must equal ``np.lexsort((t, path))`` element for element."""
 
@@ -595,12 +720,11 @@ class TestWorkspace:
             (n,) = map_batches(kernel, 64, 256, RngStream(67))
             arena = simulate._idle[0]
         # the band's instants and magnitudes, which the sorted instants and
-        # sizes overwrite, and its signs; the sorted paths; the grid and the
-        # proxy; all in the new arena's mapping
+        # sizes overwrite; the sorted paths; the grid and the proxy; all in
+        # the new arena's mapping (each piece draws its records' signs itself)
         high = arena.high
         assert n > 0 and high <= arena._buf.size
-        assert high == (3 * _aligned(8 * n) + _aligned(n) + _aligned(8 * 64 * 257)
-                        + _aligned(8 * 64 * 256))
+        assert high == 3 * _aligned(8 * n) + _aligned(8 * 64 * 257) + _aligned(8 * 64 * 256)
 
     def test_a_pool_call_after_a_serial_call_makes_no_arena(self):
         made = []
@@ -722,7 +846,8 @@ def _forced(schedule, calls):
     a chunk that the helper has not begun to draw.  "caller_late": the
     helper starts once the calling thread has taken the first piece, and
     the calling thread ends that piece only after the helper has drawn and
-    run all the other pieces.  Each call appends ``(n_pieces,
+    run all the other pieces.  A piece that raises lets both threads go on
+    at once, so a failure ends the call.  Each call appends ``(n_pieces,
     streams, waited, [(piece, by_caller), ...])`` to ``calls``, waited
     listing the chunks the calling thread waited for.
     """
@@ -751,7 +876,12 @@ def _forced(schedule, calls):
             by_caller = threading.get_ident() == caller
             if by_caller:
                 started.set()
-            work(i)
+            try:
+                work(i)
+            except BaseException:
+                stuck.set()  # the calling thread goes no further, nor will the helper
+                finished.set()
+                raise
             log.append((i, by_caller))
             if len(log) == n_pieces:
                 stuck.set()
@@ -778,26 +908,40 @@ class _DrawFailed(Exception):
 
 
 class _FailingDraws:
-    """A generator whose ``standard_normal`` and ``standard_exponential`` raise
-    at call ``fail_at`` of either, counted from 0."""
+    """``simulate._generator_at``, whose generators raise at call ``fail_at``,
+    counted from 0, of the methods ``names``: one count over every generator
+    it hands out, on either thread."""
 
-    def __init__(self, gen, fail_at):
-        self._gen, self._left = gen, fail_at
+    def __init__(self, names, fail_at):
+        self.names, self.left, self.lock = names, fail_at, threading.Lock()
+        self.real = simulate._generator_at
+
+    def __call__(self, *args):
+        return _Failing(self, self.real(*args))
+
+    def count(self):
+        with self.lock:
+            if self.left == 0:
+                raise _DrawFailed
+            self.left -= 1
+
+
+class _Failing:
+    """A generator whose methods named in ``draws.names`` count towards its failure."""
+
+    def __init__(self, draws, gen):
+        self._draws, self._gen = draws, gen
 
     def __getattr__(self, name):
-        return getattr(self._gen, name)
+        attr = getattr(self._gen, name)
+        if name not in self._draws.names:
+            return attr
 
-    def _counted(self, draw, *args, **kwargs):
-        if self._left == 0:
-            raise _DrawFailed
-        self._left -= 1
-        return draw(*args, **kwargs)
+        def counted(*args, **kwargs):
+            self._draws.count()
+            return attr(*args, **kwargs)
 
-    def standard_normal(self, *args, **kwargs):
-        return self._counted(self._gen.standard_normal, *args, **kwargs)
-
-    def standard_exponential(self, *args, **kwargs):
-        return self._counted(self._gen.standard_exponential, *args, **kwargs)
+        return counted
 
 
 def _sample_bytes(result):
@@ -844,7 +988,19 @@ class TestHelperThread:
         # chunk fail_at of the streamed draw (the jump samplers' proxy, the
         # stable transform's exponentials) raises: every piece waiting for a
         # chunk is released, and the call ends with the draw's own error, not a hang
-        generator = simulate.RngStream.generator
+        self._fails(name, schedule, ("standard_normal", "standard_exponential"), fail_at)
+
+    @pytest.mark.parametrize("fail_at", [0, 7])
+    @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
+    def test_a_failed_fixed_width_chunk_raises_its_error(self, name, schedule, fail_at):
+        # call fail_at of the fixed-width chunks that the pieces draw (the
+        # bands' instants, magnitudes and signs, the thinning uniforms, the
+        # stable transform's uniforms) raises, and every later one: the call
+        # ends with that error, and no piece waits for it
+        self._fails(name, schedule, ("random", "integers"), fail_at)
+
+    def _fails(self, name, schedule, names, fail_at):
         sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(58))
         run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
         outcome = []
@@ -858,8 +1014,7 @@ class TestHelperThread:
         before = threading.active_count()
         with mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 10), \
                 mock.patch.object(simulate, "_run_pieces", run_pieces), \
-                mock.patch.object(simulate.RngStream, "generator",
-                                  lambda stream: _FailingDraws(generator(stream), fail_at)):
+                mock.patch.object(simulate, "_generator_at", _FailingDraws(names, fail_at)):
             caller = threading.Thread(target=call, daemon=True)
             caller.start()
             caller.join(60)
