@@ -140,18 +140,19 @@ def step_mean_amplitude(tilt: TiltSpec, n_steps: int) -> np.ndarray:
     return tilt.amplitude_factor / tilt.jump_cut * slope
 
 
-def log_weight_batch(batch, log_tilt: np.ndarray, bbar: np.ndarray,
+def log_weight_batch(batch, tilt_sums: np.ndarray, bbar: np.ndarray,
                      proxy_var: float) -> np.ndarray:
     """log(dP_base/dP_tilted) per path of a tilted batch, from its records and proxy.
 
-    Minus the per-path sum of ``log_tilt``, theta = log1p(beta(t) x) of each
-    record from the sampler's thinning (0 on the untilted exterior band), minus
-    the proxy's exact normal likelihood ratio per step, given the step means
-    ``bbar`` of beta and the proxy's per-step variance ``proxy_var``.  Each
-    block, exponentiated, has mean 1 under the tilted law.
+    Minus ``tilt_sums``, each path's sum of theta = log1p(beta(t) x) over its
+    records, which the sampler's pieces add up as they thin (the untilted
+    exterior band adds 0), minus the proxy's exact normal likelihood ratio
+    per step, given the step means ``bbar`` of beta and the proxy's per-step
+    variance ``proxy_var``.  Each block, exponentiated, has mean 1 under the
+    tilted law.
     """
     lw = np.zeros(batch.n_paths)
-    lw -= np.bincount(batch.jump_path, weights=log_tilt, minlength=batch.n_paths)
+    lw -= tilt_sums
     lw -= batch.small_noise @ bbar + 0.5 * proxy_var * float(np.sum(bbar**2))
     return lw
 

@@ -211,8 +211,12 @@ class Estimate:
 
 
 def _clopper_pearson(successes: int, n: int) -> tuple[float, float]:
-    from scipy import stats
+    """Exact 95% interval: quantiles of Beta(k, n-k+1) and Beta(k+1, n-k), by
+    the inverse regularised incomplete beta function (the quantile that
+    ``scipy.stats.beta.ppf`` returns, without loading ``scipy.stats``)."""
+    from scipy import special
     tail = (1.0 - 0.95) / 2.0  # of the 95% interval
-    lo = 0.0 if successes == 0 else float(stats.beta.ppf(tail, successes, n - successes + 1))
-    hi = 1.0 if successes == n else float(stats.beta.ppf(1.0 - tail, successes + 1, n - successes))
+    lo = 0.0 if successes == 0 else float(special.betaincinv(successes, n - successes + 1, tail))
+    hi = 1.0 if successes == n else float(
+        special.betaincinv(successes + 1, n - successes, 1.0 - tail))
     return lo, hi

@@ -656,7 +656,9 @@ def _jump_paths(bands, rest: dict, sd: float, n_paths: int, n_steps: int, drift=
     records of each band in turn, by (path, time), which equals
     ``np.lexsort((t, path_idx))`` over the bands' records concatenated (see
     :func:`_jump_order`), so records, values and log-weights are
-    bit-identical to a lexsort's; sums them per step; adds the drift; waits
+    bit-identical to a lexsort's; with ``thin``, sums each path's kept
+    log1p(beta(t) x) in record order, as one ``bincount`` over the batch's
+    records would; sums the records per step; adds the drift; waits
     for its rows of the proxy (:class:`_StreamedDraw`, drawn on the helper
     thread meanwhile) and adds them; sums each path into the grid; and,
     when the batch's sups were asked for (:func:`_streamed_sups`), takes
@@ -664,9 +666,9 @@ def _jump_paths(bands, rest: dict, sd: float, n_paths: int, n_steps: int, drift=
     records cover the slots of its draws, which it has copied, so they are
     written back over the band's instants and sizes.
 
-    Returns (batch, log_tilt): log_tilt holds the kept log1p(beta(t) x) in
-    record order, 0 on the other bands' records, and is None without
-    ``thin``.
+    Returns (batch, tilt_sums): tilt_sums holds each path's sum of its kept
+    log1p(beta(t) x), the other bands' records adding 0, and is None
+    without ``thin``.
     """
     sups = _take_sups()
     counts = [band.counts for band in bands]  # records per path, after thinning
@@ -705,7 +707,7 @@ def _jump_paths(bands, rest: dict, sd: float, n_paths: int, n_steps: int, drift=
         t_out, x_out = bands[0].t, bands[0].x
     else:
         t_out, x_out = _batch_array(n_out), _batch_array(n_out)
-    log_tilt = None if keep is None else _batch_array(n_out)
+    tilt_sums = None if keep is None else np.empty(n_paths)
     values = _batch_array((n_paths, n_steps + 1))
     proxy = _StreamedDraw(partial(_normals, sd), _batch_array((n_paths, n_steps)), edges, rest)
     batch = BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values,
@@ -728,15 +730,17 @@ def _jump_paths(bands, rest: dict, sd: float, n_paths: int, n_steps: int, drift=
                 band.finish(s)
                 t.append(band.t[s])
                 x.append(band.x[s])
-                lt.append(np.zeros(s.stop - s.start))
+                if keep is not None:
+                    lt.append(np.zeros(s.stop - s.start))  # untilted: adds 0 to the sums
         owner = np.concatenate([np.repeat(np.arange(p1 - p0), c[p0:p1]) for c in counts])
         t, x = np.concatenate(t), np.concatenate(x)
         order = _jump_order(owner, t)
         o = slice(first[p0], first[p1])
         path_out[o] = np.repeat(np.arange(p0, p1), out_counts[p0:p1])
         t_out[o], x_out[o] = t[order], x[order]
-        if log_tilt is not None:
-            log_tilt[o] = np.concatenate(lt)[order]
+        if tilt_sums is not None:
+            tilt_sums[p0:p1] = np.bincount(path_out[o] - p0, weights=np.concatenate(lt)[order],
+                                           minlength=p1 - p0)
         step = _record_steps(t_out[o], 1.0 / n_steps, n_steps)[0]
         step += (path_out[o] - p0) * n_steps
         incr = np.bincount(step, weights=x_out[o], minlength=(p1 - p0) * n_steps)
@@ -751,7 +755,7 @@ def _jump_paths(bands, rest: dict, sd: float, n_paths: int, n_steps: int, drift=
             sups.rows(p0, p1)
 
     _run_pieces(piece, n_pieces, proxy.draw)
-    return batch, log_tilt
+    return batch, tilt_sums
 
 
 def _check_shape(n_paths: int, n_steps: int) -> None:
@@ -878,12 +882,12 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     drift = -scale * v_band * bbar * dt
 
     var = scale * truncated_second_moment(alpha, eps_cutoff) * dt  # of the proxy per step
-    batch, log_tilt = _jump_paths(bands, bits.rest(), np.sqrt(var), n_paths, n_steps, drift,
-                                  thin)
+    batch, tilt_sums = _jump_paths(bands, bits.rest(), np.sqrt(var), n_paths, n_steps, drift,
+                                   thin)
     del bands, thin  # the raw draws die before the weights are computed
     if b_bound == 0.0:
         return batch, np.zeros(n_paths)
-    return batch, log_weight_batch(batch, log_tilt, bbar, var)
+    return batch, log_weight_batch(batch, tilt_sums, bbar, var)
 
 
 def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_steps: int,

@@ -594,12 +594,28 @@ steps = 128
         assert not (tmp_path / "flag_dest").exists()
 
 
+SELFTEST_RUN = """
+import json, sys
+from stable_smallball.cli import main
+rc = main(["selftest", "--out", sys.argv[1]])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("scipy."))]))
+"""
+
+
 def test_selftest_passes_every_check(tmp_path):
-    rc = main(["selftest", "--out", str(tmp_path)])
+    # a fresh interpreter, so no other test can have loaded a SciPy module first
+    proc = subprocess.run([sys.executable, "-c", SELFTEST_RUN, str(tmp_path)],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
     results = _read_json(tmp_path / "selftest.json")["results"]
     failed = [f"{r['name']}: {r['detail']}" for r in results if not r["passed"]]
     assert not failed, "; ".join(failed)
     assert rc == 0 and len(results) == 19
+    # scipy.linalg for the spectral checks, scipy.special for exact intervals,
+    # private submodules, and scipy.version, which ``import scipy`` loads
+    public = {m.split(".")[1] for m in modules} - {"linalg", "special", "version"}
+    assert all(name.startswith("_") for name in public), sorted(public)
 
 
 def _package_env() -> dict:

@@ -17,6 +17,7 @@ from stable_smallball import (
     tent_shift,
     zero_shift,
 )
+from stable_smallball.processes import _clopper_pearson
 
 
 class TestAlphaStableParams:
@@ -127,6 +128,17 @@ class TestEstimate:
         assert "exact_interval" in est.flags
         lo, hi = est.ci95
         assert 0.0 <= lo < est.value < hi
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 29, 30, 100, 12_345, 10**6])
+    def test_exact_interval_equals_beta_quantiles(self, n):
+        # the quantiles ``scipy.stats.beta.ppf`` gives, bit for bit, for every
+        # count within 40 of either end
+        from scipy import stats
+        tail = (1.0 - 0.95) / 2.0
+        for k in sorted({*range(min(n, 40) + 1), *range(max(0, n - 40), n + 1)}):
+            lo = 0.0 if k == 0 else float(stats.beta.ppf(tail, k, n - k + 1))
+            hi = 1.0 if k == n else float(stats.beta.ppf(1.0 - tail, k + 1, n - k))
+            assert _clopper_pearson(k, n) == (lo, hi)
 
     def test_zero_successes_flagged_unresolved(self):
         est = Estimate.from_bernoulli(0, 1000)

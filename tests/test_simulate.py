@@ -1129,20 +1129,21 @@ class TestStreamedSups:
 
 
 # (sampler call, tracemalloc ceiling in bytes), each ceiling set a few percent
-# above the highest peak of repeated calls (NumPy 2.4.6, Python 3.11.7); which
-# piece temporaries the two threads hold at once moves a peak by up to 5 MB
+# above the highest peak of 15 calls in 5 processes (NumPy 2.4.6, Python
+# 3.11.7); which piece temporaries the two threads hold at once moves a peak
+# by up to 1.3 MB
 MEMORY_CASES = {
-    # the anderson workload's batch, 964k jump records: peaks 112.2-117.6 MB,
-    # ceiling 2% above the highest
+    # the anderson workload's batch, 964k jump records: peaks 91.65-92.91 MB,
+    # ceiling 4% above the highest
     "jump": (partial(sample_jump_batch, PARAMS, 0.02, 2047, 2048, RngStream(1).child(0, 0)),
-             120_000_000),
-    # the same shape from CMS increments: peaks 69.18 MB, ceiling 4% above
+             97_000_000),
+    # the same shape from CMS increments: peaks 67.12 MB, ceiling 4% above
     "stable": (partial(sample_stable_batch, PARAMS, 2047, 2048, RngStream(1).child(0, 0)),
-               72_000_000),
+               70_000_000),
     # 2000 small-regime paths (weight_battery member 3, 3.3M interior jump
-    # records): peaks 208.98-209.01 MB, ceiling 3% above
+    # records): peaks 179.63-180.15 MB, ceiling 4% above
     "small_regime": (partial(sample_tilted_batch, weight_battery(PARAMS)[3][1], 2000, 256,
-                             RngStream(103).child(3), eps_cutoff=0.05), 215_000_000),
+                             RngStream(103).child(3), eps_cutoff=0.05), 187_000_000),
 }
 
 
