@@ -30,12 +30,14 @@ recorded jump instants, so a jump that briefly exits the ball between grid
 points is not missed.  It takes every target at once, one range of rows at
 a time: the grid rows, then the jump records of the range's undecided
 paths, against all targets in turn.  A caller that only tests ``sup < r``
-passes ``cap=r`` and gets the sups capped at r: a path whose grid sup
-already reaches r for every target is then decided without its jump
-records.  It has two drivers: ``_sup_matrix`` runs it over a finished
-batch in cache-sized row blocks (``sup_distance_batch`` is its one-target
-form), and a sampler asked for its batch's sups (``_streamed_sups``) runs
-it in each of its own pieces, right after the piece sums its paths.
+passes ``cap=r`` and gets the sups capped at r: a (target, path) pair whose
+max over every ``_SCREEN_STRIDE``-th grid column already reaches r is
+decided there, only the other pairs take the full grid, and a path whose
+grid sup reaches r for every target is decided without its jump records.
+It has two drivers: ``_sup_matrix`` runs it over a finished batch in
+cache-sized row blocks (``sup_distance_batch`` is its one-target form), and
+a sampler asked for its batch's sups (``_streamed_sups``) runs it in each
+of its own pieces, right after the piece sums its paths.
 ``map_batches`` is the one batch loop of every estimator: it runs a kernel
 over the deterministic ``batch_plan``, each batch on its own child stream.
 The plan bounds a batch's grid values and, given the expected jump records
@@ -924,6 +926,20 @@ def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
     return _sup_matrix(batch, [(f, shift_scale)], path_scale)[0]
 
 
+def _max_dev(block: np.ndarray, target, dev: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = max_j |block[i, j] - target[j]|, through the buffer ``dev``
+    (which may be ``block``); a None target skips the subtraction."""
+    if target is None:
+        np.abs(block, out=dev)
+    else:
+        np.subtract(block, target, out=dev)
+        np.abs(dev, out=dev)
+    dev.max(axis=1, out=out)
+
+
+_SCREEN_STRIDE = 32  # grid columns per column of the coarse grid that screens capped sups
+
+
 class _Sups:
     """Refined sups of one batch's paths against every ``(f, shift_scale)`` target,
     capped: the ``(len(targets), n_paths)`` matrix ``np.minimum(sup, cap)``,
@@ -932,18 +948,24 @@ class _Sups:
     :meth:`start` takes the batch, whose grid and records may still be
     filling, evaluates f once per distinct f object on the grid, and scales
     it per target.  :meth:`rows` then fills the columns of a range of
-    paths whose grid, records and proxy are final: the grid max of every
-    target goes through one buffer; the range's paths whose grid sup is
-    below ``cap`` for some target are still undecided (with ``cap`` = inf,
-    every path); only their jump records are gathered, given their left
-    and right limits (:func:`_jump_limits`) and reduced per path, again for
-    every target.  A path whose grid sup reaches ``cap`` for every target
-    keeps it: its refined sup is no smaller, so both cap to ``cap``.  A
-    None target skips the subtraction.  Every element sees the same
-    operations as a one-target pass over the whole batch would, and a range
-    reads and writes only its own paths, so each row is bit-identical to
-    the sup against its target alone, however the paths are split into
-    ranges and whichever thread fills each.
+    paths whose grid, records and proxy are final, first with each
+    target's grid max.  Uncapped, that is one pass over the rows per
+    target, through one buffer.  With a finite ``cap`` a coarse grid
+    screens the pairs first: each target's max over a copy of every
+    ``_SCREEN_STRIDE``-th column; a (target, path) pair whose coarse max
+    reaches ``cap`` keeps it, since its grid max is no smaller and both cap
+    to ``cap``, and only the other pairs take the full grid, on a gather of
+    their rows.  The range's paths whose grid sup is below ``cap`` for some
+    target are still undecided (with ``cap`` = inf, every path); only their
+    jump records are gathered, given their left and right limits
+    (:func:`_jump_limits`) and reduced per path, again for every target.  A
+    path whose grid sup reaches ``cap`` for every target keeps it: its
+    refined sup is no smaller, so both cap to ``cap``.  A None target skips
+    the subtraction.  Every element sees the same operations as a
+    one-target pass over the whole batch would, and a range reads and
+    writes only its own paths, so each row is bit-identical to the sup
+    against its target alone, however the paths are split into ranges and
+    whichever thread fills each.
 
     Two drivers run it: :func:`_sup_matrix` over a finished batch, in row
     blocks of about ``_PIECE_ELEMS`` grid values, and the samplers' own
@@ -975,14 +997,20 @@ class _Sups:
         block = batch.values[r0:r1]
         if self.path_scale != 1.0:
             block = np.multiply(block, self.path_scale)
-        dev = np.empty_like(block)
-        for k, target in enumerate(self.grid_targets):
-            if target is None:
-                np.abs(block, out=dev)
-            else:
-                np.subtract(block, target, out=dev)
-                np.abs(dev, out=dev)
-            dev.max(axis=1, out=out[k])
+        if cap == np.inf:
+            dev = np.empty_like(block)
+            for k, target in enumerate(self.grid_targets):
+                _max_dev(block, target, dev, out[k])
+        else:
+            coarse = block[:, ::_SCREEN_STRIDE].copy()  # contiguous: read once per target
+            dev = np.empty(coarse.shape)
+            for k, target in enumerate(self.grid_targets):
+                _max_dev(coarse, None if target is None else target[::_SCREEN_STRIDE], dev, out[k])
+                rest = np.flatnonzero(out[k] < cap)  # the pairs the coarse grid leaves open
+                if rest.size:
+                    part, sup = block[rest], np.empty(rest.size)
+                    _max_dev(part, target, part, sup)
+                    out[k, rest] = sup
         if first is not None:
             self._refine(r0, out, first)
         np.minimum(out, cap, out=out)
@@ -1200,12 +1228,13 @@ def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,
     (:func:`map_batches`); 0 for a sampler that draws no jumps.
     ``targets`` holds ``(f, shift_scale)`` pairs, f None for the centred sup.
     Row i of the ``(len(targets), n_paths)`` result is
-    ``sup_distance_batch(batch, *targets[i], cap=cap)`` over the batches in
-    plan order, so every target sees the same paths; each batch is read once
-    for all targets.  Pass one f object for targets that share a shift, so it
-    is evaluated once, and the radius as ``cap`` when only ``sup < r`` is
-    counted, so paths the grid already puts outside every ball skip their
-    jump records.
+    ``np.minimum(sup_distance_batch(batch, *targets[i]), cap)`` over the
+    batches in plan order, so every target sees the same paths; each batch
+    is read once for all targets.  Pass one f object for targets that share
+    a shift, so it is evaluated once, and the radius as ``cap`` when only
+    ``sup < r`` is counted, so pairs a coarse grid already puts outside the
+    ball skip the full grid, and paths the grid puts outside every ball
+    skip their jump records.
     """
     kernel = partial(_sups_kernel, sample, tuple(targets), n_steps, cap)
     return np.concatenate(map_batches(kernel, n_paths, n_steps, stream, pmap, records), axis=1)

@@ -332,22 +332,31 @@ class TestSupMatrix:
                             min_size=1, max_size=6),
            path_scale=st.sampled_from([1.0, 0.5, 1.7]),
            block=st.sampled_from([1, 16, 100, simulate._PIECE_ELEMS]),
-           cap=st.sampled_from(["inf", "below", "above", "equal", "grid"]),
+           stride=st.sampled_from([2, 3, simulate._SCREEN_STRIDE]),
+           cap=st.sampled_from(["inf", "below", "above", "equal", "grid", "coarse"]),
            pick=st.integers(0, 10**6))
-    def test_rows_equal_one_target_sups(self, batch, targets, path_scale, block, cap, pick):
+    def test_rows_equal_one_target_sups(self, batch, targets, path_scale, block, stride, cap,
+                                        pick):
         # small blocks put several blocks in one batch, leave a short last
-        # block, or make one grid row longer than a block
-        with mock.patch.object(simulate, "_PIECE_ELEMS", block):
+        # block, or make one grid row longer than a block; small strides
+        # screen capped sups on coarse grids that may miss the last column
+        with mock.patch.object(simulate, "_PIECE_ELEMS", block), \
+                mock.patch.object(simulate, "_SCREEN_STRIDE", stride):
             got = _sup_matrix(batch, targets, path_scale)
             assert got.shape == (len(targets), batch.n_paths)
             for row, (f, lam) in zip(got, targets):
                 assert np.array_equal(row, _one_target_sup(batch, f, lam, path_scale))
             grid = _sup_matrix(dataclasses.replace(batch, jump_times=None), targets, path_scale)
             # "equal" is one refined sup; "grid" the least grid sup of one path,
-            # which leaves that path decided, on the boundary of the test
+            # which leaves that path decided, on the boundary of the test;
+            # "coarse" lies just above one pair's max over the coarse grid
+            coarse = np.stack([np.abs(path_scale * batch.values[:, ::stride] - (
+                0.0 if f is None else lam * np.asarray(f(batch.times[::stride]), dtype=float)))
+                .max(axis=1) for f, lam in targets])
             cap = {"inf": np.inf, "below": np.nextafter(got.min(), -np.inf),
                    "above": np.nextafter(got.max(), np.inf), "equal": got.flat[pick % got.size],
-                   "grid": grid.min(axis=0)[pick % batch.n_paths]}[cap]
+                   "grid": grid.min(axis=0)[pick % batch.n_paths],
+                   "coarse": np.nextafter(coarse.flat[pick % coarse.size], np.inf)}[cap]
             recorded = {id(f): _Recorded(f) for f, _ in targets if f is not None}
             watched = [(None if f is None else recorded[id(f)], lam) for f, lam in targets]
             capped = _sup_matrix(batch, watched, path_scale, cap)
@@ -1089,14 +1098,18 @@ class TestHelperThread:
 class TestStreamedSups:
     """Sups taken inside a sampler's pieces equal a pass over its finished batch."""
 
-    @pytest.mark.parametrize("cap", [np.inf, 6.0])  # 6.0 caps some sups of every sampler
+    # 6.0 caps some sups of every sampler; strides 2 and 3 screen them on
+    # coarse grids of 129 and 86 of the 257 columns, the second without the last column
+    @pytest.mark.parametrize("cap, stride", [(np.inf, simulate._SCREEN_STRIDE), (6.0, 2), (6.0, 3),
+                                             (6.0, simulate._SCREEN_STRIDE)])
     @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
     @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
-    def test_equal_a_pass_over_the_batch(self, name, schedule, cap):
+    def test_equal_a_pass_over_the_batch(self, name, schedule, cap, stride):
         # small pieces, so the sampler's pieces cut the batch into other row
         # ranges than the pass's blocks
         run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
         with mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 10), \
+                mock.patch.object(simulate, "_SCREEN_STRIDE", stride), \
                 mock.patch.object(simulate, "_run_pieces", run_pieces):
             with simulate._streamed_sups(HELPER_TARGETS, cap) as sups:
                 result = SCHEDULE_SAMPLERS[name](120, 256, RngStream(59))
