@@ -140,20 +140,21 @@ def step_mean_amplitude(tilt: TiltSpec, n_steps: int) -> np.ndarray:
     return tilt.amplitude_factor / tilt.jump_cut * slope
 
 
-def log_weight_batch(batch, tilt_sums: np.ndarray, bbar: np.ndarray,
+def log_weight_batch(tilt_sums: np.ndarray, proxy_sums: np.ndarray, bbar: np.ndarray,
                      proxy_var: float) -> np.ndarray:
     """log(dP_base/dP_tilted) per path of a tilted batch, from its records and proxy.
 
     Minus ``tilt_sums``, each path's sum of theta = log1p(beta(t) x) over its
-    records, which the sampler's pieces add up as they thin (the untilted
-    exterior band adds 0), minus the proxy's exact normal likelihood ratio
-    per step, given the step means ``bbar`` of beta and the proxy's per-step
-    variance ``proxy_var``.  Each block, exponentiated, has mean 1 under the
-    tilted law.
+    records, which the sampler's cells add up as they thin (the untilted
+    exterior band adds 0), minus the proxy's exact normal likelihood ratio:
+    ``proxy_sums``, each path's sum of its proxy times the step means
+    ``bbar`` of beta, which the cells take over their own steps, plus half
+    the proxy's per-step variance ``proxy_var`` times the sum of bbar^2.
+    Each block, exponentiated, has mean 1 under the tilted law.
     """
-    lw = np.zeros(batch.n_paths)
+    lw = np.zeros(tilt_sums.size)
     lw -= tilt_sums
-    lw -= batch.small_noise @ bbar + 0.5 * proxy_var * float(np.sum(bbar**2))
+    lw -= proxy_sums + 0.5 * proxy_var * float(np.sum(bbar**2))
     return lw
 
 

@@ -13,31 +13,66 @@ reproducible and independent of batch splitting or worker count:
   reweight them back; at zero tilt the paths follow the truncated law and
   every weight is 1.
 
-The jump-resolved samplers draw each band of jumps as a ``_Band`` and
-share ``_jump_paths``, which finishes, sorts and bins the records, adds
-the drift and the Gaussian proxy, and sums each path; ``_record_steps``
-puts a record in its step, there and in the sup kernel.  A batch holds its
-grid once: the jump samplers sum each piece's jump sums, drift and proxy
-straight into the ``values`` array the batch returns, and the stable
-transform writes its variates over its exponential draws, which are then
-summed into ``values``.  A jump batch with one band and no thinning writes
-its sorted records over the band's draws.
+Every sampler draws its batch in cells.  A batch's grid is cut into up to
+``_TIME_BLOCKS`` time blocks (``_block_edges``), and each block's rows into
+chunks of ``_STREAM_ROWS`` consecutive rows; a cell is one block of one
+chunk, and it draws every variate of its rows and steps from a stream of
+its own, ``stream.child(block, chunk)`` of the batch's stream, in one fixed
+order: the Poisson counts of each jump band on the block's interval, the
+instants in (block start, block end], the magnitudes and the signs, the
+thinning uniforms, then the Gaussian proxy, or the stable transform's
+uniforms and exponentials (``standard_symmetric_stable``).  Distinct spawn
+keys give distinct ``SeedSequence`` streams, and no two cells of any batch
+share a key: a cell extends its batch's key by two integers and never
+draws from the batch's own stream, so batches of one plan, and the cells
+of different plans (whose keys have other lengths or other batch indices),
+never meet.  No cell depends on another's draws, so either thread can draw
+any cell, in any order.
+
+The jump samplers draw each cell's records with ``_Bands`` and finish a
+range of cells together (``_cell_paths``): they sort the records by (path,
+time) (``_jump_order``), bin them into their steps, add the drift and the
+proxy, and sum each path into its block of the grid, starting from the
+path's value at the block's start, so every row's sum runs in the order of
+one row-wide ``cumsum``.  ``_record_steps`` puts a record in its step, there
+and in the sup kernel: step i holds the instants in (t_i, t_i+1], so a
+record at its block's right end, or one whose t / dt rounds across a block
+edge, stays in its block.  The stable sampler writes its variates into the
+same kind of rows.
 
 A path is a :class:`BatchPaths`; one path is a batch of one
 (``BatchPaths.extract``).  One kernel (``_Sups``) evaluates sup-norm
 distances to scaled drifts, refining within each step by replaying the
 recorded jump instants, so a jump that briefly exits the ball between grid
-points is not missed.  It takes every target at once, one range of rows at
-a time: the grid rows, then the jump records of the range's undecided
-paths, against all targets in turn.  A caller that only tests ``sup < r``
-passes ``cap=r`` and gets the sups capped at r: a (target, path) pair whose
-max over every ``_SCREEN_STRIDE``-th grid column already reaches r is
-decided there, only the other pairs take the full grid, and a path whose
-grid sup reaches r for every target is decided without its jump records.
-It has two drivers: ``_sup_matrix`` runs it over a finished batch in
-cache-sized row blocks (``sup_distance_batch`` is its one-target form), and
-a sampler asked for its batch's sups (``_streamed_sups``) runs it in each
-of its own pieces, right after the piece sums its paths.
+points is not missed.  It takes every target at once, one range of rows
+and one range of grid columns at a time, and raises each (target, path)
+pair's running max: the grid rows, then the jump records of the range's
+undecided paths.  A caller that only tests ``sup < r`` passes ``cap=r`` and
+gets the sups capped at r: a (target, path) pair whose max over a coarse
+grid, every ``_SCREEN_STRIDE``-th column of a finished batch or every
+``_BLOCK_SCREEN_STRIDE``-th of a sampler's time block, already reaches r
+is decided there, only the other pairs take the full grid, and a path
+whose grid sup reaches r for every target is decided without its jump
+records.  It has two drivers: ``_sup_matrix`` runs it over a finished
+batch in cache-sized row blocks (``sup_distance_batch`` is its one-target
+form), and a sampler asked for its batch's sups (``_streamed_sups``) runs
+it on each of its ranges of cells, right after their rows are summed.
+
+A sampler asked for sups capped at a finite r draws its batch block by
+block.  After each block it keeps each path's screened running max per
+target (``_Sups.screen``), and packs the paths still below the cap for
+some target, in path order; only they are drawn in the next block, in
+chunks of the packed rows.  Which paths go on is a function of the draws
+so far, and each cell's variates are fresh, so every estimate stays exact
+in law, and the bits depend on neither threads nor workers.  The paths
+still inside some ball at t = 1 then take their exact sups over the whole
+grid, and the batch the sampler returns holds only them, whole
+(``_survivors``); its arena holds the drawn cells of every block, the
+live paths' share of the grid.  An uncapped sampler drops no path, so a
+capped run at a cap above every sup draws the same cells and gives
+exactly ``np.minimum(uncapped sups, cap)``; it returns the whole grid,
+with its records sorted by (path, time).
+
 ``map_batches`` is the one batch loop of every estimator: it runs a kernel
 over the deterministic ``batch_plan``, each batch on its own child stream.
 The plan bounds a batch's grid values and, given the expected jump records
@@ -48,54 +83,28 @@ owner of each rate.  Every estimator that counts sups draws through
 as one matrix, or, for importance sampling, asks its tilted sampler for
 them; the estimator keeps only its own reduction (``< r`` or ``> x``).
 
-Inside one batch, the calling thread shares the work with one helper
-thread, made for the call (``with ThreadPoolExecutor(1)`` in
-``_run_pieces``) and joined before it returns, so no thread outlives a call
-and none is alive when a process pool forks.  Every sampler follows one
-rule: count first, then draw each fixed-width chunk in its piece.
-
-* The calling thread walks the batch's generator through the calls of a
-  serial run in their order (``_BitStream``), drawing only the Poisson
-  counts: their width varies, and they fix the offset of every word after
-  them.  A ``random`` double takes one 64-bit word and an ``integers(0,
-  2)`` sign half of one, so each fixed-width array (a band's instants,
-  magnitudes and signs, the thinning uniforms, the stable transform's
-  uniforms) starts at a known offset, and a piece draws its own chunk from
-  a generator advanced to that chunk's offset (``_generator_at``, the one
-  place every copy of the generator comes from).
-* The last draw, whose width varies too, starts on the helper thread past
-  every fixed-width word and runs in chunks and in order
-  (``_StreamedDraw``) while the calling thread takes the first pieces: the
-  Gaussian proxy of the jump samplers in row chunks, and the exponential
-  variates of the stable transform in its element chunks.  Every generator
-  call reads the same words as in a serial run, so the bits are those of
-  one.
-* Everything else runs as pieces that both threads take in order from a
-  shared counter: the stable transform in element chunks, each of which
-  draws its uniforms and waits for its own chunk of exponentials, and its
-  sums in row chunks; the thinning test in path chunks; the jump draws,
-  the (path, time) sort, the gathers, the per-step sums and the path sums
-  in row chunks, each of which waits for its own chunk of the proxy and
-  for nothing else; the sup kernel in row blocks, or inside the row chunks
-  of a sampler asked for its sups.  The helper takes pieces once it has
-  drawn.
-* Each piece reads only its own slice of the draws and writes only its own
-  slice of outputs allocated before the pieces run, and each element sees
-  the same operations as in a serial pass, so the bits do not depend on
-  which thread takes which piece.  A streamed draw that raises releases
-  every piece waiting for it, and the call raises its error; a piece whose
-  draw raises ends the call with that error.
+The calling thread shares the pieces with one helper thread, made for
+each block of a capped batch, or for the whole of an uncapped one (``with
+ThreadPoolExecutor(1)`` in ``_run_pieces``), and joined before it returns,
+so no thread outlives a call and none is alive when a process pool forks.
+A piece is a run of whole cells: a range of chunks in one block, or, in
+an uncapped batch, a range of chunks through every block in turn, so no
+block waits for the last piece of the one before.  The threads take the
+pieces in order from a shared counter.  Each piece reads only its own
+cells' streams and writes only its own rows of outputs allocated before
+the pieces run, so the bits do not depend on which thread takes which
+piece, nor on how many cells a piece holds; a piece whose draw raises
+ends the call with that error.
 
 ``map_batches`` runs each kernel with an arena (``_Workspace``): one
 private anonymous mapping from which the batch takes every array whose size
-scales with the batch, the grid values, the proxy or the stable variates,
-and the jump draws and records (``_batch_array``); a piece's temporaries,
-its jumps' signs and its stable uniforms among them, stay with malloc.  The
-arena is reset before each batch and not handed back, so its pages are not
-faulted in again by the next batch.  Idle
-arenas sit in one list for the whole process, so a call on a thread pool
-reuses those of an earlier call, and a forked child starts without any.
-A sampler called outside a kernel allocates fresh arrays.
+scales with the batch, the grid values, the proxy and the jump records
+(``_batch_array``); the cells' draws and a piece's temporaries stay with
+malloc.  The arena is reset before each batch and not handed back, so its
+pages are not faulted in again by the next batch.  Idle arenas sit in one
+list for the whole process, so a call on a thread pool reuses those of an
+earlier call, and a forked child starts without any.  A sampler called
+outside a kernel allocates fresh arrays.
 """
 
 from __future__ import annotations
@@ -116,45 +125,46 @@ from .girsanov import TiltSpec, log_weight_batch, step_mean_amplitude
 from .processes import AlphaStableParams, ShiftFunction
 
 DEFAULT_EPS_RATIO = 50.0  # eps_cutoff = jump_cut / 50 unless overridden
-_PIECE_ELEMS = 1 << 16  # variates, jump records or grid values per piece: 512 KiB of doubles
+_PIECE_ELEMS = 1 << 16  # grid values per piece, in whole cells: 512 KiB of doubles
+_STREAM_ROWS = 128  # rows per cell: consecutive paths, or packed survivors, on one stream
+_TIME_BLOCKS = 8  # time blocks per batch, at most
+_BLOCK_STEPS = 64  # grid steps per time block, at least, unless the batch is shorter
 
 
-def _run_pieces(work, n_pieces: int, first=None) -> None:
-    """Run ``first()``, when given, and ``work(i)`` once for each i in range(n_pieces).
+def _run_pieces(work, n_pieces: int) -> None:
+    """Run ``work(i)`` once for each i in range(n_pieces).
 
     The calling thread and one helper thread take the pieces in order from a
-    shared counter until none is left.  The helper first runs ``first``: the
-    batch's last generator call, so no other generator call can overlap it.
-    A piece may wait for part of what ``first`` makes (``_StreamedDraw.wait``),
-    never for another piece.  The helper is made for the call and joined
-    before it returns; an error it raised is raised here, ahead of the
-    calling thread's.  With at most one piece, the calling thread runs
-    ``first``, then the piece, and no helper is made.
+    shared counter until none is left, or until a piece has raised.  NumPy's
+    generators release the GIL for the whole of a long draw, while the sums,
+    maxima and bincounts of the pieces hold it, so one thread drawing its
+    piece's cells while the other sums keeps both busy.  The helper is made
+    for the call and joined before it returns; an error it raised is raised
+    here, ahead of the calling thread's.  With at most one piece, the
+    calling thread runs it and no helper is made.
     """
     if n_pieces <= 1:
-        if first is not None:
-            first()
         for i in range(n_pieces):
             work(i)
         return
     taken = iter(range(n_pieces))
     lock = threading.Lock()
+    failed = []
 
     def take() -> None:
         while True:
             with lock:
-                i = next(taken, None)
+                i = None if failed else next(taken, None)
             if i is None:
                 return
-            work(i)
-
-    def helper() -> None:
-        if first is not None:
-            first()
-        take()
+            try:
+                work(i)
+            except BaseException:
+                failed.append(i)
+                raise
 
     with ThreadPoolExecutor(1) as pool:
-        pending = pool.submit(helper)
+        pending = pool.submit(take)
         try:
             take()
         finally:
@@ -254,7 +264,11 @@ class RngStream:
 
     Children are derived by extending the spawn key, so stream identity is a
     path of integers and every (seed, stream, batch) triple maps to one fixed
-    generator no matter how work is scheduled.
+    generator no matter how work is scheduled.  A sampler draws from the
+    grandchildren ``child(block, chunk)`` of its stream, one per cell, and
+    never from the stream itself; ``SeedSequence`` hashes distinct keys to
+    distinct states, so two cells share a stream only if a caller hands two
+    draws streams whose keys extend one another.
     """
 
     seed: int
@@ -266,94 +280,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, *self.subkeys))
         return np.random.default_rng(ss)
-
-
-def _generator_at(state: dict, words: int = 0, half: int | None = None) -> np.random.Generator:
-    """This thread's generator, at the bit-generator ``state`` advanced by
-    ``words`` 64-bit words; ``half``, when given, is then the buffered
-    32-bit half that the next bounded-int call reads first.
-
-    Every draw after a batch's counts comes from here, the fixed-width
-    chunks and the streamed last draw alike.  The generator is made once
-    per thread and only set and advanced after that: a new one seeds
-    itself from the OS.  Advancing drops any buffered half, so a state
-    taken mid-stream gives a generator at a whole word.
-    """
-    gen = getattr(_threads, "gen", None)
-    if gen is None:
-        gen = _threads.gen = np.random.default_rng()
-    bits = gen.bit_generator
-    bits.state = state
-    bits.advance(words)
-    if half is not None:
-        bits.state = {**bits.state, "has_uint32": 1, "uinteger": half}
-    return gen
-
-
-class _BitStream:
-    """One batch's generator, walked through the calls of a serial run in
-    their order, drawing only the variable-width ones.
-
-    :meth:`counts` draws Poisson counts here, on the calling thread: how
-    many words they take depends on the words, so each offset after them
-    waits for them.  :meth:`doubles` and :meth:`signs` draw nothing: each
-    returns where its array starts and skips its words, so a piece can draw
-    any chunk of it from its own offset (:func:`_draw_doubles`,
-    :func:`_draw_signs`).  A ``random`` double takes one 64-bit word.  An
-    ``integers(0, 2)`` sign takes half of one, low half first; an odd
-    count leaves the high half buffered, and the next bounded-int call of
-    the batch reads it first, whatever ``random`` calls come in between.
-    :meth:`rest` is where the last, variable-width draw starts: past every
-    fixed-width word.
-    """
-
-    def __init__(self, stream: RngStream) -> None:
-        self._gen = stream.generator()
-        self._held = None  # the half that the last signs left buffered, if any
-
-    def counts(self, rate: float, n: int) -> np.ndarray:
-        return self._gen.poisson(rate, n)
-
-    def doubles(self, n: int) -> dict:
-        """The start of ``random(n)``."""
-        at = self._gen.bit_generator.state
-        self._gen.bit_generator.advance(n)
-        return at
-
-    def signs(self, n: int) -> tuple[dict, int | None]:
-        """The start of ``integers(0, 2, n)``: the state of its first new
-        word, and the buffered half it reads before that word, if any."""
-        at = (self._gen.bit_generator.state, self._held)
-        if n:
-            fresh = n - (self._held is not None)  # halves of new words
-            self._held = None
-            self._gen.bit_generator.advance(fresh // 2)
-            if fresh % 2:
-                self._gen.integers(0, 2, 1)  # the last sign's word: its high half stays buffered
-                self._held = self._gen.bit_generator.state["uinteger"]
-        return at
-
-    def rest(self) -> dict:
-        return self._gen.bit_generator.state
-
-
-def _draw_doubles(at: dict, out: np.ndarray, start: int) -> None:
-    """Elements ``start:start + out.size`` of ``random(n)`` from the start ``at``, into ``out``."""
-    _generator_at(at, start).random(out=out)
-
-
-def _draw_signs(at: tuple[dict, int | None], start: int, stop: int) -> np.ndarray:
-    """Elements ``start:stop`` of ``integers(0, 2, n)`` from the start ``at``
-    (:meth:`_BitStream.signs`), as int64."""
-    state, held = at
-    if held is not None:
-        if start == 0:
-            return _generator_at(state, 0, held).integers(0, 2, stop)
-        start, stop = start - 1, stop - 1  # the held half was sign 0
-    gen = _generator_at(state, start // 2)
-    if start % 2:
-        gen.integers(0, 2, 1)  # the word's low half, sign start - 1
-    return gen.integers(0, 2, stop - start)
 
 
 def _require_stream(stream) -> RngStream:
@@ -369,14 +295,16 @@ class BatchPaths:
 
     ``values`` has shape (n_paths, n_steps + 1) with values[:, 0] = 0.  Jump
     records are flat arrays sorted by (path, time); ``jump_path`` holds the
-    owning path index, and a record at t belongs to step
-    min(floor(t / dt), n_steps - 1) (``_record_steps``).  ``small_noise`` is
-    the per-step Gaussian proxy of the sub-cutoff jumps (None for increment
-    samplers), ``drift_steps`` the deterministic per-step drift shared by all
-    paths.  The sup kernel reads these records and caches nothing on the
-    batch.  In a ``map_batches`` kernel, ``values``, ``small_noise`` and the
-    three record arrays are views of the batch's arena, which the next batch
-    overwrites: copy what outlives the kernel (:meth:`extract` copies).
+    owning path index, and step i holds the records at t in (times[i],
+    times[i + 1]] (``_record_steps``).  ``small_noise`` is the per-step
+    Gaussian proxy of the sub-cutoff jumps (None for increment samplers),
+    ``drift_steps`` the deterministic per-step drift shared by all paths.
+    The sup kernel reads these records and caches nothing on the batch.  In
+    a ``map_batches`` kernel, ``values``, ``small_noise`` and the three
+    record arrays are views of the batch's arena, which the next batch
+    overwrites: copy what outlives the kernel (:meth:`extract` copies).  A
+    sampler asked for capped sups returns only the paths still inside some
+    ball at t = 1, in path order (``_survivors``).
     """
 
     times: np.ndarray
@@ -418,37 +346,28 @@ class BatchPaths:
 def standard_symmetric_stable(alpha: float, size, rng: RngStream) -> np.ndarray:
     """Standard symmetric alpha-stable variates, E exp(iuS) = exp(-|u|^alpha).
 
-    Inside a ``map_batches`` kernel they live in the batch's arena, as a
-    batch's grid does."""
-    bits = _BitStream(_require_stream(rng))
-    e = _batch_array(size)
-    flat_e = e.reshape(-1)
-    u_at = bits.doubles(flat_e.size)  # the uniforms on [0, 1) that gen.uniform draws
-    edges = [*range(0, flat_e.size, _PIECE_ELEMS), flat_e.size]
-    exps = _StreamedDraw(_exponentials, flat_e, edges, bits.rest())
+    The Chambers-Mallows-Stuck transform of uniforms u on (-pi/2, pi/2) and
+    standard exponentials e, all uniforms drawn first: sin(alpha u) /
+    cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha).  The
+    increment samplers draw each cell's increments with it, on the cell's
+    stream."""
+    gen = _require_stream(rng).generator()
+    v = gen.random(size)
+    e = gen.standard_exponential(size)
     inv_a = 1.0 / alpha
-
-    def piece(i: int) -> None:
-        # sin(alpha u) / cos(u)^(1/alpha) * (cos((1 - alpha) u) / e)^((1 - alpha)/alpha),
-        # written over e, with the same operations in the same order as the plain expression
-        s = slice(edges[i], edges[i + 1])
-        v = np.empty(s.stop - s.start)
-        _draw_doubles(u_at, v, s.start)
-        v *= np.pi
-        v += -np.pi / 2.0  # gen.uniform(-pi/2, pi/2) returns low + (high - low) * u
-        o = np.multiply(alpha, v)
-        np.sin(o, out=o)
-        den = np.cos(v)
-        den **= inv_a
-        o /= den
-        v *= 1.0 - alpha
-        np.cos(v, out=v)
-        v /= exps.wait(i)
-        v **= (1.0 - alpha) * inv_a
-        np.multiply(o, v, out=flat_e[s])
-
-    _run_pieces(piece, len(edges) - 1, exps.draw)
-    return e
+    v *= np.pi
+    v += -np.pi / 2.0
+    o = np.multiply(alpha, v)
+    np.sin(o, out=o)
+    den = np.cos(v)
+    den **= inv_a
+    o /= den
+    v *= 1.0 - alpha
+    np.cos(v, out=v)
+    v /= e
+    v **= (1.0 - alpha) * inv_a
+    o *= v
+    return o
 
 
 def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int,
@@ -460,82 +379,95 @@ def sample_stable_batch(params: AlphaStableParams, n_paths: int, n_steps: int,
     """
     _check_shape(n_paths, n_steps)
     scale = (params.c_alpha * (1.0 / n_steps)) ** (1.0 / params.alpha)
-    return _stable_paths(params.alpha, scale, n_paths, n_steps, rng)
+    return _cell_paths(_require_stream(rng), n_paths, n_steps, stable=(params.alpha, scale))[0]
 
 
-def _stable_paths(alpha: float, scale, n_paths: int, n_steps: int, rng: RngStream) -> BatchPaths:
-    """Paths whose increments are standard stable variates times ``scale``,
-    a scalar or one factor per step."""
-    sups = _take_sups()
-    incr = standard_symmetric_stable(alpha, (n_paths, n_steps), rng)
-    values = _batch_array((n_paths, n_steps + 1))  # over the transform's spent uniforms
-    batch = BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values)
-    if sups is not None:
-        sups.start(batch)
-    edges = [*range(0, n_paths, max(1, _PIECE_ELEMS // n_steps)), n_paths]
+class _Bands:
+    """The jump bands of a jump sampler: each cell's draws, and their records.
 
-    def piece(i: int) -> None:
-        r0, r1 = edges[i], edges[i + 1]
-        block = incr[r0:r1]
-        block *= scale
-        values[r0:r1, 0] = 0.0
-        np.cumsum(block, axis=1, out=values[r0:r1, 1:])
-        if sups is not None:
-            sups.rows(r0, r1)
-
-    _run_pieces(piece, len(edges) - 1)
-    return batch
-
-
-class _Band:
-    """One band of jumps, lower <= |x| < upper, grouped by path.
-
-    Path i owns records ``first[i]:first[i + 1]``, in draw order.  Only
-    the counts are drawn with the band.  :meth:`finish` draws a range of
-    records: the uniforms of their instants into ``t``, those of their
-    magnitudes into ``x`` and their signs, each from its own offset in the
-    batch's bit stream (``t_at``, ``x_at``, ``signs_at``), and turns them,
-    in place, into instants and signed sizes.  A plain class: a frozen
-    dataclass of ten fields takes half a millisecond to define at import.
+    ``bands`` holds (rate per unit time, lower, upper) per band, lower <=
+    |x| < upper, upper possibly inf.  ``thin``, when given, is ``(tilt,
+    bound)``: a record i of the first band is kept when u_i (1 + bound) < 1 +
+    beta(t_i) x_i, and carries log1p(beta(t_i) x_i) as its log-tilt.  A
+    cell draws its counts (:meth:`counts`), then its uniforms, which
+    :meth:`records` draws and turns into records for a range of cells at
+    once.
     """
 
-    def __init__(self, counts, first, t, x, t_at, x_at, signs_at, alpha, lower, upper) -> None:
-        self.counts, self.first, self.t, self.x = counts, first, t, x
-        self.t_at, self.x_at, self.signs_at = t_at, x_at, signs_at
-        self.alpha, self.lower, self.upper = alpha, lower, upper
+    def __init__(self, alpha: float, bands, thin=None) -> None:
+        self.alpha, self.bands, self.thin = alpha, bands, thin
 
-    @classmethod
-    def draw(cls, bits: _BitStream, rate: float, n_paths: int, alpha: float, lower: float,
-             upper: float) -> "_Band":
-        """Poisson(rate) jumps per path; upper may be inf.  In the batch's bit
-        stream, the counts come first, then uniforms for the instants, then
-        for the magnitudes, then the signs."""
-        counts = bits.counts(rate, n_paths)
-        first = np.zeros(n_paths + 1, dtype=np.int64)
-        np.cumsum(counts, out=first[1:])
-        n = int(first[-1])
-        t_at = bits.doubles(n)
-        x_at = bits.doubles(n)
-        return cls(counts, first, _batch_array(n), _batch_array(n), t_at, x_at, bits.signs(n),
-                   alpha, lower, upper)
+    def counts(self, gen: np.random.Generator, rows: int, width: float) -> np.ndarray:
+        """(n_bands, rows) Poisson counts of each band's jumps on an interval of length ``width``."""
+        return np.stack([gen.poisson(rate * width, rows) for rate, _, _ in self.bands])
 
-    def records(self, p0: int, p1: int) -> slice:
-        return slice(int(self.first[p0]), int(self.first[p1]))
+    def records(self, cells, lo: float, hi: float):
+        """The records on (lo, hi] of ``cells``, consecutive chunks of rows,
+        each ``(generator, counts)`` right after its counts: (row, t, x,
+        log-tilt), the kept ones only, rows counted from the first cell's
+        first row.
 
-    def finish(self, s: slice) -> None:
-        """Instants on (0, 1], and magnitudes with density alpha x^(-1-alpha)
-        on [lower, upper) by inversion, with their signs, for the records ``s``."""
-        t, x = self.t[s], self.x[s]
-        _draw_doubles(self.t_at, t, s.start)
-        _draw_doubles(self.x_at, x, s.start)
-        up = _draw_signs(self.signs_at, s.start, s.stop)
-        np.subtract(1.0, t, out=t)
-        hi_pow = self.upper ** -self.alpha  # 0.0 for upper = inf, so the sum below is exact
-        np.subtract(1.0, x, out=x)
-        x *= self.lower ** -self.alpha - hi_pow
-        x += hi_pow
-        x **= -1.0 / self.alpha
-        x *= 2.0 * up - 1.0
+        Each cell draws one uniform per record for its instant, then one per
+        record for its magnitude and sign, then one per record of the first
+        band for thinning, each band's records in turn; the draws land in
+        one array per kind, band by band, so each band is transformed once
+        for all the cells.  The records come band by band, each band's
+        grouped by row in row order and in draw order within a row.  The
+        log-tilt is None without thinning and 0 outside the first band.  A
+        uniform v gives a sign, - for v < 1/2, and the magnitude's uniform
+        2v mod 1, both exact for the 53-bit v; the magnitudes have density
+        alpha x^(-1-alpha) on [lower, upper), by inversion."""
+        per_row = np.stack([_cat([counts[b] for _, counts in cells])
+                            for b in range(len(self.bands))])
+        starts = np.r_[0, np.cumsum(per_row.sum(axis=1))]  # band b: starts[b]:starts[b + 1]
+        t, x = np.empty(starts[-1]), np.empty(starts[-1])
+        n0 = int(starts[1])
+        u = None if self.thin is None else np.empty(n0)
+        at = starts[:-1].copy()
+        for gen, counts in cells:
+            m = counts.sum(axis=1)
+            for kind in (t, x):
+                for a, n in zip(at, m):
+                    gen.random(out=kind[a:a + n])
+            if u is not None:
+                gen.random(out=u[at[0]:at[0] + m[0]])
+            at += m
+        t *= lo - hi
+        t += hi  # hi - (hi - lo) u lies in (lo, hi], but for rounding at lo
+        np.maximum(t, np.nextafter(lo, np.inf), out=t)
+        for a, b, (_, lower, upper) in zip(starts, starts[1:], self.bands):
+            _magnitudes(x[a:b], self.alpha, lower, upper)
+        row = np.repeat(np.tile(np.arange(per_row.shape[1]), len(self.bands)), per_row.ravel())
+        if u is None:
+            return row, t, x, None
+        tilt, bound = self.thin
+        lt = np.zeros(t.size)
+        np.multiply(tilt.beta(t[:n0]), x[:n0], out=lt[:n0])
+        keep = np.empty(t.size, dtype=bool)
+        keep[n0:] = True
+        np.less(u * (1.0 + bound), 1.0 + lt[:n0], out=keep[:n0])
+        np.log1p(lt[:n0], out=lt[:n0])
+        return row[keep], t[keep], x[keep], lt[keep]
+
+
+def _magnitudes(v: np.ndarray, alpha: float, lower: float, upper: float) -> None:
+    """Signed magnitudes with density alpha x^(-1-alpha) on [lower, upper), in
+    place of their uniforms ``v``: the sign of v - 1/2, and the inverse CDF at
+    1 - (2v mod 1), in (0, 1]."""
+    sign = v - 0.5
+    v += v
+    v -= np.floor(v)
+    np.subtract(1.0, v, out=v)
+    hi_pow = upper ** -alpha  # 0.0 for upper = inf, so the sum below is exact
+    v *= lower ** -alpha - hi_pow
+    v += hi_pow
+    v **= -1.0 / alpha
+    np.copysign(v, sign, out=v)
+
+
+def _cat(parts: list) -> np.ndarray:
+    """``np.concatenate(parts)``, or the one part itself."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _jump_order(path_idx, t):
@@ -572,192 +504,327 @@ def _jump_order(path_idx, t):
     return order
 
 
-def _record_steps(t, dt: float, n_steps: int):
-    """(step, t / dt) of each jump instant, step = min(floor(t / dt), n_steps - 1): the
-    one step rule of the binning and the jump limits.  t * n_steps can round across
-    an integer, and a batch restricted to [0, t*] has dt = t* / n_steps."""
+def _record_steps(t, times):
+    """(step, t / dt - step) of each jump instant, dt = times[1] - times[0]: the one step
+    rule of the binning and the jump limits.  Step i holds the instants in (times[i],
+    times[i + 1]], the first step also those up to times[0] and the last those past
+    times[-1].  t / dt can round across a grid time, so floor(t / dt), which is off by
+    at most one, and only where t / dt lies within rounding of an integer, is corrected
+    there by comparing t with the grid times themselves: a record at its time block's
+    right end, or within rounding of a block edge, stays in the block whose cells drew
+    it."""
+    last = times.size - 2
+    dt = times[1] - times[0]
     scaled = t / dt
     step = scaled.astype(np.int64)
-    np.minimum(step, n_steps - 1, out=step)
+    np.clip(step, 0, last, out=step)
+    scaled -= step
+    near = np.flatnonzero(np.abs(scaled - 0.5) > 0.5 - 1e-6)  # rounding errs by ~1e-15 n
+    if near.size:
+        tn, s = t[near], step[near]
+        s -= tn <= times[s]
+        s += tn > times[s + 1]
+        np.clip(s, 0, last, out=s)
+        step[near] = s
+        scaled[near] = tn / dt - s
     return step, scaled
 
 
-class _StreamedDraw:
-    """A sampler's last generator call, ``fill(gen, chunk)`` over the chunks of
-    ``out`` that ``edges`` delimits along its first axis, in order, from
-    the bit-generator state ``at``.
-
-    Its width varies, so it starts past every fixed-width word of the
-    batch (:meth:`_BitStream.rest`).  :meth:`draw` runs on the helper
-    thread (``first`` of ``_run_pieces``) while the calling thread takes
-    the first pieces; each piece then waits for its own chunk only
-    (:meth:`wait`).  The jump samplers stream their Gaussian proxy in row
-    chunks, the stable transform its exponential variates in element
-    chunks; chunked draws are the same bits as one draw over ``out``.
-    ``out`` is allocated on the calling thread, so the helper allocates
-    nothing batch-sized: each thread allocates from its own malloc arena,
-    and a grid-sized array freed in a helper's arena stayed resident in
-    some runs.
-    """
-
-    def __init__(self, fill, out: np.ndarray, edges: list[int], at: dict) -> None:
-        self.fill, self.out, self.edges, self.at = fill, out, edges, at
-        self._drawn = 0  # chunks drawn so far
-        self._failed = False
-        self._changed = threading.Condition()
-
-    def draw(self) -> None:
-        """Draw every chunk in order; if a draw raises, release every waiter and re-raise."""
-        try:
-            gen = _generator_at(self.at)
-            for k in range(len(self.edges) - 1):
-                self.fill(gen, self.out[self.edges[k]:self.edges[k + 1]])
-                with self._changed:
-                    self._drawn = k + 1
-                    self._changed.notify_all()
-        except BaseException:
-            with self._changed:
-                self._failed = True
-                self._changed.notify_all()
-            raise
-
-    def wait(self, k: int) -> np.ndarray:
-        """Chunk k, once drawn; raises if the draw failed before it."""
-        with self._changed:
-            self._changed.wait_for(lambda: self._drawn > k or self._failed)
-            if self._drawn <= k:
-                raise RuntimeError("the streamed draw failed")
-        return self.out[self.edges[k]:self.edges[k + 1]]
+def _block_edges(n_steps: int) -> list[int]:
+    """The first step of each time block, then n_steps: ``_TIME_BLOCKS`` blocks of
+    even width, fewer where a block would hold less than ``_BLOCK_STEPS`` steps."""
+    n_blocks = max(1, min(_TIME_BLOCKS, n_steps // _BLOCK_STEPS))
+    return [k * n_steps // n_blocks for k in range(n_blocks + 1)]
 
 
-def _normals(sd: float, gen, rows: np.ndarray) -> None:
-    """``gen.normal(0.0, sd, rows.shape)`` into ``rows``."""
-    gen.standard_normal(out=rows)
-    np.multiply(rows, sd, out=rows)
-    np.add(rows, 0.0, out=rows)  # normal() returns loc + sd * z; adding loc = 0.0 keeps its bits
+def _chunk_edges(n_rows: int) -> list[int]:
+    """The first row of each chunk of ``n_rows`` rows, then n_rows: as few chunks
+    as hold at most ``_STREAM_ROWS`` rows each, of as even a size as they can be."""
+    n_chunks = -(-n_rows // _STREAM_ROWS)
+    return [c * n_rows // n_chunks for c in range(n_chunks + 1)]
 
 
-def _exponentials(gen, out: np.ndarray) -> None:
-    gen.standard_exponential(out=out)
+def _excl(counts: np.ndarray) -> np.ndarray:
+    """The exclusive prefix sums of ``counts``."""
+    return np.cumsum(counts) - counts
 
 
-def _jump_paths(bands, rest: dict, sd: float, n_paths: int, n_steps: int, drift=None,
-                thin=None):
-    """The batch whose jump records are those of ``bands``, with the Gaussian proxy
-    ``gen.normal(0.0, sd, (n_paths, n_steps))`` drawn from the bit-generator
-    state ``rest`` and the per-step ``drift``, if given.
+def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | None = None,
+                sd: float = 0.0, drift=None, bbar=None, stable=None):
+    """The batch of ``n_paths`` paths drawn cell by cell; returns (batch,
+    tilt_sums, proxy_sums).
 
-    Works in pieces of consecutive paths, each with at most
-    ``_PIECE_ELEMS`` grid values and about as many records.  ``thin``, when
-    given, is ``(tilt, u_at, bound)`` for ``bands[0]``, u_at the start of
-    its uniforms ``random(n)`` (:meth:`_BitStream.doubles`): a first pass
-    draws and finishes that band's records, draws their uniforms u and
-    keeps record i when u[i] (1 + bound) < 1 + beta(t_i) x_i, overwriting u
-    with log1p(beta(t) x).  The second pass, piece by piece: draws and
-    finishes the other bands' records; orders the piece's records, its paths'
-    records of each band in turn, by (path, time), which equals
-    ``np.lexsort((t, path_idx))`` over the bands' records concatenated (see
-    :func:`_jump_order`), so records, values and log-weights are
-    bit-identical to a lexsort's; with ``thin``, sums each path's kept
-    log1p(beta(t) x) in record order, as one ``bincount`` over the batch's
-    records would; sums the records per step; adds the drift; waits
-    for its rows of the proxy (:class:`_StreamedDraw`, drawn on the helper
-    thread meanwhile) and adds them; sums each path into the grid; and,
-    when the batch's sups were asked for (:func:`_streamed_sups`), takes
-    its rows' sups.  With one band and no thinning, a piece's sorted
-    records cover the slots of its draws, which it has copied, so they are
-    written back over the band's instants and sizes.
+    ``stable`` is ``(alpha, scale)`` for the increment samplers, whose cells
+    draw standard stable increments times ``scale``, a scalar or one factor
+    per step.  Otherwise ``bands`` draws each cell's jump records, and the
+    Gaussian proxy has standard deviation ``sd`` per step; ``drift`` is the
+    per-step drift, if any.  With ``bands.thin``, tilt_sums holds each
+    path's sum of its kept records' log-tilts, added in the batch's record
+    order, so it is the bits of one ``bincount`` over the returned records;
+    with ``bbar``, proxy_sums holds each path's sum of the proxy times
+    ``bbar``, each cell's product taken over the cell alone and added block
+    by block; each is None otherwise.
 
-    Returns (batch, tilt_sums): tilt_sums holds each path's sum of its kept
-    log1p(beta(t) x), the other bands' records adding 0, and is None
-    without ``thin``.
+    The cells run in pieces of whole cells, each of about ``_PIECE_ELEMS``
+    grid values or expected records per block: a piece draws its cells,
+    then bins and sums their rows, and, when the batch's sups were asked for
+    (:func:`_streamed_sups`), raises those rows' sups.  Capped sups run the
+    pieces of one block at a time and pack the paths still inside some ball
+    after each; the capped batch holds only the paths inside some ball at
+    t = 1, and the sums of the others are NaN.  Uncapped, a piece takes its
+    rows through every block in turn, and every cell's counts are drawn
+    first, so each record's slot in the (path, time)-sorted arrays is known
+    before its cell draws the rest; a thinned band leaves its dropped
+    records' slots empty, which each piece closes within its own rows, and
+    one pass moves the pieces' records together.
     """
     sups = _take_sups()
-    counts = [band.counts for band in bands]  # records per path, after thinning
-    n_records = sum(int(b.first[-1]) for b in bands)
-    per = max(1, min(_PIECE_ELEMS // n_steps, _PIECE_ELEMS * n_paths // max(1, n_records)))
-    edges = [*range(0, n_paths, per), n_paths]
-    n_pieces = len(edges) - 1
-    keep = None
-    if thin is not None:
-        tilt, u_at, bound = thin
-        thinned = bands[0]
-        u = _batch_array(thinned.t.size)
-        keep = _batch_array(u.size, bool)
-        counts[0] = np.empty(n_paths, dtype=np.int64)
-
-        def thin_piece(i: int) -> None:
-            p0, p1 = edges[i], edges[i + 1]
-            s = thinned.records(p0, p1)
-            thinned.finish(s)
-            _draw_doubles(u_at, u[s], s.start)
-            bx = tilt.beta(thinned.t[s])
-            bx *= thinned.x[s]
-            np.less(u[s] * (1.0 + bound), 1.0 + bx, out=keep[s])
-            np.log1p(bx, out=u[s])
-            owner = np.repeat(np.arange(p1 - p0), thinned.counts[p0:p1])
-            counts[0][p0:p1] = np.bincount(owner[keep[s]], minlength=p1 - p0)
-
-        _run_pieces(thin_piece, n_pieces)
-
-    out_counts = sum(counts)
-    first = np.zeros(n_paths + 1, dtype=np.int64)
-    np.cumsum(out_counts, out=first[1:])
-    n_out = int(first[-1])
-    path_out = _batch_array(n_out, np.int64)
-    if keep is None and len(bands) == 1:
-        t_out, x_out = bands[0].t, bands[0].x
-    else:
-        t_out, x_out = _batch_array(n_out), _batch_array(n_out)
-    tilt_sums = None if keep is None else np.empty(n_paths)
-    values = _batch_array((n_paths, n_steps + 1))
-    proxy = _StreamedDraw(partial(_normals, sd), _batch_array((n_paths, n_steps)), edges, rest)
-    batch = BatchPaths(times=np.linspace(0.0, 1.0, n_steps + 1), values=values,
-                       jump_path=path_out, jump_times=t_out, jump_sizes=x_out,
-                       small_noise=proxy.out, drift_steps=drift)
+    capped = sups is not None and sups.cap < np.inf
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    edges = _block_edges(n_steps)
+    n_blocks = len(edges) - 1
+    thinned = bands is not None and bands.thin is not None
+    tilt_sums = np.zeros(n_paths) if thinned else None
+    proxy_sums = np.zeros(n_paths) if bbar is not None else None
     if sups is not None:
-        sups.start(batch, first)
+        sups.start(times, n_paths)
+    live = np.arange(n_paths)  # the paths drawn in this block, in path order
+    run = None if sups is None else sups.out  # their sups so far, one column each
+    per_step = _STREAM_ROWS  # a cell's grid values per step, or its expected records if more
+    if bands is not None:
+        per_step = max(per_step, per_step / n_steps * sum(rate for rate, _, _ in bands.bands))
+
+    def cuts(n_chunks: int, per: float) -> list[int]:
+        """The first chunk of each piece, then n_chunks, for cells of ``per`` each."""
+        return [*range(0, n_chunks, max(1, int(_PIECE_ELEMS // per))), n_chunks]
+
+    def draw(k: int, grid, noise, chunks, c0: int, c1: int):
+        """Draw the cells (k, c0), ..., (k, c1 - 1), the rows chunks[c0]:chunks[c1]
+        of ``grid`` (block k's columns, which start from the rows' carried
+        values) and of ``noise``, and sum them; with sups, raise the rows'
+        sups.  Returns the cells' records if capped."""
+        s0, s1 = edges[k], edges[k + 1]
+        width, r0, r1 = s1 - s0, chunks[c0], chunks[c1]
+        if bands is None:
+            incr = np.empty((r1 - r0, width))
+            for c in range(c0, c1):
+                q0, q1 = chunks[c] - r0, chunks[c + 1] - r0
+                incr[q0:q1] = standard_symmetric_stable(stable[0], (q1 - q0, width),
+                                                        stream.child(k, c))
+            scale = stable[1]
+            incr *= scale if np.ndim(scale) == 0 else scale[s0:s1]
+        else:
+            if capped:
+                cells = []
+                for c in range(c0, c1):
+                    gen = stream.child(k, c).generator()
+                    rows = chunks[c + 1] - chunks[c]
+                    cells.append((gen, bands.counts(gen, rows, width / n_steps)))
+            else:
+                cells = gens[k][c0:c1]
+            row, t, x, lt = bands.records(cells, times[s0], times[s1])
+            z = noise[r0:r1]
+            strided = not z.flags.c_contiguous  # a block of a whole batch: drawn in a copy
+            if strided:
+                z = np.empty(z.shape)
+            for c, (gen, _) in enumerate(cells, c0):
+                zc = z[chunks[c] - r0:chunks[c + 1] - r0]
+                gen.standard_normal(out=zc)
+                zc *= sd
+                if proxy_sums is not None:
+                    proxy_sums[live[chunks[c]:chunks[c + 1]]] += zc @ bbar[s0:s1]
+            del cells
+            step, frac = _record_steps(t, times)
+            flat = row * width
+            flat += step
+            flat -= s0
+            incr = np.bincount(flat, weights=x, minlength=(r1 - r0) * width)
+            incr = incr.astype(float, copy=False).reshape(r1 - r0, width)  # int with no records
+            if drift is not None:
+                incr += drift[s0:s1]
+            incr += z
+            if strided:
+                noise[r0:r1] = z
+        incr[:, 0] += grid[r0:r1, 0]
+        np.cumsum(incr, axis=1, out=grid[r0:r1, 1:])
+        del incr
+        if capped:
+            sups.screen(run[:, r0:r1], grid[r0:r1], s0, _BLOCK_SCREEN_STRIDE)
+            return None if bands is None else (row + r0, t, x, lt)
+        if bands is None:
+            if sups is not None:
+                sups.exact(run[:, r0:r1], grid[r0:r1], s0)
+            return None
+        order = _jump_order(row, t)
+        row, t, x = row[order], t[order], x[order]
+        if thinned:  # in time order within each row, as one bincount over the batch's records
+            np.add.at(tilt_sums[r0:r1], row, lt[order])
+        if sups is not None:
+            sups.exact(run[:, r0:r1], grid[r0:r1], s0, (row, t, x, step[order], frac[order]),
+                       noise[r0:r1], None if drift is None else drift[s0:s1])
+        per_row = np.bincount(row, minlength=r1 - r0)
+        dest = np.repeat(slots[k, r0:r1] - _excl(per_row), per_row)
+        dest += np.arange(row.size)
+        t_out[dest], x_out[dest] = t, x
+        kept[k, r0:r1] = per_row
+        return None
+
+    if capped:
+        run = run.copy()
+        carry = np.zeros(n_paths)  # the live paths' values at the block's start
+        held = []  # each block drawn: (first step, paths, grid, proxy, records of each piece)
+        for k in range(n_blocks):
+            width = edges[k + 1] - edges[k]
+            grid = _batch_array((live.size, width + 1))
+            grid[:, 0] = carry
+            noise = None if bands is None else _batch_array((live.size, width))
+            chunks = _chunk_edges(live.size)
+            block_cuts = cuts(len(chunks) - 1, per_step * width)
+            piece_records = [None] * (len(block_cuts) - 1)
+
+            def piece(i: int) -> None:
+                piece_records[i] = draw(k, grid, noise, chunks, block_cuts[i], block_cuts[i + 1])
+
+            _run_pieces(piece, len(block_cuts) - 1)
+            held.append((edges[k], live, grid, noise, piece_records))
+            alive = (run < sups.cap).any(axis=0)
+            sups.out[:, live[~alive]] = run[:, ~alive]
+            live, run, carry = live[alive], run[:, alive], grid[alive, -1]
+            if live.size == 0:
+                break
+        batch = _survivors(sups, run, live, held, times, drift, tilt_sums)
+        left = np.ones(n_paths, dtype=bool)
+        left[live] = False
+        for sums in (tilt_sums, proxy_sums):
+            if sums is not None:
+                sums[left] = np.nan
+        sups.batch = batch
+        return batch, tilt_sums, proxy_sums
+
+    values = _batch_array((n_paths, n_steps + 1))
+    values[:, 0] = 0.0
+    small_noise = None if bands is None else _batch_array((n_paths, n_steps))
+    if bands is not None:
+        gens, slots, n_env = _count_cells(stream, bands, n_paths, edges)
+        path_out = _batch_array(n_env, np.int64)
+        t_out, x_out = _batch_array(n_env), _batch_array(n_env)
+        kept = np.empty(slots.shape, dtype=np.int64)  # records of each (block, path)
+    chunks = _chunk_edges(n_paths)
+    row_cuts = cuts(len(chunks) - 1, per_step * max(np.diff(edges)))
+    filled = [0] * (len(row_cuts) - 1)  # records of each piece, from its first slot on
 
     def piece(i: int) -> None:
-        p0, p1 = edges[i], edges[i + 1]
-        t, x, lt = [], [], []
-        for j, band in enumerate(bands):
-            s = band.records(p0, p1)
-            if j == 0 and keep is not None:
-                k = keep[s]
-                t.append(band.t[s][k])
-                x.append(band.x[s][k])
-                lt.append(u[s][k])
-            else:
-                band.finish(s)
-                t.append(band.t[s])
-                x.append(band.x[s])
-                if keep is not None:
-                    lt.append(np.zeros(s.stop - s.start))  # untilted: adds 0 to the sums
-        owner = np.concatenate([np.repeat(np.arange(p1 - p0), c[p0:p1]) for c in counts])
-        t, x = np.concatenate(t), np.concatenate(x)
-        order = _jump_order(owner, t)
-        o = slice(first[p0], first[p1])
-        path_out[o] = np.repeat(np.arange(p0, p1), out_counts[p0:p1])
-        t_out[o], x_out[o] = t[order], x[order]
-        if tilt_sums is not None:
-            tilt_sums[p0:p1] = np.bincount(path_out[o] - p0, weights=np.concatenate(lt)[order],
-                                           minlength=p1 - p0)
-        step = _record_steps(t_out[o], 1.0 / n_steps, n_steps)[0]
-        step += (path_out[o] - p0) * n_steps
-        incr = np.bincount(step, weights=x_out[o], minlength=(p1 - p0) * n_steps)
-        incr = incr.astype(float, copy=False).reshape(p1 - p0, n_steps)  # int with no records
-        if drift is not None:
-            incr += drift
-        incr += proxy.wait(i)
-        values[p0:p1, 0] = 0.0
-        np.cumsum(incr, axis=1, out=values[p0:p1, 1:])
-        if sups is not None:
-            del t, x, lt, owner, order, step, incr  # freed before the sups take theirs
-            sups.rows(p0, p1)
+        c0, c1 = row_cuts[i], row_cuts[i + 1]
+        for k in range(n_blocks):
+            s0, s1 = edges[k], edges[k + 1]
+            draw(k, values[:, s0:s1 + 1], None if bands is None else small_noise[:, s0:s1],
+                 chunks, c0, c1)
+        if bands is None:
+            return
+        r0, r1 = chunks[c0], chunks[c1]
+        start = int(slots[0, r0])
+        stop = int(slots[0, r1]) if r1 < n_paths else n_env
+        own = (t_out[start:stop], x_out[start:stop])
+        if thinned:
+            own = _close_gaps(kept[:, r0:r1], slots[:, r0:r1] - start, own)
+        filled[i] = own[0].size
+        path_out[start:start + filled[i]] = np.repeat(np.arange(r0, r1), kept[:, r0:r1].sum(axis=0))
 
-    _run_pieces(piece, n_pieces, proxy.draw)
-    return batch, tilt_sums
+    _run_pieces(piece, len(row_cuts) - 1)
+    batch = BatchPaths(times=times, values=values, small_noise=small_noise, drift_steps=drift)
+    if bands is not None:
+        n_out = 0
+        for i, m in enumerate(filled):  # each piece's records move down to the last one's end
+            start = int(slots[0, chunks[row_cuts[i]]])
+            if start > n_out:
+                for a in (path_out, t_out, x_out):
+                    a[n_out:n_out + m] = a[start:start + m]
+            n_out += m
+        batch = replace(batch, jump_path=path_out[:n_out], jump_times=t_out[:n_out],
+                        jump_sizes=x_out[:n_out])
+    if sups is not None:
+        sups.batch = batch
+    return batch, tilt_sums, proxy_sums
+
+
+def _count_cells(stream: RngStream, bands: _Bands, n_paths: int, edges):
+    """(gens, slots, n_records) of an uncapped jump batch: ``gens[k][c]`` the
+    generator of cell (k, c), right after its counts, and those counts;
+    block k of path p takes the record slots from ``slots[k, p]`` on, in
+    (path, block) order, out of ``n_records``."""
+    n_steps, chunks = edges[-1], _chunk_edges(n_paths)
+    gens, env = [], np.empty((len(edges) - 1, n_paths), dtype=np.int64)
+    for k in range(len(edges) - 1):
+        gens.append([])
+        for c in range(len(chunks) - 1):
+            q0, q1 = chunks[c], chunks[c + 1]
+            gen = stream.child(k, c).generator()
+            counts = bands.counts(gen, q1 - q0, (edges[k + 1] - edges[k]) / n_steps)
+            gens[k].append((gen, counts))
+            env[k, q0:q1] = counts.sum(axis=0)
+    slots = np.cumsum(env, axis=0) - env
+    slots += _excl(env.sum(axis=0))
+    return gens, slots, int(env.sum())
+
+
+def _survivors(sups, run, live, held, times, drift, tilt_sums) -> BatchPaths:
+    """The capped batch of the paths ``live`` still inside some ball at t = 1,
+    gathered from the ``held`` blocks that drew them, with their exact sups
+    over the whole grid: ``run`` holds their screened sups, and every sup of
+    ``sups`` is capped once they are in.  ``tilt_sums``, if given, takes
+    their sums of log-tilts, in the batch's record order."""
+    n_steps = times.size - 1
+    values = _batch_array((live.size, n_steps + 1))
+    values[:, 0] = 0.0
+    jumps = held[0][3] is not None
+    small_noise = _batch_array((live.size, n_steps)) if jumps else None
+    picked = []
+    for s0, paths, grid, noise, piece_records in held:
+        pos = np.searchsorted(paths, live)
+        values[:, s0 + 1:s0 + grid.shape[1]] = grid[pos, 1:]
+        if not jumps:
+            continue
+        small_noise[:, s0:s0 + noise.shape[1]] = noise[pos]
+        where = np.full(paths.size, -1)
+        where[pos] = np.arange(pos.size)
+        for row, *rest in piece_records:
+            row = where[row]
+            sel = row >= 0
+            picked.append([row[sel]] + [None if a is None else a[sel] for a in rest])
+    records = None
+    if jumps:
+        row, t, x = (np.concatenate([rec[j] for rec in picked]) for j in range(3))
+        order = _jump_order(row, t)
+        row, t, x = row[order], t[order], x[order]
+        if tilt_sums is not None:
+            lt = np.concatenate([rec[3] for rec in picked])[order]
+            tilt_sums[live] = np.bincount(row, weights=lt, minlength=live.size)
+        records = (row, t, x, *_record_steps(t, times))
+    sups.exact(run, values, 0, records, small_noise, drift)
+    sups.out[:, live] = run
+    np.minimum(sups.out, sups.cap, out=sups.out)
+    batch = BatchPaths(times=times, values=values, small_noise=small_noise, drift_steps=drift)
+    return batch if not jumps else replace(batch, jump_path=row, jump_times=t, jump_sizes=x)
+
+
+def _close_gaps(kept: np.ndarray, slots: np.ndarray, arrays):
+    """The record ``arrays`` of some rows of a thinned batch, their empty slots closed up.
+
+    Block k of row p filled ``kept[k, p]`` records from ``slots[k, p]`` on,
+    counted from the arrays' start; the slots run in (row, block) order, so
+    each record moves to a position at or below its own, and copying in
+    order of the new positions, in chunks, overwrites only records already
+    moved.
+    """
+    lens = kept.T.ravel()
+    n_out = int(lens.sum())
+    src = np.repeat(slots.T.ravel() - _excl(lens), lens)
+    src += np.arange(n_out)
+    for d0 in range(0, n_out, _PIECE_ELEMS):
+        s = src[d0:d0 + _PIECE_ELEMS]
+        for a in arrays:
+            a[d0:d0 + s.size] = a[s]
+    return tuple(a[:n_out] for a in arrays)
 
 
 def _check_shape(n_paths: int, n_steps: int) -> None:
@@ -800,6 +867,14 @@ def _resolve_cutoff(eps_cutoff: float | None, cut: float) -> float:
     return eps_cutoff
 
 
+def _jump_bands(params: AlphaStableParams, eps_cutoff: float) -> _Bands:
+    """The one band of :func:`sample_jump_batch`: every jump |x| >= eps_cutoff."""
+    if not 0.0 < eps_cutoff < np.inf:
+        raise ValueError("eps_cutoff must be positive and finite")
+    alpha = params.alpha
+    return _Bands(alpha, [(_jump_rate(alpha, eps_cutoff), eps_cutoff, np.inf)])
+
+
 def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int,
                       n_steps: int, rng: RngStream) -> BatchPaths:
     """Jump-resolved paths: all jumps above eps_cutoff drawn individually.
@@ -811,14 +886,28 @@ def sample_jump_batch(params: AlphaStableParams, eps_cutoff: float, n_paths: int
     already centered.
     """
     _check_shape(n_paths, n_steps)
-    if not 0.0 < eps_cutoff < np.inf:
-        raise ValueError("eps_cutoff must be positive and finite")
-    alpha = params.alpha
-    rate = _jump_rate(alpha, eps_cutoff)
-    bits = _BitStream(_require_stream(rng))
-    band = _Band.draw(bits, rate, n_paths, alpha, eps_cutoff, np.inf)
-    sd = np.sqrt(truncated_second_moment(alpha, eps_cutoff) * (1.0 / n_steps))
-    return _jump_paths([band], bits.rest(), sd, n_paths, n_steps)[0]
+    bands = _jump_bands(params, eps_cutoff)
+    sd = np.sqrt(truncated_second_moment(params.alpha, eps_cutoff) * (1.0 / n_steps))
+    return _cell_paths(_require_stream(rng), n_paths, n_steps, bands, sd)[0]
+
+
+def _largest_jumps(params: AlphaStableParams, eps_cutoff: float, n_paths: int, n_steps: int,
+                   stream: RngStream) -> np.ndarray:
+    """Each path's largest |x| among the jumps that ``sample_jump_batch(params,
+    eps_cutoff, n_paths, n_steps, stream)`` draws, 0.0 for a path without one.
+
+    The same cells draw the same records, and nothing after them: no proxy,
+    no grid."""
+    _check_shape(n_paths, n_steps)
+    bands = _jump_bands(params, eps_cutoff)
+    edges = _block_edges(n_steps)
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    out = np.zeros(n_paths)
+    gens = _count_cells(_require_stream(stream), bands, n_paths, edges)[0]
+    for k, cells in enumerate(gens):
+        row, _, x, _ = bands.records(cells, times[edges[k]], times[edges[k + 1]])
+        np.maximum.at(out, row, np.abs(x))
+    return out
 
 
 def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, float, float]:
@@ -855,12 +944,14 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     centered martingale, which is how the importance-sampling estimator
     consumes it; adding ``tilt.compensator_shift_curve`` gives the tilted
     path with its mean.  At zero tilt (amplitude bound 0) the paths follow
-    the truncated law and every log-weight is 0, with no weight pass.
+    the truncated law and every log-weight is 0, with no weight pass.  A
+    batch drawn for capped sups (:func:`_streamed_sups`) gives no weight to
+    a path that left every ball: its log-weight is NaN.
 
     Returns (batch, log_weights).
     """
     _check_shape(n_paths, n_steps)
-    bits = _BitStream(_require_stream(rng))
+    _require_stream(rng)
     alpha = tilt.params.alpha
     cut = tilt.jump_cut
     scale = tilt.intensity_scale
@@ -868,15 +959,12 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     b_bound = tilt.amplitude_bound
     dt = 1.0 / n_steps
 
-    # interior jumps eps <= |x| < cut, thinned from the (1 + B)-inflated rate
-    bands = [_Band.draw(bits, rate_int, n_paths, alpha, eps_cutoff, cut)]
-    thin = None
-    if b_bound != 0.0:
-        thin = (tilt, bits.doubles(bands[0].t.size), b_bound)
-
-    # exterior jumps |x| >= cut, untilted; only the small regime keeps them
+    # interior jumps eps <= |x| < cut, thinned from the (1 + B)-inflated rate;
+    # exterior jumps |x| >= cut, untilted, which only the small regime keeps
+    bands = [(rate_int, eps_cutoff, cut)]
     if tilt.keeps_exterior_jumps:
-        bands.append(_Band.draw(bits, rate_ext, n_paths, alpha, cut, np.inf))
+        bands.append((rate_ext, cut, np.inf))
+    bands = _Bands(alpha, bands, None if b_bound == 0.0 else (tilt, b_bound))
 
     # compensate the tilt of the interior band so the component is a martingale
     bbar = step_mean_amplitude(tilt, n_steps)
@@ -884,12 +972,11 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     drift = -scale * v_band * bbar * dt
 
     var = scale * truncated_second_moment(alpha, eps_cutoff) * dt  # of the proxy per step
-    batch, tilt_sums = _jump_paths(bands, bits.rest(), np.sqrt(var), n_paths, n_steps, drift,
-                                   thin)
-    del bands, thin  # the raw draws die before the weights are computed
+    batch, tilt_sums, proxy_sums = _cell_paths(rng, n_paths, n_steps, bands, np.sqrt(var), drift,
+                                               None if b_bound == 0.0 else bbar)
     if b_bound == 0.0:
         return batch, np.zeros(n_paths)
-    return batch, log_weight_batch(batch, tilt_sums, bbar, var)
+    return batch, log_weight_batch(tilt_sums, proxy_sums, bbar, var)
 
 
 def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_steps: int,
@@ -910,7 +997,7 @@ def sample_time_changed_batch(params: AlphaStableParams, speed, n_paths: int, n_
     if not np.any(d_phi > 0.0):
         raise ValueError("speed must have positive total mass")
     scale = (params.c_alpha * d_phi) ** (1.0 / params.alpha)
-    return _stable_paths(params.alpha, scale, n_paths, n_steps, rng)
+    return _cell_paths(_require_stream(rng), n_paths, n_steps, stable=(params.alpha, scale))[0]
 
 
 def sup_distance_batch(batch: BatchPaths, f: ShiftFunction | None = None,
@@ -937,98 +1024,98 @@ def _max_dev(block: np.ndarray, target, dev: np.ndarray, out: np.ndarray) -> Non
     dev.max(axis=1, out=out)
 
 
-_SCREEN_STRIDE = 32  # grid columns per column of the coarse grid that screens capped sups
+# grid columns per column of the coarse grid that screens capped sups: in a
+# finished batch, before its full grid (_sup_matrix), and in each time block a
+# capped sampler draws, where the screen also picks the paths drawn in the
+# next block, so a finer grid there drops more paths sooner
+_SCREEN_STRIDE = 32
+_BLOCK_SCREEN_STRIDE = 8
 
 
 class _Sups:
     """Refined sups of one batch's paths against every ``(f, shift_scale)`` target,
     capped: the ``(len(targets), n_paths)`` matrix ``np.minimum(sup, cap)``,
-    filled a row range at a time.
+    raised one range of rows and grid columns at a time.
 
-    :meth:`start` takes the batch, whose grid and records may still be
-    filling, evaluates f once per distinct f object on the grid, and scales
-    it per target.  :meth:`rows` then fills the columns of a range of
-    paths whose grid, records and proxy are final, first with each
-    target's grid max.  Uncapped, that is one pass over the rows per
-    target, through one buffer.  With a finite ``cap`` a coarse grid
-    screens the pairs first: each target's max over a copy of every
-    ``_SCREEN_STRIDE``-th column; a (target, path) pair whose coarse max
-    reaches ``cap`` keeps it, since its grid max is no smaller and both cap
-    to ``cap``, and only the other pairs take the full grid, on a gather of
-    their rows.  The range's paths whose grid sup is below ``cap`` for some
-    target are still undecided (with ``cap`` = inf, every path); only their
-    jump records are gathered, given their left and right limits
-    (:func:`_jump_limits`) and reduced per path, again for every target.  A
-    path whose grid sup reaches ``cap`` for every target keeps it: its
-    refined sup is no smaller, so both cap to ``cap``.  A None target skips
-    the subtraction.  Every element sees the same operations as a
-    one-target pass over the whole batch would, and a range reads and
-    writes only its own paths, so each row is bit-identical to the sup
-    against its target alone, however the paths are split into ranges and
-    whichever thread fills each.
+    :meth:`start` takes the batch's grid times, evaluates f once per
+    distinct f object on them, and scales it per target.  :meth:`exact`
+    then raises the running maxima of a range of paths with each target's
+    max over those paths' values on a range of grid columns, one pass over
+    the rows per target through one buffer, and over the left and right
+    limits (:func:`_jump_limits`) of their jump records in those steps,
+    reduced per path.  With a finite ``cap``, :meth:`screen` raises them
+    with each target's max over a copy of every ``stride``-th column only
+    (``_SCREEN_STRIDE`` or ``_BLOCK_SCREEN_STRIDE``): a lower bound, and
+    the sup itself once it reaches ``cap``,
+    since both cap to ``cap``; only the paths it leaves below ``cap`` for
+    some target take :meth:`exact`, and of those only the paths whose grid
+    max leaves them below ``cap`` for some target take their jump records.
+    A None target skips the subtraction.  The max is exact, so every pair's
+    sup is the same bits however the grid is cut into column ranges and
+    rows, and whichever thread raises each, as the sup against its target
+    alone over the whole batch.
 
     Two drivers run it: :func:`_sup_matrix` over a finished batch, in row
     blocks of about ``_PIECE_ELEMS`` grid values, and the samplers' own
-    pieces, each right after its paths are summed (:func:`_streamed_sups`).
+    pieces, each right after its rows of a time block are summed
+    (:func:`_streamed_sups`).
     """
 
     def __init__(self, targets, path_scale: float = 1.0, cap: float = np.inf) -> None:
         self.targets, self.path_scale, self.cap = list(targets), path_scale, cap
         self.batch = None
 
-    def start(self, batch: BatchPaths, first=None) -> None:
-        """Take ``batch``; path i owns its records ``first[i]:first[i + 1]``,
-        found from ``batch.jump_path`` when ``first`` is None."""
-        self.batch = batch
+    def start(self, times: np.ndarray, n_paths: int) -> None:
+        """Take the grid ``times`` of a batch of ``n_paths`` paths; every sup starts at 0."""
         self.shifts = {id(f): f for f, _ in self.targets if f is not None}
-        grid_f = {key: np.asarray(f(batch.times), dtype=float) for key, f in self.shifts.items()}
+        grid_f = {key: np.asarray(f(times), dtype=float) for key, f in self.shifts.items()}
         self.grid_targets = [None if f is None else scale * grid_f[id(f)]
                              for f, scale in self.targets]
-        self.out = np.empty((len(self.targets), batch.n_paths))
-        self.first = None
-        if batch.jump_times is not None and batch.jump_times.size > 0:
-            # records are (path, time)-sorted: path i owns records first[i]:first[i + 1]
-            self.first = (np.searchsorted(batch.jump_path, np.arange(batch.n_paths + 1))
-                          if first is None else first)
+        self.out = np.zeros((len(self.targets), n_paths))
 
-    def rows(self, r0: int, r1: int) -> None:
-        """Fill the columns r0:r1."""
-        batch, out, first, cap = self.batch, self.out[:, r0:r1], self.first, self.cap
-        block = batch.values[r0:r1]
-        if self.path_scale != 1.0:
-            block = np.multiply(block, self.path_scale)
-        if cap == np.inf:
-            dev = np.empty_like(block)
-            for k, target in enumerate(self.grid_targets):
-                _max_dev(block, target, dev, out[k])
-        else:
-            coarse = block[:, ::_SCREEN_STRIDE].copy()  # contiguous: read once per target
-            dev = np.empty(coarse.shape)
-            for k, target in enumerate(self.grid_targets):
-                _max_dev(coarse, None if target is None else target[::_SCREEN_STRIDE], dev, out[k])
-                rest = np.flatnonzero(out[k] < cap)  # the pairs the coarse grid leaves open
-                if rest.size:
-                    part, sup = block[rest], np.empty(rest.size)
-                    _max_dev(part, target, part, sup)
-                    out[k, rest] = sup
-        if first is not None:
-            self._refine(r0, out, first)
-        np.minimum(out, cap, out=out)
+    def _block(self, grid: np.ndarray, s0: int):
+        """``grid``, values at grid columns s0, s0 + 1, ..., times ``path_scale``,
+        and each target on those columns."""
+        block = grid if self.path_scale == 1.0 else np.multiply(grid, self.path_scale)
+        cols = slice(s0, s0 + grid.shape[1])
+        return block, [None if g is None else g[cols] for g in self.grid_targets]
 
-    def _refine(self, r0: int, out: np.ndarray, first: np.ndarray) -> None:
-        # the undecided paths with records, and where their records start
-        live = r0 + np.flatnonzero((out < self.cap).any(axis=0))
-        counts = first[live + 1] - first[live]
-        has = counts > 0
-        live, counts = live[has], counts[has]
-        if live.size == 0:
+    def screen(self, run: np.ndarray, grid: np.ndarray, s0: int, stride: int) -> None:
+        """Raise ``run``, the sups so far of some paths (one column each), with
+        each target's max over every ``stride``-th column of ``grid``, their
+        values at grid columns s0, s0 + 1, ...; a lower bound of their sups,
+        and the sup itself once it reaches ``cap``."""
+        block, targets = self._block(grid, s0)
+        coarse = block[:, ::stride].copy()  # contiguous: read once per target
+        dev, m = np.empty(coarse.shape), np.empty(coarse.shape[0])
+        for k, target in enumerate(targets):
+            _max_dev(coarse, None if target is None else target[::stride], dev, m)
+            np.maximum(run[k], m, out=run[k])
+
+    def exact(self, run: np.ndarray, grid: np.ndarray, s0: int, records=None,
+              noise=None, drift=None) -> None:
+        """Raise ``run`` with each target's max over ``grid``, as in
+        :meth:`screen` but over every column, and over the left and right
+        limits of ``records``, the paths' jump records in those steps,
+        sorted by (row, time): ``(row, t, x, step, frac)`` as
+        :func:`_record_steps` gives step and frac; ``noise`` and ``drift``
+        are the rows' proxy and the drift on those steps (None for none)."""
+        block, targets = self._block(grid, s0)
+        dev, m = np.empty_like(block), np.empty(block.shape[0])
+        for k, target in enumerate(targets):
+            _max_dev(block, target, dev, m)
+            np.maximum(run[k], m, out=run[k])
+        if records is not None and self.cap < np.inf:  # decided on the grid: no limits
+            keep = (run < self.cap).any(axis=0)[records[0]]
+            records = tuple(a[keep] for a in records)
+        if records is None or records[0].size == 0:
             return
-        starts = np.cumsum(counts) - counts
-        sel = np.repeat(first[live] - starts, counts) + np.arange(starts[-1] + counts[-1])
-        t, pre, post = _jump_limits(self.batch, sel)
+        row, t, x, step, frac = records
+        pre, post = _jump_limits(grid, s0, noise, drift, row, step, frac, x)
         if self.path_scale != 1.0:
             pre, post = self.path_scale * pre, self.path_scale * post
-        owners = live - r0
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        owners = row[starts]
         jump_f = {key: np.asarray(f(t), dtype=float) for key, f in self.shifts.items()}
         cand, other = np.empty(t.size), np.empty(t.size)
         for k, (f, scale) in enumerate(self.targets):
@@ -1041,14 +1128,30 @@ class _Sups:
                 np.abs(np.subtract(post, t_target, out=other), out=other)
             np.maximum(cand, other, out=cand)
             seg_max = np.maximum.reduceat(cand, starts)
-            out[k, owners] = np.maximum(out[k, owners], seg_max)
+            run[k, owners] = np.maximum(run[k, owners], seg_max)
 
     def of(self, batch: BatchPaths) -> np.ndarray:
         """The sups of ``batch``: those its sampler's pieces took, else from
-        a pass of their own (a sampler that streams no sups)."""
+        a pass of their own (a sampler that streams no sups).  A capped
+        sampler keeps only the paths inside some ball, chosen on its own
+        values, so the sups of any other batch built from its batch, say a
+        rescaled one, cannot be taken: that raises ``ValueError``."""
         if self.batch is batch:
             return self.out
+        if self.batch is not None and self.cap < np.inf:
+            raise ValueError("a sampler drew these sups capped, so it kept only the paths "
+                             "inside some ball; the batch it returned must be passed as is")
         return _sup_matrix(batch, self.targets, self.path_scale, self.cap)
+
+
+def _pick_rows(records, pos: np.ndarray):
+    """The ``records`` (row first, sorted by row) of the rows ``pos``, increasing,
+    each row renumbered by its place in ``pos``."""
+    lo, hi = np.searchsorted(records[0], pos), np.searchsorted(records[0], pos + 1)
+    counts = hi - lo
+    sel = np.repeat(lo - _excl(counts), counts)
+    sel += np.arange(sel.size)
+    return (np.repeat(np.arange(pos.size), counts), *(a[sel] for a in records[1:]))
 
 
 def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
@@ -1060,10 +1163,38 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
     own limits and writes only its own columns of the result.
     """
     sups = _Sups(targets, path_scale, cap)
-    sups.start(batch)
+    sups.start(batch.times, batch.n_paths)
+    first = None
+    if batch.jump_times is not None and batch.jump_times.size > 0:
+        # records are (path, time)-sorted: path i owns records first[i]:first[i + 1]
+        first = np.searchsorted(batch.jump_path, np.arange(batch.n_paths + 1))
     rows = max(1, _PIECE_ELEMS // batch.values.shape[1])
     edges = [*range(0, batch.n_paths, rows), batch.n_paths]
-    _run_pieces(lambda b: sups.rows(edges[b], edges[b + 1]), len(edges) - 1)
+
+    def block(b: int) -> None:
+        r0, r1 = edges[b], edges[b + 1]
+        records = None
+        if first is not None:
+            s = slice(first[r0], first[r1])
+            t = batch.jump_times[s]
+            records = (batch.jump_path[s] - r0, t, batch.jump_sizes[s],
+                       *_record_steps(t, batch.times))
+        noise = None if batch.small_noise is None else batch.small_noise[r0:r1]
+        run, grid = sups.out[:, r0:r1], batch.values[r0:r1]
+        if cap == np.inf:
+            sups.exact(run, grid, 0, records, noise, batch.drift_steps)
+            return
+        sups.screen(run, grid, 0, _SCREEN_STRIDE)
+        pos = np.flatnonzero((run < cap).any(axis=0))  # the paths the screen leaves open
+        if pos.size:
+            sub = run[:, pos]
+            sups.exact(sub, grid[pos], 0, None if records is None else
+                       _pick_rows(records, pos),
+                       None if noise is None else noise[pos], batch.drift_steps)
+            run[:, pos] = sub
+
+    _run_pieces(block, len(edges) - 1)
+    np.minimum(sups.out, cap, out=sups.out)
     return sups.out
 
 
@@ -1073,9 +1204,9 @@ def _streamed_sups(targets, cap: float):
     batch that the ``with`` body draws on this thread.
 
     The first sampler the body calls takes them (:func:`_take_sups`), and
-    its pieces fill each range of rows as soon as the range is summed,
-    while the helper thread may still draw; ``_Sups.of`` gives them for the
-    batch the sampler returned.
+    its pieces raise each range of rows as soon as the range is summed; a
+    finite ``cap`` lets it stop drawing the paths that have left every
+    ball.  ``_Sups.of`` gives them for the batch the sampler returned.
     """
     sups = _Sups(targets, cap=cap)
     _threads.sups = sups
@@ -1092,45 +1223,43 @@ def _take_sups() -> _Sups | None:
     return sups
 
 
-def _jump_limits(batch: BatchPaths, sel):
-    """Instants and left and right limits of the jump records ``sel`` selects.
+def _jump_limits(grid, s0: int, noise, drift, row, step, frac, x):
+    """Left and right limits of some paths at their jump records.
 
-    ``sel``, an index array, picks every record of some paths, in record
-    order.  Within a step the continuous part (drift plus Gaussian proxy)
-    is accrued linearly up to the jump, and earlier jumps within the
-    same step are added in time order, a sum over that (path, step) alone,
-    so a path's limits are the same bits in any batch and under any
-    selection.  Returns (t, pre, post).
+    ``grid`` holds the paths' values at grid columns s0, s0 + 1, ...; the
+    records, each of its whole (row, step), in record order, are given by
+    their row of ``grid``, their step and place in it (:func:`_record_steps`)
+    and their sizes.  ``noise`` and ``drift`` are the rows' proxy and the
+    drift on those steps, each None for none.  Within a step the continuous
+    part (drift plus Gaussian proxy) is accrued linearly up to the jump, and
+    earlier jumps within the same step are added in time order, a sum over
+    that (path, step) alone, so a path's limits are the same bits in any
+    batch and under any selection.  Returns (pre, post).
     """
-    p, t, x = batch.jump_path[sel], batch.jump_times[sel], batch.jump_sizes[sel]
-    n_steps = batch.n_steps
-    step, frac = _record_steps(t, batch.dt, n_steps)
-    frac -= step
-    flat = p * n_steps
-    flat += step  # flat index of (path, step) into the per-step arrays
-
-    smooth = None if batch.drift_steps is None else batch.drift_steps[step]
-    if batch.small_noise is not None:
-        noise = batch.small_noise.take(flat)
-        smooth = noise if smooth is None else np.add(smooth, noise, out=smooth)
+    local = step - s0
+    smooth = None if drift is None else drift[local]
+    if noise is not None:
+        nz = noise[row, local]
+        smooth = nz if smooth is None else np.add(smooth, nz, out=smooth)
 
     # exclusive prefix of same-step earlier jumps, one rank of each group per
     # pass: excl[i] = excl[i - 1] + x[i - 1] within a group, 0 at its start
-    later = np.zeros(t.size + 1, dtype=bool)  # continues the group before it; False sentinel
+    flat = row * grid.shape[1]
+    flat += local  # one key per (path, step)
+    later = np.zeros(x.size + 1, dtype=bool)  # continues the group before it; False sentinel
     np.equal(flat[1:], flat[:-1], out=later[1:-1])
-    excl = np.zeros(t.size)
+    excl = np.zeros(x.size)
     rank = np.flatnonzero(later[1:-1] & ~later[:-2]) + 1  # the second record of each group
     while rank.size:
         excl[rank] = excl[rank - 1] + x[rank - 1]
         rank = rank[later[rank + 1]] + 1
 
-    flat += p  # now into values, which has n_steps + 1 columns
-    pre = batch.values.take(flat)
+    pre = grid[row, local]
     if smooth is not None:
         smooth *= frac
         pre += smooth
     pre += excl
-    return t, pre, pre + x
+    return pre, pre + x
 
 
 _BATCH_ELEMS = 1 << 22  # grid values per batch that batch_plan aims at: a 32 MiB values array
@@ -1198,12 +1327,11 @@ def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map,
 
     Each kernel runs with an arena (``_Workspace``) that holds every array
     of its batch whose size scales with the batch: the grid values, the
-    Gaussian proxy or the stable variates, and the jump draws and records.
-    The next batch to take that arena, in this call or a later one and on
-    any thread, writes over them, so a kernel returns nothing that views
-    its batch (copy what it keeps).  An arena grows to the largest batch
-    it has run, which the plan bounds.  Samplers called outside a kernel
-    allocate fresh arrays.
+    Gaussian proxy and the jump records.  The next batch to take that
+    arena, in this call or a later one and on any thread, writes over them,
+    so a kernel returns nothing that views its batch (copy what it keeps).
+    An arena grows to the largest batch it has run, which the plan bounds.
+    Samplers called outside a kernel allocate fresh arrays.
     """
     _require_stream(stream)
     jobs = [(kernel, stream.child(b), size)
@@ -1227,14 +1355,15 @@ def sample_sups(sample, targets, n_paths: int, n_steps: int, stream: RngStream,
     eps)`` for that one, which bounds each batch's records
     (:func:`map_batches`); 0 for a sampler that draws no jumps.
     ``targets`` holds ``(f, shift_scale)`` pairs, f None for the centred sup.
-    Row i of the ``(len(targets), n_paths)`` result is
+    Row i of the ``(len(targets), n_paths)`` result is, in law,
     ``np.minimum(sup_distance_batch(batch, *targets[i]), cap)`` over the
     batches in plan order, so every target sees the same paths; each batch
     is read once for all targets.  Pass one f object for targets that share
     a shift, so it is evaluated once, and the radius as ``cap`` when only
-    ``sup < r`` is counted, so pairs a coarse grid already puts outside the
-    ball skip the full grid, and paths the grid puts outside every ball
-    skip their jump records.
+    ``sup < r`` is counted: then a path stops being drawn once it has left
+    every ball, pairs a coarse grid already puts outside the ball skip the
+    full grid, and paths the grid puts outside every ball skip their jump
+    records.  Uncapped, row i is exactly that minimum.
     """
     kernel = partial(_sups_kernel, sample, tuple(targets), n_steps, cap)
     return np.concatenate(map_batches(kernel, n_paths, n_steps, stream, pmap, records), axis=1)

@@ -36,7 +36,7 @@ from .constants import _distinct_levels, _stable_sups, _wls_line
 from .girsanov import TiltSpec
 from .processes import AlphaStableParams, Estimate, ShiftFunction, random_shift, \
     identity_shift, tent_shift, zero_shift
-from .simulate import RngStream, _Band, _BitStream, _jump_rate, _resolve_cutoff, _streamed_sups, \
+from .simulate import RngStream, _jump_rate, _largest_jumps, _resolve_cutoff, _streamed_sups, \
     map_batches, sample_jump_batch, sample_stable_batch, sample_sups, sample_tilted_batch, \
     tilted_jump_rates
 
@@ -128,14 +128,14 @@ def estimate_crude(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
 
 
 def _is_kernel(tilt, r, n_steps, eps_cutoff, stream, size):
+    """(sum, sum of squares, count) of the weights of the batch's paths inside
+    the ball; a path outside it adds exactly 0, and its weight, NaN once it
+    has left the ball, is never formed."""
     with _streamed_sups([(None, 0.0)], r) as streamed:
         batch, lw = sample_tilted_batch(tilt, size, n_steps, stream, eps_cutoff=eps_cutoff)
-    sups = streamed.of(batch)[0]
-    w = np.exp(lw)
-    hit = sups < r
-    v = w * hit
-    return (float(v.sum()), float((v * v).sum()), int(hit.sum()),
-            float(v[hit].sum()), float((v[hit] ** 2).sum()))
+    hit = streamed.of(batch)[0] < r
+    w = np.exp(lw[hit])
+    return float(w.sum()), float((w * w).sum()), int(w.size)
 
 
 def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
@@ -158,21 +158,19 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
     p_a = prob_no_big_jumps(query.params.alpha, query.r)
     eps, rate_int, rate_ext = tilted_jump_rates(tilt, eps_cutoff)
     kernel = partial(_is_kernel, tilt, query.r, n_steps, eps)
-    s1 = s2 = wh1 = wh2 = 0.0
+    s1 = s2 = 0.0
     n_hit = 0
     # plain float adds in plan order: np.sum's pairwise order would move the last bits
     for part in map_batches(kernel, n_paths, n_steps, rng, pmap, rate_int + rate_ext):
         s1 += part[0]
         s2 += part[1]
         n_hit += part[2]
-        wh1 += part[3]
-        wh2 += part[4]
 
     mean = s1 / n_paths
     var = max(s2 - n_paths * mean * mean, 0.0) / max(n_paths - 1, 1)
     value = p_a * mean
     stderr = p_a * float(np.sqrt(var / n_paths))
-    ess = wh1 * wh1 / wh2 if wh2 > 0.0 else 0.0
+    ess = s1 * s1 / s2 if s2 > 0.0 else 0.0  # every weight of the sums is a hit's
     flags = []
     if n_hit == 0:
         flags.append("unresolved_at_this_n")
@@ -184,14 +182,11 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
                     ess=ess, flags=tuple(flags))
 
 
-def _no_big_jump_kernel(alpha, r, eps_cutoff, rate, stream, size) -> int:
+def _no_big_jump_kernel(params, r, eps_cutoff, stream, size) -> int:
     """The number of paths with no |x| >= r among the jumps above
-    ``eps_cutoff``, at ``rate`` per path, that ``sample_jump_batch`` draws
-    on ``stream``."""
-    band = _Band.draw(_BitStream(stream), rate, size, alpha, eps_cutoff, np.inf)
-    band.finish(band.records(0, size))
-    owner = np.repeat(np.arange(size), band.counts)
-    return size - np.unique(owner[np.abs(band.x) >= r]).size
+    ``eps_cutoff`` that ``sample_jump_batch`` draws on ``stream`` at 256 steps,
+    drawn by its cells without their proxy or grid (``_largest_jumps``)."""
+    return int(np.count_nonzero(_largest_jumps(params, eps_cutoff, size, 256, stream) < r))
 
 
 def empirical_no_big_jump_fraction(params: AlphaStableParams, r: float, n_paths: int,
@@ -203,7 +198,7 @@ def empirical_no_big_jump_fraction(params: AlphaStableParams, r: float, n_paths:
     _check_radius(r, params.alpha)
     eps = min(r / 4.0, 0.25)
     rate = _jump_rate(params.alpha, eps)
-    kernel = partial(_no_big_jump_kernel, params.alpha, r, eps, rate)
+    kernel = partial(_no_big_jump_kernel, params, r, eps)
     hits = sum(map_batches(kernel, n_paths, 256, rng, records=rate))
     return Estimate.from_bernoulli(hits, n_paths)
 

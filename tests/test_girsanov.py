@@ -22,7 +22,7 @@ from stable_smallball import (
     zero_shift,
 )
 from stable_smallball.diagnostics import _exponent_by_quadrature
-from stable_smallball.simulate import tilted_jump_rates
+from stable_smallball.simulate import _block_edges, _chunk_edges, tilted_jump_rates
 
 PARAMS = AlphaStableParams(1.5)
 
@@ -117,6 +117,33 @@ class TestLogWeight:
         eps = tilted_jump_rates(tilt, None)[0]
         var = tilt.intensity_scale * truncated_second_moment(PARAMS.alpha, eps) * batch.dt
         ref -= batch.small_noise @ bbar + 0.5 * var * float(np.sum(bbar**2))
+        assert ref.tobytes() == lw.tobytes()
+
+    @pytest.mark.parametrize("tilt", [
+        TiltSpec.middle_shift(PARAMS, identity_shift(), 0.5, 1.0),
+        TiltSpec.small_shift(PARAMS, tent_shift(), 0.2, r=0.6),
+    ], ids=["middle", "small"])
+    def test_recompute_matches_sampler_over_cells(self, tilt):
+        # 300 paths at 256 steps are 3 chunks of rows in 4 time blocks: the
+        # log-tilts are still one path's sum in time order, and the proxy's
+        # products are each cell's, added block by block
+        n_paths, n_steps = 300, 256
+        batch, lw = sample_tilted_batch(tilt, n_paths, n_steps, RngStream(34))
+        x, t, p = batch.jump_sizes, batch.jump_times, batch.jump_path
+        inside = np.abs(x) < tilt.jump_cut
+        ref = np.zeros(n_paths)
+        ref -= np.bincount(p[inside], weights=theta(tilt, x[inside], t[inside]),
+                           minlength=n_paths)
+        bbar = step_mean_amplitude(tilt, n_steps)
+        proxy = np.zeros(n_paths)
+        edges, chunks = _block_edges(n_steps), _chunk_edges(n_paths)
+        assert (len(edges), len(chunks)) == (5, 4)
+        for s0, s1 in zip(edges, edges[1:]):
+            for q0, q1 in zip(chunks, chunks[1:]):
+                proxy[q0:q1] += batch.small_noise[q0:q1, s0:s1] @ bbar[s0:s1]
+        eps = tilted_jump_rates(tilt, None)[0]
+        var = tilt.intensity_scale * truncated_second_moment(PARAMS.alpha, eps) * batch.dt
+        ref -= proxy + 0.5 * var * float(np.sum(bbar**2))
         assert ref.tobytes() == lw.tobytes()
 
 

@@ -195,54 +195,54 @@ def _simulate_csv_digest(out) -> str:
 
 # digests of the records at the seeds above
 JUMP = {
-    "values": "5080401a141a2282e43f961d19e92dca825f613d595c202af014f37ea5b7ea1c",
-    "jump_path": "1191a3104617ade4e0376f9f664a64cf88aa871b66e15d5c8fcc035041b733d3",
-    "jump_times": "d66c645e1e3c35b556a4d9bfc870779d5b6e85a456aaf37083677fc40b6c7712",
-    "jump_sizes": "37bfd4039f88fd292b99ef0b1eec0cb0155b00b3d81fb754b08001f0ee0183fb",
-    "small_noise": "4ce49ee62273353c86a093c79c5f0775ecb71e0bf9bd5e1553f3720808c54058",
-    "sups": "ed5078a17941f6da06961cbabcb974a2921eaf00a527a4be9e55a82033869dfc"
+    "values": "9c4a1c456ec6c3c85d765179f786993a44e1a3bb252ea836b923dbc186e59c4e",
+    "jump_path": "329458cb4f9c69b137764e91aeb47bb7da84c565cb514e1ad6331ca9704de644",
+    "jump_times": "f9a0a27db8209f81fc86653c2033c054daaa0961b3cc3044658825b2db9fe498",
+    "jump_sizes": "85610ece07f06f15f818d25ca44ad0cc3a978a48fdfc0bfe9b5b9c46f9f493a1",
+    "small_noise": "7bd9c5d2fa7850f2e4c709bc5ef8823dcf53c65f14adc1b38ad357a42481b5bb",
+    "sups": "fb57f522f52f698e779356f313dbcb82206482d86ea6ec0767d96626283424d5"
 }
 TILTED = {
-    "values": "6631b561fb4f02a03cb191ecc598b64d2ecc3ee17e483443c6b91be0df213590",
-    "jump_path": "783eb789059bc976f163593c3016a38841e2f478f143bee3fb75a2e85cc6b224",
-    "jump_times": "b918357febe0b03d1d02c3923913696ea70aede2344070a6b432ab3020ded613",
-    "jump_sizes": "d8d80d20097f7bddce26bc9401c06cac6ed7bbef8c37cb10bfedc29e42eaad12",
-    "small_noise": "fdb796893ffa1ef48a37b2236a4363b02d5966db7f46e9b1a6016f78c478e7ef",
+    "values": "5b43f22b5a9d6cd3cae2e9a3f1b91b7522242333ccf04fda9de49ad837e86140",
+    "jump_path": "d5854d79db79674811f10af05c22104cfb6ba9f0c8297cbe2bb183f5101a0280",
+    "jump_times": "1ab2fcd3c8bdba579d48cd128e2657273a0ce9d719b71d819e30c6ec1f19d12e",
+    "jump_sizes": "286ed18674fc4b714657264a9ad61957351dfa7962cbee86311f053f16e68efb",
+    "small_noise": "d9bc87d715e79bb3fb14d1449c3d116d59644b46a2afb983d7b07009b3579e96",
     "drift_steps": "93fc138dea54a896b07b89fb262f5a6f40965ee08452783f9f5f114cf6110186",
-    "log_weights": "f1dd587bdcbf65aeec90536b6cea8017c214a2ab0860f84fa8668e7eefeef1ae",
-    "sups": "8b5621e16903e9c8e8f684f1ca92f4fb2cd3481b0a7ca7e540201e95f22167c4"
+    "log_weights": "555be2a7fba175d6a4103c40f8ea15b48ca8fe23a5b30896581b44e0f03937b3",
+    "sups": "e41959e52cd4fcc08605e9c2ec859d12d9c18fddaefc5c80491cb04d6e1d6a06"
 }
 INCREMENTS = {
-    "stable": "f5c670bca35ee38a1a260917517e1d7425095143541e043bccc4293d38715b4e",
-    "time_changed": "c7579fd32e0f67c9d256eb24123cd95769eca9e7c4128e55d660d5992faa925f"
+    "stable": "80103fea1b699fc48591a187436eb4adeaac03089f5e425fba3daf8cbdb32fac",
+    "time_changed": "87d7d4e79f788d4bf66a628449396ff6a0cb9b89781196f43c93ea68d42e85ff"
 }
-NO_INTERIOR_LOG_WEIGHTS = "1ec62c470b56892a7079bf05ee158650ee499d7a0a47959421452f86a673bfca"
-BENCHMARK_BATTERY = "e862d3dcab1f930e09341b8057c85d3faa17416efbadafb6640d1ec5b555a43b"
-ANDERSON = "5673b95949c2eb9002eb3aa52c7bc1dd3b60bca2d8f3745d227d47772ca56f0a"
+NO_INTERIOR_LOG_WEIGHTS = "9d2630a04b90e18f36c88ad5c295c09927ca8d27a2eb9bc1983af77934625a6e"
+BENCHMARK_BATTERY = "69d55d75883c44f03050b5767d29f02bf0081c9939f2023e42645f530bb26fa8"
+ANDERSON = "5c34962003303c2b24115349128889b7058d645cc233a9700546a40e40474a2b"
 ESTIMATORS = {
-    "crude_jumps": "3388479e7d5c43e17f8e266db873ef06c2e924fea8a130b84e02c4e7df22fa9a",
-    "crude_increments": "6afcb5832de1a508d65aae2700f48e79ed1a84c9af2c57cb19de98b88167757d",
-    "is": "53cef5ff3246bf2bc9b851dbf7c34d0247c4bc3a98b3d2af2c9838c4559567eb",
-    "is_centered": "4e6384fa7a33616e57f8c7836bb3996461d9b90aca3f16481409cfb53220965f",
-    "no_big_jump_fraction": "4fc5b39239ccf7b8535d9bba09568c2920bb6b3c4fc00da09fdb49a87955c6ed",
-    "tail_p_hat": "1588d36ef7306ce36bb90c31be7440d051ec3687029769f3ef951a73b80acc05",
-    "mc_p_hat": "337c8d2c3898dc53c787048700f9704165a4e27fb96f6a10478dddc43d064dab",
+    "crude_jumps": "48ddf8c0ddc4af89106b48f88dde4293ebfca213f9095a66ca279dfb75d6d3ea",
+    "crude_increments": "9c29274ef930b414a9aa87cde2222d81e9e936623074afadd62bf70c3098f87b",
+    "is": "a8424e4d9912f9e00a8956ef2da8d1dc759d94d1bee1e3fbadb6a15fa4710cd7",
+    "is_centered": "2e17a30b157f637d399ca1a1c076caabef01448a7719de0acd9b35f124ba5971",
+    "no_big_jump_fraction": "56fb908983bb16be08f0b2359871e624525153ed8ebc6bed4ba1874f6461de76",
+    "tail_p_hat": "fbb911978ebae3b8785a0120779ec48756496f6488a160b18b25983a390d0617",
+    "mc_p_hat": "df059372c4ed5d6f6927d596203a06bef3469c44a5fe023fe13ca2bd882d0c21",
     "spectral": "66ef1c62845fbca572cfccf205f9002049396ba1b3fe726bbe9f53efc77b8311"
 }
 SPLIT = {
-    "frozen.values": "945e82d8fc02c1de6a39c90ea78eed92e72fe004b65a7f78aed753b24c03b7e9",
-    "frozen.jump_times": "9db4fabe89a2c1625de63554fd002fd5007c951410e2ae3a5cd62dcdc4288613",
-    "frozen.jump_sizes": "576577e65e648caeb885fe69dee5c9e67fbf2649e38f753bbfb89248cb2b9060",
-    "frozen.small_noise": "a94c754b106ad28e94e68bd359eaea2905174cb8c5903e6d1007db3d8aca087b",
+    "frozen.values": "a4990ce68bf988b320dd26ee40ec2ea3e5e25b74dacc00fa279da8937cfb79e5",
+    "frozen.jump_times": "c6828a284622c8309e7fcbaad6842f24a1ce226cd7a2eb7a2f03f7d1a43fe73c",
+    "frozen.jump_sizes": "0f6d199fe2ce62bc71604ca079cdcd22f6e3ef3a9fe6bdf5fd27fdf6ac5f48a2",
+    "frozen.small_noise": "48beb9fbf0c1cdedf8576f9cc3fc1ff38f41b12e767ff16cf133af7c310c469d",
     "frozen.drift_steps": "4eaf3d581ca8527f961339d0d9b4784d059a5029e6f4900391b90298fb6cdd8a",
-    "rest.values": "cc45b9ccf2792391359d63c4aa0950262df11eb38077599d04f874f9d8698dc1",
-    "rest.jump_times": "83b6f38e0bfa4ccf9b40d26a88f869a830ddb3cf8e9227c424f2a3128d123a0e",
-    "rest.jump_sizes": "ca0108025e9c12bb6cbc1112f2700f6ee9214da32bc4bd2bc58d9d38c2c50053",
-    "rest.small_noise": "7ec88a6d1cbd91b04e1496febcd31888608560e712d81a2802a1ff5c6a3f8e9a",
+    "rest.values": "7129f727b844386e75e693d96d113600871a130210211146054159586b386ffa",
+    "rest.jump_times": "e8f57ba971d57df3b64deaeb37cc5901fdf6f49213a5f9463fb88b143756d7a5",
+    "rest.jump_sizes": "ba5892b3bee51442c91ffa534cc34c64319475c05e9609add401b90acdff2160",
+    "rest.small_noise": "fea69fa21a4b2ca4a9a60dec8c86a2a91902f70df040388d082895da527ac7ae",
     "rest.drift_steps": "cef13cef86c1086b7b0a68a90ef871bf0dbf2559eb423b3e16e8c2815a16a851"
 }
-SCALED_DISTANCES = "7be8f7a35a9dd24cfa51ef515156e2a87b07f39653603630faded38fb393d38c"
-SIMULATE_CSV = "6d19a8a9dcd982a4c1b5c9ba814522300f3c99b0e19ddfeeac6f807c16187aad"
+SCALED_DISTANCES = "acc4241ef1e12d0bd952eb9c04841261c8b1185a74b2cba908e3258f37952c54"
+SIMULATE_CSV = "da9c133115a636b071f4fbbcb966bd909b6560537f0a3a6b36d6be3cbc8ec79a"
 
 
 @pytest.fixture(scope="module")

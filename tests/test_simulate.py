@@ -212,20 +212,50 @@ class TestSupDistance:
         # at 1000 steps, t * 1000 is 117.0 but t / (1/1000) is 116.99...; a
         # jump binned into one step and replayed in the other read 0 -> -10
         # for the path 0 -> 5 -> -5
-        class Finished(simulate._Band):
-            def finish(self, s):
-                pass
-
         n_steps = 1000
-        band = Finished(counts=np.array([2]), first=np.array([0, 2]),
-                        t=np.array([1.0 - 0.883, 0.1175]), x=np.array([5.0, -10.0]),
-                        t_at=None, x_at=None, signs_at=None, alpha=1.5, lower=1.0,
-                        upper=np.inf)
-        assert band.t[0] * n_steps == 117.0 and band.t[0] / (1.0 / n_steps) < 117.0
-        # a proxy sd of 0 draws a zero proxy
-        rest = np.random.default_rng(0).bit_generator.state
-        batch, _ = simulate._jump_paths([band], rest, 0.0, 1, n_steps)
+        t = np.array([1.0 - 0.883, 0.1175])
+        assert t[0] * n_steps == 117.0 and t[0] / (1.0 / n_steps) < 117.0
+        planted = (np.zeros(2, dtype=np.int64), t, np.array([5.0, -10.0]), None)
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), None)
+
+        def counts(self, gen, rows, width):  # block by block: both records in the first
+            return np.array([[2 if next(first) else 0]])
+
+        def records(self, cells, lo, hi):
+            return planted if lo < t[0] <= hi else empty
+
+        # a proxy variance of 0 draws a zero proxy
+        first = iter([True] + [False] * 7)
+        with mock.patch.object(simulate._Bands, "counts", counts), \
+                mock.patch.object(simulate._Bands, "records", records), \
+                mock.patch.object(simulate, "truncated_second_moment", lambda *_: 0.0):
+            batch = sample_jump_batch(PARAMS, 1.0, 1, n_steps, RngStream(0))
+        assert batch.jump_times.tobytes() == t.tobytes()
         assert sup_distance_batch(batch)[0] == pytest.approx(5.0, rel=0.0, abs=np.spacing(5.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_steps=st.integers(2, 5000), pick=st.integers(0, 10**6))
+    @example(n_steps=1000, pick=0)
+    def test_records_at_a_block_edge_stay_in_their_block(self, n_steps, pick):
+        # a cell draws its instants in (lo, hi] of its block: an instant
+        # uniform of 0 gives hi itself, one just below 1 the float above lo;
+        # each stays in its block's steps, as do instants at, and one ulp
+        # either side of, every block edge (step i holds (t_i, t_i+1])
+        times = np.linspace(0.0, 1.0, n_steps + 1)
+        edges = simulate._block_edges(n_steps)
+        k = pick % (len(edges) - 1)
+        lo, hi = times[edges[k]], times[edges[k + 1]]
+        u = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+        cell = (_Planted(np.concatenate([u, np.full(u.size, 0.25)])), np.array([[u.size]]))
+        _, t, _, _ = simulate._Bands(1.5, [(1.0, 1.0, np.inf)]).records([cell], lo, hi)
+        assert t[0] == hi and np.all((lo < t) & (t <= hi))
+        step = simulate._record_steps(t, times)[0]
+        assert np.all((edges[k] <= step) & (step < edges[k + 1]))
+        edge = times[np.array(edges[1:])]
+        t = np.concatenate([np.nextafter(edge, 0.0), edge, np.nextafter(edge[:-1], 2.0)])
+        step, frac = simulate._record_steps(t, times)
+        assert np.all(times[step] < t) and np.all(t <= times[step + 1])
+        assert np.all(np.abs(frac - 0.5) <= 0.5 + 1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 6),
@@ -304,7 +334,7 @@ def _one_target_sup(batch, f, shift_scale, path_scale):
     if batch.jump_times is None or batch.jump_times.size == 0:
         return out
     p, t, x = batch.jump_path, batch.jump_times, batch.jump_sizes
-    step = np.minimum((t / batch.dt).astype(np.int64), batch.n_steps - 1)
+    step = np.clip(np.searchsorted(times, t) - 1, 0, batch.n_steps - 1)  # t in (t_i, t_i+1]
     frac = t / batch.dt - step
     smooth = np.zeros(t.size)
     if batch.drift_steps is not None:
@@ -425,129 +455,6 @@ def interior_plus_exterior(draw):
     return _records(draw, paths.tolist())
 
 
-def _at(seed, words=0):
-    """A PCG64 state of ``seed``, ``words`` words on, as ``simulate._BitStream`` records one."""
-    bits = RngStream(seed).generator().bit_generator
-    bits.advance(words)
-    return bits.state
-
-
-def _gen(seed):
-    return RngStream(seed).generator()
-
-
-class TestNumpyWords:
-    """The facts about NumPy's generators that the offsets of a batch's
-    fixed-width draws rest on, checked against NumPy through the positioning
-    that the samplers' pieces use, at even and odd chunk starts."""
-
-    @pytest.mark.parametrize("start", [0, 1, 6, 7])
-    def test_a_double_takes_one_word(self, start):
-        want = _gen(70).random(20)
-        got = np.empty(20 - start)
-        simulate._draw_doubles(_at(70), got, start)
-        assert got.tobytes() == want[start:].tobytes()
-
-    @pytest.mark.parametrize("start", [0, 1, 6, 7])
-    def test_a_sign_takes_half_a_word(self, start):
-        want = _gen(71).integers(0, 2, 21)
-        assert want.dtype == np.int64
-        got = simulate._draw_signs((_at(71), None), start, 21)
-        assert got.tobytes() == want[start:].tobytes()
-        # half a word: 21 signs take 11 words, and the next double reads word 11
-        gen = _gen(71)
-        gen.integers(0, 2, 21)
-        assert gen.random() == _gen(71).random(12)[11]
-
-    @pytest.mark.parametrize("start", [0, 1, 2, 3])
-    def test_an_odd_count_leaves_a_half_for_the_next_bounded_int_call(self, start):
-        # the small regime's exterior band: after an odd count of interior
-        # signs, doubles and a Poisson draw, the first exterior sign is the
-        # high half of the last interior sign's word
-        gen, bits = _gen(72), simulate._BitStream(RngStream(72))
-        gen.integers(0, 2, 3)
-        assert bits.signs(3)[1] is None
-        doubles = gen.random(4)
-        at = bits.doubles(4)
-        assert np.array_equal(bits.counts(5.0, 3), gen.poisson(5.0, 3))
-        want = gen.integers(0, 2, 6)
-        carried = bits.signs(6)
-        assert carried[1] is not None
-        assert want[0] == _gen(72).integers(0, 2, 4)[3]
-        got = np.empty(4)
-        simulate._draw_doubles(at, got, 0)
-        assert got.tobytes() == doubles.tobytes()
-        assert simulate._draw_signs(carried, start, 6).tobytes() == want[start:].tobytes()
-        # no half is left: the next sign takes a new word
-        assert gen.integers(0, 2, 2).tobytes() == \
-            simulate._generator_at(bits.rest()).integers(0, 2, 2).tobytes()
-
-    def test_advance_clears_the_half(self):
-        gen = _gen(73)
-        gen.integers(0, 2, 1)
-        held = gen.bit_generator.state
-        assert held["has_uint32"] == 1
-        fresh = simulate._generator_at(held).integers(0, 2, 2)
-        assert fresh.tobytes() == simulate._draw_signs((_at(73, 1), None), 0, 2).tobytes()
-        assert fresh.tobytes() != gen.integers(0, 2, 2).tobytes()  # which reads the half first
-
-
-def _edges(n, cuts):
-    return sorted({0, n, *(int(c * n) for c in cuts)})
-
-
-class TestBitStream:
-    """Fixed-width arrays drawn in chunks, each from its own offset, are the
-    bytes of one serial call per array."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_paths=st.integers(1, 5),
-           rates=st.tuples(st.floats(0.0, 9.0), st.floats(0.0, 9.0)),
-           cuts=st.lists(st.floats(0.0, 1.0), max_size=5))
-    def test_small_regime_draws_in_chunks(self, seed, n_paths, rates, cuts):
-        # the order of a small-regime tilted batch: per band the counts, the
-        # instants' and magnitudes' uniforms and the signs; the thinning
-        # uniforms after the first band; then the proxy normals
-        gen, bits = _gen(seed), simulate._BitStream(RngStream(seed))
-        calls = []
-        for band, rate in enumerate(rates):
-            counts = gen.poisson(rate, n_paths)
-            assert np.array_equal(bits.counts(rate, n_paths), counts)
-            n = int(counts.sum())
-            calls += [(gen.random(n), bits.doubles(n)), (gen.random(n), bits.doubles(n)),
-                      (gen.integers(0, 2, n), bits.signs(n))]
-            if band == 0:
-                calls.append((gen.random(n), bits.doubles(n)))
-        want_normals = gen.standard_normal(7)
-        for want, at in calls:
-            edges = _edges(want.size, cuts)
-            chunks = []
-            for a, b in reversed(list(zip(edges[:-1], edges[1:]))):  # in any order
-                if want.dtype == np.int64:
-                    chunks.append(simulate._draw_signs(at, a, b))
-                else:
-                    chunks.append(np.empty(b - a))
-                    simulate._draw_doubles(at, chunks[-1], a)
-            got = np.concatenate([want[:0], *chunks[::-1]])
-            assert got.tobytes() == want.tobytes()
-        got_normals = simulate._generator_at(bits.rest()).standard_normal(7)
-        assert got_normals.tobytes() == want_normals.tobytes()
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
-           cuts=st.lists(st.floats(0.0, 1.0), max_size=5))
-    def test_stable_uniforms_in_chunks(self, seed, n, cuts):
-        gen, bits = _gen(seed), simulate._BitStream(RngStream(seed))
-        want, at = gen.random(n), bits.doubles(n)
-        got = np.empty(n)
-        edges = _edges(n, cuts)
-        for a, b in zip(edges[:-1], edges[1:]):
-            simulate._draw_doubles(at, got[a:b], a)
-        assert got.tobytes() == want.tobytes()
-        exps = simulate._generator_at(bits.rest()).standard_exponential(5)
-        assert exps.tobytes() == gen.standard_exponential(5).tobytes()
-
-
 class TestJumpOrder:
     """The binning sort must equal ``np.lexsort((t, path))`` element for element."""
 
@@ -657,13 +564,15 @@ HELPER_TARGETS = [(None, 0.0), (identity_shift(), 0.5), (tent_shift(), -1.0)]
 
 
 def _in_arena(sample, stream, size):
-    """Whether each array of the kernel's batch lies in its arena's one mapping."""
+    """Whether each array of the kernel's batch lies in its arena's one mapping,
+    and whether the batch took no more bytes than that mapping holds."""
+    ws = simulate._threads.active
+    buf = ws._buf
     batch = sample(size, 256, stream)
-    buf = simulate._threads.active._buf
     lo, hi = buf.ctypes.data, buf.ctypes.data + buf.size
     arrays = [batch.values, batch.small_noise, batch.jump_path, batch.jump_times, batch.jump_sizes]
     return [lo <= a.ctypes.data and a.ctypes.data + a.nbytes <= hi
-            for a in arrays if a is not None]
+            for a in arrays if a is not None], ws.used <= buf.size
 
 
 def _record_count(sample, stream, size):
@@ -692,9 +601,10 @@ _ORACLE_RATE = simulate._jump_rate(PARAMS.alpha, 0.2)
 ARENA_KERNELS = {
     **{name: (partial(simulate._sups_kernel, sample, tuple(HELPER_TARGETS), 256, np.inf), 0.0)
        for name, sample in HELPER_SAMPLERS.items()},
+    "capped": (partial(simulate._sups_kernel, HELPER_SAMPLERS["jump"], tuple(HELPER_TARGETS),
+                       256, 1.5), 0.0),
     "is": (partial(smallball._is_kernel, TILTS[0], 0.8, 256, _IS_EPS), sum(_IS_RATES)),
-    "no_big_jump": (partial(smallball._no_big_jump_kernel, PARAMS.alpha, 0.8, 0.2, _ORACLE_RATE),
-                    _ORACLE_RATE),
+    "no_big_jump": (partial(smallball._no_big_jump_kernel, PARAMS, 0.8, 0.2), _ORACLE_RATE),
 }
 
 
@@ -703,34 +613,37 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
     def test_batches_after_the_first_take_every_array_from_one_mapping(self, name):
-        # 64-path batches (the plan's floor), and a new arena too small for one:
-        # batch 0 spills
+        # 64-path batches (the plan's floor), and a new arena too small for a
+        # jump batch, whose batch 0 spills; a later batch spills only if it
+        # takes more bytes than every batch before it
         with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 13), \
                 mock.patch.object(simulate, "_BATCH_RECORDS", 1 << 10), \
                 mock.patch.object(simulate, "_idle", []):
             got = map_batches(partial(_in_arena, HELPER_SAMPLERS[name]), 300, 256, RngStream(61))
-            assert len(got) == 5 and not all(got[0]) and all(all(inside) for inside in got[1:])
-            assert len(got[1]) == (1 if name == "stable" else 5)
+            assert len(got) == 5 and got[0][1] == (name == "stable")
+            assert all(all(inside) == fits for inside, fits in got)
+            assert got[-1][1]  # 44 paths
+            assert len(got[1][0]) == (1 if name == "stable" else 5)
             # outside map_batches a sampler allocates fresh arrays
             arena = simulate._idle[0]._buf
             fresh = HELPER_SAMPLERS[name](64, 256, RngStream(61)).values
             assert not arena.ctypes.data <= fresh.ctypes.data < arena.ctypes.data + arena.size
 
-    def test_a_stable_batch_holds_two_grid_arrays(self):
-        # the transform's uniforms lie where the grid is then taken
+    def test_a_stable_batch_holds_its_grid(self):
+        # each piece's increments stay with malloc, summed into the grid
         with mock.patch.object(simulate, "_idle", []):
             map_batches(partial(_record_count, HELPER_SAMPLERS["stable"]), 64, 256, RngStream(66))
             high = simulate._idle[0].high
-        assert high == _aligned(8 * 64 * 257) + _aligned(8 * 64 * 256)
+        assert high == _aligned(8 * 64 * 257)
 
     def test_a_jump_batch_holds_its_draws_records_and_grid(self):
         with mock.patch.object(simulate, "_idle", []):
             kernel = partial(_record_count, HELPER_SAMPLERS["jump"])
             (n,) = map_batches(kernel, 64, 256, RngStream(67))
             arena = simulate._idle[0]
-        # the band's instants and magnitudes, which the sorted instants and
-        # sizes overwrite; the sorted paths; the grid and the proxy; all in
-        # the new arena's mapping (each piece draws its records' signs itself)
+        # the sorted records' paths, instants and sizes; the grid and the
+        # proxy; all in the new arena's mapping (each cell's uniforms stay
+        # with malloc)
         high = arena.high
         assert n > 0 and high <= arena._buf.size
         assert high == 3 * _aligned(8 * n) + _aligned(8 * 64 * 257) + _aligned(8 * 64 * 256)
@@ -838,48 +751,48 @@ def test_every_sampler_refuses_a_numpy_generator(draw):
         draw(np.random.default_rng(0))
 
 
-def _serial(work, n_pieces, first=None):
+def _serial(work, n_pieces):
     """The contract of ``simulate._run_pieces``, on the calling thread alone."""
-    if first is not None:
-        first()
     for i in range(n_pieces):
         work(i)
+
+
+class _GatedPool:
+    """``ThreadPoolExecutor(1)`` whose thread starts its task once ``gate`` is set."""
+
+    def __init__(self, gate):
+        self.gate, self.pool = gate, ThreadPoolExecutor(1)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.pool.shutdown(wait=True)
+
+    def submit(self, fn):
+        def gated():
+            assert self.gate.wait(30)
+            return fn()
+
+        return self.pool.submit(gated)
 
 
 def _forced(schedule, calls):
     """``simulate._run_pieces`` under a forced schedule.
 
-    "helper_late": the helper starts only once the calling thread can go no
-    further: it has run every piece, or, in a pass whose pieces wait for
-    a streamed draw (``first`` is its ``_StreamedDraw.draw``), it waits for
-    a chunk that the helper has not begun to draw.  "caller_late": the
-    helper starts once the calling thread has taken the first piece, and
-    the calling thread ends that piece only after the helper has drawn and
-    run all the other pieces.  A piece that raises lets both threads go on
-    at once, so a failure ends the call.  Each call appends ``(n_pieces,
-    streams, waited, [(piece, by_caller), ...])`` to ``calls``, waited
-    listing the chunks the calling thread waited for.
+    "helper_late": the helper starts only once the calling thread has run
+    every piece.  "caller_late": the helper starts once the calling thread
+    has taken the first piece, and the calling thread ends that piece only
+    after the helper has run all the other pieces.  A piece that raises lets
+    both threads go on at once, so a failure ends the call.  Each call
+    appends ``(n_pieces, [(piece, by_caller), ...])`` to ``calls``.
     """
     run_pieces = simulate._run_pieces
 
-    def run(work, n_pieces, first=None):
-        caller, log, waited = threading.get_ident(), [], []
-        calls.append((n_pieces, first is not None, waited, log))
-        started, stuck, finished = threading.Event(), threading.Event(), threading.Event()
-        if n_pieces <= 1:  # the calling thread runs first() before its one piece
-            started.set()
-            stuck.set()
-        if first is not None:
-            proxy = first.__self__
-            wait = proxy.wait
-
-            def waiting(k):
-                if threading.get_ident() == caller:
-                    waited.append(k)
-                    stuck.set()
-                return wait(k)
-
-            proxy.wait = waiting
+    def run(work, n_pieces):
+        caller, log = threading.get_ident(), []
+        calls.append((n_pieces, log))
+        started, finished = threading.Event(), threading.Event()
 
         def logged(i):
             by_caller = threading.get_ident() == caller
@@ -888,26 +801,17 @@ def _forced(schedule, calls):
             try:
                 work(i)
             except BaseException:
-                stuck.set()  # the calling thread goes no further, nor will the helper
-                finished.set()
+                finished.set()  # the calling thread goes no further, nor will the helper
                 raise
             log.append((i, by_caller))
             if len(log) == n_pieces:
-                stuck.set()
                 finished.set()
             if schedule == "caller_late" and by_caller:
                 assert finished.wait(30)
 
-        def gate():
-            assert (stuck if schedule == "helper_late" else started).wait(30)
-            if first is not None:
-                try:
-                    first()
-                except BaseException:
-                    finished.set()  # no other piece will run: release the calling thread
-                    raise
-
-        run_pieces(logged, n_pieces, gate)
+        gate = finished if schedule == "helper_late" else started
+        with mock.patch.object(simulate, "ThreadPoolExecutor", lambda _: _GatedPool(gate)):
+            run_pieces(logged, n_pieces)
 
     return run
 
@@ -916,17 +820,27 @@ class _DrawFailed(Exception):
     pass
 
 
+class _Planted:
+    """A generator whose ``random(out=...)`` hands out the uniforms ``u`` in order."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[...], self.u = self.u[:out.size], self.u[out.size:]
+
+
 class _FailingDraws:
-    """``simulate._generator_at``, whose generators raise at call ``fail_at``,
+    """``RngStream.generator``, whose generators raise at call ``fail_at``,
     counted from 0, of the methods ``names``: one count over every generator
     it hands out, on either thread."""
 
     def __init__(self, names, fail_at):
         self.names, self.left, self.lock = names, fail_at, threading.Lock()
-        self.real = simulate._generator_at
+        self.real = RngStream.generator
 
-    def __call__(self, *args):
-        return _Failing(self, self.real(*args))
+    def generator(self, stream):
+        return _Failing(self, self.real(stream))
 
     def count(self):
         with self.lock:
@@ -966,48 +880,74 @@ class TestHelperThread:
     @pytest.mark.parametrize("schedule", ["helper_late", "caller_late"])
     @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
     def test_forced_schedules_give_the_same_bytes(self, name, schedule):
-        # small pieces put dozens of pieces in every stage of a 120 x 256 batch
+        # cells of 8 rows, one per piece: 15 pieces in every block of a
+        # 120 x 256 batch; the default pieces hold many cells each
         sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(57))
         calls = []
-        with mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 10):
-            with mock.patch.object(simulate, "_run_pieces", _serial):
-                want = _sample_bytes(sample())
-            before = threading.active_count()
-            with mock.patch.object(simulate, "_run_pieces", _forced(schedule, calls)):
-                got = _sample_bytes(sample())
-            assert threading.active_count() == before
-        assert got == want
-        assert _sample_bytes(sample()) == want  # and so do the default pieces
-        assert max(n for n, *_ in calls) > 10
-        assert any(streams for _, streams, *_ in calls)  # every sampler streams its last draw
-        for n_pieces, streams, waited, log in calls:
+        with mock.patch.object(simulate, "_STREAM_ROWS", 8):
+            with mock.patch.object(simulate, "_PIECE_ELEMS", 8 * 64):
+                with mock.patch.object(simulate, "_run_pieces", _serial):
+                    want = _sample_bytes(sample())
+                before = threading.active_count()
+                with mock.patch.object(simulate, "_run_pieces", _forced(schedule, calls)):
+                    got = _sample_bytes(sample())
+                assert threading.active_count() == before
+            assert got == want
+            assert _sample_bytes(sample()) == want  # and so do the default pieces
+        assert min(n for n, _ in calls) == 15
+        for n_pieces, log in calls:
             assert sorted(i for i, _ in log) == list(range(n_pieces))  # each piece once
             by_caller = [i for i, mine in log if mine]
-            if schedule == "caller_late":
-                assert by_caller == [0]
-            elif streams and n_pieces > 1:  # the calling thread waited in its first piece
-                assert by_caller[0] == 0 and waited[0] == 0
-            else:
-                assert by_caller == list(range(n_pieces))
+            assert by_caller == ([0] if schedule == "caller_late" else list(range(n_pieces)))
+
+    @pytest.mark.parametrize("stride", [2, 3, simulate._BLOCK_SCREEN_STRIDE])
+    @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
+    def test_a_capped_run_gives_the_same_bytes_in_any_pieces(self, name, schedule, stride):
+        # at cap 1.5 most paths leave every ball, block by block, and the
+        # others are packed into fewer cells: cells of 8 rows, one per
+        # piece under each schedule, give the bits of the serial run
+        sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(61))
+        run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
+
+        def capped(**patches):
+            with mock.patch.multiple(simulate, **patches):
+                with simulate._streamed_sups(HELPER_TARGETS, 1.5) as sups:
+                    result = sample()
+            return result, sups.of(result[0] if isinstance(result, tuple) else result)
+
+        before = threading.active_count()
+        with mock.patch.object(simulate, "_STREAM_ROWS", 8), \
+                mock.patch.object(simulate, "_BLOCK_SCREEN_STRIDE", stride):
+            want, want_sups = capped(_run_pieces=_serial)
+            got, got_sups = capped(_run_pieces=run_pieces, _PIECE_ELEMS=8 * 64)
+        assert threading.active_count() == before
+        assert _sample_bytes(got) == _sample_bytes(want)
+        assert got_sups.tobytes() == want_sups.tobytes()
+        batch = got[0] if isinstance(got, tuple) else got
+        inside = (got_sups < 1.5).any(axis=0)
+        assert inside.sum() <= batch.n_paths < 60
+        pass_sups = np.stack([np.minimum(sup_distance_batch(batch, f, lam), 1.5)
+                              for f, lam in HELPER_TARGETS])
+        assert np.array_equal(pass_sups[:, (pass_sups < 1.5).any(axis=0)], got_sups[:, inside])
 
     @pytest.mark.parametrize("fail_at", [0, 7])
     @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
     @pytest.mark.parametrize("name", ["jump", "tilted_middle", "tilted_small", "stable"])
     def test_a_failed_proxy_draw_raises_its_error(self, name, schedule, fail_at):
-        # chunk fail_at of the streamed draw (the jump samplers' proxy, the
-        # stable transform's exponentials) raises: every piece waiting for a
-        # chunk is released, and the call ends with the draw's own error, not a hang
+        # the draw fail_at of a cell's last variates (the jump samplers'
+        # proxy, the stable transform's exponentials) raises: the call ends
+        # with the draw's own error, not a hang
         self._fails(name, schedule, ("standard_normal", "standard_exponential"), fail_at)
 
     @pytest.mark.parametrize("fail_at", [0, 7])
     @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
     @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
-    def test_a_failed_fixed_width_chunk_raises_its_error(self, name, schedule, fail_at):
-        # call fail_at of the fixed-width chunks that the pieces draw (the
-        # bands' instants, magnitudes and signs, the thinning uniforms, the
-        # stable transform's uniforms) raises, and every later one: the call
-        # ends with that error, and no piece waits for it
-        self._fails(name, schedule, ("random", "integers"), fail_at)
+    def test_a_failed_cell_draw_raises_its_error(self, name, schedule, fail_at):
+        # call fail_at of a cell's other draws (its counts, and the uniforms
+        # of its records or of the stable transform) raises, and every later
+        # one: the call ends with that error
+        self._fails(name, schedule, ("poisson", "random"), fail_at)
 
     def _fails(self, name, schedule, names, fail_at):
         sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(58))
@@ -1021,9 +961,11 @@ class TestHelperThread:
                 outcome.append(exc)
 
         before = threading.active_count()
-        with mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 10), \
+        draws = _FailingDraws(names, fail_at)
+        with mock.patch.object(simulate, "_STREAM_ROWS", 8), \
+                mock.patch.object(simulate, "_PIECE_ELEMS", 8 * 64), \
                 mock.patch.object(simulate, "_run_pieces", run_pieces), \
-                mock.patch.object(simulate, "_generator_at", _FailingDraws(names, fail_at)):
+                mock.patch.object(RngStream, "generator", lambda stream: draws.generator(stream)):
             caller = threading.Thread(target=call, daemon=True)
             caller.start()
             caller.join(60)
@@ -1098,28 +1040,67 @@ class TestHelperThread:
 class TestStreamedSups:
     """Sups taken inside a sampler's pieces equal a pass over its finished batch."""
 
-    # 6.0 caps some sups of every sampler; strides 2 and 3 screen them on
-    # coarse grids of 129 and 86 of the 257 columns, the second without the last column
-    @pytest.mark.parametrize("cap, stride", [(np.inf, simulate._SCREEN_STRIDE), (6.0, 2), (6.0, 3),
-                                             (6.0, simulate._SCREEN_STRIDE)])
     @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
     @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
-    def test_equal_a_pass_over_the_batch(self, name, schedule, cap, stride):
+    def test_equal_a_pass_over_the_batch(self, name, schedule):
         # small pieces, so the sampler's pieces cut the batch into other row
         # ranges than the pass's blocks
         run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
         with mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 10), \
-                mock.patch.object(simulate, "_SCREEN_STRIDE", stride), \
                 mock.patch.object(simulate, "_run_pieces", run_pieces):
-            with simulate._streamed_sups(HELPER_TARGETS, cap) as sups:
+            with simulate._streamed_sups(HELPER_TARGETS, np.inf) as sups:
                 result = SCHEDULE_SAMPLERS[name](120, 256, RngStream(59))
         batch = result[0] if isinstance(result, tuple) else result
         assert sups.batch is batch  # taken in the pieces, not by a pass of their own
-        want = np.stack([np.minimum(sup_distance_batch(batch, f, lam), cap)
-                         for f, lam in HELPER_TARGETS])
+        want = np.stack([sup_distance_batch(batch, f, lam) for f, lam in HELPER_TARGETS])
         assert sups.of(batch).tobytes() == want.tobytes()
-        if cap < np.inf:
-            assert 0 < np.count_nonzero(want == cap) < want.size
+
+    @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
+    def test_a_cap_above_every_sup_gives_the_uncapped_sups(self, name, schedule):
+        # no path leaves every ball, so the capped sampler draws the same
+        # cells block by block: the same paths, sups and log-weights
+        run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
+        sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(59))
+        with mock.patch.object(simulate, "_STREAM_ROWS", 32):
+            with simulate._streamed_sups(HELPER_TARGETS, np.inf) as sups:
+                want = sample()
+            cap = np.nextafter(sups.out.max(), np.inf)
+            with mock.patch.object(simulate, "_run_pieces", run_pieces):
+                with simulate._streamed_sups(HELPER_TARGETS, cap) as capped:
+                    got = sample()
+        assert capped.of(got[0] if isinstance(got, tuple) else got).tobytes() == \
+            np.minimum(sups.out, cap).tobytes()
+        assert _sample_bytes(got) == _sample_bytes(want)
+
+    @pytest.mark.parametrize("name", ["jump", "tilted_middle", "stable"])
+    def test_a_capped_batch_holds_the_paths_inside_some_ball(self, name):
+        # at cap 1.5 most paths leave every ball; the batch keeps the others,
+        # whole, and their sups are those of a pass over it
+        with simulate._streamed_sups(HELPER_TARGETS, 1.5) as sups:
+            result = SCHEDULE_SAMPLERS[name](400, 256, RngStream(60))
+        batch, lw = result if isinstance(result, tuple) else (result, None)
+        out = sups.of(batch)
+        inside = (out < 1.5).any(axis=0)
+        assert 0 < inside.sum() < 0.5 * inside.size
+        assert batch.n_paths >= inside.sum() and batch.values.shape[1] == 257
+        pass_sups = np.stack([np.minimum(sup_distance_batch(batch, f, lam), 1.5)
+                              for f, lam in HELPER_TARGETS])
+        assert np.array_equal(pass_sups[:, (pass_sups < 1.5).any(axis=0)], out[:, inside])
+        if lw is not None:
+            assert np.isnan(lw).sum() == lw.size - batch.n_paths
+
+    def test_compaction_is_exact_in_law(self):
+        # capped sups of 24k jump-resolved paths, most of which leave both
+        # balls early, against uncapped sups on other streams
+        sample = partial(sample_jump_batch, PARAMS, 0.05)
+        targets = [(None, 0.0), (identity_shift(), 0.5)]
+        capped = sample_sups(sample, targets, 24_000, 256, RngStream(70), cap=1.5)
+        full = sample_sups(sample, targets, 24_000, 256, RngStream(71))
+        for row_c, row_f in zip(capped < 1.5, full < 1.5):
+            p_c, p_f = row_c.mean(), row_f.mean()
+            se = math.sqrt((p_c * (1 - p_c) + p_f * (1 - p_f)) / row_c.size)
+            assert p_c < 0.2 and abs(p_c - p_f) < 4.0 * se, (p_c, p_f, se)
 
     def test_a_sampler_that_streams_none_gets_a_pass(self):
         # a batch the sampler did not build, e.g. one a caller rescaled
@@ -1130,15 +1111,23 @@ class TestStreamedSups:
         got = simulate._sups_kernel(rescaled, tuple(HELPER_TARGETS), 256, np.inf, RngStream(60), 50)
         batch = rescaled(50, 256, RngStream(60))
         assert got.tobytes() == _sup_matrix(batch, HELPER_TARGETS).tobytes()
+        # capped, the inner sampler keeps only the paths inside some ball on
+        # its own values, so no pass over the rescaled batch can give the sups
+        with pytest.raises(ValueError, match="must be passed as is"):
+            simulate._sups_kernel(rescaled, tuple(HELPER_TARGETS), 256, 1.0, RngStream(60), 50)
 
     def test_the_is_kernel_counts_the_sups_of_its_batch(self):
         kernel, _ = ARENA_KERNELS["is"]
-        batch, lw = sample_tilted_batch(TILTS[0], 200, 256, RngStream(65), eps_cutoff=_IS_EPS)
-        hit = sup_distance_batch(batch) < 0.8
-        v = np.exp(lw) * hit
+        with simulate._streamed_sups([(None, 0.0)], 0.8) as sups:
+            batch, lw = sample_tilted_batch(TILTS[0], 200, 256, RngStream(65), eps_cutoff=_IS_EPS)
+        out = sups.of(batch)[0]
+        drawn = ~np.isnan(lw)  # the paths still inside the ball at t = 1
+        assert batch.n_paths == drawn.sum() and np.all(out[~drawn] == 0.8)
+        assert np.array_equal(np.minimum(sup_distance_batch(batch), 0.8), out[drawn])
+        hit = out < 0.8
+        w = np.exp(lw[hit])
         assert 0 < hit.sum() < hit.size
-        assert kernel(RngStream(65), 200) == (float(v.sum()), float((v * v).sum()), int(hit.sum()),
-                                              float(v[hit].sum()), float((v[hit] ** 2).sum()))
+        assert kernel(RngStream(65), 200) == (float(w.sum()), float((w * w).sum()), int(hit.sum()))
 
 
 # (sampler call, tracemalloc ceiling in bytes), each ceiling set a few percent
@@ -1146,17 +1135,22 @@ class TestStreamedSups:
 # 3.11.7); which piece temporaries the two threads hold at once moves a peak
 # by up to 1.3 MB
 MEMORY_CASES = {
-    # the anderson workload's batch, 964k jump records: peaks 91.65-92.91 MB,
-    # ceiling 4% above the highest
+    # the anderson workload's batch, uncapped, 964k jump records: peaks
+    # 94.37-94.40 MB, 1.6% below the ceiling, since an uncapped piece now
+    # holds two chunks of rows per block (92.14-92.22 MB at one)
     "jump": (partial(sample_jump_batch, PARAMS, 0.02, 2047, 2048, RngStream(1).child(0, 0)),
-             97_000_000),
-    # the same shape from CMS increments: peaks 67.12 MB, ceiling 4% above
+             95_900_000),
+    # the same shape from CMS increments, each cell's variates summed into
+    # the grid: peaks 36.76 MB, 2.6% below the ceiling (36.24 MB at one
+    # chunk per piece and block)
     "stable": (partial(sample_stable_batch, PARAMS, 2047, 2048, RngStream(1).child(0, 0)),
-               70_000_000),
+               37_700_000),
     # 2000 small-regime paths (weight_battery member 3, 3.3M interior jump
-    # records): peaks 179.63-180.15 MB, ceiling 4% above
+    # records), with no band draws beside the records and each piece's
+    # dropped slots closed within its rows: peaks 98.63-99.09 MB, ceiling
+    # 3.8% above
     "small_regime": (partial(sample_tilted_batch, weight_battery(PARAMS)[3][1], 2000, 256,
-                             RngStream(103).child(3), eps_cutoff=0.05), 187_000_000),
+                             RngStream(103).child(3), eps_cutoff=0.05), 102_900_000),
 }
 
 

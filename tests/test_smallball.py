@@ -71,19 +71,16 @@ class TestProbNoBigJumps:
             call()
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40),
-           n_steps=st.integers(2, 64), r=st.floats(0.2, 3.0),
-           alpha=st.sampled_from([1.2, 1.5, 1.8]))
-    def test_oracle_counts_the_sampler_paths_without_a_big_jump(self, seed, size, n_steps, r,
-                                                               alpha):
-        # the oracle draws only the sampler's jump band, so on one stream it
-        # sees the very jumps of the sampler's paths, whatever the grid
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300),
+           r=st.floats(0.2, 3.0), alpha=st.sampled_from([1.2, 1.5, 1.8]))
+    def test_oracle_counts_the_sampler_paths_without_a_big_jump(self, seed, size, r, alpha):
+        # the oracle draws only the cells' jump records of the sampler at
+        # 256 steps, so on one stream it sees the very jumps of its paths
         params, eps = AlphaStableParams(alpha), min(r / 4.0, 0.25)
         stream = RngStream(seed)
-        batch = sample_jump_batch(params, eps, size, n_steps, stream)
+        batch = sample_jump_batch(params, eps, size, 256, stream)
         with_big = np.unique(batch.jump_path[np.abs(batch.jump_sizes) >= r])
-        rate = _jump_rate(alpha, eps)
-        assert _no_big_jump_kernel(alpha, r, eps, rate, stream, size) == size - with_big.size
+        assert _no_big_jump_kernel(params, r, eps, stream, size) == size - with_big.size
 
 
 class TestCrude:
@@ -120,6 +117,15 @@ class TestImportanceSampling:
         q = SmallBallQuery.middle(PARAMS, identity_shift(), c=0.2, r=0.8)
         est = estimate_is(q, 500, n_steps=256, rng=RngStream(50))
         assert est.ess is None or est.ess <= est.n
+
+    def test_paths_that_leave_the_ball_add_no_weight(self):
+        # at r = 0.05 every path leaves the ball in its first time block, so
+        # no log-weight of a whole path is ever formed: value 0, not NaN
+        q = SmallBallQuery.middle(PARAMS, identity_shift(), c=0.2, r=0.05)
+        with np.errstate(over="raise", invalid="raise"):
+            est = estimate_is(q, 300, n_steps=256, rng=RngStream(54))
+        assert est.value == 0.0 and est.stderr == 0.0
+        assert "unresolved_at_this_n" in est.flags
 
     def test_rejects_invalid_tilt(self):
         # c (2-alpha)/2 sup|f'| >= 1 is outside the tilt's validity range
