@@ -20,7 +20,10 @@ chunk, and it draws every variate of its rows and steps from a stream of
 its own, ``stream.child(block, chunk)`` of the batch's stream, in one fixed
 order: the Poisson counts of each jump band on the block's interval, the
 instants in (block start, block end], the magnitudes and the signs, the
-thinning uniforms, then the Gaussian proxy, or the stable transform's
+thinning uniforms, the Gaussian proxy's sums over the block's coarse
+intervals, every ``_BLOCK_SCREEN_STRIDE`` steps from the block's start and
+the last possibly shorter (``_coarse_cols``), then the step deviations that
+bridge each sum to its steps (``_bridge``); or the stable transform's
 uniforms and exponentials (``standard_symmetric_stable``).  Distinct spawn
 keys give distinct ``SeedSequence`` streams, and no two cells of any batch
 share a key: a cell extends its batch's key by two integers and never
@@ -34,11 +37,11 @@ range of cells together (``_cell_paths``): they sort the records by (path,
 time) (``_jump_order``), bin them into their steps, add the drift and the
 proxy, and sum each path into its block of the grid, starting from the
 path's value at the block's start, so every row's sum runs in the order of
-one row-wide ``cumsum``.  ``_record_steps`` puts a record in its step, there
-and in the sup kernel: step i holds the instants in (t_i, t_i+1], so a
-record at its block's right end, or one whose t / dt rounds across a block
-edge, stays in its block.  The stable sampler writes its variates into the
-same kind of rows.
+one row-wide ``cumsum``.  ``_record_steps`` puts a record in its step, there,
+in the sup kernel and on the coarse grid, whose interval holds its step:
+step i holds the instants in (t_i, t_i+1], so a record at its block's right
+end, or one whose t / dt rounds across a block edge, stays in its block.
+The stable sampler writes its variates into the same kind of rows.
 
 A path is a :class:`BatchPaths`; one path is a batch of one
 (``BatchPaths.extract``).  One kernel (``_Sups``) evaluates sup-norm
@@ -49,29 +52,36 @@ and one range of grid columns at a time, and raises each (target, path)
 pair's running max: the grid rows, then the jump records of the range's
 undecided paths.  A caller that only tests ``sup < r`` passes ``cap=r`` and
 gets the sups capped at r: a (target, path) pair whose max over a coarse
-grid, every ``_SCREEN_STRIDE``-th column of a finished batch or every
-``_BLOCK_SCREEN_STRIDE``-th of a sampler's time block, already reaches r
-is decided there, only the other pairs take the full grid, and a path
-whose grid sup reaches r for every target is decided without its jump
-records.  It has two drivers: ``_sup_matrix`` runs it over a finished
-batch in cache-sized row blocks (``sup_distance_batch`` is its one-target
-form), and a sampler asked for its batch's sups (``_streamed_sups``) runs
-it on each of its ranges of cells, right after their rows are summed.
+grid, every ``_SCREEN_STRIDE``-th column of a finished batch or the coarse
+grid of a sampler's time block, already reaches r is decided there, only
+the other pairs take the full grid, and a path whose grid sup reaches r
+for every target is decided without its jump records.  It has two
+drivers: ``_sup_matrix`` runs it over a finished batch in cache-sized row
+blocks (``sup_distance_batch`` is its one-target form), and a sampler
+asked for its batch's sups (``_streamed_sups``) runs it on each of its
+ranges of cells, right after their rows are summed.
 
 A sampler asked for sups capped at a finite r draws its batch block by
-block.  After each block it keeps each path's screened running max per
-target (``_Sups.screen``), and packs the paths still below the cap for
-some target, in path order; only they are drawn in the next block, in
-chunks of the packed rows.  Which paths go on is a function of the draws
-so far, and each cell's variates are fresh, so every estimate stays exact
-in law, and the bits depend on neither threads nor workers.  The paths
-still inside some ball at t = 1 then take their exact sups over the whole
-grid, and the batch the sampler returns holds only them, whole
-(``_survivors``); its arena holds the drawn cells of every block, the
-live paths' share of the grid.  An uncapped sampler drops no path, so a
-capped run at a cap above every sup draws the same cells and gives
-exactly ``np.minimum(uncapped sups, cap)``; it returns the whole grid,
-with its records sorted by (path, time).
+block.  A jump cell then sums its rows on the block's coarse grid alone:
+its records binned by coarse interval, the drift's interval sums and the
+proxy's.  After each block the sampler keeps each path's screened running
+max per target (``_Sups.screen``), over the coarse grid, or over every
+``_BLOCK_SCREEN_STRIDE``-th column of a stable block, and packs the paths
+still below the cap for some target, in path order; only they are drawn
+in the next block, in chunks of the packed rows.  Which paths go on is a
+function of the draws so far, and each cell's variates are fresh, so
+every estimate stays exact in law, and the bits depend on neither threads
+nor workers.  Only the paths still inside some ball at t = 1 then draw
+their step deviations, each cell's from its generator right after its
+coarse sums, and take their fine grid, their proxy's products and their
+exact sups over the whole grid, afresh, since the coarse grid rounds the
+same values differently (``_survivors``).  The batch the sampler returns
+holds only them, whole.  Its arena holds each block's coarse grid and
+sums, about an eighth of the size of the live paths' grid and proxy, then
+the survivors' paths.  An uncapped sampler drops no path and builds every
+row's proxy the same way, so a capped run at a cap above every sup draws
+the same variates and gives exactly ``np.minimum(uncapped sups, cap)``;
+it returns the whole grid, with its records sorted by (path, time).
 
 ``map_batches`` is the one batch loop of every estimator: it runs a kernel
 over the deterministic ``batch_plan``, each batch on its own child stream.
@@ -83,28 +93,31 @@ owner of each rate.  Every estimator that counts sups draws through
 as one matrix, or, for importance sampling, asks its tilted sampler for
 them; the estimator keeps only its own reduction (``< r`` or ``> x``).
 
-The calling thread shares the pieces with one helper thread, made for
-each block of a capped batch, or for the whole of an uncapped one (``with
-ThreadPoolExecutor(1)`` in ``_run_pieces``), and joined before it returns,
-so no thread outlives a call and none is alive when a process pool forks.
-A piece is a run of whole cells: a range of chunks in one block, or, in
+The calling thread shares the pieces of an uncapped batch with one helper
+thread (``with ThreadPoolExecutor(1)`` in ``_run_pieces``), made for the
+call and joined before it returns, so no thread outlives a call and none
+is alive when a process pool forks.  A piece is a run of whole cells: in
 an uncapped batch, a range of chunks through every block in turn, so no
 block waits for the last piece of the one before.  The threads take the
 pieces in order from a shared counter.  Each piece reads only its own
 cells' streams and writes only its own rows of outputs allocated before
 the pieces run, so the bits do not depend on which thread takes which
 piece, nor on how many cells a piece holds; a piece whose draw raises
-ends the call with that error.
+ends the call with that error.  A capped batch runs its pieces, ranges of
+chunks in one block, on the calling thread: with the proxy drawn on the
+coarse grid they hold the GIL for most of their time, so a helper would
+mostly wait.
 
 ``map_batches`` runs each kernel with an arena (``_Workspace``): one
 private anonymous mapping from which the batch takes every array whose size
-scales with the batch, the grid values, the proxy and the jump records
-(``_batch_array``); the cells' draws and a piece's temporaries stay with
-malloc.  The arena is reset before each batch and not handed back, so its
-pages are not faulted in again by the next batch.  Idle arenas sit in one
-list for the whole process, so a call on a thread pool reuses those of an
-earlier call, and a forked child starts without any.  A sampler called
-outside a kernel allocates fresh arrays.
+scales with the batch, the grid values, the proxy and the jump records, or
+a capped jump batch's coarse grids and sums and its survivors' paths
+(``_batch_array``); the cells' draws and records and a piece's temporaries
+stay with malloc.  The arena is reset before each batch and not handed
+back, so its pages are not faulted in again by the next batch.  Idle
+arenas sit in one list for the whole process, so a call on a thread pool
+reuses those of an earlier call, and a forked child starts without any.  A
+sampler called outside a kernel allocates fresh arrays.
 """
 
 from __future__ import annotations
@@ -544,6 +557,42 @@ def _chunk_edges(n_rows: int) -> list[int]:
     return [c * n_rows // n_chunks for c in range(n_chunks + 1)]
 
 
+def _coarse_cols(width: int, stride: int) -> np.ndarray:
+    """The columns of a time block of ``width`` steps, counted from its first,
+    that its coarse grid holds: every ``stride``-th, then the last."""
+    return np.minimum(np.arange(0, width + stride, stride), width)
+
+
+def _interval_sums(a: np.ndarray, stride: int) -> np.ndarray:
+    """The sums along the last axis of ``a`` over runs of ``stride`` entries,
+    the last run possibly shorter, each run added in order."""
+    out = a[..., ::stride].copy()
+    for o in range(1, stride):
+        part = a[..., o::stride]
+        out[..., :part.shape[-1]] += part
+    return out
+
+
+def _bridge(steps: np.ndarray, sums: np.ndarray, sd: float, lens) -> None:
+    """The per-step proxy, in place of ``steps`` (rows, steps), standard
+    normals e_j, whose coarse intervals, of ``lens`` steps each, sum to
+    ``sums`` (rows, intervals).
+
+    Each step is z_j = S / n + sd (e_j - mean(e)) over its interval of n
+    steps: the steps of a Brownian motion given its values at the
+    interval's ends (Glasserman 2004, *Monte Carlo Methods in Financial
+    Engineering*, sec. 3.1).  They sum to S within rounding, and with S ~
+    N(0, n sd^2) drawn apart from the e_j they are i.i.d. N(0, sd^2),
+    whatever was decided from S alone before the e_j were drawn."""
+    steps *= sd
+    stride = int(lens[0])
+    shift = sums - _interval_sums(steps, stride)
+    shift /= lens
+    for o in range(stride):
+        part = steps[:, o::stride]
+        part += shift[:, :part.shape[1]]
+
+
 def _excl(counts: np.ndarray) -> np.ndarray:
     """The exclusive prefix sums of ``counts``."""
     return np.cumsum(counts) - counts
@@ -558,31 +607,39 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
     draw standard stable increments times ``scale``, a scalar or one factor
     per step.  Otherwise ``bands`` draws each cell's jump records, and the
     Gaussian proxy has standard deviation ``sd`` per step; ``drift`` is the
-    per-step drift, if any.  With ``bands.thin``, tilt_sums holds each
-    path's sum of its kept records' log-tilts, added in the batch's record
-    order, so it is the bits of one ``bincount`` over the returned records;
-    with ``bbar``, proxy_sums holds each path's sum of the proxy times
-    ``bbar``, each cell's product taken over the cell alone and added block
-    by block; each is None otherwise.
+    per-step drift, if any.  After its records a jump cell draws the
+    proxy's sums over the coarse intervals of its block (``_coarse_cols``),
+    then the step deviations that bridge them to its steps
+    (``_bridge``).  With ``bands.thin``, tilt_sums holds each path's sum
+    of its kept records' log-tilts, added in the batch's record order, so
+    it is the bits of one ``bincount`` over the returned records; with
+    ``bbar``, proxy_sums holds each path's sum of the proxy times ``bbar``,
+    each cell's product taken over the cell alone and added block by block;
+    each is None otherwise.
 
     The cells run in pieces of whole cells, each of about ``_PIECE_ELEMS``
     grid values or expected records per block: a piece draws its cells,
     then bins and sums their rows, and, when the batch's sups were asked for
     (:func:`_streamed_sups`), raises those rows' sups.  Capped sups run the
-    pieces of one block at a time and pack the paths still inside some ball
-    after each; the capped batch holds only the paths inside some ball at
-    t = 1, and the sums of the others are NaN.  Uncapped, a piece takes its
-    rows through every block in turn, and every cell's counts are drawn
-    first, so each record's slot in the (path, time)-sorted arrays is known
-    before its cell draws the rest; a thinned band leaves its dropped
-    records' slots empty, which each piece closes within its own rows, and
-    one pass moves the pieces' records together.
+    pieces of one block at a time, each screening its rows
+    (``_Sups.screen``), and pack the paths still inside some ball after
+    each; a jump cell sums its rows on the block's coarse grid alone, and
+    keeps its generator for the step deviations.  The capped batch holds
+    only the paths inside some ball at t = 1 (``_survivors``), and the sums
+    of the others are NaN.  Uncapped, a piece takes its rows through every
+    block in turn, and every cell's counts are drawn first, so each
+    record's slot in the (path, time)-sorted arrays is known before its
+    cell draws the rest; a thinned band leaves its dropped records' slots
+    empty, which each piece closes within its own rows, and one pass moves
+    the pieces' records together.
     """
     sups = _take_sups()
     capped = sups is not None and sups.cap < np.inf
     times = np.linspace(0.0, 1.0, n_steps + 1)
     edges = _block_edges(n_steps)
     n_blocks = len(edges) - 1
+    stride = _BLOCK_SCREEN_STRIDE
+    cols = [_coarse_cols(s1 - s0, stride) for s0, s1 in zip(edges, edges[1:])]
     thinned = bands is not None and bands.thin is not None
     tilt_sums = np.zeros(n_paths) if thinned else None
     proxy_sums = np.zeros(n_paths) if bbar is not None else None
@@ -590,19 +647,24 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
         sups.start(times, n_paths)
     live = np.arange(n_paths)  # the paths drawn in this block, in path order
     run = None if sups is None else sups.out  # their sups so far, one column each
-    per_step = _STREAM_ROWS  # a cell's grid values per step, or its expected records if more
+    # a cell's grid values per step, or its expected records if more; a
+    # capped jump cell sums its rows on the coarse grid alone
+    per_step = _STREAM_ROWS / stride if capped and bands is not None else _STREAM_ROWS
     if bands is not None:
-        per_step = max(per_step, per_step / n_steps * sum(rate for rate, _, _ in bands.bands))
+        per_step = max(per_step, _STREAM_ROWS / n_steps * sum(rate for rate, _, _ in bands.bands))
 
     def cuts(n_chunks: int, per: float) -> list[int]:
         """The first chunk of each piece, then n_chunks, for cells of ``per`` each."""
         return [*range(0, n_chunks, max(1, int(_PIECE_ELEMS // per))), n_chunks]
 
-    def draw(k: int, grid, noise, chunks, c0: int, c1: int):
+    def draw(k: int, grid, noise, chunks, c0: int, c1: int, gens=None):
         """Draw the cells (k, c0), ..., (k, c1 - 1), the rows chunks[c0]:chunks[c1]
-        of ``grid`` (block k's columns, which start from the rows' carried
-        values) and of ``noise``, and sum them; with sups, raise the rows'
-        sups.  Returns the cells' records if capped."""
+        of ``grid``, whose first column holds the rows' carried values, and of
+        ``noise``, and sum them; with sups, raise the rows' sups.  ``grid``
+        holds block k's columns and ``noise`` the proxy on its steps, but in
+        a capped jump batch ``grid`` holds the block's coarse grid and
+        ``noise`` the proxy's coarse sums, the cells' generators go to
+        ``gens``, and the cells' records are returned, each band's apart."""
         s0, s1 = edges[k], edges[k + 1]
         width, r0, r1 = s1 - s0, chunks[c0], chunks[c1]
         if bands is None:
@@ -614,43 +676,67 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
             scale = stable[1]
             incr *= scale if np.ndim(scale) == 0 else scale[s0:s1]
         else:
+            lens = np.diff(cols[k])
             if capped:
                 cells = []
                 for c in range(c0, c1):
-                    gen = stream.child(k, c).generator()
+                    gens[c] = gen = stream.child(k, c).generator()
                     rows = chunks[c + 1] - chunks[c]
                     cells.append((gen, bands.counts(gen, rows, width / n_steps)))
             else:
                 cells = gens[k][c0:c1]
             row, t, x, lt = bands.records(cells, times[s0], times[s1])
-            z = noise[r0:r1]
-            strided = not z.flags.c_contiguous  # a block of a whole batch: drawn in a copy
-            if strided:
-                z = np.empty(z.shape)
-            for c, (gen, _) in enumerate(cells, c0):
-                zc = z[chunks[c] - r0:chunks[c + 1] - r0]
-                gen.standard_normal(out=zc)
-                zc *= sd
-                if proxy_sums is not None:
-                    proxy_sums[live[chunks[c]:chunks[c + 1]]] += zc @ bbar[s0:s1]
-            del cells
             step, frac = _record_steps(t, times)
-            flat = row * width
-            flat += step
-            flat -= s0
-            incr = np.bincount(flat, weights=x, minlength=(r1 - r0) * width)
-            incr = incr.astype(float, copy=False).reshape(r1 - r0, width)  # int with no records
-            if drift is not None:
-                incr += drift[s0:s1]
+            if capped:  # on the coarse grid: each interval's records, drift and proxy sum
+                for c, (gen, _) in enumerate(cells, c0):
+                    gen.standard_normal(out=noise[chunks[c]:chunks[c + 1]])
+                z = noise[r0:r1]
+                z *= sd * np.sqrt(lens)
+                n_cols, bins, first = lens.size, (step - s0) // stride, 0
+                smooth = None if drift is None else _interval_sums(drift[s0:s1], stride)
+            else:
+                z = noise[r0:r1]
+                strided = not z.flags.c_contiguous  # a block of a whole batch: drawn in a copy
+                if strided:
+                    z = np.empty(z.shape)
+                sums = np.empty((r1 - r0, lens.size))
+                for c, (gen, _) in enumerate(cells, c0):
+                    q0, q1 = chunks[c] - r0, chunks[c + 1] - r0
+                    gen.standard_normal(out=sums[q0:q1])
+                    gen.standard_normal(out=z[q0:q1])
+                sums *= sd * np.sqrt(lens)
+                _bridge(z, sums, sd, lens)
+                if strided:
+                    noise[r0:r1] = z
+                if proxy_sums is not None:
+                    for c in range(c0, c1):
+                        q0, q1 = chunks[c] - r0, chunks[c + 1] - r0
+                        proxy_sums[live[chunks[c]:chunks[c + 1]]] += z[q0:q1] @ bbar[s0:s1]
+                n_cols, bins, first = width, step, s0
+                smooth = None if drift is None else drift[s0:s1]
+            flat = row * n_cols
+            flat += bins
+            flat -= first
+            incr = np.bincount(flat, weights=x, minlength=(r1 - r0) * n_cols)
+            incr = incr.astype(float, copy=False).reshape(r1 - r0, n_cols)  # int with no records
+            if smooth is not None:
+                incr += smooth
             incr += z
-            if strided:
-                noise[r0:r1] = z
         incr[:, 0] += grid[r0:r1, 0]
         np.cumsum(incr, axis=1, out=grid[r0:r1, 1:])
         del incr
         if capped:
-            sups.screen(run[:, r0:r1], grid[r0:r1], s0, _BLOCK_SCREEN_STRIDE)
-            return None if bands is None else (row + r0, t, x, lt)
+            if bands is None:
+                sups.screen(run[:, r0:r1], grid[r0:r1, ::stride], slice(s0, s1 + 1, stride))
+                return None
+            sups.screen(run[:, r0:r1], grid[r0:r1], s0 + cols[k])
+            # only the first band is thinned, so the others keep every record drawn
+            rest = [sum(int(counts[b].sum()) for _, counts in cells)
+                    for b in range(1, len(bands.bands))]
+            ends = np.cumsum([row.size - sum(rest), *rest])
+            row += r0
+            return [(row[a:b], t[a:b], x[a:b], None if lt is None else lt[a:b])
+                    for a, b in zip([0, *ends], ends)]
         if bands is None:
             if sups is not None:
                 sups.exact(run[:, r0:r1], grid[r0:r1], s0)
@@ -672,27 +758,29 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
     if capped:
         run = run.copy()
         carry = np.zeros(n_paths)  # the live paths' values at the block's start
-        held = []  # each block drawn: (first step, paths, grid, proxy, records of each piece)
+        held = []  # each block drawn, as _survivors reads it
         for k in range(n_blocks):
-            width = edges[k + 1] - edges[k]
-            grid = _batch_array((live.size, width + 1))
-            grid[:, 0] = carry
-            noise = None if bands is None else _batch_array((live.size, width))
+            s0, s1 = edges[k], edges[k + 1]
             chunks = _chunk_edges(live.size)
-            block_cuts = cuts(len(chunks) - 1, per_step * width)
-            piece_records = [None] * (len(block_cuts) - 1)
-
-            def piece(i: int) -> None:
-                piece_records[i] = draw(k, grid, noise, chunks, block_cuts[i], block_cuts[i + 1])
-
-            _run_pieces(piece, len(block_cuts) - 1)
-            held.append((edges[k], live, grid, noise, piece_records))
+            if bands is None:
+                grid, coarse = _batch_array((live.size, s1 - s0 + 1)), None
+            else:  # the block's coarse grid, and the proxy's sums over its intervals
+                grid = _batch_array((live.size, cols[k].size))
+                coarse = _batch_array((live.size, cols[k].size - 1))
+            grid[:, 0] = carry
+            gens = [None] * (len(chunks) - 1)
+            block_cuts = cuts(len(gens), per_step * (s1 - s0))
+            records = [draw(k, grid, coarse, chunks, c0, c1, gens)
+                       for c0, c1 in zip(block_cuts, block_cuts[1:])]
+            held.append((s0, live, grid) if bands is None else
+                        (s0, s1, live, chunks, coarse, gens, records))
             alive = (run < sups.cap).any(axis=0)
             sups.out[:, live[~alive]] = run[:, ~alive]
             live, run, carry = live[alive], run[:, alive], grid[alive, -1]
             if live.size == 0:
                 break
-        batch = _survivors(sups, run, live, held, times, drift, tilt_sums)
+        batch = _survivors(sups, live, held, times, drift, tilt_sums,
+                           None if bands is None else (sd, stride, bbar, proxy_sums))
         left = np.ones(n_paths, dtype=bool)
         left[live] = False
         for sums in (tilt_sums, proxy_sums):
@@ -704,6 +792,7 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
     values = _batch_array((n_paths, n_steps + 1))
     values[:, 0] = 0.0
     small_noise = None if bands is None else _batch_array((n_paths, n_steps))
+    gens = None
     if bands is not None:
         gens, slots, n_env = _count_cells(stream, bands, n_paths, edges)
         path_out = _batch_array(n_env, np.int64)
@@ -718,7 +807,7 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
         for k in range(n_blocks):
             s0, s1 = edges[k], edges[k + 1]
             draw(k, values[:, s0:s1 + 1], None if bands is None else small_noise[:, s0:s1],
-                 chunks, c0, c1)
+                 chunks, c0, c1, gens)
         if bands is None:
             return
         r0, r1 = chunks[c0], chunks[c1]
@@ -767,44 +856,68 @@ def _count_cells(stream: RngStream, bands: _Bands, n_paths: int, edges):
     return gens, slots, int(env.sum())
 
 
-def _survivors(sups, run, live, held, times, drift, tilt_sums) -> BatchPaths:
+def _survivors(sups, live, held, times, drift, tilt_sums, proxy) -> BatchPaths:
     """The capped batch of the paths ``live`` still inside some ball at t = 1,
-    gathered from the ``held`` blocks that drew them, with their exact sups
-    over the whole grid: ``run`` holds their screened sups, and every sup of
-    ``sups`` is capped once they are in.  ``tilt_sums``, if given, takes
-    their sums of log-tilts, in the batch's record order."""
+    from the ``held`` blocks that drew them, with their exact sups over the
+    whole grid, taken afresh; every sup of ``sups`` is capped once they are
+    in.
+
+    A stable block holds (first step, paths, grid).  A jump block holds
+    (first step, end step, paths, chunks, coarse sums, generators, records),
+    and ``proxy`` is (sd, stride, bbar, proxy_sums), else None: each cell's
+    generator draws its survivors' step deviations, and each piece's
+    records, band by band and each band's sorted by row, give up a
+    survivor's by ``searchsorted``.  The records sum into their steps in
+    draw order, as in an uncapped batch, and each row in one ``cumsum``;
+    proxy_sums, and ``tilt_sums`` if given, take the survivors' sums."""
     n_steps = times.size - 1
     values = _batch_array((live.size, n_steps + 1))
     values[:, 0] = 0.0
-    jumps = held[0][3] is not None
-    small_noise = _batch_array((live.size, n_steps)) if jumps else None
-    picked = []
-    for s0, paths, grid, noise, piece_records in held:
-        pos = np.searchsorted(paths, live)
-        values[:, s0 + 1:s0 + grid.shape[1]] = grid[pos, 1:]
-        if not jumps:
-            continue
-        small_noise[:, s0:s0 + noise.shape[1]] = noise[pos]
-        where = np.full(paths.size, -1)
-        where[pos] = np.arange(pos.size)
-        for row, *rest in piece_records:
-            row = where[row]
-            sel = row >= 0
-            picked.append([row[sel]] + [None if a is None else a[sel] for a in rest])
-    records = None
-    if jumps:
+    batch = BatchPaths(times=times, values=values, drift_steps=drift)
+    records = noise = None
+    if proxy is None:
+        for s0, paths, grid in held:
+            values[:, s0 + 1:s0 + grid.shape[1]] = grid[np.searchsorted(paths, live), 1:]
+    else:
+        sd, stride, bbar, proxy_sums = proxy
+        noise = _batch_array((live.size, n_steps))
+        picked = []
+        for s0, s1, paths, chunks, sums, gens, piece_records in held:
+            lens = np.diff(_coarse_cols(s1 - s0, stride))
+            pos = np.searchsorted(paths, live)  # the survivors' rows in the block
+            at = np.searchsorted(pos, chunks)  # cell c holds the survivors at[c]:at[c + 1]
+            z = np.empty((live.size, s1 - s0))
+            for gen, j0, j1 in zip(gens, at, at[1:]):
+                gen.standard_normal(out=z[j0:j1])
+            _bridge(z, sums[pos], sd, lens)
+            noise[:, s0:s1] = z
+            if proxy_sums is not None:
+                for j0, j1 in zip(at, at[1:]):
+                    proxy_sums[live[j0:j1]] += z[j0:j1] @ bbar[s0:s1]
+            picked += [_pick_rows(band, pos) for bands in piece_records for band in bands]
         row, t, x = (np.concatenate([rec[j] for rec in picked]) for j in range(3))
+        step, frac = _record_steps(t, times)
+        flat = row * n_steps
+        flat += step
+        incr = np.bincount(flat, weights=x, minlength=live.size * n_steps)
+        incr = incr.astype(float, copy=False).reshape(live.size, n_steps)
+        if drift is not None:
+            incr += drift
+        incr += noise
+        np.cumsum(incr, axis=1, out=values[:, 1:])
+        del incr
         order = _jump_order(row, t)
         row, t, x = row[order], t[order], x[order]
         if tilt_sums is not None:
             lt = np.concatenate([rec[3] for rec in picked])[order]
             tilt_sums[live] = np.bincount(row, weights=lt, minlength=live.size)
-        records = (row, t, x, *_record_steps(t, times))
-    sups.exact(run, values, 0, records, small_noise, drift)
+        records = (row, t, x, step[order], frac[order])
+        batch = replace(batch, jump_path=row, jump_times=t, jump_sizes=x, small_noise=noise)
+    run = np.zeros((len(sups.targets), live.size))
+    sups.exact(run, values, 0, records, noise, drift)
     sups.out[:, live] = run
     np.minimum(sups.out, sups.cap, out=sups.out)
-    batch = BatchPaths(times=times, values=values, small_noise=small_noise, drift_steps=drift)
-    return batch if not jumps else replace(batch, jump_path=row, jump_times=t, jump_sizes=x)
+    return batch
 
 
 def _close_gaps(kept: np.ndarray, slots: np.ndarray, arrays):
@@ -1027,7 +1140,9 @@ def _max_dev(block: np.ndarray, target, dev: np.ndarray, out: np.ndarray) -> Non
 # grid columns per column of the coarse grid that screens capped sups: in a
 # finished batch, before its full grid (_sup_matrix), and in each time block a
 # capped sampler draws, where the screen also picks the paths drawn in the
-# next block, so a finer grid there drops more paths sooner
+# next block, so a finer grid there drops more paths sooner.  The block
+# stride is also the jump samplers' coarse proxy interval (_coarse_cols): a
+# capped jump block is drawn and summed at that resolution alone
 _SCREEN_STRIDE = 32
 _BLOCK_SCREEN_STRIDE = 8
 
@@ -1044,12 +1159,17 @@ class _Sups:
     the rows per target through one buffer, and over the left and right
     limits (:func:`_jump_limits`) of their jump records in those steps,
     reduced per path.  With a finite ``cap``, :meth:`screen` raises them
-    with each target's max over a copy of every ``stride``-th column only
-    (``_SCREEN_STRIDE`` or ``_BLOCK_SCREEN_STRIDE``): a lower bound, and
-    the sup itself once it reaches ``cap``,
-    since both cap to ``cap``; only the paths it leaves below ``cap`` for
-    some target take :meth:`exact`, and of those only the paths whose grid
-    max leaves them below ``cap`` for some target take their jump records.
+    with each target's max over a coarse grid only: every
+    ``_SCREEN_STRIDE``-th column of a finished batch, every
+    ``_BLOCK_SCREEN_STRIDE``-th of a stable sampler's block, or a jump
+    sampler's coarse grid of the block (``_coarse_cols``).  That is a lower
+    bound, and the sup itself once it reaches ``cap``, since both cap to
+    ``cap``; a jump sampler's coarse grid is summed on its own, so it
+    bounds the fine grid only up to rounding, and its survivors take their
+    sups afresh (``_survivors``).  Only the paths the screen leaves below
+    ``cap`` for some target take :meth:`exact`, and of those only the paths
+    whose grid max leaves them below ``cap`` for some target take their
+    jump records.
     A None target skips the subtraction.  The max is exact, so every pair's
     sup is the same bits however the grid is cut into column ranges and
     rows, and whichever thread raises each, as the sup against its target
@@ -1080,16 +1200,17 @@ class _Sups:
         cols = slice(s0, s0 + grid.shape[1])
         return block, [None if g is None else g[cols] for g in self.grid_targets]
 
-    def screen(self, run: np.ndarray, grid: np.ndarray, s0: int, stride: int) -> None:
+    def screen(self, run: np.ndarray, coarse: np.ndarray, cols) -> None:
         """Raise ``run``, the sups so far of some paths (one column each), with
-        each target's max over every ``stride``-th column of ``grid``, their
-        values at grid columns s0, s0 + 1, ...; a lower bound of their sups,
+        each target's max over ``coarse``, their values at the grid columns
+        ``cols`` (a slice or an index array); a lower bound of their sups,
         and the sup itself once it reaches ``cap``."""
-        block, targets = self._block(grid, s0)
-        coarse = block[:, ::stride].copy()  # contiguous: read once per target
+        if self.path_scale != 1.0:
+            coarse = np.multiply(coarse, self.path_scale)
+        coarse = np.ascontiguousarray(coarse)  # read once per target
         dev, m = np.empty(coarse.shape), np.empty(coarse.shape[0])
-        for k, target in enumerate(targets):
-            _max_dev(coarse, None if target is None else target[::stride], dev, m)
+        for k, target in enumerate(self.grid_targets):
+            _max_dev(coarse, None if target is None else target[cols], dev, m)
             np.maximum(run[k], m, out=run[k])
 
     def exact(self, run: np.ndarray, grid: np.ndarray, s0: int, records=None,
@@ -1151,7 +1272,8 @@ def _pick_rows(records, pos: np.ndarray):
     counts = hi - lo
     sel = np.repeat(lo - _excl(counts), counts)
     sel += np.arange(sel.size)
-    return (np.repeat(np.arange(pos.size), counts), *(a[sel] for a in records[1:]))
+    return (np.repeat(np.arange(pos.size), counts),
+            *(None if a is None else a[sel] for a in records[1:]))
 
 
 def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
@@ -1184,7 +1306,7 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
         if cap == np.inf:
             sups.exact(run, grid, 0, records, noise, batch.drift_steps)
             return
-        sups.screen(run, grid, 0, _SCREEN_STRIDE)
+        sups.screen(run, grid[:, ::_SCREEN_STRIDE], slice(None, None, _SCREEN_STRIDE))
         pos = np.flatnonzero((run < cap).any(axis=0))  # the paths the screen leaves open
         if pos.size:
             sub = run[:, pos]
@@ -1263,7 +1385,10 @@ def _jump_limits(grid, s0: int, noise, drift, row, step, frac, x):
 
 
 _BATCH_ELEMS = 1 << 22  # grid values per batch that batch_plan aims at: a 32 MiB values array
-_BATCH_RECORDS = 1 << 20  # expected jump records per batch: a tilted batch peaks near 70 MB
+# expected jump records per batch: the plan's largest middle-regime tilted
+# batch, 1520 x 2048 at the default cutoff, peaks near 81 MB drawn whole and
+# 12 MB drawn capped, as the IS kernel draws it (tracemalloc)
+_BATCH_RECORDS = 1 << 20
 
 
 def batch_plan(n_total: int, n_steps: int, records: float = 0.0) -> list[tuple[int, int]]:

@@ -195,54 +195,54 @@ def _simulate_csv_digest(out) -> str:
 
 # digests of the records at the seeds above
 JUMP = {
-    "values": "9c4a1c456ec6c3c85d765179f786993a44e1a3bb252ea836b923dbc186e59c4e",
+    "values": "d975e8cd7b69847c63ef286643dc703647c17000b5775e3999fef52dc4f11873",
     "jump_path": "329458cb4f9c69b137764e91aeb47bb7da84c565cb514e1ad6331ca9704de644",
     "jump_times": "f9a0a27db8209f81fc86653c2033c054daaa0961b3cc3044658825b2db9fe498",
     "jump_sizes": "85610ece07f06f15f818d25ca44ad0cc3a978a48fdfc0bfe9b5b9c46f9f493a1",
-    "small_noise": "7bd9c5d2fa7850f2e4c709bc5ef8823dcf53c65f14adc1b38ad357a42481b5bb",
-    "sups": "fb57f522f52f698e779356f313dbcb82206482d86ea6ec0767d96626283424d5"
+    "small_noise": "63a6d6bfa8195999ab056cf6af79d3b5c20794720e51208c56cb9d36a9383639",
+    "sups": "09489f815f30ff20e77cf5c2e37ff8a334133519a3924fc80da435699525c433"
 }
 TILTED = {
-    "values": "5b43f22b5a9d6cd3cae2e9a3f1b91b7522242333ccf04fda9de49ad837e86140",
+    "values": "b3ceb3dd36b3da0550166b7b8301ba449277d9a229ba2dad81565a134998be21",
     "jump_path": "d5854d79db79674811f10af05c22104cfb6ba9f0c8297cbe2bb183f5101a0280",
     "jump_times": "1ab2fcd3c8bdba579d48cd128e2657273a0ce9d719b71d819e30c6ec1f19d12e",
     "jump_sizes": "286ed18674fc4b714657264a9ad61957351dfa7962cbee86311f053f16e68efb",
-    "small_noise": "d9bc87d715e79bb3fb14d1449c3d116d59644b46a2afb983d7b07009b3579e96",
+    "small_noise": "ac1684c7d0790647d10f3de007fcabd9684d1a1cd41d1907cb3ad52f34454c4d",
     "drift_steps": "93fc138dea54a896b07b89fb262f5a6f40965ee08452783f9f5f114cf6110186",
-    "log_weights": "555be2a7fba175d6a4103c40f8ea15b48ca8fe23a5b30896581b44e0f03937b3",
-    "sups": "e41959e52cd4fcc08605e9c2ec859d12d9c18fddaefc5c80491cb04d6e1d6a06"
+    "log_weights": "80fcdd777231c90a1c84f5a34cdd19e7f0ce478f9e8bdc66792fc238dcee02a5",
+    "sups": "728a7f12d1962d39a03e2f18d04ecd9577d8308a89c1848cfde80e2c6c495a53"
 }
 INCREMENTS = {
     "stable": "80103fea1b699fc48591a187436eb4adeaac03089f5e425fba3daf8cbdb32fac",
     "time_changed": "87d7d4e79f788d4bf66a628449396ff6a0cb9b89781196f43c93ea68d42e85ff"
 }
-NO_INTERIOR_LOG_WEIGHTS = "9d2630a04b90e18f36c88ad5c295c09927ca8d27a2eb9bc1983af77934625a6e"
-BENCHMARK_BATTERY = "69d55d75883c44f03050b5767d29f02bf0081c9939f2023e42645f530bb26fa8"
-ANDERSON = "5c34962003303c2b24115349128889b7058d645cc233a9700546a40e40474a2b"
+NO_INTERIOR_LOG_WEIGHTS = "09e43b289617e12ef43e98caff6cb3b2ae495caf4a3b3984e8ed6f71952ac049"
+BENCHMARK_BATTERY = "33276723be3e8c6030ca90efcfe23bf66e1cd38028f280a519c9cc653c2d6564"
+ANDERSON = "86b528f3839314841f53601b64206965888166b6123277a0bdabd2fc739f254f"
 ESTIMATORS = {
-    "crude_jumps": "48ddf8c0ddc4af89106b48f88dde4293ebfca213f9095a66ca279dfb75d6d3ea",
+    "crude_jumps": "4088565ee8731d67918a859a4bf82f6f56e5b771bc028a242714e4fe0bb6c2c9",
     "crude_increments": "9c29274ef930b414a9aa87cde2222d81e9e936623074afadd62bf70c3098f87b",
-    "is": "a8424e4d9912f9e00a8956ef2da8d1dc759d94d1bee1e3fbadb6a15fa4710cd7",
-    "is_centered": "2e17a30b157f637d399ca1a1c076caabef01448a7719de0acd9b35f124ba5971",
+    "is": "5489904a6aa5baf840b835048dca234bd5bfc14c1c63b76a89544f28d99fe703",
+    "is_centered": "9575db1601f1f022c911afd701edcd782f595f2ea5d124744434e9a1edb2a452",
     "no_big_jump_fraction": "56fb908983bb16be08f0b2359871e624525153ed8ebc6bed4ba1874f6461de76",
     "tail_p_hat": "fbb911978ebae3b8785a0120779ec48756496f6488a160b18b25983a390d0617",
     "mc_p_hat": "df059372c4ed5d6f6927d596203a06bef3469c44a5fe023fe13ca2bd882d0c21",
     "spectral": "66ef1c62845fbca572cfccf205f9002049396ba1b3fe726bbe9f53efc77b8311"
 }
 SPLIT = {
-    "frozen.values": "a4990ce68bf988b320dd26ee40ec2ea3e5e25b74dacc00fa279da8937cfb79e5",
+    "frozen.values": "bdbb90be5227e0dd0841cd47d88fcb19a9cff00339337b1f0fa636ac357e7a44",
     "frozen.jump_times": "c6828a284622c8309e7fcbaad6842f24a1ce226cd7a2eb7a2f03f7d1a43fe73c",
     "frozen.jump_sizes": "0f6d199fe2ce62bc71604ca079cdcd22f6e3ef3a9fe6bdf5fd27fdf6ac5f48a2",
-    "frozen.small_noise": "48beb9fbf0c1cdedf8576f9cc3fc1ff38f41b12e767ff16cf133af7c310c469d",
+    "frozen.small_noise": "683466fcb5ebad29ab60f5e3b15c9e7b828511a5232afd7e4feed4e6ad9955a6",
     "frozen.drift_steps": "4eaf3d581ca8527f961339d0d9b4784d059a5029e6f4900391b90298fb6cdd8a",
-    "rest.values": "7129f727b844386e75e693d96d113600871a130210211146054159586b386ffa",
+    "rest.values": "e6e340ea5cbc2bc313a4aa22593c792515f54fb3c297f81b7d6e46278c8be7b6",
     "rest.jump_times": "e8f57ba971d57df3b64deaeb37cc5901fdf6f49213a5f9463fb88b143756d7a5",
     "rest.jump_sizes": "ba5892b3bee51442c91ffa534cc34c64319475c05e9609add401b90acdff2160",
-    "rest.small_noise": "fea69fa21a4b2ca4a9a60dec8c86a2a91902f70df040388d082895da527ac7ae",
+    "rest.small_noise": "184f92a97f07087c01338bd67fb8fac1773c9c68a32f270e63dd14d6a1c3ba7d",
     "rest.drift_steps": "cef13cef86c1086b7b0a68a90ef871bf0dbf2559eb423b3e16e8c2815a16a851"
 }
 SCALED_DISTANCES = "acc4241ef1e12d0bd952eb9c04841261c8b1185a74b2cba908e3258f37952c54"
-SIMULATE_CSV = "da9c133115a636b071f4fbbcb966bd909b6560537f0a3a6b36d6be3cbc8ec79a"
+SIMULATE_CSV = "c6211df02a811293b21122aafbd069d0d72685c4bbf5c2ae4bebfa863616a75a"
 
 
 @pytest.fixture(scope="module")

@@ -166,6 +166,46 @@ class TestTiltedSampler:
         assert abs(np.mean(x1)) < 4.0 * np.std(x1) / math.sqrt(x1.size)
 
 
+class TestProxyBridge:
+    """The jump samplers' Gaussian proxy: one sum per coarse interval, then
+    bridged to every step of it."""
+
+    def test_steps_are_iid_and_sum_to_their_coarse_draws(self):
+        # 300 steps are 4 time blocks of 75: each holds 9 coarse intervals of
+        # 8 steps and a last one of 3; every call of the bridge is recorded
+        n_paths, n_steps, eps = 2000, 300, 0.05
+        bridge, calls = simulate._bridge, []
+
+        def recorded(steps, sums, sd, lens):
+            bridge(steps, sums, sd, lens)
+            calls.append((steps.copy(), sums.copy(), lens))
+
+        with mock.patch.object(simulate, "_bridge", recorded):
+            batch = sample_jump_batch(PARAMS, eps, n_paths, n_steps, RngStream(72))
+        sd = math.sqrt(simulate.truncated_second_moment(PARAMS.alpha, eps) / n_steps)
+        for steps, sums, lens in calls:  # within rounding, each interval sums to its draw
+            assert list(lens) == [8] * 9 + [3]
+            got = np.add.reduceat(steps, np.r_[0, np.cumsum(lens)[:-1]], axis=1)
+            assert np.allclose(got, sums, rtol=0.0, atol=1e-12 * sd)
+        drawn = np.concatenate([steps.ravel() for steps, _, _ in calls])
+        assert np.array_equal(np.sort(drawn), np.sort(batch.small_noise.ravel()))
+        # i.i.d. N(0, sd^2) steps: unit variance of z = proxy / sd, over all
+        # steps and over the short intervals' alone, and no lag-1
+        # correlation inside an interval, across an interval's end or across
+        # a time block's end
+        assert simulate._block_edges(n_steps) == [0, 75, 150, 225, 300]
+        z = batch.small_noise / sd
+        local = np.arange(n_steps) % 75
+        for sq in (z * z, z[:, local >= 72] ** 2):
+            assert abs(sq.mean() - 1.0) < 4.0 * math.sqrt(2.0 / sq.size)
+        interval = np.arange(n_steps) // 75 * 10 + local // 8
+        lag = z[:, :-1] * z[:, 1:]
+        inside = interval[1:] == interval[:-1]
+        block_end = local[1:] == 0
+        for pairs in (inside, ~inside & ~block_end, block_end):
+            assert abs(lag[:, pairs].mean()) < 4.0 / math.sqrt(lag[:, pairs].size)
+
+
 class TestTimeChange:
     def test_quadratic_clock(self):
         # speed 2t integrates to t^2; the path at grid time t must be the
@@ -873,6 +913,16 @@ def _sample_bytes(result):
     return [None if a is None else np.asarray(a).tobytes() for a in arrays]
 
 
+def _weighted_hits(sample, targets, r, cap, n_steps, stream, size):
+    """Each target's hits sup < r of one batch drawn with sups capped at
+    ``cap``, times the paths' importance weights, if the sampler gives any."""
+    with simulate._streamed_sups(targets, cap) as sups:
+        result = sample(size, n_steps, stream)
+    batch, lw = result if isinstance(result, tuple) else (result, np.zeros(size))
+    hit = sups.of(batch) < r  # a path that left every ball has a NaN log-weight
+    return np.where(hit, np.exp(np.where(hit, lw, 0.0)), 0.0)
+
+
 class TestHelperThread:
     """The helper thread of the samplers and of the sup kernel changes no bits
     and outlives no call."""
@@ -930,6 +980,16 @@ class TestHelperThread:
         pass_sups = np.stack([np.minimum(sup_distance_batch(batch, f, lam), 1.5)
                               for f, lam in HELPER_TARGETS])
         assert np.array_equal(pass_sups[:, (pass_sups < 1.5).any(axis=0)], got_sups[:, inside])
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
+    def test_a_capped_batch_uses_no_helper(self, name):
+        # a capped batch runs its pieces, here many per block, on the
+        # calling thread
+        with mock.patch.object(simulate, "_PIECE_ELEMS", 8 * 64), \
+                mock.patch.object(simulate, "ThreadPoolExecutor",
+                                  side_effect=AssertionError("helper started")):
+            with simulate._streamed_sups(HELPER_TARGETS, 1.5):
+                SCHEDULE_SAMPLERS[name](400, 256, RngStream(61))
 
     @pytest.mark.parametrize("fail_at", [0, 7])
     @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
@@ -1102,6 +1162,22 @@ class TestStreamedSups:
             se = math.sqrt((p_c * (1 - p_c) + p_f * (1 - p_f)) / row_c.size)
             assert p_c < 0.2 and abs(p_c - p_f) < 4.0 * se, (p_c, p_f, se)
 
+    @pytest.mark.parametrize("name, r", [("jump", 1.5), ("tilted_middle", 0.8)])
+    def test_coarse_screen_is_exact_in_law(self, name, r):
+        # at 300 steps every time block ends with a short coarse interval,
+        # and the tilted paths screen their drift's interval sums too:
+        # capped (weighted) hit rates of 24k paths against uncapped rates on
+        # another stream
+        targets = ((None, 0.0), (identity_shift(), 0.5))
+        kernels = [partial(_weighted_hits, SCHEDULE_SAMPLERS[name], targets, r, cap, 300)
+                   for cap in (r, np.inf)]
+        capped, full = (np.concatenate(map_batches(kernel, 24_000, 300, RngStream(seed)), axis=1)
+                        for kernel, seed in zip(kernels, (73, 74)))
+        for row_c, row_f in zip(capped, full):
+            p_c, p_f = row_c.mean(), row_f.mean()
+            se = math.sqrt((row_c.var() + row_f.var()) / row_c.size)
+            assert 0.0 < p_f < 0.2 and abs(p_c - p_f) < 4.0 * se, (p_c, p_f, se)
+
     def test_a_sampler_that_streams_none_gets_a_pass(self):
         # a batch the sampler did not build, e.g. one a caller rescaled
         def rescaled(size, n_steps, stream):
@@ -1117,9 +1193,10 @@ class TestStreamedSups:
             simulate._sups_kernel(rescaled, tuple(HELPER_TARGETS), 256, 1.0, RngStream(60), 50)
 
     def test_the_is_kernel_counts_the_sups_of_its_batch(self):
+        # about one path in 170 is a hit: 1000 paths hold a few
         kernel, _ = ARENA_KERNELS["is"]
         with simulate._streamed_sups([(None, 0.0)], 0.8) as sups:
-            batch, lw = sample_tilted_batch(TILTS[0], 200, 256, RngStream(65), eps_cutoff=_IS_EPS)
+            batch, lw = sample_tilted_batch(TILTS[0], 1000, 256, RngStream(65), eps_cutoff=_IS_EPS)
         out = sups.of(batch)[0]
         drawn = ~np.isnan(lw)  # the paths still inside the ball at t = 1
         assert batch.n_paths == drawn.sum() and np.all(out[~drawn] == 0.8)
@@ -1127,7 +1204,14 @@ class TestStreamedSups:
         hit = out < 0.8
         w = np.exp(lw[hit])
         assert 0 < hit.sum() < hit.size
-        assert kernel(RngStream(65), 200) == (float(w.sum()), float((w * w).sum()), int(hit.sum()))
+        assert kernel(RngStream(65), 1000) == (float(w.sum()), float((w * w).sum()), int(hit.sum()))
+
+
+def _capped_anderson_batch():
+    """The anderson workload's batch, drawn for its six targets' sups capped at r = 1."""
+    targets = [(None, 0.0)] + [(f, lam) for _, f, lam in smallball.default_battery(PARAMS)]
+    with simulate._streamed_sups(targets, 1.0):
+        sample_jump_batch(PARAMS, 0.02, 2047, 2048, RngStream(1).child(0, 0))
 
 
 # (sampler call, tracemalloc ceiling in bytes), each ceiling set a few percent
@@ -1136,10 +1220,15 @@ class TestStreamedSups:
 # by up to 1.3 MB
 MEMORY_CASES = {
     # the anderson workload's batch, uncapped, 964k jump records: peaks
-    # 94.37-94.40 MB, 1.6% below the ceiling, since an uncapped piece now
-    # holds two chunks of rows per block (92.14-92.22 MB at one)
+    # 94.45-94.54 MB, 1.4% below the ceiling, since an uncapped piece now
+    # holds two chunks of rows per block (92.14-92.22 MB at one), and its
+    # proxy's coarse sums
     "jump": (partial(sample_jump_batch, PARAMS, 0.02, 2047, 2048, RngStream(1).child(0, 0)),
              95_900_000),
+    # the same batch drawn capped: only the paths inside some ball at t = 1
+    # draw their per-step proxy, the others end on the blocks' coarse grids:
+    # peaks 19.58-19.59 MB, ceiling 3.1% above
+    "capped": (_capped_anderson_batch, 20_200_000),
     # the same shape from CMS increments, each cell's variates summed into
     # the grid: peaks 36.76 MB, 2.6% below the ceiling (36.24 MB at one
     # chunk per piece and block)
@@ -1147,7 +1236,7 @@ MEMORY_CASES = {
                37_700_000),
     # 2000 small-regime paths (weight_battery member 3, 3.3M interior jump
     # records), with no band draws beside the records and each piece's
-    # dropped slots closed within its rows: peaks 98.63-99.09 MB, ceiling
+    # dropped slots closed within its rows: peaks 98.28-99.13 MB, ceiling
     # 3.8% above
     "small_regime": (partial(sample_tilted_batch, weight_battery(PARAMS)[3][1], 2000, 256,
                              RngStream(103).child(3), eps_cutoff=0.05), 102_900_000),
