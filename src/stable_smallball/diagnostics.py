@@ -187,7 +187,7 @@ def _weights_kernel(tilt, n_steps, eps_cutoff, stream, size) -> np.ndarray:
 
 def _end_value_kernel(tilt, n_steps, eps_cutoff, stream, size) -> np.ndarray:
     batch, _ = simulate.sample_tilted_batch(tilt, size, n_steps, stream, eps_cutoff=eps_cutoff)
-    return batch.values[:, -1].copy()  # the grid is reused by the next batch
+    return batch.values[:, -1].copy()  # a view would keep the whole grid alive
 
 
 def check_weight_unit_mean(n_paths: int, rng: simulate.RngStream, gate: float,

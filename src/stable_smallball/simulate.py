@@ -51,11 +51,10 @@ points is not missed.  It takes every target at once, one range of rows
 and one range of grid columns at a time, and raises each (target, path)
 pair's running max: the grid rows, then the jump records of the range's
 undecided paths.  A caller that only tests ``sup < r`` passes ``cap=r`` and
-gets the sups capped at r: a (target, path) pair whose max over a coarse
-grid, every ``_SCREEN_STRIDE``-th column of a finished batch or the coarse
-grid of a sampler's time block, already reaches r is decided there, only
-the other pairs take the full grid, and a path whose grid sup reaches r
-for every target is decided without its jump records.  It has two
+gets the sups capped at r: a path whose grid sup reaches r for every
+target is decided without its jump records, and a sampler decides a
+(target, path) pair on the coarse grid of a time block once its max there
+reaches r, so only the other pairs take the full grid.  It has two
 drivers: ``_sup_matrix`` runs it over a finished batch in cache-sized row
 blocks (``sup_distance_batch`` is its one-target form), and a sampler
 asked for its batch's sups (``_streamed_sups``) runs it on each of its
@@ -76,12 +75,13 @@ their step deviations, each cell's from its generator right after its
 coarse sums, and take their fine grid, their proxy's products and their
 exact sups over the whole grid, afresh, since the coarse grid rounds the
 same values differently (``_survivors``).  The batch the sampler returns
-holds only them, whole.  Its arena holds each block's coarse grid and
-sums, about an eighth of the size of the live paths' grid and proxy, then
-the survivors' paths.  An uncapped sampler drops no path and builds every
-row's proxy the same way, so a capped run at a cap above every sup draws
-the same variates and gives exactly ``np.minimum(uncapped sups, cap)``;
-it returns the whole grid, with its records sorted by (path, time).
+holds only them, whole.  While it draws, it holds each block's coarse
+grid and sums, about an eighth of the size of the live paths' grid and
+proxy, then the survivors' paths.  An uncapped sampler drops no path and
+builds every row's proxy the same way, so a capped run at a cap above
+every sup draws the same variates and gives exactly ``np.minimum(uncapped
+sups, cap)``; it returns the whole grid, with its records sorted by
+(path, time).
 
 ``map_batches`` is the one batch loop of every estimator: it runs a kernel
 over the deterministic ``batch_plan``, each batch on its own child stream.
@@ -107,24 +107,11 @@ ends the call with that error.  A capped batch runs its pieces, ranges of
 chunks in one block, on the calling thread: with the proxy drawn on the
 coarse grid they hold the GIL for most of their time, so a helper would
 mostly wait.
-
-``map_batches`` runs each kernel with an arena (``_Workspace``): one
-private anonymous mapping from which the batch takes every array whose size
-scales with the batch, the grid values, the proxy and the jump records, or
-a capped jump batch's coarse grids and sums and its survivors' paths
-(``_batch_array``); the cells' draws and records and a piece's temporaries
-stay with malloc.  The arena is reset before each batch and not handed
-back, so its pages are not faulted in again by the next batch.  Idle
-arenas sit in one list for the whole process, so a call on a thread pool
-reuses those of an earlier call, and a forked child starts without any.  A
-sampler called outside a kernel allocates fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -184,91 +171,14 @@ def _run_pieces(work, n_pieces: int) -> None:
             pending.result()
 
 
-_ALIGN = 64  # bytes: every array an arena hands out starts on a cache line
+_threads = threading.local()  # .sups: the sups this thread's next sampler fills, if any
 
-
-def _mapping(nbytes: int) -> np.ndarray:
-    """A private anonymous mapping of ``nbytes`` (at least 1), as bytes.
-
-    Private, so a forked process copies it on write and never shares it.
-    """
-    return np.frombuffer(mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE), dtype=np.uint8)
-
-
-class _Workspace:
-    """An arena for the arrays of one running batch whose size scales with the batch.
-
-    :meth:`take` hands out consecutive, cache-line aligned pieces of one
-    private anonymous mapping; nothing is freed until :meth:`reset`, which
-    ``_run_batch`` calls before each kernel, so every array of the last
-    batch is dead by then.  A new arena maps what the plan lets a batch
-    hold: two grid arrays of ``_BATCH_ELEMS`` values and 64 bytes for each
-    of ``_BATCH_RECORDS`` records.  A page is resident only once written,
-    so this costs a smaller batch no memory, and the first batch of a
-    process faults its pages in once, not once in arrays of their own and
-    again in the arena.  An array that no longer fits gets a mapping of its
-    own (a spill), and the next reset replaces the arena's mapping with one
-    of the high-water size.  Its pages are not handed back after a batch
-    and faulted in again for the next, and being a mapping, not a malloc
-    block, it keeps no part of malloc's heap from being trimmed.
-    """
-
-    def __init__(self) -> None:
-        self._buf = _mapping(16 * _BATCH_ELEMS + 64 * _BATCH_RECORDS)
-        self.used = 0  # bytes taken since the last reset, spills included
-        self.high = 0  # the most bytes one batch has taken from this arena
-
-    def reset(self) -> None:
-        """Start a batch: every array taken so far is dead."""
-        if self.high > self._buf.size:
-            self._buf = np.empty(0, dtype=np.uint8)  # unmap the smaller mapping first
-            self._buf = _mapping(self.high)
-        self.used = 0
-
-    def take(self, shape, dtype=float) -> np.ndarray:
-        """An uninitialised array of ``shape`` and ``dtype`` from the arena."""
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        start = self.used
-        self.used += -(-nbytes // _ALIGN) * _ALIGN
-        self.high = max(self.high, self.used)
-        if self.used <= self._buf.size:
-            raw = self._buf[start:start + nbytes]
-        else:
-            raw = _mapping(nbytes)[:nbytes]
-        return raw.view(dtype).reshape(shape)
-
-
-_threads = threading.local()  # .active: the arena of the batch this thread runs, if any
-_idle: list[_Workspace] = []  # the arenas no running batch holds
-_idle_lock = threading.Lock()
-
-
-def _forget_arenas() -> None:
-    """In a forked child: no arena of the parent's, and a lock no thread holds."""
-    global _idle, _idle_lock
-    _idle, _idle_lock = [], threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_arenas)
-
-# glibc's malloc maps each block above its mmap threshold (128 KiB at first)
-# on its own and trims its heap once twice that lies free at the top; freeing
-# a mapped block raises the threshold to that block's size.  One 8 MiB block
-# freed here lets the pieces' temporaries, about 512 KiB each, reuse heap
+# glibc's malloc maps each block above its mapping threshold (128 KiB at
+# first) on its own and trims its heap once twice that lies free at the top;
+# freeing a mapped block raises the threshold to that block's size.  One 8 MiB
+# block freed here lets the pieces' temporaries, about 512 KiB each, reuse heap
 # pages instead of faulting in fresh ones for every piece.
 np.empty(1 << 20)
-
-
-def _batch_array(shape, dtype=float) -> np.ndarray:
-    """An uninitialised array whose size scales with the batch: from the arena
-    of the batch that ``map_batches`` runs on this thread, else a fresh one.
-
-    The arena outlives the batch, so its arrays are overwritten by the next
-    batch that takes the arena: a kernel copies what it keeps.
-    """
-    ws = getattr(_threads, "active", None)
-    return np.empty(shape, dtype) if ws is None else ws.take(shape, dtype)
 
 
 @dataclass(frozen=True)
@@ -312,12 +222,11 @@ class BatchPaths:
     times[i + 1]] (``_record_steps``).  ``small_noise`` is the per-step
     Gaussian proxy of the sub-cutoff jumps (None for increment samplers),
     ``drift_steps`` the deterministic per-step drift shared by all paths.
-    The sup kernel reads these records and caches nothing on the batch.  In
-    a ``map_batches`` kernel, ``values``, ``small_noise`` and the three
-    record arrays are views of the batch's arena, which the next batch
-    overwrites: copy what outlives the kernel (:meth:`extract` copies).  A
-    sampler asked for capped sups returns only the paths still inside some
-    ball at t = 1, in path order (``_survivors``).
+    The sup kernel reads these records and caches nothing on the batch.  A
+    view of any of these arrays keeps the whole array alive: copy what
+    outlives the batch (:meth:`extract` copies).  A sampler asked for
+    capped sups returns only the paths still inside some ball at t = 1, in
+    path order (``_survivors``).
     """
 
     times: np.ndarray
@@ -342,7 +251,7 @@ class BatchPaths:
 
     def extract(self, i: int) -> "BatchPaths":
         """Path ``i`` as a one-path batch with arrays of its own, so it
-        outlives the batch's arrays (``map_batches`` reuses them)."""
+        keeps none of the batch's arrays alive."""
         if not 0 <= i < self.n_paths:
             raise IndexError(f"path index {i} out of range")
         jp = jt = js = None
@@ -763,10 +672,10 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
             s0, s1 = edges[k], edges[k + 1]
             chunks = _chunk_edges(live.size)
             if bands is None:
-                grid, coarse = _batch_array((live.size, s1 - s0 + 1)), None
+                grid, coarse = np.empty((live.size, s1 - s0 + 1)), None
             else:  # the block's coarse grid, and the proxy's sums over its intervals
-                grid = _batch_array((live.size, cols[k].size))
-                coarse = _batch_array((live.size, cols[k].size - 1))
+                grid = np.empty((live.size, cols[k].size))
+                coarse = np.empty((live.size, cols[k].size - 1))
             grid[:, 0] = carry
             gens = [None] * (len(chunks) - 1)
             block_cuts = cuts(len(gens), per_step * (s1 - s0))
@@ -789,14 +698,14 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
         sups.batch = batch
         return batch, tilt_sums, proxy_sums
 
-    values = _batch_array((n_paths, n_steps + 1))
+    values = np.empty((n_paths, n_steps + 1))
     values[:, 0] = 0.0
-    small_noise = None if bands is None else _batch_array((n_paths, n_steps))
+    small_noise = None if bands is None else np.empty((n_paths, n_steps))
     gens = None
     if bands is not None:
         gens, slots, n_env = _count_cells(stream, bands, n_paths, edges)
-        path_out = _batch_array(n_env, np.int64)
-        t_out, x_out = _batch_array(n_env), _batch_array(n_env)
+        path_out = np.empty(n_env, np.int64)
+        t_out, x_out = np.empty(n_env), np.empty(n_env)
         kept = np.empty(slots.shape, dtype=np.int64)  # records of each (block, path)
     chunks = _chunk_edges(n_paths)
     row_cuts = cuts(len(chunks) - 1, per_step * max(np.diff(edges)))
@@ -871,7 +780,7 @@ def _survivors(sups, live, held, times, drift, tilt_sums, proxy) -> BatchPaths:
     draw order, as in an uncapped batch, and each row in one ``cumsum``;
     proxy_sums, and ``tilt_sums`` if given, take the survivors' sums."""
     n_steps = times.size - 1
-    values = _batch_array((live.size, n_steps + 1))
+    values = np.empty((live.size, n_steps + 1))
     values[:, 0] = 0.0
     batch = BatchPaths(times=times, values=values, drift_steps=drift)
     records = noise = None
@@ -880,7 +789,7 @@ def _survivors(sups, live, held, times, drift, tilt_sums, proxy) -> BatchPaths:
             values[:, s0 + 1:s0 + grid.shape[1]] = grid[np.searchsorted(paths, live), 1:]
     else:
         sd, stride, bbar, proxy_sums = proxy
-        noise = _batch_array((live.size, n_steps))
+        noise = np.empty((live.size, n_steps))
         picked = []
         for s0, s1, paths, chunks, sums, gens, piece_records in held:
             lens = np.diff(_coarse_cols(s1 - s0, stride))
@@ -1137,13 +1046,11 @@ def _max_dev(block: np.ndarray, target, dev: np.ndarray, out: np.ndarray) -> Non
     dev.max(axis=1, out=out)
 
 
-# grid columns per column of the coarse grid that screens capped sups: in a
-# finished batch, before its full grid (_sup_matrix), and in each time block a
-# capped sampler draws, where the screen also picks the paths drawn in the
-# next block, so a finer grid there drops more paths sooner.  The block
-# stride is also the jump samplers' coarse proxy interval (_coarse_cols): a
-# capped jump block is drawn and summed at that resolution alone
-_SCREEN_STRIDE = 32
+# grid columns per column of the coarse grid that screens capped sups in each
+# time block a capped sampler draws, where the screen also picks the paths
+# drawn in the next block, so a finer grid drops more paths sooner.  It is
+# also the jump samplers' coarse proxy interval (_coarse_cols): a capped jump
+# block is drawn and summed at that resolution alone
 _BLOCK_SCREEN_STRIDE = 8
 
 
@@ -1158,18 +1065,17 @@ class _Sups:
     max over those paths' values on a range of grid columns, one pass over
     the rows per target through one buffer, and over the left and right
     limits (:func:`_jump_limits`) of their jump records in those steps,
-    reduced per path.  With a finite ``cap``, :meth:`screen` raises them
-    with each target's max over a coarse grid only: every
-    ``_SCREEN_STRIDE``-th column of a finished batch, every
-    ``_BLOCK_SCREEN_STRIDE``-th of a stable sampler's block, or a jump
-    sampler's coarse grid of the block (``_coarse_cols``).  That is a lower
+    reduced per path.  With a finite ``cap``, a sampler's time blocks take
+    :meth:`screen`, which raises them with each target's max over a coarse
+    grid only: every ``_BLOCK_SCREEN_STRIDE``-th column of a stable block,
+    or a jump block's coarse grid (``_coarse_cols``).  That is a lower
     bound, and the sup itself once it reaches ``cap``, since both cap to
     ``cap``; a jump sampler's coarse grid is summed on its own, so it
     bounds the fine grid only up to rounding, and its survivors take their
     sups afresh (``_survivors``).  Only the paths the screen leaves below
-    ``cap`` for some target take :meth:`exact`, and of those only the paths
-    whose grid max leaves them below ``cap`` for some target take their
-    jump records.
+    ``cap`` for some target take :meth:`exact`, and of the paths that take
+    it only those whose grid max leaves them below ``cap`` for some target
+    take their jump records.
     A None target skips the subtraction.  The max is exact, so every pair's
     sup is the same bits however the grid is cut into column ranges and
     rows, and whichever thread raises each, as the sup against its target
@@ -1302,18 +1208,7 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
             records = (batch.jump_path[s] - r0, t, batch.jump_sizes[s],
                        *_record_steps(t, batch.times))
         noise = None if batch.small_noise is None else batch.small_noise[r0:r1]
-        run, grid = sups.out[:, r0:r1], batch.values[r0:r1]
-        if cap == np.inf:
-            sups.exact(run, grid, 0, records, noise, batch.drift_steps)
-            return
-        sups.screen(run, grid[:, ::_SCREEN_STRIDE], slice(None, None, _SCREEN_STRIDE))
-        pos = np.flatnonzero((run < cap).any(axis=0))  # the paths the screen leaves open
-        if pos.size:
-            sub = run[:, pos]
-            sups.exact(sub, grid[pos], 0, None if records is None else
-                       _pick_rows(records, pos),
-                       None if noise is None else noise[pos], batch.drift_steps)
-            run[:, pos] = sub
+        sups.exact(sups.out[:, r0:r1], batch.values[r0:r1], 0, records, noise, batch.drift_steps)
 
     _run_pieces(block, len(edges) - 1)
     np.minimum(sups.out, cap, out=sups.out)
@@ -1414,26 +1309,9 @@ def batch_plan(n_total: int, n_steps: int, records: float = 0.0) -> list[tuple[i
 
 
 def _run_batch(job):
-    """Run one job of ``map_batches`` on an arena of its own.
-
-    The job takes an idle arena, or makes one, resets it and gives it back
-    when its kernel returns, so the process holds as many arenas as batches
-    have ever run at once, whichever threads ran them.  A batch drawn inside
-    another job's kernel takes another arena, so it cannot overwrite the
-    outer batch.
-    """
+    """One job of ``map_batches``: ``kernel(stream, size)``."""
     kernel, stream, size = job
-    with _idle_lock:
-        ws = _idle.pop() if _idle else _Workspace()
-    ws.reset()
-    outer = getattr(_threads, "active", None)
-    _threads.active = ws
-    try:
-        return kernel(stream, size)
-    finally:
-        _threads.active = outer
-        with _idle_lock:
-            _idle.append(ws)
+    return kernel(stream, size)
 
 
 def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map,
@@ -1450,13 +1328,9 @@ def map_batches(kernel, n_paths: int, n_steps: int, stream: RngStream, pmap=map,
     an executor's ``map``; for a process pool, ``kernel`` must pickle, i.e.
     be a module-level function or a ``functools.partial`` of one.
 
-    Each kernel runs with an arena (``_Workspace``) that holds every array
-    of its batch whose size scales with the batch: the grid values, the
-    Gaussian proxy and the jump records.  The next batch to take that
-    arena, in this call or a later one and on any thread, writes over them,
-    so a kernel returns nothing that views its batch (copy what it keeps).
-    An arena grows to the largest batch it has run, which the plan bounds.
-    Samplers called outside a kernel allocate fresh arrays.
+    Each batch's arrays are its own and die with it, unless a kernel
+    returns a view of one: that keeps the whole array alive with the
+    result, so a kernel copies what it keeps.
     """
     _require_stream(stream)
     jobs = [(kernel, stream.child(b), size)

@@ -402,31 +402,22 @@ class TestSupMatrix:
                             min_size=1, max_size=6),
            path_scale=st.sampled_from([1.0, 0.5, 1.7]),
            block=st.sampled_from([1, 16, 100, simulate._PIECE_ELEMS]),
-           stride=st.sampled_from([2, 3, simulate._SCREEN_STRIDE]),
-           cap=st.sampled_from(["inf", "below", "above", "equal", "grid", "coarse"]),
+           cap=st.sampled_from(["inf", "below", "above", "equal", "grid"]),
            pick=st.integers(0, 10**6))
-    def test_rows_equal_one_target_sups(self, batch, targets, path_scale, block, stride, cap,
-                                        pick):
+    def test_rows_equal_one_target_sups(self, batch, targets, path_scale, block, cap, pick):
         # small blocks put several blocks in one batch, leave a short last
-        # block, or make one grid row longer than a block; small strides
-        # screen capped sups on coarse grids that may miss the last column
-        with mock.patch.object(simulate, "_PIECE_ELEMS", block), \
-                mock.patch.object(simulate, "_SCREEN_STRIDE", stride):
+        # block, or make one grid row longer than a block
+        with mock.patch.object(simulate, "_PIECE_ELEMS", block):
             got = _sup_matrix(batch, targets, path_scale)
             assert got.shape == (len(targets), batch.n_paths)
             for row, (f, lam) in zip(got, targets):
                 assert np.array_equal(row, _one_target_sup(batch, f, lam, path_scale))
             grid = _sup_matrix(dataclasses.replace(batch, jump_times=None), targets, path_scale)
             # "equal" is one refined sup; "grid" the least grid sup of one path,
-            # which leaves that path decided, on the boundary of the test;
-            # "coarse" lies just above one pair's max over the coarse grid
-            coarse = np.stack([np.abs(path_scale * batch.values[:, ::stride] - (
-                0.0 if f is None else lam * np.asarray(f(batch.times[::stride]), dtype=float)))
-                .max(axis=1) for f, lam in targets])
+            # which leaves that path decided, on the boundary of the test
             cap = {"inf": np.inf, "below": np.nextafter(got.min(), -np.inf),
                    "above": np.nextafter(got.max(), np.inf), "equal": got.flat[pick % got.size],
-                   "grid": grid.min(axis=0)[pick % batch.n_paths],
-                   "coarse": np.nextafter(coarse.flat[pick % coarse.size], np.inf)}[cap]
+                   "grid": grid.min(axis=0)[pick % batch.n_paths]}[cap]
             recorded = {id(f): _Recorded(f) for f, _ in targets if f is not None}
             watched = [(None if f is None else recorded[id(f)], lam) for f, lam in targets]
             capped = _sup_matrix(batch, watched, path_scale, cap)
@@ -570,6 +561,34 @@ def _echo(stream, size):
     return stream, size
 
 
+# samplers that stream the Gaussian proxy or the stable transform's exponentials
+# on the helper thread; every one is a module-level partial, so a process pool takes it
+HELPER_SAMPLERS = {
+    "jump": partial(sample_jump_batch, PARAMS, 0.1),
+    "stable": partial(sample_stable_batch, PARAMS),
+    "tilted": partial(_tilted_paths, TILTS[0], eps_cutoff=0.1),
+}
+HELPER_TARGETS = [(None, 0.0), (identity_shift(), 0.5), (tent_shift(), -1.0)]
+
+
+def _first_path(stream, size):
+    return sample_jump_batch(PARAMS, 0.1, size, 256, stream).extract(0)
+
+
+# kernels of every estimator route that maps jump-resolved or stable draws, each
+# (kernel, records per path); each pickles, so a process pool takes it
+_IS_EPS, *_IS_RATES = simulate.tilted_jump_rates(TILTS[0], 0.1)
+_ORACLE_RATE = simulate._jump_rate(PARAMS.alpha, 0.2)
+MAPPED_KERNELS = {
+    **{name: (partial(simulate._sups_kernel, sample, tuple(HELPER_TARGETS), 256, np.inf), 0.0)
+       for name, sample in HELPER_SAMPLERS.items()},
+    "capped": (partial(simulate._sups_kernel, HELPER_SAMPLERS["jump"], tuple(HELPER_TARGETS),
+                       256, 1.5), 0.0),
+    "is": (partial(smallball._is_kernel, TILTS[0], 0.8, 256, _IS_EPS), sum(_IS_RATES)),
+    "no_big_jump": (partial(smallball._no_big_jump_kernel, PARAMS, 0.8, 0.2), _ORACLE_RATE),
+}
+
+
 class TestMapBatches:
     def test_one_child_stream_per_batch_in_plan_order(self):
         stream = RngStream(31)
@@ -592,135 +611,9 @@ class TestMapBatches:
             pooled = sample_sups(sample, targets, 2100, 2048, stream, pmap=ex.map)
         assert pooled.tobytes() == got.tobytes()
 
-
-# samplers that stream the Gaussian proxy or the stable transform's exponentials
-# on the helper thread; every one is a module-level partial, so a process pool takes it
-HELPER_SAMPLERS = {
-    "jump": partial(sample_jump_batch, PARAMS, 0.1),
-    "stable": partial(sample_stable_batch, PARAMS),
-    "tilted": partial(_tilted_paths, TILTS[0], eps_cutoff=0.1),
-}
-HELPER_TARGETS = [(None, 0.0), (identity_shift(), 0.5), (tent_shift(), -1.0)]
-
-
-def _in_arena(sample, stream, size):
-    """Whether each array of the kernel's batch lies in its arena's one mapping,
-    and whether the batch took no more bytes than that mapping holds."""
-    ws = simulate._threads.active
-    buf = ws._buf
-    batch = sample(size, 256, stream)
-    lo, hi = buf.ctypes.data, buf.ctypes.data + buf.size
-    arrays = [batch.values, batch.small_noise, batch.jump_path, batch.jump_times, batch.jump_sizes]
-    return [lo <= a.ctypes.data and a.ctypes.data + a.nbytes <= hi
-            for a in arrays if a is not None], ws.used <= buf.size
-
-
-def _record_count(sample, stream, size):
-    times = sample(size, 256, stream).jump_times
-    return 0 if times is None else times.size
-
-
-def _first_path(stream, size):
-    return sample_jump_batch(PARAMS, 0.1, size, 256, stream).extract(0)
-
-
-def _aligned(nbytes):
-    return -(-nbytes // simulate._ALIGN) * simulate._ALIGN
-
-
-def _fresh_worker(stream):
-    """A pool worker's idle arenas before its first batch, and the sups of a mapped call."""
-    idle = len(simulate._idle)
-    return idle, sample_sups(HELPER_SAMPLERS["jump"], HELPER_TARGETS, 100, 256, stream).tobytes()
-
-
-# kernels of every estimator route that maps jump-resolved or stable draws, each
-# (kernel, records per path); each pickles, so a process pool takes it
-_IS_EPS, *_IS_RATES = simulate.tilted_jump_rates(TILTS[0], 0.1)
-_ORACLE_RATE = simulate._jump_rate(PARAMS.alpha, 0.2)
-ARENA_KERNELS = {
-    **{name: (partial(simulate._sups_kernel, sample, tuple(HELPER_TARGETS), 256, np.inf), 0.0)
-       for name, sample in HELPER_SAMPLERS.items()},
-    "capped": (partial(simulate._sups_kernel, HELPER_SAMPLERS["jump"], tuple(HELPER_TARGETS),
-                       256, 1.5), 0.0),
-    "is": (partial(smallball._is_kernel, TILTS[0], 0.8, 256, _IS_EPS), sum(_IS_RATES)),
-    "no_big_jump": (partial(smallball._no_big_jump_kernel, PARAMS, 0.8, 0.2), _ORACLE_RATE),
-}
-
-
-class TestWorkspace:
-    """``map_batches`` runs each batch on an arena that later batches reuse."""
-
-    @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
-    def test_batches_after_the_first_take_every_array_from_one_mapping(self, name):
-        # 64-path batches (the plan's floor), and a new arena too small for a
-        # jump batch, whose batch 0 spills; a later batch spills only if it
-        # takes more bytes than every batch before it
-        with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 13), \
-                mock.patch.object(simulate, "_BATCH_RECORDS", 1 << 10), \
-                mock.patch.object(simulate, "_idle", []):
-            got = map_batches(partial(_in_arena, HELPER_SAMPLERS[name]), 300, 256, RngStream(61))
-            assert len(got) == 5 and got[0][1] == (name == "stable")
-            assert all(all(inside) == fits for inside, fits in got)
-            assert got[-1][1]  # 44 paths
-            assert len(got[1][0]) == (1 if name == "stable" else 5)
-            # outside map_batches a sampler allocates fresh arrays
-            arena = simulate._idle[0]._buf
-            fresh = HELPER_SAMPLERS[name](64, 256, RngStream(61)).values
-            assert not arena.ctypes.data <= fresh.ctypes.data < arena.ctypes.data + arena.size
-
-    def test_a_stable_batch_holds_its_grid(self):
-        # each piece's increments stay with malloc, summed into the grid
-        with mock.patch.object(simulate, "_idle", []):
-            map_batches(partial(_record_count, HELPER_SAMPLERS["stable"]), 64, 256, RngStream(66))
-            high = simulate._idle[0].high
-        assert high == _aligned(8 * 64 * 257)
-
-    def test_a_jump_batch_holds_its_draws_records_and_grid(self):
-        with mock.patch.object(simulate, "_idle", []):
-            kernel = partial(_record_count, HELPER_SAMPLERS["jump"])
-            (n,) = map_batches(kernel, 64, 256, RngStream(67))
-            arena = simulate._idle[0]
-        # the sorted records' paths, instants and sizes; the grid and the
-        # proxy; all in the new arena's mapping (each cell's uniforms stay
-        # with malloc)
-        high = arena.high
-        assert n > 0 and high <= arena._buf.size
-        assert high == 3 * _aligned(8 * n) + _aligned(8 * 64 * 257) + _aligned(8 * 64 * 256)
-
-    def test_a_pool_call_after_a_serial_call_makes_no_arena(self):
-        made = []
-
-        class Counted(simulate._Workspace):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
-
-        # one batch, so the pool runs no two batches at once
-        kernel, stream = ARENA_KERNELS["jump"][0], RngStream(68)
-        with mock.patch.object(simulate, "_Workspace", Counted), \
-                mock.patch.object(simulate, "_idle", []):
-            serial = map_batches(kernel, 64, 256, stream)
-            assert len(made) == 1
-            with ThreadPoolExecutor(max_workers=4) as ex:
-                pooled = map_batches(kernel, 64, 256, stream, pmap=ex.map)
-            assert len(made) == 1 and simulate._idle == made
-        assert pooled[0].tobytes() == serial[0].tobytes()
-
-    def test_a_forked_worker_starts_without_the_parents_arenas(self):
-        stream = RngStream(69)
-        want = _fresh_worker(stream)[1]
-        assert simulate._idle
-        ctx = multiprocessing.get_context("fork")
-        with simulate._idle_lock:  # held by a parent thread across the fork
-            pool = ctx.Pool(1)
-        with pool:  # terminates the worker, should it hang on the inherited lock
-            idle, got = pool.apply_async(_fresh_worker, (stream,)).get(timeout=60)
-        assert idle == 0 and got == want
-
     def test_end_values_outlive_their_batch(self):
-        # the kernel returns a column of its batch's grid: a view of the
-        # arena would be overwritten by the next batch
+        # the kernel returns a column of its batch's grid, which owns its
+        # memory: a view would keep the whole grid alive with the result
         tilt = weight_battery(PARAMS)[0][1]
         eps, rate_int, rate_ext = simulate.tilted_jump_rates(tilt, None)
         plan = batch_plan(2000, 256, rate_int + rate_ext)
@@ -729,8 +622,11 @@ class TestWorkspace:
         want = np.concatenate([
             sample_tilted_batch(tilt, size, 256, stream.child(b), eps_cutoff=eps)[0].values[:, -1]
             for b, size in plan])
+        parts = map_batches(partial(diagnostics._end_value_kernel, tilt, 256, eps), 2000, 256,
+                            stream, records=rate_int + rate_ext)
+        assert all(part.base is None for part in parts)
         got = diagnostics._map_tilted(diagnostics._end_value_kernel, tilt, 2000, 256, stream)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.concatenate(parts).tobytes() == want.tobytes()
 
     def test_extracted_paths_outlive_their_batch(self):
         with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 14):  # 64-path batches
@@ -738,13 +634,16 @@ class TestWorkspace:
             got = map_batches(_first_path, 300, 256, RngStream(64))
         want = [_first_path(RngStream(64).child(b), size) for b, size in plan]
         assert [_sample_bytes(path) for path in got] == [_sample_bytes(path) for path in want]
+        # each copied array owns its memory, so no path keeps its batch alive
+        assert all(a.base is None for path in got for a in (
+            path.values, path.small_noise, path.jump_path, path.jump_times, path.jump_sizes))
 
-    @pytest.mark.parametrize("name", sorted(ARENA_KERNELS))
+    @pytest.mark.parametrize("name", sorted(MAPPED_KERNELS))
     def test_same_bytes_as_fresh_arrays_under_threads_and_processes(self, name):
         # 300 paths in 64-path batches: 5 batches over 2 threads or 2 worker
-        # processes (forked, or from a fork server, which shares no arena),
-        # so each reuses its arenas, against the kernel run outside map_batches
-        kernel, records = ARENA_KERNELS[name]
+        # processes (forked, or from a fork server), against the kernel run
+        # outside map_batches
+        kernel, records = MAPPED_KERNELS[name]
         stream = RngStream(63)
         with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 14):
             plan = batch_plan(300, 256, records)
@@ -951,14 +850,13 @@ class TestHelperThread:
             assert by_caller == ([0] if schedule == "caller_late" else list(range(n_pieces)))
 
     @pytest.mark.parametrize("stride", [2, 3, simulate._BLOCK_SCREEN_STRIDE])
-    @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
     @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
-    def test_a_capped_run_gives_the_same_bytes_in_any_pieces(self, name, schedule, stride):
+    def test_a_capped_run_gives_the_same_bytes_in_any_pieces(self, name, stride):
         # at cap 1.5 most paths leave every ball, block by block, and the
         # others are packed into fewer cells: cells of 8 rows, one per
-        # piece under each schedule, give the bits of the serial run
+        # piece, give the bits of the serial run (a capped batch runs its
+        # pieces on the calling thread, so no schedule applies)
         sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(61))
-        run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
 
         def capped(**patches):
             with mock.patch.multiple(simulate, **patches):
@@ -970,7 +868,7 @@ class TestHelperThread:
         with mock.patch.object(simulate, "_STREAM_ROWS", 8), \
                 mock.patch.object(simulate, "_BLOCK_SCREEN_STRIDE", stride):
             want, want_sups = capped(_run_pieces=_serial)
-            got, got_sups = capped(_run_pieces=run_pieces, _PIECE_ELEMS=8 * 64)
+            got, got_sups = capped(_PIECE_ELEMS=8 * 64)
         assert threading.active_count() == before
         assert _sample_bytes(got) == _sample_bytes(want)
         assert got_sups.tobytes() == want_sups.tobytes()
@@ -1194,7 +1092,7 @@ class TestStreamedSups:
 
     def test_the_is_kernel_counts_the_sups_of_its_batch(self):
         # about one path in 170 is a hit: 1000 paths hold a few
-        kernel, _ = ARENA_KERNELS["is"]
+        kernel, _ = MAPPED_KERNELS["is"]
         with simulate._streamed_sups([(None, 0.0)], 0.8) as sups:
             batch, lw = sample_tilted_batch(TILTS[0], 1000, 256, RngStream(65), eps_cutoff=_IS_EPS)
         out = sups.of(batch)[0]
