@@ -6,6 +6,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
 from unittest import mock
@@ -575,6 +576,27 @@ def _first_path(stream, size):
     return sample_jump_batch(PARAMS, 0.1, size, 256, stream).extract(0)
 
 
+def _capped_jump(n_paths, n_steps, stream):
+    """The survivors of a jump batch drawn with its sups capped at 1.5."""
+    with simulate._streamed_sups(HELPER_TARGETS, 1.5):
+        return HELPER_SAMPLERS["jump"](n_paths, n_steps, stream)
+
+
+def _owners(sample, refs, stream, size):
+    """Draw a batch and append a weak reference to the array that owns the
+    memory of each of its arrays; return how many paths it holds."""
+    result = sample(size, 256, stream)
+    batch, lw = result if isinstance(result, tuple) else (result, None)
+    arrays = [getattr(batch, field.name) for field in dataclasses.fields(batch)] + [lw]
+    for a in arrays:
+        if a is None:
+            continue
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        refs.append(weakref.ref(a))
+    return batch.n_paths
+
+
 # kernels of every estimator route that maps jump-resolved or stable draws, each
 # (kernel, records per path); each pickles, so a process pool takes it
 _IS_EPS, *_IS_RATES = simulate.tilted_jump_rates(TILTS[0], 0.1)
@@ -637,6 +659,21 @@ class TestMapBatches:
         # each copied array owns its memory, so no path keeps its batch alive
         assert all(a.base is None for path in got for a in (
             path.values, path.small_noise, path.jump_path, path.jump_times, path.jump_sizes))
+
+    @pytest.mark.parametrize("pmap", ["serial", "threads"])
+    @pytest.mark.parametrize("name", sorted([*HELPER_SAMPLERS, "capped"]))
+    def test_every_batch_array_is_freed_when_its_kernel_returns(self, name, pmap):
+        # 300 paths in 64-path batches: no batch's memory outlives its kernel,
+        # so a call holds at most one batch per thread, however many it runs
+        refs = []
+        kernel = partial(_owners, {**HELPER_SAMPLERS, "capped": _capped_jump}[name], refs)
+        with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 14), \
+                ThreadPoolExecutor(max_workers=2) as ex:
+            sizes = map_batches(kernel, 300, 256, RngStream(65),
+                                map if pmap == "serial" else ex.map)
+        assert len(sizes) == 5 and len(refs) >= 5 * 2
+        assert (sum(sizes) < 300) == (name == "capped")
+        assert all(ref() is None for ref in refs)
 
     @pytest.mark.parametrize("name", sorted(MAPPED_KERNELS))
     def test_same_bytes_as_fresh_arrays_under_threads_and_processes(self, name):
@@ -850,11 +887,13 @@ class TestHelperThread:
             assert by_caller == ([0] if schedule == "caller_late" else list(range(n_pieces)))
 
     @pytest.mark.parametrize("stride", [2, 3, simulate._BLOCK_SCREEN_STRIDE])
+    @pytest.mark.parametrize("piece_elems", [8 * 8, 8 * 64, 8 * 192])
     @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
-    def test_a_capped_run_gives_the_same_bytes_in_any_pieces(self, name, stride):
+    def test_a_capped_run_gives_the_same_bytes_in_any_pieces(self, name, piece_elems, stride):
         # at cap 1.5 most paths leave every ball, block by block, and the
-        # others are packed into fewer cells: cells of 8 rows, one per
-        # piece, give the bits of the serial run (a capped batch runs its
+        # others are packed into fewer cells: cells of 8 rows, one per piece
+        # at the smallest size and several at the others, some pieces short,
+        # give the bits of the default pieces (a capped batch runs its
         # pieces on the calling thread, so no schedule applies)
         sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(61))
 
@@ -868,7 +907,7 @@ class TestHelperThread:
         with mock.patch.object(simulate, "_STREAM_ROWS", 8), \
                 mock.patch.object(simulate, "_BLOCK_SCREEN_STRIDE", stride):
             want, want_sups = capped(_run_pieces=_serial)
-            got, got_sups = capped(_PIECE_ELEMS=8 * 64)
+            got, got_sups = capped(_PIECE_ELEMS=piece_elems)
         assert threading.active_count() == before
         assert _sample_bytes(got) == _sample_bytes(want)
         assert got_sups.tobytes() == want_sups.tobytes()
