@@ -45,7 +45,9 @@ OPTIONS = {
     "n": Option(int, 1000, "number of sample paths"),
     "steps": Option(int, 2048, "time-grid steps on [0,1]"),
     "out": Option(str, ".", "output directory"),
-    "sampler": Option(str, "jumps", "path sampler", ("jumps", "increments")),
+    "sampler": Option(str, "jumps", "path sampler; the increments grid sup misses excursions "
+                      "between grid points, so small-ball p-hat reads high and tail p-hat low",
+                      ("jumps", "increments")),
     "eps": Option(float, None, "jump-resolution cutoff for the jumps sampler"),
     "r": Option(str, "1.0", "ball radius; comma list sweeps"),
     "c": Option(float, None, "middle-regime coupling c = shift_scale r^(alpha-1)"),

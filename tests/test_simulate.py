@@ -675,24 +675,33 @@ class TestMapBatches:
         assert (sum(sizes) < 300) == (name == "capped")
         assert all(ref() is None for ref in refs)
 
-    @pytest.mark.parametrize("name", sorted(MAPPED_KERNELS))
-    def test_same_bytes_as_fresh_arrays_under_threads_and_processes(self, name):
-        # 300 paths in 64-path batches: 5 batches over 2 threads or 2 worker
-        # processes (forked, or from a fork server), against the kernel run
-        # outside map_batches
-        kernel, records = MAPPED_KERNELS[name]
-        stream = RngStream(63)
-        with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 14):
-            plan = batch_plan(300, 256, records)
-            assert [size for _, size in plan] == [64, 64, 64, 64, 44]
+    @pytest.mark.parametrize("name, n_paths, n_steps", [
+        *((name, 300, 256) for name in sorted(MAPPED_KERNELS)),
+        *((name, 2100, 2048) for name in sorted(HELPER_SAMPLERS))])
+    def test_same_bytes_as_fresh_arrays_under_threads_and_processes(self, name, n_paths, n_steps):
+        # every mapped kernel on 300 paths of 256 steps in 64-path batches;
+        # the uncapped sups kernels on 2100 paths of 2048 steps in the plan's
+        # own batches of 2047 and 53 paths, so both split into many pieces.
+        # Each runs serially, over 2 threads and over 2 worker processes
+        # (forked, or from a fork server), against the kernel run outside
+        # map_batches; the helpers of a serial run have been joined before
+        # any fork
+        small = n_steps == 256
+        kernel, records = MAPPED_KERNELS[name] if small else (
+            partial(simulate._sups_kernel, HELPER_SAMPLERS[name], tuple(HELPER_TARGETS), n_steps,
+                    np.inf), 0.0)
+        stream = RngStream(63 if small else 51)
+        with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 14 if small else simulate._BATCH_ELEMS):
+            plan = batch_plan(n_paths, n_steps, records)
+            assert [size for _, size in plan] == ([64, 64, 64, 64, 44] if small else [2047, 53])
             want = [np.asarray(kernel(stream.child(b), size)).tobytes() for b, size in plan]
-            got = {"serial": map_batches(kernel, 300, 256, stream, records=records)}
+            got = {"serial": map_batches(kernel, n_paths, n_steps, stream, records=records)}
             with ThreadPoolExecutor(max_workers=2) as ex:
-                got["threads"] = map_batches(kernel, 300, 256, stream, ex.map, records)
+                got["threads"] = map_batches(kernel, n_paths, n_steps, stream, ex.map, records)
             for method in ("fork", "forkserver"):
                 with ProcessPoolExecutor(max_workers=2,
                                          mp_context=multiprocessing.get_context(method)) as pool:
-                    got[method] = map_batches(kernel, 300, 256, stream,
+                    got[method] = map_batches(kernel, n_paths, n_steps, stream,
                                               partial(pool.map, timeout=120), records)
         for key, parts in got.items():
             assert [np.asarray(part).tobytes() for part in parts] == want, key
@@ -971,23 +980,6 @@ class TestHelperThread:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
-    def test_same_bytes_under_map_threads_and_forked_processes(self, name):
-        # 2100 paths of 2048 steps: batches of 2047 and 53 paths, i.e. 67 and
-        # 2 row blocks of the sup kernel, so both batches split
-        sample, stream = HELPER_SAMPLERS[name], RngStream(51)
-        assert [size for _, size in batch_plan(2100, 2048)] == [2047, 53]
-        got = sample_sups(sample, HELPER_TARGETS, 2100, 2048, stream)
-        with ThreadPoolExecutor(max_workers=2) as ex:
-            threaded = sample_sups(sample, HELPER_TARGETS, 2100, 2048, stream, pmap=ex.map)
-        # the helpers above have been joined, so forking now is safe
-        with ProcessPoolExecutor(max_workers=2,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            forked = sample_sups(sample, HELPER_TARGETS, 2100, 2048, stream,
-                                 pmap=partial(pool.map, timeout=120))
-        assert threaded.tobytes() == got.tobytes()
-        assert forked.tobytes() == got.tobytes()
-
-    @pytest.mark.parametrize("name", sorted(HELPER_SAMPLERS))
     def test_no_thread_outlives_a_call(self, name):
         before = threading.active_count()
         batch = HELPER_SAMPLERS[name](300, 256, RngStream(52))
@@ -1041,31 +1033,41 @@ class TestStreamedSups:
     @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
     def test_equal_a_pass_over_the_batch(self, name, schedule):
         # small pieces, so the sampler's pieces cut the batch into other row
-        # ranges than the pass's blocks
+        # ranges than the pass's blocks; a draw for uncapped sups keeps no
+        # path, so the pass reads a plain draw on the same stream
         run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
+        sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(59))
         with mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 10), \
                 mock.patch.object(simulate, "_run_pieces", run_pieces):
             with simulate._streamed_sups(HELPER_TARGETS, np.inf) as sups:
-                result = SCHEDULE_SAMPLERS[name](120, 256, RngStream(59))
-        batch = result[0] if isinstance(result, tuple) else result
-        assert sups.batch is batch  # taken in the pieces, not by a pass of their own
+                result = sample()
+            plain = sample()
+        empty, lw = result if isinstance(result, tuple) else (result, None)
+        assert sups.batch is empty  # taken in the pieces, not by a pass of their own
+        assert empty.n_paths == 0 and empty.values.shape == (0, 257)
+        batch = plain[0] if isinstance(plain, tuple) else plain
         want = np.stack([sup_distance_batch(batch, f, lam) for f, lam in HELPER_TARGETS])
-        assert sups.of(batch).tobytes() == want.tobytes()
+        assert sups.of(empty).tobytes() == want.tobytes()
+        if lw is not None:  # every path's log-weight, as the plain draw gives it
+            assert lw.tobytes() == plain[1].tobytes()
 
     @pytest.mark.parametrize("schedule", ["default", "helper_late", "caller_late"])
     @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
     def test_a_cap_above_every_sup_gives_the_uncapped_sups(self, name, schedule):
         # no path leaves every ball, so the capped sampler draws the same
-        # cells block by block: the same paths, sups and log-weights
+        # cells block by block: the same paths, sups and log-weights as a
+        # plain draw on the same stream
         run_pieces = simulate._run_pieces if schedule == "default" else _forced(schedule, [])
         sample = partial(SCHEDULE_SAMPLERS[name], 120, 256, RngStream(59))
         with mock.patch.object(simulate, "_STREAM_ROWS", 32):
             with simulate._streamed_sups(HELPER_TARGETS, np.inf) as sups:
-                want = sample()
+                empty = sample()
+            want = sample()
             cap = np.nextafter(sups.out.max(), np.inf)
             with mock.patch.object(simulate, "_run_pieces", run_pieces):
                 with simulate._streamed_sups(HELPER_TARGETS, cap) as capped:
                     got = sample()
+        assert (empty[0] if isinstance(empty, tuple) else empty).n_paths == 0
         assert capped.of(got[0] if isinstance(got, tuple) else got).tobytes() == \
             np.minimum(sups.out, cap).tobytes()
         assert _sample_bytes(got) == _sample_bytes(want)
@@ -1116,18 +1118,22 @@ class TestStreamedSups:
             assert 0.0 < p_f < 0.2 and abs(p_c - p_f) < 4.0 * se, (p_c, p_f, se)
 
     def test_a_sampler_that_streams_none_gets_a_pass(self):
-        # a batch the sampler did not build, e.g. one a caller rescaled
+        # a batch no sampler drew inside the call, e.g. one drawn before it
+        batch = sample_jump_batch(PARAMS, 0.1, 50, 256, RngStream(60))
+        got = simulate._sups_kernel(lambda *_: batch, tuple(HELPER_TARGETS), 256, np.inf,
+                                    RngStream(60), 50)
+        assert got.tobytes() == _sup_matrix(batch, HELPER_TARGETS).tobytes()
+
+        # a batch a caller built from the one its sampler returned, say a
+        # rescaled one: the sampler kept only the paths inside some ball on
+        # its own values, capped, and none uncapped, so no pass can give the sups
         def rescaled(size, n_steps, stream):
             batch = sample_jump_batch(PARAMS, 0.1, size, n_steps, stream)
             return dataclasses.replace(batch, values=0.5 * batch.values)
 
-        got = simulate._sups_kernel(rescaled, tuple(HELPER_TARGETS), 256, np.inf, RngStream(60), 50)
-        batch = rescaled(50, 256, RngStream(60))
-        assert got.tobytes() == _sup_matrix(batch, HELPER_TARGETS).tobytes()
-        # capped, the inner sampler keeps only the paths inside some ball on
-        # its own values, so no pass over the rescaled batch can give the sups
-        with pytest.raises(ValueError, match="must be passed as is"):
-            simulate._sups_kernel(rescaled, tuple(HELPER_TARGETS), 256, 1.0, RngStream(60), 50)
+        for cap in (np.inf, 1.0):
+            with pytest.raises(ValueError, match="must be passed as is"):
+                simulate._sups_kernel(rescaled, tuple(HELPER_TARGETS), 256, cap, RngStream(60), 50)
 
     def test_the_is_kernel_counts_the_sups_of_its_batch(self):
         # about one path in 170 is a hit: 1000 paths hold a few
@@ -1151,6 +1157,13 @@ def _capped_anderson_batch():
         sample_jump_batch(PARAMS, 0.02, 2047, 2048, RngStream(1).child(0, 0))
 
 
+def _stable_sups_batch():
+    """A 2047 x 2048 CMS batch drawn for its centred sups, uncapped, as tier-1's sups fixture
+    and the selftest's time-change check draw each of theirs."""
+    with simulate._streamed_sups([(None, 0.0)], np.inf):
+        sample_stable_batch(PARAMS, 2047, 2048, RngStream(1).child(0, 0))
+
+
 # (sampler call, tracemalloc ceiling in bytes), each ceiling set a few percent
 # above the highest peak of 15 calls in 5 processes (NumPy 2.4.6, Python
 # 3.11.7); which piece temporaries the two threads hold at once moves a peak
@@ -1171,6 +1184,11 @@ MEMORY_CASES = {
     # chunk per piece and block)
     "stable": (partial(sample_stable_batch, PARAMS, 2047, 2048, RngStream(1).child(0, 0)),
                37_700_000),
+    # the same batch drawn for its uncapped sups alone: each piece sums its
+    # rows one block at a time in a buffer of its own and the batch keeps no
+    # path, so no grid is held: peaks 4.28 MB (36.78 MB when the batch kept
+    # its grid), ceiling 2.8% above
+    "stable_sups": (_stable_sups_batch, 4_400_000),
     # 2000 small-regime paths (weight_battery member 3, 3.3M interior jump
     # records), with no band draws beside the records and each piece's
     # dropped slots closed within its rows: peaks 98.28-99.13 MB, ceiling
