@@ -85,14 +85,21 @@ sups, cap)``.
 A sampler asked for uncapped sups keeps no grid.  Each piece sums its
 rows one time block at a time into a buffer of its own, its rows by the
 widest block plus one column, carries the last column into the next
-block, and raises the rows' sups from that buffer; a jump piece keeps
-neither its proxy nor its records once they are in the sups.  The
-sampler returns a batch of no paths, as a capped one does once every
-path has left every ball, and the tilted sampler still returns every
-path's log-weight.  A 2047 x 2048 stable draw for its sups so peaks at
-4.3 MB under ``tracemalloc``, against 36.8 MB with its grid.  A sampler
-asked for no sups returns the whole grid, with its records sorted by
-(path, time).
+block, and raises the rows' sups from that buffer; the column it carries
+out of the last block, each path's X(1), goes into the sups' end values
+(``_Sups.ends``).  A jump piece keeps neither its proxy nor its records
+once they are in the sups.  The sampler returns a batch of no paths, as
+a capped one does once every path has left every ball, and the tilted
+sampler still returns every path's log-weight.  A 2047 x 2048 stable draw
+for its sups so peaks at 4.3 MB under ``tracemalloc``, against 36.8 MB
+with its grid.  Asked for the sups of no target, ``_streamed_sups((),
+np.inf)``, a draw keeps no path and takes no sup: a jump piece puts only
+its records' rows and log-tilts in (path, time) order, and sums the
+log-tilts as before, so the log-weights and end values are the plain
+draw's bits.  The diagnostics kernels that keep one number per path draw
+so: 2000 small-regime paths of 256 steps drawn for their weights peak at
+8.2 MB, against 99 MB drawn whole.  A sampler asked for no sups returns
+the whole grid, with its records sorted by (path, time).
 
 ``map_batches`` is the one batch loop of every estimator: it runs a kernel
 over the deterministic ``batch_plan``, each batch on its own child stream.
@@ -554,9 +561,11 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
     block in turn, after every cell's counts are drawn.  Asked for its
     sups, it sums each block into a buffer of its own rows by the widest
     block plus one column, whose first column carries the rows' values
-    from the block before, and raises the sups there; no grid, proxy or
-    record outlives its piece, and the batch holds no path (a 2047 x 2048
-    stable draw peaks at 4.3 MB, 36.8 MB with its grid).  Asked for none,
+    from the block before, raises the sups there, and writes the rows'
+    X(1) into ``sups.ends``; no grid, proxy or record outlives its piece,
+    and the batch holds no path (a 2047 x 2048 stable draw peaks at 4.3
+    MB, 36.8 MB with its grid).  With no target, a jump piece orders only
+    its records' rows and log-tilts, and takes no sup.  Asked for none,
     each record's slot in the (path, time)-sorted arrays is known before
     its cell draws the rest; a thinned band leaves its dropped records'
     slots empty, which each piece closes within its own rows, and one pass
@@ -667,13 +676,16 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
                 sups.exact(run[:, r0:r1], grid, s0)
             return None
         order = _jump_order(row, t)
-        row, t, x = row[order], t[order], x[order]
+        row = row[order]
         if thinned:  # in time order within each row, as one bincount over the batch's records
             np.add.at(tilt_sums[r0:r1], row, lt[order])
         if sups is not None:  # the records go no further: the batch keeps none
-            sups.exact(run[:, r0:r1], grid, s0, (row, t, x, step[order], frac[order]), z,
-                       None if drift is None else drift[s0:s1])
+            if sups.targets:
+                sups.exact(run[:, r0:r1], grid, s0,
+                           (row, *(a[order] for a in (t, x, step, frac))), z,
+                           None if drift is None else drift[s0:s1])
             return None
+        t, x = t[order], x[order]
         per_row = np.bincount(row, minlength=r1 - r0)
         dest = np.repeat(slots[k, r0:r1] - _excl(per_row), per_row)
         dest += np.arange(row.size)
@@ -731,6 +743,8 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
             path_out = np.empty(n_env, np.int64)
             t_out, x_out = np.empty(n_env), np.empty(n_env)
             kept = np.empty(slots.shape, dtype=np.int64)  # records of each (block, path)
+    else:
+        sups.ends = np.empty(n_paths)
     chunks = _chunk_edges(n_paths)
     row_cuts = cuts(len(chunks) - 1, per_step * widest)
     filled = [0] * (len(row_cuts) - 1)  # records of each piece, from its first slot on
@@ -749,6 +763,8 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
             else:
                 draw(k, values[r0:r1, s0:s1 + 1],
                      None if bands is None else small_noise[r0:r1, s0:s1], chunks, c0, c1, gens)
+        if sups is not None:
+            sups.ends[r0:r1] = grid[:, 0]  # X(1), carried out of the last block
         if bands is None or sups is not None:
             return
         start = int(slots[0, r0])
@@ -1005,7 +1021,10 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     the truncated law and every log-weight is 0, with no weight pass.  A
     batch drawn for capped sups (:func:`_streamed_sups`) gives no weight to
     a path that left every ball: its log-weight is NaN.  One drawn for
-    uncapped sups holds no path, and the log-weights are every path's.
+    uncapped sups holds no path, and the log-weights are every path's; so
+    does one drawn for the sups of no target, ``_streamed_sups((),
+    np.inf)``, the draw of a caller that keeps only the log-weights or
+    the end values (``_Sups.ends``), with the plain draw's bits.
 
     Returns (batch, log_weights).
     """
@@ -1121,12 +1140,15 @@ class _Sups:
     Two drivers run it: :func:`_sup_matrix` over a finished batch, in row
     blocks of about ``_PIECE_ELEMS`` grid values, and the samplers' own
     pieces, each right after its rows of a time block are summed
-    (:func:`_streamed_sups`).
+    (:func:`_streamed_sups`).  An uncapped sampler's pieces also write each
+    path's X(1) into ``ends``, None until a sampler fills it.  With no
+    targets, :meth:`exact` returns at once and the matrix has no rows: the
+    draw of a caller that keeps only its log-weights or end values.
     """
 
     def __init__(self, targets, path_scale: float = 1.0, cap: float = np.inf) -> None:
         self.targets, self.path_scale, self.cap = list(targets), path_scale, cap
-        self.batch = None
+        self.batch = self.ends = None
 
     def start(self, times: np.ndarray, n_paths: int) -> None:
         """Take the grid ``times`` of a batch of ``n_paths`` paths; every sup starts at 0."""
@@ -1164,6 +1186,8 @@ class _Sups:
         sorted by (row, time): ``(row, t, x, step, frac)`` as
         :func:`_record_steps` gives step and frac; ``noise`` and ``drift``
         are the rows' proxy and the drift on those steps (None for none)."""
+        if not self.targets:
+            return
         block, targets = self._block(grid, s0)
         dev, m = np.empty_like(block), np.empty(block.shape[0])
         for k, target in enumerate(targets):
@@ -1263,6 +1287,9 @@ def _streamed_sups(targets, cap: float):
     its pieces raise each range of rows as soon as the range is summed; a
     finite ``cap`` lets it stop drawing the paths that have left every
     ball.  ``_Sups.of`` gives them for the batch the sampler returned.
+    Uncapped, the sampler keeps no path and fills ``_Sups.ends`` with each
+    path's X(1); ``targets`` empty asks for no sup at all, so such a draw
+    gives only its end values and, if tilted, its log-weights.
     """
     sups = _Sups(targets, cap=cap)
     _threads.sups = sups

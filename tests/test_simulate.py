@@ -634,8 +634,9 @@ class TestMapBatches:
         assert pooled.tobytes() == got.tobytes()
 
     def test_end_values_outlive_their_batch(self):
-        # the kernel returns a column of its batch's grid, which owns its
-        # memory: a view would keep the whole grid alive with the result
+        # the kernel draws with no target, so its pieces sum their rows in
+        # buffers of their own and write X(1) into an array that owns its
+        # memory: a view of a piece's buffer would keep it alive with the result
         tilt = weight_battery(PARAMS)[0][1]
         eps, rate_int, rate_ext = simulate.tilted_jump_rates(tilt, None)
         plan = batch_plan(2000, 256, rate_int + rate_ext)
@@ -1150,6 +1151,52 @@ class TestStreamedSups:
         assert kernel(RngStream(65), 1000) == (float(w.sum()), float((w * w).sum()), int(hit.sum()))
 
 
+def _no_target_ends(sample, n_steps, stream, size):
+    """X(1) of every path of a batch drawn with no target: the draw keeps no
+    path, and its sups are a matrix of no rows."""
+    with simulate._streamed_sups((), np.inf) as sups:
+        result = sample(size, n_steps, stream)
+    batch = result[0] if isinstance(result, tuple) else result
+    assert batch.n_paths == 0 and sups.of(batch).shape == (0, size)
+    return sups.ends
+
+
+class TestNoTargets:
+    """A draw with no target keeps no path, yet gives the plain draw's end
+    values and, from the diagnostics kernels, its weights, byte for byte."""
+
+    @pytest.mark.parametrize("piece_elems", [1 << 10, simulate._PIECE_ELEMS])
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
+    def test_same_bytes_as_a_plain_draw(self, name, piece_elems):
+        # 700 paths of 539 steps in batches of 485 and 215 paths, 4 and 2
+        # chunks, through 8 time blocks of 67 or 68 steps, each block's last
+        # coarse interval short; a piece holds one chunk at the small size
+        # and a whole batch at the default, each run serially and on 2 threads
+        sample = SCHEDULE_SAMPLERS[name]
+        stream = RngStream(66)
+        with mock.patch.object(simulate, "_BATCH_ELEMS", 1 << 18):
+            plan = batch_plan(700, 539)
+            assert [size for _, size in plan] == [485, 215]
+            plain = [sample(size, 539, stream.child(b)) for b, size in plan]
+            batches = [p[0] if isinstance(p, tuple) else p for p in plain]
+            ends = np.concatenate([batch.values[:, -1] for batch in batches])
+            kernels = {"ends": (partial(_no_target_ends, sample, 539), ends)}
+            if name.startswith("tilted"):
+                tilt, eps = sample.args[0], sample.keywords["eps_cutoff"]
+                lw = np.concatenate([p[1] for p in plain])
+                assert tilt.amplitude_bound > 0.0 and np.ptp(lw) > 0.0  # thinned, weighted
+                kernels["weights"] = (partial(diagnostics._weights_kernel, tilt, 539, eps),
+                                      np.exp(lw))
+                kernels["end_values"] = (partial(diagnostics._end_value_kernel, tilt, 539, eps),
+                                         ends)
+            with mock.patch.object(simulate, "_PIECE_ELEMS", piece_elems), \
+                    ThreadPoolExecutor(max_workers=2) as ex:
+                for key, (kernel, want) in kernels.items():
+                    for pmap in (map, ex.map):
+                        got = np.concatenate(map_batches(kernel, 700, 539, stream, pmap))
+                        assert got.tobytes() == want.tobytes(), key
+
+
 def _capped_anderson_batch():
     """The anderson workload's batch, drawn for its six targets' sups capped at r = 1."""
     targets = [(None, 0.0)] + [(f, lam) for _, f, lam in smallball.default_battery(PARAMS)]
@@ -1195,6 +1242,12 @@ MEMORY_CASES = {
     # 3.8% above
     "small_regime": (partial(sample_tilted_batch, weight_battery(PARAMS)[3][1], 2000, 256,
                              RngStream(103).child(3), eps_cutoff=0.05), 102_900_000),
+    # the same call drawn for its weights alone (_weights_kernel, as the
+    # selftest's unit-mean check draws each tilt): the draw has no target, so
+    # it keeps no path and no record: peaks 8.16-8.22 MB (98.28-99.13 MB when
+    # it kept the batch), ceiling 2.9% above
+    "small_regime_weights": (partial(diagnostics._weights_kernel, weight_battery(PARAMS)[3][1],
+                                     256, 0.05, RngStream(103).child(3), 2000), 8_460_000),
 }
 
 
