@@ -178,21 +178,22 @@ def _map_tilted(kernel, tilt, n_paths: int, n_steps: int, stream: simulate.RngSt
 
     Each kernel keeps one number per path, so it draws with no target
     (``simulate._streamed_sups((), np.inf)``): the sampler's pieces keep no
-    path, and a batch's draw holds one piece's buffers, not its grid and
-    records."""
+    path and sort no record, and a batch's draw holds one piece's buffers,
+    not its grid and records; the weights kernel asks for no end value, so
+    its pieces sum no grid either."""
     eps, rate_int, rate_ext = simulate.tilted_jump_rates(tilt, eps_cutoff)
     return np.concatenate(simulate.map_batches(partial(kernel, tilt, n_steps, eps), n_paths,
                                                n_steps, stream, records=rate_int + rate_ext))
 
 
 def _weights_kernel(tilt, n_steps, eps_cutoff, stream, size) -> np.ndarray:
-    with simulate._streamed_sups((), np.inf):  # no target: the draw keeps no path
+    with simulate._streamed_sups((), np.inf):  # no target, no X(1): keeps no path, sums no grid
         _, lw = simulate.sample_tilted_batch(tilt, size, n_steps, stream, eps_cutoff=eps_cutoff)
     return np.exp(lw)
 
 
 def _end_value_kernel(tilt, n_steps, eps_cutoff, stream, size) -> np.ndarray:
-    with simulate._streamed_sups((), np.inf) as sups:  # no target: the draw keeps no path
+    with simulate._streamed_sups((), np.inf, ends=True) as sups:  # keeps no path, only X(1)
         simulate.sample_tilted_batch(tilt, size, n_steps, stream, eps_cutoff=eps_cutoff)
     return sups.ends  # X(1) of every path, an array of its own
 
@@ -203,8 +204,8 @@ def check_weight_unit_mean(n_paths: int, rng: simulate.RngStream, gate: float,
 
     Tilt i draws ``n_paths`` paths of 256 steps on ``rng.child(i)``
     (``_map_tilted``); the kernel keeps only each path's weight, and its
-    draw keeps no path, so a small-regime batch of 2000 paths peaks at 8.2
-    MB under ``tracemalloc``, not 99 MB.  Unit mean
+    draw keeps no path and sums no grid, so a small-regime batch of 2000
+    paths peaks at 8.0 MB under ``tracemalloc``, not 99 MB.  Unit mean
     holds exactly at any jump resolution, so a coarse ``eps_cutoff`` keeps
     the small-regime members cheap; None takes the sampler's default.
     """

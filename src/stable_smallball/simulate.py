@@ -33,14 +33,18 @@ never meet.  No cell depends on another's draws, so either thread can draw
 any cell, in any order.
 
 The jump samplers draw each cell's records with ``_Bands`` and finish a
-range of cells together (``_cell_paths``): they sort the records by (path,
-time) (``_jump_order``), bin them into their steps, add the drift and the
-proxy, and sum each path into its block of the grid, starting from the
-path's value at the block's start, so every row's sum runs in the order of
-one row-wide ``cumsum``.  ``_record_steps`` puts a record in its step, there,
-in the sup kernel and on the coarse grid, whose interval holds its step:
-step i holds the instants in (t_i, t_i+1], so a record at its block's right
-end, or one whose t / dt rounds across a block edge, stays in its block.
+range of cells together (``_cell_paths``): they bin the records into their
+steps, add the drift and the proxy, and sum each path into its block of
+the grid, starting from the path's value at the block's start, so every
+row's sum runs in the order of one row-wide ``cumsum``; they sort the
+records by (path, time) (``_jump_order``) only where a batch keeps them
+or an exact sup reads them.  A tilted sampler sums each path's log-tilts
+with one ``bincount`` over each block's records in draw order, and adds
+the block sums block by block, in every route alike.  ``_record_steps``
+puts a record in its step, there, in the sup kernel and on the coarse
+grid, whose interval holds its step: step i holds the instants in (t_i,
+t_i+1], so a record at its block's right end, or one whose t / dt rounds
+across a block edge, stays in its block.
 The stable sampler writes its variates into the same kind of rows.
 
 A path is a :class:`BatchPaths`; one path is a batch of one
@@ -93,13 +97,15 @@ a capped one does once every path has left every ball, and the tilted
 sampler still returns every path's log-weight.  A 2047 x 2048 stable draw
 for its sups so peaks at 4.3 MB under ``tracemalloc``, against 36.8 MB
 with its grid.  Asked for the sups of no target, ``_streamed_sups((),
-np.inf)``, a draw keeps no path and takes no sup: a jump piece puts only
-its records' rows and log-tilts in (path, time) order, and sums the
-log-tilts as before, so the log-weights and end values are the plain
-draw's bits.  The diagnostics kernels that keep one number per path draw
-so: 2000 small-regime paths of 256 steps drawn for their weights peak at
-8.2 MB, against 99 MB drawn whole.  A sampler asked for no sups returns
-the whole grid, with its records sorted by (path, time).
+np.inf)``, a draw keeps no path, takes no sup and sorts no record, and its
+log-weights are the plain draw's bits; it fills ``_Sups.ends`` only when
+asked (``ends=True``).  A jump draw asked for neither sums no grid: it
+draws its records, the proxy's coarse sums and step deviations, and keeps
+only each path's log-tilt sum and proxy product.  The diagnostics kernels
+that keep one number per path draw so: 2000 small-regime paths of 256
+steps drawn for their weights peak at 8.0 MB, against 99 MB drawn whole.
+A sampler asked for no sups returns the whole grid, with its records
+sorted by (path, time).
 
 ``map_batches`` is the one batch loop of every estimator: it runs a kernel
 over the deterministic ``batch_plan``, each batch on its own child stream.
@@ -542,11 +548,11 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
     proxy's sums over the coarse intervals of its block (``_coarse_cols``),
     then the step deviations that bridge them to its steps
     (``_bridge``).  With ``bands.thin``, tilt_sums holds each path's sum
-    of its kept records' log-tilts, added in the batch's record order, so
-    it is the bits of one ``bincount`` over the records a draw for no sups
-    returns; with ``bbar``, proxy_sums holds each path's sum of the proxy
-    times ``bbar``, each cell's product taken over the cell alone and added
-    block by block; each is None otherwise.
+    of its kept records' log-tilts: block sums in draw order, one
+    ``bincount`` over each block's records, added block by block, so every
+    route gives the same bits; with ``bbar``, proxy_sums holds each path's
+    sum of the proxy times ``bbar``, each cell's product taken over the
+    cell alone and added block by block; each is None otherwise.
 
     The cells run in pieces of whole cells, each of about ``_PIECE_ELEMS``
     grid values or expected records per block: a piece draws its cells,
@@ -562,10 +568,11 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
     sups, it sums each block into a buffer of its own rows by the widest
     block plus one column, whose first column carries the rows' values
     from the block before, raises the sups there, and writes the rows'
-    X(1) into ``sups.ends``; no grid, proxy or record outlives its piece,
-    and the batch holds no path (a 2047 x 2048 stable draw peaks at 4.3
-    MB, 36.8 MB with its grid).  With no target, a jump piece orders only
-    its records' rows and log-tilts, and takes no sup.  Asked for none,
+    X(1) into ``sups.ends`` if asked; no grid, proxy or record outlives
+    its piece, and the batch holds no path (a 2047 x 2048 stable draw
+    peaks at 4.3 MB, 36.8 MB with its grid).  With no target, a jump piece
+    neither sorts its records nor takes a sup, and asked for no end value
+    either, it has no buffer and sums no grid.  Asked for no sups,
     each record's slot in the (path, time)-sorted arrays is known before
     its cell draws the rest; a thinned band leaves its dropped records'
     slots empty, which each piece closes within its own rows, and one pass
@@ -624,12 +631,12 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
             else:
                 cells = gens[k][c0:c1]
             row, t, x, lt = bands.records(cells, times[s0], times[s1])
-            step, frac = _record_steps(t, times)
             if capped:  # on the coarse grid: each interval's records, drift and proxy sum
                 for c, (gen, _) in enumerate(cells, c0):
                     gen.standard_normal(out=noise[chunks[c] - r0:chunks[c + 1] - r0])
                 z = noise
                 z *= sd * np.sqrt(lens)
+                step, frac = _record_steps(t, times)
                 n_cols, bins, first = lens.size, (step - s0) // stride, 0
                 smooth = None if drift is None else _interval_sums(drift[s0:s1], stride)
             else:
@@ -646,6 +653,11 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
                     for c in range(c0, c1):
                         q0, q1 = chunks[c] - r0, chunks[c + 1] - r0
                         proxy_sums[live[chunks[c]:chunks[c + 1]]] += z[q0:q1] @ bbar[s0:s1]
+                if thinned:  # each row's block sum, in draw order
+                    tilt_sums[r0:r1] += np.bincount(row, weights=lt, minlength=r1 - r0)
+                if grid is None:  # drawn for its log-weights alone: no grid to sum
+                    return None
+                step, frac = _record_steps(t, times)
                 n_cols, bins, first = width, step, s0
                 smooth = None if drift is None else drift[s0:s1]
             flat = row * n_cols
@@ -675,17 +687,14 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
             if sups is not None:
                 sups.exact(run[:, r0:r1], grid, s0)
             return None
-        order = _jump_order(row, t)
-        row = row[order]
-        if thinned:  # in time order within each row, as one bincount over the batch's records
-            np.add.at(tilt_sums[r0:r1], row, lt[order])
-        if sups is not None:  # the records go no further: the batch keeps none
-            if sups.targets:
-                sups.exact(run[:, r0:r1], grid, s0,
-                           (row, *(a[order] for a in (t, x, step, frac))), z,
-                           None if drift is None else drift[s0:s1])
+        if sups is not None and not sups.targets:  # no sup: the records need no order
             return None
-        t, x = t[order], x[order]
+        order = _jump_order(row, t)
+        row, t, x = row[order], t[order], x[order]
+        if sups is not None:  # the records go no further: the batch keeps none
+            sups.exact(run[:, r0:r1], grid, s0, (row, t, x, step[order], frac[order]), z,
+                       None if drift is None else drift[s0:s1])
+            return None
         per_row = np.bincount(row, minlength=r1 - r0)
         dest = np.repeat(slots[k, r0:r1] - _excl(per_row), per_row)
         dest += np.arange(row.size)
@@ -743,8 +752,10 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
             path_out = np.empty(n_env, np.int64)
             t_out, x_out = np.empty(n_env), np.empty(n_env)
             kept = np.empty(slots.shape, dtype=np.int64)  # records of each (block, path)
-    else:
+    elif sups.keep_ends:
         sups.ends = np.empty(n_paths)
+    # a jump draw for no sup and no end value sums no grid: it keeps only its log-weights
+    summed = sups is None or sups.targets or sups.keep_ends or bands is None
     chunks = _chunk_edges(n_paths)
     row_cuts = cuts(len(chunks) - 1, per_step * widest)
     filled = [0] * (len(row_cuts) - 1)  # records of each piece, from its first slot on
@@ -752,18 +763,21 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
     def piece(i: int) -> None:
         c0, c1 = row_cuts[i], row_cuts[i + 1]
         r0, r1 = chunks[c0], chunks[c1]
-        if sups is not None:  # the rows' values on one block's columns at a time
+        grid = None
+        if sups is not None and summed:  # the rows' values on one block's columns at a time
             grid = np.empty((r1 - r0, widest + 1))
             grid[:, 0] = 0.0
         for k in range(n_blocks):
             s0, s1 = edges[k], edges[k + 1]
-            if sups is not None:
-                draw(k, grid[:, :s1 - s0 + 1], None, chunks, c0, c1, gens)
-                grid[:, 0] = grid[:, s1 - s0]  # carried into the next block
-            else:
+            if sups is None:
                 draw(k, values[r0:r1, s0:s1 + 1],
                      None if bands is None else small_noise[r0:r1, s0:s1], chunks, c0, c1, gens)
-        if sups is not None:
+            elif grid is None:
+                draw(k, None, None, chunks, c0, c1, gens)
+            else:
+                draw(k, grid[:, :s1 - s0 + 1], None, chunks, c0, c1, gens)
+                grid[:, 0] = grid[:, s1 - s0]  # carried into the next block
+        if sups is not None and sups.ends is not None:
             sups.ends[r0:r1] = grid[:, 0]  # X(1), carried out of the last block
         if bands is None or sups is not None:
             return
@@ -830,7 +844,9 @@ def _survivors(sups, live, held, times, drift, tilt_sums, proxy) -> BatchPaths:
     records, band by band and each band's sorted by row, give up a
     survivor's by ``searchsorted``.  The records sum into their steps in
     draw order, as in an uncapped batch, and each row in one ``cumsum``;
-    proxy_sums, and ``tilt_sums`` if given, take the survivors' sums."""
+    proxy_sums, and ``tilt_sums`` if given, take the survivors' sums, the
+    log-tilts one block at a time in draw order, as an uncapped batch adds
+    them."""
     n_steps = times.size - 1
     values = np.empty((live.size, n_steps + 1))
     values[:, 0] = 0.0
@@ -855,7 +871,12 @@ def _survivors(sups, live, held, times, drift, tilt_sums, proxy) -> BatchPaths:
             if proxy_sums is not None:
                 for j0, j1 in zip(at, at[1:]):
                     proxy_sums[live[j0:j1]] += z[j0:j1] @ bbar[s0:s1]
-            picked += [_pick_rows(band, pos) for bands in piece_records for band in bands]
+            block = [_pick_rows(band, pos) for bands in piece_records for band in bands]
+            if tilt_sums is not None:  # each survivor's block sum, in draw order
+                tilt_sums[live] += np.bincount(np.concatenate([rec[0] for rec in block]),
+                                               np.concatenate([rec[3] for rec in block]),
+                                               live.size)
+            picked += block
         row, t, x = (np.concatenate([rec[j] for rec in picked]) for j in range(3))
         step, frac = _record_steps(t, times)
         flat = row * n_steps
@@ -869,9 +890,6 @@ def _survivors(sups, live, held, times, drift, tilt_sums, proxy) -> BatchPaths:
         del incr
         order = _jump_order(row, t)
         row, t, x = row[order], t[order], x[order]
-        if tilt_sums is not None:
-            lt = np.concatenate([rec[3] for rec in picked])[order]
-            tilt_sums[live] = np.bincount(row, weights=lt, minlength=live.size)
         records = (row, t, x, step[order], frac[order])
         batch = replace(batch, jump_path=row, jump_times=t, jump_sizes=x, small_noise=noise)
     run = np.zeros((len(sups.targets), live.size))
@@ -1023,8 +1041,9 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     a path that left every ball: its log-weight is NaN.  One drawn for
     uncapped sups holds no path, and the log-weights are every path's; so
     does one drawn for the sups of no target, ``_streamed_sups((),
-    np.inf)``, the draw of a caller that keeps only the log-weights or
-    the end values (``_Sups.ends``), with the plain draw's bits.
+    np.inf)``, the draw of a caller that keeps only the log-weights, with
+    the plain draw's bits and no grid summed, or, with ``ends=True``, the
+    end values (``_Sups.ends``) too.
 
     Returns (batch, log_weights).
     """
@@ -1140,14 +1159,17 @@ class _Sups:
     Two drivers run it: :func:`_sup_matrix` over a finished batch, in row
     blocks of about ``_PIECE_ELEMS`` grid values, and the samplers' own
     pieces, each right after its rows of a time block are summed
-    (:func:`_streamed_sups`).  An uncapped sampler's pieces also write each
-    path's X(1) into ``ends``, None until a sampler fills it.  With no
-    targets, :meth:`exact` returns at once and the matrix has no rows: the
-    draw of a caller that keeps only its log-weights or end values.
+    (:func:`_streamed_sups`).  Asked with ``ends``, an uncapped sampler's
+    pieces also write each path's X(1) into ``ends``, None until a sampler
+    fills it.  With no targets, :meth:`exact` returns at once and the
+    matrix has no rows: the draw of a caller that keeps only its
+    log-weights or end values.
     """
 
-    def __init__(self, targets, path_scale: float = 1.0, cap: float = np.inf) -> None:
+    def __init__(self, targets, path_scale: float = 1.0, cap: float = np.inf,
+                 ends: bool = False) -> None:
         self.targets, self.path_scale, self.cap = list(targets), path_scale, cap
+        self.keep_ends = ends
         self.batch = self.ends = None
 
     def start(self, times: np.ndarray, n_paths: int) -> None:
@@ -1279,7 +1301,7 @@ def _sup_matrix(batch: BatchPaths, targets, path_scale: float = 1.0,
 
 
 @contextmanager
-def _streamed_sups(targets, cap: float):
+def _streamed_sups(targets, cap: float, ends: bool = False):
     """Yields the :class:`_Sups` against ``targets``, capped at ``cap``, of the
     batch that the ``with`` body draws on this thread.
 
@@ -1287,11 +1309,12 @@ def _streamed_sups(targets, cap: float):
     its pieces raise each range of rows as soon as the range is summed; a
     finite ``cap`` lets it stop drawing the paths that have left every
     ball.  ``_Sups.of`` gives them for the batch the sampler returned.
-    Uncapped, the sampler keeps no path and fills ``_Sups.ends`` with each
-    path's X(1); ``targets`` empty asks for no sup at all, so such a draw
-    gives only its end values and, if tilted, its log-weights.
+    Uncapped, the sampler keeps no path, and with ``ends`` it fills
+    ``_Sups.ends`` with each path's X(1); ``targets`` empty asks for no sup
+    at all, so such a draw gives only its end values, if asked, and, if
+    tilted, its log-weights: a tilted draw asked for neither sums no grid.
     """
-    sups = _Sups(targets, cap=cap)
+    sups = _Sups(targets, cap=cap, ends=ends)
     _threads.sups = sups
     try:
         yield sups

@@ -1,6 +1,7 @@
 """Tilt construction, validity, theta, log-weights, deterministic exponent."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from stable_smallball import (
     zero_shift,
 )
 from stable_smallball.diagnostics import _exponent_by_quadrature
+from stable_smallball import simulate
 from stable_smallball.simulate import _block_edges, _chunk_edges, tilted_jump_rates
 
 PARAMS = AlphaStableParams(1.5)
@@ -94,6 +96,38 @@ class TestStepMeanAmplitude:
         assert np.allclose(bbar, expected, rtol=1e-12)
 
 
+def _drawn_tilted_batch(tilt, n_paths, n_steps, stream):
+    """(batch, log-weights, records) of ``sample_tilted_batch``: records holds
+    the (row, t, x) of each call of ``_Bands.records``, in draw order: one
+    per time block, since pieces large enough to hold every cell make the
+    batch one piece."""
+    calls, records = [], simulate._Bands.records
+
+    def recorded(self, cells, lo, hi):
+        out = records(self, cells, lo, hi)
+        calls.append(out[:3])
+        return out
+
+    with mock.patch.object(simulate._Bands, "records", recorded), \
+            mock.patch.object(simulate, "_PIECE_ELEMS", 1 << 40):
+        batch, lw = sample_tilted_batch(tilt, n_paths, n_steps, stream)
+    assert len(calls) == len(_block_edges(n_steps)) - 1
+    drawn = np.concatenate([t for _, t, _ in calls])
+    assert np.array_equal(np.sort(drawn), np.sort(batch.jump_times))
+    return batch, lw, calls
+
+
+def _tilt_sums(tilt, calls, n_paths):
+    """Each path's sum of theta over its records inside the cut: one bincount
+    over each block's records in draw order, the block sums added in turn."""
+    sums = np.zeros(n_paths)
+    for row, t, x in calls:
+        inside = np.abs(x) < tilt.jump_cut
+        sums += np.bincount(row[inside], weights=theta(tilt, x[inside], t[inside]),
+                            minlength=n_paths)
+    return sums
+
+
 class TestLogWeight:
     @pytest.mark.parametrize("tilt", [
         TiltSpec.middle_shift(PARAMS, identity_shift(), 0.5, 1.0),
@@ -105,14 +139,11 @@ class TestLogWeight:
         # records: minus theta summed over the jumps inside the cut, minus the
         # proxy's normal likelihood ratio per step
         n_paths, n_steps = 100, 64
-        batch, lw = sample_tilted_batch(tilt, n_paths, n_steps, RngStream(33))
+        batch, lw, calls = _drawn_tilted_batch(tilt, n_paths, n_steps, RngStream(33))
         if tilt.keeps_exterior_jumps:
             assert np.any(np.abs(batch.jump_sizes) >= tilt.jump_cut)
-        x, t, p = batch.jump_sizes, batch.jump_times, batch.jump_path
-        inside = np.abs(x) < tilt.jump_cut
         ref = np.zeros(n_paths)
-        ref -= np.bincount(p[inside], weights=theta(tilt, x[inside], t[inside]),
-                           minlength=n_paths)
+        ref -= _tilt_sums(tilt, calls, n_paths)
         bbar = step_mean_amplitude(tilt, n_steps)
         eps = tilted_jump_rates(tilt, None)[0]
         var = tilt.intensity_scale * truncated_second_moment(PARAMS.alpha, eps) * batch.dt
@@ -125,15 +156,12 @@ class TestLogWeight:
     ], ids=["middle", "small"])
     def test_recompute_matches_sampler_over_cells(self, tilt):
         # 300 paths at 256 steps are 3 chunks of rows in 4 time blocks: the
-        # log-tilts are still one path's sum in time order, and the proxy's
-        # products are each cell's, added block by block
+        # log-tilts are each block's sums in draw order, and the proxy's
+        # products each cell's, added block by block
         n_paths, n_steps = 300, 256
-        batch, lw = sample_tilted_batch(tilt, n_paths, n_steps, RngStream(34))
-        x, t, p = batch.jump_sizes, batch.jump_times, batch.jump_path
-        inside = np.abs(x) < tilt.jump_cut
+        batch, lw, calls = _drawn_tilted_batch(tilt, n_paths, n_steps, RngStream(34))
         ref = np.zeros(n_paths)
-        ref -= np.bincount(p[inside], weights=theta(tilt, x[inside], t[inside]),
-                           minlength=n_paths)
+        ref -= _tilt_sums(tilt, calls, n_paths)
         bbar = step_mean_amplitude(tilt, n_steps)
         proxy = np.zeros(n_paths)
         edges, chunks = _block_edges(n_steps), _chunk_edges(n_paths)

@@ -209,7 +209,7 @@ TILTED = {
     "jump_sizes": "286ed18674fc4b714657264a9ad61957351dfa7962cbee86311f053f16e68efb",
     "small_noise": "ac1684c7d0790647d10f3de007fcabd9684d1a1cd41d1907cb3ad52f34454c4d",
     "drift_steps": "93fc138dea54a896b07b89fb262f5a6f40965ee08452783f9f5f114cf6110186",
-    "log_weights": "80fcdd777231c90a1c84f5a34cdd19e7f0ce478f9e8bdc66792fc238dcee02a5",
+    "log_weights": "b8ba0943eaec9ffbb25330357e56f904847f21ff0de03744d6178e61a40b8ca7",
     "sups": "728a7f12d1962d39a03e2f18d04ecd9577d8308a89c1848cfde80e2c6c495a53"
 }
 INCREMENTS = {

@@ -1154,16 +1154,27 @@ class TestStreamedSups:
 def _no_target_ends(sample, n_steps, stream, size):
     """X(1) of every path of a batch drawn with no target: the draw keeps no
     path, and its sups are a matrix of no rows."""
-    with simulate._streamed_sups((), np.inf) as sups:
+    with simulate._streamed_sups((), np.inf, ends=True) as sups:
         result = sample(size, n_steps, stream)
     batch = result[0] if isinstance(result, tuple) else result
     assert batch.n_paths == 0 and sups.of(batch).shape == (0, size)
     return sups.ends
 
 
+def _no_target_weights(sample, n_steps, ends, stream, size):
+    """The weights of a tilted batch drawn with no target, asked for its end
+    values or not: the draw keeps no path, and fills ``_Sups.ends`` only when
+    asked."""
+    with simulate._streamed_sups((), np.inf, ends=ends) as sups:
+        batch, lw = sample(size, n_steps, stream)
+    assert batch.n_paths == 0 and (sups.ends is not None) == ends
+    return np.exp(lw)
+
+
 class TestNoTargets:
     """A draw with no target keeps no path, yet gives the plain draw's end
-    values and, from the diagnostics kernels, its weights, byte for byte."""
+    values and, from the diagnostics kernels, its weights, byte for byte;
+    a draw for the weights alone sums no grid and gives the same weights."""
 
     @pytest.mark.parametrize("piece_elems", [1 << 10, simulate._PIECE_ELEMS])
     @pytest.mark.parametrize("name", sorted(SCHEDULE_SAMPLERS))
@@ -1189,6 +1200,9 @@ class TestNoTargets:
                                       np.exp(lw))
                 kernels["end_values"] = (partial(diagnostics._end_value_kernel, tilt, 539, eps),
                                          ends)
+                for keep_ends in (False, True):
+                    kernels[f"weights, ends={keep_ends}"] = (
+                        partial(_no_target_weights, sample, 539, keep_ends), np.exp(lw))
             with mock.patch.object(simulate, "_PIECE_ELEMS", piece_elems), \
                     ThreadPoolExecutor(max_workers=2) as ex:
                 for key, (kernel, want) in kernels.items():
@@ -1243,11 +1257,12 @@ MEMORY_CASES = {
     "small_regime": (partial(sample_tilted_batch, weight_battery(PARAMS)[3][1], 2000, 256,
                              RngStream(103).child(3), eps_cutoff=0.05), 102_900_000),
     # the same call drawn for its weights alone (_weights_kernel, as the
-    # selftest's unit-mean check draws each tilt): the draw has no target, so
-    # it keeps no path and no record: peaks 8.16-8.22 MB (98.28-99.13 MB when
-    # it kept the batch), ceiling 2.9% above
+    # selftest's unit-mean check draws each tilt): the draw has no target and
+    # asks for no end value, so it keeps no path, no record and no grid:
+    # peaks 7.97-8.01 MB (8.17-8.23 MB with each piece's grid, 98.28-99.13 MB
+    # when it kept the batch), ceiling 3.0% above
     "small_regime_weights": (partial(diagnostics._weights_kernel, weight_battery(PARAMS)[3][1],
-                                     256, 0.05, RngStream(103).child(3), 2000), 8_460_000),
+                                     256, 0.05, RngStream(103).child(3), 2000), 8_250_000),
 }
 
 
