@@ -401,12 +401,14 @@ def check_conditioning_identity(n_paths: int):
     q = smallball.SmallBallQuery.centered(params, 1.0)
     rng = simulate.RngStream(110)
     crude = smallball.estimate_crude(q, n_paths, n_steps=512, rng=rng.child(0))
-    # at zero shift the weights are 1: the IS value is P(A) times the conditional fraction
+    # at zero shift the weights are 1: the IS value is P(no jump >= 2r) times
+    # the fraction of paths drawn without such jumps that stay in the ball
     cond = smallball.estimate_is(q, n_paths, n_steps=512, rng=rng.child(1))
     lhs, rhs = crude.value, cond.value
     comb = math.sqrt(crude.stderr**2 + cond.stderr**2)
     dev = abs(lhs - rhs) / max(comb, 1e-12)
-    return dev < 4.0, f"crude {lhs:.4f} vs P(A) x conditional {rhs:.4f}, dev {dev:.2f} se"
+    return dev < 4.0, (f"crude {lhs:.4f} vs P(no jump >= 2r) x conditional {rhs:.4f}, "
+                       f"dev {dev:.2f} se")
 
 
 def check_shift_symmetry(n_paths: int):

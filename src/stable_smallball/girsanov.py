@@ -8,10 +8,12 @@ log likelihood ratio of base against tilted law is just minus the sum of
 theta over realized jumps, plus the matching term for the Gaussian proxy of
 the unresolved small jumps.  Two regimes share the machinery:
 
-* ``middle_shift``: jump measure truncated at r, kappa = c, unit intensity;
+* ``middle_shift``: cut r, kappa = c, unit intensity; the jumps in
+  [r, 2r) are kept but not tilted, and those of at least 2r, which always
+  leave a ball of radius r, are removed;
 * ``small_shift``: rescaled coordinates with cut 1, intensity multiplied by
-  rho, kappa = lam * rho^(-(alpha-1)/alpha); jumps beyond the cut are kept
-  but not tilted.
+  rho, kappa = lam * rho^(-(alpha-1)/alpha); every jump beyond the cut is
+  kept but not tilted.
 
 ``deterministic_exponent`` evaluates int_0^1 int psi(beta(t) x) dLambda dt
 as an exact series in the even derivative moments of f, the quantity that
@@ -35,10 +37,11 @@ class TiltSpec:
     """A time-inhomogeneous linear tilt of the jump measure.
 
     Carries the regime label and its two defining reals; everything else
-    (kappa, jump_cut, intensity_scale, amplitude) is derived.  Use the
-    :meth:`middle_shift` and :meth:`small_shift` constructors.  A tilt whose
-    amplitude bound is not below one cannot be built: the intensity factor
-    1 + beta(t) x must stay positive inside the cut.
+    (kappa, jump_cut, exterior_cut, intensity_scale, amplitude) is
+    derived.  Use the :meth:`middle_shift` and :meth:`small_shift`
+    constructors.  A tilt whose amplitude bound is not below one cannot be
+    built: the intensity factor 1 + beta(t) x must stay positive inside the
+    cut.
     """
 
     params: AlphaStableParams
@@ -92,8 +95,10 @@ class TiltSpec:
         return 1.0 if self.regime == "middle_shift" else self.extent
 
     @property
-    def keeps_exterior_jumps(self) -> bool:
-        return self.regime == "small_shift"
+    def exterior_cut(self) -> float:
+        """The untilted jumps jump_cut <= |x| < exterior_cut are kept: up to
+        the ball's diameter 2r in the middle regime, every one in the small."""
+        return 2.0 * self.jump_cut if self.regime == "middle_shift" else np.inf
 
     @cached_property
     def amplitude_factor(self) -> float:

@@ -1008,8 +1008,8 @@ def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, 
     ``eps_cutoff`` is resolved against jump_cut (:func:`_resolve_cutoff`).
     The interior rate is the Poisson rate per path of the envelope jumps
     eps_cutoff <= |x| < jump_cut, which the sampler draws before thinning;
-    the exterior rate, of the untilted jumps |x| >= jump_cut, is 0 unless
-    the tilt keeps them.  Their sum is the expected jump records per path,
+    the exterior rate is that of the untilted jumps jump_cut <= |x| <
+    ``tilt.exterior_cut``.  Their sum is the expected jump records per path,
     refused as :func:`_check_records` refuses it.
     """
     alpha = tilt.params.alpha
@@ -1018,7 +1018,7 @@ def tilted_jump_rates(tilt: TiltSpec, eps_cutoff: float | None) -> tuple[float, 
     eps_cutoff = _resolve_cutoff(eps_cutoff, cut)
     rate_int = scale * (1.0 + tilt.amplitude_bound) * (2.0 / alpha) * (
         _cutoff_power(alpha, eps_cutoff) - cut**-alpha)
-    rate_ext = scale * (2.0 / alpha) * cut**-alpha if tilt.keeps_exterior_jumps else 0.0
+    rate_ext = scale * (2.0 / alpha) * (cut**-alpha - tilt.exterior_cut**-alpha)
     _check_records(rate_int + rate_ext)
     return eps_cutoff, rate_int, rate_ext
 
@@ -1029,9 +1029,11 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
 
     Jumps below the tilt cutoff are drawn by thinning from the envelope
     (1+B) times the untilted intensity, B the tilt amplitude bound, so no
-    tilted inverse CDF is needed.  Above the cutoff the tilt is off: in the
-    middle regime those jumps are removed entirely, in the small regime they
-    are kept untilted.  Jumps below ``eps_cutoff`` are replaced by their
+    tilted inverse CDF is needed.  Above the cutoff the tilt is off: the
+    jumps up to ``tilt.exterior_cut`` are kept untilted, in the middle
+    regime those below the ball's diameter 2r, in the small regime all of
+    them; in the middle regime the larger ones, which always leave the
+    ball, are removed.  Jumps below ``eps_cutoff`` are replaced by their
     Gaussian proxy.  The drift compensates the tilt, so the path is a
     centered martingale, which is how the importance-sampling estimator
     consumes it; adding ``tilt.compensator_shift_curve`` gives the tilted
@@ -1057,10 +1059,8 @@ def sample_tilted_batch(tilt, n_paths: int, n_steps: int, rng: RngStream,
     dt = 1.0 / n_steps
 
     # interior jumps eps <= |x| < cut, thinned from the (1 + B)-inflated rate;
-    # exterior jumps |x| >= cut, untilted, which only the small regime keeps
-    bands = [(rate_int, eps_cutoff, cut)]
-    if tilt.keeps_exterior_jumps:
-        bands.append((rate_ext, cut, np.inf))
+    # exterior jumps cut <= |x| < exterior_cut, untilted
+    bands = [(rate_int, eps_cutoff, cut), (rate_ext, cut, tilt.exterior_cut)]
     bands = _Bands(alpha, bands, None if b_bound == 0.0 else (tilt, b_bound))
 
     # compensate the tilt of the interior band so the component is a martingale

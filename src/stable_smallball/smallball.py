@@ -4,8 +4,9 @@ The target quantity is P(sup_t |X(t) - shift_scale * f(t)| < r) on [0, 1].
 Two routes:
 
 * ``estimate_crude``: direct fraction over simulated paths,
-* ``estimate_is``: condition on "no jump larger than r" (exact closed form),
-  then estimate the conditional probability by importance sampling under the
+* ``estimate_is``: condition on "no jump of at least 2r", the ball's
+  diameter (exact closed form; such a jump always leaves the ball), then
+  estimate the conditional probability by importance sampling under the
   Girsanov tilt whose compensator reproduces the shift; the indicator is on
   the centered ball of the tilted martingale, the weight restores the
   truncated law.  At zero shift the tilt vanishes and every weight is 1, so
@@ -143,19 +144,21 @@ def estimate_is(query: SmallBallQuery, n_paths: int, n_steps: int = 2048, *,
                 eps_cutoff: float | None = None) -> Estimate:
     """Importance-sampling estimate in the middle regime.
 
-    Factorizes the event over A = {no jump > r}: the probability of A is
-    closed-form, and conditionally on A the shifted event is rewritten under
-    the tilted law as E[W * 1(sup |xi| < r)] with xi the centered tilted
-    path.  For a centered query (c = 0) W is 1, so the value is P(A) times
-    the fraction of truncated-law paths inside the ball.  Requires a valid
-    tilt; flags the estimate when the effective sample size of the weighted
-    hits drops below 30.
+    Factorizes the event over A = {no jump of at least 2r}: a jump that
+    large always leaves the ball, so the ball lies inside A, and the
+    probability of A is closed-form.  Conditionally on A the shifted event
+    is rewritten under the tilted law as E[W * 1(sup |xi| < r)] with xi the
+    centered tilted path, whose jumps below r are tilted and whose jumps in
+    [r, 2r) are not.  For a centered query (c = 0) W is 1, so the value is
+    P(A) times the fraction of paths drawn without such jumps that stay
+    inside the ball.  Requires a valid tilt; flags the estimate when the
+    effective sample size of the weighted hits drops below 30.
     """
     if query.regime_tag != "middle":
         raise ValueError("importance sampling is implemented for the middle regime only")
     tilt = TiltSpec.middle_shift(query.params, query.f, c=query.c, r=query.r)
 
-    p_a = prob_no_big_jumps(query.params.alpha, query.r)
+    p_a = prob_no_big_jumps(query.params.alpha, tilt.exterior_cut)
     eps, rate_int, rate_ext = tilted_jump_rates(tilt, eps_cutoff)
     kernel = partial(_is_kernel, tilt, query.r, n_steps, eps)
     s1 = s2 = 0.0

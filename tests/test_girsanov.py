@@ -36,7 +36,7 @@ class TestTiltSpec:
         assert tilt.kappa == 0.4
         assert tilt.jump_cut == 0.8
         assert tilt.intensity_scale == 1.0
-        assert not tilt.keeps_exterior_jumps
+        assert tilt.exterior_cut == 1.6  # the ball's diameter
 
     def test_small_shift_default_rho(self):
         lam, r = 0.2, 0.6
@@ -46,7 +46,7 @@ class TestTiltSpec:
         assert tilt.jump_cut == 1.0
         assert tilt.intensity_scale == pytest.approx(rho_star)
         assert tilt.kappa == pytest.approx(lam * rho_star ** (-0.5 / 1.5))
-        assert tilt.keeps_exterior_jumps
+        assert tilt.exterior_cut == math.inf
         with pytest.raises(ValueError):
             TiltSpec.small_shift(PARAMS, identity_shift(), 0.0, r=r)
 
@@ -140,8 +140,8 @@ class TestLogWeight:
         # proxy's normal likelihood ratio per step
         n_paths, n_steps = 100, 64
         batch, lw, calls = _drawn_tilted_batch(tilt, n_paths, n_steps, RngStream(33))
-        if tilt.keeps_exterior_jumps:
-            assert np.any(np.abs(batch.jump_sizes) >= tilt.jump_cut)
+        size = np.abs(batch.jump_sizes)
+        assert np.any(size >= tilt.jump_cut) and np.all(size < tilt.exterior_cut)
         ref = np.zeros(n_paths)
         ref -= _tilt_sums(tilt, calls, n_paths)
         bbar = step_mean_amplitude(tilt, n_steps)

@@ -153,10 +153,13 @@ class TestJumpSampler:
 
 
 class TestTruncatedSampler:
-    def test_no_jump_exceeds_r(self):
-        tilt = TiltSpec.middle_shift(PARAMS, zero_shift(), 0.0, 0.7)  # zero tilt: truncated law
+    def test_no_jump_reaches_2r(self):
+        # zero tilt: the law truncated at the ball's diameter 2r, the jumps
+        # in [r, 2r) kept
+        tilt = TiltSpec.middle_shift(PARAMS, zero_shift(), 0.0, 0.7)
         batch = sample_tilted_batch(tilt, 200, 64, RngStream(13))[0]
-        assert np.max(np.abs(batch.jump_sizes)) < 0.7
+        size = np.abs(batch.jump_sizes)
+        assert np.max(size) < 1.4 and np.any(size >= 0.7)
 
 
 class TestTiltedSampler:
