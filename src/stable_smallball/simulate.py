@@ -754,8 +754,9 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
             kept = np.empty(slots.shape, dtype=np.int64)  # records of each (block, path)
     elif sups.keep_ends:
         sups.ends = np.empty(n_paths)
-    # a jump draw for no sup and no end value sums no grid: it keeps only its log-weights
-    summed = sups is None or sups.targets or sups.keep_ends or bands is None
+    # each piece's buffer, but for a jump draw of no sup and no end value,
+    # which sums no grid: it keeps only its log-weights
+    buffered = sups is not None and (sups.targets or sups.keep_ends or bands is None)
     chunks = _chunk_edges(n_paths)
     row_cuts = cuts(len(chunks) - 1, per_step * widest)
     filled = [0] * (len(row_cuts) - 1)  # records of each piece, from its first slot on
@@ -764,7 +765,7 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
         c0, c1 = row_cuts[i], row_cuts[i + 1]
         r0, r1 = chunks[c0], chunks[c1]
         grid = None
-        if sups is not None and summed:  # the rows' values on one block's columns at a time
+        if buffered:  # the rows' values on one block's columns at a time
             grid = np.empty((r1 - r0, widest + 1))
             grid[:, 0] = 0.0
         for k in range(n_blocks):
