@@ -205,7 +205,7 @@ def check_weight_unit_mean(n_paths: int, rng: simulate.RngStream, gate: float,
     Tilt i draws ``n_paths`` paths of 256 steps on ``rng.child(i)``
     (``_map_tilted``); the kernel keeps only each path's weight, and its
     draw keeps no path and sums no grid, so a small-regime batch of 2000
-    paths peaks at 8.0 MB under ``tracemalloc``, not 99 MB.  Unit mean
+    paths peaks at 7.7 MB under ``tracemalloc``, not 88 MB.  Unit mean
     holds exactly at any jump resolution, so a coarse ``eps_cutoff`` keeps
     the small-regime members cheap; None takes the sampler's default.
     """

@@ -33,12 +33,15 @@ never meet.  No cell depends on another's draws, so either thread can draw
 any cell, in any order.
 
 The jump samplers draw each cell's records with ``_Bands`` and finish a
-range of cells together (``_cell_paths``): they bin the records into their
-steps, add the drift and the proxy, and sum each path into its block of
+range of cells together (``_cell_paths``): in every route, the capped
+survivors' too, ``_sum_block`` bins the records into their steps in draw
+order, adds the drift and the proxy, and sums each path into its block of
 the grid, starting from the path's value at the block's start, so every
-row's sum runs in the order of one row-wide ``cumsum``; they sort the
-records by (path, time) (``_jump_order``) only where a batch keeps them
-or an exact sup reads them.  A tilted sampler sums each path's log-tilts
+row's sum runs in the order of one row-wide ``cumsum``; they sort each
+block's records by (path, time) (``_jump_order``) only where a batch
+keeps them or an exact sup reads them, and ``_place`` puts the sorted
+blocks of a piece's rows, or of the capped survivors, in one array each
+for the instants and the sizes.  A tilted sampler sums each path's log-tilts
 with one ``bincount`` over each block's records in draw order, and adds
 the block sums block by block, in every route alike.  ``_record_steps``
 puts a record in its step, there, in the sup kernel and on the coarse
@@ -103,9 +106,10 @@ asked (``ends=True``).  A jump draw asked for neither sums no grid: it
 draws its records, the proxy's coarse sums and step deviations, and keeps
 only each path's log-tilt sum and proxy product.  The diagnostics kernels
 that keep one number per path draw so: 2000 small-regime paths of 256
-steps drawn for their weights peak at 8.0 MB, against 99 MB drawn whole.
+steps drawn for their weights peak at 7.7 MB, against 88 MB drawn whole.
 A sampler asked for no sups returns the whole grid, with its records
-sorted by (path, time).
+sorted by (path, time); no cell draws its counts before its block, so a
+thinned batch holds only the records it keeps.
 
 ``map_batches`` is the one batch loop of every estimator: it runs a kernel
 over the deterministic ``batch_plan``, each batch on its own child stream.
@@ -125,7 +129,8 @@ an uncapped batch, a range of chunks through every block in turn, so no
 block waits for the last piece of the one before.  The threads take the
 pieces in order from a shared counter.  Each piece reads only its own
 cells' streams and writes only its own rows of outputs allocated before
-the pieces run, so the bits do not depend on which thread takes which
+the pieces run, and its own records, joined in row order once the pieces
+are done, so the bits do not depend on which thread takes which
 piece, nor on how many cells a piece holds; a piece whose draw raises
 ends the call with that error.  A capped batch runs its pieces, ranges of
 chunks in one block, on the calling thread: with the proxy drawn on the
@@ -159,13 +164,15 @@ def _run_pieces(work, n_pieces: int) -> None:
     """Run ``work(i)`` once for each i in range(n_pieces).
 
     The calling thread and one helper thread take the pieces in order from a
-    shared counter until none is left, or until a piece has raised.  NumPy's
-    generators release the GIL for the whole of a long draw, while the sums,
-    maxima and bincounts of the pieces hold it, so one thread drawing its
-    piece's cells while the other sums keeps both busy.  The helper is made
-    for the call and joined before it returns; an error it raised is raised
-    here, ahead of the calling thread's.  With at most one piece, the
-    calling thread runs it and no helper is made.
+    shared counter until none is left, or until a piece has raised.  A
+    sampler's piece makes its own cells' generators and draws all they
+    draw, counts included, so nothing of a batch is drawn before its pieces
+    run.  NumPy's generators release the GIL for the whole of a long draw,
+    while the sums, maxima and bincounts of the pieces hold it, so one
+    thread drawing its piece's cells while the other sums keeps both busy.
+    The helper is made for the call and joined before it returns; an error
+    it raised is raised here, ahead of the calling thread's.  With at most
+    one piece, the calling thread runs it and no helper is made.
     """
     if n_pieces <= 1:
         for i in range(n_pieces):
@@ -339,9 +346,9 @@ class _Bands:
     |x| < upper, upper possibly inf.  ``thin``, when given, is ``(tilt,
     bound)``: a record i of the first band is kept when u_i (1 + bound) < 1 +
     beta(t_i) x_i, and carries log1p(beta(t_i) x_i) as its log-tilt.  A
-    cell draws its counts (:meth:`counts`), then its uniforms, which
-    :meth:`records` draws and turns into records for a range of cells at
-    once.
+    cell makes its generator and draws its counts (:meth:`cells`), then
+    its uniforms, which :meth:`records` draws and turns into records for a
+    range of cells at once.
     """
 
     def __init__(self, alpha: float, bands, thin=None) -> None:
@@ -350,6 +357,16 @@ class _Bands:
     def counts(self, gen: np.random.Generator, rows: int, width: float) -> np.ndarray:
         """(n_bands, rows) Poisson counts of each band's jumps on an interval of length ``width``."""
         return np.stack([gen.poisson(rate * width, rows) for rate, _, _ in self.bands])
+
+    def cells(self, stream: RngStream, k: int, chunks, c0: int, c1: int, width: float) -> list:
+        """The cells (k, c0), ..., (k, c1 - 1) drawn on ``stream``, cell (k, c)
+        the rows chunks[c]:chunks[c + 1] of time block k, of length ``width``:
+        each ``(generator, counts)`` right after its counts."""
+        cells = []
+        for c in range(c0, c1):
+            gen = stream.child(k, c).generator()
+            cells.append((gen, self.counts(gen, chunks[c + 1] - chunks[c], width)))
+        return cells
 
     def records(self, cells, lo: float, hi: float):
         """The records on (lo, hi] of ``cells``, consecutive chunks of rows,
@@ -535,6 +552,49 @@ def _excl(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def _sum_block(grid: np.ndarray, z: np.ndarray, row, bins, x, smooth) -> None:
+    """Sum some rows over one time block into ``grid``, whose first column
+    holds their values at the block's start: column j + 1 is column j plus
+    the records x of (row, bin j), added in record order, then ``smooth[j]``
+    (None for none) and z[:, j].  ``bins`` counts from the block's first
+    step or coarse interval.  Started from the carried values, each row's
+    sum runs as one row-wide ``cumsum`` would."""
+    n_rows, n_cols = z.shape
+    flat = row * n_cols
+    flat += bins
+    incr = np.bincount(flat, weights=x, minlength=n_rows * n_cols)
+    incr = incr.astype(float, copy=False).reshape(n_rows, n_cols)  # int with no records
+    if smooth is not None:
+        incr += smooth
+    incr += z
+    incr[:, 0] += grid[:, 0]
+    np.cumsum(incr, axis=1, out=grid[:, 1:])
+
+
+def _place(kept: np.ndarray, blocks: list):
+    """The records (t, x), sorted by (row, time), of some rows whose block k
+    of row p kept ``kept[k, p]`` records, from ``blocks``: block k's ``[t,
+    x]``, sorted by (row, time).
+
+    A row's records run block by block, so block k of row p starts after
+    the records of every row before p and those of p's blocks before k.
+    The arrays are filled one at a time, and each block's array is dropped
+    once it is placed, so placing the records holds one array of them
+    beyond what the blocks held."""
+    slots = np.cumsum(kept, axis=0) - kept
+    slots += _excl(kept.sum(axis=0))
+    out = []
+    for j in (0, 1):
+        a = np.empty(int(kept.sum()))
+        for k, block in enumerate(blocks):
+            dest = np.repeat(slots[k] - _excl(kept[k]), kept[k])
+            dest += np.arange(dest.size)
+            a[dest] = block[j]
+            block[j] = None
+        out.append(a)
+    return out
+
+
 def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | None = None,
                 sd: float = 0.0, drift=None, bbar=None, stable=None):
     """The batch of ``n_paths`` paths drawn cell by cell; returns (batch,
@@ -555,8 +615,9 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
     cell alone and added block by block; each is None otherwise.
 
     The cells run in pieces of whole cells, each of about ``_PIECE_ELEMS``
-    grid values or expected records per block: a piece draws its cells,
-    then bins and sums their rows, and, when the batch's sups were asked for
+    grid values or expected records per block: a piece makes its cells'
+    generators and draws the cells, block by block, then sums their rows
+    (``_sum_block``), and, when the batch's sups were asked for
     (:func:`_streamed_sups`), raises those rows' sups.  Capped sups run the
     pieces of one block at a time, each screening its rows
     (``_Sups.screen``), and pack the paths still inside some ball after
@@ -564,19 +625,19 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
     keeps its generator for the step deviations.  The capped batch holds
     only the paths inside some ball at t = 1 (``_survivors``), and the sums
     of the others are NaN.  Uncapped, a piece takes its rows through every
-    block in turn, after every cell's counts are drawn.  Asked for its
-    sups, it sums each block into a buffer of its own rows by the widest
-    block plus one column, whose first column carries the rows' values
-    from the block before, raises the sups there, and writes the rows'
-    X(1) into ``sups.ends`` if asked; no grid, proxy or record outlives
-    its piece, and the batch holds no path (a 2047 x 2048 stable draw
-    peaks at 4.3 MB, 36.8 MB with its grid).  With no target, a jump piece
-    neither sorts its records nor takes a sup, and asked for no end value
-    either, it has no buffer and sums no grid.  Asked for no sups,
-    each record's slot in the (path, time)-sorted arrays is known before
-    its cell draws the rest; a thinned band leaves its dropped records'
-    slots empty, which each piece closes within its own rows, and one pass
-    moves the pieces' records together.
+    block in turn.  Asked for its sups, it sums each block into a buffer of
+    its own rows by the widest block plus one column, whose first column
+    carries the rows' values from the block before, raises the sups there,
+    and writes the rows' X(1) into ``sups.ends`` if asked; no grid, proxy
+    or record outlives its piece, and the batch holds no path (a 2047 x
+    2048 stable draw peaks at 4.3 MB, 36.8 MB with its grid).  With no
+    target, a jump piece neither sorts its records nor takes a sup, and
+    asked for no end value either, it has no buffer and sums no grid.
+    Asked for no sups, a jump piece keeps each block's records of its rows,
+    sorted by (path, time), and how many each path kept; once its last
+    block is drawn, ``_place`` puts them in the piece's own arrays, as
+    ``_survivors`` puts a capped batch's, and the pieces' arrays are joined
+    in row order once every piece is done.
     """
     sups = _take_sups()
     capped = sups is not None and sups.cap < np.inf
@@ -592,6 +653,7 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
         sups.start(times, n_paths)
     live = np.arange(n_paths)  # the paths drawn in this block, in path order
     run = None if sups is None else sups.out  # their sups so far, one column each
+    kept = None  # the records of each (block, path) a plain jump batch keeps
     # a cell's grid values per step, or its expected records if more; a
     # capped jump cell sums its rows on the coarse grid alone
     per_step = _STREAM_ROWS / stride if capped and bands is not None else _STREAM_ROWS
@@ -609,7 +671,9 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
         block's steps (None to keep none), and sum them; with sups, raise the
         rows' sups.  In a capped jump batch ``grid`` holds the rows' coarse
         grid and ``noise`` the proxy's coarse sums, the cells' generators go
-        to ``gens``, and the cells' records are returned, each band's apart."""
+        to ``gens``, and the cells' records are returned, each band's apart;
+        a plain jump batch returns ``[t, x]`` of the records, sorted by (row,
+        time), and puts each row's count in ``kept``."""
         s0, s1 = edges[k], edges[k + 1]
         width, r0, r1 = s1 - s0, chunks[c0], chunks[c1]
         if bands is None:
@@ -620,61 +684,27 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
                                                         stream.child(k, c))
             scale = stable[1]
             incr *= scale if np.ndim(scale) == 0 else scale[s0:s1]
-        else:
-            lens = np.diff(cols[k])
+            incr[:, 0] += grid[:, 0]
+            np.cumsum(incr, axis=1, out=grid[:, 1:])
+            del incr
             if capped:
-                cells = []
-                for c in range(c0, c1):
-                    gens[c] = gen = stream.child(k, c).generator()
-                    rows = chunks[c + 1] - chunks[c]
-                    cells.append((gen, bands.counts(gen, rows, width / n_steps)))
-            else:
-                cells = gens[k][c0:c1]
-            row, t, x, lt = bands.records(cells, times[s0], times[s1])
-            if capped:  # on the coarse grid: each interval's records, drift and proxy sum
-                for c, (gen, _) in enumerate(cells, c0):
-                    gen.standard_normal(out=noise[chunks[c] - r0:chunks[c + 1] - r0])
-                z = noise
-                z *= sd * np.sqrt(lens)
-                step, frac = _record_steps(t, times)
-                n_cols, bins, first = lens.size, (step - s0) // stride, 0
-                smooth = None if drift is None else _interval_sums(drift[s0:s1], stride)
-            else:
-                z, sums = np.empty((r1 - r0, width)), np.empty((r1 - r0, lens.size))
-                for c, (gen, _) in enumerate(cells, c0):
-                    q0, q1 = chunks[c] - r0, chunks[c + 1] - r0
-                    gen.standard_normal(out=sums[q0:q1])
-                    gen.standard_normal(out=z[q0:q1])
-                sums *= sd * np.sqrt(lens)
-                _bridge(z, sums, sd, lens)
-                if noise is not None:
-                    noise[...] = z
-                if proxy_sums is not None:
-                    for c in range(c0, c1):
-                        q0, q1 = chunks[c] - r0, chunks[c + 1] - r0
-                        proxy_sums[live[chunks[c]:chunks[c + 1]]] += z[q0:q1] @ bbar[s0:s1]
-                if thinned:  # each row's block sum, in draw order
-                    tilt_sums[r0:r1] += np.bincount(row, weights=lt, minlength=r1 - r0)
-                if grid is None:  # drawn for its log-weights alone: no grid to sum
-                    return None
-                step, frac = _record_steps(t, times)
-                n_cols, bins, first = width, step, s0
-                smooth = None if drift is None else drift[s0:s1]
-            flat = row * n_cols
-            flat += bins
-            flat -= first
-            incr = np.bincount(flat, weights=x, minlength=(r1 - r0) * n_cols)
-            incr = incr.astype(float, copy=False).reshape(r1 - r0, n_cols)  # int with no records
-            if smooth is not None:
-                incr += smooth
-            incr += z
-        incr[:, 0] += grid[:, 0]
-        np.cumsum(incr, axis=1, out=grid[:, 1:])
-        del incr
-        if capped:
-            if bands is None:
                 sups.screen(run[:, r0:r1], grid[:, ::stride], slice(s0, s1 + 1, stride))
-                return None
+            elif sups is not None:
+                sups.exact(run[:, r0:r1], grid, s0)
+            return None
+        lens = np.diff(cols[k])
+        cells = bands.cells(stream, k, chunks, c0, c1, width / n_steps)
+        row, t, x, lt = bands.records(cells, times[s0], times[s1])
+        if capped:  # on the coarse grid: each interval's records, drift and proxy sum
+            for c, (gen, _) in enumerate(cells, c0):
+                gens[c] = gen
+                gen.standard_normal(out=noise[chunks[c] - r0:chunks[c + 1] - r0])
+            noise *= sd * np.sqrt(lens)
+            step = _record_steps(t, times)[0]
+            step -= s0
+            step //= stride
+            _sum_block(grid, noise, row, step, x,
+                       None if drift is None else _interval_sums(drift[s0:s1], stride))
             sups.screen(run[:, r0:r1], grid, s0 + cols[k])
             # only the first band is thinned, so the others keep every record drawn
             rest = [sum(int(counts[b].sum()) for _, counts in cells)
@@ -683,24 +713,35 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
             row += r0
             return [(row[a:b], t[a:b], x[a:b], None if lt is None else lt[a:b])
                     for a, b in zip([0, *ends], ends)]
-        if bands is None:
-            if sups is not None:
-                sups.exact(run[:, r0:r1], grid, s0)
+        z, sums = np.empty((r1 - r0, width)), np.empty((r1 - r0, lens.size))
+        for c, (gen, _) in enumerate(cells, c0):
+            q0, q1 = chunks[c] - r0, chunks[c + 1] - r0
+            gen.standard_normal(out=sums[q0:q1])
+            gen.standard_normal(out=z[q0:q1])
+        sums *= sd * np.sqrt(lens)
+        _bridge(z, sums, sd, lens)
+        if noise is not None:
+            noise[...] = z
+        if proxy_sums is not None:
+            for c in range(c0, c1):
+                q0, q1 = chunks[c] - r0, chunks[c + 1] - r0
+                proxy_sums[chunks[c]:chunks[c + 1]] += z[q0:q1] @ bbar[s0:s1]
+        if thinned:  # each row's block sum, in draw order
+            tilt_sums[r0:r1] += np.bincount(row, weights=lt, minlength=r1 - r0)
+        if grid is None:  # drawn for its log-weights alone: no grid to sum
             return None
+        step, frac = _record_steps(t, times)
+        smooth = None if drift is None else drift[s0:s1]
+        _sum_block(grid, z, row, step - s0, x, smooth)
         if sups is not None and not sups.targets:  # no sup: the records need no order
             return None
         order = _jump_order(row, t)
         row, t, x = row[order], t[order], x[order]
         if sups is not None:  # the records go no further: the batch keeps none
-            sups.exact(run[:, r0:r1], grid, s0, (row, t, x, step[order], frac[order]), z,
-                       None if drift is None else drift[s0:s1])
+            sups.exact(run[:, r0:r1], grid, s0, (row, t, x, step[order], frac[order]), z, smooth)
             return None
-        per_row = np.bincount(row, minlength=r1 - r0)
-        dest = np.repeat(slots[k, r0:r1] - _excl(per_row), per_row)
-        dest += np.arange(row.size)
-        t_out[dest], x_out[dest] = t, x
-        kept[k, r0:r1] = per_row
-        return None
+        kept[k, r0:r1] = np.bincount(row, minlength=r1 - r0)
+        return [t, x]
 
     if capped:
         run = run.copy()
@@ -740,18 +781,13 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
         return batch, tilt_sums, proxy_sums
 
     widest = max(np.diff(edges))
-    gens = None
-    if bands is not None:
-        gens, slots, n_env = _count_cells(stream, bands, n_paths, edges)
     if sups is None:
         values = np.empty((n_paths, n_steps + 1))
         values[:, 0] = 0.0
         small_noise = None
         if bands is not None:
             small_noise = np.empty((n_paths, n_steps))
-            path_out = np.empty(n_env, np.int64)
-            t_out, x_out = np.empty(n_env), np.empty(n_env)
-            kept = np.empty(slots.shape, dtype=np.int64)  # records of each (block, path)
+            kept = np.empty((n_blocks, n_paths), dtype=np.int64)
     elif sups.keep_ends:
         sups.ends = np.empty(n_paths)
     # each piece's buffer, but for a jump draw of no sup and no end value,
@@ -759,7 +795,7 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
     buffered = sups is not None and (sups.targets or sups.keep_ends or bands is None)
     chunks = _chunk_edges(n_paths)
     row_cuts = cuts(len(chunks) - 1, per_step * widest)
-    filled = [0] * (len(row_cuts) - 1)  # records of each piece, from its first slot on
+    placed = [None] * (len(row_cuts) - 1)  # each plain jump piece's (t, x), sorted
 
     def piece(i: int) -> None:
         c0, c1 = row_cuts[i], row_cuts[i + 1]
@@ -768,27 +804,22 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
         if buffered:  # the rows' values on one block's columns at a time
             grid = np.empty((r1 - r0, widest + 1))
             grid[:, 0] = 0.0
+        blocks = []
         for k in range(n_blocks):
             s0, s1 = edges[k], edges[k + 1]
             if sups is None:
-                draw(k, values[r0:r1, s0:s1 + 1],
-                     None if bands is None else small_noise[r0:r1, s0:s1], chunks, c0, c1, gens)
+                blocks.append(draw(k, values[r0:r1, s0:s1 + 1],
+                                   None if bands is None else small_noise[r0:r1, s0:s1],
+                                   chunks, c0, c1))
             elif grid is None:
-                draw(k, None, None, chunks, c0, c1, gens)
+                draw(k, None, None, chunks, c0, c1)
             else:
-                draw(k, grid[:, :s1 - s0 + 1], None, chunks, c0, c1, gens)
+                draw(k, grid[:, :s1 - s0 + 1], None, chunks, c0, c1)
                 grid[:, 0] = grid[:, s1 - s0]  # carried into the next block
         if sups is not None and sups.ends is not None:
             sups.ends[r0:r1] = grid[:, 0]  # X(1), carried out of the last block
-        if bands is None or sups is not None:
-            return
-        start = int(slots[0, r0])
-        stop = int(slots[0, r1]) if r1 < n_paths else n_env
-        own = (t_out[start:stop], x_out[start:stop])
-        if thinned:
-            own = _close_gaps(kept[:, r0:r1], slots[:, r0:r1] - start, own)
-        filled[i] = own[0].size
-        path_out[start:start + filled[i]] = np.repeat(np.arange(r0, r1), kept[:, r0:r1].sum(axis=0))
+        if kept is not None:
+            placed[i] = _place(kept[:, r0:r1], blocks)
 
     _run_pieces(piece, len(row_cuts) - 1)
     if sups is not None:  # a batch of no paths, as when a capped draw keeps none
@@ -800,36 +831,11 @@ def _cell_paths(stream: RngStream, n_paths: int, n_steps: int, bands: _Bands | N
         return batch, tilt_sums, proxy_sums
     batch = BatchPaths(times=times, values=values, small_noise=small_noise, drift_steps=drift)
     if bands is not None:
-        n_out = 0
-        for i, m in enumerate(filled):  # each piece's records move down to the last one's end
-            start = int(slots[0, chunks[row_cuts[i]]])
-            if start > n_out:
-                for a in (path_out, t_out, x_out):
-                    a[n_out:n_out + m] = a[start:start + m]
-            n_out += m
-        batch = replace(batch, jump_path=path_out[:n_out], jump_times=t_out[:n_out],
-                        jump_sizes=x_out[:n_out])
+        t = _cat([p.pop(0) for p in placed])  # each piece's t dropped before x joins
+        x = _cat([p.pop(0) for p in placed])
+        batch = replace(batch, jump_path=np.repeat(np.arange(n_paths), kept.sum(axis=0)),
+                        jump_times=t, jump_sizes=x)
     return batch, tilt_sums, proxy_sums
-
-
-def _count_cells(stream: RngStream, bands: _Bands, n_paths: int, edges):
-    """(gens, slots, n_records) of an uncapped jump batch: ``gens[k][c]`` the
-    generator of cell (k, c), right after its counts, and those counts;
-    block k of path p takes the record slots from ``slots[k, p]`` on, in
-    (path, block) order, out of ``n_records``."""
-    n_steps, chunks = edges[-1], _chunk_edges(n_paths)
-    gens, env = [], np.empty((len(edges) - 1, n_paths), dtype=np.int64)
-    for k in range(len(edges) - 1):
-        gens.append([])
-        for c in range(len(chunks) - 1):
-            q0, q1 = chunks[c], chunks[c + 1]
-            gen = stream.child(k, c).generator()
-            counts = bands.counts(gen, q1 - q0, (edges[k + 1] - edges[k]) / n_steps)
-            gens[k].append((gen, counts))
-            env[k, q0:q1] = counts.sum(axis=0)
-    slots = np.cumsum(env, axis=0) - env
-    slots += _excl(env.sum(axis=0))
-    return gens, slots, int(env.sum())
 
 
 def _survivors(sups, live, held, times, drift, tilt_sums, proxy) -> BatchPaths:
@@ -843,11 +849,12 @@ def _survivors(sups, live, held, times, drift, tilt_sums, proxy) -> BatchPaths:
     and ``proxy`` is (sd, stride, bbar, proxy_sums), else None: each cell's
     generator draws its survivors' step deviations, and each piece's
     records, band by band and each band's sorted by row, give up a
-    survivor's by ``searchsorted``.  The records sum into their steps in
-    draw order, as in an uncapped batch, and each row in one ``cumsum``;
-    proxy_sums, and ``tilt_sums`` if given, take the survivors' sums, the
-    log-tilts one block at a time in draw order, as an uncapped batch adds
-    them."""
+    survivor's by ``searchsorted``.  Each block sums its survivors' rows
+    from their values at its start (``_sum_block``), its records in draw
+    order, as an uncapped batch sums them, and keeps its records sorted by
+    (path, time) for ``_place``; proxy_sums, and ``tilt_sums`` if given,
+    take the survivors' sums, the log-tilts one block at a time in draw
+    order, as an uncapped batch adds them."""
     n_steps = times.size - 1
     values = np.empty((live.size, n_steps + 1))
     values[:, 0] = 0.0
@@ -859,8 +866,8 @@ def _survivors(sups, live, held, times, drift, tilt_sums, proxy) -> BatchPaths:
     else:
         sd, stride, bbar, proxy_sums = proxy
         noise = np.empty((live.size, n_steps))
-        picked = []
-        for s0, s1, paths, chunks, sums, gens, piece_records in held:
+        kept, blocks = np.empty((len(held), live.size), dtype=np.int64), []
+        for k, (s0, s1, paths, chunks, sums, gens, piece_records) in enumerate(held):
             lens = np.diff(_coarse_cols(s1 - s0, stride))
             pos = np.searchsorted(paths, live)  # the survivors' rows in the block
             at = np.searchsorted(pos, chunks)  # cell c holds the survivors at[c]:at[c + 1]
@@ -873,51 +880,26 @@ def _survivors(sups, live, held, times, drift, tilt_sums, proxy) -> BatchPaths:
                 for j0, j1 in zip(at, at[1:]):
                     proxy_sums[live[j0:j1]] += z[j0:j1] @ bbar[s0:s1]
             block = [_pick_rows(band, pos) for bands in piece_records for band in bands]
+            row, t, x = (np.concatenate([rec[j] for rec in block]) for j in range(3))
             if tilt_sums is not None:  # each survivor's block sum, in draw order
-                tilt_sums[live] += np.bincount(np.concatenate([rec[0] for rec in block]),
-                                               np.concatenate([rec[3] for rec in block]),
+                tilt_sums[live] += np.bincount(row, np.concatenate([rec[3] for rec in block]),
                                                live.size)
-            picked += block
-        row, t, x = (np.concatenate([rec[j] for rec in picked]) for j in range(3))
-        step, frac = _record_steps(t, times)
-        flat = row * n_steps
-        flat += step
-        incr = np.bincount(flat, weights=x, minlength=live.size * n_steps)
-        incr = incr.astype(float, copy=False).reshape(live.size, n_steps)
-        if drift is not None:
-            incr += drift
-        incr += noise
-        np.cumsum(incr, axis=1, out=values[:, 1:])
-        del incr
-        order = _jump_order(row, t)
-        row, t, x = row[order], t[order], x[order]
-        records = (row, t, x, step[order], frac[order])
-        batch = replace(batch, jump_path=row, jump_times=t, jump_sizes=x, small_noise=noise)
+            step = _record_steps(t, times)[0]
+            step -= s0
+            _sum_block(values[:, s0:s1 + 1], z, row, step, x,
+                       None if drift is None else drift[s0:s1])
+            order = _jump_order(row, t)
+            kept[k] = np.bincount(row, minlength=live.size)
+            blocks.append([t[order], x[order]])
+        t, x = _place(kept, blocks)
+        path = np.repeat(np.arange(live.size), kept.sum(axis=0))
+        records = (path, t, x, *_record_steps(t, times))
+        batch = replace(batch, jump_path=path, jump_times=t, jump_sizes=x, small_noise=noise)
     run = np.zeros((len(sups.targets), live.size))
     sups.exact(run, values, 0, records, noise, drift)
     sups.out[:, live] = run
     np.minimum(sups.out, sups.cap, out=sups.out)
     return batch
-
-
-def _close_gaps(kept: np.ndarray, slots: np.ndarray, arrays):
-    """The record ``arrays`` of some rows of a thinned batch, their empty slots closed up.
-
-    Block k of row p filled ``kept[k, p]`` records from ``slots[k, p]`` on,
-    counted from the arrays' start; the slots run in (row, block) order, so
-    each record moves to a position at or below its own, and copying in
-    order of the new positions, in chunks, overwrites only records already
-    moved.
-    """
-    lens = kept.T.ravel()
-    n_out = int(lens.sum())
-    src = np.repeat(slots.T.ravel() - _excl(lens), lens)
-    src += np.arange(n_out)
-    for d0 in range(0, n_out, _PIECE_ELEMS):
-        s = src[d0:d0 + _PIECE_ELEMS]
-        for a in arrays:
-            a[d0:d0 + s.size] = a[s]
-    return tuple(a[:n_out] for a in arrays)
 
 
 def _check_shape(n_paths: int, n_steps: int) -> None:
@@ -993,12 +975,13 @@ def _largest_jumps(params: AlphaStableParams, eps_cutoff: float, n_paths: int, n
     no grid."""
     _check_shape(n_paths, n_steps)
     bands = _jump_bands(params, eps_cutoff)
-    edges = _block_edges(n_steps)
+    stream = _require_stream(stream)
+    edges, chunks = _block_edges(n_steps), _chunk_edges(n_paths)
     times = np.linspace(0.0, 1.0, n_steps + 1)
     out = np.zeros(n_paths)
-    gens = _count_cells(_require_stream(stream), bands, n_paths, edges)[0]
-    for k, cells in enumerate(gens):
-        row, _, x, _ = bands.records(cells, times[edges[k]], times[edges[k + 1]])
+    for k, (s0, s1) in enumerate(zip(edges, edges[1:])):
+        cells = bands.cells(stream, k, chunks, 0, len(chunks) - 1, (s1 - s0) / n_steps)
+        row, _, x, _ = bands.records(cells, times[s0], times[s1])
         np.maximum.at(out, row, np.abs(x))
     return out
 

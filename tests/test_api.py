@@ -1,6 +1,7 @@
 """The public API: every exported function and class has a consumer in the
-package, every defaulted parameter a caller outside the self-checks that sets
-it, no ``rng`` a default, and runs that need no SciPy routine do not load SciPy."""
+package, and so does every module-level private one, every defaulted
+parameter a caller outside the self-checks that sets it, no ``rng`` a
+default, and runs that need no SciPy routine do not load SciPy."""
 
 import ast
 import inspect
@@ -80,6 +81,14 @@ def test_every_exported_function_and_class_has_a_consumer():
                 or inspect.isclass(getattr(stable_smallball, name))}
     unused = sorted(exported - _names_used_in_package())
     assert not unused, f"exported but used nowhere in the package: {unused}"
+
+
+def test_every_private_function_and_class_has_a_use_in_the_package():
+    # a route taken out of the package leaves no helper that only tests reach
+    private = {node.name for tree in _package_trees() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+    unused = sorted(private - _names_used_in_package())
+    assert not unused, f"private but used nowhere in the package: {unused}"
 
 
 def test_every_defaulted_parameter_is_set_in_the_package():

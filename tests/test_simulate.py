@@ -1233,16 +1233,17 @@ def _stable_sups_batch():
 # 3.11.7); which piece temporaries the two threads hold at once moves a peak
 # by up to 1.3 MB
 MEMORY_CASES = {
-    # the anderson workload's batch, uncapped, 964k jump records: peaks
-    # 94.45-94.54 MB, 1.4% below the ceiling, since an uncapped piece now
-    # holds two chunks of rows per block (92.14-92.22 MB at one), and its
-    # proxy's coarse sums
+    # the anderson workload's batch, uncapped, 964k jump records, each
+    # piece's sorted records kept by block and placed once its last block is
+    # drawn: peaks 90.46-90.48 MB (94.45-94.54 MB with every cell's counts
+    # drawn first and the records scattered into slots), ceiling 3.0% above
     "jump": (partial(sample_jump_batch, PARAMS, 0.02, 2047, 2048, RngStream(1).child(0, 0)),
-             95_900_000),
+             93_200_000),
     # the same batch drawn capped: only the paths inside some ball at t = 1
-    # draw their per-step proxy, the others end on the blocks' coarse grids:
-    # peaks 19.58-19.59 MB, ceiling 3.1% above
-    "capped": (_capped_anderson_batch, 20_200_000),
+    # draw their per-step proxy, the others end on the blocks' coarse grids,
+    # and the survivors are summed block by block: peaks 17.95 MB (19.58-19.59
+    # MB summed row-wide), ceiling 3.0% above
+    "capped": (_capped_anderson_batch, 18_500_000),
     # the same shape from CMS increments, each cell's variates summed into
     # the grid: peaks 36.76 MB, 2.6% below the ceiling (36.24 MB at one
     # chunk per piece and block)
@@ -1254,16 +1255,16 @@ MEMORY_CASES = {
     # its grid), ceiling 2.8% above
     "stable_sups": (_stable_sups_batch, 4_400_000),
     # 2000 small-regime paths (weight_battery member 3, 3.3M interior jump
-    # records), with no band draws beside the records and each piece's
-    # dropped slots closed within its rows: peaks 98.28-99.13 MB, ceiling
-    # 3.8% above
+    # records), each piece keeping only the records thinning keeps: peaks
+    # 87.94-87.95 MB (98.65-99.11 MB with slots for every record drawn),
+    # ceiling 3.0% above
     "small_regime": (partial(sample_tilted_batch, weight_battery(PARAMS)[3][1], 2000, 256,
-                             RngStream(103).child(3), eps_cutoff=0.05), 102_900_000),
+                             RngStream(103).child(3), eps_cutoff=0.05), 90_600_000),
     # the same call drawn for its weights alone (_weights_kernel, as the
     # selftest's unit-mean check draws each tilt): the draw has no target and
     # asks for no end value, so it keeps no path, no record and no grid:
-    # peaks 7.97-8.01 MB (8.17-8.23 MB with each piece's grid, 98.28-99.13 MB
-    # when it kept the batch), ceiling 3.0% above
+    # peaks 6.89-7.78 MB (7.54-8.02 MB with every cell's counts drawn first,
+    # 8.17-8.23 MB with each piece's grid), ceiling 6.1% above
     "small_regime_weights": (partial(diagnostics._weights_kernel, weight_battery(PARAMS)[3][1],
                                      256, 0.05, RngStream(103).child(3), 2000), 8_250_000),
 }
