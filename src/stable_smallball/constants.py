@@ -30,7 +30,8 @@ from .processes import AlphaStableParams
 
 _SERIES_RTOL = 1e-12
 # the operator on n_grid cells is solved as one dense block of order n_grid/2,
-# 134 MB at this bound; a spectral solve there peaks at about 210 MB
+# 134 MB at this bound; a spectral solve there holds it beside LAPACK's copy
+# and peaks at about 300 MB
 _MAX_GRID = 8192
 
 
@@ -148,13 +149,15 @@ def _even_block(col: np.ndarray) -> np.ndarray:
     its even vectors, as the flip i -> n-1-i commutes with it.  The basis is
     (e_i + e_{n-1-i})/sqrt 2 for i < n//2, and e_{n//2} too when n is odd;
     entry (i, j) is col[|i-j|] + col[n-1-i-j], over sqrt 2 in the middle row
-    and column.
+    and column.  Both terms are windows of ``col``: row i of the first is
+    col[k-1], ..., col[1], col[0], col[1], ..., col[k-1] from position k-1-i,
+    row i of the second is col reversed from position i.
     """
-    from scipy import linalg
+    window = np.lib.stride_tricks.sliding_window_view
     n = col.size
     k = n - n // 2
-    block = linalg.toeplitz(col[:k])
-    block += np.lib.stride_tricks.sliding_window_view(col[::-1], k)[:k]
+    mirrored = np.concatenate((col[k - 1:0:-1], col[:k]))
+    block = window(mirrored, k)[::-1] + window(col[::-1], k)[:k]
     if n % 2:  # the middle vector is its own mirror image
         block[-1] /= math.sqrt(2.0)
         block[:, -1] /= math.sqrt(2.0)
@@ -163,21 +166,28 @@ def _even_block(col: np.ndarray) -> np.ndarray:
 
 def _ground_state(col: np.ndarray) -> tuple[float, float]:
     """(lambda_1, lambda_3), the two lowest even eigenvalues of the symmetric
-    Toeplitz matrix with first column ``col``, from one ``eigh`` of its even
-    block.  lambda_1 is the Rayleigh quotient of the vector: ``eigh``'s own
-    value is off by about eps times the block's norm (1.3e-10 relative at
-    alpha 1.8 and n_grid 4096).  By Perron-Frobenius, an irreducible Z-matrix
-    (col[1] < 0, col[2:] <= 0) with a nonnegative eigenvector has it at its
-    lowest eigenvalue, which is simple: no odd mode lies at or below it."""
-    from scipy import linalg
-    # the block is symmetric, so its transpose is the Fortran-ordered array
-    # that LAPACK overwrites without a copy
-    lam, vec = linalg.eigh(_even_block(col).T, subset_by_index=[0, 1], driver="evr",
-                           overwrite_a=True)
-    vec = vec[:, 0] if vec[:, 0].sum() >= 0.0 else -vec[:, 0]
+    Toeplitz matrix with first column ``col``, from its even block, in NumPy:
+    both from ``eigvalsh``, then lambda_1's vector from one solve of the block
+    shifted to sigma = lambda_1 - 1e-9 (lambda_3 - lambda_1), which weights
+    every other mode at most 1e-9 as much, relative to its share of the ones
+    vector.  lambda_1 is the Rayleigh quotient of the vector: ``eigvalsh``'s
+    own value is off by about eps times the block's norm (1.7e-10 relative
+    at alpha 1.8 and n_grid 4096).  By Perron-Frobenius, an irreducible
+    Z-matrix (col[1] < 0, col[2:] <= 0) with a nonnegative eigenvector has it
+    at its lowest eigenvalue, which is simple: no odd mode lies at or below
+    it."""
+    block = _even_block(col)
+    lam = np.linalg.eigvalsh(block)
+    diag = block.diagonal().copy()
+    # shifted in place and restored, so no third block sits beside the two
+    # that the solve holds (this one and LAPACK's copy)
+    np.fill_diagonal(block, diag - (lam[0] - 1e-9 * (lam[1] - lam[0])))
+    vec = np.linalg.solve(block, np.ones(diag.size))
+    np.fill_diagonal(block, diag)
+    vec /= math.copysign(np.linalg.norm(vec), vec.sum())
     if not (col[1] < 0.0 and np.all(col[2:] <= 0.0) and np.min(vec) >= -1e-8):
         raise RuntimeError("ground state is not positive and simple; discretization is broken")
-    return float(vec @ (_even_block(col) @ vec)), float(lam[1])
+    return float(vec @ (block @ vec)), float(lam[1])
 
 
 def dirichlet_eigenvalue(alpha: float, n_grid: int) -> tuple[float, float]:

@@ -1,10 +1,10 @@
 """Test-session set-up: one BLAS thread, fixed before NumPy loads, and a
 watchdog on every test.
 
-OpenBLAS reduces the spectral solver's blocks to tridiagonal form on a
-different code path with one thread than with several, so the last bits of
-the eigenvalues (from grid 512 up), and the golden digest pinned on them,
-depend on the thread count.  The
+OpenBLAS factors the spectral solver's blocks on a different code path
+with one thread than with several, so the last bits of the eigenvalues
+(from grid 256 up), and the golden digest pinned on them, depend on the
+thread count.  The
 benchmark runs with one BLAS thread; pinning the same here makes tier-1
 independent of the machine's core count and of the caller's environment.
 The variables are read once, when NumPy first loads its BLAS, which is

@@ -1,7 +1,8 @@
 """The public API: every exported function and class has a consumer in the
 package, and so does every module-level private one, every defaulted
 parameter a caller outside the self-checks that sets it, no ``rng`` a
-default, and runs that need no SciPy routine do not load SciPy."""
+default, and runs that need no SciPy routine, the spectral solve among them,
+do not load SciPy."""
 
 import ast
 import inspect
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import stable_smallball
 
@@ -116,7 +119,6 @@ def test_no_exported_callable_defaults_rng():
 
 
 NO_SCIPY_RUN = """
-import sys
 import stable_smallball
 import stable_smallball.cli
 from stable_smallball import AlphaStableParams, RngStream, SmallBallQuery, anderson_report, \
@@ -126,17 +128,26 @@ params.c_alpha
 anderson_report(params, 1.0, 64, rng=RngStream(0), n_steps=64)
 estimate_is(SmallBallQuery.middle(params, identity_shift(), c=0.2, r=1.0), 64, n_steps=64,
             rng=RngStream(0))
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+SPECTRAL_RUN = """
+from stable_smallball import diagnostics, dirichlet_eigenvalue, smallball_constant_spectral
+smallball_constant_spectral(1.5, 64)
+dirichlet_eigenvalue(1.8, 256)
+assert diagnostics.check_gaussian_eigenvalue()[0]
+assert diagnostics.check_smallball_ordering()[0]
 """
 
 
-def test_package_and_anderson_run_load_no_scipy():
+@pytest.mark.parametrize("run", [NO_SCIPY_RUN, SPECTRAL_RUN], ids=["anderson", "spectral"])
+def test_run_loads_no_scipy(run):
     # a fresh interpreter, so no other test has imported SciPy already
     package_root = str(Path(stable_smallball.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN],
+    report = 'import sys\nprint(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))'
+    proc = subprocess.run([sys.executable, "-c", run + report],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

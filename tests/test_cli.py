@@ -598,7 +598,7 @@ SELFTEST_RUN = """
 import json, sys
 from stable_smallball.cli import main
 rc = main(["selftest", "--out", sys.argv[1]])
-print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("scipy."))]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
@@ -612,10 +612,9 @@ def test_selftest_passes_every_check(tmp_path):
     failed = [f"{r['name']}: {r['detail']}" for r in results if not r["passed"]]
     assert not failed, "; ".join(failed)
     assert rc == 0 and len(results) == 19
-    # scipy.linalg for the spectral checks, scipy.special for exact intervals,
-    # private submodules, and scipy.version, which ``import scipy`` loads
-    public = {m.split(".")[1] for m in modules} - {"linalg", "special", "version"}
-    assert all(name.startswith("_") for name in public), sorted(public)
+    # the spectral checks solve on NumPy, and no check's count is extreme
+    # enough for an exact interval
+    assert modules == []
 
 
 def _package_env() -> dict:

@@ -25,7 +25,8 @@ from stable_smallball import (
     truncated_second_moment,
 )
 from stable_smallball import constants
-from stable_smallball.constants import _ground_state, _richardson, _stable_operator
+from stable_smallball.constants import (_even_block, _ground_state, _richardson,
+                                        _stable_operator)
 from stable_smallball.diagnostics import _gaussian_operator, check_char_exponent_scale
 from stable_smallball.simulate import sample_stable_batch, sample_sups
 
@@ -129,11 +130,35 @@ class TestSpectral:
         even = [k for k in range(col.size) if np.allclose(vec[::-1, k], vec[:, k], atol=1e-8)]
         assert list(_ground_state(col)) == pytest.approx([lam[0], lam[even[1]]], rel=1e-11)
 
+    @pytest.mark.parametrize("n_grid", [64, 65, 100, 101])
+    def test_even_block_is_the_toeplitz_fold(self, n_grid):
+        # the windows give SciPy's Toeplitz-plus-Hankel construction bit for bit, at
+        # matrix orders n_grid - 1 of both parities
+        col = _stable_operator(1.5, n_grid)
+        n = col.size
+        k = n - n // 2
+        want = linalg.toeplitz(col[:k])
+        want += linalg.hankel(col[::-1][:k], col[::-1][k - 1:2 * k - 1])  # col[n-1-i-j]
+        if n % 2:
+            want[-1] /= math.sqrt(2.0)
+            want[:, -1] /= math.sqrt(2.0)
+        assert _even_block(col).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_grid", [64, 512, 4096])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_ground_state_matches_the_subset_solve(self, alpha, n_grid):
+        # SciPy's two-vector solve and the Rayleigh quotient of its vector
+        col = _stable_operator(alpha, n_grid)
+        block = _even_block(col)
+        lam, vec = linalg.eigh(block, subset_by_index=[0, 1], driver="evr")
+        want = [vec[:, 0] @ (block @ vec[:, 0]), lam[1]]
+        assert list(_ground_state(col)) == pytest.approx(want, rel=1e-10, abs=0.0)
+
     @pytest.mark.parametrize("planted", [
         {0: 4.0, 1: 1.0},  # a positive off-diagonal entry: the vector alternates in sign
         {0: 2.0, 2: -1.0},  # reducible: the ground vector vanishes at every odd point
         {0: 2.0, 1: -1.0, -1: 2.0},  # odd lowest at -0.5, below a positive even vector
-        None,  # a valid operator whose solve returns a vector that changes sign
+        None,  # a valid operator whose shifted solve returns a vector that changes sign
     ], ids=["positive_off_diagonal", "reducible", "odd_below_even", "sign_change"])
     def test_solver_refuses_a_broken_operator(self, planted):
         def column(alpha, m):
@@ -142,14 +167,14 @@ class TestSpectral:
                 col[k] = v
             return col
 
-        eigh = linalg.eigh
+        solve = np.linalg.solve
 
-        def sign_changing_eigh(*args, **kwargs):
-            lam, vec = eigh(*args, **kwargs)
-            vec[: vec.shape[0] // 2, 0] *= -1.0
-            return lam, vec
+        def sign_changing_solve(*args, **kwargs):
+            vec = solve(*args, **kwargs)
+            vec[: vec.size // 2] *= -1.0
+            return vec
 
-        patch = (mock.patch.object(linalg, "eigh", side_effect=sign_changing_eigh)
+        patch = (mock.patch.object(np.linalg, "solve", side_effect=sign_changing_solve)
                  if planted is None else
                  mock.patch.object(constants, "_stable_operator", side_effect=column))
         with patch, pytest.raises(RuntimeError, match="ground state is not positive and simple"):
